@@ -36,15 +36,10 @@ class SmallRing:
         self.objects = enumerate_matchings(m, n)
         if not self.objects:
             raise InvalidBoundary(f"no flat ({m}, {n})-tangles exist")
-        self._doubles = {}
         self._bases = {}
-        self._products = {}
 
     def double(self, a, b):
-        key = (a, b)
-        if key not in self._doubles:
-            self._doubles[key] = hom_double(a, b)
-        return self._doubles[key]
+        return hom_double(a, b)
 
     def basis(self, a, b):
         key = (a, b)
@@ -73,10 +68,7 @@ class SmallRing:
         return tuple(labs)
 
     def mul(self, a, b, c, lab1, lab2):
-        key = (a, b, c, tuple(lab1), tuple(lab2))
-        if key not in self._products:
-            self._products[key] = pair(a, b, c, self.state(a, b, lab1), self.state(b, c, lab2))
-        return self._products[key]
+        return pair(a, b, c, self.state(a, b, lab1), self.state(b, c, lab2))
 
     def gram(self):
         """Graded dimensions of all hom spaces, as a nested dict."""

@@ -13,12 +13,18 @@ factor's own circles, then the upper factor's, then circles formed at the
 interface ordered by their smallest interface point.  Juxtaposition
 concatenates circle lists left to right.  All transports here respect that
 order, so states produced by different routes can be composed safely.
+
+Composition and juxtaposition depend only on the tangles.  pair reads a
+table of basis products that surgery fills once per key, and juxtaposed a
+circle map compiled once per tuple of shapes; doubles, tables and maps are
+cached for the life of the process.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import GradingError, InvalidBoundary
 from .homalg import LaurentPoly
@@ -184,13 +190,9 @@ class StateVector:
         return StateVector(new_diag, self.offset + 1, terms)
 
 
-def transport(state, target, arc_map):
-    """Reinterpret a state on a homeomorphic diagram.
-
-    arc_map sends source arcs to target arcs and must determine a bijection
-    of circles; it does not need to mention every arc.
-    """
-    src = state.diagram
+def _circle_map(src, target, arc_map):
+    """The bijection of circles, source index to target index, that arc_map
+    induces between two homeomorphic diagrams."""
     circle_map = {}
     for a_src, a_tgt in arc_map.items():
         i = src.component_of[a_src]
@@ -203,6 +205,16 @@ def transport(state, target, arc_map):
         or len(set(circle_map.values())) != len(target)
     ):
         raise GradingError("arc map does not cover circles bijectively")
+    return circle_map
+
+
+def transport(state, target, arc_map):
+    """Reinterpret a state on a homeomorphic diagram.
+
+    arc_map sends source arcs to target arcs and must determine a bijection
+    of circles; it does not need to mention every arc.
+    """
+    circle_map = _circle_map(state.diagram, target, arc_map)
     terms = {}
     for lab, coeff in state.terms.items():
         new_lab = [None] * len(target)
@@ -231,8 +243,13 @@ def graded_rank(diagram, offset):
     return LaurentPoly(counts)
 
 
+@lru_cache(maxsize=None)
 def hom_double(a, b):
-    """The circle diagram and offset presenting morphisms from a to b."""
+    """The circle diagram and offset presenting morphisms from a to b.
+
+    Cached for the life of the process: every state on Hom(a, b) shares one
+    diagram, which nothing may mutate.
+    """
     if (a.bottom, a.top) != (b.bottom, b.top):
         raise InvalidBoundary("hom spaces need matching boundary data")
     return ClosedDiagram.double(a, b), Fraction(a.points, 2)
@@ -277,16 +294,22 @@ def _local_arc(arc):
     return block, (side, *rest)
 
 
-def _joint_terms(big, states):
-    """Product labelings on a diagram whose circles come from per-block states.
+def _joint_pick(big, diagrams):
+    """The (block, local circle) behind each circle of big.
 
-    states maps a block id to its StateVector; arcs of big must have the form
+    diagrams maps a block id to its diagram; arcs of big must have the form
     ((block, side), ...) with (side, ...) an arc of that block's diagram.
     """
     pick = []
     for circ in big.circles:
         block, local = _local_arc(circ[0])
-        pick.append((block, states[block].diagram.component_of[local]))
+        pick.append((block, diagrams[block].component_of[local]))
+    return tuple(pick)
+
+
+def _product_terms(pick, states):
+    """Product labelings: circle i takes the label of circle pick[i][1] in
+    the state states[pick[i][0]]."""
     blocks = sorted(states)
     terms = {}
     for combo in itertools.product(*(states[b].sorted_terms() for b in blocks)):
@@ -296,8 +319,17 @@ def _joint_terms(big, states):
             coeff *= c
         lab = tuple(labs[b][i] for b, i in pick)
         terms[lab] = terms.get(lab, 0) + coeff
-    offset = sum((states[b].offset for b in blocks), Fraction(0))
-    return StateVector(big, offset, terms)
+    return terms
+
+
+def _joint_terms(big, states):
+    """Product labelings on a diagram whose circles come from per-block states.
+
+    states maps a block id to its StateVector; see _joint_pick for the arcs.
+    """
+    pick = _joint_pick(big, {b: sv.diagram for b, sv in states.items()})
+    offset = sum((sv.offset for sv in states.values()), Fraction(0))
+    return StateVector(big, offset, _product_terms(pick, states))
 
 
 def _double_instances(block, a, b, tangles, glue):
@@ -314,17 +346,50 @@ def _glue_all(glue, inst1, side1, inst2, side2, count):
         glue[(inst2, side2, i)] = (inst1, side1, i)
 
 
+def _check_hom_state(sv, a, b, what):
+    """Raise unless sv lies on the double of (a, b) at its hom offset."""
+    d, off = hom_double(a, b)
+    if sv.diagram is not d and sv.diagram.arcs != d.arcs:
+        raise InvalidBoundary(f"{what} does not live on the expected double")
+    if sv.offset != off:
+        raise GradingError(f"{what} sits at offset {sv.offset}, not at the hom offset {off}")
+
+
 def pair(a, b, c, sv1, sv2):
     """Compose sv1 in Hom(a, b) with sv2 in Hom(b, c).
 
-    One saddle per chord of b, then each free circle of b is merged across
-    the two copies and capped off.  The result lives on the double of a and
-    c, at its own hom offset.
+    The bilinear extension of _basis_product.  The result lives on the
+    double of a and c, at its own hom offset.
     """
-    d1, _ = hom_double(a, b)
-    d2, _ = hom_double(b, c)
-    if sv1.diagram.arcs != d1.arcs or sv2.diagram.arcs != d2.arcs:
-        raise InvalidBoundary("states do not live on the expected doubles")
+    _check_hom_state(sv1, a, b, "first state")
+    _check_hom_state(sv2, b, c, "second state")
+    canon, off = hom_double(a, c)
+    terms = {}
+    for lab1, c1 in sv1.terms.items():
+        for lab2, c2 in sv2.terms.items():
+            for lab, k in _basis_product(a, b, c, lab1, lab2):
+                terms[lab] = terms.get(lab, 0) + c1 * c2 * k
+    return StateVector(canon, off, terms)
+
+
+@lru_cache(maxsize=None)
+def _basis_product(a, b, c, lab1, lab2):
+    """Composite of two basis elements, as sorted (labeling, coefficient)
+    pairs on the double of (a, c).  Surgery runs once per key; the table
+    lives as long as the process."""
+    d1, off1 = hom_double(a, b)
+    d2, off2 = hom_double(b, c)
+    sv1 = StateVector(d1, off1, {lab1: 1})
+    sv2 = StateVector(d2, off2, {lab2: 1})
+    return _pair_by_surgery(a, b, c, sv1, sv2).sorted_terms()
+
+
+def _pair_by_surgery(a, b, c, sv1, sv2):
+    """Compose states on the doubles of (a, b) and (b, c) diagram by diagram.
+
+    One saddle per chord of b, then each free circle of b is merged across
+    the two copies and capped off.  States must sit at their hom offsets.
+    """
     tangles, glue = {}, {}
     _double_instances(1, a, b, tangles, glue)
     _double_instances(2, b, c, tangles, glue)
@@ -343,8 +408,7 @@ def pair(a, b, c, sv1, sv2):
         l2 = state.diagram.arcs[arc2][0]
         state = state.surgered(arc1, arc2, ((l1, l2), (l1, l2)))
         state = state.killed(("srg", arc1, arc2, 0))
-    canon, off = hom_double(a, c)
-    assert state.offset == off
+    canon, _ = hom_double(a, c)
     arc_map = {}
     for k in range(len(a.chords)):
         arc_map[((1, "x"), k)] = ("x", k)
@@ -487,9 +551,7 @@ def whisker(state, a, b, e, above=True):
     the top edge) or from a*e to b*e (bottom edge).  One saddle per glued
     boundary point.
     """
-    d1, _ = hom_double(a, b)
-    if state.diagram.arcs != d1.arcs:
-        raise InvalidBoundary("state does not live on the expected double")
+    _check_hom_state(state, a, b, "state")
     if above:
         if e.bottom != a.top:
             raise InvalidBoundary("whisker tangle does not fit the top edge")
@@ -544,28 +606,37 @@ def juxtaposed(factors):
     """Side-by-side union of hom elements.
 
     factors is a sequence of (a_i, b_i, state_i); the result is a hom
-    element from juxtapose(*a) to juxtapose(*b).  No saddles are involved.
+    element from juxtapose(*a) to juxtapose(*b).  No saddles are involved:
+    each circle of the result carries the label of one factor's circle, as
+    compiled by _juxtaposition_plan.
     """
-    factors = list(factors)
-    tangles, glue = {}, {}
-    states = {}
+    shapes, states = [], {}
     for i, (a, b, sv) in enumerate(factors):
-        d, _ = hom_double(a, b)
-        if sv.diagram.arcs != d.arcs:
-            raise InvalidBoundary(f"factor {i} does not live on the expected double")
-        _double_instances(i, a, b, tangles, glue)
+        _check_hom_state(sv, a, b, f"factor {i}")
+        shapes.append((a, b))
         states[i] = sv
+    canon, off, pick = _juxtaposition_plan(tuple(shapes))
+    return StateVector(canon, off, _product_terms(pick, states))
+
+
+@lru_cache(maxsize=None)
+def _juxtaposition_plan(shapes):
+    """The double of the juxtaposed (a_i, b_i) in shapes, its hom offset,
+    and the (factor, local circle) behind each of its circles."""
+    tangles, glue = {}, {}
+    doubles = {}
+    for i, (a, b) in enumerate(shapes):
+        _double_instances(i, a, b, tangles, glue)
+        doubles[i], _ = hom_double(a, b)
     big = ClosedDiagram.from_instances(tangles, glue)
-    state = _joint_terms(big, states)
-    ja = juxtapose(*(a for a, _b, _s in factors))
-    jb = juxtapose(*(b for _a, b, _s in factors))
+    ja = juxtapose(*(a for a, _b in shapes))
+    jb = juxtapose(*(b for _a, b in shapes))
     canon, off = hom_double(ja, jb)
-    assert state.offset == off
     arc_map = {}
     for side, get in (("x", lambda f: f[0]), ("y", lambda f: f[1])):
         jt = ja if side == "x" else jb
         off_b = off_t = off_o = 0
-        for i, fac in enumerate(factors):
+        for i, fac in enumerate(shapes):
             t = get(fac)
             for k, (p, _q) in enumerate(t.chords):
                 gp = (off_b + p) if p < t.bottom else (jt.bottom + off_t + p - t.bottom)
@@ -575,4 +646,9 @@ def juxtaposed(factors):
             off_b += t.bottom
             off_t += t.top
             off_o += t.circles
-    return transport(state, canon, arc_map)
+    pick = _joint_pick(big, doubles)
+    to_canon = _circle_map(big, canon, arc_map)
+    plan = [None] * len(canon)
+    for i, j in to_canon.items():
+        plan[j] = pick[i]
+    return canon, off, tuple(plan)

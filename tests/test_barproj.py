@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from skeinhom.barproj import (SmallRing, bar_words, bottom_projector, counit_components,
-                              fold_entry, fold_tangle, shuffle_words, signed_shuffles,
-                              twisted_cone, unit_complex, word_degree)
-from skeinhom.errors import InvalidBoundary, TruncationError
+from skeinhom.barproj import (SmallRing, TwistedTangleComplex, bar_words, bottom_projector,
+                              counit_components, fold_entry, fold_tangle, shuffle_words,
+                              signed_shuffles, twisted_cone, unit_complex, word_degree)
+from skeinhom.errors import ChainMapError, GradingError, InvalidBoundary, TruncationError
 from skeinhom.homalg import LaurentPoly
 from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
-from skeinhom.tqft import (basis_state, hom_double, identity_state, kh_basis, pair,
-                           reflected_x)
+from skeinhom.tqft import (StateVector, basis_state, hom_double, identity_state, kh_basis,
+                           pair, reflected_x)
 
 from .oracles import all_shuffles
 
@@ -142,6 +142,40 @@ class TestBottomProjector:
             for w, (T, s) in zip(words, P.objects[-r]):
                 assert T == fold_tangle(w[0][0], w[0][-1])
                 assert s == 2 + word_degree(ring, w)
+
+
+class TestValidation:
+    """The state-level checks a TwistedTangleComplex runs on construction."""
+
+    def rebuilt(self, P, h, key, sv):
+        diffs = {g: dict(d) for g, d in P.differentials.items()}
+        diffs[h][key] = sv
+        return TwistedTangleComplex(P.objects, diffs, P.h_min, P.h_max,
+                                    P.complete, P.certificate, check=True)
+
+    def test_unperturbed_rebuild_passes(self):
+        P = bottom_projector(2, depth=2)
+        self.rebuilt(P, -2, (0, 0), P.differentials[-2][(0, 0)])
+
+    def test_perturbed_entry_breaks_d_squared(self):
+        # one object per degree: scaling a whole entry keeps d^2 = 0, so
+        # scale one of its terms instead
+        P = bottom_projector(2, depth=2)
+        sv = P.differentials[-2][(0, 0)]
+        (lab, c), *_ = sv.sorted_terms()
+        bumped = sv + StateVector(sv.diagram, sv.offset, {lab: c})
+        T = P.objects[-1][0][0]
+        assert pair(T, T, T, bumped, P.differentials[-1][(0, 0)])
+        with pytest.raises(ChainMapError):
+            self.rebuilt(P, -2, (0, 0), bumped)
+
+    def test_wrong_degree_entry_rejected(self):
+        P = bottom_projector(2, depth=2)
+        sv = P.differentials[-2][(0, 0)]
+        low = StateVector(sv.diagram, sv.offset, {(0,) * len(sv.diagram): 1})
+        assert low.degrees() != sv.degrees()
+        with pytest.raises(GradingError):
+            self.rebuilt(P, -2, (0, 0), low)
 
 
 class TestCounit:

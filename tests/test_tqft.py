@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,10 @@ from skeinhom.errors import GradingError, InvalidBoundary
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.planar import (ClosedDiagram, PlanarTangle, compose, cup_over_cap,
                              enumerate_matchings, identity_tangle, juxtapose)
-from skeinhom.tqft import (ONE, X, StateVector, basis_state, graded_rank, hom_double,
+from skeinhom.tqft import (ONE, X, StateVector, _double_instances, _joint_terms,
+                           _pair_by_surgery, basis_state, graded_rank, hom_double,
                            hom_graded_rank, identity_state, juxtaposed, kh_basis, pair,
-                           reflected_x, reflected_y, transposed, whisker)
+                           reflected_x, reflected_y, transport, transposed, whisker)
 
 ID1 = identity_tangle(1)
 ID2 = identity_tangle(2)
@@ -287,8 +289,123 @@ class TestJuxtaposed:
         j = juxtaposed([(ID2, E, f), (ID1, ID1, g)])
         assert j.degrees() == [f.degrees()[0] + g.degrees()[0]]
 
+    def test_accepts_any_iterable(self):
+        i1, ie = identity_state(ID1), identity_state(E)
+        factors = [(ID1, ID1, i1), (E, E, ie)]
+        assert juxtaposed(iter(factors)) == juxtaposed(factors)
+
     def test_matches_whisker_for_identity_factor(self):
         # juxtaposing an identity strand equals whiskering by nothing new
         f = basis_state(ID2, E, (ONE,))
         j = juxtaposed([(ID2, E, f)])
         assert j == f
+
+
+def seeded_state(rng, a, b):
+    """A state on the double of (a, b) with random integer coefficients on
+    one to four random labelings, of mixed degrees."""
+    d, off = hom_double(a, b)
+    labs = [lab for lab, _ in kh_basis(d, off)]
+    picked = rng.sample(labs, rng.randint(1, min(4, len(labs))))
+    return StateVector(d, off, {lab: rng.choice([-3, -2, -1, 1, 2, 5]) for lab in picked})
+
+
+def juxtaposed_by_diagram(factors):
+    """Juxtaposition traced on the union of the factor doubles and transported
+    to the double of the juxtaposed tangles, state by state."""
+    tangles, glue, states = {}, {}, {}
+    for i, (a, b, sv) in enumerate(factors):
+        _double_instances(i, a, b, tangles, glue)
+        states[i] = sv
+    state = _joint_terms(ClosedDiagram.from_instances(tangles, glue), states)
+    arc_map = {}
+    for side, pos in (("x", 0), ("y", 1)):
+        whole = juxtapose(*(f[pos] for f in factors))
+        off_b = off_t = off_o = 0
+        for i, f in enumerate(factors):
+            t = f[pos]
+            glob = lambda p: off_b + p if p < t.bottom else whole.bottom + off_t + p - t.bottom
+            for k, (p, q) in enumerate(t.chords):
+                arc_map[((i, side), k)] = (side, whole.chords.index((glob(p), glob(q))))
+            for k in range(t.circles):
+                arc_map[((i, side), "o", k)] = (side, "o", off_o + k)
+            off_b, off_t, off_o = off_b + t.bottom, off_t + t.top, off_o + t.circles
+    canon, _ = hom_double(juxtapose(*(f[0] for f in factors)),
+                          juxtapose(*(f[1] for f in factors)))
+    return transport(state, canon, arc_map)
+
+
+def small_objects(m, n):
+    """Minimal (m, n)-tangles, the first also with one free circle and the
+    last with two."""
+    flat = enumerate_matchings(m, n)
+    return flat + (flat[0].with_circles(1), flat[-1].with_circles(2))
+
+
+class TestCompiledComposition:
+    """pair and juxtaposed read cached tables; surgery on whole diagrams is
+    the reference they must agree with."""
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (1, 1), (0, 2), (2, 0), (2, 2), (1, 3),
+                                     (3, 1), (0, 4), (4, 0)])
+    def test_pair_matches_surgery_on_multiterm_states(self, m, n):
+        rng = random.Random(1000 * m + n)
+        objs = small_objects(m, n)
+        for a, b, c in itertools.product(objs, repeat=3):
+            sv1, sv2 = seeded_state(rng, a, b), seeded_state(rng, b, c)
+            assert pair(a, b, c, sv1, sv2) == _pair_by_surgery(a, b, c, sv1, sv2)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_juxtaposed_matches_diagram_route(self, count):
+        rng = random.Random(count)
+        shapes = [(1, 1), (0, 2), (2, 2), (2, 0), (1, 3)]
+        for _ in range(40):
+            factors = []
+            for m, n in rng.sample(shapes, count):
+                objs = small_objects(m, n)
+                a, b = rng.choice(objs), rng.choice(objs)
+                factors.append((a, b, seeded_state(rng, a, b)))
+            assert juxtaposed(factors) == juxtaposed_by_diagram(factors)
+
+    def test_shared_doubles_are_not_mutated(self):
+        d, _ = hom_double(E, ID2)
+        arcs, circles = dict(d.arcs), d.circles
+        f = basis_state(ID2, E, (ONE,))
+        pair(ID2, E, ID2, f, basis_state(E, ID2, (X,)))
+        juxtaposed([(E, ID2, basis_state(E, ID2, (ONE,))), (ID1, ID1, identity_state(ID1))])
+        assert hom_double(E, ID2)[0] is d
+        assert d.arcs == arcs and d.circles == circles
+
+
+class TestOffsetChecks:
+    """A state off its double's hom offset is refused before any lookup."""
+
+    def shifted_saddle(self, k):
+        d, off = hom_double(ID2, E)
+        return StateVector(d, off + k, {(ONE,): 1})
+
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_pair_rejects_first_state_off_offset(self, k):
+        with pytest.raises(GradingError):
+            pair(ID2, E, E, self.shifted_saddle(k), identity_state(E))
+
+    def test_pair_rejects_second_state_off_offset(self):
+        with pytest.raises(GradingError):
+            pair(ID2, ID2, E, identity_state(ID2), self.shifted_saddle(1))
+
+    def test_pair_rejects_offsets_that_cancel(self):
+        d, off = hom_double(E, ID2)
+        back = StateVector(d, off - 1, {(ONE,): 1})
+        with pytest.raises(GradingError):
+            pair(ID2, E, ID2, self.shifted_saddle(1), back)
+
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_juxtaposed_rejects_factor_off_offset(self, k):
+        with pytest.raises(GradingError):
+            juxtaposed([(ID2, E, self.shifted_saddle(k))])
+        with pytest.raises(GradingError):
+            juxtaposed([(ID1, ID1, identity_state(ID1)), (ID2, E, self.shifted_saddle(k))])
+
+    def test_whisker_rejects_state_off_offset(self):
+        with pytest.raises(GradingError):
+            whisker(self.shifted_saddle(1), ID2, E, E, above=True)
