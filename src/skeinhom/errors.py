@@ -39,3 +39,7 @@ class SpecError(SkeinError):
 
 class AdmissibilityError(SkeinError):
     """A spin-network coloring violates the admissibility conditions."""
+
+
+class InexactDivision(SkeinError):
+    """A polynomial division that must be exact left a remainder."""

@@ -287,15 +287,18 @@ class TruncatedComplex:
                         f"differential does not preserve quantum degree at h={h}: "
                         f"{src[j]} -> {tgt[i]}"
                     )
-                assert c != 0
+                if c == 0:
+                    raise GradingError(f"zero differential entry stored at degree {h}: {(i, j)}")
         for h in sorted(self.differentials):
             if h + 1 not in self.differentials:
                 continue
+            by_source = {}
+            for (k, i), c2 in self.differentials[h + 1].items():
+                by_source.setdefault(i, []).append((k, c2))
             prod = {}
             for (i, j), c in self.differentials[h].items():
-                for (k, i2), c2 in self.differentials[h + 1].items():
-                    if i2 == i:
-                        prod[(k, j)] = prod.get((k, j), 0) + c * c2
+                for k, c2 in by_source.get(i, ()):
+                    prod[(k, j)] = prod.get((k, j), 0) + c * c2
             bad = {k: v for k, v in prod.items() if v}
             if bad:
                 raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")

@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .barproj import bottom_projector
-from .errors import AdmissibilityError, InvalidBoundary, SpecError, TruncationError
+from .errors import (AdmissibilityError, InexactDivision, InvalidBoundary, SpecError,
+                     TruncationError)
 from .homalg import LaurentPoly, circle_poly
 from .planar import PlanarTangle, compose, cup_over_cap, identity_tangle, juxtapose
 from .surface import SurfaceComplex, SurfaceSpec, SurfaceTangle, arc, validate_surface
@@ -29,67 +30,72 @@ def quantum_integer(k):
     return LaurentPoly({k - 1 - 2 * i: 1 for i in range(k)})
 
 
-def _poly_rem(a, b):
-    """Remainder of dense ascending coefficient lists over the rationals."""
+def _primitive(coeffs):
+    """Integer coefficients divided by their content, with positive lead."""
+    content = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
+        content = -content
+    return [c // content for c in coeffs]
+
+
+def _prem(a, b):
+    """Pseudo-remainder of dense ascending integer lists: an integer multiple
+    of the remainder of a by b over the rationals, trailing zeros dropped."""
     a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and any(a):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        lead = Fraction(a[-1], 1) / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= lead * c
-        a.pop()
+    lb, db = b[-1], len(b) - 1
+    while len(a) > db:
+        la = a.pop()
+        if not la:
+            continue
+        g = math.gcd(la, lb)
+        ma, mb = lb // g, la // g
+        if ma != 1:
+            a = [ma * c for c in a]
+        shift = len(a) - db
+        for i in range(db):
+            a[shift + i] -= mb * b[i]
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _primitive(coeffs):
-    """Scale rational coefficients to coprime integers with positive lead."""
-    if not any(coeffs):
-        return []
-    denom = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(Fraction(c) * denom) for c in coeffs]
-    content = math.gcd(*(abs(c) for c in ints))
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
 def _poly_gcd(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while any(b):
-        a, b = b, _poly_rem(a, b)
-    return _primitive(a)
+    """Primitive gcd with positive lead of two nonzero integer lists, by the
+    primitive polynomial remainder sequence; a constant remainder ends it
+    with gcd 1."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        a, b = b, _prem(a, b)
+        if not b:
+            return a
+        b = _primitive(b)
+    return [1]
 
 
 def _poly_div_exact(a, g):
-    """Quotient of integer lists when g divides a; exactness is asserted."""
-    a = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(g) + 1)
-    while any(a):
-        while a and not a[-1]:
-            a.pop()
-        deg = len(a) - len(g)
-        assert deg >= 0, "inexact polynomial division"
-        lead = a[-1] / g[-1]
+    """Quotient of integer lists when g divides a over the integers."""
+    r = list(a)
+    lg, dg = g[-1], len(g) - 1
+    out = [0] * max(len(r) - dg, 0)
+    for deg in range(len(out) - 1, -1, -1):
+        lead, rem = divmod(r[deg + dg], lg)
+        if rem:
+            raise InexactDivision(f"{g} does not divide {a} over the integers")
         out[deg] = lead
-        for i, c in enumerate(g):
-            a[deg + i] -= lead * c
-        a.pop()
-    assert all(c.denominator == 1 for c in out)
-    return [int(c) for c in out]
+        if lead:
+            for i in range(dg):
+                r[deg + i] -= lead * g[i]
+    if any(r[:dg]):
+        raise InexactDivision(f"{g} does not divide {a}: remainder {r[:dg]}")
+    return out
 
 
 def _coeff_list(poly):
     lo, hi = poly.min_exp(), poly.max_exp()
-    return lo, [poly.coefficient(e) for e in range(lo, hi + 1)]
+    coeffs = [0] * (hi - lo + 1)
+    for e, c in poly.terms:
+        coeffs[e - lo] = c
+    return lo, coeffs
 
 
 class RationalFunctionQ:
@@ -105,7 +111,8 @@ class RationalFunctionQ:
 
     def __init__(self, num, den=None):
         if isinstance(num, RationalFunctionQ):
-            assert den is None
+            if den is not None:
+                raise TypeError("a RationalFunctionQ takes no separate denominator")
             object.__setattr__(self, "num", num.num)
             object.__setattr__(self, "den", num.den)
             return

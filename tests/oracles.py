@@ -6,6 +6,7 @@ enumeration, fraction-free elimination) so agreement is meaningful.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -211,3 +212,86 @@ def all_shuffles(r, s):
                 inversions += seen_ones
         out.append((tuple(pattern), (-1) ** inversions))
     return out
+
+
+# Euclidean reduction of a quotient of Laurent polynomials over Fractions:
+# the normalization RationalFunctionQ used before it moved to integer
+# pseudo-remainders.
+
+def _poly_rem(a, b):
+    """Remainder of dense ascending coefficient lists over the rationals."""
+    a = list(a)
+    db = len(b) - 1
+    while len(a) - 1 >= db and any(a):
+        while a and not a[-1]:
+            a.pop()
+        if len(a) - 1 < db:
+            break
+        lead = Fraction(a[-1], 1) / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= lead * c
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _primitive(coeffs):
+    """Scale rational coefficients to coprime integers with positive lead."""
+    if not any(coeffs):
+        return []
+    denom = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * denom) for c in coeffs]
+    content = math.gcd(*(abs(c) for c in ints))
+    ints = [c // content for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return ints
+
+
+def _poly_gcd(a, b):
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while any(b):
+        a, b = b, _poly_rem(a, b)
+    return _primitive(a)
+
+
+def _poly_div_exact(a, g):
+    """Quotient of integer lists when g divides a; exactness is asserted."""
+    a = [Fraction(c) for c in a]
+    out = [Fraction(0)] * (len(a) - len(g) + 1)
+    while any(a):
+        while a and not a[-1]:
+            a.pop()
+        deg = len(a) - len(g)
+        assert deg >= 0, "inexact polynomial division"
+        lead = a[-1] / g[-1]
+        out[deg] = lead
+        for i, c in enumerate(g):
+            a[deg + i] -= lead * c
+        a.pop()
+    assert all(c.denominator == 1 for c in out)
+    return [int(c) for c in out]
+
+
+def fraction_reduced(num, den):
+    """Reduced form of num/den, both nonzero Laurent dicts exponent ->
+    coefficient, as a (numerator, denominator) pair of dicts: the
+    denominator has a nonzero constant term, positive lead and no content in
+    common with the numerator, which carries any power of q."""
+    nlo, dlo = min(num), min(den)
+    ncs = [num.get(e, 0) for e in range(nlo, max(num) + 1)]
+    dcs = [den.get(e, 0) for e in range(dlo, max(den) + 1)]
+    g = _poly_gcd(ncs, dcs)
+    ncs = _poly_div_exact(ncs, g)
+    dcs = _poly_div_exact(dcs, g)
+    content = math.gcd(math.gcd(*(abs(c) for c in ncs)), math.gcd(*(abs(c) for c in dcs)))
+    sign = 1 if dcs[-1] > 0 else -1
+    ncs = [sign * c // content for c in ncs]
+    dcs = [sign * c // content for c in dcs]
+    return (
+        {nlo - dlo + i: c for i, c in enumerate(ncs) if c},
+        {i: c for i, c in enumerate(dcs) if c},
+    )

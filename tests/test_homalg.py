@@ -7,6 +7,7 @@ from skeinhom.errors import ChainMapError, GradingError, TruncationError
 from skeinhom.homalg import (ChainMap, LaurentPoly, TruncatedComplex, circle_poly,
                              matrix_rank, smith_invariants, tensor)
 
+from .optimized import error_under_optimize
 from .oracles import bareiss_rank, rational_rank
 
 
@@ -165,6 +166,23 @@ class TestRandomComplexes:
             assert again.betti == base.betti and again.torsion == base.torsion
 
 
+def pairwise_d_squared_error(diffs):
+    """The ChainMapError message of the first degree where d^2 != 0, found by
+    pairing every entry of d_h with every entry of d_{h+1}; None if d^2 = 0."""
+    for h in sorted(diffs):
+        if h + 1 not in diffs:
+            continue
+        prod = {}
+        for (i, j), c in diffs[h].items():
+            for (k, i2), c2 in diffs[h + 1].items():
+                if i2 == i:
+                    prod[(k, j)] = prod.get((k, j), 0) + c * c2
+        bad = {k: v for k, v in prod.items() if v}
+        if bad:
+            return f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}"
+    return None
+
+
 def prime_powers(d):
     """Invariant-factor-free fingerprint of a finite cyclic group."""
     out = []
@@ -193,6 +211,50 @@ class TestTruncatedComplex:
         gens = {0: (("a", 0),), 1: (("b", 0),), 2: (("c", 0),)}
         with pytest.raises(ChainMapError):
             TruncatedComplex(gens, {0: {(0, 0): 1}, 1: {(0, 0): 1}})
+
+    def test_d_squared_message(self):
+        gens = {0: tuple((f"a{j}", 0) for j in range(3)), 1: (("b", 0),),
+                2: (("c0", 0), ("c1", 0))}
+        diffs = {0: {(0, j): 1 for j in range(3)}, 1: {(0, 0): 1, (1, 0): -2}}
+        with pytest.raises(ChainMapError) as err:
+            TruncatedComplex(gens, diffs)
+        assert str(err.value) == (
+            "d^2 != 0 from degree 0: [((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((1, 0), -2)]"
+        )
+
+    def test_perturbed_complex_message_matches_pairwise_scan(self):
+        rng = random.Random(11)
+        raised = 0
+        for _ in range(40):
+            cx, _, _ = random_shuffled_complex(rng)
+            diffs = {h: dict(d) for h, d in cx.differentials.items()}
+            hits = [(h, key) for h, d in diffs.items() if h + 1 in diffs
+                    for key in d if any(i == key[0] for _k, i in diffs[h + 1])]
+            if not hits:
+                continue
+            h, key = rng.choice(hits)
+            diffs[h][key] += rng.choice([-1, 1]) if abs(diffs[h][key]) > 1 else 1
+            if not diffs[h][key]:
+                del diffs[h][key]
+            want = pairwise_d_squared_error(diffs)
+            if want is None:
+                TruncatedComplex(cx.generators, diffs)
+                continue
+            with pytest.raises(ChainMapError) as err:
+                TruncatedComplex(cx.generators, diffs)
+            assert str(err.value) == want
+            raised += 1
+        assert raised >= 10
+
+    def test_zero_entry_rejected(self):
+        gens = {0: (("a", 0),), 1: (("b", 0),)}
+        with pytest.raises(GradingError, match="zero differential entry"):
+            TruncatedComplex(gens, {0: {(0, 0): 0}})
+        line = error_under_optimize(
+            "from skeinhom.homalg import TruncatedComplex\n"
+            "TruncatedComplex({0: (('a', 0),), 1: (('b', 0),)}, {0: {(0, 0): 0}})\n"
+        )
+        assert line.startswith("skeinhom.errors.GradingError: zero differential entry")
 
     def test_quantum_preservation_checked(self):
         gens = {0: (("a", 0),), 1: (("b", 2),)}

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinhom.errors import (AdmissibilityError, InvalidBoundary, SpecError,
-                             TruncationError)
+from skeinhom.errors import (AdmissibilityError, InexactDivision, InvalidBoundary,
+                             SpecError, TruncationError)
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.planar import compose, cup_over_cap, identity_tangle
 from skeinhom.spin import (CrosscheckReport, RationalFunctionQ, SpinNetwork,
@@ -16,9 +16,11 @@ from skeinhom.spin import (CrosscheckReport, RationalFunctionQ, SpinNetwork,
                            projector_truncation, quantum_integer, theta,
                            tl_closure, tl_compose, tl_tensor, validate_network,
                            wenzl)
+from skeinhom.spin import _poly_div_exact, _poly_gcd
 from skeinhom.surface import SurfaceSpec, arc, seam_side
 
-from .oracles import theta_formula
+from .optimized import error_under_optimize
+from .oracles import fraction_reduced, theta_formula
 
 RFQ = RationalFunctionQ
 
@@ -132,6 +134,81 @@ class TestRationalFunctionQ:
         assert str(RFQ(quantum_integer(2))) == "q^-1 + q"
         assert str(RFQ(1, quantum_integer(2))) == "q / 1 + q^2"
         assert str(RFQ.zero()) == "0"
+
+    def test_rejects_second_denominator(self):
+        with pytest.raises(TypeError):
+            RFQ(RFQ.one(), LaurentPoly.one())
+        line = error_under_optimize(
+            "from skeinhom.spin import RationalFunctionQ as R\n"
+            "R(R(1), 2)\n"
+        )
+        assert line.startswith("TypeError:")
+
+
+def reduced_pair(f):
+    return f.num.as_dict(), f.den.as_dict()
+
+
+class TestNormalization:
+    """Integer pseudo-remainder reduction against the Euclidean reduction over
+    Fractions that it replaced (tests/oracles.py)."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(a=nonzero_laurents, b=nonzero_laurents, c=nonzero_laurents)
+    def test_matches_fraction_oracle(self, a, b, c):
+        num, den = a * c, b * c
+        assert reduced_pair(RFQ(num, den)) == fraction_reduced(num.as_dict(), den.as_dict())
+
+    @pytest.mark.parametrize(
+        "num, den, want",
+        [
+            # content and a non-monic lead: (2q + 4) / (6q^2 - 6)
+            ({0: 4, 1: 2}, {0: -6, 2: 6}, ({0: 2, 1: 1}, {0: -3, 2: 3})),
+            # negative leads: (1 - q^2) / (-1 - q) = q - 1
+            ({0: 1, 2: -1}, {0: -1, 1: -1}, ({0: -1, 1: 1}, {0: 1})),
+            ({0: 3}, {0: 1, 1: -2}, ({0: -3}, {0: -1, 1: 2})),
+            # a power of q in the denominator moves to the numerator
+            ({0: 1}, {1: 1, 2: 1}, ({-1: 1}, {0: 1, 1: 1})),
+            ({3: 2}, {-2: 4, 0: 2}, ({5: 1}, {0: 2, 2: 1})),
+        ],
+    )
+    def test_reduced_forms(self, num, den, want):
+        assert reduced_pair(RFQ(LaurentPoly(num), LaurentPoly(den))) == want
+        assert fraction_reduced(num, den) == want
+
+    def test_quantum_integer_quotients(self):
+        qi = quantum_integer
+        f = RFQ(qi(6) * qi(4), qi(4) * qi(3))
+        assert f == RFQ(LaurentPoly({-3: 1, 3: 1}))
+        for num, den in [(qi(6) * qi(4), qi(4) * qi(3)), (qi(5) * qi(2), qi(4) * qi(6)),
+                         (qi(3) * qi(3) * qi(2), qi(6) * qi(4)), (qi(7), qi(5) * qi(5))]:
+            assert reduced_pair(RFQ(num, den)) == fraction_reduced(num.as_dict(), den.as_dict())
+
+    def test_gcd_is_primitive_with_positive_lead(self):
+        # (2q + 2)(q - 3) and (-4q - 4)(q^2 + 1) share q + 1
+        assert _poly_gcd([-6, -4, 2], [-4, -4, -4, -4]) == [1, 1]
+        assert _poly_gcd([5], [0, 3]) == [1]
+        assert _poly_gcd([-2, 0, 2], [-3, 3]) == [-1, 1]
+
+    def test_exact_division(self):
+        assert _poly_div_exact([-1, 0, 1], [1, 1]) == [-1, 1]
+        assert _poly_div_exact([4, 10, 4], [2, 1]) == [2, 4]
+
+    @pytest.mark.parametrize(
+        "a, g",
+        [
+            ([1, 0, 1], [1, 1]),  # q^2 + 1 leaves remainder 2 after q + 1
+            ([1, 0, 1], [1, 2]),  # lead 1 is not a multiple of 2
+            ([1], [1, 1]),  # divisor of higher degree
+        ],
+    )
+    def test_inexact_division_raises(self, a, g):
+        with pytest.raises(InexactDivision):
+            _poly_div_exact(a, g)
+        line = error_under_optimize(
+            f"from skeinhom.spin import _poly_div_exact\n_poly_div_exact({a}, {g})\n"
+        )
+        assert line.startswith("skeinhom.errors.InexactDivision:")
 
 
 class TestTLElement:
