@@ -43,3 +43,7 @@ class AdmissibilityError(SkeinError):
 
 class InexactDivision(SkeinError):
     """A polynomial division that must be exact left a remainder."""
+
+
+class InvariantFactorError(SkeinError):
+    """A Smith normal form came out with factors that do not divide in order."""

@@ -11,10 +11,9 @@ rather than returning something quietly wrong.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import ChainMapError, GradingError, TruncationError
+from .errors import ChainMapError, GradingError, InvariantFactorError, TruncationError
 
 
 class LaurentPoly:
@@ -94,7 +93,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"LaurentPoly power needs a non-negative exponent, got {k}")
         out = LaurentPoly.one()
         for _ in range(k):
             out = out * self
@@ -193,7 +193,8 @@ def smith_invariants(rows):
         t += 1
     invs = [abs(m[i][i]) for i in range(t)]
     for a, b in zip(invs, invs[1:]):
-        assert b % a == 0
+        if b % a:
+            raise InvariantFactorError(f"invariant factor {a} does not divide {b} in {invs}")
     return invs
 
 
@@ -221,6 +222,72 @@ def matrix_rank(rows):
         if r == R:
             break
     return rank
+
+
+def unit_cancellation(entries):
+    """Eliminate the +-1 pivots of a sparse integer matrix {(row, col): value}.
+
+    Each step takes a unit entry from the shortest column holding one, clears
+    its column with row operations and drops its row and column (Bar-Natan,
+    "Fast Khovanov homology computations", JKTR 16, 2007).  Returns
+    (units, residual): the number of pivots eliminated and what is left, as
+    dense rows without empty rows or columns.  The Smith form of the matrix
+    is units ones followed by the Smith form of residual.
+    """
+    rows, cols = {}, {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+    units = 0
+    while True:
+        best = None
+        for c, col in cols.items():
+            if best is not None and len(col) >= best[0]:
+                continue
+            r = next((r for r, v in col.items() if v == 1 or v == -1), None)
+            if r is not None:
+                best = (len(col), r, c)
+                if len(col) == 1:
+                    break
+        if best is None:
+            break
+        _, pr, pc = best
+        units += 1
+        pivot_row = rows.pop(pr)
+        p = pivot_row.pop(pc)
+        for c in pivot_row:
+            col = cols[c]
+            del col[pr]
+            if not col:
+                del cols[c]
+        for r, a in cols.pop(pc).items():
+            if r == pr:
+                continue
+            row = rows[r]
+            del row[pc]
+            f = a * p
+            for c, b in pivot_row.items():
+                v = row.get(c, 0) - f * b
+                if v:
+                    row[c] = v
+                    cols.setdefault(c, {})[r] = v
+                else:
+                    del row[c]
+                    col = cols[c]
+                    del col[r]
+                    if not col:
+                        del cols[c]
+            if not row:
+                del rows[r]
+    pos = {c: k for k, c in enumerate(sorted(cols))}
+    residual = []
+    for r in sorted(rows):
+        dense = [0] * len(pos)
+        for c, v in rows[r].items():
+            dense[pos[c]] = v
+        residual.append(dense)
+    return units, residual
 
 
 @dataclass(frozen=True)
@@ -255,6 +322,11 @@ class TruncatedComplex:
     generators: {h: ((label, qdeg), ...)}
     differentials: {h: {(target_index, source_index): coeff}} for the map from
     degree h to degree h+1.
+
+    Neither may be mutated after construction: homology queries index the
+    differential by (h, q) block on first use and keep each block's unit
+    cancellation for later queries.  shifted, cone and tensor build new
+    complexes.
     """
 
     def __init__(self, generators, differentials, h_min=None, h_max=None,
@@ -266,6 +338,8 @@ class TruncatedComplex:
         self.h_max = h_max if h_max is not None else (degrees[-1] if degrees else 0)
         self.complete = complete
         self.certificate = certificate
+        self._index = None
+        self._reductions = {}
         if not complete and certificate is None:
             # permitted (oracle complexes), but homology will be limited
             pass
@@ -329,17 +403,43 @@ class TruncatedComplex:
             raise TruncationError(f"degree {h} lies below the truncation and no certificate is stored")
         return self.certificate(-h)
 
+    def _block_index(self):
+        """(sizes, blocks): generators per (h, q), and the differential from
+        h to h+1 in quantum degree q as {(row, col): coeff} in cell positions,
+        keyed on (h, q).  Built in one pass on first use."""
+        if self._index is None:
+            sizes, slots = {}, {}
+            for h, gens in self.generators.items():
+                where = slots[h] = []
+                for _, q in gens:
+                    k = sizes.get((h, q), 0)
+                    sizes[(h, q)] = k + 1
+                    where.append((q, k))
+            blocks = {}
+            for h, d in self.differentials.items():
+                src, tgt = slots.get(h, ()), slots.get(h + 1, ())
+                for (i, j), c in d.items():
+                    if 0 <= i < len(tgt) and 0 <= j < len(src) and src[j][0] == tgt[i][0]:
+                        blocks.setdefault((h, src[j][0]), {})[(tgt[i][1], src[j][1])] = c
+            self._index = sizes, blocks
+        return self._index
+
     def _matrix(self, h, j):
         """The differential from degree h to h+1 in quantum degree j, as rows."""
-        src = [idx for idx, g in enumerate(self.generators.get(h, ())) if g[1] == j]
-        tgt = [idx for idx, g in enumerate(self.generators.get(h + 1, ())) if g[1] == j]
-        pos_s = {g: k for k, g in enumerate(src)}
-        pos_t = {g: k for k, g in enumerate(tgt)}
-        rows = [[0] * len(src) for _ in range(len(tgt))]
-        for (i, jj), c in self.differentials.get(h, {}).items():
-            if i in pos_t and jj in pos_s:
-                rows[pos_t[i]][pos_s[jj]] = c
-        return rows, len(src), len(tgt)
+        sizes, blocks = self._block_index()
+        n_src, n_tgt = sizes.get((h, j), 0), sizes.get((h + 1, j), 0)
+        rows = [[0] * n_src for _ in range(n_tgt)]
+        for (r, c), v in blocks.get((h, j), {}).items():
+            rows[r][c] = v
+        return rows, n_src, n_tgt
+
+    def _reduced(self, h, j):
+        """unit_cancellation of the (h, j) block, computed once."""
+        red = self._reductions.get((h, j))
+        if red is None:
+            red = self._reductions[(h, j)] = unit_cancellation(
+                self._block_index()[1].get((h, j), {}))
+        return red
 
     def _require_known(self, h, j):
         """Raise unless the chain group at (h, j) is fully stored or provably zero."""
@@ -359,31 +459,28 @@ class TruncatedComplex:
         self._require_known(i - 1, j)
         self._require_known(i, j)
         self._require_known(i + 1, j)
-        rows_in, n_src_in, _ = self._matrix(i - 1, j)
-        rows_out, n_i, _ = self._matrix(i, j)
-        invs = smith_invariants(rows_in) if rows_in and rows_in[0] else []
-        rank_in = len([d for d in invs if d])
-        rank_out = matrix_rank(rows_out) if rows_out and rows_out[0] else 0
+        units_in, res_in = self._reduced(i - 1, j)
+        units_out, res_out = self._reduced(i, j)
+        invs = smith_invariants(res_in)
+        rank_in = units_in + len(invs)
+        rank_out = units_out + matrix_rank(res_out)
+        n_i = self._block_index()[0].get((i, j), 0)
         betti = n_i - rank_in - rank_out
-        assert betti >= 0
+        if betti < 0:
+            raise ChainMapError(f"d^2 != 0 at (h={i}, q={j}): incoming rank {rank_in} "
+                                f"and outgoing rank {rank_out} exceed {n_i} generators")
         torsion = tuple(d for d in invs if d > 1)
         return betti, torsion
 
     def homology(self, h_range, q_range, threads=None):
+        """Homology on the window; threads is accepted for compatibility and
+        does not change how or what is computed."""
         i1, i2 = h_range
         j1, j2 = q_range
-        cells = [(i, j) for j in range(j1, j2 + 1) for i in range(i1, i2 + 1)]
-
-        def work(cell):
-            return cell, self.homology_at(*cell)
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, cells))
-        else:
-            results = [work(c) for c in cells]
+        results = {(i, j): self.homology_at(i, j)
+                   for j in range(j1, j2 + 1) for i in range(i1, i2 + 1)}
         betti, torsion = {}, {}
-        for (i, j), (b, tor) in sorted(results):
+        for (i, j), (b, tor) in sorted(results.items()):
             if b:
                 betti[(i, j)] = b
             if tor:
@@ -395,7 +492,8 @@ class TruncatedComplex:
         j1, j2 = q_range
         out = {}
         if from_homology:
-            assert h_range is not None
+            if h_range is None:
+                raise TypeError("euler_series(from_homology=True) needs h_range")
             hom = self.homology(h_range, q_range)
             for (i, j), b in hom.betti.items():
                 out[j] = out.get(j, 0) + (-1) ** (i % 2) * b

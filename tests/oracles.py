@@ -295,3 +295,37 @@ def fraction_reduced(num, den):
         {nlo - dlo + i: c for i, c in enumerate(ncs) if c},
         {i: c for i, c in enumerate(dcs) if c},
     )
+
+
+def dense_block(cx, h, j):
+    """The differential of cx from degree h to h+1 in quantum degree j, as
+    dense rows, found by scanning every generator and every entry."""
+    src = [idx for idx, g in enumerate(cx.generators.get(h, ())) if g[1] == j]
+    tgt = [idx for idx, g in enumerate(cx.generators.get(h + 1, ())) if g[1] == j]
+    pos_s = {g: k for k, g in enumerate(src)}
+    pos_t = {g: k for k, g in enumerate(tgt)}
+    rows = [[0] * len(src) for _ in range(len(tgt))]
+    for (i, jj), c in cx.differentials.get(h, {}).items():
+        if i in pos_t and jj in pos_s:
+            rows[pos_t[i]][pos_s[jj]] = c
+    return rows, len(src), len(tgt)
+
+
+def dense_homology_at(cx, i, j):
+    """(betti, torsion) of H^{i, j} of cx from its full dense blocks: the
+    Smith form of the incoming block and the Bareiss rank of the outgoing
+    one, with no unit cancellation, index or memo."""
+    from skeinhom.homalg import matrix_rank, smith_invariants
+
+    cx._require_known(i - 1, j)
+    cx._require_known(i, j)
+    cx._require_known(i + 1, j)
+    rows_in, n_src_in, _ = dense_block(cx, i - 1, j)
+    rows_out, n_i, _ = dense_block(cx, i, j)
+    invs = smith_invariants(rows_in) if rows_in and rows_in[0] else []
+    rank_in = len([d for d in invs if d])
+    rank_out = matrix_rank(rows_out) if rows_out and rows_out[0] else 0
+    betti = n_i - rank_in - rank_out
+    assert betti >= 0
+    torsion = tuple(d for d in invs if d > 1)
+    return betti, torsion

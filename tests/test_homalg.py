@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinhom.errors import ChainMapError, GradingError, TruncationError
+from skeinhom import homalg
+from skeinhom.errors import ChainMapError, GradingError, InvariantFactorError, TruncationError
 from skeinhom.homalg import (ChainMap, LaurentPoly, TruncatedComplex, circle_poly,
-                             matrix_rank, smith_invariants, tensor)
+                             matrix_rank, smith_invariants, tensor, unit_cancellation)
 
 from .optimized import error_under_optimize
-from .oracles import bareiss_rank, rational_rank
+from .oracles import bareiss_rank, dense_homology_at, rational_rank
 
 
 class TestLaurentPoly:
@@ -77,6 +78,75 @@ class TestIntegerLinearAlgebra:
         invs = smith_invariants(rows)
         assert all(b % a == 0 for a, b in zip(invs, invs[1:]))
         assert all(d > 0 for d in invs)
+
+    def test_non_dividing_factors_raise_under_optimize(self, monkeypatch):
+        # A corrupted magnitude (|4| read as 3) leaves the diagonal 2, 3.
+        monkeypatch.setattr(homalg, "abs", lambda x: 3 if x == 4 else abs(x), raising=False)
+        with pytest.raises(InvariantFactorError, match="2 does not divide 3"):
+            smith_invariants([[2, 0], [0, 4]])
+        line = error_under_optimize(
+            "from skeinhom import homalg\n"
+            "homalg.abs = lambda x: 3 if x == 4 else abs(x)\n"
+            "homalg.smith_invariants([[2, 0], [0, 4]])\n"
+        )
+        assert line.startswith("skeinhom.errors.InvariantFactorError: invariant factor 2 does not")
+
+
+def dense(entries, n_rows, n_cols):
+    rows = [[0] * n_cols for _ in range(n_rows)]
+    for (r, c), v in entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def fill_in_block(rng, n):
+    """n x (n + 1) entries whose only unit column is column 0, held by every
+    row; row k also has an even entry in column k + 1.  Whichever row is the
+    pivot, clearing column 0 writes its even entry into every other row."""
+    entries = {}
+    for k in range(n):
+        entries[(k, 0)] = rng.choice((1, -1))
+        entries[(k, k + 1)] = rng.choice((-4, -2, 2, 4))
+    return entries
+
+
+class TestUnitCancellation:
+    def test_fill_in(self):
+        assert unit_cancellation({(0, 0): 1, (0, 1): 2, (1, 0): 1}) == (1, [[-2]])
+
+    def test_sign_of_row_update(self):
+        # det [[1, 1], [1, -1]] = -2: the residual keeps a 2, not a 0
+        assert unit_cancellation({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}) == (1, [[-2]])
+
+    def test_even_block_is_left_alone(self):
+        entries = {(0, 0): 2, (0, 2): -4, (1, 1): 6, (3, 2): 2}
+        assert unit_cancellation(entries) == (0, [[2, 0, -4], [0, 6, 0], [0, 0, 2]])
+
+    def test_unit_pivots_all_cancel(self):
+        entries = {(0, 0): 1, (1, 0): -1, (1, 1): 1, (2, 2): -1}
+        assert unit_cancellation(entries) == (3, [])
+        assert unit_cancellation({}) == (0, [])
+
+    def test_fill_in_blocks_keep_their_smith_form(self):
+        rng = random.Random(13)
+        for n in range(2, 7):
+            entries = fill_in_block(rng, n)
+            units, residual = unit_cancellation(entries)
+            assert units == 1
+            assert sum(1 for row in residual for v in row if v) == 2 * (n - 1)
+            assert (smith_invariants(dense(entries, n, n + 1))
+                    == [1] + smith_invariants(residual))
+
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=6), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_smith_form_splits_into_units_and_residual(self, rows):
+        width = len(rows[0])
+        rows = [r[:width] + [0] * (width - len(r)) for r in rows]
+        entries = {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r) if v}
+        units, residual = unit_cancellation(entries)
+        assert smith_invariants(rows) == [1] * units + smith_invariants(residual)
+        assert all(any(row) for row in residual)
+        assert all(any(col) for col in zip(*residual))
 
 
 def random_shuffled_complex(rng, h_range=(-2, 1), q_values=(0, 1, 2), max_pieces=4):
@@ -352,3 +422,124 @@ class TestTensorAndCone:
         f = ChainMap(a, a, {0: {(0, 0): 3}})
         hom = f.cone().homology((-1, 0), (0, 0))
         assert hom.rows() == [(0, 0, 0, (3,))]
+
+
+def assert_matches_dense_oracle(cx, h_range, q_range):
+    hom = cx.homology(h_range, q_range)
+    for i in range(h_range[0], h_range[1] + 1):
+        for j in range(q_range[0], q_range[1] + 1):
+            want = dense_homology_at(cx, i, j)
+            assert cx.homology_at(i, j) == want
+            assert (hom.betti.get((i, j), 0), hom.torsion.get((i, j), ())) == want
+
+
+def full_window(cx):
+    grades = [q for gens in cx.generators.values() for _, q in gens]
+    return (cx.h_min - 1, cx.h_max + 1), (min(grades) - 1, max(grades) + 1)
+
+
+class TestEngineAgainstDenseOracle:
+    def test_shuffled_complexes_with_2_and_4_torsion(self):
+        rng = random.Random(77)
+        orders = set()
+        for _ in range(80):
+            cx, _, torsion = random_shuffled_complex(rng)
+            found = {d for tor in torsion.values() for d in tor} & {2, 4}
+            if not found:
+                continue
+            orders |= found
+            assert_matches_dense_oracle(cx, *full_window(cx))
+        assert orders == {2, 4}
+
+    def test_even_blocks_cancel_nothing(self):
+        rng = random.Random(78)
+        for _ in range(30):
+            base, _, _ = random_shuffled_complex(rng)
+            cx = TruncatedComplex(base.generators, {
+                h: {k: 2 * v for k, v in d.items()} for h, d in base.differentials.items()})
+            if not cx.differentials:
+                continue
+            assert_matches_dense_oracle(cx, *full_window(cx))
+            assert cx._reductions and all(units == 0 for units, _ in cx._reductions.values())
+
+    def test_blocks_that_need_fill_in(self):
+        rng = random.Random(79)
+        for n in range(2, 7):
+            entries = fill_in_block(rng, n)
+            q = rng.randint(-2, 2)
+            cx = TruncatedComplex(
+                {0: tuple((f"s{k}", q) for k in range(n + 1)),
+                 1: tuple((f"t{k}", q) for k in range(n))},
+                {0: entries})
+            assert_matches_dense_oracle(cx, (-1, 2), (q - 1, q + 1))
+            units, residual = cx._reductions[(0, q)]
+            assert units == 1 and len(residual) == n - 1
+
+
+class TestBlockMemo:
+    def test_answers_do_not_depend_on_query_order(self):
+        rng = random.Random(41)
+        for _ in range(12):
+            cx, _, _ = random_shuffled_complex(rng)
+            (h_lo, h_hi), (q_lo, q_hi) = full_window(cx)
+            queries = [((h_lo, h_hi), (q_lo, q_hi)), ((h_lo, 0), (0, 1)),
+                       ((-1, h_hi), (1, q_hi)), ((0, 0), (0, 2))]
+            queries += [(i, j) for i in range(h_lo, h_hi + 1) for j in range(0, 3)]
+            for order in (queries, queries[::-1], rng.sample(queries, len(queries))):
+                warm = TruncatedComplex(cx.generators, cx.differentials)
+                for query in order:
+                    fresh = TruncatedComplex(cx.generators, cx.differentials)
+                    if isinstance(query[0], tuple):
+                        assert warm.homology(*query) == fresh.homology(*query)
+                    else:
+                        assert warm.homology_at(*query) == fresh.homology_at(*query)
+
+    def test_refusals_fire_on_a_warmed_complex(self):
+        cx = TruncatedComplex(
+            {0: (("g", 1), ("h", 3)), -1: (("k", 3),)},
+            {-1: {(1, 0): 2}},
+            h_min=-1, h_max=0, complete=False, certificate=lambda r: 2 * r + 1,
+        )
+        bound = cx.min_q_at(-2)
+        assert bound == 5
+        # degree 0 shares the blocks (-1, q) with degree -1
+        for j in range(0, 9):
+            cx.homology((0, 1), (j, j))
+        assert cx.homology_at(-1, bound - 1) == (0, ())
+        for j in range(bound, bound + 4):
+            with pytest.raises(TruncationError):
+                cx.homology_at(-1, j)
+            with pytest.raises(TruncationError):
+                cx.homology((-1, 0), (0, j))
+
+
+class TestErrorsUnderOptimize:
+    def test_negative_betti_is_a_chain_map_error(self):
+        gens = {0: (("a", 0),), 1: (("b", 0),), 2: (("c", 0),)}
+        cx = TruncatedComplex(gens, {0: {(0, 0): 1}, 1: {(0, 0): 1}}, check=False)
+        with pytest.raises(ChainMapError, match=r"d\^2 != 0 at \(h=1, q=0\)"):
+            cx.homology_at(1, 0)
+        line = error_under_optimize(
+            "from skeinhom.homalg import TruncatedComplex\n"
+            "gens = {0: (('a', 0),), 1: (('b', 0),), 2: (('c', 0),)}\n"
+            "cx = TruncatedComplex(gens, {0: {(0, 0): 1}, 1: {(0, 0): 1}}, check=False)\n"
+            "cx.homology_at(1, 0)\n"
+        )
+        assert line.startswith("skeinhom.errors.ChainMapError: d^2 != 0 at (h=1, q=0)")
+
+    def test_negative_power_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-negative exponent"):
+            circle_poly() ** -1
+        line = error_under_optimize(
+            "from skeinhom.homalg import circle_poly\ncircle_poly() ** -1\n")
+        assert line.startswith("ValueError: LaurentPoly power needs a non-negative exponent")
+
+    def test_euler_from_homology_needs_h_range(self):
+        cx = TruncatedComplex({0: (("a", 0),)}, {})
+        with pytest.raises(TypeError, match="needs h_range"):
+            cx.euler_series((0, 0), from_homology=True)
+        line = error_under_optimize(
+            "from skeinhom.homalg import TruncatedComplex\n"
+            "TruncatedComplex({0: (('a', 0),)}, {}).euler_series((0, 0), from_homology=True)\n"
+        )
+        assert line.startswith("TypeError: euler_series(from_homology=True) needs h_range")

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError
-from skeinhom.homalg import LaurentPoly
+from skeinhom.homalg import LaurentPoly, TruncatedComplex
 from skeinhom.planar import PlanarTangle
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, SurfaceTangle,
                               arc, coarsen, compose, h0, identity_unit, seam_side,
                               symmetrized_pairing, transfer, validate_surface)
+
+from .oracles import dense_homology_at
 
 DISK = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"),),))
 DISK_ARC = SurfaceTangle.from_data({"regions": [{"counts": [2], "chords": [[0, 1]]}]})
@@ -266,6 +268,48 @@ class TestAssembly:
         for h, gens in cx.truncated.generators.items():
             for e, (_lbl, q) in zip(cx.basis_elements(h), gens):
                 assert e.quantum_degrees() == [q]
+
+
+def outcome(query, *args):
+    try:
+        return query(*args)
+    except TruncationError:
+        return "refused"
+
+
+def window_cells(cx):
+    grades = [q for gens in cx.generators.values() for _, q in gens]
+    return [(i, j) for i in range(cx.h_min - 1, cx.h_max + 2)
+            for j in range(min(grades) - 2, max(grades) + 3)]
+
+
+class TestHomologyEngine:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_dense_oracle(self, depth):
+        cx = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=depth).truncated
+        answered = 0
+        for i, j in window_cells(cx):
+            want = outcome(dense_homology_at, cx, i, j)
+            assert outcome(cx.homology_at, i, j) == want
+            answered += want != "refused"
+        assert answered > 30
+        if depth > 1:
+            assert cx.homology((-1, 0), (0, 6)).torsion
+
+    def test_refusals_fire_on_a_warmed_complex(self):
+        cx = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=2).truncated
+        cells = window_cells(cx)
+        # warm every block, the ones below h_min + 1 included
+        for cell in cells[::-1]:
+            outcome(cx.homology_at, *cell)
+        fresh = TruncatedComplex(cx.generators, cx.differentials, cx.h_min, cx.h_max,
+                                 cx.complete, cx.certificate)
+        for cell in cells:
+            assert outcome(cx.homology_at, *cell) == outcome(fresh.homology_at, *cell)
+        bound = cx.min_q_at(cx.h_min - 1)
+        assert outcome(cx.homology_at, cx.h_min, bound - 1) != "refused"
+        with pytest.raises(TruncationError):
+            cx.homology_at(cx.h_min, bound)
 
 
 class TestH0:
