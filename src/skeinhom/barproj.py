@@ -17,11 +17,10 @@ turns it into an integer complex for the homological algebra layer.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ChainMapError, GradingError, InvalidBoundary, TruncationError
-from .homalg import LaurentPoly, TruncatedComplex
+from .homalg import LaurentPoly, SparseComplex, TruncatedComplex, map_defect, mapping_cone
 from .planar import (PlanarTangle, bend_down, bend_up, compose, enumerate_matchings,
                      identity_tangle, juxtapose)
 from .tqft import (ONE, X, StateVector, basis_state, hom_double, identity_state,
@@ -179,7 +178,7 @@ def fold_entry(a0, ar, b0, br, cap_sv, cup_sv):
     return StateVector(D, off, terms)
 
 
-class TwistedTangleComplex:
+class TwistedTangleComplex(SparseComplex):
     """A complex of grading-shifted flat tangles with state-vector entries.
 
     objects: {h: ((tangle, qshift), ...)}; differentials: {h: {(i, j): sv}}
@@ -192,18 +191,19 @@ class TwistedTangleComplex:
 
     def __init__(self, objects, differentials, h_min=None, h_max=None,
                  complete=True, certificate=None, check=True):
-        self.objects = {h: tuple(obs) for h, obs in objects.items() if obs}
-        self.differentials = {
-            h: {k: sv for k, sv in d.items() if sv} for h, d in differentials.items()
-        }
-        self.differentials = {h: d for h, d in self.differentials.items() if d}
-        degrees = sorted(self.objects)
-        self.h_min = h_min if h_min is not None else (degrees[0] if degrees else 0)
-        self.h_max = h_max if h_max is not None else (degrees[-1] if degrees else 0)
-        self.complete = complete
-        self.certificate = certificate
+        nonzero = {h: {k: sv for k, sv in d.items() if sv} for h, d in differentials.items()}
+        super().__init__(objects, nonzero, h_min, h_max, complete, certificate)
         if check:
             self._validate()
+
+    @property
+    def objects(self):
+        return self.cells
+
+    @staticmethod
+    def compose(a, b, c, x, y):
+        """Entries compose as cobordisms, x in Hom(a, b) then y in Hom(b, c)."""
+        return pair(a, b, c, x, y)
 
     def _validate(self):
         for h, d in self.differentials.items():
@@ -222,41 +222,11 @@ class TwistedTangleComplex:
                         f"entry ({i}, {j}) at degree {h} has degree {sv.degrees()[0]}, "
                         f"expected {s_src - s_tgt}"
                     )
-        for h in sorted(self.differentials):
-            if h + 1 not in self.differentials:
-                continue
-            first, second = self.differentials[h], self.differentials[h + 1]
-            acc = {}
-            for (k, j), sv1 in first.items():
-                for (i, k2), sv2 in second.items():
-                    if k2 != k:
-                        continue
-                    T_j = self.objects[h][j][0]
-                    T_k = self.objects[h + 1][k][0]
-                    T_i = self.objects[h + 2][i][0]
-                    prod = pair(T_j, T_k, T_i, sv1, sv2)
-                    if (i, j) in acc:
-                        acc[(i, j)] = acc[(i, j)] + prod
-                    else:
-                        acc[(i, j)] = prod
-            bad = [k for k, sv in acc.items() if sv]
-            if bad:
-                raise ChainMapError(f"differential does not square to zero from degree {h}: {bad[:3]}")
-
-    def shifted(self, dh=0, dq=0):
-        objects = {
-            h + dh: tuple((T, s + dq) for T, s in obs) for h, obs in self.objects.items()
-        }
-        sign = -1 if dh % 2 else 1
-        diffs = {
-            h + dh: {k: sv.scaled(sign) for k, sv in d.items()}
-            for h, d in self.differentials.items()
-        }
-        cert = None
-        if self.certificate is not None:
-            cert = lambda r: self.certificate(r + dh) + dq
-        return TwistedTangleComplex(objects, diffs, self.h_min + dh, self.h_max + dh,
-                                    self.complete, cert, check=False)
+        defect = self.square_defect()
+        if defect:
+            h, bad = defect
+            raise ChainMapError(
+                f"differential does not square to zero from degree {h}: {list(bad)[:3]}")
 
     def stacked(self, e, above=True):
         """Glue the fixed tangle e onto every object, whiskering entries."""
@@ -398,7 +368,7 @@ def bottom_projector(N, depth, split=None):
                     entries[key] = entries[key] + sv
                 else:
                     entries[key] = sv
-        diffs[-r] = {k: sv for k, sv in entries.items() if sv}
+        diffs[-r] = entries
     c_min = ring.min_letter_degree
     if c_min is None:
         return TwistedTangleComplex(objects, diffs, -depth, 0, complete=True)
@@ -425,67 +395,12 @@ def counit_components(projector, N):
 def twisted_cone(source, target, components, check=True):
     """Mapping cone of a degree-zero map between twisted complexes."""
     if check:
-        _verify_twisted_map(source, target, components)
-    objects, diffs = {}, {}
-    offs = {}
-    h_lo = min(source.h_min - 1, target.h_min)
-    h_hi = max(source.h_max - 1, target.h_max)
-    for h in range(h_lo, h_hi + 1):
-        bucket = list(target.objects.get(h, ()))
-        offs[h] = len(bucket)
-        bucket.extend(source.objects.get(h + 1, ()))
-        if bucket:
-            objects[h] = tuple(bucket)
-    for h in range(h_lo, h_hi):
-        d = {}
-        for (i, j), sv in target.differentials.get(h, {}).items():
-            d[(i, j)] = sv
-        for (i, j), sv in components.get(h + 1, {}).items():
-            d[(i, offs[h] + j)] = sv
-        for (i, j), sv in source.differentials.get(h + 1, {}).items():
-            d[(offs[h + 1] + i, offs[h] + j)] = sv.scaled(-1)
-        if d:
-            diffs[h] = d
-    complete = source.complete and target.complete
-    cert = None
-    if not complete:
-        def cert(r):
-            vals = []
-            for cx, shift in ((target, 0), (source, 1)):
-                h = -r + shift
-                if h > cx.h_max:
-                    continue
-                if h >= cx.h_min:
-                    vals.extend(s for _, s in cx.objects.get(h, ()))
-                elif not cx.complete:
-                    vals.append(cx.certificate(-h))
-            return min(vals) if vals else 10 ** 9
-    return TwistedTangleComplex(objects, diffs, h_lo, h_hi, complete, cert, check=False)
-
-
-def _verify_twisted_map(source, target, components):
-    lo = max(source.h_min, target.h_min)
-    hi = min(source.h_max, target.h_max)
-    for h in range(lo, hi):
-        acc = {}
-        for (k, j), sv in source.differentials.get(h, {}).items():
-            for (i, k2), f in components.get(h + 1, {}).items():
-                if k2 != k:
-                    continue
-                prod = pair(source.objects[h][j][0], source.objects[h + 1][k][0],
-                            target.objects[h + 1][i][0], sv, f)
-                acc[(i, j)] = acc[(i, j)] + prod if (i, j) in acc else prod
-        for (k, j), f in components.get(h, {}).items():
-            for (i, k2), sv in target.differentials.get(h, {}).items():
-                if k2 != k:
-                    continue
-                prod = pair(source.objects[h][j][0], target.objects[h][k][0],
-                            target.objects[h + 1][i][0], f, sv)
-                prod = prod.scaled(-1)
-                acc[(i, j)] = acc[(i, j)] + prod if (i, j) in acc else prod
-        bad = [key for key, sv in acc.items() if sv]
-        if bad:
-            raise ChainMapError(f"components do not commute with differentials at {h}: {bad[:3]}")
+        defect = map_defect(source, target, components)
+        if defect:
+            h, bad = defect
+            raise ChainMapError(
+                f"components do not commute with differentials at {h}: {list(bad)[:3]}")
+    return mapping_cone(source, target, components)
 
 
 def signed_shuffles(r, s):

@@ -316,7 +316,139 @@ class BigradedHomology:
         return {k: v for k, v in self.betti.items() if v}
 
 
-class TruncatedComplex:
+def sparse_product(first, second, compose, a, b, c):
+    """The composite of two sparse maps {(row, col): entry}: first from the
+    cells a to the cells b, then second from b to c.
+
+    second is indexed by source once.  The entry x of first at (k, j) and
+    the entry y of second at (i, k) multiply as compose(a[j][0], b[k][0],
+    c[i][0], x, y) into (i, j).  Keys enter the result in the order a
+    nested scan, over first outside and second inside, first reaches them.
+    """
+    by_source = {}
+    for (i, k), y in second.items():
+        by_source.setdefault(k, []).append((i, y))
+    out = {}
+    for (k, j), x in first.items():
+        for i, y in by_source.get(k, ()):
+            p = compose(a[j][0], b[k][0], c[i][0], x, y)
+            out[(i, j)] = out[(i, j)] + p if (i, j) in out else p
+    return out
+
+
+class SparseComplex:
+    """A cochain complex of graded cells with sparse differentials.
+
+    cells: {h: ((payload, qdeg), ...)}; differentials: {h: {(i, j): entry}}
+    with entry the map from cell j of degree h to cell i of degree h+1.
+    Entries negate as -x and compose by the class's compose(a, b, c, x, y),
+    x from payload a to b and y from b to c.  Degrees above h_max are zero;
+    degrees below h_min are zero (complete complexes) or merely not
+    computed, in which case certificate(r) bounds from below the quantum
+    degrees at degree -r.
+    """
+
+    def __init__(self, cells, differentials, h_min, h_max, complete, certificate):
+        self.cells = {h: tuple(cc) for h, cc in cells.items() if cc}
+        self.differentials = {h: dict(d) for h, d in differentials.items() if d}
+        degrees = sorted(self.cells)
+        self.h_min = h_min if h_min is not None else (degrees[0] if degrees else 0)
+        self.h_max = h_max if h_max is not None else (degrees[-1] if degrees else 0)
+        self.complete = complete
+        self.certificate = certificate
+
+    def square_defect(self):
+        """(h, {key: entry}) with the nonzero entries of d_{h+1} d_h at the
+        lowest degree h where there are any, or None when d^2 = 0."""
+        for h in sorted(self.differentials):
+            if h + 1 not in self.differentials:
+                continue
+            prod = sparse_product(self.differentials[h], self.differentials[h + 1], self.compose,
+                                  self.cells[h], self.cells[h + 1], self.cells[h + 2])
+            bad = {k: x for k, x in prod.items() if x}
+            if bad:
+                return h, bad
+        return None
+
+    def min_q_at(self, h):
+        """Smallest quantum degree that can occur at degree h, or None if empty."""
+        if h > self.h_max:
+            return None
+        if h >= self.h_min:
+            return min((q for _, q in self.cells.get(h, ())), default=None)
+        if self.complete:
+            return None
+        if self.certificate is None:
+            raise TruncationError(f"degree {h} lies below the truncation and no certificate is stored")
+        return self.certificate(-h)
+
+    def shifted(self, dh=0, dq=0):
+        cells = {h + dh: tuple((p, q + dq) for p, q in cc) for h, cc in self.cells.items()}
+        diffs = {h + dh: {k: -x if dh % 2 else x for k, x in d.items()}
+                 for h, d in self.differentials.items()}
+        cert = None
+        if self.certificate is not None:
+            cert = lambda r: self.certificate(r + dh) + dq
+        return type(self)(cells, diffs, self.h_min + dh, self.h_max + dh,
+                          self.complete, cert, check=False)
+
+    @staticmethod
+    def _cone_cell(side, cell):
+        """How a mapping cone stores a cell of its source ("src") or target
+        ("tgt") side."""
+        return cell
+
+
+def map_defect(source, target, components):
+    """(h, {key: entry}) with the nonzero entries of f d - d f from degree h
+    of source to degree h+1 of target, at the lowest degree h where there
+    are any, for the degree-zero map components f; None for a chain map."""
+    compose = source.compose
+    for h in range(max(source.h_min, target.h_min), min(source.h_max, target.h_max)):
+        a, b, c = source.cells.get(h, ()), source.cells.get(h + 1, ()), target.cells.get(h + 1, ())
+        defect = sparse_product(source.differentials.get(h, {}), components.get(h + 1, {}),
+                                compose, a, b, c)
+        df = sparse_product(components.get(h, {}), target.differentials.get(h, {}),
+                            compose, a, target.cells.get(h, ()), c)
+        for k, x in df.items():
+            defect[k] = defect[k] - x if k in defect else -x
+        bad = {k: x for k, x in defect.items() if x}
+        if bad:
+            return h, bad
+    return None
+
+
+def mapping_cone(source, target, components):
+    """Mapping cone of the degree-zero map components from source to target,
+    a complex of target's class whose degree h holds target^h, then
+    source^{h+1}."""
+    a, b, f = source, target, components
+    cells, diffs, offs = {}, {}, {}
+    h_lo = min(a.h_min - 1, b.h_min)
+    h_hi = max(a.h_max - 1, b.h_max)
+    for h in range(h_lo, h_hi + 1):
+        bucket = [b._cone_cell("tgt", cell) for cell in b.cells.get(h, ())]
+        offs[h] = len(bucket)
+        bucket.extend(b._cone_cell("src", cell) for cell in a.cells.get(h + 1, ()))
+        cells[h] = bucket
+    for h in range(h_lo, h_hi):
+        d = dict(b.differentials.get(h, {}))
+        for (i, j), x in f.get(h + 1, {}).items():
+            d[(i, offs[h] + j)] = x
+        for (i, j), x in a.differentials.get(h + 1, {}).items():
+            d[(offs[h + 1] + i, offs[h] + j)] = -x
+        diffs[h] = d
+    complete = a.complete and b.complete
+    cert = None
+    if not complete:
+        def cert(r):
+            # cone degree -r holds target^{-r} and source^{-r + 1}
+            vals = [v for v in (b.min_q_at(-r), a.min_q_at(-r + 1)) if v is not None]
+            return min(vals) if vals else 10 ** 9
+    return type(b)(cells, diffs, h_lo, h_hi, complete, cert, check=False)
+
+
+class TruncatedComplex(SparseComplex):
     """Bigraded cochain complex of free abelian groups, possibly truncated below.
 
     generators: {h: ((label, qdeg), ...)}
@@ -325,26 +457,30 @@ class TruncatedComplex:
 
     Neither may be mutated after construction: homology queries index the
     differential by (h, q) block on first use and keep each block's unit
-    cancellation for later queries.  shifted, cone and tensor build new
-    complexes.
+    cancellation, in place of the block, for later queries.  shifted, cone
+    and tensor build new complexes; a cone labels its generators ("tgt",
+    label) and ("src", label).
     """
 
     def __init__(self, generators, differentials, h_min=None, h_max=None,
                  complete=True, certificate=None, check=True):
-        self.generators = {h: tuple(gens) for h, gens in generators.items() if gens}
-        self.differentials = {h: dict(d) for h, d in differentials.items() if d}
-        degrees = sorted(self.generators)
-        self.h_min = h_min if h_min is not None else (degrees[0] if degrees else 0)
-        self.h_max = h_max if h_max is not None else (degrees[-1] if degrees else 0)
-        self.complete = complete
-        self.certificate = certificate
+        super().__init__(generators, differentials, h_min, h_max, complete, certificate)
         self._index = None
         self._reductions = {}
-        if not complete and certificate is None:
-            # permitted (oracle complexes), but homology will be limited
-            pass
         if check:
             self._validate()
+
+    @property
+    def generators(self):
+        return self.cells
+
+    @staticmethod
+    def compose(a, b, c, x, y):
+        return x * y
+
+    @staticmethod
+    def _cone_cell(side, cell):
+        return (side, cell[0]), cell[1]
 
     def _validate(self):
         for h, gens in self.generators.items():
@@ -363,19 +499,10 @@ class TruncatedComplex:
                     )
                 if c == 0:
                     raise GradingError(f"zero differential entry stored at degree {h}: {(i, j)}")
-        for h in sorted(self.differentials):
-            if h + 1 not in self.differentials:
-                continue
-            by_source = {}
-            for (k, i), c2 in self.differentials[h + 1].items():
-                by_source.setdefault(i, []).append((k, c2))
-            prod = {}
-            for (i, j), c in self.differentials[h].items():
-                for k, c2 in by_source.get(i, ()):
-                    prod[(k, j)] = prod.get((k, j), 0) + c * c2
-            bad = {k: v for k, v in prod.items() if v}
-            if bad:
-                raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")
+        defect = self.square_defect()
+        if defect:
+            h, bad = defect
+            raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")
 
     def gen_count(self, h, j=None):
         gens = self.generators.get(h, ())
@@ -390,23 +517,11 @@ class TruncatedComplex:
                 out[(h, j)] = out.get((h, j), 0) + 1
         return out
 
-    def min_q_at(self, h):
-        """Smallest quantum degree that can occur at degree h, or None if empty."""
-        if h > self.h_max:
-            return None
-        if h >= self.h_min:
-            gens = self.generators.get(h, ())
-            return min((j for _, j in gens), default=None)
-        if self.complete:
-            return None
-        if self.certificate is None:
-            raise TruncationError(f"degree {h} lies below the truncation and no certificate is stored")
-        return self.certificate(-h)
-
     def _block_index(self):
         """(sizes, blocks): generators per (h, q), and the differential from
         h to h+1 in quantum degree q as {(row, col): coeff} in cell positions,
-        keyed on (h, q).  Built in one pass on first use."""
+        keyed on (h, q).  Built in one pass on first use; _reduced takes each
+        block out once it has reduced it."""
         if self._index is None:
             sizes, slots = {}, {}
             for h, gens in self.generators.items():
@@ -424,21 +539,12 @@ class TruncatedComplex:
             self._index = sizes, blocks
         return self._index
 
-    def _matrix(self, h, j):
-        """The differential from degree h to h+1 in quantum degree j, as rows."""
-        sizes, blocks = self._block_index()
-        n_src, n_tgt = sizes.get((h, j), 0), sizes.get((h + 1, j), 0)
-        rows = [[0] * n_src for _ in range(n_tgt)]
-        for (r, c), v in blocks.get((h, j), {}).items():
-            rows[r][c] = v
-        return rows, n_src, n_tgt
-
     def _reduced(self, h, j):
         """unit_cancellation of the (h, j) block, computed once."""
         red = self._reductions.get((h, j))
         if red is None:
             red = self._reductions[(h, j)] = unit_cancellation(
-                self._block_index()[1].get((h, j), {}))
+                self._block_index()[1].pop((h, j), {}))
         return red
 
     def _require_known(self, h, j):
@@ -512,18 +618,6 @@ class TruncatedComplex:
                     out[j] = out.get(j, 0) + (-1) ** (h % 2) * c
         return LaurentPoly(out)
 
-    def shifted(self, dh=0, dq=0):
-        gens = {h + dh: tuple((lbl, q + dq) for lbl, q in gg) for h, gg in self.generators.items()}
-        diffs = {h + dh: dict(d) for h, d in self.differentials.items()}
-        sign = -1 if dh % 2 else 1
-        if sign < 0:
-            diffs = {h: {k: -c for k, c in d.items()} for h, d in diffs.items()}
-        cert = None
-        if self.certificate is not None:
-            cert = lambda r: self.certificate(r + dh) + dq
-        return TruncatedComplex(gens, diffs, self.h_min + dh, self.h_max + dh,
-                                self.complete, cert, check=False)
-
 
 def tensor(a, b):
     """Tensor product with the Koszul sign on the second differential."""
@@ -575,55 +669,11 @@ class ChainMap:
                     raise ChainMapError(f"component out of range at degree {h}")
                 if src[j][1] != tgt[i][1]:
                     raise ChainMapError(f"component changes quantum degree at {h}")
-        lo = max(self.source.h_min, self.target.h_min)
-        hi = min(self.source.h_max, self.target.h_max)
-        for h in range(lo, hi):
-            lhs = {}
-            for (i, j), c in self.source.differentials.get(h, {}).items():
-                for (k, i2), c2 in self.components.get(h + 1, {}).items():
-                    if i2 == i:
-                        lhs[(k, j)] = lhs.get((k, j), 0) + c * c2
-            rhs = {}
-            for (i, j), c in self.components.get(h, {}).items():
-                for (k, i2), c2 in self.target.differentials.get(h, {}).items():
-                    if i2 == i:
-                        rhs[(k, j)] = rhs.get((k, j), 0) + c * c2
-            keys = set(lhs) | set(rhs)
-            bad = [k for k in keys if lhs.get(k, 0) != rhs.get(k, 0)]
-            if bad:
-                raise ChainMapError(f"does not commute with differentials at degree {h}: {sorted(bad)[:4]}")
+        defect = map_defect(self.source, self.target, self.components)
+        if defect:
+            h, bad = defect
+            raise ChainMapError(f"does not commute with differentials at degree {h}: {sorted(bad)[:4]}")
 
     def cone(self):
         """Mapping cone; degree h holds target^h then source^{h+1}."""
-        a, b, f = self.source, self.target, self.components
-        gens, diffs = {}, {}
-        offs_b, offs_a = {}, {}
-        h_lo = min(a.h_min - 1, b.h_min)
-        h_hi = max(a.h_max - 1, b.h_max)
-        for h in range(h_lo, h_hi + 1):
-            bucket = []
-            for lbl, q in b.generators.get(h, ()):
-                bucket.append((("tgt", lbl), q))
-            offs_a[h] = len(bucket)
-            for lbl, q in a.generators.get(h + 1, ()):
-                bucket.append((("src", lbl), q))
-            if bucket:
-                gens[h] = tuple(bucket)
-        for h in range(h_lo, h_hi):
-            d = {}
-            for (i, j), c in b.differentials.get(h, {}).items():
-                d[(i, j)] = c
-            for (i, j), c in f.get(h + 1, {}).items():
-                d[(i, offs_a[h] + j)] = c
-            for (i, j), c in a.differentials.get(h + 1, {}).items():
-                d[(offs_a[h + 1] + i, offs_a[h] + j)] = -c
-            if d:
-                diffs[h] = d
-        complete = a.complete and b.complete
-        cert = None
-        if not complete:
-            def cert(r):
-                # cone degree -r holds target^{-r} and source^{-r + 1}
-                vals = [v for v in (b.min_q_at(-r), a.min_q_at(-r + 1)) if v is not None]
-                return min(vals) if vals else 10 ** 9
-        return TruncatedComplex(gens, diffs, h_lo, h_hi, complete, cert, check=False)
+        return mapping_cone(self.source, self.target, self.components)

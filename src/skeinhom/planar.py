@@ -388,18 +388,6 @@ class ClosedDiagram:
     def node_of_port(self, port):
         return self.port_node[port]
 
-    @staticmethod
-    def disjoint_union(d1, d2, tag1="1", tag2="2"):
-        arcs = {}
-        port_node = {}
-        for tag, d in ((tag1, d1), (tag2, d2)):
-            wrap = lambda x, tag=tag: (tag, x)
-            for a, (u, v) in d.arcs.items():
-                arcs[wrap(a)] = (wrap(u), wrap(v))
-            for p, nd in d.port_node.items():
-                port_node[wrap(p)] = wrap(nd)
-        return ClosedDiagram(arcs, port_node)
-
     def surger(self, arc1, arc2, pairing):
         """Cut arc1 and arc2 and reconnect their ends as prescribed.
 

@@ -336,7 +336,7 @@ class SurfaceComplex:
                         entries[key] = entries[key] + sv
                     else:
                         entries[key] = sv
-            diffs[h] = {k: sv for k, sv in entries.items() if sv}
+            diffs[h] = entries
 
         complete = not self.seam_names
         cert = None
@@ -466,24 +466,7 @@ class SurfaceComplex:
         """Apply the integer differential to an element."""
         if elem.owner is not self:
             raise InvalidBoundary("element does not live in this complex")
-        h = elem.h
-        gens_tgt = self.truncated.generators.get(h + 1, ())
-        d = self.truncated.differentials.get(h, {})
-        vec = {}
-        for (mw, lab), c in elem.terms.items():
-            if not c:
-                continue
-            col = self._positions[h][(self.index[h][mw], lab)]
-            for (row, col2), coeff in d.items():
-                if col2 == col:
-                    vec[row] = vec.get(row, 0) + c * coeff
-        terms = {}
-        for row, c in vec.items():
-            if not c:
-                continue
-            (i, lab), _q = gens_tgt[row]
-            terms[(self.multiwords[h + 1][i], lab)] = c
-        return SurfaceElement(self, h + 1, terms)
+        return _applied(elem, self.truncated.differentials.get(elem.h, {}), self, elem.h + 1)
 
 
 @dataclass
@@ -949,22 +932,30 @@ def transfer(elem, cmap, target):
     owner = elem.owner
     if cmap.source is not owner.truncated or cmap.target is not target.truncated:
         raise InvalidBoundary("chain map does not connect these complexes")
-    comp = cmap.components.get(elem.h, {})
+    return _applied(elem, cmap.components.get(elem.h, {}), target, elem.h)
+
+
+def _applied(elem, matrix, target, h):
+    """The image of elem under the integer map {(row, col): coeff} from its
+    owner's truncated complex at degree elem.h to target's at degree h."""
+    owner = elem.owner
+    by_col = {}
+    for (row, col), c in matrix.items():
+        by_col.setdefault(col, []).append((row, c))
     vec = {}
     for (mw, lab), c in elem.terms.items():
         if not c:
             continue
         col = owner._positions[elem.h][(owner.index[elem.h][mw], lab)]
-        for (row, col2), c2 in comp.items():
-            if col2 == col:
-                vec[row] = vec.get(row, 0) + c * c2
+        for row, c2 in by_col.get(col, ()):
+            vec[row] = vec.get(row, 0) + c * c2
     terms = {}
     for row, c in vec.items():
         if not c:
             continue
-        (i, lab), _q = target.truncated.generators[elem.h][row]
-        terms[(target.multiwords[elem.h][i], lab)] = c
-    return SurfaceElement(target, elem.h, terms)
+        (i, lab), _q = target.truncated.generators[h][row]
+        terms[(target.multiwords[h][i], lab)] = c
+    return SurfaceElement(target, h, terms)
 
 
 def h0(spec, top, bottom, q_degree, inserts=None, reduced=True):

@@ -11,7 +11,7 @@ from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
 from skeinhom.tqft import (StateVector, basis_state, hom_double, identity_state, kh_basis,
                            pair, reflected_x)
 
-from .oracles import all_shuffles
+from .oracles import all_shuffles, dense_block
 
 ID1 = identity_tangle(1)
 ID2 = identity_tangle(2)
@@ -252,7 +252,7 @@ class TestHomComplex:
         for s in range(5):
             assert [q for _, q in hc.generators[-s]] == [2 * s + 2, 2 * s + 4]
         for s in range(1, 5):
-            rows, n_src, n_tgt = hc._matrix(-s, 2 * s + 2)
+            rows, n_src, n_tgt = dense_block(hc, -s, 2 * s + 2)
             assert (n_src, n_tgt) == (1, 1)
             assert rows == [[1 + (-1) ** s]]
 

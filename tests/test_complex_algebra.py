@@ -1,0 +1,212 @@
+"""The complex algebra that integer and twisted complexes share (sparse
+product, d^2 = 0 check, chain-map check, mapping cone and its certificate),
+checked against the nested scans and per-class cones in tests/oracles.py."""
+
+import random
+
+import pytest
+
+from skeinhom.barproj import (TwistedTangleComplex, bottom_projector, counit_components,
+                              twisted_cone, unit_complex)
+from skeinhom.errors import ChainMapError, TruncationError
+from skeinhom.homalg import ChainMap
+from skeinhom.planar import cup_over_cap, identity_tangle
+from skeinhom.surface import SurfaceComplex, coarsen
+from skeinhom.tqft import StateVector, identity_state
+
+from .oracles import (chain_map_cone_reference, nested_scan_chain_map_verify,
+                      nested_scan_square_check, nested_scan_twisted_map_check,
+                      twisted_cone_reference)
+from .test_surface import ANNULUS, ANNULUS2, CORE2, CUPCAP2, THROUGH2
+
+ID2 = identity_tangle(2)
+
+
+def outcome(check, *args):
+    """"ok", or the message of the ChainMapError that check raises."""
+    try:
+        check(*args)
+    except ChainMapError as exc:
+        return str(exc)
+    return "ok"
+
+
+def perturbed(entry, kind):
+    """An entry of the same degree as entry: doubled, negated, with one term
+    doubled, or zero."""
+    if kind == "double":
+        return entry + entry
+    if kind == "negate":
+        return -entry
+    if kind == "drop":
+        return None
+    if isinstance(entry, StateVector):
+        (lab, c), *_ = entry.sorted_terms()
+        return entry + StateVector(entry.diagram, entry.offset, {lab: c})
+    return entry + 1
+
+
+def perturbations(maps, rng, count):
+    """count copies of the sparse maps {h: {key: entry}}, each with one
+    seeded entry perturbed."""
+    keys = [(h, k) for h, d in sorted(maps.items()) for k in d]
+    for _ in range(count):
+        h, k = rng.choice(keys)
+        kind = rng.choice(("double", "negate", "term", "drop"))
+        out = {g: dict(d) for g, d in maps.items()}
+        entry = perturbed(out[h][k], kind)
+        if entry is None:
+            del out[h][k]
+        else:
+            out[h][k] = entry
+        yield out
+
+
+def rebuilt(cx, diffs, check):
+    return type(cx)(cx.cells, diffs, cx.h_min, cx.h_max, cx.complete, cx.certificate,
+                    check=check)
+
+
+def surface_twisted(depth):
+    return SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=depth, check=False).twisted
+
+
+def identity_components(cx):
+    """The identity chain map of a twisted complex."""
+    return {h: {(j, j): identity_state(T) for j, (T, _s) in enumerate(obs)}
+            for h, obs in cx.objects.items()}
+
+
+def same_complex(new, old, radius=6):
+    assert type(new) is type(old)
+    assert new.cells == old.cells
+    assert {h: list(d.items()) for h, d in new.differentials.items()} == \
+        {h: list(d.items()) for h, d in old.differentials.items()}
+    assert (new.h_min, new.h_max, new.complete) == (old.h_min, old.h_max, old.complete)
+    assert (new.certificate is None) == (old.certificate is None)
+    if new.certificate is not None:
+        assert [new.certificate(r) for r in range(radius + 1)] == \
+            [old.certificate(r) for r in range(radius + 1)]
+
+
+class TestSquareCheck:
+    @pytest.mark.parametrize("make,count", [
+        (lambda: bottom_projector(2, 2), 12),
+        (lambda: surface_twisted(1), 8),
+        (lambda: surface_twisted(2), 8),
+        (lambda: surface_twisted(3), 8),
+    ], ids=["projector", "annulus1", "annulus2", "annulus3"])
+    def test_matches_nested_scan_on_perturbed_complexes(self, make, count):
+        cx = make()
+        assert outcome(rebuilt, cx, cx.differentials, True) == "ok"
+        assert outcome(nested_scan_square_check, cx) == "ok"
+        failures = 0
+        for diffs in perturbations(cx.differentials, random.Random(count), count):
+            want = outcome(nested_scan_square_check, rebuilt(cx, diffs, False))
+            assert outcome(rebuilt, cx, diffs, True) == want
+            failures += want != "ok"
+        # at depth 1 there is one differential and nothing to compose
+        assert failures or len(cx.differentials) < 2
+
+
+class TestChainMapCheck:
+    @pytest.mark.parametrize("make,count", [
+        (lambda: bottom_projector(2, 3), 12),
+        (lambda: surface_twisted(2), 8),
+    ], ids=["projector", "annulus2"])
+    def test_twisted_matches_nested_scan(self, make, count):
+        cx = make()
+        rng = random.Random(count + 1)
+        ident = identity_components(cx)
+        assert outcome(twisted_cone, cx, cx, ident) == "ok"
+        failures = 0
+        for comps in perturbations(ident, rng, count):
+            want = outcome(nested_scan_twisted_map_check, cx, cx, comps)
+            assert outcome(twisted_cone, cx, cx, comps) == want
+            failures += want != "ok"
+        for diffs in perturbations(cx.differentials, rng, count):
+            source = rebuilt(cx, diffs, False)
+            want = outcome(nested_scan_twisted_map_check, source, cx, ident)
+            assert outcome(twisted_cone, source, cx, ident) == want
+            failures += want != "ok"
+        assert failures
+
+    @pytest.mark.parametrize("seam", ["g1", "g2"])
+    def test_integer_matches_nested_scan(self, seam):
+        cx = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=2)
+        tgt, cmap = coarsen(cx, seam)
+        rng = random.Random(len(seam) + ord(seam[-1]))
+        failures = 0
+        for comps in perturbations(cmap.components, rng, 16):
+            want = outcome(nested_scan_chain_map_verify,
+                           ChainMap(cx.truncated, tgt.truncated, comps, check=False))
+            assert outcome(ChainMap, cx.truncated, tgt.truncated, comps) == want
+            failures += want != "ok"
+        assert failures
+
+
+class TestCones:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_integer_cone_of_coarsening(self, depth):
+        cx = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=depth)
+        for seam in ("g1", "g2"):
+            _tgt, cmap = coarsen(cx, seam)
+            same_complex(cmap.cone(), chain_map_cone_reference(cmap))
+
+    def test_integer_cone_of_shifted_identity(self):
+        cx = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=2).truncated
+        for shift in ((0, 0), (-1, 2), (2, -1)):
+            tc = cx.shifted(*shift)
+            ident = {h: {(j, j): 1 for j in range(len(g))} for h, g in tc.generators.items()}
+            cmap = ChainMap(tc, tc, ident)
+            same_complex(cmap.cone(), chain_map_cone_reference(cmap))
+
+    @pytest.mark.parametrize("N,depth", [(2, 1), (2, 2), (2, 3), (4, 1)])
+    def test_twisted_cone_of_counit(self, N, depth):
+        P = bottom_projector(N, depth)
+        args = (P, unit_complex(N), counit_components(P, N))
+        same_complex(twisted_cone(*args), twisted_cone_reference(*args))
+
+    def test_twisted_cone_of_identity(self):
+        for cx in (bottom_projector(2, 2), surface_twisted(1)):
+            args = (cx, cx, identity_components(cx))
+            same_complex(twisted_cone(*args), twisted_cone_reference(*args))
+
+
+class TestConeTruncationBoundary:
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_twisted_cone_hom(self, depth):
+        P = bottom_projector(2, depth)
+        cone = twisted_cone(P, unit_complex(2), counit_components(P, 2))
+        for b in (ID2, cup_over_cap(2)):
+            hc = cone.hom_complex(b)
+            bound = hc.min_q_at(hc.h_min - 1)
+            hc.homology_at(hc.h_min, bound - 1)
+            with pytest.raises(TruncationError):
+                hc.homology_at(hc.h_min, bound)
+
+    def test_integer_cone_of_coarsening(self):
+        cx = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=2)
+        _tgt, cmap = coarsen(cx, "g2")
+        cone = cmap.cone()
+        bound = cone.min_q_at(cone.h_min - 1)
+        cone.homology_at(cone.h_min, bound - 1)
+        with pytest.raises(TruncationError):
+            cone.homology_at(cone.h_min, bound)
+
+
+class TestShifted:
+    def test_twisted_shift_negates_odd_and_moves_certificate(self):
+        P = bottom_projector(2, 3)
+        for dh, dq in ((1, 2), (-2, -1)):
+            S = P.shifted(dh, dq)
+            assert type(S) is TwistedTangleComplex
+            assert S.objects == {h + dh: tuple((T, s + dq) for T, s in obs)
+                                 for h, obs in P.objects.items()}
+            sign = -1 if dh % 2 else 1
+            assert S.differentials == {h + dh: {k: sv.scaled(sign) for k, sv in d.items()}
+                                       for h, d in P.differentials.items()}
+            assert (S.h_min, S.h_max) == (P.h_min + dh, P.h_max + dh)
+            assert [S.certificate(r) for r in range(7)] == \
+                [P.certificate(r + dh) + dq for r in range(7)]
+            S._validate()

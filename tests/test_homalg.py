@@ -494,6 +494,16 @@ class TestBlockMemo:
                     else:
                         assert warm.homology_at(*query) == fresh.homology_at(*query)
 
+    def test_reduced_blocks_leave_the_index(self):
+        rng = random.Random(42)
+        for _ in range(12):
+            cx, _, _ = random_shuffled_complex(rng)
+            window = full_window(cx)
+            cx.homology(*window)
+            _sizes, blocks = cx._index
+            assert cx._reductions and not blocks
+            assert_matches_dense_oracle(cx, *window)
+
     def test_refusals_fire_on_a_warmed_complex(self):
         cx = TruncatedComplex(
             {0: (("g", 1), ("h", 3)), -1: (("k", 3),)},
