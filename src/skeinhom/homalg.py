@@ -399,12 +399,20 @@ class SparseComplex:
         return cell
 
 
+def defect_degrees(source, target, components):
+    """The degrees h from which f d or d f can be nonzero: those where
+    components f has f_{h+1} and source a d_h, or f has f_h and target a
+    d_h, in increasing order."""
+    return sorted({h for h, d in source.differentials.items() if d and components.get(h + 1)}
+                  | {h for h, f in components.items() if f and target.differentials.get(h)})
+
+
 def map_defect(source, target, components):
     """(h, {key: entry}) with the nonzero entries of f d - d f from degree h
     of source to degree h+1 of target, at the lowest degree h where there
     are any, for the degree-zero map components f; None for a chain map."""
     compose = source.compose
-    for h in range(max(source.h_min, target.h_min), min(source.h_max, target.h_max)):
+    for h in defect_degrees(source, target, components):
         a, b, c = source.cells.get(h, ()), source.cells.get(h + 1, ()), target.cells.get(h + 1, ())
         defect = sparse_product(source.differentials.get(h, {}), components.get(h + 1, {}),
                                 compose, a, b, c)

@@ -45,6 +45,12 @@ class PlanarTangle:
             raise InvalidBoundary("negative circle count")
         if not self._noncrossing():
             raise InvalidBoundary(f"chords of {self.partner} cross")
+        # every cache keyed on tangles hashes them; the value is the field
+        # hash the dataclass would compute, taken once
+        object.__setattr__(self, "_hash", hash((self.bottom, self.top, self.partner, self.circles)))
+
+    def __hash__(self):
+        return self._hash
 
     def _cyclic_position(self, p):
         if p < self.bottom:

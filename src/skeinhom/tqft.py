@@ -14,10 +14,12 @@ interface ordered by their smallest interface point.  Juxtaposition
 concatenates circle lists left to right.  All transports here respect that
 order, so states produced by different routes can be composed safely.
 
-Composition and juxtaposition depend only on the tangles.  pair reads a
-table of basis products that surgery fills once per key, and juxtaposed a
-circle map compiled once per tuple of shapes; doubles, tables and maps are
-cached for the life of the process.
+Composition and juxtaposition depend only on the tangles.  Surgery runs
+once per triple of tangles, on diagrams, and compiles a plan of saddles
+and caps that pair replays on labels, filling a table of basis products on
+first use; juxtaposed reads a circle map compiled once per tuple of
+shapes.  Doubles, plans, products and maps are cached for the life of the
+process.
 """
 
 from __future__ import annotations
@@ -109,41 +111,22 @@ class StateVector:
     def sorted_terms(self):
         return tuple(sorted(self.terms.items()))
 
-    def _carry_map(self, new_diag, skip_new):
-        """Old-circle index for every new circle not in skip_new."""
-        carry = {}
-        for i, circ in enumerate(new_diag.circles):
-            if i in skip_new:
-                continue
-            rep = next(a for a in circ if a in self.diagram.component_of)
-            carry[i] = self.diagram.component_of[rep]
-        return carry
+    @classmethod
+    def _trusted(cls, diagram, offset, terms):
+        """A state from terms this module produced: every labeling fits the
+        diagram, no coefficient is zero and offset is already a Fraction."""
+        sv = object.__new__(cls)
+        object.__setattr__(sv, "diagram", diagram)
+        object.__setattr__(sv, "offset", offset)
+        object.__setattr__(sv, "terms", terms)
+        return sv
 
-    def _saddle_terms(self, new_diag, c1, c2, t_merge, t0, t1):
+    def _saddle_terms(self, new_diag, c1, c2, t0, t1):
         """Label bookkeeping shared by arc surgery and port regluing."""
-        terms = {}
-        if c1 != c2:
-            carry = self._carry_map(new_diag, {t_merge})
-            for lab, coeff in self.terms.items():
-                if lab[c1] == X and lab[c2] == X:
-                    continue
-                merged = X if (lab[c1] == X or lab[c2] == X) else ONE
-                new_lab = tuple(
-                    merged if i == t_merge else lab[carry[i]] for i in range(len(new_diag))
-                )
-                terms[new_lab] = terms.get(new_lab, 0) + coeff
-        else:
+        if c1 == c2:
             assert t0 != t1, "a planar saddle on one circle must split it"
-            carry = self._carry_map(new_diag, {t0, t1})
-            for lab, coeff in self.terms.items():
-                halves = [(X, X)] if lab[c1] == X else [(ONE, X), (X, ONE)]
-                for h0, h1 in halves:
-                    new_lab = tuple(
-                        h0 if i == t0 else h1 if i == t1 else lab[carry[i]]
-                        for i in range(len(new_diag))
-                    )
-                    terms[new_lab] = terms.get(new_lab, 0) + coeff
-        return terms
+        return _frobenius_terms(self.terms, _carry(self.diagram, new_diag, {t0, t1}),
+                                c1, c2, t0, t1)
 
     def surgered(self, arc1, arc2, pairing):
         """Saddle joining the two arcs, reconnected as prescribed.
@@ -151,16 +134,10 @@ class StateVector:
         Distinct circles merge with the product; a single circle splits with
         the coproduct.  The offset drops by one either way.
         """
-        new_diag = self.diagram.surger(arc1, arc2, pairing)
-        c1 = self.diagram.component_of[arc1]
-        c2 = self.diagram.component_of[arc2]
-        srg0 = ("srg", arc1, arc2, 0)
-        srg1 = ("srg", arc1, arc2, 1)
-        t0 = new_diag.component_of[srg0]
-        t1 = new_diag.component_of[srg1]
+        new_diag, c1, c2, t0, t1 = _saddle(self.diagram, arc1, arc2, pairing)
         if c1 != c2:
             assert t0 == t1
-        terms = self._saddle_terms(new_diag, c1, c2, t0, t0, t1)
+        terms = self._saddle_terms(new_diag, c1, c2, t0, t1)
         return StateVector(new_diag, self.offset - 1, terms)
 
     def dotted(self, arc):
@@ -176,18 +153,61 @@ class StateVector:
 
     def killed(self, arc):
         """Cap off the circle through arc with the counit."""
-        c = self.diagram.component_of[arc]
-        gone = set(self.diagram.circles[c])
-        remaining = {a: uv for a, uv in self.diagram.arcs.items() if a not in gone}
-        new_diag = ClosedDiagram(remaining, self.diagram.port_node)
-        carry = self._carry_map(new_diag, set())
-        terms = {}
-        for lab, coeff in self.terms.items():
-            if lab[c] == ONE:
-                continue
-            new_lab = tuple(lab[carry[i]] for i in range(len(new_diag)))
-            terms[new_lab] = terms.get(new_lab, 0) + coeff
+        new_diag, c = _capped(self.diagram, arc)
+        terms = _frobenius_terms(self.terms, _carry(self.diagram, new_diag, ()), c)
         return StateVector(new_diag, self.offset + 1, terms)
+
+
+def _saddle(diagram, arc1, arc2, pairing):
+    """The diagram after a saddle joining arc1 and arc2, reconnected as
+    prescribed, with the circles c1, c2 of the two arcs before it and the
+    circles t0, t1 of the two new arcs after it."""
+    new_diag = diagram.surger(arc1, arc2, pairing)
+    t0 = new_diag.component_of[("srg", arc1, arc2, 0)]
+    t1 = new_diag.component_of[("srg", arc1, arc2, 1)]
+    return new_diag, diagram.component_of[arc1], diagram.component_of[arc2], t0, t1
+
+
+def _capped(diagram, arc):
+    """The diagram without the circle through arc, and that circle."""
+    c = diagram.component_of[arc]
+    gone = set(diagram.circles[c])
+    remaining = {a: uv for a, uv in diagram.arcs.items() if a not in gone}
+    return ClosedDiagram(remaining, diagram.port_node), c
+
+
+def _carry(old, new, made):
+    """For each circle of new, the circle of old it continues, or None for
+    the circles in made, which a cobordism between the two created."""
+    of = old.component_of
+    return tuple(None if i in made else of[next(a for a in circ if a in of)]
+                 for i, circ in enumerate(new.circles))
+
+
+def _frobenius_terms(terms, carry, c1, c2=None, t0=None, t1=None):
+    """Labelings after one saddle or cap, by the rules of Z[x]/(x^2).
+
+    A circle i after the step keeps the label of circle carry[i] before it,
+    except the circles the step made.  A saddle on circles c1 != c2 merges
+    them into t0 == t1 (1.1 = 1, 1.x = x.1 = x, x.x = 0); a saddle with
+    c1 == c2 splits it into t0 and t1 (1 -> 1.x + x.1, x -> x.x); a cap
+    (c2 None) removes circle c1 by the counit (1 -> 0, x -> 1).
+    """
+    out = {}
+    for lab, coeff in terms.items():
+        l1 = lab[c1]
+        if c2 is None:
+            made = () if l1 == ONE else ((None, None),)
+        elif c1 != c2:
+            l2 = lab[c2]
+            made = () if l1 == l2 == X else ((X, X),) if X in (l1, l2) else ((ONE, ONE),)
+        else:
+            made = ((X, X),) if l1 == X else ((ONE, X), (X, ONE))
+        for h0, h1 in made:
+            new_lab = tuple(h0 if i == t0 else h1 if i == t1 else lab[k]
+                            for i, k in enumerate(carry))
+            out[new_lab] = out.get(new_lab, 0) + coeff
+    return out
 
 
 def _circle_map(src, target, arc_map):
@@ -358,67 +378,97 @@ def _check_hom_state(sv, a, b, what):
 def pair(a, b, c, sv1, sv2):
     """Compose sv1 in Hom(a, b) with sv2 in Hom(b, c).
 
-    The bilinear extension of _basis_product.  The result lives on the
-    double of a and c, at its own hom offset.
+    The bilinear extension of the basis products of _composition_plan.  The
+    result lives on the double of a and c, at its own hom offset.
     """
     _check_hom_state(sv1, a, b, "first state")
     _check_hom_state(sv2, b, c, "second state")
-    canon, off = hom_double(a, c)
+    plan = _composition_plan(a, b, c)
     terms = {}
     for lab1, c1 in sv1.terms.items():
         for lab2, c2 in sv2.terms.items():
-            for lab, k in _basis_product(a, b, c, lab1, lab2):
+            for lab, k in plan.product(lab1, lab2):
                 terms[lab] = terms.get(lab, 0) + c1 * c2 * k
-    return StateVector(canon, off, terms)
+    return StateVector._trusted(plan.canon, plan.offset,
+                                {lab: k for lab, k in terms.items() if k})
+
+
+class _CompositionPlan:
+    """Composition from Hom(a, b) x Hom(b, c) to Hom(a, c), as steps on labels.
+
+    pick takes a circle of the union of the two doubles to its position in
+    the concatenated labelings lab1 + lab2; steps are the arguments, after
+    the terms, of one _frobenius_terms call per saddle or cap; and circle j
+    of the double of (a, c) takes the label of circle perm[j] after them.
+    """
+
+    __slots__ = ("canon", "offset", "pick", "steps", "perm", "products")
+
+    def __init__(self, canon, offset, pick, steps, perm):
+        self.canon, self.offset = canon, offset
+        self.pick, self.steps, self.perm = pick, steps, perm
+        self.products = {}
+
+    def product(self, lab1, lab2):
+        """Composite of two basis labelings, as sorted (labeling,
+        coefficient) pairs; replayed on first use and kept."""
+        key = (lab1, lab2)
+        out = self.products.get(key)
+        if out is None:
+            joint = lab1 + lab2
+            terms = {tuple(joint[p] for p in self.pick): 1}
+            for step in self.steps:
+                terms = _frobenius_terms(terms, *step)
+            out = self.products[key] = tuple(sorted(
+                (tuple(lab[i] for i in self.perm), k) for lab, k in terms.items() if k))
+        return out
 
 
 @lru_cache(maxsize=None)
-def _basis_product(a, b, c, lab1, lab2):
-    """Composite of two basis elements, as sorted (labeling, coefficient)
-    pairs on the double of (a, c).  Surgery runs once per key; the table
-    lives as long as the process."""
-    d1, off1 = hom_double(a, b)
-    d2, off2 = hom_double(b, c)
-    sv1 = StateVector(d1, off1, {lab1: 1})
-    sv2 = StateVector(d2, off2, {lab2: 1})
-    return _pair_by_surgery(a, b, c, sv1, sv2).sorted_terms()
+def _composition_plan(a, b, c):
+    """Compile composition through b once, on diagrams.
 
-
-def _pair_by_surgery(a, b, c, sv1, sv2):
-    """Compose states on the doubles of (a, b) and (b, c) diagram by diagram.
-
-    One saddle per chord of b, then each free circle of b is merged across
-    the two copies and capped off.  States must sit at their hom offsets.
+    On the union of the doubles of (a, b) and (b, c): one saddle per chord
+    of b, then each free circle of b is merged across the two copies and
+    capped off.  Only what labels need is kept; the plan, and the products
+    it fills, live as long as the process.
     """
+    d1, _ = hom_double(a, b)
+    d2, _ = hom_double(b, c)
+    canon, off = hom_double(a, c)
     tangles, glue = {}, {}
     _double_instances(1, a, b, tangles, glue)
     _double_instances(2, b, c, tangles, glue)
-    union = ClosedDiagram.from_instances(tangles, glue)
-    state = _joint_terms(union, {1: sv1, 2: sv2})
+    diag = ClosedDiagram.from_instances(tangles, glue)
+    start = {1: 0, 2: len(d1)}
+    pick = tuple(start[block] + i for block, i in _joint_pick(diag, {1: d1, 2: d2}))
+    steps = []
     for k, (p, q) in enumerate(b.chords):
         arc1, arc2 = ((1, "y"), k), ((2, "x"), k)
-        n1p = union.node_of_port(((1, "y"),) + b.port_of_point(p))
-        n1q = union.node_of_port(((1, "y"),) + b.port_of_point(q))
-        n2p = union.node_of_port(((2, "x"),) + b.port_of_point(p))
-        n2q = union.node_of_port(((2, "x"),) + b.port_of_point(q))
-        state = state.surgered(arc1, arc2, ((n1p, n2p), (n1q, n2q)))
+        n1p, n1q, n2p, n2q = (diag.node_of_port((inst,) + b.port_of_point(x))
+                              for inst in ((1, "y"), (2, "x")) for x in (p, q))
+        new, c1, c2, t0, t1 = _saddle(diag, arc1, arc2, ((n1p, n2p), (n1q, n2q)))
+        steps.append((_carry(diag, new, {t0, t1}), c1, c2, t0, t1))
+        diag = new
     for k in range(b.circles):
         arc1, arc2 = ((1, "y"), "o", k), ((2, "x"), "o", k)
-        l1 = state.diagram.arcs[arc1][0]
-        l2 = state.diagram.arcs[arc2][0]
-        state = state.surgered(arc1, arc2, ((l1, l2), (l1, l2)))
-        state = state.killed(("srg", arc1, arc2, 0))
-    canon, _ = hom_double(a, c)
+        l1, l2 = diag.arcs[arc1][0], diag.arcs[arc2][0]
+        new, c1, c2, t0, t1 = _saddle(diag, arc1, arc2, ((l1, l2), (l1, l2)))
+        steps.append((_carry(diag, new, {t0, t1}), c1, c2, t0, t1))
+        diag = new
+        new, capped = _capped(diag, ("srg", arc1, arc2, 0))
+        steps.append((_carry(diag, new, ()), capped))
+        diag = new
     arc_map = {}
-    for k in range(len(a.chords)):
-        arc_map[((1, "x"), k)] = ("x", k)
-    for k in range(a.circles):
-        arc_map[((1, "x"), "o", k)] = ("x", "o", k)
-    for k in range(len(c.chords)):
-        arc_map[((2, "y"), k)] = ("y", k)
-    for k in range(c.circles):
-        arc_map[((2, "y"), "o", k)] = ("y", "o", k)
-    return transport(state, canon, arc_map)
+    for side, block, t in (("x", 1, a), ("y", 2, c)):
+        for k in range(len(t.chords)):
+            arc_map[((block, side), k)] = (side, k)
+        for k in range(t.circles):
+            arc_map[((block, side), "o", k)] = (side, "o", k)
+    perm = [None] * len(canon)
+    for i, j in _circle_map(diag, canon, arc_map).items():
+        perm[j] = i
+    return _CompositionPlan(canon, off, pick, tuple(steps), tuple(perm))
 
 
 def _chord_index(t, p):
@@ -540,7 +590,7 @@ def _reglue(state, instances, glue, p1, p2):
     else:
         # the daughters meet the new nodes {p1, p2} and {q1, q2}
         t1 = new_diag.component_of[_arc_at_port(instances, q1)]
-    terms = state._saddle_terms(new_diag, c1, c2, t0, t0, t1)
+    terms = state._saddle_terms(new_diag, c1, c2, t0, t1)
     return StateVector(new_diag, state.offset - 1, terms), new_glue
 
 
@@ -616,7 +666,7 @@ def juxtaposed(factors):
         shapes.append((a, b))
         states[i] = sv
     canon, off, pick = _juxtaposition_plan(tuple(shapes))
-    return StateVector(canon, off, _product_terms(pick, states))
+    return StateVector._trusted(canon, off, _product_terms(pick, states))
 
 
 @lru_cache(maxsize=None)

@@ -368,8 +368,9 @@ def nested_scan_twisted_map_check(source, target, components):
     from skeinhom.errors import ChainMapError
     from skeinhom.tqft import pair
 
-    lo = max(source.h_min, target.h_min)
-    hi = min(source.h_max, target.h_max)
+    # every degree where either complex has a differential
+    lo = min(source.h_min, target.h_min)
+    hi = max(source.h_max, target.h_max)
     for h in range(lo, hi):
         acc = {}
         for (k, j), sv in source.differentials.get(h, {}).items():
@@ -447,8 +448,9 @@ def nested_scan_chain_map_verify(self):
                 raise ChainMapError(f"component out of range at degree {h}")
             if src[j][1] != tgt[i][1]:
                 raise ChainMapError(f"component changes quantum degree at {h}")
-    lo = max(self.source.h_min, self.target.h_min)
-    hi = min(self.source.h_max, self.target.h_max)
+    # every degree where either complex has a differential
+    lo = min(self.source.h_min, self.target.h_min)
+    hi = max(self.source.h_max, self.target.h_max)
     for h in range(lo, hi):
         lhs = {}
         for (i, j), c in self.source.differentials.get(h, {}).items():
@@ -502,3 +504,45 @@ def chain_map_cone_reference(self):
             vals = [v for v in (b.min_q_at(-r), a.min_q_at(-r + 1)) if v is not None]
             return min(vals) if vals else 10 ** 9
     return TruncatedComplex(gens, diffs, h_lo, h_hi, complete, cert, check=False)
+
+
+def pair_by_surgery(a, b, c, sv1, sv2):
+    """Compose states on the doubles of (a, b) and (b, c) diagram by diagram.
+
+    One saddle per chord of b, then each free circle of b is merged across
+    the two copies and capped off.  States must sit at their hom offsets.
+    The route tqft.pair took, one surgery per pair of labelings, before
+    composition was compiled once per triple of tangles.
+    """
+    from skeinhom.planar import ClosedDiagram
+    from skeinhom.tqft import _double_instances, _joint_terms, hom_double, transport
+
+    tangles, glue = {}, {}
+    _double_instances(1, a, b, tangles, glue)
+    _double_instances(2, b, c, tangles, glue)
+    union = ClosedDiagram.from_instances(tangles, glue)
+    state = _joint_terms(union, {1: sv1, 2: sv2})
+    for k, (p, q) in enumerate(b.chords):
+        arc1, arc2 = ((1, "y"), k), ((2, "x"), k)
+        n1p = union.node_of_port(((1, "y"),) + b.port_of_point(p))
+        n1q = union.node_of_port(((1, "y"),) + b.port_of_point(q))
+        n2p = union.node_of_port(((2, "x"),) + b.port_of_point(p))
+        n2q = union.node_of_port(((2, "x"),) + b.port_of_point(q))
+        state = state.surgered(arc1, arc2, ((n1p, n2p), (n1q, n2q)))
+    for k in range(b.circles):
+        arc1, arc2 = ((1, "y"), "o", k), ((2, "x"), "o", k)
+        l1 = state.diagram.arcs[arc1][0]
+        l2 = state.diagram.arcs[arc2][0]
+        state = state.surgered(arc1, arc2, ((l1, l2), (l1, l2)))
+        state = state.killed(("srg", arc1, arc2, 0))
+    canon, _ = hom_double(a, c)
+    arc_map = {}
+    for k in range(len(a.chords)):
+        arc_map[((1, "x"), k)] = ("x", k)
+    for k in range(a.circles):
+        arc_map[((1, "x"), "o", k)] = ("x", "o", k)
+    for k in range(len(c.chords)):
+        arc_map[((2, "y"), k)] = ("y", k)
+    for k in range(c.circles):
+        arc_map[((2, "y"), "o", k)] = ("y", "o", k)
+    return transport(state, canon, arc_map)

@@ -244,6 +244,16 @@ class TestHomComplex:
         with pytest.raises(TruncationError):
             hc.homology_at(-3, 20)
 
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_truncation_boundary_is_exact(self, depth):
+        # the last cell the certificate covers at h_min answers; the next raises
+        for b in (ID2, E):
+            hc = bottom_projector(2, depth).hom_complex(b)
+            bound = hc.min_q_at(hc.h_min - 1)
+            hc.homology_at(hc.h_min, bound - 1)
+            with pytest.raises(TruncationError):
+                hc.homology_at(hc.h_min, bound)
+
     def test_projector_hom_matches_hand_matrices(self):
         # On two strands both outer faces act as multiplication by x, the cap
         # one with sign +1 and the cup one with sign (-1)^s, so the induced

@@ -9,7 +9,7 @@ import pytest
 from skeinhom.barproj import (TwistedTangleComplex, bottom_projector, counit_components,
                               twisted_cone, unit_complex)
 from skeinhom.errors import ChainMapError, TruncationError
-from skeinhom.homalg import ChainMap
+from skeinhom.homalg import ChainMap, TruncatedComplex, defect_degrees, map_defect
 from skeinhom.planar import cup_over_cap, identity_tangle
 from skeinhom.surface import SurfaceComplex, coarsen
 from skeinhom.tqft import StateVector, identity_state
@@ -210,3 +210,40 @@ class TestShifted:
             assert [S.certificate(r) for r in range(7)] == \
                 [P.certificate(r + dh) + dq for r in range(7)]
             S._validate()
+
+
+class TestMapDefectDegrees:
+    """f d - d f is checked at every degree where either composite has both
+    factors, also where source and target do not overlap."""
+
+    def test_map_onto_fewer_degrees_is_checked(self):
+        a = TruncatedComplex({-1: (("a", 0),), 0: (("b", 0),)}, {-1: {(0, 0): 1}})
+        c = TruncatedComplex({0: (("c", 0),)}, {})
+        comps = {0: {(0, 0): 1}}
+        assert defect_degrees(a, c, comps) == [-1]
+        with pytest.raises(ChainMapError):
+            ChainMap(a, c, comps)
+        assert outcome(nested_scan_chain_map_verify, ChainMap(a, c, comps, check=False)) != "ok"
+        # without the differential the same component is a chain map
+        ChainMap(TruncatedComplex({-1: (("a", 0),), 0: (("b", 0),)}, {}), c, comps)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_projector_counit_is_checked_and_passes(self, depth):
+        P = bottom_projector(2, depth)
+        args = (P, unit_complex(2), counit_components(P, 2))
+        assert defect_degrees(*args) == [-1]
+        assert map_defect(*args) is None
+        assert outcome(nested_scan_twisted_map_check, *args) == "ok"
+        twisted_cone(*args)
+
+    def test_counit_on_perturbed_projectors_matches_nested_scan(self):
+        # d_{-1} feeds the counit at degree 0, where the unit has no differential
+        P = bottom_projector(2, 3)
+        comps, unit = counit_components(P, 2), unit_complex(2)
+        failures = 0
+        for low in perturbations({-1: P.differentials[-1]}, random.Random(5), 12):
+            source = rebuilt(P, {**P.differentials, **low}, False)
+            want = outcome(nested_scan_twisted_map_check, source, unit, comps)
+            assert outcome(twisted_cone, source, unit, comps) == want
+            failures += want != "ok"
+        assert failures

@@ -46,6 +46,16 @@ tangle_strategy = st.sampled_from(small_tangles())
 
 
 class TestValidation:
+    def test_hash_is_the_field_hash(self):
+        # cached at construction; repr, equality and order keys stay field-based
+        for t in small_tangles() + [E.with_circles(2), CAPS.with_circles(1)]:
+            assert hash(t) == hash((t.bottom, t.top, t.partner, t.circles))
+            twin = PlanarTangle(t.bottom, t.top, t.partner, t.circles)
+            assert twin == t and hash(twin) == hash(t) and twin is not t
+            assert repr(t) == (f"PlanarTangle(bottom={t.bottom}, top={t.top}, "
+                               f"partner={t.partner}, circles={t.circles})")
+        assert E != E.with_circles(1)
+
     def test_rejects_crossing_chords(self):
         with pytest.raises(InvalidBoundary):
             PlanarTangle(4, 0, (2, 3, 0, 1))

@@ -4,14 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeinhom import planar
 from skeinhom.errors import GradingError, InvalidBoundary
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.planar import (ClosedDiagram, PlanarTangle, compose, cup_over_cap,
                              enumerate_matchings, identity_tangle, juxtapose)
-from skeinhom.tqft import (ONE, X, StateVector, _double_instances, _joint_terms,
-                           _pair_by_surgery, basis_state, graded_rank, hom_double,
-                           hom_graded_rank, identity_state, juxtaposed, kh_basis, pair,
-                           reflected_x, reflected_y, transport, transposed, whisker)
+from skeinhom.tqft import (ONE, X, StateVector, _composition_plan, _double_instances,
+                           _joint_terms, basis_state, graded_rank, hom_double, hom_graded_rank,
+                           identity_state, juxtaposed, kh_basis, pair, reflected_x,
+                           reflected_y, transport, transposed, whisker)
+
+from .oracles import pair_by_surgery
 
 ID1 = identity_tangle(1)
 ID2 = identity_tangle(2)
@@ -353,7 +356,61 @@ class TestCompiledComposition:
         objs = small_objects(m, n)
         for a, b, c in itertools.product(objs, repeat=3):
             sv1, sv2 = seeded_state(rng, a, b), seeded_state(rng, b, c)
-            assert pair(a, b, c, sv1, sv2) == _pair_by_surgery(a, b, c, sv1, sv2)
+            assert pair(a, b, c, sv1, sv2) == pair_by_surgery(a, b, c, sv1, sv2)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (0, 2), (2, 2), (1, 3), (0, 4)])
+    def test_pair_matches_surgery_through_free_circles(self, m, n):
+        # b carries one or two free circles: merge-and-cap steps in the plan
+        rng = random.Random(7 * m + n)
+        objs = small_objects(m, n)
+        for b in enumerate_matchings(m, n):
+            for k in (1, 2):
+                bk = b.with_circles(k)
+                for a, c in itertools.product(objs, repeat=2):
+                    for _ in range(2):
+                        sv1, sv2 = seeded_state(rng, a, bk), seeded_state(rng, bk, c)
+                        assert pair(a, bk, c, sv1, sv2) == pair_by_surgery(a, bk, c, sv1, sv2)
+
+    def test_one_plan_per_distinct_triple(self):
+        rng = random.Random(11)
+        objs = small_objects(2, 2) + small_objects(1, 3)
+        _composition_plan.cache_clear()
+        triples = set()
+        for _ in range(300):
+            a = rng.choice(objs)
+            same = [t for t in objs if (t.bottom, t.top) == (a.bottom, a.top)]
+            b, c = rng.choice(same), rng.choice(same)
+            triples.add((a, b, c))
+            pair(a, b, c, seeded_state(rng, a, b), seeded_state(rng, b, c))
+        info = _composition_plan.cache_info()
+        assert info.misses == len(triples)
+        assert info.hits + info.misses == 300
+
+    def test_new_labels_on_a_known_triple_build_no_diagram(self, monkeypatch):
+        a, b, c = E, ID2.with_circles(1), E.with_circles(2)
+        _composition_plan.cache_clear()
+        (d1, off1), (d2, off2) = hom_double(a, b), hom_double(b, c)
+        basis1 = [lab for lab, _ in kh_basis(d1, off1)]
+        basis2 = [lab for lab, _ in kh_basis(d2, off2)]
+        first = pair(a, b, c, basis_state(a, b, basis1[0]), basis_state(b, c, basis2[0]))
+        # every other labeling on each side: label pairs the table has not met
+        sv1 = StateVector(d1, off1, {lab: i + 1 for i, lab in enumerate(basis1[1:])})
+        sv2 = StateVector(d2, off2, {lab: (-1) ** i for i, lab in enumerate(basis2[1:])})
+        built = []
+        original = planar.ClosedDiagram.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(planar.ClosedDiagram, "__init__", counting)
+        second = pair(a, b, c, sv1, sv2)
+        assert not built
+        monkeypatch.undo()
+        assert first == pair_by_surgery(a, b, c, basis_state(a, b, basis1[0]),
+                                        basis_state(b, c, basis2[0]))
+        assert second == pair_by_surgery(a, b, c, sv1, sv2)
+        assert second
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_juxtaposed_matches_diagram_route(self, count):
