@@ -23,8 +23,8 @@ from .errors import ChainMapError, GradingError, InvalidBoundary, TruncationErro
 from .homalg import LaurentPoly, SparseComplex, TruncatedComplex, map_defect, mapping_cone
 from .planar import (PlanarTangle, bend_down, bend_up, compose, enumerate_matchings,
                      identity_tangle, juxtapose)
-from .tqft import (ONE, X, StateVector, basis_state, hom_double, identity_state,
-                   juxtaposed, kh_basis, pair, reflected_x, transposed, whisker)
+from .tqft import (ONE, X, StateVector, _replayed, _SurgeryPlan, basis_state, hom_double,
+                   identity_state, juxtaposed, kh_basis, pair, reflected_x, transposed, whisker)
 
 
 class SmallRing:
@@ -155,27 +155,33 @@ def fold_entry(a0, ar, b0, br, cap_sv, cup_sv):
 
     cap_sv lives on the double of reflect_x(a0) and reflect_x(b0); cup_sv on
     the double of ar and br.  Their labels are carried onto the bottom and
-    top circle families of the fold double.
+    top circle families of the fold double, as compiled by _fold_plan.
     """
+    D, off, plan = _fold_plan(a0, ar, b0, br)
+    return StateVector._trusted(D, off, _replayed(plan, (cap_sv.terms.items(),
+                                                         cup_sv.terms.items())))
+
+
+@lru_cache(maxsize=None)
+def _fold_plan(a0, ar, b0, br):
+    """The double of the fold tangles of (a0, ar) and (b0, br), its hom
+    offset, and the step-free plan onto it, which takes a labeling of the
+    caps' double and one of the cups' double."""
     Ta, Tb = fold_tangle(a0, ar), fold_tangle(b0, br)
     D, off = hom_double(Ta, Tb)
+    caps, _ = hom_double(a0.reflect_x(), b0.reflect_x())
+    cups, _ = hom_double(ar, br)
     N = Ta.bottom
-    assignment = []
+    pick = []
     for circ in D.circles:
         arc = next(a for a in circ if a[0] == "x")
         p, q = Ta.chords[arc[1]]
         if q < N:
-            k0 = _cap_chord_index(a0, p, q)
-            assignment.append((0, cap_sv.diagram.component_of[("x", k0)]))
+            pick.append(caps.component_of[("x", _cap_chord_index(a0, p, q))])
         else:
             k0 = _cup_chord_index(ar, p - N, q - N)
-            assignment.append((1, cup_sv.diagram.component_of[("x", k0)]))
-    terms = {}
-    for lab_cap, c1 in cap_sv.sorted_terms():
-        for lab_cup, c2 in cup_sv.sorted_terms():
-            lab = tuple((lab_cap, lab_cup)[w][i] for w, i in assignment)
-            terms[lab] = terms.get(lab, 0) + c1 * c2
-    return StateVector(D, off, terms)
+            pick.append(len(caps) + cups.component_of[("x", k0)])
+    return D, off, _SurgeryPlan(tuple(pick), (), tuple(range(len(D))))
 
 
 class TwistedTangleComplex(SparseComplex):

@@ -26,7 +26,7 @@ from .spin import (SpinNetwork, admissible_triple, as_quantum_integer,
                    cross_pairing_prediction, euler_crosscheck,
                    pairing_prediction, theta)
 from .surface import (SurfaceComplex, SurfaceSpec, SurfaceTangle, coarsen, h0,
-                      validate_tangle)
+                      removable_seam, validate_tangle)
 from .tqft import hom_graded_rank, identity_state, pair
 
 SCHEMA = 1
@@ -379,6 +379,7 @@ def _cmd_coarsen_check(args):
         threads=_threads(args),
     ).validated()
     depth = cfg.depth if cfg.depth is not None else max(1, -cfg.hmin + 1)
+    removable_seam(args._spec, args.seam)
     cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=depth)
     target, cmap = coarsen(cx, args.seam)
     h_range = (cfg.hmin, cfg.hmax)

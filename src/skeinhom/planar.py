@@ -364,22 +364,6 @@ class ClosedDiagram:
         return cls(arcs, port_node)
 
     @classmethod
-    def from_stack(cls, layers):
-        """Glue a vertical stack of tangles; the stack must be closed."""
-        if not layers or layers[0].bottom != 0 or layers[-1].top != 0:
-            raise OpenBoundary("stack is not closed top and bottom")
-        glue = {}
-        for i in range(len(layers) - 1):
-            if layers[i].top != layers[i + 1].bottom:
-                raise OpenBoundary(
-                    f"layer {i} top has {layers[i].top} points, layer {i + 1} bottom {layers[i + 1].bottom}"
-                )
-            for p in range(layers[i].top):
-                glue[(i, "t", p)] = (i + 1, "b", p)
-                glue[(i + 1, "b", p)] = (i, "t", p)
-        return cls.from_instances(dict(enumerate(layers)), glue)
-
-    @classmethod
     def double(cls, x, y):
         """Glue two (m, n)-tangles along their whole boundary, point to point."""
         if (x.bottom, x.top) != (y.bottom, y.top):

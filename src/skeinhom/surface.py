@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .barproj import SmallRing, TwistedTangleComplex, signed_shuffles, word_degree
 from .errors import InvalidBoundary, SpecError, TruncationError
 from .homalg import ChainMap
 from .planar import ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
 from .planar import compose as stack
-from .tqft import (ONE, StateVector, _arc_at_port, _chord_index, _double_instances,
-                   _joint_terms, hom_double, identity_state, juxtaposed, kh_basis,
-                   reflected_x, transport, transposed, whisker)
+from .tqft import (ONE, _arc_at_port, _chord_index, _double_instances, _joint_pick, _Recorder,
+                   hom_double, identity_state, juxtaposed, kh_basis, reflected_x, transposed,
+                   whisker)
 
 
 @dataclass(frozen=True)
@@ -535,21 +536,24 @@ def identity_unit(cx):
     return SurfaceElement(cx, 0, {(mw, lab): 1})
 
 
-def _stacked_state(fc, gc, tc, m1, m2, labf, labg):
-    """Pair a state of fc with one of gc through the shared middle caps.
+@lru_cache(maxsize=None)
+def _stacking_plan(z1, m1, z2, m2, zt):
+    """Compile stacking Hom(z1, m1) x Hom(z2, m2) through the shared middle
+    caps once, on diagrams.
 
-    Returns the state on tc's double of the stacked middle layer; the
-    declared offset is the target's own hom offset.
+    On the union of the two doubles, one saddle per bottom chord of z1
+    joins it to the chord of z2 through the same middle point.  The plan
+    takes a labeling of each double and ends on the double of zt and the
+    stacked middle layer.
     """
-    z1, z2, zt = fc.z_jux, gc.z_jux, tc.z_jux
+    m_out = stack(m1, m2)
+    if m_out.circles:
+        raise SpecError("stacked middle layers acquire free circles; out of scope")
     tangles, glue = {}, {}
     _double_instances(1, z1, m1, tangles, glue)
     _double_instances(2, z2, m2, tangles, glue)
     union = ClosedDiagram.from_instances(tangles, glue)
-    d1, off1 = hom_double(z1, m1)
-    d2, off2 = hom_double(z2, m2)
-    state = _joint_terms(union, {1: StateVector(d1, off1, {labf: 1}),
-                                 2: StateVector(d2, off2, {labg: 1})})
+    rec = _Recorder(union)
     kr = z2.bottom
     for k, (p, q) in enumerate(z1.chords):
         if p >= z1.bottom:
@@ -560,11 +564,8 @@ def _stacked_state(fc, gc, tc, m1, m2, labf, labg):
         n1q = union.node_of_port(((1, "x"), "b", q))
         n2p = union.node_of_port(((2, "x"), "t", p))
         n2q = union.node_of_port(((2, "x"), "t", q))
-        state = state.surgered(arc1, arc2, ((n1p, n2p), (n1q, n2q)))
-    m_out = stack(m1, m2)
-    if m_out.circles:
-        raise SpecError("stacked middle layers acquire free circles; out of scope")
-    canon, off_t = hom_double(zt, m_out)
+        rec.surger(arc1, arc2, ((n1p, n2p), (n1q, n2q)))
+    canon, _off = hom_double(zt, m_out)
     arc_map = {}
     for k, (p, q) in enumerate(zt.chords):
         if q < zt.bottom:
@@ -578,8 +579,8 @@ def _stacked_state(fc, gc, tc, m1, m2, labf, labg):
         else:
             port = ((1, "y"), "t", p - m_out.bottom)
         arc_map[_arc_at_port(tangles, port)] = ("y", k)
-    out = transport(state, canon, arc_map)
-    return StateVector(canon, off_t, dict(out.terms))
+    pick = _joint_pick(union, ((1, hom_double(z1, m1)[0]), (2, hom_double(z2, m2)[0])))
+    return rec.plan(pick, canon, arc_map)
 
 
 def _shuffle_compose(ring_f, ring_g, w1, w2):
@@ -657,8 +658,8 @@ def compose(f, g, target=None):
             cross = sum(rg[s] * rf[t] for s in range(len(names))
                         for t in range(s + 1, len(names)))
             sign_cross = -1 if cross % 2 else 1
-            m1, m2 = fc.m_tangle(wf), gc.m_tangle(wg)
-            st = _stacked_state(fc, gc, target, m1, m2, labf, labg)
+            st = _stacking_plan(fc.z_jux, fc.m_tangle(wf), gc.z_jux, gc.m_tangle(wg),
+                                target.z_jux).product(labf, labg)
             per_seam = []
             for s, name in enumerate(names):
                 key = (name, wf[s], wg[s])
@@ -673,9 +674,7 @@ def compose(f, g, target=None):
                     coeff *= c
                 if not coeff:
                     continue
-                for lab_out, c_out in st.sorted_terms():
-                    if not c_out:
-                        continue
+                for lab_out, c_out in st:
                     key = (w_out, lab_out)
                     result[key] = result.get(key, 0) + coeff * c_out
     return SurfaceElement(target, h_out, {k: v for k, v in result.items() if v})
@@ -747,23 +746,78 @@ def _splice_caps(tangle, ri, si, rj, sj, order):
     return merged, tuple(new_counts), point_map, chord_carry
 
 
+def removable_seam(spec, seam):
+    """The (region, segment) of the minus and plus side of a seam that
+    coarsening can delete.
+
+    Raises SpecError unless the seam exists and joins two regions; it needs
+    only the spec, so callers can refuse a seam before building anything.
+    """
+    if seam not in spec.seams:
+        raise SpecError(f"unknown seam {seam!r}")
+    (ri, si), (rj, sj) = spec.seam_sides(seam)
+    if ri == rj:
+        raise SpecError(
+            f"seam {seam!r} has both sides on one region; removing it does not leave disks"
+        )
+    return (ri, si), (rj, sj)
+
+
 def coarsen(cx, seam, check=True):
     """Delete one seam, collapsing its plugs into each other.
 
     Returns the complex over the coarsened surface and the chain map from
     cx.truncated onto its truncated complex.  Words with letters at the
     removed seam map to zero; length-zero words map by one saddle per plug
-    chord.
+    chord, replayed from a plan compiled once per word's tangles and sites.
     """
-    spec = cx.spec
-    if seam not in spec.seams:
-        raise SpecError(f"unknown seam {seam!r}")
+    target, z_arc_map, m_arc_map = _coarsened(cx, seam, check)
+    z_items = tuple(z_arc_map.items())
     g_idx = cx._seam_pos[seam]
-    (ri, si), (rj, sj) = spec.seam_sides(seam)
-    if ri == rj:
-        raise SpecError(
-            f"seam {seam!r} has both sides on one region; removing it does not leave disks"
-        )
+    comps = {}
+    for h, mws in cx.multiwords.items():
+        mat = {}
+        for j, mw in enumerate(mws):
+            objs, letters = mw[g_idx]
+            if letters:
+                continue
+            mw_t = mw[:g_idx] + mw[g_idx + 1:]
+            i_t = target.index[h][mw_t]
+            m_src = cx.m_tangle(mw)
+            d_src, off_src = hom_double(cx.z_jux, m_src)
+            sites = _plug_surgeries(cx, seam, mw, objs[0], m_src, d_src)
+            plan = _coarsening_plan(cx.z_jux, m_src, target.z_jux, target.m_tangle(mw_t),
+                                    tuple(sites), z_items + tuple(m_arc_map[mw].items()))
+            for lab, _raw in kh_basis(d_src, off_src):
+                col = cx._positions[h][(j, lab)]
+                for lab2, c2 in plan.product(lab):
+                    row = target._positions[h][(i_t, lab2)]
+                    mat[(row, col)] = mat.get((row, col), 0) + c2
+        comps[h] = mat
+    return target, ChainMap(cx.truncated, target.truncated, comps, check=check)
+
+
+@lru_cache(maxsize=None)
+def _coarsening_plan(z_src, m_src, z_tgt, m_tgt, sites, arc_map):
+    """Compile the collapse of one length-zero seam word once, on diagrams.
+
+    One saddle per site (arc1, arc2, pairing) on the double of (z_src,
+    m_src), then its circles carried onto the double of (z_tgt, m_tgt)
+    along arc_map, given as (source arc, target arc) pairs.
+    """
+    d_src, _ = hom_double(z_src, m_src)
+    d_tgt, _ = hom_double(z_tgt, m_tgt)
+    rec = _Recorder(d_src)
+    for arc1, arc2, pairing in sites:
+        rec.surger(arc1, arc2, pairing)
+    return rec.plan(tuple(range(len(d_src))), d_tgt, dict(arc_map))
+
+
+def _coarsened(cx, seam, check):
+    """The complex over the surface without seam, and the arc maps that
+    carry closure chords and, per length-zero word, middle chords onto it."""
+    spec = cx.spec
+    (ri, si), (rj, sj) = removable_seam(spec, seam)
     order = ([(ri, s) for s in range(si)]
              + [(rj, s) for s in range(sj + 1, len(spec.regions[rj]))]
              + [(rj, s) for s in range(sj)]
@@ -810,36 +864,7 @@ def coarsen(cx, seam, check=True):
     z_arc_map = _closure_arc_map(cx, target, region_pos, ri, rj,
                                  bot_points, bot_chords, top_points, top_chords)
     m_arc_map = _middle_arc_map(cx, target, seg_pos, seam)
-
-    comps = {}
-    for h, mws in cx.multiwords.items():
-        mat = {}
-        for j, mw in enumerate(mws):
-            objs, letters = mw[g_idx]
-            if letters:
-                continue
-            a0 = objs[0]
-            mw_t = mw[:g_idx] + mw[g_idx + 1:]
-            i_t = target.index[h][mw_t]
-            m_src = cx.m_tangle(mw)
-            d_src, off_src = hom_double(cx.z_jux, m_src)
-            d_tgt, _off_tgt = hom_double(target.z_jux, target.m_tangle(mw_t))
-            surgeries = _plug_surgeries(cx, seam, mw, a0, m_src, d_src)
-            arc_map = dict(z_arc_map)
-            arc_map.update(m_arc_map[mw])
-            for lab, _raw in kh_basis(d_src, off_src):
-                col = cx._positions[h][(j, lab)]
-                sv = StateVector(d_src, off_src, {lab: 1})
-                for arc1, arc2, pairing in surgeries:
-                    sv = sv.surgered(arc1, arc2, pairing)
-                image = transport(sv, d_tgt, arc_map)
-                for lab2, c2 in image.terms.items():
-                    if not c2:
-                        continue
-                    row = target._positions[h][(i_t, lab2)]
-                    mat[(row, col)] = mat.get((row, col), 0) + c2
-        comps[h] = mat
-    return target, ChainMap(cx.truncated, target.truncated, comps, check=check)
+    return target, z_arc_map, m_arc_map
 
 
 def _region_offsets(cx):

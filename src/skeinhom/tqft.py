@@ -11,15 +11,16 @@ therefore exactly degree preserving, with no bookkeeping left to callers.
 Composite tangles carry their free circles in a fixed order: the lower
 factor's own circles, then the upper factor's, then circles formed at the
 interface ordered by their smallest interface point.  Juxtaposition
-concatenates circle lists left to right.  All transports here respect that
+concatenates circle lists left to right.  All maps here respect that
 order, so states produced by different routes can be composed safely.
 
-Composition and juxtaposition depend only on the tangles.  Surgery runs
-once per triple of tangles, on diagrams, and compiles a plan of saddles
-and caps that pair replays on labels, filling a table of basis products on
-first use; juxtaposed reads a circle map compiled once per tuple of
-shapes.  Doubles, plans, products and maps are cached for the life of the
-process.
+Every map this module applies to labels (composition, whiskering,
+juxtaposition, mirrors and transposition) is a _SurgeryPlan compiled once
+per key of tangles: a _Recorder runs the saddles and caps once, on
+diagrams, and keeps only how labels cross them.  Replaying a plan touches
+labels alone; a plan with steps keeps the basis products it has replayed.
+Doubles and plans are cached for the life of the process, so diagrams are
+built only by hom_double and by the plan compilers.
 """
 
 from __future__ import annotations
@@ -121,25 +122,6 @@ class StateVector:
         object.__setattr__(sv, "terms", terms)
         return sv
 
-    def _saddle_terms(self, new_diag, c1, c2, t0, t1):
-        """Label bookkeeping shared by arc surgery and port regluing."""
-        if c1 == c2:
-            assert t0 != t1, "a planar saddle on one circle must split it"
-        return _frobenius_terms(self.terms, _carry(self.diagram, new_diag, {t0, t1}),
-                                c1, c2, t0, t1)
-
-    def surgered(self, arc1, arc2, pairing):
-        """Saddle joining the two arcs, reconnected as prescribed.
-
-        Distinct circles merge with the product; a single circle splits with
-        the coproduct.  The offset drops by one either way.
-        """
-        new_diag, c1, c2, t0, t1 = _saddle(self.diagram, arc1, arc2, pairing)
-        if c1 != c2:
-            assert t0 == t1
-        terms = self._saddle_terms(new_diag, c1, c2, t0, t1)
-        return StateVector(new_diag, self.offset - 1, terms)
-
     def dotted(self, arc):
         """Multiply the label on the circle through arc by x."""
         c = self.diagram.component_of[arc]
@@ -150,12 +132,6 @@ class StateVector:
             new_lab = lab[:c] + (X,) + lab[c + 1:]
             terms[new_lab] = terms.get(new_lab, 0) + coeff
         return StateVector(self.diagram, self.offset, terms)
-
-    def killed(self, arc):
-        """Cap off the circle through arc with the counit."""
-        new_diag, c = _capped(self.diagram, arc)
-        terms = _frobenius_terms(self.terms, _carry(self.diagram, new_diag, ()), c)
-        return StateVector(new_diag, self.offset + 1, terms)
 
 
 def _saddle(diagram, arc1, arc2, pairing):
@@ -228,22 +204,6 @@ def _circle_map(src, target, arc_map):
     return circle_map
 
 
-def transport(state, target, arc_map):
-    """Reinterpret a state on a homeomorphic diagram.
-
-    arc_map sends source arcs to target arcs and must determine a bijection
-    of circles; it does not need to mention every arc.
-    """
-    circle_map = _circle_map(state.diagram, target, arc_map)
-    terms = {}
-    for lab, coeff in state.terms.items():
-        new_lab = [None] * len(target)
-        for i, j in circle_map.items():
-            new_lab[j] = lab[i]
-        terms[tuple(new_lab)] = coeff
-    return StateVector(target, state.offset, terms)
-
-
 def kh_basis(diagram, offset):
     """All labelings of the diagram with their quantum degrees."""
     off = Fraction(offset)
@@ -308,48 +268,22 @@ def basis_state(a, b, lab):
     return StateVector(d, off, {tuple(lab): 1})
 
 
-def _local_arc(arc):
-    """Split a block-tagged arc ((i, side), ...) into block and local arc."""
-    (block, side), *rest = arc
-    return block, (side, *rest)
+def _joint_pick(big, blocks):
+    """Position of each circle of big in the concatenated labelings of blocks.
 
-
-def _joint_pick(big, diagrams):
-    """The (block, local circle) behind each circle of big.
-
-    diagrams maps a block id to its diagram; arcs of big must have the form
-    ((block, side), ...) with (side, ...) an arc of that block's diagram.
+    blocks is a sequence of (block id, diagram) in input order; arcs of big
+    must have the form ((block, side), ...) with (side, ...) an arc of that
+    block's diagram.
     """
+    start, diagrams, n = {}, {}, 0
+    for block, d in blocks:
+        start[block], diagrams[block] = n, d
+        n += len(d)
     pick = []
     for circ in big.circles:
-        block, local = _local_arc(circ[0])
-        pick.append((block, diagrams[block].component_of[local]))
+        (block, side), *rest = circ[0]
+        pick.append(start[block] + diagrams[block].component_of[(side, *rest)])
     return tuple(pick)
-
-
-def _product_terms(pick, states):
-    """Product labelings: circle i takes the label of circle pick[i][1] in
-    the state states[pick[i][0]]."""
-    blocks = sorted(states)
-    terms = {}
-    for combo in itertools.product(*(states[b].sorted_terms() for b in blocks)):
-        labs = dict(zip(blocks, (lab for lab, _ in combo)))
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        lab = tuple(labs[b][i] for b, i in pick)
-        terms[lab] = terms.get(lab, 0) + coeff
-    return terms
-
-
-def _joint_terms(big, states):
-    """Product labelings on a diagram whose circles come from per-block states.
-
-    states maps a block id to its StateVector; see _joint_pick for the arcs.
-    """
-    pick = _joint_pick(big, {b: sv.diagram for b, sv in states.items()})
-    offset = sum((sv.offset for sv in states.values()), Fraction(0))
-    return StateVector(big, offset, _product_terms(pick, states))
 
 
 def _double_instances(block, a, b, tangles, glue):
@@ -366,62 +300,117 @@ def _glue_all(glue, inst1, side1, inst2, side2, count):
         glue[(inst2, side2, i)] = (inst1, side1, i)
 
 
-def _check_hom_state(sv, a, b, what):
-    """Raise unless sv lies on the double of (a, b) at its hom offset."""
+def _check_double(sv, a, b, what):
+    """Raise unless sv lies on the double of (a, b)."""
     d, off = hom_double(a, b)
     if sv.diagram is not d and sv.diagram.arcs != d.arcs:
         raise InvalidBoundary(f"{what} does not live on the expected double")
+    return off
+
+
+def _check_hom_state(sv, a, b, what):
+    """Raise unless sv lies on the double of (a, b) at its hom offset."""
+    off = _check_double(sv, a, b, what)
     if sv.offset != off:
         raise GradingError(f"{what} sits at offset {sv.offset}, not at the hom offset {off}")
+
+
+class _SurgeryPlan:
+    """A cobordism between closed diagrams, compiled to steps on labels.
+
+    pick takes each circle of the start diagram to its position in the
+    concatenated input labelings; steps are the arguments, after the terms,
+    of one _frobenius_terms call per saddle or cap; and circle j of the end
+    diagram takes the label of circle perm[j] after them.  A plan without
+    steps folds perm into pick and keeps no table of products.
+    """
+
+    __slots__ = ("pick", "steps", "perm", "products")
+
+    def __init__(self, pick, steps, perm):
+        if not steps:
+            pick, perm = tuple(pick[i] for i in perm), tuple(range(len(perm)))
+        self.pick, self.steps, self.perm = pick, steps, perm
+        self.products = {} if steps else None
+
+    def product(self, *labs):
+        """The image of one basis labeling per input diagram, as sorted
+        (labeling, coefficient) pairs; replayed on first use and, when the
+        plan has steps, kept."""
+        if not self.steps:
+            joint = sum(labs, ())
+            return ((tuple(joint[p] for p in self.pick), 1),)
+        out = self.products.get(labs)
+        if out is None:
+            joint = sum(labs, ())
+            terms = {tuple(joint[p] for p in self.pick): 1}
+            for step in self.steps:
+                terms = _frobenius_terms(terms, *step)
+            out = self.products[labs] = tuple(sorted(
+                (tuple(lab[i] for i in self.perm), k) for lab, k in terms.items() if k))
+        return out
+
+
+def _replayed(plan, factors):
+    """Terms of the plan applied to a tensor product of states, each factor
+    given as its (labeling, coefficient) pairs: the multilinear extension
+    of plan.product."""
+    terms = {}
+    for combo in itertools.product(*factors):
+        coeff, labs = 1, []
+        for lab, c in combo:
+            coeff *= c
+            labs.append(lab)
+        for lab, k in plan.product(*labs):
+            terms[lab] = terms.get(lab, 0) + coeff * k
+    return {lab: k for lab, k in terms.items() if k}
+
+
+class _Recorder:
+    """Surgery on diagrams, recorded as steps on labels for a _SurgeryPlan.
+
+    Every compiler below starts one on a diagram; each saddle or cap moves
+    it to the diagram after the step and records how labels cross.
+    """
+
+    def __init__(self, diagram):
+        self.diagram, self.steps = diagram, []
+
+    def saddle(self, new, c1, c2, t0, t1):
+        """A saddle onto new, on the circles c1, c2 before it, making t0, t1
+        after it (t0 == t1 for a merge)."""
+        self.steps.append((_carry(self.diagram, new, {t0, t1}), c1, c2, t0, t1))
+        self.diagram = new
+
+    def surger(self, arc1, arc2, pairing):
+        self.saddle(*_saddle(self.diagram, arc1, arc2, pairing))
+
+    def cap(self, arc):
+        new, c = _capped(self.diagram, arc)
+        self.steps.append((_carry(self.diagram, new, ()), c))
+        self.diagram = new
+
+    def plan(self, pick, target, arc_map):
+        """The plan from the start diagram to target, whose circles arc_map
+        names through the arcs of the current diagram; see _SurgeryPlan
+        for pick."""
+        perm = [None] * len(target)
+        for i, j in _circle_map(self.diagram, target, arc_map).items():
+            perm[j] = i
+        return _SurgeryPlan(pick, tuple(self.steps), tuple(perm))
 
 
 def pair(a, b, c, sv1, sv2):
     """Compose sv1 in Hom(a, b) with sv2 in Hom(b, c).
 
-    The bilinear extension of the basis products of _composition_plan.  The
-    result lives on the double of a and c, at its own hom offset.
+    The bilinear extension of the plan of _composition_plan.  The result
+    lives on the double of a and c, at its own hom offset.
     """
     _check_hom_state(sv1, a, b, "first state")
     _check_hom_state(sv2, b, c, "second state")
-    plan = _composition_plan(a, b, c)
-    terms = {}
-    for lab1, c1 in sv1.terms.items():
-        for lab2, c2 in sv2.terms.items():
-            for lab, k in plan.product(lab1, lab2):
-                terms[lab] = terms.get(lab, 0) + c1 * c2 * k
-    return StateVector._trusted(plan.canon, plan.offset,
-                                {lab: k for lab, k in terms.items() if k})
-
-
-class _CompositionPlan:
-    """Composition from Hom(a, b) x Hom(b, c) to Hom(a, c), as steps on labels.
-
-    pick takes a circle of the union of the two doubles to its position in
-    the concatenated labelings lab1 + lab2; steps are the arguments, after
-    the terms, of one _frobenius_terms call per saddle or cap; and circle j
-    of the double of (a, c) takes the label of circle perm[j] after them.
-    """
-
-    __slots__ = ("canon", "offset", "pick", "steps", "perm", "products")
-
-    def __init__(self, canon, offset, pick, steps, perm):
-        self.canon, self.offset = canon, offset
-        self.pick, self.steps, self.perm = pick, steps, perm
-        self.products = {}
-
-    def product(self, lab1, lab2):
-        """Composite of two basis labelings, as sorted (labeling,
-        coefficient) pairs; replayed on first use and kept."""
-        key = (lab1, lab2)
-        out = self.products.get(key)
-        if out is None:
-            joint = lab1 + lab2
-            terms = {tuple(joint[p] for p in self.pick): 1}
-            for step in self.steps:
-                terms = _frobenius_terms(terms, *step)
-            out = self.products[key] = tuple(sorted(
-                (tuple(lab[i] for i in self.perm), k) for lab, k in terms.items() if k))
-        return out
+    canon, off, plan = _composition_plan(a, b, c)
+    return StateVector._trusted(canon, off,
+                                _replayed(plan, (sv1.terms.items(), sv2.terms.items())))
 
 
 @lru_cache(maxsize=None)
@@ -430,8 +419,8 @@ def _composition_plan(a, b, c):
 
     On the union of the doubles of (a, b) and (b, c): one saddle per chord
     of b, then each free circle of b is merged across the two copies and
-    capped off.  Only what labels need is kept; the plan, and the products
-    it fills, live as long as the process.
+    capped off.  Returns the double of (a, c), its hom offset and the plan,
+    which takes a labeling of each of the two doubles.
     """
     d1, _ = hom_double(a, b)
     d2, _ = hom_double(b, c)
@@ -439,36 +428,24 @@ def _composition_plan(a, b, c):
     tangles, glue = {}, {}
     _double_instances(1, a, b, tangles, glue)
     _double_instances(2, b, c, tangles, glue)
-    diag = ClosedDiagram.from_instances(tangles, glue)
-    start = {1: 0, 2: len(d1)}
-    pick = tuple(start[block] + i for block, i in _joint_pick(diag, {1: d1, 2: d2}))
-    steps = []
+    union = ClosedDiagram.from_instances(tangles, glue)
+    rec = _Recorder(union)
     for k, (p, q) in enumerate(b.chords):
-        arc1, arc2 = ((1, "y"), k), ((2, "x"), k)
-        n1p, n1q, n2p, n2q = (diag.node_of_port((inst,) + b.port_of_point(x))
+        n1p, n1q, n2p, n2q = (union.node_of_port((inst,) + b.port_of_point(x))
                               for inst in ((1, "y"), (2, "x")) for x in (p, q))
-        new, c1, c2, t0, t1 = _saddle(diag, arc1, arc2, ((n1p, n2p), (n1q, n2q)))
-        steps.append((_carry(diag, new, {t0, t1}), c1, c2, t0, t1))
-        diag = new
+        rec.surger(((1, "y"), k), ((2, "x"), k), ((n1p, n2p), (n1q, n2q)))
     for k in range(b.circles):
         arc1, arc2 = ((1, "y"), "o", k), ((2, "x"), "o", k)
-        l1, l2 = diag.arcs[arc1][0], diag.arcs[arc2][0]
-        new, c1, c2, t0, t1 = _saddle(diag, arc1, arc2, ((l1, l2), (l1, l2)))
-        steps.append((_carry(diag, new, {t0, t1}), c1, c2, t0, t1))
-        diag = new
-        new, capped = _capped(diag, ("srg", arc1, arc2, 0))
-        steps.append((_carry(diag, new, ()), capped))
-        diag = new
+        l1, l2 = rec.diagram.arcs[arc1][0], rec.diagram.arcs[arc2][0]
+        rec.surger(arc1, arc2, ((l1, l2), (l1, l2)))
+        rec.cap(("srg", arc1, arc2, 0))
     arc_map = {}
     for side, block, t in (("x", 1, a), ("y", 2, c)):
         for k in range(len(t.chords)):
             arc_map[((block, side), k)] = (side, k)
         for k in range(t.circles):
             arc_map[((block, side), "o", k)] = (side, "o", k)
-    perm = [None] * len(canon)
-    for i, j in _circle_map(diag, canon, arc_map).items():
-        perm[j] = i
-    return _CompositionPlan(canon, off, pick, tuple(steps), tuple(perm))
+    return canon, off, rec.plan(_joint_pick(union, ((1, d1), (2, d2))), canon, arc_map)
 
 
 def _chord_index(t, p):
@@ -484,114 +461,54 @@ def _arc_at_port(instances, port):
     return (inst, _chord_index(t, p))
 
 
-def _point_map_state(state, a, b, f, fa, fb):
-    """Transport along a boundary relabeling applied to both hom factors."""
-    canon, _ = hom_double(fa, fb)
+@lru_cache(maxsize=None)
+def _relabeling_plan(a, b, kind):
+    """Compile a relabeling of Hom(a, b) once: a mirror of both factors,
+    left-right (kind "x") or top-bottom ("y"), or reading it as Hom(b, a)
+    (kind "t").  Returns the double it ends on and the step-free plan."""
+    m, n = a.bottom, a.top
+    if kind == "x":
+        f = lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m))
+        images = (("x", a, a.reflect_x()), ("y", b, b.reflect_x()))
+    elif kind == "y":
+        f = lambda p: (n + p) if p < m else p - m
+        images = (("x", a, a.reflect_y()), ("y", b, b.reflect_y()))
+    else:
+        f = lambda p: p
+        images = (("y", a, a), ("x", b, b))
     arc_map = {}
-    for p, _q in a.chords:
-        arc_map[("x", _chord_index(a, p))] = ("x", _chord_index(fa, f(p)))
-    for p, _q in b.chords:
-        arc_map[("y", _chord_index(b, p))] = ("y", _chord_index(fb, f(p)))
-    for k in range(a.circles):
-        arc_map[("x", "o", k)] = ("x", "o", k)
-    for k in range(b.circles):
-        arc_map[("y", "o", k)] = ("y", "o", k)
-    return transport(state, canon, arc_map)
+    for src, (side, t, ft) in zip(("x", "y"), images):
+        for p, _q in t.chords:
+            arc_map[(src, _chord_index(t, p))] = (side, _chord_index(ft, f(p)))
+        for k in range(t.circles):
+            arc_map[(src, "o", k)] = (side, "o", k)
+    ends = {side: ft for side, _t, ft in images}
+    d, _ = hom_double(a, b)
+    canon, _ = hom_double(ends["x"], ends["y"])
+    return canon, _Recorder(d).plan(tuple(range(len(d))), canon, arc_map)
+
+
+def _relabeled(state, a, b, kind):
+    """A state on the double of (a, b) carried along _relabeling_plan,
+    keeping its offset."""
+    _check_double(state, a, b, "state")
+    canon, plan = _relabeling_plan(a, b, kind)
+    return StateVector._trusted(canon, state.offset, _replayed(plan, (state.terms.items(),)))
 
 
 def reflected_x(state, a, b):
     """Left-right mirror on both factors of a hom element."""
-    m, n = a.bottom, a.top
-    f = lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m))
-    return _point_map_state(state, a, b, f, a.reflect_x(), b.reflect_x())
+    return _relabeled(state, a, b, "x")
 
 
 def reflected_y(state, a, b):
     """Top-bottom mirror on both factors of a hom element."""
-    m, n = a.bottom, a.top
-    f = lambda p: (n + p) if p < m else p - m
-    return _point_map_state(state, a, b, f, a.reflect_y(), b.reflect_y())
+    return _relabeled(state, a, b, "y")
 
 
 def transposed(state, a, b):
     """The same underlying labeling read as a morphism from b to a."""
-    canon, _ = hom_double(b, a)
-    arc_map = {}
-    for k in range(len(a.chords)):
-        arc_map[("x", k)] = ("y", k)
-    for k in range(len(b.chords)):
-        arc_map[("y", k)] = ("x", k)
-    for k in range(a.circles):
-        arc_map[("x", "o", k)] = ("y", "o", k)
-    for k in range(b.circles):
-        arc_map[("y", "o", k)] = ("x", "o", k)
-    return transport(state, canon, arc_map)
-
-
-def _interface_points(upper, lower):
-    """Smallest interface index of each circle formed by composing two
-    tangles, in increasing order."""
-    mid = lower.top
-    kb = lower.bottom
-
-    def step(enc):
-        side, p = enc
-        if side == "L":
-            q = lower.partner[p]
-            return ("U", q - kb) if q >= kb else ("L", q)
-        q = upper.partner[p]
-        return ("L", kb + q) if q < mid else ("U", q)
-
-    def twin(enc):
-        side, p = enc
-        return ("U", p - kb) if side == "L" else ("L", kb + p)
-
-    def at_boundary(enc):
-        side, p = enc
-        return (side == "L" and p < kb) or (side == "U" and p >= mid)
-
-    touched = set()
-    starts = [("L", p) for p in range(kb)] + [("U", p) for p in range(mid, mid + upper.top)]
-    for start in starts:
-        cur = step(start)
-        while not at_boundary(cur):
-            touched.add(cur)
-            touched.add(twin(cur))
-            cur = step(cur)
-    points = []
-    for i in range(mid):
-        enc = ("L", kb + i)
-        if enc in touched:
-            continue
-        points.append(i)
-        cur = enc
-        while cur not in touched:
-            touched.add(cur)
-            touched.add(twin(cur))
-            cur = step(cur)
-    return tuple(points)
-
-
-def _reglue(state, instances, glue, p1, p2):
-    """Saddle re-pairing ports: {p1-q1, p2-q2} becomes {p1-p2, q1-q2}."""
-    q1, q2 = glue[p1], glue[p2]
-    new_glue = dict(glue)
-    new_glue[p1], new_glue[p2] = p2, p1
-    new_glue[q1], new_glue[q2] = q2, q1
-    new_diag = ClosedDiagram.from_instances(instances, new_glue)
-    old = state.diagram
-    a1 = _arc_at_port(instances, p1)
-    a2 = _arc_at_port(instances, p2)
-    c1, c2 = old.component_of[a1], old.component_of[a2]
-    t0 = new_diag.component_of[a1]
-    if c1 != c2:
-        assert new_diag.component_of[a2] == t0
-        t1 = t0
-    else:
-        # the daughters meet the new nodes {p1, p2} and {q1, q2}
-        t1 = new_diag.component_of[_arc_at_port(instances, q1)]
-    terms = state._saddle_terms(new_diag, c1, c2, t0, t1)
-    return StateVector(new_diag, state.offset - 1, terms), new_glue
+    return _relabeled(state, a, b, "t")
 
 
 def whisker(state, a, b, e, above=True):
@@ -599,31 +516,55 @@ def whisker(state, a, b, e, above=True):
 
     Sends a hom element from a to b to one from e*a to e*b (gluing e onto
     the top edge) or from a*e to b*e (bottom edge).  One saddle per glued
-    boundary point.
+    boundary point, as compiled by _whisker_plan.
     """
     _check_hom_state(state, a, b, "state")
     if above:
         if e.bottom != a.top:
             raise InvalidBoundary("whisker tangle does not fit the top edge")
+    elif e.top != a.bottom:
+        raise InvalidBoundary("whisker tangle does not fit the bottom edge")
+    canon, off, plan = _whisker_plan(a, b, e, above)
+    factors = (state.terms.items(), identity_state(e).terms.items())
+    return StateVector._trusted(canon, off, _replayed(plan, factors))
+
+
+@lru_cache(maxsize=None)
+def _whisker_plan(a, b, e, above):
+    """Compile whiskering Hom(a, b) by the identity of e once, on diagrams.
+
+    On the union of the doubles of (a, b) and (e, e), each saddle re-pairs
+    the ports {p1-q1, p2-q2} of one glued boundary point into {p1-p2,
+    q1-q2}.  Returns the double of the glued tangles, its hom offset and
+    the plan, which takes a labeling of each of the two doubles.
+    """
+    if above:
         fa, fb = compose(e, a), compose(e, b)
     else:
-        if e.top != a.bottom:
-            raise InvalidBoundary("whisker tangle does not fit the bottom edge")
         fa, fb = compose(a, e), compose(b, e)
-    id_e = identity_state(e)
     tangles, glue = {}, {}
     _double_instances("m", a, b, tangles, glue)
     _double_instances("e", e, e, tangles, glue)
     start = ClosedDiagram.from_instances(tangles, glue)
-    cur = _joint_terms(start, {"m": state, "e": id_e})
+    rec = _Recorder(start)
     if above:
         pairs = [((("m", "x"), "t", i), (("e", "x"), "b", i)) for i in range(a.top)]
     else:
         pairs = [((("m", "x"), "b", i), (("e", "x"), "t", i)) for i in range(a.bottom)]
     for p1, p2 in pairs:
-        cur, glue = _reglue(cur, tangles, glue, p1, p2)
+        q1, q2 = glue[p1], glue[p2]
+        glue = dict(glue)
+        glue[p1], glue[p2] = p2, p1
+        glue[q1], glue[q2] = q2, q1
+        new = ClosedDiagram.from_instances(tangles, glue)
+        a1, a2 = _arc_at_port(tangles, p1), _arc_at_port(tangles, p2)
+        c1, c2 = rec.diagram.component_of[a1], rec.diagram.component_of[a2]
+        t0 = new.component_of[a1]
+        # the daughters of a split meet the new nodes {p1, p2} and {q1, q2}
+        t1 = t0 if c1 != c2 else new.component_of[_arc_at_port(tangles, q1)]
+        rec.saddle(new, c1, c2, t0, t1)
     canon, off = hom_double(fa, fb)
-    assert cur.offset == off
+    end = rec.diagram.component_of
     final_map = {}
     for side in ("x", "y"):
         f = fa if side == "x" else fb
@@ -631,25 +572,25 @@ def whisker(state, a, b, e, above=True):
         m_inst, e_inst = ("m", side), ("e", side)
         lo_inst, lo_t = (m_inst, mid_t) if above else (e_inst, e)
         up_inst, up_t = (e_inst, e) if above else (m_inst, mid_t)
-        interface = _interface_points(up_t, lo_t)
         for j, (p, _q) in enumerate(f.chords):
             if p < f.bottom:
                 port = (lo_inst, "b", p)
             else:
                 port = (up_inst, "t", p - f.bottom)
             final_map[_arc_at_port(tangles, port)] = (side, j)
-        idx = 0
-        for k in range(lo_t.circles):
-            final_map[(lo_inst, "o", k)] = (side, "o", idx)
-            idx += 1
-        for k in range(up_t.circles):
-            final_map[(up_inst, "o", k)] = (side, "o", idx)
-            idx += 1
-        for i in interface:
-            final_map[_arc_at_port(tangles, (lo_inst, "t", i))] = (side, "o", idx)
-            idx += 1
-        assert idx == f.circles
-    return transport(cur, canon, final_map)
+        loops = [(lo_inst, "o", k) for k in range(lo_t.circles)]
+        loops += [(up_inst, "o", k) for k in range(up_t.circles)]
+        # then the circles closed at the interface, by smallest interface point
+        seen = {end[arc] for arc in final_map}
+        for i in range(lo_t.top):
+            arc = _arc_at_port(tangles, (lo_inst, "t", i))
+            if end[arc] not in seen:
+                seen.add(end[arc])
+                loops.append(arc)
+        for k, arc in enumerate(loops):
+            final_map[arc] = (side, "o", k)
+    pick = _joint_pick(start, (("m", hom_double(a, b)[0]), ("e", hom_double(e, e)[0])))
+    return canon, off, rec.plan(pick, canon, final_map)
 
 
 def juxtaposed(factors):
@@ -660,24 +601,25 @@ def juxtaposed(factors):
     each circle of the result carries the label of one factor's circle, as
     compiled by _juxtaposition_plan.
     """
-    shapes, states = [], {}
+    shapes, terms = [], []
     for i, (a, b, sv) in enumerate(factors):
         _check_hom_state(sv, a, b, f"factor {i}")
         shapes.append((a, b))
-        states[i] = sv
-    canon, off, pick = _juxtaposition_plan(tuple(shapes))
-    return StateVector._trusted(canon, off, _product_terms(pick, states))
+        terms.append(sv.terms.items())
+    canon, off, plan = _juxtaposition_plan(tuple(shapes))
+    return StateVector._trusted(canon, off, _replayed(plan, terms))
 
 
 @lru_cache(maxsize=None)
 def _juxtaposition_plan(shapes):
     """The double of the juxtaposed (a_i, b_i) in shapes, its hom offset,
-    and the (factor, local circle) behind each of its circles."""
+    and the step-free plan onto it, which takes a labeling of each factor's
+    double."""
     tangles, glue = {}, {}
-    doubles = {}
+    doubles = []
     for i, (a, b) in enumerate(shapes):
         _double_instances(i, a, b, tangles, glue)
-        doubles[i], _ = hom_double(a, b)
+        doubles.append((i, hom_double(a, b)[0]))
     big = ClosedDiagram.from_instances(tangles, glue)
     ja = juxtapose(*(a for a, _b in shapes))
     jb = juxtapose(*(b for _a, b in shapes))
@@ -696,9 +638,4 @@ def _juxtaposition_plan(shapes):
             off_b += t.bottom
             off_t += t.top
             off_o += t.circles
-    pick = _joint_pick(big, doubles)
-    to_canon = _circle_map(big, canon, arc_map)
-    plan = [None] * len(canon)
-    for i, j in to_canon.items():
-        plan[j] = pick[i]
-    return canon, off, tuple(plan)
+    return canon, off, _Recorder(big).plan(_joint_pick(big, doubles), canon, arc_map)

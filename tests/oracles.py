@@ -515,26 +515,26 @@ def pair_by_surgery(a, b, c, sv1, sv2):
     composition was compiled once per triple of tangles.
     """
     from skeinhom.planar import ClosedDiagram
-    from skeinhom.tqft import _double_instances, _joint_terms, hom_double, transport
+    from skeinhom.tqft import _double_instances, hom_double
 
     tangles, glue = {}, {}
     _double_instances(1, a, b, tangles, glue)
     _double_instances(2, b, c, tangles, glue)
     union = ClosedDiagram.from_instances(tangles, glue)
-    state = _joint_terms(union, {1: sv1, 2: sv2})
+    state = joint_terms(union, {1: sv1, 2: sv2})
     for k, (p, q) in enumerate(b.chords):
         arc1, arc2 = ((1, "y"), k), ((2, "x"), k)
         n1p = union.node_of_port(((1, "y"),) + b.port_of_point(p))
         n1q = union.node_of_port(((1, "y"),) + b.port_of_point(q))
         n2p = union.node_of_port(((2, "x"),) + b.port_of_point(p))
         n2q = union.node_of_port(((2, "x"),) + b.port_of_point(q))
-        state = state.surgered(arc1, arc2, ((n1p, n2p), (n1q, n2q)))
+        state = surgered(state, arc1, arc2, ((n1p, n2p), (n1q, n2q)))
     for k in range(b.circles):
         arc1, arc2 = ((1, "y"), "o", k), ((2, "x"), "o", k)
         l1 = state.diagram.arcs[arc1][0]
         l2 = state.diagram.arcs[arc2][0]
-        state = state.surgered(arc1, arc2, ((l1, l2), (l1, l2)))
-        state = state.killed(("srg", arc1, arc2, 0))
+        state = surgered(state, arc1, arc2, ((l1, l2), (l1, l2)))
+        state = killed(state, ("srg", arc1, arc2, 0))
     canon, _ = hom_double(a, c)
     arc_map = {}
     for k in range(len(a.chords)):
@@ -546,3 +546,409 @@ def pair_by_surgery(a, b, c, sv1, sv2):
     for k in range(c.circles):
         arc_map[((2, "y"), "o", k)] = ("y", "o", k)
     return transport(state, canon, arc_map)
+
+
+# Cobordisms on labeled diagrams, surgery by surgery: the routes the package
+# took for every call before each map became a plan compiled once per key
+# of tangles.  States are rebuilt and their diagrams re-traced at every
+# saddle, so agreement with the compiled plans is meaningful.
+
+def _saddle_terms(state, new_diag, c1, c2, t0, t1):
+    """Label bookkeeping shared by arc surgery and port regluing."""
+    from skeinhom.tqft import _carry, _frobenius_terms
+
+    if c1 == c2:
+        assert t0 != t1, "a planar saddle on one circle must split it"
+    return _frobenius_terms(state.terms, _carry(state.diagram, new_diag, {t0, t1}),
+                            c1, c2, t0, t1)
+
+
+def surgered(state, arc1, arc2, pairing):
+    """Saddle joining the two arcs, reconnected as prescribed.
+
+    Distinct circles merge with the product; a single circle splits with
+    the coproduct.  The offset drops by one either way.
+    """
+    from skeinhom.tqft import StateVector, _saddle
+
+    new_diag, c1, c2, t0, t1 = _saddle(state.diagram, arc1, arc2, pairing)
+    if c1 != c2:
+        assert t0 == t1
+    terms = _saddle_terms(state, new_diag, c1, c2, t0, t1)
+    return StateVector(new_diag, state.offset - 1, terms)
+
+
+def killed(state, arc):
+    """Cap off the circle through arc with the counit."""
+    from skeinhom.tqft import StateVector, _capped, _carry, _frobenius_terms
+
+    new_diag, c = _capped(state.diagram, arc)
+    terms = _frobenius_terms(state.terms, _carry(state.diagram, new_diag, ()), c)
+    return StateVector(new_diag, state.offset + 1, terms)
+
+
+def transport(state, target, arc_map):
+    """Reinterpret a state on a homeomorphic diagram.
+
+    arc_map sends source arcs to target arcs and must determine a bijection
+    of circles; it does not need to mention every arc.
+    """
+    from skeinhom.tqft import StateVector, _circle_map
+
+    circle_map = _circle_map(state.diagram, target, arc_map)
+    terms = {}
+    for lab, coeff in state.terms.items():
+        new_lab = [None] * len(target)
+        for i, j in circle_map.items():
+            new_lab[j] = lab[i]
+        terms[tuple(new_lab)] = coeff
+    return StateVector(target, state.offset, terms)
+
+
+def _local_arc(arc):
+    """Split a block-tagged arc ((i, side), ...) into block and local arc."""
+    (block, side), *rest = arc
+    return block, (side, *rest)
+
+
+def _joint_pick(big, diagrams):
+    """The (block, local circle) behind each circle of big.
+
+    diagrams maps a block id to its diagram; arcs of big must have the form
+    ((block, side), ...) with (side, ...) an arc of that block's diagram.
+    """
+    pick = []
+    for circ in big.circles:
+        block, local = _local_arc(circ[0])
+        pick.append((block, diagrams[block].component_of[local]))
+    return tuple(pick)
+
+
+def _product_terms(pick, states):
+    """Product labelings: circle i takes the label of circle pick[i][1] in
+    the state states[pick[i][0]]."""
+    blocks = sorted(states)
+    terms = {}
+    for combo in itertools.product(*(states[b].sorted_terms() for b in blocks)):
+        labs = dict(zip(blocks, (lab for lab, _ in combo)))
+        coeff = 1
+        for _, c in combo:
+            coeff *= c
+        lab = tuple(labs[b][i] for b, i in pick)
+        terms[lab] = terms.get(lab, 0) + coeff
+    return terms
+
+
+def joint_terms(big, states):
+    """Product labelings on a diagram whose circles come from per-block states.
+
+    states maps a block id to its StateVector; see _joint_pick for the arcs.
+    """
+    from skeinhom.tqft import StateVector
+
+    pick = _joint_pick(big, {b: sv.diagram for b, sv in states.items()})
+    offset = sum((sv.offset for sv in states.values()), Fraction(0))
+    return StateVector(big, offset, _product_terms(pick, states))
+
+
+def _point_map_state(state, a, b, f, fa, fb):
+    """Transport along a boundary relabeling applied to both hom factors."""
+    from skeinhom.tqft import _chord_index, hom_double
+
+    canon, _ = hom_double(fa, fb)
+    arc_map = {}
+    for p, _q in a.chords:
+        arc_map[("x", _chord_index(a, p))] = ("x", _chord_index(fa, f(p)))
+    for p, _q in b.chords:
+        arc_map[("y", _chord_index(b, p))] = ("y", _chord_index(fb, f(p)))
+    for k in range(a.circles):
+        arc_map[("x", "o", k)] = ("x", "o", k)
+    for k in range(b.circles):
+        arc_map[("y", "o", k)] = ("y", "o", k)
+    return transport(state, canon, arc_map)
+
+
+def reflected_x_by_transport(state, a, b):
+    """Left-right mirror on both factors of a hom element."""
+    m, n = a.bottom, a.top
+    f = lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m))
+    return _point_map_state(state, a, b, f, a.reflect_x(), b.reflect_x())
+
+
+def reflected_y_by_transport(state, a, b):
+    """Top-bottom mirror on both factors of a hom element."""
+    m, n = a.bottom, a.top
+    f = lambda p: (n + p) if p < m else p - m
+    return _point_map_state(state, a, b, f, a.reflect_y(), b.reflect_y())
+
+
+def transposed_by_transport(state, a, b):
+    """The same underlying labeling read as a morphism from b to a."""
+    from skeinhom.tqft import hom_double
+
+    canon, _ = hom_double(b, a)
+    arc_map = {}
+    for k in range(len(a.chords)):
+        arc_map[("x", k)] = ("y", k)
+    for k in range(len(b.chords)):
+        arc_map[("y", k)] = ("x", k)
+    for k in range(a.circles):
+        arc_map[("x", "o", k)] = ("y", "o", k)
+    for k in range(b.circles):
+        arc_map[("y", "o", k)] = ("x", "o", k)
+    return transport(state, canon, arc_map)
+
+
+def _reglue(state, instances, glue, p1, p2):
+    """Saddle re-pairing ports: {p1-q1, p2-q2} becomes {p1-p2, q1-q2}."""
+    from skeinhom.planar import ClosedDiagram
+    from skeinhom.tqft import StateVector, _arc_at_port
+
+    q1, q2 = glue[p1], glue[p2]
+    new_glue = dict(glue)
+    new_glue[p1], new_glue[p2] = p2, p1
+    new_glue[q1], new_glue[q2] = q2, q1
+    new_diag = ClosedDiagram.from_instances(instances, new_glue)
+    old = state.diagram
+    a1 = _arc_at_port(instances, p1)
+    a2 = _arc_at_port(instances, p2)
+    c1, c2 = old.component_of[a1], old.component_of[a2]
+    t0 = new_diag.component_of[a1]
+    if c1 != c2:
+        assert new_diag.component_of[a2] == t0
+        t1 = t0
+    else:
+        # the daughters meet the new nodes {p1, p2} and {q1, q2}
+        t1 = new_diag.component_of[_arc_at_port(instances, q1)]
+    terms = _saddle_terms(state, new_diag, c1, c2, t0, t1)
+    return StateVector(new_diag, state.offset - 1, terms), new_glue
+
+
+def _interface_points(upper, lower):
+    """Smallest interface index of each circle formed by composing two
+    tangles, in increasing order."""
+    mid = lower.top
+    kb = lower.bottom
+
+    def step(enc):
+        side, p = enc
+        if side == "L":
+            q = lower.partner[p]
+            return ("U", q - kb) if q >= kb else ("L", q)
+        q = upper.partner[p]
+        return ("L", kb + q) if q < mid else ("U", q)
+
+    def twin(enc):
+        side, p = enc
+        return ("U", p - kb) if side == "L" else ("L", kb + p)
+
+    def at_boundary(enc):
+        side, p = enc
+        return (side == "L" and p < kb) or (side == "U" and p >= mid)
+
+    touched = set()
+    starts = [("L", p) for p in range(kb)] + [("U", p) for p in range(mid, mid + upper.top)]
+    for start in starts:
+        cur = step(start)
+        while not at_boundary(cur):
+            touched.add(cur)
+            touched.add(twin(cur))
+            cur = step(cur)
+    points = []
+    for i in range(mid):
+        enc = ("L", kb + i)
+        if enc in touched:
+            continue
+        points.append(i)
+        cur = enc
+        while cur not in touched:
+            touched.add(cur)
+            touched.add(twin(cur))
+            cur = step(cur)
+    return tuple(points)
+
+
+def whisker_by_reglue(state, a, b, e, above=True):
+    """Horizontal composition with the identity of e.
+
+    Sends a hom element from a to b to one from e*a to e*b (gluing e onto
+    the top edge) or from a*e to b*e (bottom edge).  One saddle per glued
+    boundary point.
+    """
+    from skeinhom.errors import InvalidBoundary
+    from skeinhom.planar import ClosedDiagram, compose
+    from skeinhom.tqft import (_arc_at_port, _check_hom_state, _double_instances, hom_double,
+                               identity_state)
+
+    _check_hom_state(state, a, b, "state")
+    if above:
+        if e.bottom != a.top:
+            raise InvalidBoundary("whisker tangle does not fit the top edge")
+        fa, fb = compose(e, a), compose(e, b)
+    else:
+        if e.top != a.bottom:
+            raise InvalidBoundary("whisker tangle does not fit the bottom edge")
+        fa, fb = compose(a, e), compose(b, e)
+    id_e = identity_state(e)
+    tangles, glue = {}, {}
+    _double_instances("m", a, b, tangles, glue)
+    _double_instances("e", e, e, tangles, glue)
+    start = ClosedDiagram.from_instances(tangles, glue)
+    cur = joint_terms(start, {"m": state, "e": id_e})
+    if above:
+        pairs = [((("m", "x"), "t", i), (("e", "x"), "b", i)) for i in range(a.top)]
+    else:
+        pairs = [((("m", "x"), "b", i), (("e", "x"), "t", i)) for i in range(a.bottom)]
+    for p1, p2 in pairs:
+        cur, glue = _reglue(cur, tangles, glue, p1, p2)
+    canon, off = hom_double(fa, fb)
+    assert cur.offset == off
+    final_map = {}
+    for side in ("x", "y"):
+        f = fa if side == "x" else fb
+        mid_t = a if side == "x" else b
+        m_inst, e_inst = ("m", side), ("e", side)
+        lo_inst, lo_t = (m_inst, mid_t) if above else (e_inst, e)
+        up_inst, up_t = (e_inst, e) if above else (m_inst, mid_t)
+        interface = _interface_points(up_t, lo_t)
+        for j, (p, _q) in enumerate(f.chords):
+            if p < f.bottom:
+                port = (lo_inst, "b", p)
+            else:
+                port = (up_inst, "t", p - f.bottom)
+            final_map[_arc_at_port(tangles, port)] = (side, j)
+        idx = 0
+        for k in range(lo_t.circles):
+            final_map[(lo_inst, "o", k)] = (side, "o", idx)
+            idx += 1
+        for k in range(up_t.circles):
+            final_map[(up_inst, "o", k)] = (side, "o", idx)
+            idx += 1
+        for i in interface:
+            final_map[_arc_at_port(tangles, (lo_inst, "t", i))] = (side, "o", idx)
+            idx += 1
+        assert idx == f.circles
+    return transport(cur, canon, final_map)
+
+
+def stacked_state_by_surgery(fc, gc, tc, m1, m2, labf, labg):
+    """Pair a state of fc with one of gc through the shared middle caps.
+
+    Returns the state on tc's double of the stacked middle layer; the
+    declared offset is the target's own hom offset.
+    """
+    from skeinhom.errors import SpecError
+    from skeinhom.planar import ClosedDiagram
+    from skeinhom.planar import compose as stack
+    from skeinhom.tqft import (StateVector, _arc_at_port, _chord_index, _double_instances,
+                               hom_double)
+
+    z1, z2, zt = fc.z_jux, gc.z_jux, tc.z_jux
+    tangles, glue = {}, {}
+    _double_instances(1, z1, m1, tangles, glue)
+    _double_instances(2, z2, m2, tangles, glue)
+    union = ClosedDiagram.from_instances(tangles, glue)
+    d1, off1 = hom_double(z1, m1)
+    d2, off2 = hom_double(z2, m2)
+    state = joint_terms(union, {1: StateVector(d1, off1, {labf: 1}),
+                                2: StateVector(d2, off2, {labg: 1})})
+    kr = z2.bottom
+    for k, (p, q) in enumerate(z1.chords):
+        if p >= z1.bottom:
+            break
+        arc1 = ((1, "x"), k)
+        arc2 = ((2, "x"), _chord_index(z2, kr + p))
+        n1p = union.node_of_port(((1, "x"), "b", p))
+        n1q = union.node_of_port(((1, "x"), "b", q))
+        n2p = union.node_of_port(((2, "x"), "t", p))
+        n2q = union.node_of_port(((2, "x"), "t", q))
+        state = surgered(state, arc1, arc2, ((n1p, n2p), (n1q, n2q)))
+    m_out = stack(m1, m2)
+    if m_out.circles:
+        raise SpecError("stacked middle layers acquire free circles; out of scope")
+    canon, off_t = hom_double(zt, m_out)
+    arc_map = {}
+    for k, (p, q) in enumerate(zt.chords):
+        if q < zt.bottom:
+            arc_map[((2, "x"), _chord_index(z2, p))] = ("x", k)
+        else:
+            local = p - zt.bottom
+            arc_map[((1, "x"), _chord_index(z1, z1.bottom + local))] = ("x", k)
+    for k, (p, q) in enumerate(m_out.chords):
+        if p < m_out.bottom:
+            port = ((2, "y"), "b", p)
+        else:
+            port = ((1, "y"), "t", p - m_out.bottom)
+        arc_map[_arc_at_port(tangles, port)] = ("y", k)
+    out = transport(state, canon, arc_map)
+    return StateVector(canon, off_t, dict(out.terms))
+
+
+def coarsen_by_surgery(cx, seam):
+    """The coarsening of cx at seam, its chain map surgered label by label:
+    (target complex, components by degree)."""
+    from skeinhom.surface import _coarsened, _plug_surgeries
+    from skeinhom.tqft import StateVector, hom_double, kh_basis
+
+    target, z_arc_map, m_arc_map = _coarsened(cx, seam, check=False)
+    g_idx = cx._seam_pos[seam]
+    comps = {}
+    for h, mws in cx.multiwords.items():
+        mat = {}
+        for j, mw in enumerate(mws):
+            objs, letters = mw[g_idx]
+            if letters:
+                continue
+            a0 = objs[0]
+            mw_t = mw[:g_idx] + mw[g_idx + 1:]
+            i_t = target.index[h][mw_t]
+            m_src = cx.m_tangle(mw)
+            d_src, off_src = hom_double(cx.z_jux, m_src)
+            d_tgt, _off_tgt = hom_double(target.z_jux, target.m_tangle(mw_t))
+            surgeries = _plug_surgeries(cx, seam, mw, a0, m_src, d_src)
+            arc_map = dict(z_arc_map)
+            arc_map.update(m_arc_map[mw])
+            for lab, _raw in kh_basis(d_src, off_src):
+                col = cx._positions[h][(j, lab)]
+                sv = StateVector(d_src, off_src, {lab: 1})
+                for arc1, arc2, pairing in surgeries:
+                    sv = surgered(sv, arc1, arc2, pairing)
+                image = transport(sv, d_tgt, arc_map)
+                for lab2, c2 in image.terms.items():
+                    if not c2:
+                        continue
+                    row = target._positions[h][(i_t, lab2)]
+                    mat[(row, col)] = mat.get((row, col), 0) + c2
+        comps[h] = mat
+    return target, comps
+
+
+def fold_entry_by_circles(a0, ar, b0, br, cap_sv, cup_sv):
+    """A morphism between fold tangles acting separately on caps and cups.
+
+    cap_sv lives on the double of reflect_x(a0) and reflect_x(b0); cup_sv on
+    the double of ar and br.  Their labels are carried onto the bottom and
+    top circle families of the fold double, its circles read on every call.
+    """
+    from skeinhom.barproj import _cap_chord_index, _cup_chord_index, fold_tangle
+    from skeinhom.tqft import StateVector, hom_double
+
+    Ta, Tb = fold_tangle(a0, ar), fold_tangle(b0, br)
+    D, off = hom_double(Ta, Tb)
+    N = Ta.bottom
+    assignment = []
+    for circ in D.circles:
+        arc = next(a for a in circ if a[0] == "x")
+        p, q = Ta.chords[arc[1]]
+        if q < N:
+            k0 = _cap_chord_index(a0, p, q)
+            assignment.append((0, cap_sv.diagram.component_of[("x", k0)]))
+        else:
+            k0 = _cup_chord_index(ar, p - N, q - N)
+            assignment.append((1, cup_sv.diagram.component_of[("x", k0)]))
+    terms = {}
+    for lab_cap, c1 in cap_sv.sorted_terms():
+        for lab_cup, c2 in cup_sv.sorted_terms():
+            lab = tuple((lab_cap, lab_cup)[w][i] for w, i in assignment)
+            terms[lab] = terms.get(lab, 0) + c1 * c2
+    return StateVector(D, off, terms)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
 from skeinhom.tqft import (StateVector, basis_state, hom_double, identity_state, kh_basis,
                            pair, reflected_x)
 
-from .oracles import all_shuffles, dense_block
+from .oracles import all_shuffles, dense_block, fold_entry_by_circles
 
 ID1 = identity_tangle(1)
 ID2 = identity_tangle(2)
@@ -98,6 +99,22 @@ class TestFoldTangle:
             sv = fold_entry(a, b, a, b,
                             identity_state(a.reflect_x()), identity_state(b))
             assert sv == identity_state(fold_tangle(a, b))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (1, 3), (3, 3)])
+    def test_fold_entry_matches_circle_scan(self, m, n):
+        rng = random.Random(m + 10 * n)
+        objs = enumerate_matchings(m, n)
+
+        def seeded(a, b):
+            d, off = hom_double(a, b)
+            labs = [lab for lab, _ in kh_basis(d, off)]
+            picked = rng.sample(labs, rng.randint(1, min(3, len(labs))))
+            return StateVector(d, off, {lab: rng.choice([-2, -1, 1, 3]) for lab in picked})
+
+        for a0, ar, b0, br in itertools.product(objs, repeat=4):
+            cap_sv, cup_sv = seeded(a0.reflect_x(), b0.reflect_x()), seeded(ar, br)
+            assert (fold_entry(a0, ar, b0, br, cap_sv, cup_sv)
+                    == fold_entry_by_circles(a0, ar, b0, br, cap_sv, cup_sv))
 
 
 class TestBottomProjector:

@@ -11,6 +11,7 @@ import pytest
 import skeinhom
 from skeinhom.cli import run
 from skeinhom.homalg import LaurentPoly, circle_poly
+from skeinhom.surface import SurfaceComplex
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -390,6 +391,25 @@ class TestSurfaceCommands:
         )
         assert code == 3
         assert "nope" in err
+
+    @pytest.mark.parametrize("seam,message", [
+        ("g", "SpecError: seam 'g' has both sides on one region; removing it does not leave disks"),
+        ("nope", "SpecError: unknown seam 'nope'"),
+    ])
+    def test_coarsen_check_refuses_seam_before_build(self, capsys, tmp_path, monkeypatch,
+                                                     seam, message):
+        built = []
+        monkeypatch.setattr(SurfaceComplex, "__init__", lambda self, *a, **k: built.append(1))
+        code, out, err = run_cli(
+            capsys,
+            "coarsen-check",
+            "--spec", write_json(tmp_path, "spec.json", ANNULUS),
+            "--t", write_json(tmp_path, "t.json", CIRCLE),
+            "--s", write_json(tmp_path, "s.json", CIRCLE),
+            "--seam", seam,
+        )
+        assert (code, out, err) == (3, "", message + "\n")
+        assert not built
 
 
 class TestEntryPoint:

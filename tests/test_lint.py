@@ -13,10 +13,6 @@ ALLOWED_ASSERTS = Counter({
     ("homalg", "tensor"): 2,
     ("planar", "port_of_point"): 1,
     ("planar", "compose"): 1,
-    ("tqft", "_saddle_terms"): 1,
-    ("tqft", "surgered"): 1,
-    ("tqft", "_reglue"): 1,
-    ("tqft", "whisker"): 2,
 })
 
 
@@ -37,7 +33,9 @@ def asserts_by_function(path):
     return found
 
 
-def test_asserts_only_guard_internal_invariants():
+def source_asserts():
+    """Asserts of every module under src, counted by (module, function),
+    and the path:line of each beyond its allowance."""
     seen = Counter()
     stray = []
     for path in sorted(SOURCE.glob("*.py")):
@@ -46,6 +44,17 @@ def test_asserts_only_guard_internal_invariants():
             seen[key] += 1
             if seen[key] > ALLOWED_ASSERTS[key]:
                 stray.append(f"{path}:{line}")
+    return seen, stray
+
+
+def test_asserts_only_guard_internal_invariants():
+    _seen, stray = source_asserts()
     assert not stray, (
         "assert outside the listed internal invariants at " + ", ".join(stray)
         + "; raise a SkeinError subclass from skeinhom.errors instead")
+
+
+def test_every_allowance_matches_an_assert():
+    seen, _stray = source_asserts()
+    stale = sorted(key for key, count in ALLOWED_ASSERTS.items() if seen[key] < count)
+    assert not stale, f"allowances above the asserts left in the source: {stale}"

@@ -1,8 +1,11 @@
 import itertools
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeinhom import planar, surface
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import LaurentPoly, TruncatedComplex
 from skeinhom.planar import PlanarTangle
@@ -10,7 +13,7 @@ from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, Surfa
                               arc, coarsen, compose, h0, identity_unit, seam_side,
                               symmetrized_pairing, transfer, validate_surface)
 
-from .oracles import dense_homology_at
+from .oracles import coarsen_by_surgery, dense_homology_at, stacked_state_by_surgery
 
 DISK = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"),),))
 DISK_ARC = SurfaceTangle.from_data({"regions": [{"counts": [2], "chords": [[0, 1]]}]})
@@ -490,6 +493,93 @@ class TestCoarsen:
         cx = SurfaceComplex(spec, loop, loop, depth=1)
         with pytest.raises(SpecError, match=r"close"):
             coarsen(cx, "g2")
+
+
+def seeded_element(rng, cx, h):
+    """An integer combination of one to four random basis elements of cx at
+    degree h, or None when there are none."""
+    basis = cx.basis_elements(h)
+    if not basis:
+        return None
+    terms = {}
+    for e in rng.sample(basis, rng.randint(1, min(4, len(basis)))):
+        (key, _one), = e.terms.items()
+        terms[key] = rng.choice([-3, -2, -1, 1, 2, 5])
+    return SurfaceElement(cx, h, terms)
+
+
+def built_diagrams(monkeypatch):
+    """A list that grows by one for every ClosedDiagram built from now on."""
+    built = []
+    original = planar.ClosedDiagram.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(planar.ClosedDiagram, "__init__", counting)
+    return built
+
+
+class TestCompiledRoutes:
+    """compose and coarsen replay plans compiled once per key; surgery on
+    diagrams, label by label, is the reference."""
+
+    @pytest.mark.parametrize("spec,a,b,c", [
+        (ANNULUS, CORE, CORE, CORE),
+        (ANNULUS, CUPCAP2, EMPTY, THROUGH2),
+        (ANNULUS, THROUGH2, EMPTY, CUPCAP2),
+        (ANNULUS2, CORE2, CORE2, CORE2),
+    ])
+    def test_compose_matches_stacking_by_surgery(self, monkeypatch, spec, a, b, c):
+        fc = SurfaceComplex(spec, a, b, depth=1)
+        gc = SurfaceComplex(spec, b, c, depth=1)
+        tc = SurfaceComplex(spec, a, c, depth=2)
+        rng = random.Random(len(spec.seams) * 100 + len(b.caps[0].chords))
+        pairs = []
+        for hf, hg in itertools.product((0, -1), repeat=2):
+            for _ in range(3):
+                f, g = seeded_element(rng, fc, hf), seeded_element(rng, gc, hg)
+                if f and g:
+                    pairs.append((f, g))
+        assert pairs
+        compiled = [compose(f, g, target=tc) for f, g in pairs]
+
+        def by_surgery(z1, m1, z2, m2, zt):
+            assert (z1, z2, zt) == (fc.z_jux, gc.z_jux, tc.z_jux)
+            return SimpleNamespace(product=lambda labf, labg: stacked_state_by_surgery(
+                fc, gc, tc, m1, m2, labf, labg).sorted_terms())
+
+        monkeypatch.setattr(surface, "_stacking_plan", by_surgery)
+        assert compiled == [compose(f, g, target=tc) for f, g in pairs]
+        assert any(compiled)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("spec,t,seam", [
+        (ANNULUS2, CORE2, "g1"),
+        (ANNULUS2, CORE2, "g2"),
+        (SEAMED_DISK, SEAMED_DISK_ARC, "g"),
+    ])
+    def test_coarsen_matches_surgery_by_label(self, spec, t, seam, depth):
+        cx = SurfaceComplex(spec, t, t, depth=depth)
+        _tgt, cmap = coarsen(cx, seam)
+        _tgt, comps = coarsen_by_surgery(cx, seam)
+        assert cmap.components == {h: mat for h, mat in comps.items() if mat}
+        assert cmap.components
+
+    def test_second_compose_and_coarsen_build_no_diagram(self, monkeypatch):
+        cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=1)
+        tgt = SurfaceComplex(ANNULUS, CORE, CORE, depth=2)
+        # CORE's seam ring has one object: one word per degree, two labelings
+        (f0, f1), (g0, g1) = cx.basis_elements(-1), cx.basis_elements(0)
+        compose(f0, g0, target=tgt)
+        cx2 = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=2)
+        _t, first_map = coarsen(cx2, "g2")
+        built = built_diagrams(monkeypatch)
+        fg = compose(f1 + f0.scaled(3), g1 - g0, target=tgt)
+        _t, second_map = coarsen(cx2, "g2")
+        assert not built
+        assert fg and second_map.components == first_map.components
 
 
 class TestPairing:

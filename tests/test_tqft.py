@@ -10,11 +10,13 @@ from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.planar import (ClosedDiagram, PlanarTangle, compose, cup_over_cap,
                              enumerate_matchings, identity_tangle, juxtapose)
 from skeinhom.tqft import (ONE, X, StateVector, _composition_plan, _double_instances,
-                           _joint_terms, basis_state, graded_rank, hom_double, hom_graded_rank,
+                           basis_state, graded_rank, hom_double, hom_graded_rank,
                            identity_state, juxtaposed, kh_basis, pair, reflected_x,
-                           reflected_y, transport, transposed, whisker)
+                           reflected_y, transposed, whisker)
 
-from .oracles import pair_by_surgery
+from .oracles import (joint_terms, pair_by_surgery, reflected_x_by_transport,
+                      reflected_y_by_transport, transport, transposed_by_transport,
+                      whisker_by_reglue)
 
 ID1 = identity_tangle(1)
 ID2 = identity_tangle(2)
@@ -320,7 +322,7 @@ def juxtaposed_by_diagram(factors):
     for i, (a, b, sv) in enumerate(factors):
         _double_instances(i, a, b, tangles, glue)
         states[i] = sv
-    state = _joint_terms(ClosedDiagram.from_instances(tangles, glue), states)
+    state = joint_terms(ClosedDiagram.from_instances(tangles, glue), states)
     arc_map = {}
     for side, pos in (("x", 0), ("y", 1)):
         whole = juxtapose(*(f[pos] for f in factors))
@@ -432,6 +434,72 @@ class TestCompiledComposition:
         juxtaposed([(E, ID2, basis_state(E, ID2, (ONE,))), (ID1, ID1, identity_state(ID1))])
         assert hom_double(E, ID2)[0] is d
         assert d.arcs == arcs and d.circles == circles
+
+
+def whisker_tangles(k):
+    """Tangles with k bottom points to whisker by: every flat tangle to
+    k % 2 top points (caps) and to k, the first of each also with one free
+    circle."""
+    caps, flat = enumerate_matchings(k, k % 2), enumerate_matchings(k, k)
+    return caps + flat + (caps[0].with_circles(1), flat[0].with_circles(1))
+
+
+def count_diagrams(monkeypatch):
+    """A list that grows by one for every ClosedDiagram built from now on."""
+    built = []
+    original = planar.ClosedDiagram.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(planar.ClosedDiagram, "__init__", counting)
+    return built
+
+
+class TestCompiledMaps:
+    """whisker and the relabelings replay plans compiled once per key;
+    the diagram routes they replaced are the reference."""
+
+    @pytest.mark.parametrize("above", [True, False])
+    @pytest.mark.parametrize("m,n", [(1, 1), (0, 2), (2, 0), (2, 2), (1, 3), (0, 4)])
+    def test_whisker_matches_reglue_route(self, m, n, above):
+        rng = random.Random(100 * m + 10 * n + above)
+        objs = small_objects(m, n)
+        for e in whisker_tangles(n if above else m):
+            if not above:
+                e = e.reflect_y()
+            for a, b in itertools.product(objs, repeat=2):
+                sv = seeded_state(rng, a, b)
+                assert whisker(sv, a, b, e, above) == whisker_by_reglue(sv, a, b, e, above)
+
+    @pytest.mark.parametrize("m,n", [(0, 2), (1, 1), (2, 2), (1, 3), (3, 1), (0, 4)])
+    def test_relabelings_match_transport(self, m, n):
+        rng = random.Random(10 * m + n)
+        objs = small_objects(m, n)
+        for a, b in itertools.product(objs, repeat=2):
+            sv = seeded_state(rng, a, b)
+            assert reflected_x(sv, a, b) == reflected_x_by_transport(sv, a, b)
+            assert reflected_y(sv, a, b) == reflected_y_by_transport(sv, a, b)
+            assert transposed(sv, a, b) == transposed_by_transport(sv, a, b)
+
+    def test_new_labels_on_known_keys_build_no_diagram(self, monkeypatch):
+        a, b, e = ID2.with_circles(1), E, E.with_circles(1)
+        d, off = hom_double(a, b)
+        basis = [lab for lab, _ in kh_basis(d, off)]
+        for above in (True, False):
+            whisker(basis_state(a, b, basis[0]), a, b, e, above)
+        reflected_x(basis_state(a, b, basis[0]), a, b)
+        # every other labeling: label pairs the whisker tables have not met
+        sv = StateVector(d, off, {lab: i + 2 for i, lab in enumerate(basis[1:])})
+        built = count_diagrams(monkeypatch)
+        results = [whisker(sv, a, b, e, above) for above in (True, False)]
+        mirrored = reflected_x(sv, a, b)
+        assert not built
+        monkeypatch.undo()
+        assert results == [whisker_by_reglue(sv, a, b, e, above) for above in (True, False)]
+        assert mirrored == reflected_x_by_transport(sv, a, b)
+        assert all(results)
 
 
 class TestOffsetChecks:
