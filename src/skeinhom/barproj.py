@@ -8,6 +8,13 @@ bottom edge and ar up onto the top edge, shifted by the word's total letter
 degree plus half the strand count.  Face maps absorb the outer letters into
 the folds and compose adjacent inner letters, with alternating signs.
 
+The bar construction itself lives here once: bar_words, bar_faces and
+bar_complex enumerate words (one per ring, for several rings), build their
+faces with Koszul signs and certify the truncation by the smallest letter
+degree.  bottom_projector runs it over one ring with fold objects;
+surface.SurfaceComplex runs it over one ring per seam, supplying only its
+object tangles and how an end letter is absorbed into a seam slot.
+
 TwistedTangleComplex is the common carrier: a complex whose objects are
 shifted flat tangles (free circles allowed) and whose differentials are
 state vectors between their doubles.  Evaluating hom from a fixed tangle
@@ -48,7 +55,7 @@ class SmallRing:
 
     def degree(self, a, b, lab):
         d, off = self.double(a, b)
-        return int(off) + sum(1 if l == X else -1 for l in lab)
+        return off + sum(1 if l == X else -1 for l in lab)
 
     def state(self, a, b, lab):
         d, off = self.double(a, b)
@@ -90,20 +97,49 @@ class SmallRing:
         return min(degs) if degs else None
 
 
-def bar_words(ring, r):
-    """All reduced words of length r, as (objects, letters) pairs.
+def bar_words(ring, r, reduced=True):
+    """All words of length r, as (objects, letters) pairs.
 
     Objects is a tuple of r+1 ring objects and letters a tuple of r basis
-    labelings, letter i mapping objects[i] to objects[i+1].
+    labelings, letter i mapping objects[i] to objects[i+1].  Letters are
+    reduced, or with reduced=False any basis labeling, identities included.
     """
     if r == 0:
         return tuple(((a,), ()) for a in ring.objects)
+
+    def pool(a, b):
+        if reduced:
+            return ring.reduced(a, b)
+        return tuple(lab for lab, _ in ring.basis(a, b))
+
     words = []
     for objs in itertools.product(ring.objects, repeat=r + 1):
-        pools = [ring.reduced(objs[i], objs[i + 1]) for i in range(r)]
+        pools = [pool(objs[i], objs[i + 1]) for i in range(r)]
         for letters in itertools.product(*pools):
             words.append((objs, letters))
     return tuple(words)
+
+
+def bar_faces(ring, word):
+    """The faces of one word, as (side, target word, state, sign).
+
+    The left absorption (side -1) carries the first letter, reflected onto
+    the mirrored first object, with sign +1; each term of the product of
+    letters i-1 and i gives an inner face (side 0, state None) with sign
+    coeff*(-1)^i; the right absorption (side +1) carries the last letter,
+    transposed, with sign (-1)^r.
+    """
+    objs, letters = word
+    r = len(letters)
+    first = ring.state(objs[0], objs[1], letters[0])
+    yield -1, (objs[1:], letters[1:]), reflected_x(first, objs[0], objs[1]), 1
+    for i in range(1, r):
+        prod = ring.mul(objs[i - 1], objs[i], objs[i + 1], letters[i - 1], letters[i])
+        for lab, coeff in prod.sorted_terms():
+            wi = (objs[:i] + objs[i + 1:], letters[:i - 1] + (lab,) + letters[i + 1:])
+            yield 0, wi, None, coeff * (-1) ** (i % 2)
+    last = ring.state(objs[-2], objs[-1], letters[-1])
+    yield 1, (objs[:-1], letters[:-1]), transposed(last, objs[-2], objs[-1]), (-1) ** (r % 2)
 
 
 def word_degree(ring, word):
@@ -256,7 +292,7 @@ class TwistedTangleComplex(SparseComplex):
         for obs in self.objects.values():
             for T, _ in obs:
                 d, off = hom_double(b, T)
-                floor = min(floor, int(off) - len(d))
+                floor = min(floor, off - len(d))
         return floor
 
     def hom_complex(self, b, check=True):
@@ -317,6 +353,77 @@ def unit_complex(N):
     return TwistedTangleComplex({0: ((identity_tangle(N), 0),)}, {})
 
 
+def _compositions(total, parts):
+    """Tuples of parts nonnegative integers summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True):
+    """The bar construction over rings, one word per ring, truncated at
+    total length depth.
+
+    Returns (words, index, complex): words[-r] lists the word tuples of
+    total length r and index[-r] their positions.  The object of a word
+    tuple mw is tangle_of(mw), shifted by q0 plus the degrees of its words.
+    Each face of word g carries the Koszul sign of the words before it: an
+    inner face is the identity of the source object, an end face is
+    absorb(mw, g, side, target word, state) with side and state from
+    bar_faces.  The certificate slope is the smallest letter degree of any
+    ring (0 with reduced=False); with no letter in any ring the complex is
+    complete.
+    """
+    pools = [{r: bar_words(ring, r, reduced) for r in range(depth + 1)} for ring in rings]
+    words, index = {}, {}
+    for total in range(depth + 1):
+        bucket = []
+        for comp in _compositions(total, len(rings)):
+            bucket.extend(itertools.product(*(pool[r] for pool, r in zip(pools, comp))))
+        words[-total] = tuple(bucket)
+        index[-total] = {mw: i for i, mw in enumerate(bucket)}
+    objects = {
+        h: tuple((tangle_of(mw), q0 + sum(word_degree(ring, w) for ring, w in zip(rings, mw)))
+                 for mw in mws)
+        for h, mws in words.items()
+    }
+    idents = {}
+    diffs = {}
+    for h in range(-depth, 0):
+        entries = {}
+        for j, mw in enumerate(words[h]):
+            koszul = 1
+            for g, ring in enumerate(rings):
+                word = mw[g]
+                if not word[1]:
+                    continue
+                for side, w_tgt, sv, sign in bar_faces(ring, word):
+                    if side:
+                        sv = absorb(mw, g, side, w_tgt, sv)
+                    else:
+                        T = tangle_of(mw)
+                        if T not in idents:
+                            idents[T] = identity_state(T)
+                        sv = idents[T]
+                    key = (index[h + 1][mw[:g] + (w_tgt,) + mw[g + 1:]], j)
+                    sv = sv.scaled(koszul * sign)
+                    entries[key] = entries[key] + sv if key in entries else sv
+                koszul *= (-1) ** (len(word[1]) % 2)
+        diffs[h] = entries
+    slopes = [c for c in (ring.min_letter_degree if reduced else 0 for ring in rings)
+              if c is not None]
+    cert = None
+    if slopes:
+        c_min = min(slopes)
+        cert = lambda r: q0 + c_min * r
+    twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert, check=check)
+    return words, index, twisted
+
+
 def bottom_projector(N, depth, split=None):
     """The bar-resolution projector on N strands, truncated at bar degree depth.
 
@@ -330,57 +437,22 @@ def bottom_projector(N, depth, split=None):
     m, n = split
     if m + n != N:
         raise InvalidBoundary(f"split {split} does not sum to {N}")
-    ring = SmallRing(m, n)
-    words = {r: bar_words(ring, r) for r in range(depth + 1)}
-    index = {r: {w: i for i, w in enumerate(ws)} for r, ws in words.items()}
-    objects = {}
-    for r, ws in words.items():
-        objects[-r] = tuple(
-            (fold_tangle(w[0][0], w[0][-1]), N // 2 + word_degree(ring, w)) for w in ws
-        )
-    diffs = {}
-    for r in range(1, depth + 1):
-        entries = {}
-        for j, (objs, letters) in enumerate(words[r]):
-            a0, ar = objs[0], objs[-1]
-            faces = []
-            # left absorption: the first letter acts on the bottom caps
-            w0 = (objs[1:], letters[1:])
-            f1 = ring.state(objs[0], objs[1], letters[0])
-            sv0 = fold_entry(a0, ar, objs[1], ar,
-                             reflected_x(f1, objs[0], objs[1]), identity_state(ar))
-            faces.append((w0, sv0))
-            # inner compositions
-            for i in range(1, r):
-                prod = ring.mul(objs[i - 1], objs[i], objs[i + 1],
-                                letters[i - 1], letters[i])
-                ident = identity_state(fold_tangle(a0, ar))
-                for lab, coeff in prod.sorted_terms():
-                    wi = (objs[:i] + objs[i + 1:],
-                          letters[:i - 1] + (lab,) + letters[i + 1:])
-                    sv = ident.scaled(coeff * (-1) ** (i % 2))
-                    faces.append((wi, sv))
-            # right absorption: the last letter acts on the top cups
-            wr = (objs[:-1], letters[:-1])
-            fr = ring.state(objs[-2], objs[-1], letters[-1])
-            svr = fold_entry(a0, ar, a0, objs[-2],
-                             identity_state(a0.reflect_x()),
-                             transposed(fr, objs[-2], objs[-1]))
-            faces.append((wr, svr.scaled((-1) ** (r % 2))))
-            for w_tgt, sv in faces:
-                i_tgt = index[r - 1][w_tgt]
-                key = (i_tgt, j)
-                if key in entries:
-                    entries[key] = entries[key] + sv
-                else:
-                    entries[key] = sv
-        diffs[-r] = entries
-    c_min = ring.min_letter_degree
-    if c_min is None:
-        return TwistedTangleComplex(objects, diffs, -depth, 0, complete=True)
-    cert = lambda r: N // 2 + c_min * r
-    return TwistedTangleComplex(objects, diffs, -depth, 0,
-                                complete=False, certificate=cert)
+
+    def fold_of(mw):
+        (objs, _letters), = mw
+        return fold_tangle(objs[0], objs[-1])
+
+    def absorb(mw, _g, side, target, sv):
+        # the first letter acts on the bottom caps, the last on the top cups
+        (objs, _letters), = mw
+        a0, ar = objs[0], objs[-1]
+        b0, br = target[0][0], target[0][-1]
+        if side < 0:
+            return fold_entry(a0, ar, b0, br, sv, identity_state(ar))
+        return fold_entry(a0, ar, b0, br, identity_state(a0.reflect_x()), sv)
+
+    _words, _index, projector = bar_complex((SmallRing(m, n),), depth, N // 2, fold_of, absorb)
+    return projector
 
 
 def counit_components(projector, N):

@@ -308,13 +308,6 @@ class BigradedHomology:
                 out.append((i, j, b, tuple(tor)))
         return out
 
-    def total_rank(self):
-        return sum(self.betti.values())
-
-    def poincare(self):
-        """dict (i, j) -> rank, zeros omitted."""
-        return {k: v for k, v in self.betti.items() if v}
-
 
 def sparse_product(first, second, compose, a, b, c):
     """The composite of two sparse maps {(row, col): entry}: first from the

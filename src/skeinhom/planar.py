@@ -110,9 +110,6 @@ class PlanarTangle:
             partner[ref(p)] = ref(q)
         return PlanarTangle(n, m, tuple(partner), self.circles)
 
-    def rotate_half(self):
-        return self.reflect_x().reflect_y()
-
 
 def identity_tangle(n):
     return PlanarTangle(n, n, tuple(list(range(n, 2 * n)) + list(range(n))))

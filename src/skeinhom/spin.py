@@ -567,15 +567,6 @@ def _triangle_cap(a, b, c):
     return PlanarTangle(total, 0, tuple(partner))
 
 
-def _edge_plugs(color, order):
-    """(insert, homological degree, q-shift) choices for one edge."""
-    if color <= 1:
-        return ((identity_tangle(color), 0, 0),)
-    out = [(identity_tangle(2), 0, 0)]
-    out.extend((cup_over_cap(2), -s, 2 * s - 1) for s in range(1, (order + 1) // 2 + 1))
-    return tuple(out)
-
-
 def costandard_pairing_series(colors, order):
     """Euler series, exact through q^order, of the symmetrized self-pairing
     of the costandard object on the one-triangle disk with the given edge
@@ -588,7 +579,8 @@ def costandard_pairing_series(colors, order):
     base = _triangle_cap(a, b, c)
     counts = ((a, b, c),)
     objects = []
-    for combo in itertools.product(*(_edge_plugs(col, order) for col in colors)):
+    plugs = [projector_truncation(col, (order + 1) // 2) for col in colors]
+    for combo in itertools.product(*plugs):
         lower = juxtapose(*(plug for plug, _h, _q in combo))
         plugged = compose(base, lower)
         objects.append(
@@ -671,7 +663,7 @@ def _word_euler_series(cx, order):
         sign = (-1) ** (h % 2)
         for mw in words:
             d, off = hom_double(cx.z_jux, cx.m_tangle(mw))
-            out = out + circle_poly(len(d)).shifted(cx.qshift(mw) + int(off)) * sign
+            out = out + circle_poly(len(d)).shifted(cx.qshift(mw) + off) * sign
     return out.truncated(out.min_exp() or 0, order)
 
 

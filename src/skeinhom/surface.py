@@ -5,10 +5,12 @@ seams, and disk regions whose boundary cycles interleave segments of both
 kinds.  A tangle assigns to every region a cap matching, partitioned by that
 region's segments.  The hom complex between two tangles rides on a twisted
 complex: each region contributes a fixed closure pairing the two caps, and
-bar words at the seams vary the middle layer through plug tangles.  Bar
-faces with Koszul signs over the seam order give the differential, and
-evaluating states against the closure produces an integer complex with a
-certified truncation.
+bar words at the seams vary the middle layer through plug tangles.  The bar
+construction (words, faces with Koszul signs over the seam order, and the
+truncation certificate) is barproj.bar_complex; this module supplies the
+middle-layer tangle of a word tuple and how an end letter is absorbed into
+its seam slot.  Evaluating states against the closure produces an integer
+complex with a certified truncation.
 
 Composition stacks region states through the shared caps and shuffles the
 seam words, units are the all-ones states on identity words, and coarsening
@@ -21,14 +23,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .barproj import SmallRing, TwistedTangleComplex, signed_shuffles, word_degree
+from .barproj import SmallRing, bar_complex, signed_shuffles, word_degree
 from .errors import InvalidBoundary, SpecError, TruncationError
 from .homalg import ChainMap
 from .planar import ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
 from .planar import compose as stack
 from .tqft import (ONE, _arc_at_port, _chord_index, _double_instances, _joint_pick, _Recorder,
-                   hom_double, identity_state, juxtaposed, kh_basis, reflected_x, transposed,
-                   whisker)
+                   hom_double, identity_state, juxtaposed, kh_basis, whisker)
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,6 @@ class Segment:
     kind: str
     name: str
     side: int = 1
-
-    def describe(self):
-        if self.kind == "seam":
-            return f"seam({self.name}, {'+' if self.side > 0 else '-'})"
-        return f"arc({self.name})"
 
 
 def arc(name):
@@ -187,10 +183,6 @@ class SurfaceTangle:
             counts.append(cnt)
         return cls(tuple(caps), tuple(counts))
 
-    def seam_count(self, spec, name):
-        (ri, si), _ = spec.seam_sides(name)
-        return self.counts[ri][si]
-
 
 def validate_tangle(spec, tangle, who="tangle"):
     if len(tangle.caps) != len(spec.regions):
@@ -215,16 +207,6 @@ def validate_tangle(spec, tangle, who="tangle"):
                 f"and {tangle.counts[rj][sj]} on the other"
             )
     return tangle
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 class SurfaceComplex:
@@ -308,74 +290,16 @@ class SurfaceComplex:
             )
         self.q_base = boundary_points // 4
 
-        self._word_pool = {}
-        for name in self.seam_names:
-            ring = self.rings[name]
-            self._word_pool[name] = {r: self._words_of(ring, r) for r in range(depth + 1)}
-        self.multiwords, self.index = {}, {}
-        for total in range(depth + 1):
-            bucket = []
-            for comp in _compositions(total, len(self.seam_names)):
-                pools = [self._word_pool[n][r] for n, r in zip(self.seam_names, comp)]
-                bucket.extend(itertools.product(*pools))
-            self.multiwords[-total] = tuple(bucket)
-            self.index[-total] = {w: i for i, w in enumerate(bucket)}
-
         self._m_cache = {}
         self._ident_cache = {}
-        objects = {
-            h: tuple((self.m_tangle(w), self.qshift(w)) for w in ws)
-            for h, ws in self.multiwords.items()
-        }
-        diffs = {}
-        for h in range(-depth, 0):
-            entries = {}
-            for j, mw in enumerate(self.multiwords[h]):
-                for mw_tgt, sv in self._faces(mw):
-                    key = (self.index[h + 1][mw_tgt], j)
-                    if key in entries:
-                        entries[key] = entries[key] + sv
-                    else:
-                        entries[key] = sv
-            diffs[h] = entries
-
-        complete = not self.seam_names
-        cert = None
-        if not complete:
-            mins = []
-            for n in self.seam_names:
-                ring = self.rings[n]
-                if not reduced:
-                    mins.append(0)
-                elif any(ring.reduced(a, b) for a in ring.objects for b in ring.objects):
-                    mins.append(ring.min_letter_degree)
-            if mins:
-                base, c_min = self.q_base, min(mins)
-                cert = lambda r: -base + c_min * r
-            else:
-                complete = True
-        self.twisted = TwistedTangleComplex(objects, diffs, -depth, 0,
-                                            complete, cert, check=check)
+        self.multiwords, self.index, self.twisted = bar_complex(
+            tuple(self.rings[n] for n in self.seam_names), depth, -self.q_base,
+            self.m_tangle, self._slot_entry, reduced, check)
         self.truncated = self.twisted.hom_complex(self.z_jux, check=check)
         self._positions = {
             h: {lbl: idx for idx, (lbl, _q) in enumerate(gens)}
             for h, gens in self.truncated.generators.items()
         }
-
-    def _words_of(self, ring, r):
-        def pool(a, b):
-            if self.reduced:
-                return ring.reduced(a, b)
-            return tuple(lab for lab, _ in ring.basis(a, b))
-
-        if r == 0:
-            return tuple(((a,), ()) for a in ring.objects)
-        out = []
-        for objs in itertools.product(ring.objects, repeat=r + 1):
-            pools = [pool(objs[i], objs[i + 1]) for i in range(r)]
-            for letters in itertools.product(*pools):
-                out.append((objs, letters))
-        return tuple(out)
 
     def slot_tangles(self, mw):
         out = []
@@ -404,52 +328,15 @@ class SurfaceComplex:
             self._ident_cache[tangle] = identity_state(tangle)
         return self._ident_cache[tangle]
 
-    def _slot_entry(self, slots_src, k, tgt_slot, sv):
-        factors = []
-        for idx, t in enumerate(slots_src):
-            if idx == k:
-                factors.append((t, tgt_slot, sv))
-            else:
-                factors.append((t, t, self._ident(t)))
+    def _slot_entry(self, mw, g, side, word, sv):
+        """An end face at seam g: sv acts on the slot of that side, which
+        now holds the end plug of word, and identities on every other slot."""
+        k = self._seam_slots[self.seam_names[g]][side]
+        objs, _letters = word
+        tgt = objs[0].reflect_x() if side < 0 else objs[-1]
+        factors = [(t, tgt, sv) if i == k else (t, t, self._ident(t))
+                   for i, t in enumerate(self.slot_tangles(mw))]
         return juxtaposed(factors)
-
-    def _faces(self, mw):
-        """Bar faces of a word tuple, with alternating and Koszul signs."""
-        slots_src = self.slot_tangles(mw)
-        koszul = 1
-        for g, name in enumerate(self.seam_names):
-            objs, letters = mw[g]
-            r = len(letters)
-            ring = self.rings[name]
-            if r:
-                neg = self._seam_slots[name][-1]
-                pos = self._seam_slots[name][1]
-                first = ring.state(objs[0], objs[1], letters[0])
-                sv = reflected_x(first, objs[0], objs[1])
-                w0 = (objs[1:], letters[1:])
-                yield (self._replace(mw, g, w0),
-                       self._slot_entry(slots_src, neg, objs[1].reflect_x(), sv).scaled(koszul))
-                for i in range(1, r):
-                    prod = ring.mul(objs[i - 1], objs[i], objs[i + 1],
-                                    letters[i - 1], letters[i])
-                    ident = self._ident(self.m_tangle(mw))
-                    for lab, coeff in prod.sorted_terms():
-                        if not coeff:
-                            continue
-                        wi = (objs[:i] + objs[i + 1:],
-                              letters[:i - 1] + (lab,) + letters[i + 1:])
-                        yield (self._replace(mw, g, wi),
-                               ident.scaled(koszul * coeff * (-1) ** (i % 2)))
-                last = ring.state(objs[-2], objs[-1], letters[-1])
-                sv = transposed(last, objs[-2], objs[-1])
-                wr = (objs[:-1], letters[:-1])
-                yield (self._replace(mw, g, wr),
-                       self._slot_entry(slots_src, pos, objs[-2], sv).scaled(koszul * (-1) ** (r % 2)))
-            koszul *= (-1) ** (r % 2)
-
-    @staticmethod
-    def _replace(mw, g, word):
-        return mw[:g] + (word,) + mw[g + 1:]
 
     def homology(self, h_range, q_range, threads=None):
         return self.truncated.homology(h_range, q_range, threads)
@@ -517,7 +404,7 @@ class SurfaceElement:
             if not c:
                 continue
             d, off = hom_double(self.owner.z_jux, self.owner.m_tangle(mw))
-            raw = int(off) + sum(1 if l else -1 for l in lab)
+            raw = off + sum(1 if l else -1 for l in lab)
             out.add(self.owner.qshift(mw) + raw)
         return sorted(out)
 
@@ -867,23 +754,23 @@ def _coarsened(cx, seam, check):
     return target, z_arc_map, m_arc_map
 
 
-def _region_offsets(cx):
-    """Cumulative closure point offsets per region, bottom and top."""
+def _point_offsets(tangles):
+    """Cumulative bottom and top point offsets of tangles set side by side."""
     boff, toff = [], []
     b = t = 0
-    for z in cx.z_regions:
+    for tangle in tangles:
         boff.append(b)
         toff.append(t)
-        b += z.bottom
-        t += z.top
+        b += tangle.bottom
+        t += tangle.top
     return boff, toff
 
 
 def _closure_arc_map(cx, target, region_pos, ri, rj,
                      bot_points, bot_chords, top_points, top_chords):
     """Old closure chord arcs to new ones, following the cap splice."""
-    src_b, src_t = _region_offsets(cx)
-    tgt_b, tgt_t = _region_offsets(target)
+    src_b, src_t = _point_offsets(cx.z_regions)
+    tgt_b, tgt_t = _point_offsets(target.z_regions)
     out = {}
     for r in range(len(cx.spec.regions)):
         nr = region_pos[r]
@@ -908,18 +795,6 @@ def _closure_arc_map(cx, target, region_pos, ri, rj,
     return out
 
 
-def _slot_offsets(cx, mw):
-    """Cumulative middle-layer point offsets per slot for a word tuple."""
-    boff, toff = [], []
-    b = t = 0
-    for tangle in cx.slot_tangles(mw):
-        boff.append(b)
-        toff.append(t)
-        b += tangle.bottom
-        t += tangle.top
-    return boff, toff
-
-
 def _middle_arc_map(cx, target, seg_pos, seam):
     """Per word tuple, old middle chord arcs to new ones away from the seam."""
     g_idx = cx._seam_pos[seam]
@@ -930,10 +805,10 @@ def _middle_arc_map(cx, target, seg_pos, seam):
                 continue
             mw_t = mw[:g_idx] + mw[g_idx + 1:]
             m_src, m_tgt = cx.m_tangle(mw), target.m_tangle(mw_t)
-            src_b, src_t = _slot_offsets(cx, mw)
-            tgt_b, tgt_t = _slot_offsets(target, mw_t)
-            amap = {}
             slots = cx.slot_tangles(mw)
+            src_b, src_t = _point_offsets(slots)
+            tgt_b, tgt_t = _point_offsets(target.slot_tangles(mw_t))
+            amap = {}
             for k_old, tangle in enumerate(slots):
                 r, s = cx._slot_pos[k_old]
                 pos = seg_pos.get((r, s))
@@ -1014,7 +889,7 @@ def _plug_surgeries(cx, seam, mw, a0, m_src, d_src):
     """
     neg = cx._seam_slots[seam][-1]
     pos = cx._seam_slots[seam][1]
-    src_b, src_t = _slot_offsets(cx, mw)
+    src_b, src_t = _point_offsets(cx.slot_tangles(mw))
 
     def glob(slot, p):
         if p < a0.bottom:

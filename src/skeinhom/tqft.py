@@ -26,7 +26,6 @@ built only by hom_double and by the plan compilers.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import GradingError, InvalidBoundary
@@ -43,7 +42,7 @@ class StateVector:
 
     def __init__(self, diagram, offset, terms):
         object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "offset", Fraction(offset))
+        object.__setattr__(self, "offset", integral_offset(offset))
         n = len(diagram)
         clean = {}
         for lab, coeff in terms.items():
@@ -115,7 +114,7 @@ class StateVector:
     @classmethod
     def _trusted(cls, diagram, offset, terms):
         """A state from terms this module produced: every labeling fits the
-        diagram, no coefficient is zero and offset is already a Fraction."""
+        diagram, no coefficient is zero and offset is already an int."""
         sv = object.__new__(cls)
         object.__setattr__(sv, "diagram", diagram)
         object.__setattr__(sv, "offset", offset)
@@ -204,12 +203,17 @@ def _circle_map(src, target, arc_map):
     return circle_map
 
 
+def integral_offset(offset):
+    """offset as an int; raise GradingError unless it is a whole number."""
+    off = int(offset)
+    if off != offset:
+        raise GradingError(f"offset {offset} does not make degrees integral")
+    return off
+
+
 def kh_basis(diagram, offset):
     """All labelings of the diagram with their quantum degrees."""
-    off = Fraction(offset)
-    if off.denominator != 1:
-        raise GradingError(f"offset {off} does not make degrees integral")
-    off = int(off)
+    off = integral_offset(offset)
     out = []
     for lab in itertools.product((ONE, X), repeat=len(diagram)):
         out.append((lab, off + sum(1 if l == X else -1 for l in lab)))
@@ -228,11 +232,12 @@ def hom_double(a, b):
     """The circle diagram and offset presenting morphisms from a to b.
 
     Cached for the life of the process: every state on Hom(a, b) shares one
-    diagram, which nothing may mutate.
+    diagram, which nothing may mutate.  The offset is half the boundary
+    point count, an int because every tangle pairs its points off.
     """
     if (a.bottom, a.top) != (b.bottom, b.top):
         raise InvalidBoundary("hom spaces need matching boundary data")
-    return ClosedDiagram.double(a, b), Fraction(a.points, 2)
+    return ClosedDiagram.double(a, b), a.points // 2
 
 
 def hom_graded_rank(a, b):

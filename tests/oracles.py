@@ -952,3 +952,169 @@ def fold_entry_by_circles(a0, ar, b0, br, cap_sv, cup_sv):
             lab = tuple((lab_cap, lab_cup)[w][i] for w, i in assignment)
             terms[lab] = terms.get(lab, 0) + c1 * c2
     return StateVector(D, off, terms)
+
+
+def words_of(ring, r, reduced=True):
+    """All words of length r over ring, letters reduced or any basis
+    labeling, enumerated directly."""
+    def pool(a, b):
+        if reduced:
+            return ring.reduced(a, b)
+        return tuple(lab for lab, _ in ring.basis(a, b))
+
+    if r == 0:
+        return tuple(((a,), ()) for a in ring.objects)
+    out = []
+    for objs in itertools.product(ring.objects, repeat=r + 1):
+        pools = [pool(objs[i], objs[i + 1]) for i in range(r)]
+        for letters in itertools.product(*pools):
+            out.append((objs, letters))
+    return tuple(out)
+
+
+def surface_multiwords(cx):
+    """The word tuples of a surface hom complex by degree, one pool of
+    words per seam: (multiwords, index)."""
+    from skeinhom.barproj import _compositions
+
+    word_pool = {}
+    for name in cx.seam_names:
+        ring = cx.rings[name]
+        word_pool[name] = {r: words_of(ring, r, cx.reduced) for r in range(cx.depth + 1)}
+    multiwords, index = {}, {}
+    for total in range(cx.depth + 1):
+        bucket = []
+        for comp in _compositions(total, len(cx.seam_names)):
+            pools = [word_pool[n][r] for n, r in zip(cx.seam_names, comp)]
+            bucket.extend(itertools.product(*pools))
+        multiwords[-total] = tuple(bucket)
+        index[-total] = {w: i for i, w in enumerate(bucket)}
+    return multiwords, index
+
+
+def _slot_entry(cx, slots_src, k, tgt_slot, sv):
+    from skeinhom.tqft import identity_state, juxtaposed
+
+    factors = []
+    for idx, t in enumerate(slots_src):
+        if idx == k:
+            factors.append((t, tgt_slot, sv))
+        else:
+            factors.append((t, t, identity_state(t)))
+    return juxtaposed(factors)
+
+
+def surface_faces(cx, mw):
+    """Bar faces of a word tuple of a surface hom complex, with alternating
+    and Koszul signs, written out seam by seam."""
+    from skeinhom.tqft import identity_state, reflected_x, transposed
+
+    def replace(mw, g, word):
+        return mw[:g] + (word,) + mw[g + 1:]
+
+    slots_src = cx.slot_tangles(mw)
+    koszul = 1
+    for g, name in enumerate(cx.seam_names):
+        objs, letters = mw[g]
+        r = len(letters)
+        ring = cx.rings[name]
+        if r:
+            neg = cx._seam_slots[name][-1]
+            pos = cx._seam_slots[name][1]
+            first = ring.state(objs[0], objs[1], letters[0])
+            sv = reflected_x(first, objs[0], objs[1])
+            w0 = (objs[1:], letters[1:])
+            yield (replace(mw, g, w0),
+                   _slot_entry(cx, slots_src, neg, objs[1].reflect_x(), sv).scaled(koszul))
+            for i in range(1, r):
+                prod = ring.mul(objs[i - 1], objs[i], objs[i + 1],
+                                letters[i - 1], letters[i])
+                ident = identity_state(cx.m_tangle(mw))
+                for lab, coeff in prod.sorted_terms():
+                    if not coeff:
+                        continue
+                    wi = (objs[:i] + objs[i + 1:],
+                          letters[:i - 1] + (lab,) + letters[i + 1:])
+                    yield (replace(mw, g, wi),
+                           ident.scaled(koszul * coeff * (-1) ** (i % 2)))
+            last = ring.state(objs[-2], objs[-1], letters[-1])
+            sv = transposed(last, objs[-2], objs[-1])
+            wr = (objs[:-1], letters[:-1])
+            yield (replace(mw, g, wr),
+                   _slot_entry(cx, slots_src, pos, objs[-2], sv).scaled(koszul * (-1) ** (r % 2)))
+        koszul *= (-1) ** (r % 2)
+
+
+def surface_differentials(cx):
+    """The twisted differential of a surface hom complex, face by face over
+    surface_multiwords: {h: {(row, col): state}}, zero entries kept."""
+    multiwords, index = surface_multiwords(cx)
+    diffs = {}
+    for h in range(-cx.depth, 0):
+        entries = {}
+        for j, mw in enumerate(multiwords[h]):
+            for mw_tgt, sv in surface_faces(cx, mw):
+                key = (index[h + 1][mw_tgt], j)
+                if key in entries:
+                    entries[key] = entries[key] + sv
+                else:
+                    entries[key] = sv
+        diffs[h] = entries
+    return diffs
+
+
+def bottom_projector_by_faces(N, depth, split=None):
+    """Objects and differentials of the bar-resolution projector on N
+    strands, its faces written out on fold tangles: (objects, diffs)."""
+    from skeinhom.barproj import SmallRing, fold_entry, fold_tangle, word_degree
+    from skeinhom.tqft import identity_state, reflected_x, transposed
+
+    if split is None:
+        split = (N // 2, N // 2)
+    m, n = split
+    ring = SmallRing(m, n)
+    words = {r: words_of(ring, r) for r in range(depth + 1)}
+    index = {r: {w: i for i, w in enumerate(ws)} for r, ws in words.items()}
+    objects = {}
+    for r, ws in words.items():
+        objects[-r] = tuple(
+            (fold_tangle(w[0][0], w[0][-1]), N // 2 + word_degree(ring, w)) for w in ws
+        )
+    diffs = {}
+    for r in range(1, depth + 1):
+        entries = {}
+        for j, (objs, letters) in enumerate(words[r]):
+            a0, ar = objs[0], objs[-1]
+            faces = []
+            # left absorption: the first letter acts on the bottom caps
+            w0 = (objs[1:], letters[1:])
+            f1 = ring.state(objs[0], objs[1], letters[0])
+            sv0 = fold_entry(a0, ar, objs[1], ar,
+                             reflected_x(f1, objs[0], objs[1]), identity_state(ar))
+            faces.append((w0, sv0))
+            # inner compositions
+            for i in range(1, r):
+                prod = ring.mul(objs[i - 1], objs[i], objs[i + 1],
+                                letters[i - 1], letters[i])
+                ident = identity_state(fold_tangle(a0, ar))
+                for lab, coeff in prod.sorted_terms():
+                    wi = (objs[:i] + objs[i + 1:],
+                          letters[:i - 1] + (lab,) + letters[i + 1:])
+                    sv = ident.scaled(coeff * (-1) ** (i % 2))
+                    faces.append((wi, sv))
+            # right absorption: the last letter acts on the top cups
+            wr = (objs[:-1], letters[:-1])
+            fr = ring.state(objs[-2], objs[-1], letters[-1])
+            svr = fold_entry(a0, ar, a0, objs[-2],
+                             identity_state(a0.reflect_x()),
+                             transposed(fr, objs[-2], objs[-1]))
+            faces.append((wr, svr.scaled((-1) ** (r % 2))))
+            for w_tgt, sv in faces:
+                i_tgt = index[r - 1][w_tgt]
+                key = (i_tgt, j)
+                if key in entries:
+                    entries[key] = entries[key] + sv
+                else:
+                    entries[key] = sv
+        diffs[-r] = entries
+    return objects, diffs

@@ -12,7 +12,8 @@ from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
 from skeinhom.tqft import (StateVector, basis_state, hom_double, identity_state, kh_basis,
                            pair, reflected_x)
 
-from .oracles import all_shuffles, dense_block, fold_entry_by_circles
+from .oracles import (all_shuffles, bottom_projector_by_faces, dense_block, fold_entry_by_circles,
+                      words_of)
 
 ID1 = identity_tangle(1)
 ID2 = identity_tangle(2)
@@ -159,6 +160,22 @@ class TestBottomProjector:
             for w, (T, s) in zip(words, P.objects[-r]):
                 assert T == fold_tangle(w[0][0], w[0][-1])
                 assert s == 2 + word_degree(ring, w)
+
+    @pytest.mark.parametrize("N,depth,split", [(2, 4, None), (4, 3, None), (4, 2, (1, 3))])
+    def test_matches_faces_written_out_on_folds(self, N, depth, split):
+        P = bottom_projector(N, depth, split)
+        objects, diffs = bottom_projector_by_faces(N, depth, split)
+        assert P.objects == objects
+        assert sorted(P.differentials) == sorted(diffs)
+        for h, entries in diffs.items():
+            assert list(P.differentials[h].items()) == [(k, sv) for k, sv in entries.items() if sv]
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (1, 3)])
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_bar_words_match_direct_enumeration(self, m, n, reduced):
+        ring = SmallRing(m, n)
+        for r in range(4):
+            assert bar_words(ring, r, reduced) == words_of(ring, r, reduced)
 
 
 class TestValidation:

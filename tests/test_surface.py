@@ -13,7 +13,8 @@ from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, Surfa
                               arc, coarsen, compose, h0, identity_unit, seam_side,
                               symmetrized_pairing, transfer, validate_surface)
 
-from .oracles import coarsen_by_surgery, dense_homology_at, stacked_state_by_surgery
+from .oracles import (coarsen_by_surgery, dense_homology_at, stacked_state_by_surgery,
+                      surface_differentials, surface_multiwords)
 
 DISK = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"),),))
 DISK_ARC = SurfaceTangle.from_data({"regions": [{"counts": [2], "chords": [[0, 1]]}]})
@@ -173,7 +174,7 @@ class TestValidation:
 
     @given(st.integers(0, 6), st.integers(0, 4))
     def test_composition_index_is_complete(self, total, parts):
-        from skeinhom.surface import _compositions
+        from skeinhom.barproj import _compositions
 
         comps = list(_compositions(total, parts))
         assert all(len(c) == parts and sum(c) == total for c in comps)
@@ -580,6 +581,45 @@ class TestCompiledRoutes:
         _t, second_map = coarsen(cx2, "g2")
         assert not built
         assert fg and second_map.components == first_map.components
+
+
+class TestBarConstruction:
+    """SurfaceComplex runs barproj.bar_complex over one ring per seam; the
+    faces written out seam by seam, with their own word enumeration, are
+    the reference."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("spec,top,bottom,reduced", [
+        (ANNULUS, CUPCAP2, THROUGH2, True),
+        (ANNULUS2, CORE2, CORE2, True),
+        (SEAMED_DISK, SEAMED_DISK_ARC, SEAMED_DISK_ARC, True),
+        (ANNULUS, CORE, CORE, False),
+    ])
+    def test_matches_faces_written_out_per_seam(self, spec, top, bottom, reduced, depth):
+        cx = SurfaceComplex(spec, top, bottom, depth=depth, reduced=reduced)
+        multiwords, index = surface_multiwords(cx)
+        assert cx.multiwords == multiwords
+        assert [list(cx.index[h].items()) for h in cx.index] == \
+            [list(index[h].items()) for h in index]
+        assert cx.twisted.objects == {
+            h: tuple((cx.m_tangle(mw), cx.qshift(mw)) for mw in mws)
+            for h, mws in multiwords.items()
+        }
+        diffs = surface_differentials(cx)
+        assert sorted(cx.twisted.differentials) == sorted(diffs)
+        for h, entries in diffs.items():
+            assert list(cx.twisted.differentials[h].items()) == \
+                [(k, sv) for k, sv in entries.items() if sv]
+        assert any(diffs.values())
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_certificate_slope(self, reduced):
+        cx = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=2, reduced=reduced)
+        slope = min(cx.rings[n].min_letter_degree for n in cx.seam_names) if reduced else 0
+        assert not cx.twisted.complete
+        assert [cx.twisted.certificate(r) for r in range(4)] == \
+            [-cx.q_base + slope * r for r in range(4)]
+        assert SurfaceComplex(ANNULUS, EMPTY, EMPTY, depth=2).twisted.complete
 
 
 class TestPairing:

@@ -46,6 +46,22 @@ class TestEvaluation:
         with pytest.raises(GradingError):
             kh_basis(circles_only(2), Fraction(1, 2))
 
+    def test_state_with_non_integral_offset_rejected(self):
+        from fractions import Fraction
+        d, _off = hom_double(ID1, ID1)
+        with pytest.raises(GradingError, match="integral"):
+            StateVector(d, Fraction(1, 2), {(ONE,): 1})
+        with pytest.raises(GradingError, match="integral"):
+            StateVector.zero(d, 0.5)
+
+    def test_offsets_are_ints(self):
+        from fractions import Fraction
+        for a, b in [(ID1, ID1), (ID2, E), (E, E)]:
+            _d, off = hom_double(a, b)
+            assert type(off) is int and off == a.points // 2
+        sv = StateVector(hom_double(ID1, ID1)[0], Fraction(4, 2), {(X,): 1})
+        assert type(sv.offset) is int and sv.offset == 2
+
     def test_basis_enumeration_order(self):
         basis = kh_basis(circles_only(2), 0)
         assert [lab for lab, _ in basis] == [(0, 0), (0, 1), (1, 0), (1, 1)]
