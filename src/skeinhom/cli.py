@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .barproj import SmallRing, bottom_projector
 from .errors import (AdmissibilityError, InvalidBoundary, SkeinError, SpecError,
@@ -491,7 +492,10 @@ def _add_window(parser, hom=True):
     parser.add_argument("--qmax", type=int, default=8)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process: parsing keeps its
+    state in the namespace it returns, so every run can share it."""
     root = _Parser(prog="skeinhom", description=__doc__,
                    formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = root.add_subparsers(dest="command", required=True, metavar="command")

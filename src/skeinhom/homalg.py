@@ -11,7 +11,7 @@ rather than returning something quietly wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ChainMapError, GradingError, InvariantFactorError, TruncationError
 

@@ -14,6 +14,7 @@ downstream (labelings, matrices, CLI output) is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,11 @@ from .errors import InvalidBoundary, OpenBoundary
 def _sort_key(x):
     # total order on heterogeneous tuple ids
     return repr(x)
+
+
+# the tangles PlanarTangle._trusted has built, by their fields; weak, so a
+# derived tangle nothing else holds (a cache key, a complex) is freed
+_DERIVED = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,24 @@ class PlanarTangle:
         # every cache keyed on tangles hashes them; the value is the field
         # hash the dataclass would compute, taken once
         object.__setattr__(self, "_hash", hash((self.bottom, self.top, self.partner, self.circles)))
+
+    @classmethod
+    def _trusted(cls, bottom, top, partner, circles):
+        """A tangle derived from tangles already checked (a mirror, a stack
+        or a juxtaposition), whose partner array is a noncrossing
+        fixed-point-free involution by construction: no check is rerun.
+
+        Derived tangles are interned, so equal ones alive at the same time
+        are the same object and the caches keyed on them hit by identity.
+        """
+        key = (bottom, top, partner, circles)
+        t = _DERIVED.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            t.__dict__.update(bottom=bottom, top=top, partner=partner, circles=circles,
+                              _hash=hash(key))
+            _DERIVED[key] = t
+        return t
 
     def __hash__(self):
         return self._hash
@@ -93,13 +117,18 @@ class PlanarTangle:
         return self.with_circles(0)
 
     def reflect_x(self):
-        """Left-right mirror."""
-        m, n = self.bottom, self.top
-        ref = lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m))
-        partner = [0] * (m + n)
-        for p, q in enumerate(self.partner):
-            partner[ref(p)] = ref(q)
-        return PlanarTangle(m, n, tuple(partner), self.circles)
+        """Left-right mirror, built once and remembered on both tangles."""
+        mirror = self.__dict__.get("_mirror_x")
+        if mirror is None:
+            m, n = self.bottom, self.top
+            ref = lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m))
+            partner = [0] * (m + n)
+            for p, q in enumerate(self.partner):
+                partner[ref(p)] = ref(q)
+            mirror = PlanarTangle._trusted(m, n, tuple(partner), self.circles)
+            object.__setattr__(self, "_mirror_x", mirror)
+            object.__setattr__(mirror, "_mirror_x", self)
+        return mirror
 
     def reflect_y(self):
         """Top-bottom mirror; swaps the roles of the two edges."""
@@ -108,7 +137,7 @@ class PlanarTangle:
         partner = [0] * (m + n)
         for p, q in enumerate(self.partner):
             partner[ref(p)] = ref(q)
-        return PlanarTangle(n, m, tuple(partner), self.circles)
+        return PlanarTangle._trusted(n, m, tuple(partner), self.circles)
 
 
 def identity_tangle(n):
@@ -198,7 +227,8 @@ def compose(upper, lower):
             cur = step(cur)
         new_circles += 1
 
-    return PlanarTangle(kb, nt, tuple(partner), lower.circles + upper.circles + new_circles)
+    return PlanarTangle._trusted(kb, nt, tuple(partner),
+                                 lower.circles + upper.circles + new_circles)
 
 
 def juxtapose(*tangles):
@@ -215,7 +245,8 @@ def juxtapose(*tangles):
             partner[glob(p)] = glob(q)
         off_b += t.bottom
         off_t += t.top
-    return PlanarTangle(total_b, total_t, tuple(partner), sum(t.circles for t in tangles))
+    return PlanarTangle._trusted(total_b, total_t, tuple(partner),
+                                 sum(t.circles for t in tangles))
 
 
 def bend_down(t):

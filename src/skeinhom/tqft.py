@@ -80,7 +80,8 @@ class StateVector:
         return f"StateVector(q^{self.offset}; {body or '0'})"
 
     def _compatible(self, other):
-        if self.diagram.arcs != other.diagram.arcs or self.offset != other.offset:
+        if (self.diagram is not other.diagram and self.diagram.arcs != other.diagram.arcs
+                or self.offset != other.offset):
             raise GradingError("state vectors live on different diagrams or offsets")
 
     def __add__(self, other):
@@ -88,7 +89,8 @@ class StateVector:
         terms = dict(self.terms)
         for lab, c in other.terms.items():
             terms[lab] = terms.get(lab, 0) + c
-        return StateVector(self.diagram, self.offset, terms)
+        return StateVector._trusted(self.diagram, self.offset,
+                                    {lab: c for lab, c in terms.items() if c})
 
     def __neg__(self):
         return self.scaled(-1)
@@ -97,7 +99,9 @@ class StateVector:
         return self + (-other)
 
     def scaled(self, k):
-        return StateVector(self.diagram, self.offset, {lab: k * c for lab, c in self.terms.items()})
+        """The state times the integer k."""
+        terms = {lab: k * c for lab, c in self.terms.items()} if k else {}
+        return StateVector._trusted(self.diagram, self.offset, terms)
 
     def degree_of(self, lab):
         return self.offset + sum(1 if l == X else -1 for l in lab)
@@ -313,9 +317,12 @@ def _check_double(sv, a, b, what):
     return off
 
 
-def _check_hom_state(sv, a, b, what):
-    """Raise unless sv lies on the double of (a, b) at its hom offset."""
-    off = _check_double(sv, a, b, what)
+def _check_on(sv, double, what):
+    """Raise unless sv lies on double, a (diagram, hom offset) pair from
+    hom_double, at that offset."""
+    d, off = double
+    if sv.diagram is not d and sv.diagram.arcs != d.arcs:
+        raise InvalidBoundary(f"{what} does not live on the expected double")
     if sv.offset != off:
         raise GradingError(f"{what} sits at offset {sv.offset}, not at the hom offset {off}")
 
@@ -411,9 +418,9 @@ def pair(a, b, c, sv1, sv2):
     The bilinear extension of the plan of _composition_plan.  The result
     lives on the double of a and c, at its own hom offset.
     """
-    _check_hom_state(sv1, a, b, "first state")
-    _check_hom_state(sv2, b, c, "second state")
-    canon, off, plan = _composition_plan(a, b, c)
+    first, second, canon, off, plan = _composition_plan(a, b, c)
+    _check_on(sv1, first, "first state")
+    _check_on(sv2, second, "second state")
     return StateVector._trusted(canon, off,
                                 _replayed(plan, (sv1.terms.items(), sv2.terms.items())))
 
@@ -424,11 +431,12 @@ def _composition_plan(a, b, c):
 
     On the union of the doubles of (a, b) and (b, c): one saddle per chord
     of b, then each free circle of b is merged across the two copies and
-    capped off.  Returns the double of (a, c), its hom offset and the plan,
-    which takes a labeling of each of the two doubles.
+    capped off.  Returns the doubles of (a, b) and (b, c) with their hom
+    offsets, as hom_double gives them, the double of (a, c), its hom offset
+    and the plan, which takes a labeling of each of the two input doubles.
     """
-    d1, _ = hom_double(a, b)
-    d2, _ = hom_double(b, c)
+    first, second = hom_double(a, b), hom_double(b, c)
+    d1, d2 = first[0], second[0]
     canon, off = hom_double(a, c)
     tangles, glue = {}, {}
     _double_instances(1, a, b, tangles, glue)
@@ -450,7 +458,8 @@ def _composition_plan(a, b, c):
             arc_map[((block, side), k)] = (side, k)
         for k in range(t.circles):
             arc_map[((block, side), "o", k)] = (side, "o", k)
-    return canon, off, rec.plan(_joint_pick(union, ((1, d1), (2, d2))), canon, arc_map)
+    return first, second, canon, off, rec.plan(_joint_pick(union, ((1, d1), (2, d2))), canon,
+                                               arc_map)
 
 
 def _chord_index(t, p):
@@ -523,7 +532,7 @@ def whisker(state, a, b, e, above=True):
     the top edge) or from a*e to b*e (bottom edge).  One saddle per glued
     boundary point, as compiled by _whisker_plan.
     """
-    _check_hom_state(state, a, b, "state")
+    _check_on(state, hom_double(a, b), "state")
     if above:
         if e.bottom != a.top:
             raise InvalidBoundary("whisker tangle does not fit the top edge")
@@ -606,25 +615,24 @@ def juxtaposed(factors):
     each circle of the result carries the label of one factor's circle, as
     compiled by _juxtaposition_plan.
     """
-    shapes, terms = [], []
-    for i, (a, b, sv) in enumerate(factors):
-        _check_hom_state(sv, a, b, f"factor {i}")
-        shapes.append((a, b))
-        terms.append(sv.terms.items())
-    canon, off, plan = _juxtaposition_plan(tuple(shapes))
-    return StateVector._trusted(canon, off, _replayed(plan, terms))
+    factors = tuple(factors)
+    doubles, canon, off, plan = _juxtaposition_plan(tuple((a, b) for a, b, _sv in factors))
+    for i, (double, (_a, _b, sv)) in enumerate(zip(doubles, factors)):
+        _check_on(sv, double, f"factor {i}")
+    return StateVector._trusted(canon, off, _replayed(plan, [sv.terms.items()
+                                                             for _a, _b, sv in factors]))
 
 
 @lru_cache(maxsize=None)
 def _juxtaposition_plan(shapes):
-    """The double of the juxtaposed (a_i, b_i) in shapes, its hom offset,
-    and the step-free plan onto it, which takes a labeling of each factor's
-    double."""
+    """The doubles of the (a_i, b_i) in shapes with their hom offsets, as
+    hom_double gives them, the double of the juxtaposed pairs, its hom
+    offset, and the step-free plan onto it, which takes a labeling of each
+    factor's double."""
+    doubles = tuple(hom_double(a, b) for a, b in shapes)
     tangles, glue = {}, {}
-    doubles = []
     for i, (a, b) in enumerate(shapes):
         _double_instances(i, a, b, tangles, glue)
-        doubles.append((i, hom_double(a, b)[0]))
     big = ClosedDiagram.from_instances(tangles, glue)
     ja = juxtapose(*(a for a, _b in shapes))
     jb = juxtapose(*(b for _a, b in shapes))
@@ -643,4 +651,5 @@ def _juxtaposition_plan(shapes):
             off_b += t.bottom
             off_t += t.top
             off_o += t.circles
-    return canon, off, _Recorder(big).plan(_joint_pick(big, doubles), canon, arc_map)
+    pick = _joint_pick(big, [(i, d) for i, (d, _off) in enumerate(doubles)])
+    return doubles, canon, off, _Recorder(big).plan(pick, canon, arc_map)

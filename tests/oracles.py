@@ -548,6 +548,50 @@ def pair_by_surgery(a, b, c, sv1, sv2):
     return transport(state, canon, arc_map)
 
 
+def ring_mul_by_pair(a, b, c, lab1, lab2):
+    """The product of the basis labelings lab1 of Hom(a, b) and lab2 of
+    Hom(b, c), composing checked basis states with tqft.pair: the route
+    SmallRing.mul took before it read the composition plan's table."""
+    from skeinhom.tqft import basis_state, pair
+
+    return pair(a, b, c, basis_state(a, b, lab1), basis_state(b, c, lab2))
+
+
+def hom_complex_by_pair(cx, b, check=True):
+    """Hom from the fixed tangle b into the twisted complex cx, with one
+    checked basis state and one tqft.pair call per (entry, source labeling):
+    the route TwistedTangleComplex.hom_complex took before it read the
+    composition plans' tables."""
+    from skeinhom.homalg import TruncatedComplex
+    from skeinhom.tqft import basis_state, hom_double, kh_basis, pair
+
+    gens, diffs, positions = {}, {}, {}
+    for h, obs in sorted(cx.objects.items()):
+        bucket = []
+        for i, (T, s) in enumerate(obs):
+            for lab, raw in kh_basis(*hom_double(b, T)):
+                positions[(h, i, lab)] = len(bucket)
+                bucket.append(((i, lab), s + raw))
+        gens[h] = tuple(bucket)
+    for h, d in sorted(cx.differentials.items()):
+        entries = {}
+        for (i, j), sv in d.items():
+            T_src, _ = cx.objects[h][j]
+            T_tgt, _ = cx.objects[h + 1][i]
+            for lab, _raw in kh_basis(*hom_double(b, T_src)):
+                out = pair(b, T_src, T_tgt, basis_state(b, T_src, lab), sv)
+                col = positions[(h, j, lab)]
+                for lab_out, coeff in out.sorted_terms():
+                    row = positions[(h + 1, i, lab_out)]
+                    entries[(row, col)] = entries.get((row, col), 0) + coeff
+        diffs[h] = {k: v for k, v in entries.items() if v}
+    cert = None
+    if cx.certificate is not None:
+        floor = cx._hom_floor(b)
+        cert = lambda r: cx.certificate(r) + floor
+    return TruncatedComplex(gens, diffs, cx.h_min, cx.h_max, cx.complete, cert, check=check)
+
+
 # Cobordisms on labeled diagrams, surgery by surgery: the routes the package
 # took for every call before each map became a plan compiled once per key
 # of tangles.  States are rebuilt and their diagrams re-traced at every
@@ -777,10 +821,9 @@ def whisker_by_reglue(state, a, b, e, above=True):
     """
     from skeinhom.errors import InvalidBoundary
     from skeinhom.planar import ClosedDiagram, compose
-    from skeinhom.tqft import (_arc_at_port, _check_hom_state, _double_instances, hom_double,
-                               identity_state)
+    from skeinhom.tqft import _arc_at_port, _check_on, _double_instances, hom_double, identity_state
 
-    _check_hom_state(state, a, b, "state")
+    _check_on(state, hom_double(a, b), "state")
     if above:
         if e.bottom != a.top:
             raise InvalidBoundary("whisker tangle does not fit the top edge")
@@ -1007,7 +1050,7 @@ def _slot_entry(cx, slots_src, k, tgt_slot, sv):
 def surface_faces(cx, mw):
     """Bar faces of a word tuple of a surface hom complex, with alternating
     and Koszul signs, written out seam by seam."""
-    from skeinhom.tqft import identity_state, reflected_x, transposed
+    from skeinhom.tqft import basis_state, identity_state, reflected_x, transposed
 
     def replace(mw, g, word):
         return mw[:g] + (word,) + mw[g + 1:]
@@ -1017,18 +1060,17 @@ def surface_faces(cx, mw):
     for g, name in enumerate(cx.seam_names):
         objs, letters = mw[g]
         r = len(letters)
-        ring = cx.rings[name]
         if r:
             neg = cx._seam_slots[name][-1]
             pos = cx._seam_slots[name][1]
-            first = ring.state(objs[0], objs[1], letters[0])
+            first = basis_state(objs[0], objs[1], letters[0])
             sv = reflected_x(first, objs[0], objs[1])
             w0 = (objs[1:], letters[1:])
             yield (replace(mw, g, w0),
                    _slot_entry(cx, slots_src, neg, objs[1].reflect_x(), sv).scaled(koszul))
             for i in range(1, r):
-                prod = ring.mul(objs[i - 1], objs[i], objs[i + 1],
-                                letters[i - 1], letters[i])
+                prod = ring_mul_by_pair(objs[i - 1], objs[i], objs[i + 1],
+                                        letters[i - 1], letters[i])
                 ident = identity_state(cx.m_tangle(mw))
                 for lab, coeff in prod.sorted_terms():
                     if not coeff:
@@ -1037,7 +1079,7 @@ def surface_faces(cx, mw):
                           letters[:i - 1] + (lab,) + letters[i + 1:])
                     yield (replace(mw, g, wi),
                            ident.scaled(koszul * coeff * (-1) ** (i % 2)))
-            last = ring.state(objs[-2], objs[-1], letters[-1])
+            last = basis_state(objs[-2], objs[-1], letters[-1])
             sv = transposed(last, objs[-2], objs[-1])
             wr = (objs[:-1], letters[:-1])
             yield (replace(mw, g, wr),
@@ -1067,7 +1109,7 @@ def bottom_projector_by_faces(N, depth, split=None):
     """Objects and differentials of the bar-resolution projector on N
     strands, its faces written out on fold tangles: (objects, diffs)."""
     from skeinhom.barproj import SmallRing, fold_entry, fold_tangle, word_degree
-    from skeinhom.tqft import identity_state, reflected_x, transposed
+    from skeinhom.tqft import basis_state, identity_state, reflected_x, transposed
 
     if split is None:
         split = (N // 2, N // 2)
@@ -1088,14 +1130,14 @@ def bottom_projector_by_faces(N, depth, split=None):
             faces = []
             # left absorption: the first letter acts on the bottom caps
             w0 = (objs[1:], letters[1:])
-            f1 = ring.state(objs[0], objs[1], letters[0])
+            f1 = basis_state(objs[0], objs[1], letters[0])
             sv0 = fold_entry(a0, ar, objs[1], ar,
                              reflected_x(f1, objs[0], objs[1]), identity_state(ar))
             faces.append((w0, sv0))
             # inner compositions
             for i in range(1, r):
-                prod = ring.mul(objs[i - 1], objs[i], objs[i + 1],
-                                letters[i - 1], letters[i])
+                prod = ring_mul_by_pair(objs[i - 1], objs[i], objs[i + 1],
+                                        letters[i - 1], letters[i])
                 ident = identity_state(fold_tangle(a0, ar))
                 for lab, coeff in prod.sorted_terms():
                     wi = (objs[:i] + objs[i + 1:],
@@ -1104,7 +1146,7 @@ def bottom_projector_by_faces(N, depth, split=None):
                     faces.append((wi, sv))
             # right absorption: the last letter acts on the top cups
             wr = (objs[:-1], letters[:-1])
-            fr = ring.state(objs[-2], objs[-1], letters[-1])
+            fr = basis_state(objs[-2], objs[-1], letters[-1])
             svr = fold_entry(a0, ar, a0, objs[-2],
                              identity_state(a0.reflect_x()),
                              transposed(fr, objs[-2], objs[-1]))

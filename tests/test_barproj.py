@@ -13,7 +13,7 @@ from skeinhom.tqft import (StateVector, basis_state, hom_double, identity_state,
                            pair, reflected_x)
 
 from .oracles import (all_shuffles, bottom_projector_by_faces, dense_block, fold_entry_by_circles,
-                      words_of)
+                      hom_complex_by_pair, ring_mul_by_pair, words_of)
 
 ID1 = identity_tangle(1)
 ID2 = identity_tangle(2)
@@ -309,6 +309,81 @@ class TestHomComplex:
         assert {k: v for k, v in hom.torsion.items() if v} == {
             (-1, 6): (2,), (-3, 10): (2,),
         }
+
+
+def assert_same_evaluation(fast, slow):
+    """Two integer complexes with equal generators and equal differentials,
+    entries in the same order; True when the differential is nonzero."""
+    assert fast.generators == slow.generators
+    assert {h: list(d.items()) for h, d in fast.differentials.items()} == \
+        {h: list(d.items()) for h, d in slow.differentials.items()}
+    return any(fast.differentials.values())
+
+
+def raised(call):
+    """The type and text of the error call() raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestPlanDrivenEvaluation:
+    """hom_complex and SmallRing.mul read the composition plans' tables;
+    the routes through checked basis states and tqft.pair are the
+    reference."""
+
+    @pytest.mark.parametrize("N,depth", [(2, 1), (2, 3), (2, 4), (4, 1), (4, 2), (4, 3)])
+    def test_projector_hom_matches_pair_route(self, N, depth):
+        rng = random.Random(10 * N + depth)
+        P = bottom_projector(N, depth)
+        flat = enumerate_matchings(N, N)
+        fixed = rng.sample(flat, min(3, len(flat))) + [rng.choice(flat).with_circles(1)]
+        assert any([assert_same_evaluation(P.hom_complex(b), hom_complex_by_pair(P, b))
+                    for b in fixed])
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 0), (2, 2), (1, 3), (0, 4), (3, 3)])
+    def test_ring_products_match_pair(self, m, n):
+        ring = SmallRing(m, n)
+        for a, b, c in itertools.product(ring.objects, repeat=3):
+            for (lab1, _), (lab2, _) in itertools.product(ring.basis(a, b), ring.basis(b, c)):
+                expected = ring_mul_by_pair(a, b, c, lab1, lab2)
+                assert ring.mul(a, b, c, lab1, lab2) == expected
+                assert ring.product(a, b, c, lab1, lab2) == expected.sorted_terms()
+
+    def test_ring_refuses_labelings_off_the_double(self):
+        ring = SmallRing(2, 2)
+        a, b = ring.objects
+        for bad in [(0,) * 5, (0, 2)]:
+            reference = raised(lambda: basis_state(a, b, bad))
+            assert reference[0] is GradingError
+            assert raised(lambda: ring.state(a, b, bad)) == reference
+            assert raised(lambda: ring.mul(a, b, a, bad, (0,))) == reference
+
+    def perturbed(self, make):
+        """bottom_projector(2, 2) with its first entry at degree -2
+        replaced by make(entry), unchecked."""
+        P = bottom_projector(2, depth=2)
+        diffs = {h: dict(d) for h, d in P.differentials.items()}
+        key, sv = next(iter(diffs[-2].items()))
+        diffs[-2][key] = make(sv)
+        return TwistedTangleComplex(P.objects, diffs, P.h_min, P.h_max,
+                                    P.complete, P.certificate, check=False)
+
+    @pytest.mark.parametrize("fault", ["double", "offset"])
+    def test_faulty_entry_raises_as_the_pair_route_did(self, fault):
+        def make(sv):
+            if fault == "offset":
+                return StateVector(sv.diagram, sv.offset + 1, sv.terms)
+            d, off = hom_double(E, ID2)
+            assert d.arcs != sv.diagram.arcs
+            return StateVector(d, off, {(0,) * len(d): 1})
+
+        P = self.perturbed(make)
+        b = enumerate_matchings(2, 2)[0]
+        reference = raised(lambda: hom_complex_by_pair(P, b))
+        assert reference[0] is (InvalidBoundary if fault == "double" else GradingError)
+        assert "second state" in reference[1]
+        assert raised(lambda: P.hom_complex(b)) == reference
 
 
 class TestShuffles:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import skeinhom
-from skeinhom.cli import run
+from skeinhom.cli import build_parser, run
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.surface import SurfaceComplex
 
@@ -155,6 +155,32 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+class TestSharedParser:
+    """run builds its parser once per process; one run must leave nothing
+    behind that changes the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_identical_runs_print_identical_output(self, capsys, tmp_path):
+        spec = write_json(tmp_path, "spec.json", ANNULUS)
+        t = write_json(tmp_path, "t.json", CIRCLE)
+        argv = ("surface", "hom", "--spec", spec, "--t", t, "--s", t,
+                "--hmin", "-1", "--qmax", "4", "--out", "json")
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert second == first
+
+    def test_usage_error_after_a_successful_run(self, capsys):
+        bad = ("tl", "basis", "6", "--frobnicate")
+        build_parser.cache_clear()
+        fresh = run_cli(capsys, *bad)
+        assert run_cli(capsys, "tl", "basis", "4")[0] == 0
+        after = run_cli(capsys, *bad)
+        assert fresh[0] == after[0] == 64
+        assert fresh[2] and after[2].encode() == fresh[2].encode()
 
 
 class TestSpinCommands:

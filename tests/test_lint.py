@@ -58,3 +58,41 @@ def test_every_allowance_matches_an_assert():
     seen, _stray = source_asserts()
     stale = sorted(key for key, count in ALLOWED_ASSERTS.items() if seen[key] < count)
     assert not stale, f"allowances above the asserts left in the source: {stale}"
+
+
+def unused_module_imports(path):
+    """[(name, line)] of every name a module-level import binds in the
+    module at path that no code in it reads and its __all__ does not list."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [((a.asname or a.name).partition(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [(name, line) for name, line in bound if name not in used]
+
+
+def test_no_unused_module_imports():
+    stray = [f"{path.name}:{line} {name}" for path in sorted(SOURCE.glob("*.py"))
+             for name, line in unused_module_imports(path)]
+    assert not stray, "imported but never used: " + ", ".join(stray)
+
+
+def test_unused_import_scan_sees_aliases_and_all(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from itertools import chain, product as prod\n"
+        "from functools import reduce\n"
+        "__all__ = ['reduce']\n"
+        "def f():\n"
+        "    return os.sep, prod\n")
+    assert unused_module_imports(module) == [("js", 3), ("chain", 4)]

@@ -201,6 +201,59 @@ class TestBending:
         assert juxtapose(ID1, ID1) == ID2
 
 
+def matchings_up_to(points):
+    """Every minimal tangle with at most points boundary points."""
+    return [t for k in range(0, points + 1, 2) for m in range(k + 1)
+            for t in enumerate_matchings(m, k - m)]
+
+
+def rebuilt(t):
+    """t run through every check of the validating constructor, the full
+    noncrossing scan among them, which tangles derived from checked ones
+    skip."""
+    assert t._noncrossing()
+    twin = PlanarTangle(t.bottom, t.top, t.partner, t.circles)
+    assert twin == t and hash(twin) == hash(t)
+    return twin
+
+
+class TestDerivedTangles:
+    """Mirrors, stacks and juxtapositions of checked tangles are built
+    without rerunning the checks; over every matching of up to six points
+    what they build passes them all."""
+
+    POOL = matchings_up_to(6)
+
+    def test_mirrors(self):
+        for t in self.POOL + [t.with_circles(1) for t in self.POOL]:
+            rebuilt(t.reflect_x())
+            rebuilt(t.reflect_y())
+            assert t.reflect_x() is t.reflect_x()
+            assert t.reflect_x().reflect_x() == t
+
+    def test_stacks(self):
+        stacked = [compose(upper, lower) for upper, lower in itertools.product(self.POOL, repeat=2)
+                   if lower.top == upper.bottom]
+        assert len(stacked) > 200
+        for t in stacked:
+            rebuilt(t)
+
+    def test_juxtapositions(self):
+        for left, right in itertools.product(self.POOL, repeat=2):
+            rebuilt(juxtapose(left, right))
+            assert juxtapose(left, right) is juxtapose(left, right)
+
+    def test_tangles_from_user_data_are_checked(self, capsys):
+        from skeinhom.cli import run
+        from skeinhom.surface import SurfaceTangle
+
+        with pytest.raises(InvalidBoundary, match="cross"):
+            SurfaceTangle.from_data({"regions": [{"counts": [4], "chords": [[0, 2], [1, 3]]}]})
+        for tangle in ("[2, 3, 0, 1]", '{"partner": [3, 2, 1, 0], "top": 2}'):
+            assert run(["kh", "eval", "--t", tangle, "--s", tangle]) == 3
+            assert "cross" in capsys.readouterr().err
+
+
 class TestClosedDiagram:
     def test_double_of_single_strand(self):
         d = ClosedDiagram.double(ID1, ID1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from types import SimpleNamespace
@@ -13,8 +14,8 @@ from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, Surfa
                               arc, coarsen, compose, h0, identity_unit, seam_side,
                               symmetrized_pairing, transfer, validate_surface)
 
-from .oracles import (coarsen_by_surgery, dense_homology_at, stacked_state_by_surgery,
-                      surface_differentials, surface_multiwords)
+from .oracles import (coarsen_by_surgery, dense_homology_at, hom_complex_by_pair,
+                      stacked_state_by_surgery, surface_differentials, surface_multiwords)
 
 DISK = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"),),))
 DISK_ARC = SurfaceTangle.from_data({"regions": [{"counts": [2], "chords": [[0, 1]]}]})
@@ -581,6 +582,50 @@ class TestCompiledRoutes:
         _t, second_map = coarsen(cx2, "g2")
         assert not built
         assert fg and second_map.components == first_map.components
+
+
+# every (spec, top, bottom) the fixtures above can build a complex for
+FIXTURE_PAIRS = (
+    [(DISK, DISK_ARC, DISK_ARC), (ANNULUS, CORE, CORE), (ANNULUS2, CORE2, CORE2),
+     (SEAMED_DISK, SEAMED_DISK_ARC, SEAMED_DISK_ARC)]
+    + [(ANNULUS, t, s) for t, s in itertools.product((EMPTY, THROUGH2, CUPCAP2), repeat=2)]
+)
+
+
+def complex_digest(cx):
+    """A digest of an integer complex: its generators and its differential
+    entries, degree by degree."""
+    h = hashlib.sha256()
+    for deg in sorted(cx.generators):
+        h.update(repr((deg, cx.generators[deg])).encode())
+    for deg in sorted(cx.differentials):
+        h.update(repr((deg, sorted(cx.differentials[deg].items()))).encode())
+    return h.hexdigest()[:16]
+
+
+class TestEvaluation:
+    """hom_complex reads the composition plans' tables; one checked basis
+    state and one tqft.pair call per entry and labeling is the reference."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("spec,top,bottom", FIXTURE_PAIRS)
+    def test_matches_pair_route(self, spec, top, bottom, depth):
+        cx = SurfaceComplex(spec, top, bottom, depth=depth)
+        slow = hom_complex_by_pair(cx.twisted, cx.z_jux)
+        assert cx.truncated.generators == slow.generators
+        assert {h: list(d.items()) for h, d in cx.truncated.differentials.items()} == \
+            {h: list(d.items()) for h, d in slow.differentials.items()}
+
+    @pytest.mark.parametrize("depth,digest", [
+        (1, "d2a0655ba046d19d"),
+        (2, "c475e4e5a4ad88bf"),
+        (3, "efbd5f3c983f4692"),
+    ])
+    def test_annulus_complexes_are_pinned(self, depth, digest):
+        # CUPCAP2 -> THROUGH2 over the annulus (56, 282 and 1,408
+        # generators): how the build gets there may change, the complex may not
+        cx = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=depth)
+        assert complex_digest(cx.truncated) == digest
 
 
 class TestBarConstruction:
