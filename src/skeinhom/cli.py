@@ -415,6 +415,10 @@ def _cmd_coarsen_check(args):
 
 
 def _cmd_spin_theta(args):
+    if min(args.a, args.b, args.c) < 0:
+        raise SpecError(
+            f"colors must be non-negative, got {args.a} {args.b} {args.c}"
+        )
     value = theta(args.a, args.b, args.c)
     if args.out == "json":
         payload = {

@@ -232,6 +232,21 @@ class RationalFunctionQ:
         return f"RationalFunctionQ({self.num!r}, {self.den!r})"
 
 
+def _fraction_sum(terms):
+    """Sum of (numerator, denominator) pairs of Laurent polynomials, reduced
+    once: numerators over equal denominators are added, the groups are
+    brought over the product of their denominators, and only the total
+    becomes a RationalFunctionQ."""
+    by_den = {}
+    for num, den in terms:
+        acc = by_den.get(den)
+        by_den[den] = num if acc is None else acc + num
+    num, den = LaurentPoly.zero(), LaurentPoly.one()
+    for d, n in by_den.items():
+        num, den = num * d + n * den, den * d
+    return RationalFunctionQ(num, den)
+
+
 def as_quantum_integer(value):
     """The k with value = [k], or None."""
     value = RationalFunctionQ(value)
@@ -333,10 +348,10 @@ def tl_compose(x, y):
     for dx, cx in x.terms.items():
         for dy, cy in y.terms.items():
             d = compose(dy, dx)
-            coeff = cx * cy * circle_poly(d.circles)
-            d = d.strip_circles()
-            out[d] = out.get(d, RationalFunctionQ.zero()) + coeff
-    return TLElement(x.strands, out)
+            out.setdefault(d.strip_circles(), []).append(
+                (cx.num * cy.num * circle_poly(d.circles), cx.den * cy.den)
+            )
+    return TLElement(x.strands, {d: _fraction_sum(terms) for d, terms in out.items()})
 
 
 def tl_tensor(x, y):
@@ -369,23 +384,35 @@ def _trace_circles(d):
 
 def tl_closure(x):
     """Annular trace: every strand is closed off and each circle gives [2]."""
-    total = RationalFunctionQ.zero()
-    for d, c in x.terms.items():
-        total = total + c * circle_poly(_trace_circles(d))
-    return total
+    return _fraction_sum(
+        (c.num * circle_poly(_trace_circles(d)), c.den) for d, c in x.terms.items()
+    )
 
 
 @lru_cache(maxsize=None)
 def wenzl(n):
-    """The n-strand Jones-Wenzl idempotent."""
+    """The n-strand Jones-Wenzl idempotent, by the single-clasp recursion
+
+        JW_n = P + sum_{i=1}^{n-1} (-1)^{n-i} [i]/[n] * P E_i,
+        P = JW_{n-1} (x) 1,  E_i = e_{n-1} e_{n-2} ... e_i,
+
+    where e_k joins strands k-1, k (S. Morrison, arXiv:1503.00384).  Each
+    step multiplies P by n-1 single diagrams instead of squaring it."""
     if n < 0:
         raise InvalidBoundary(f"negative strand count {n}")
     if n <= 1:
         return identity_element(n)
     p = tl_tensor(wenzl(n - 1), identity_element(1))
-    hook = TLElement(n, {cup_cap_at(n, n - 2): 1})
-    coeff = RationalFunctionQ(quantum_integer(n - 1), quantum_integer(n))
-    return p - tl_compose(tl_compose(p, hook), p).scaled(coeff)
+    qn = quantum_integer(n)
+    sums = {d: [(c.num, c.den)] for d, c in p.terms.items()}
+    word = None
+    for i in range(n - 1, 0, -1):
+        e = TLElement(n, {cup_cap_at(n, i - 1): 1})
+        word = e if word is None else tl_compose(word, e)
+        num = quantum_integer(i) * (-1) ** ((n - i) % 2)
+        for d, c in tl_compose(p, word).terms.items():
+            sums.setdefault(d, []).append((c.num * num, c.den * qn))
+    return TLElement(n, {d: _fraction_sum(terms) for d, terms in sums.items()})
 
 
 def admissible_triple(a, b, c):
@@ -423,19 +450,27 @@ def loop(a):
 
 def theta(a, b, c):
     """Evaluation of the theta graph with edges colored a, b, c, each edge
-    carrying its Jones-Wenzl idempotent; zero when inadmissible."""
+    carrying its Jones-Wenzl idempotent; zero when inadmissible.
+
+    The c edge's idempotent kills every non-identity (c, c) diagram, which
+    has a turnback at both ends, so X * JW_c = coeff_id(X) * JW_c and the
+    graph is coeff_id(X) * loop(c) for the sandwich X of JW_a (x) JW_b
+    between the two vertices.  Only the identity coefficient is summed."""
     if not admissible_triple(a, b, c):
         return RationalFunctionQ.zero()
     vertex = _vertex_tangle(a, b, c)
     mirror = vertex.reflect_y()
-    mid = tl_tensor(wenzl(a), wenzl(b))
-    sandwich = {}
-    for d, coeff in mid.terms.items():
-        t = compose(vertex, compose(d, mirror))
-        coeff = coeff * circle_poly(t.circles)
-        t = t.strip_circles()
-        sandwich[t] = sandwich.get(t, RationalFunctionQ.zero()) + coeff
-    return tl_closure(tl_compose(TLElement(c, sandwich), wenzl(c)))
+    ident = identity_tangle(c)
+    terms_b = wenzl(b).terms.items()
+
+    def identity_terms():
+        for da, ca in wenzl(a).terms.items():
+            for db, cb in terms_b:
+                t = compose(vertex, compose(juxtapose(da, db), mirror))
+                if t.strip_circles() == ident:
+                    yield ca.num * cb.num * circle_poly(t.circles), ca.den * cb.den
+
+    return _fraction_sum(identity_terms()) * loop(c)
 
 
 @dataclass
@@ -447,11 +482,19 @@ class SpinNetwork:
 
     @classmethod
     def from_data(cls, data):
-        spec = data["surface"]
+        if not isinstance(data, dict):
+            raise SpecError("network: expected an object with 'surface' and 'coloring'")
+        for key in ("surface", "coloring"):
+            if key not in data:
+                raise SpecError(f"network: missing field {key!r}")
+        spec, coloring = data["surface"], data["coloring"]
         if not isinstance(spec, SurfaceSpec):
+            if not isinstance(spec, dict):
+                raise SpecError("surface: expected an object")
             spec = SurfaceSpec.from_data(spec)
-        coloring = {str(k): int(v) for k, v in data["coloring"].items()}
-        return validate_network(cls(spec, coloring))
+        if not isinstance(coloring, dict):
+            raise SpecError("coloring: expected an object of segment colors")
+        return validate_network(cls(spec, {str(k): v for k, v in coloring.items()}))
 
 
 def validate_network(net):
@@ -463,7 +506,7 @@ def validate_network(net):
     extra = sorted(set(net.coloring) - names)
     if extra:
         raise SpecError(f"coloring mentions unknown segments {extra}")
-    bad = sorted(k for k, v in net.coloring.items() if not isinstance(v, int) or v < 0)
+    bad = sorted(k for k, v in net.coloring.items() if type(v) is not int or v < 0)
     if bad:
         raise SpecError(f"colors must be non-negative integers; bad at {bad}")
     for ri, region in enumerate(net.surface.regions):

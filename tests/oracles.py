@@ -5,6 +5,7 @@ package (stack-based crossing checks, union-find circle tracing, naive
 enumeration, fraction-free elimination) so agreement is meaningful.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -193,6 +194,47 @@ def theta_formula(a, b, c):
         _quantum_factorial(k + i),
     )
     return num, den
+
+
+@functools.lru_cache(maxsize=None)
+def wenzl_two_sided(n):
+    """The n-strand Jones-Wenzl idempotent by the two-sided recursion
+    JW_n = P - [n-1]/[n] * P e_{n-1} P with P = JW_{n-1} (x) 1, which
+    composes every pair of terms of P; the route spin.wenzl took before the
+    single-clasp recursion."""
+    from skeinhom.spin import (RationalFunctionQ, TLElement, cup_cap_at, identity_element,
+                               quantum_integer, tl_compose, tl_tensor)
+
+    if n <= 1:
+        return identity_element(n)
+    p = tl_tensor(wenzl_two_sided(n - 1), identity_element(1))
+    hook = TLElement(n, {cup_cap_at(n, n - 2): 1})
+    coeff = RationalFunctionQ(quantum_integer(n - 1), quantum_integer(n))
+    return p - tl_compose(tl_compose(p, hook), p).scaled(coeff)
+
+
+def theta_by_sandwich(a, b, c):
+    """Theta graph as the annular closure of the full sandwich of
+    JW_a (x) JW_b between the two vertices, composed with JW_c; idempotents
+    from wenzl_two_sided.  The route spin.theta took before it summed only
+    the identity coefficient."""
+    from skeinhom.homalg import circle_poly
+    from skeinhom.planar import compose
+    from skeinhom.spin import (RationalFunctionQ, TLElement, _vertex_tangle,
+                               admissible_triple, tl_closure, tl_compose, tl_tensor)
+
+    if not admissible_triple(a, b, c):
+        return RationalFunctionQ.zero()
+    vertex = _vertex_tangle(a, b, c)
+    mirror = vertex.reflect_y()
+    mid = tl_tensor(wenzl_two_sided(a), wenzl_two_sided(b))
+    sandwich = {}
+    for d, coeff in mid.terms.items():
+        t = compose(vertex, compose(d, mirror))
+        coeff = coeff * circle_poly(t.circles)
+        t = t.strip_circles()
+        sandwich[t] = sandwich.get(t, RationalFunctionQ.zero()) + coeff
+    return tl_closure(tl_compose(TLElement(c, sandwich), wenzl_two_sided(c)))
 
 
 def all_shuffles(r, s):

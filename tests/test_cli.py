@@ -11,7 +11,10 @@ import pytest
 import skeinhom
 from skeinhom.cli import build_parser, run
 from skeinhom.homalg import LaurentPoly, circle_poly
+from skeinhom.spin import RationalFunctionQ
 from skeinhom.surface import SurfaceComplex
+
+from .oracles import theta_formula
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -200,6 +203,42 @@ class TestSpinCommands:
         assert code == 0
         assert payload["admissible"] is False
         assert payload["value"] == {"num": "0", "den": "1", "quantum_integer": None}
+
+    def test_theta_at_color_six_matches_formula(self, capsys):
+        code, out, _ = run_cli(capsys, "spin", "theta", "4", "4", "6", "--out", "json")
+        num, den = theta_formula(4, 4, 6)
+        want = RationalFunctionQ(LaurentPoly(num), LaurentPoly(den))
+        assert code == 0
+        assert json.loads(out)["value"] == {
+            "num": str(want.num), "den": str(want.den), "quantum_integer": None,
+        }
+
+    @pytest.mark.parametrize("colors", [("-1", "1", "0"), ("2", "-2", "0"), ("0", "0", "-4")])
+    def test_theta_negative_color_refused(self, capsys, colors):
+        code, out, err = run_cli(capsys, "spin", "theta", *colors)
+        assert code == 3
+        assert out == ""
+        assert "SpecError" in err and "non-negative" in err
+
+    @pytest.mark.parametrize(
+        "net, field",
+        [
+            (dict(NET112, coloring={"ea": 1, "eb": 1, "ec": 1.5}), "'ec'"),
+            (dict(NET112, coloring={"ea": 1, "eb": True, "ec": 2}), "'eb'"),
+            (dict(NET112, coloring={"ea": "x", "eb": 1, "ec": 2}), "'ea'"),
+            (dict(NET112, coloring={"ea": 1, "eb": None, "ec": 2}), "'eb'"),
+            (dict(NET112, coloring=[1, 1, 2]), "coloring"),
+            ({"coloring": NET112["coloring"]}, "'surface'"),
+            ({"surface": NET112["surface"]}, "'coloring'"),
+            (dict(NET112, surface=[]), "surface"),
+            ([NET112], "network"),
+        ],
+    )
+    def test_pairing_malformed_network_refused(self, capsys, net, field):
+        code, out, err = run_cli(capsys, "spin", "pairing", "--net", json.dumps(net))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("SpecError:") and field in err
 
     def test_pairing(self, capsys):
         code, out, _ = run_cli(capsys, "spin", "pairing", "--net", json.dumps(NET112))

@@ -16,11 +16,11 @@ from skeinhom.spin import (CrosscheckReport, RationalFunctionQ, SpinNetwork,
                            projector_truncation, quantum_integer, theta,
                            tl_closure, tl_compose, tl_tensor, validate_network,
                            wenzl)
-from skeinhom.spin import _poly_div_exact, _poly_gcd
+from skeinhom.spin import _fraction_sum, _poly_div_exact, _poly_gcd
 from skeinhom.surface import SurfaceSpec, arc, seam_side
 
 from .optimized import error_under_optimize
-from .oracles import fraction_reduced, theta_formula
+from .oracles import fraction_reduced, theta_by_sandwich, theta_formula, wenzl_two_sided
 
 RFQ = RationalFunctionQ
 
@@ -115,6 +115,16 @@ class TestRationalFunctionQ:
     @given(a=laurents, b=laurents, c=nonzero_laurents)
     def test_addition_over_common_denominator(self, a, b, c):
         assert RFQ(a, c) + RFQ(b, c) == RFQ(a + b, c)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(laurents, st.sampled_from(
+        [LaurentPoly.one(), quantum_integer(2), quantum_integer(3), LaurentPoly({0: 2, 1: -1})]
+    )), max_size=6))
+    def test_fraction_sum_matches_termwise_sum(self, terms):
+        want = RFQ.zero()
+        for num, den in terms:
+            want = want + RFQ(num, den)
+        assert _fraction_sum(terms) == want
 
     @settings(deadline=None, max_examples=40)
     @given(a=laurents)
@@ -274,12 +284,16 @@ class TestWenzl:
             1, quantum_integer(3)
         )
 
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_two_sided_oracle(self, n):
+        assert wenzl(n) == wenzl_two_sided(n)
+
+    @pytest.mark.parametrize("n", range(2, 6))
     def test_idempotent(self, n):
         p = wenzl(n)
         assert tl_compose(p, p) == p
 
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_kills_every_cup_cap(self, n):
         p = wenzl(n)
         for i in range(n - 1):
@@ -292,9 +306,20 @@ class TestWenzl:
             wenzl(-1)
 
 
+ADMISSIBLE_UP_TO_4 = [t for t in itertools.product(range(5), repeat=3) if admissible_triple(*t)]
+
+
 class TestTheta:
+    def test_admissible_ordered_triples_up_to_4(self):
+        assert len(ADMISSIBLE_UP_TO_4) == 42
+
+    @pytest.mark.parametrize("triple", ADMISSIBLE_UP_TO_4)
+    def test_matches_sandwich_oracle(self, triple):
+        assert theta(*triple) == theta_by_sandwich(*triple)
+
     def test_matches_factorial_formula(self):
-        for a, b, c in itertools.product(range(5), repeat=3):
+        triples = list(itertools.product(range(6), repeat=3)) + [(3, 3, 6), (4, 4, 6), (2, 4, 6)]
+        for a, b, c in triples:
             num, den = theta_formula(a, b, c)
             val = theta(a, b, c)
             assert val.num * LaurentPoly(den) == val.den * LaurentPoly(num), (a, b, c)
@@ -353,6 +378,11 @@ class TestSpinNetwork:
     def test_negative_color_rejected(self):
         with pytest.raises(SpecError, match="non-negative"):
             validate_network(SpinNetwork(TRI_DISK, {"ea": -1, "eb": 1, "ec": 0}))
+
+    @pytest.mark.parametrize("color", [1.5, 2.0, "2", None, True, [1]])
+    def test_non_integer_color_rejected(self, color):
+        with pytest.raises(SpecError, match=r"integers; bad at \['ec'\]"):
+            validate_network(SpinNetwork(TRI_DISK, {"ea": 1, "eb": 1, "ec": color}))
 
     def test_non_triangular_region_rejected(self):
         square = SurfaceSpec(
