@@ -24,7 +24,7 @@ turns it into an integer complex for the homological algebra layer.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ChainMapError, GradingError, InvalidBoundary, TruncationError
 from .homalg import LaurentPoly, SparseComplex, TruncatedComplex, map_defect, mapping_cone
@@ -42,6 +42,10 @@ class SmallRing:
         if not self.objects:
             raise InvalidBoundary(f"no flat ({m}, {n})-tangles exist")
         self._bases = {}
+        self._letters = {}
+        self._reduced = {}
+        self._identities = {}
+        self._end_letters = {}
 
     def double(self, a, b):
         return hom_double(a, b)
@@ -74,16 +78,44 @@ class SmallRing:
         return StateVector._trusted(d, off, {self._labeling(a, b, lab): 1})
 
     def identity_labeling(self, a):
-        ident = identity_state(a)
-        (lab, _), = ident.sorted_terms()
+        lab = self._identities.get(a)
+        if lab is None:
+            (lab, _), = identity_state(a).sorted_terms()
+            self._identities[a] = lab
         return lab
 
     def reduced(self, a, b):
         """Letter labelings: every basis element except the identity."""
-        labs = [lab for lab, _ in self.basis(a, b)]
-        if a == b:
-            labs.remove(self.identity_labeling(a))
-        return tuple(labs)
+        key = (a, b)
+        labs = self._reduced.get(key)
+        if labs is None:
+            labs = self._reduced[key] = tuple(lab for lab, _ in self.letters(a, b))
+        return labs
+
+    def letters(self, a, b, reduced=True):
+        """The letters from a to b with their degrees, as (labeling, degree)
+        pairs in basis order: every basis element, or with reduced every
+        one except the identity."""
+        key = (a, b, reduced)
+        pool = self._letters.get(key)
+        if pool is None:
+            pool = self.basis(a, b)
+            if reduced and a == b:
+                ident = self.identity_labeling(a)
+                pool = tuple((lab, deg) for lab, deg in pool if lab != ident)
+            self._letters[key] = pool
+        return pool
+
+    def end_letter(self, a, b, lab, side):
+        """The letter lab from a to b as an end face absorbs it: reflected
+        onto the mirrored objects on the left (side -1), transposed on the
+        right (side +1)."""
+        key = (a, b, lab, side)
+        sv = self._end_letters.get(key)
+        if sv is None:
+            relabel = reflected_x if side < 0 else transposed
+            sv = self._end_letters[key] = relabel(self.state(a, b, lab), a, b)
+        return sv
 
     def product(self, a, b, c, lab1, lab2):
         """The product of the basis elements lab1 of Hom(a, b) and lab2 of
@@ -107,37 +139,98 @@ class SmallRing:
                 out[(a, b)] = LaurentPoly(counts)
         return out
 
-    @property
+    @cached_property
     def min_letter_degree(self):
         """Smallest degree of a non-identity letter, or None if there are none."""
-        degs = []
-        for a in self.objects:
-            for b in self.objects:
-                degs.extend(self.degree(a, b, lab) for lab in self.reduced(a, b))
-        return min(degs) if degs else None
+        return min((deg for a in self.objects for b in self.objects
+                    for _lab, deg in self.letters(a, b)), default=None)
 
 
-def bar_words(ring, r, reduced=True):
+@lru_cache(maxsize=None)
+def small_ring(m, n):
+    """The SmallRing of the split (m, n), one per process, so that its
+    caches serve every complex built over it."""
+    return SmallRing(m, n)
+
+
+def bar_words(ring, r, reduced=True, max_degree=None):
     """All words of length r, as (objects, letters) pairs.
 
     Objects is a tuple of r+1 ring objects and letters a tuple of r basis
     labelings, letter i mapping objects[i] to objects[i+1].  Letters are
     reduced, or with reduced=False any basis labeling, identities included.
+    With max_degree, only the words of degree at most max_degree.
     """
-    if r == 0:
-        return tuple(((a,), ()) for a in ring.objects)
+    return tuple(word for word, _deg in _spelled(ring, r, reduced, max_degree))
 
-    def pool(a, b):
-        if reduced:
-            return ring.reduced(a, b)
-        return tuple(lab for lab, _ in ring.basis(a, b))
 
-    words = []
+def _spelled(ring, r, reduced, max_degree):
+    """The words of bar_words with their degrees, as (word, degree) pairs.
+
+    Words are spelled letter by letter, objects in product order first and
+    then letters in product order; with max_degree a prefix is dropped as
+    soon as its degree exceeds the bound, which is exact because no letter
+    has negative degree (GradingError otherwise).
+    """
+    out = []
+    if max_degree is not None:
+        # identities, the only letters reduced words leave out, have degree 0
+        if (ring.min_letter_degree or 0) < 0:
+            raise GradingError("a letter of negative degree: words cannot be pruned by degree")
+        if max_degree < 0:
+            return out
+
+    def spell(objs, pools, letters, degree):
+        i = len(letters)
+        if i == r:
+            out.append(((objs, letters), degree))
+            return
+        for lab, deg in pools[i]:
+            if max_degree is None or degree + deg <= max_degree:
+                spell(objs, pools, letters + (lab,), degree + deg)
+
     for objs in itertools.product(ring.objects, repeat=r + 1):
-        pools = [pool(objs[i], objs[i + 1]) for i in range(r)]
-        for letters in itertools.product(*pools):
-            words.append((objs, letters))
-    return tuple(words)
+        spell(objs, [ring.letters(objs[i], objs[i + 1], reduced) for i in range(r)], (), 0)
+    return out
+
+
+@lru_cache(maxsize=8)
+def bar_ends(rings, depth, reduced=True):
+    """The end objects of every word tuple up to total length depth, one
+    word per ring, as a frozenset of tuples of (first, last) object pairs.
+    A windowed build asks twice: for the floor that bounds its words and
+    for the certificate of its complex.
+
+    No word is enumerated.  Per ring, the end pairs of words of length 0
+    are the diagonal, those of length 1 the pairs with a letter, and those
+    of length r+1 the composites of length r and length 1 pairs; reach[r]
+    collects the lengths up to r, and stops growing once a length adds
+    nothing new.
+    """
+    reach = []
+    for ring in rings:
+        step = {a: [b for b in ring.objects if ring.letters(a, b, reduced)]
+                for a in ring.objects}
+        last = {(a, a) for a in ring.objects}
+        levels = [frozenset(last)]
+        for _ in range(depth):
+            last = {(a, c) for a, b in last for c in step[b]}
+            if last <= levels[-1]:
+                break
+            levels.append(levels[-1] | last)
+        reach.append(levels)
+    # a last, unused part takes up the slack of tuples shorter than depth
+    lengths = {tuple(min(r, len(levels) - 1) for r, levels in zip(comp, reach))
+               for comp in _compositions(depth, len(rings) + 1)}
+    ends = set()
+    for comp in lengths:
+        ends.update(itertools.product(*(levels[r] for levels, r in zip(reach, comp))))
+    return frozenset(ends)
+
+
+def word_ends(mw):
+    """The (first, last) object pair of each word of a word tuple."""
+    return tuple((objs[0], objs[-1]) for objs, _letters in mw)
 
 
 def bar_faces(ring, word):
@@ -151,15 +244,15 @@ def bar_faces(ring, word):
     """
     objs, letters = word
     r = len(letters)
-    first = ring.state(objs[0], objs[1], letters[0])
-    yield -1, (objs[1:], letters[1:]), reflected_x(first, objs[0], objs[1]), 1
+    first = ring.end_letter(objs[0], objs[1], letters[0], -1)
+    yield -1, (objs[1:], letters[1:]), first, 1
     for i in range(1, r):
         prod = ring.product(objs[i - 1], objs[i], objs[i + 1], letters[i - 1], letters[i])
         for lab, coeff in prod:
             wi = (objs[:i] + objs[i + 1:], letters[:i - 1] + (lab,) + letters[i + 1:])
             yield 0, wi, None, coeff * (-1) ** (i % 2)
-    last = ring.state(objs[-2], objs[-1], letters[-1])
-    yield 1, (objs[:-1], letters[:-1]), transposed(last, objs[-2], objs[-1]), (-1) ** (r % 2)
+    last = ring.end_letter(objs[-2], objs[-1], letters[-1], 1)
+    yield 1, (objs[:-1], letters[:-1]), last, (-1) ** (r % 2)
 
 
 def word_degree(ring, word):
@@ -248,13 +341,17 @@ class TwistedTangleComplex(SparseComplex):
     homogeneous of raw degree qshift_j - qshift_i so that hom evaluation
     preserves the quantum grading.  Degrees below h_min may be truncated
     away, in which case a certificate bounds the shifts living there; the
-    tangles down there are assumed to repeat tangles already present.
+    tangles down there are assumed to repeat floor_tangles, by default the
+    tangles of the objects present.
     """
 
     def __init__(self, objects, differentials, h_min=None, h_max=None,
-                 complete=True, certificate=None, check=True):
+                 complete=True, certificate=None, check=True, floor_tangles=None):
         nonzero = {h: {k: sv for k, sv in d.items() if sv} for h, d in differentials.items()}
         super().__init__(objects, nonzero, h_min, h_max, complete, certificate)
+        if floor_tangles is None:
+            floor_tangles = {T for obs in self.objects.values() for T, _ in obs}
+        self.floor_tangles = frozenset(floor_tangles)
         if check:
             self._validate()
 
@@ -306,24 +403,26 @@ class TwistedTangleComplex(SparseComplex):
                 new[(i, j)] = whisker(sv, T_src, T_tgt, e, above=above)
             diffs[h] = new
         return TwistedTangleComplex(objects, diffs, self.h_min, self.h_max,
-                                    self.complete, self.certificate, check=False)
+                                    self.complete, self.certificate, check=False,
+                                    floor_tangles=[compose(e, T) if above else compose(T, e)
+                                                   for T in self.floor_tangles])
 
     def _hom_floor(self, b):
-        floor = 0
-        for obs in self.objects.values():
-            for T, _ in obs:
-                d, off = hom_double(b, T)
-                floor = min(floor, off - len(d))
-        return floor
+        return hom_floor(b, self.floor_tangles)
 
-    def hom_complex(self, b, check=True):
+    def hom_complex(self, b, q_range=None, check=True):
         """Evaluate hom from the fixed tangle b, object by object.
 
         An entry sv from T_src to T_tgt sends the basis labeling lab of
         Hom(b, T_src) to the sum over the terms c * lab2 of sv of c times
         the product of lab and lab2 in the plan composing through T_src:
         one plan lookup and one check of sv per entry, then table reads.
+        With q_range = (qmin, qmax) only the labelings of quantum degree in
+        that window are generators, and entries from objects without one are
+        skipped: the differential preserves the quantum degree, so the
+        result is the direct summand of the full evaluation on the window.
         """
+        qmin, qmax = q_range if q_range is not None else (None, None)
         gens, rows = {}, {}
         for h, obs in sorted(self.objects.items()):
             bucket, at = [], []
@@ -331,8 +430,9 @@ class TwistedTangleComplex(SparseComplex):
                 d, off = hom_double(b, T)
                 index = {}
                 for lab, raw in kh_basis(d, off):
-                    index[lab] = len(bucket)
-                    bucket.append(((i, lab), s + raw))
+                    if q_range is None or qmin <= s + raw <= qmax:
+                        index[lab] = len(bucket)
+                        bucket.append(((i, lab), s + raw))
                 at.append(index)
             gens[h] = tuple(bucket)
             rows[h] = at
@@ -341,17 +441,25 @@ class TwistedTangleComplex(SparseComplex):
             src, tgt = self.objects[h], self.objects[h + 1]
             entries = {}
             for (i, j), sv in d.items():
+                cols = rows[h][j]
+                if not cols:
+                    continue
                 _first, second, _canon, _off, plan = _composition_plan(b, src[j][0], tgt[i][0])
                 _check_on(sv, second, "second state")
                 row_of, terms = rows[h + 1][i], sv.terms.items()
-                for lab, col in rows[h][j].items():
+                for lab, col in cols.items():
                     column = {}
                     for lab2, c in terms:
                         for lab_out, k in plan.product(lab, lab2):
                             column[lab_out] = column.get(lab_out, 0) + c * k
                     for lab_out, c in sorted(column.items()):
                         if c:
-                            entries[(row_of[lab_out], col)] = c
+                            row = row_of.get(lab_out)
+                            if row is None:
+                                raise GradingError(
+                                    f"entry ({i}, {j}) at degree {h} leaves the quantum "
+                                    f"degree of labeling {lab!r}")
+                            entries[(row, col)] = c
             diffs[h] = entries
         cert = None
         if self.certificate is not None:
@@ -380,6 +488,16 @@ class TwistedTangleComplex(SparseComplex):
         return LaurentPoly(out).truncated(j1, j2)
 
 
+def hom_floor(b, tangles):
+    """The least quantum degree min(0, offset - circles) of Hom(b, T) over
+    the tangles T: every labeling of those spaces has degree at least this."""
+    floor = 0
+    for T in tangles:
+        d, off = hom_double(b, T)
+        floor = min(floor, off - len(d))
+    return floor
+
+
 def unit_complex(N):
     return TwistedTangleComplex({0: ((identity_tangle(N), 0),)}, {})
 
@@ -395,37 +513,49 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True):
+def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
+                max_degree=None):
     """The bar construction over rings, one word per ring, truncated at
     total length depth.
 
     Returns (words, index, complex): words[-r] lists the word tuples of
     total length r and index[-r] their positions.  The object of a word
-    tuple mw is tangle_of(mw), shifted by q0 plus the degrees of its words.
-    Each face of word g carries the Koszul sign of the words before it: an
-    inner face is the identity of the source object, an end face is
-    absorb(mw, g, side, target word, state) with side and state from
-    bar_faces.  The certificate slope is the smallest letter degree of any
-    ring (0 with reduced=False); with no letter in any ring the complex is
-    complete.
+    tuple mw is tangle_of(word_ends(mw)), shifted by q0 plus the degrees of
+    its words.  Each face of word g carries the Koszul sign of the words
+    before it: an inner face is the identity of the source object, an end
+    face is absorb(mw, g, side, target word, state) with side and state
+    from bar_faces.  The certificate slope is the smallest letter degree of
+    any ring (0 with reduced=False); with no letter in any ring the complex
+    is complete.
+
+    With max_degree only the word tuples of total degree at most
+    max_degree are built.  An end face drops a letter, of degree at least
+    0, and an inner face keeps the degree, so they span a subcomplex, and
+    it holds every object of shift at most q0 + max_degree.  Its truncated
+    degrees repeat the tangles of the whole construction, which bar_ends
+    finds without building it.
     """
-    pools = [{r: bar_words(ring, r, reduced) for r in range(depth + 1)} for ring in rings]
-    words, index = {}, {}
+    spelled = [{r: _spelled(ring, r, reduced, max_degree) for r in range(depth + 1)}
+               for ring in rings]
+    words, index, shifts = {}, {}, {}
     for total in range(depth + 1):
-        bucket = []
+        bucket, at = [], []
         for comp in _compositions(total, len(rings)):
-            bucket.extend(itertools.product(*(pool[r] for pool, r in zip(pools, comp))))
+            for combo in itertools.product(*(pool[r] for pool, r in zip(spelled, comp))):
+                degree = sum(deg for _w, deg in combo)
+                if max_degree is None or degree <= max_degree:
+                    bucket.append(tuple(w for w, _deg in combo))
+                    at.append(q0 + degree)
         words[-total] = tuple(bucket)
         index[-total] = {mw: i for i, mw in enumerate(bucket)}
-    objects = {
-        h: tuple((tangle_of(mw), q0 + sum(word_degree(ring, w) for ring, w in zip(rings, mw)))
-                 for mw in mws)
-        for h, mws in words.items()
-    }
+        shifts[-total] = at
+    objects = {h: tuple((tangle_of(word_ends(mw)), s) for mw, s in zip(mws, shifts[h]))
+               for h, mws in words.items()}
     idents = {}
     diffs = {}
     for h in range(-depth, 0):
         entries = {}
+        targets = index[h + 1]
         for j, mw in enumerate(words[h]):
             koszul = 1
             for g, ring in enumerate(rings):
@@ -433,14 +563,20 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True):
                 if not word[1]:
                     continue
                 for side, w_tgt, sv, sign in bar_faces(ring, word):
+                    mw_tgt = mw[:g] + (w_tgt,) + mw[g + 1:]
+                    i = targets.get(mw_tgt)
+                    if i is None:
+                        raise GradingError(
+                            f"a face of the word tuple at position {j} of degree {h} "
+                            f"leaves the degree bound {max_degree}")
                     if side:
                         sv = absorb(mw, g, side, w_tgt, sv)
                     else:
-                        T = tangle_of(mw)
+                        T = objects[h][j][0]
                         if T not in idents:
                             idents[T] = identity_state(T)
                         sv = idents[T]
-                    key = (index[h + 1][mw[:g] + (w_tgt,) + mw[g + 1:]], j)
+                    key = (i, j)
                     sv = sv.scaled(koszul * sign)
                     entries[key] = entries[key] + sv if key in entries else sv
                 koszul *= (-1) ** (len(word[1]) % 2)
@@ -451,7 +587,11 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True):
     if slopes:
         c_min = min(slopes)
         cert = lambda r: q0 + c_min * r
-    twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert, check=check)
+    floor_tangles = None
+    if max_degree is not None:
+        floor_tangles = {tangle_of(ends) for ends in bar_ends(rings, depth, reduced)}
+    twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert, check=check,
+                                   floor_tangles=floor_tangles)
     return words, index, twisted
 
 
@@ -469,9 +609,9 @@ def bottom_projector(N, depth, split=None):
     if m + n != N:
         raise InvalidBoundary(f"split {split} does not sum to {N}")
 
-    def fold_of(mw):
-        (objs, _letters), = mw
-        return fold_tangle(objs[0], objs[-1])
+    def fold_of(ends):
+        (a0, ar), = ends
+        return fold_tangle(a0, ar)
 
     def absorb(mw, _g, side, target, sv):
         # the first letter acts on the bottom caps, the last on the top cups

@@ -319,7 +319,8 @@ def _cmd_surface_hom(args):
         threads=_threads(args),
     ).validated()
     depth = cfg.depth if cfg.depth is not None else max(1, -cfg.hmin + 1)
-    cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=depth)
+    cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=depth,
+                        q_range=(cfg.qmin, cfg.qmax))
     hom = cx.homology((cfg.hmin, cfg.hmax), (cfg.qmin, cfg.qmax), threads=cfg.threads)
     betti, torsion = _homology_payload(hom)
     if args.out == "csv":

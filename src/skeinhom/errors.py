@@ -33,6 +33,10 @@ class ChainMapError(SkeinError):
     """A would-be chain map fails to commute with the differentials."""
 
 
+class WindowError(SkeinError):
+    """An operation needs quantum degrees outside the window a complex was built for."""
+
+
 class SpecError(SkeinError):
     """A surface/tangle specification failed validation."""
 

@@ -23,8 +23,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .barproj import SmallRing, bar_complex, signed_shuffles, word_degree
-from .errors import InvalidBoundary, SpecError, TruncationError
+from .barproj import (bar_complex, bar_ends, hom_floor, signed_shuffles, small_ring, word_degree,
+                      word_ends)
+from .errors import InvalidBoundary, SpecError, TruncationError, WindowError
 from .homalg import ChainMap
 from .planar import ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
 from .planar import compose as stack
@@ -216,9 +217,18 @@ class SurfaceComplex:
     words, one per seam, with lengths summing to r; each carries the
     middle-layer tangle whose seam slots hold the word's end plugs.  The
     evaluated integer complex sits in .truncated.
+
+    With q_range = (qmin, qmax) only the quantum degrees of that window
+    are built: the word tuples whose objects can reach a degree at most
+    qmax, and of those only the generators in the window.  The differential
+    preserves the quantum degree, so homology on the window and the
+    truncation certificate are those of the full build.  Everything that
+    needs the whole complex (elements, differential, units, compose,
+    transfer, coarsen) refuses a windowed one with WindowError.
     """
 
-    def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, check=True):
+    def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, check=True,
+                 q_range=None):
         validate_surface(spec)
         validate_tangle(spec, top, "top tangle")
         validate_tangle(spec, bottom, "bottom tangle")
@@ -268,7 +278,7 @@ class SurfaceComplex:
         self.rings = {}
         for name in self.seam_names:
             (ri, si), _ = spec.seam_sides(name)
-            self.rings[name] = SmallRing(bottom.counts[ri][si], top.counts[ri][si])
+            self.rings[name] = small_ring(bottom.counts[ri][si], top.counts[ri][si])
 
         closures = []
         for ri in range(len(spec.regions)):
@@ -292,30 +302,53 @@ class SurfaceComplex:
 
         self._m_cache = {}
         self._ident_cache = {}
+        self._entries = {}
+        self.q_range = None if q_range is None else tuple(q_range)
+        rings = tuple(self.rings[n] for n in self.seam_names)
+        max_degree = None
+        if q_range is not None:
+            # every generator of a word tuple of degree w has quantum degree
+            # at least w - q_base + floor, floor taken over the full build
+            floor = hom_floor(self.z_jux, {self._middle(ends)
+                                           for ends in bar_ends(rings, depth, reduced)})
+            max_degree = self.q_range[1] + self.q_base - floor
         self.multiwords, self.index, self.twisted = bar_complex(
-            tuple(self.rings[n] for n in self.seam_names), depth, -self.q_base,
-            self.m_tangle, self._slot_entry, reduced, check)
-        self.truncated = self.twisted.hom_complex(self.z_jux, check=check)
+            rings, depth, -self.q_base, self._middle, self._slot_entry, reduced, check,
+            max_degree)
+        self.truncated = self.twisted.hom_complex(self.z_jux, self.q_range, check=check)
         self._positions = {
             h: {lbl: idx for idx, (lbl, _q) in enumerate(gens)}
             for h, gens in self.truncated.generators.items()
         }
 
+    def _require_full(self, what):
+        if self.q_range is not None:
+            qmin, qmax = self.q_range
+            raise WindowError(f"{what} needs the full complex; this one is built only "
+                              f"for the q-window [{qmin}, {qmax}]")
+
     def slot_tangles(self, mw):
+        return self._slot_tangles(word_ends(mw))
+
+    def _slot_tangles(self, ends):
         out = []
         for slot in self._slots:
             if slot[0] == "arc":
                 out.append(slot[1])
             else:
                 _, name, side = slot
-                objs, _letters = mw[self._seam_pos[name]]
-                out.append(objs[0].reflect_x() if side < 0 else objs[-1])
+                first, last = ends[self._seam_pos[name]]
+                out.append(first.reflect_x() if side < 0 else last)
         return tuple(out)
 
     def m_tangle(self, mw):
-        if mw not in self._m_cache:
-            self._m_cache[mw] = juxtapose(*self.slot_tangles(mw))
-        return self._m_cache[mw]
+        return self._middle(word_ends(mw))
+
+    def _middle(self, ends):
+        """The middle-layer tangle of word tuples with these end objects."""
+        if ends not in self._m_cache:
+            self._m_cache[ends] = juxtapose(*self._slot_tangles(ends))
+        return self._m_cache[ends]
 
     def qshift(self, mw):
         total = sum(
@@ -330,18 +363,33 @@ class SurfaceComplex:
 
     def _slot_entry(self, mw, g, side, word, sv):
         """An end face at seam g: sv acts on the slot of that side, which
-        now holds the end plug of word, and identities on every other slot."""
-        k = self._seam_slots[self.seam_names[g]][side]
+        now holds the end plug of word, and identities on every other slot.
+
+        sv is the end letter carried onto that slot, so the entry depends
+        only on the end objects of mw, the seam, the side, the new plug and
+        the letter; it is juxtaposed once per such key."""
         objs, _letters = word
-        tgt = objs[0].reflect_x() if side < 0 else objs[-1]
-        factors = [(t, tgt, sv) if i == k else (t, t, self._ident(t))
-                   for i, t in enumerate(self.slot_tangles(mw))]
-        return juxtaposed(factors)
+        letter = mw[g][1][0] if side < 0 else mw[g][1][-1]
+        ends = word_ends(mw)
+        key = (ends, g, side, objs[0] if side < 0 else objs[-1], letter)
+        entry = self._entries.get(key)
+        if entry is None:
+            k = self._seam_slots[self.seam_names[g]][side]
+            tgt = objs[0].reflect_x() if side < 0 else objs[-1]
+            factors = [(t, tgt, sv) if i == k else (t, t, self._ident(t))
+                       for i, t in enumerate(self._slot_tangles(ends))]
+            entry = self._entries[key] = juxtaposed(factors)
+        return entry
 
     def homology(self, h_range, q_range, threads=None):
+        if self.q_range is not None:
+            (qmin, qmax), (j1, j2) = self.q_range, q_range
+            if j1 <= j2 and not qmin <= j1 <= j2 <= qmax:
+                self._require_full(f"homology on q [{j1}, {j2}]")
         return self.truncated.homology(h_range, q_range, threads)
 
     def basis_elements(self, h):
+        self._require_full("basis_elements")
         out = []
         for (i, lab), _q in self.truncated.generators.get(h, ()):
             out.append(SurfaceElement(self, h, {(self.multiwords[h][i], lab): 1}))
@@ -352,6 +400,7 @@ class SurfaceComplex:
 
     def differential(self, elem):
         """Apply the integer differential to an element."""
+        self._require_full("differential")
         if elem.owner is not self:
             raise InvalidBoundary("element does not live in this complex")
         return _applied(elem, self.truncated.differentials.get(elem.h, {}), self, elem.h + 1)
@@ -368,6 +417,9 @@ class SurfaceElement:
     owner: SurfaceComplex
     h: int
     terms: dict
+
+    def __post_init__(self):
+        self.owner._require_full("SurfaceElement")
 
     def _clean(self):
         return {k: v for k, v in sorted(self.terms.items()) if v}
@@ -411,6 +463,7 @@ class SurfaceElement:
 
 def identity_unit(cx):
     """The unit of an endomorphism complex: identity plugs, all-ones state."""
+    cx._require_full("identity_unit")
     if cx.top != cx.bottom:
         raise InvalidBoundary("units need equal top and bottom tangles")
     if not cx.arcs_are_identities():
@@ -524,6 +577,7 @@ def compose(f, g, target=None):
             raise InvalidBoundary("provide a target complex when arc inserts are present")
         target = SurfaceComplex(fc.spec, fc.top, gc.bottom, fc.depth + gc.depth,
                                 reduced=fc.reduced)
+    target._require_full("compose")
     if target.top != fc.top or target.bottom != gc.bottom:
         raise InvalidBoundary("target complex has the wrong boundary tangles")
     h_out = f.h + g.h
@@ -658,6 +712,7 @@ def coarsen(cx, seam, check=True):
     removed seam map to zero; length-zero words map by one saddle per plug
     chord, replayed from a plan compiled once per word's tangles and sites.
     """
+    cx._require_full("coarsen")
     target, z_arc_map, m_arc_map = _coarsened(cx, seam, check)
     z_items = tuple(z_arc_map.items())
     g_idx = cx._seam_pos[seam]
@@ -829,6 +884,7 @@ def _middle_arc_map(cx, target, seg_pos, seam):
 
 def transfer(elem, cmap, target):
     """Push an element through a chain map onto the target surface complex."""
+    target._require_full("transfer")
     owner = elem.owner
     if cmap.source is not owner.truncated or cmap.target is not target.truncated:
         raise InvalidBoundary("chain map does not connect these complexes")
@@ -862,8 +918,10 @@ def h0(spec, top, bottom, q_degree, inserts=None, reduced=True):
     """Rank of the degree-zero homology in one quantum degree.
 
     Exact: only bar lengths zero and one enter, so no truncation is needed.
+    Only that quantum degree is built.
     """
-    cx = SurfaceComplex(spec, top, bottom, depth=1, inserts=inserts, reduced=reduced)
+    cx = SurfaceComplex(spec, top, bottom, depth=1, inserts=inserts, reduced=reduced,
+                        q_range=(q_degree, q_degree))
     return cx.truncated.homology_at(0, q_degree)[0]
 
 
@@ -872,11 +930,12 @@ def symmetrized_pairing(spec, x, y, h_range, q_range, depth=None, threads=None):
 
     Reflecting the second factor is the identity on cap matchings, so the
     pairing complex is the hom complex from y to x; the symmetry in x and y
-    holds at the level of homology, not of chains.
+    holds at the level of homology, not of chains.  Only the quantum
+    degrees of q_range are built.
     """
     if depth is None:
         depth = -h_range[0] + 1
-    cx = SurfaceComplex(spec, x, y, depth=depth)
+    cx = SurfaceComplex(spec, x, y, depth=depth, q_range=q_range)
     return cx.truncated.homology(h_range, q_range, threads)
 
 

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from skeinhom.barproj import (SmallRing, TwistedTangleComplex, bar_words, bottom_projector,
-                              counit_components, fold_entry, fold_tangle, shuffle_words,
-                              signed_shuffles, twisted_cone, unit_complex, word_degree)
+from skeinhom import barproj
+from skeinhom.barproj import (SmallRing, TwistedTangleComplex, _compositions, bar_ends, bar_words,
+                              bottom_projector, counit_components, fold_entry, fold_tangle,
+                              shuffle_words, signed_shuffles, twisted_cone, unit_complex,
+                              word_degree, word_ends)
 from skeinhom.errors import ChainMapError, GradingError, InvalidBoundary, TruncationError
 from skeinhom.homalg import LaurentPoly
 from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
@@ -176,6 +178,61 @@ class TestBottomProjector:
         ring = SmallRing(m, n)
         for r in range(4):
             assert bar_words(ring, r, reduced) == words_of(ring, r, reduced)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (1, 3)])
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_degree_bound_keeps_exactly_the_low_words(self, m, n, reduced):
+        # pruning prefixes letter by letter keeps every word of degree at
+        # most the bound, in the order of the unbounded enumeration
+        ring = SmallRing(m, n)
+        for r in range(4):
+            words = words_of(ring, r, reduced)
+            for bound in range(-1, 2 * r + 3):
+                assert bar_words(ring, r, reduced, bound) == tuple(
+                    w for w in words if word_degree(ring, w) <= bound)
+
+    def test_degree_bound_refuses_negative_letters(self, monkeypatch):
+        ring = SmallRing(2, 2)
+        a, b = ring.objects
+        pool = ring.letters(a, b)
+        monkeypatch.setitem(ring._letters, (a, b, True), ((pool[0][0], -1),) + pool[1:])
+        assert bar_words(ring, 2)
+        with pytest.raises(GradingError, match="negative degree"):
+            bar_words(ring, 2, max_degree=3)
+
+    @pytest.mark.parametrize("shape,depth", [(((1, 1),), 4), (((2, 2),), 4), (((1, 3),), 3),
+                                             (((2, 2), (1, 1)), 3), (((1, 3), (2, 2)), 3)])
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_bar_ends_are_the_ends_of_all_word_tuples(self, shape, depth, reduced):
+        rings = tuple(SmallRing(m, n) for m, n in shape)
+        ends = set()
+        for total in range(depth + 1):
+            for comp in _compositions(total, len(rings)):
+                pools = [words_of(ring, r, reduced) for ring, r in zip(rings, comp)]
+                ends.update(word_ends(mw) for mw in itertools.product(*pools))
+        assert bar_ends(rings, depth, reduced) == ends
+        assert bar_ends((), depth, reduced) == {()}
+
+
+class TestRingCaches:
+    def test_identity_labeling_builds_one_state_per_object(self, monkeypatch):
+        ring = SmallRing(2, 2)
+        calls = []
+        monkeypatch.setattr(barproj, "identity_state",
+                            lambda a: calls.append(a) or identity_state(a))
+        for _ in range(3):
+            for a in ring.objects:
+                (lab, _), = identity_state(a).sorted_terms()
+                assert ring.identity_labeling(a) == lab
+        assert calls == list(ring.objects)
+
+    def test_letters_are_built_once(self):
+        ring = SmallRing(2, 2)
+        for a in ring.objects:
+            for b in ring.objects:
+                assert ring.reduced(a, b) is ring.reduced(a, b)
+                assert ring.letters(a, b, False) is ring.letters(a, b, False)
+                assert ring.reduced(a, b) == tuple(lab for lab, _ in ring.letters(a, b))
 
 
 class TestValidation:
