@@ -43,7 +43,6 @@ class SmallRing:
             raise InvalidBoundary(f"no flat ({m}, {n})-tangles exist")
         self._bases = {}
         self._letters = {}
-        self._reduced = {}
         self._identities = {}
         self._end_letters = {}
 
@@ -86,11 +85,7 @@ class SmallRing:
 
     def reduced(self, a, b):
         """Letter labelings: every basis element except the identity."""
-        key = (a, b)
-        labs = self._reduced.get(key)
-        if labs is None:
-            labs = self._reduced[key] = tuple(lab for lab, _ in self.letters(a, b))
-        return labs
+        return tuple(lab for lab, _ in self.letters(a, b))
 
     def letters(self, a, b, reduced=True):
         """The letters from a to b with their degrees, as (labeling, degree)
@@ -153,15 +148,14 @@ def small_ring(m, n):
     return SmallRing(m, n)
 
 
-def bar_words(ring, r, reduced=True, max_degree=None):
+def bar_words(ring, r, reduced=True):
     """All words of length r, as (objects, letters) pairs.
 
     Objects is a tuple of r+1 ring objects and letters a tuple of r basis
     labelings, letter i mapping objects[i] to objects[i+1].  Letters are
     reduced, or with reduced=False any basis labeling, identities included.
-    With max_degree, only the words of degree at most max_degree.
     """
-    return tuple(word for word, _deg in _spelled(ring, r, reduced, max_degree))
+    return tuple(word for word, _deg in _spelled(ring, r, reduced, None))
 
 
 def _spelled(ring, r, reduced, max_degree):
@@ -194,12 +188,9 @@ def _spelled(ring, r, reduced, max_degree):
     return out
 
 
-@lru_cache(maxsize=8)
 def bar_ends(rings, depth, reduced=True):
     """The end objects of every word tuple up to total length depth, one
     word per ring, as a frozenset of tuples of (first, last) object pairs.
-    A windowed build asks twice: for the floor that bounds its words and
-    for the certificate of its complex.
 
     No word is enumerated.  Per ring, the end pairs of words of length 0
     are the diagonal, those of length 1 the pairs with a letter, and those
@@ -420,7 +411,8 @@ class TwistedTangleComplex(SparseComplex):
         With q_range = (qmin, qmax) only the labelings of quantum degree in
         that window are generators, and entries from objects without one are
         skipped: the differential preserves the quantum degree, so the
-        result is the direct summand of the full evaluation on the window.
+        result is the direct summand of the full evaluation on the window,
+        and it refuses queries outside the window (WindowError).
         """
         qmin, qmax = q_range if q_range is not None else (None, None)
         gens, rows = {}, {}
@@ -466,7 +458,7 @@ class TwistedTangleComplex(SparseComplex):
             floor = self._hom_floor(b)
             cert = lambda r: self.certificate(r) + floor
         return TruncatedComplex(gens, diffs, self.h_min, self.h_max,
-                                self.complete, cert, check=check)
+                                self.complete, cert, check=check, q_range=q_range)
 
     def k0_series(self, tangle, q_range):
         """Alternating sum of shift monomials over objects equal to tangle."""
@@ -514,7 +506,7 @@ def _compositions(total, parts):
 
 
 def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
-                max_degree=None):
+                hom_bound=None):
     """The bar construction over rings, one word per ring, truncated at
     total length depth.
 
@@ -526,15 +518,21 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
     face is absorb(mw, g, side, target word, state) with side and state
     from bar_faces.  The certificate slope is the smallest letter degree of
     any ring (0 with reduced=False); with no letter in any ring the complex
-    is complete.
+    is complete.  The truncated degrees repeat the tangles of every word
+    tuple, which bar_ends finds without spelling a word.
 
-    With max_degree only the word tuples of total degree at most
-    max_degree are built.  An end face drops a letter, of degree at least
-    0, and an inner face keeps the degree, so they span a subcomplex, and
-    it holds every object of shift at most q0 + max_degree.  Its truncated
-    degrees repeat the tangles of the whole construction, which bar_ends
-    finds without building it.
+    With hom_bound = (b, qmax) only what hom from the fixed tangle b needs
+    up to quantum degree qmax is built: the word tuples of total degree at
+    most qmax - q0 - F, F the hom floor from b over those tangles.  An end
+    face drops a letter, of degree at least 0, and an inner face keeps the
+    degree, so they span a subcomplex, and it holds every object whose hom
+    from b can reach a quantum degree at most qmax.
     """
+    floor_tangles = {tangle_of(ends) for ends in bar_ends(rings, depth, reduced)}
+    max_degree = None
+    if hom_bound is not None:
+        b, qmax = hom_bound
+        max_degree = qmax - q0 - hom_floor(b, floor_tangles)
     spelled = [{r: _spelled(ring, r, reduced, max_degree) for r in range(depth + 1)}
                for ring in rings]
     words, index, shifts = {}, {}, {}
@@ -587,9 +585,6 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
     if slopes:
         c_min = min(slopes)
         cert = lambda r: q0 + c_min * r
-    floor_tangles = None
-    if max_degree is not None:
-        floor_tangles = {tangle_of(ends) for ends in bar_ends(rings, depth, reduced)}
     twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert, check=check,
                                    floor_tangles=floor_tangles)
     return words, index, twisted

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ChainMapError, GradingError, InvariantFactorError, TruncationError
+from .errors import ChainMapError, GradingError, InvariantFactorError, TruncationError, WindowError
 
 
 class LaurentPoly:
@@ -338,8 +338,12 @@ class SparseComplex:
     x from payload a to b and y from b to c.  Degrees above h_max are zero;
     degrees below h_min are zero (complete complexes) or merely not
     computed, in which case certificate(r) bounds from below the quantum
-    degrees at degree -r.
+    degrees at degree -r.  q_range, when set, is the window of quantum
+    degrees the stored cells hold: the complex is then only the direct
+    summand of those q-strands.
     """
+
+    q_range = None
 
     def __init__(self, cells, differentials, h_min, h_max, complete, certificate):
         self.cells = {h: tuple(cc) for h, cc in cells.items() if cc}
@@ -446,7 +450,12 @@ def mapping_cone(source, target, components):
             # cone degree -r holds target^{-r} and source^{-r + 1}
             vals = [v for v in (b.min_q_at(-r), a.min_q_at(-r + 1)) if v is not None]
             return min(vals) if vals else 10 ** 9
-    return type(b)(cells, diffs, h_lo, h_hi, complete, cert, check=False)
+    cone = type(b)(cells, diffs, h_lo, h_hi, complete, cert, check=False)
+    windows = [w for w in (a.q_range, b.q_range) if w is not None]
+    if windows:
+        # the cone of the q-strand summands is the cone's q-strand summand
+        cone.q_range = (max(w[0] for w in windows), min(w[1] for w in windows))
+    return cone
 
 
 class TruncatedComplex(SparseComplex):
@@ -464,8 +473,9 @@ class TruncatedComplex(SparseComplex):
     """
 
     def __init__(self, generators, differentials, h_min=None, h_max=None,
-                 complete=True, certificate=None, check=True):
+                 complete=True, certificate=None, check=True, q_range=None):
         super().__init__(generators, differentials, h_min, h_max, complete, certificate)
+        self.q_range = None if q_range is None else tuple(q_range)
         self._index = None
         self._reductions = {}
         if check:
@@ -505,13 +515,38 @@ class TruncatedComplex(SparseComplex):
             h, bad = defect
             raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")
 
+    def _require_window(self, what, j1=None, j2=None):
+        """Raise WindowError unless the quantum degrees j1..j2 (all of
+        them, by default) lie in the window the complex holds."""
+        if self.q_range is None or (j1 is not None and j1 > j2):
+            return
+        qmin, qmax = self.q_range
+        if j1 is None or not qmin <= j1 <= j2 <= qmax:
+            span = "every quantum degree" if j1 is None else f"q [{j1}, {j2}]"
+            raise WindowError(f"{what} needs {span}; this complex holds only "
+                              f"the q-window [{qmin}, {qmax}]")
+
+    def min_q_at(self, h):
+        if self.h_min <= h <= self.h_max:
+            self._require_window(f"the least quantum degree at h={h}")
+        return super().min_q_at(h)
+
+    def shifted(self, dh=0, dq=0):
+        out = super().shifted(dh, dq)
+        if self.q_range is not None:
+            out.q_range = (self.q_range[0] + dq, self.q_range[1] + dq)
+        return out
+
     def gen_count(self, h, j=None):
         gens = self.generators.get(h, ())
         if j is None:
+            self._require_window(f"the rank at h={h}")
             return len(gens)
+        self._require_window(f"the rank at h={h}", j, j)
         return sum(1 for g in gens if g[1] == j)
 
     def chain_poincare(self):
+        self._require_window("chain_poincare")
         out = {}
         for h, gens in self.generators.items():
             for _, j in gens:
@@ -550,6 +585,7 @@ class TruncatedComplex(SparseComplex):
 
     def _require_known(self, h, j):
         """Raise unless the chain group at (h, j) is fully stored or provably zero."""
+        self._require_window(f"the chain group at h={h}", j, j)
         if h > self.h_max or h >= self.h_min:
             return
         if self.complete:
@@ -597,6 +633,7 @@ class TruncatedComplex(SparseComplex):
     def euler_series(self, q_range, from_homology=False, h_range=None):
         """Alternating sum over homological degrees, per quantum degree."""
         j1, j2 = q_range
+        self._require_window("euler_series", j1, j2)
         out = {}
         if from_homology:
             if h_range is None:
@@ -622,6 +659,8 @@ class TruncatedComplex(SparseComplex):
 
 def tensor(a, b):
     """Tensor product with the Koszul sign on the second differential."""
+    a._require_window("tensor")
+    b._require_window("tensor")
     if not (a.complete and b.complete):
         raise TruncationError("tensor of truncated complexes is not supported; tensor complete ones")
     gens = {}

@@ -23,8 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .barproj import (bar_complex, bar_ends, hom_floor, signed_shuffles, small_ring, word_degree,
-                      word_ends)
+from .barproj import bar_complex, signed_shuffles, small_ring, word_degree, word_ends
 from .errors import InvalidBoundary, SpecError, TruncationError, WindowError
 from .homalg import ChainMap
 from .planar import ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
@@ -223,8 +222,9 @@ class SurfaceComplex:
     qmax, and of those only the generators in the window.  The differential
     preserves the quantum degree, so homology on the window and the
     truncation certificate are those of the full build.  Everything that
-    needs the whole complex (elements, differential, units, compose,
-    transfer, coarsen) refuses a windowed one with WindowError.
+    needs the whole complex (elements, and so the differential; units,
+    compose, transfer, coarsen) refuses a windowed one with WindowError,
+    and so does its integer complex for quantum degrees off the window.
     """
 
     def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, check=True,
@@ -304,17 +304,10 @@ class SurfaceComplex:
         self._ident_cache = {}
         self._entries = {}
         self.q_range = None if q_range is None else tuple(q_range)
-        rings = tuple(self.rings[n] for n in self.seam_names)
-        max_degree = None
-        if q_range is not None:
-            # every generator of a word tuple of degree w has quantum degree
-            # at least w - q_base + floor, floor taken over the full build
-            floor = hom_floor(self.z_jux, {self._middle(ends)
-                                           for ends in bar_ends(rings, depth, reduced)})
-            max_degree = self.q_range[1] + self.q_base - floor
         self.multiwords, self.index, self.twisted = bar_complex(
-            rings, depth, -self.q_base, self._middle, self._slot_entry, reduced, check,
-            max_degree)
+            tuple(self.rings[n] for n in self.seam_names), depth, -self.q_base,
+            self._middle, self._slot_entry, reduced, check,
+            None if q_range is None else (self.z_jux, self.q_range[1]))
         self.truncated = self.twisted.hom_complex(self.z_jux, self.q_range, check=check)
         self._positions = {
             h: {lbl: idx for idx, (lbl, _q) in enumerate(gens)}
@@ -382,10 +375,6 @@ class SurfaceComplex:
         return entry
 
     def homology(self, h_range, q_range, threads=None):
-        if self.q_range is not None:
-            (qmin, qmax), (j1, j2) = self.q_range, q_range
-            if j1 <= j2 and not qmin <= j1 <= j2 <= qmax:
-                self._require_full(f"homology on q [{j1}, {j2}]")
         return self.truncated.homology(h_range, q_range, threads)
 
     def basis_elements(self, h):
@@ -400,7 +389,6 @@ class SurfaceComplex:
 
     def differential(self, elem):
         """Apply the integer differential to an element."""
-        self._require_full("differential")
         if elem.owner is not self:
             raise InvalidBoundary("element does not live in this complex")
         return _applied(elem, self.truncated.differentials.get(elem.h, {}), self, elem.h + 1)

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from skeinhom import cli, surface
 from skeinhom.barproj import bar_ends, word_ends
-from skeinhom.errors import TruncationError, WindowError
+from skeinhom.errors import InvalidBoundary, TruncationError, WindowError
+from skeinhom.homalg import ChainMap, tensor
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, coarsen, compose, h0,
                               identity_unit, symmetrized_pairing, transfer)
 
@@ -188,8 +189,13 @@ class TestMisuse:
             complexes["windowed"].basis_elements(0)
 
     def test_differential(self, complexes):
+        # no element reaches it: the windowed complex owns none, and another
+        # complex's element is refused
+        windowed = complexes["windowed"]
         with pytest.raises(WindowError, match=self.WINDOW):
-            complexes["windowed"].differential(identity_unit(complexes["full"]))
+            windowed.differential(SurfaceElement(windowed, 0, {}))
+        with pytest.raises(InvalidBoundary, match="does not live in this complex"):
+            windowed.differential(identity_unit(complexes["full"]))
 
     def test_identity_unit(self, complexes):
         with pytest.raises(WindowError, match=self.WINDOW):
@@ -221,3 +227,26 @@ class TestMisuse:
         assert cx.homology((-1, 0), (1, 3)) == complexes["full"].homology((-1, 0), (1, 3))
         with pytest.raises(WindowError, match=self.WINDOW):
             cx.homology((-1, 0), (0, 6))
+
+    def test_integer_complex_outside_the_window(self):
+        # the strands held answer inside the window; any query that reaches
+        # past it, or needs every strand, is refused rather than partial
+        full = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=2).truncated
+        t = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=2, q_range=(-4, 0)).truncated
+        assert t.homology((-2, 0), (-4, 0)) == full.homology((-2, 0), (-4, 0))
+        assert t.euler_series((-4, 0)) == full.euler_series((-4, 0)) != 0
+        assert t.gen_count(0, -1) == full.gen_count(0, -1) == 1
+        assert t.min_q_at(-3) == full.min_q_at(-3)
+        window = r"q-window \[-4, 0\]"
+        for query in (lambda: t.homology_at(0, 1), lambda: t.homology((-2, 0), (-5, -1)),
+                      lambda: t.min_q_at(0), lambda: t.euler_series((-4, 1)),
+                      lambda: t.gen_count(0, 1), lambda: t.gen_count(0),
+                      lambda: t.chain_poincare(), lambda: tensor(t, full)):
+            with pytest.raises(WindowError, match=window):
+                query()
+        with pytest.raises(WindowError, match=r"q-window \[-3, 1\]"):
+            t.shifted(dq=1).homology_at(0, -4)
+        cone = ChainMap(t, t, {h: {(j, j): 1 for j in range(len(gens))}
+                               for h, gens in t.generators.items()}).cone()
+        assert cone.q_range == (-4, 0)
+        assert cone.homology((-2, 0), (-4, 0)).betti == {}
