@@ -528,7 +528,7 @@ class TruncatedComplex(SparseComplex):
 
     def min_q_at(self, h):
         if self.h_min <= h <= self.h_max:
-            self._require_window(f"the least quantum degree at h={h}")
+            self._require_window(f"min_q_at({h})")
         return super().min_q_at(h)
 
     def shifted(self, dh=0, dq=0):
@@ -539,10 +539,10 @@ class TruncatedComplex(SparseComplex):
 
     def gen_count(self, h, j=None):
         gens = self.generators.get(h, ())
+        if self.q_range is not None:
+            self._require_window("gen_count", *(() if j is None else (j, j)))
         if j is None:
-            self._require_window(f"the rank at h={h}")
             return len(gens)
-        self._require_window(f"the rank at h={h}", j, j)
         return sum(1 for g in gens if g[1] == j)
 
     def chain_poincare(self):
@@ -585,7 +585,8 @@ class TruncatedComplex(SparseComplex):
 
     def _require_known(self, h, j):
         """Raise unless the chain group at (h, j) is fully stored or provably zero."""
-        self._require_window(f"the chain group at h={h}", j, j)
+        if self.q_range is not None:
+            self._require_window("a chain group", j, j)
         if h > self.h_max or h >= self.h_min:
             return
         if self.complete:
