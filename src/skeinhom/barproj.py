@@ -26,8 +26,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .errors import ChainMapError, GradingError, InvalidBoundary, TruncationError
-from .homalg import LaurentPoly, SparseComplex, TruncatedComplex, map_defect, mapping_cone
+from .errors import ChainMapError, GradingError, InvalidBoundary, WindowError
+from .homalg import (Certificate, LaurentPoly, SparseComplex, TruncatedComplex, map_defect,
+                     mapping_cone)
 from .planar import PlanarTangle, bend_down, bend_up, compose, enumerate_matchings, identity_tangle
 from .tqft import (ONE, X, StateVector, _check_on, _composition_plan, _replayed, _SurgeryPlan,
                    hom_double, identity_state, kh_basis, pair, reflected_x, transposed, whisker)
@@ -43,7 +44,6 @@ class SmallRing:
             raise InvalidBoundary(f"no flat ({m}, {n})-tangles exist")
         self._bases = {}
         self._letters = {}
-        self._identities = {}
         self._end_letters = {}
 
     def double(self, a, b):
@@ -77,10 +77,7 @@ class SmallRing:
         return StateVector._trusted(d, off, {self._labeling(a, b, lab): 1})
 
     def identity_labeling(self, a):
-        lab = self._identities.get(a)
-        if lab is None:
-            (lab, _), = identity_state(a).sorted_terms()
-            self._identities[a] = lab
+        (lab, _), = identity_state(a).sorted_terms()
         return lab
 
     def reduced(self, a, b):
@@ -333,16 +330,21 @@ class TwistedTangleComplex(SparseComplex):
     preserves the quantum grading.  Degrees below h_min may be truncated
     away, in which case a certificate bounds the shifts living there; the
     tangles down there are assumed to repeat floor_tangles, by default the
-    tangles of the objects present.
+    tangles of the objects present.  max_shift, when set, is the largest
+    shift up to which the complex holds every object: a windowed build
+    keeps only the subcomplex of low shifts, and refuses (WindowError)
+    what needs more.
     """
 
     def __init__(self, objects, differentials, h_min=None, h_max=None,
-                 complete=True, certificate=None, check=True, floor_tangles=None):
+                 complete=True, certificate=None, check=True, floor_tangles=None,
+                 max_shift=None):
         nonzero = {h: {k: sv for k, sv in d.items() if sv} for h, d in differentials.items()}
         super().__init__(objects, nonzero, h_min, h_max, complete, certificate)
         if floor_tangles is None:
             floor_tangles = {T for obs in self.objects.values() for T, _ in obs}
         self.floor_tangles = frozenset(floor_tangles)
+        self.max_shift = max_shift
         if check:
             self._validate()
 
@@ -396,7 +398,22 @@ class TwistedTangleComplex(SparseComplex):
         return TwistedTangleComplex(objects, diffs, self.h_min, self.h_max,
                                     self.complete, self.certificate, check=False,
                                     floor_tangles=[compose(e, T) if above else compose(T, e)
-                                                   for T in self.floor_tangles])
+                                                   for T in self.floor_tangles],
+                                    max_shift=self.max_shift)
+
+    def shifted(self, dh=0, dq=0):
+        out = super().shifted(dh, dq)
+        out.floor_tangles = self.floor_tangles
+        out.max_shift = None if self.max_shift is None else self.max_shift + dq
+        return out
+
+    def _require_shifts(self, what, top):
+        """Raise WindowError unless the complex holds every object of shift
+        at most top (every object, with top None)."""
+        if self.max_shift is not None and (top is None or top > self.max_shift):
+            need = "every object" if top is None else f"every object of shift at most {top}"
+            raise WindowError(f"{what} needs {need}; this complex holds only those of "
+                              f"shift at most {self.max_shift}")
 
     def _hom_floor(self, b):
         return hom_floor(b, self.floor_tangles)
@@ -412,9 +429,14 @@ class TwistedTangleComplex(SparseComplex):
         that window are generators, and entries from objects without one are
         skipped: the differential preserves the quantum degree, so the
         result is the direct summand of the full evaluation on the window,
-        and it refuses queries outside the window (WindowError).
+        and it refuses queries outside the window (WindowError).  With
+        max_shift set the window is required, and it must lie below
+        max_shift plus the hom floor from b: the objects left out have
+        nothing there.
         """
         qmin, qmax = q_range if q_range is not None else (None, None)
+        floor = self._hom_floor(b)
+        self._require_shifts("hom_complex", None if q_range is None else qmax - floor)
         gens, rows = {}, {}
         for h, obs in sorted(self.objects.items()):
             bucket, at = [], []
@@ -453,25 +475,15 @@ class TwistedTangleComplex(SparseComplex):
                                     f"degree of labeling {lab!r}")
                             entries[(row, col)] = c
             diffs[h] = entries
-        cert = None
-        if self.certificate is not None:
-            floor = self._hom_floor(b)
-            cert = lambda r: self.certificate(r) + floor
+        cert = None if self.certificate is None else self.certificate.shifted(dq=floor)
         return TruncatedComplex(gens, diffs, self.h_min, self.h_max,
                                 self.complete, cert, check=check, q_range=q_range)
 
     def k0_series(self, tangle, q_range):
         """Alternating sum of shift monomials over objects equal to tangle."""
         j1, j2 = q_range
-        if not self.complete:
-            if self.certificate is None:
-                raise TruncationError("no certificate for the truncated degrees")
-            bound = self.certificate(-(self.h_min - 1))
-            if bound <= j2:
-                raise TruncationError(
-                    f"series at q={j2} needs degrees below {self.h_min} "
-                    f"(certificate bound {bound})"
-                )
+        self._require_shifts("k0_series", j2)
+        self.require_series(j1, j2, "series")
         out = {}
         for h, obs in self.objects.items():
             for T, s in obs:
@@ -522,17 +534,19 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
     tuple, which bar_ends finds without spelling a word.
 
     With hom_bound = (b, qmax) only what hom from the fixed tangle b needs
-    up to quantum degree qmax is built: the word tuples of total degree at
-    most qmax - q0 - F, F the hom floor from b over those tangles.  An end
-    face drops a letter, of degree at least 0, and an inner face keeps the
-    degree, so they span a subcomplex, and it holds every object whose hom
-    from b can reach a quantum degree at most qmax.
+    up to quantum degree qmax is built: the word tuples of shift at most
+    qmax - F, F the hom floor from b over those tangles, which the complex
+    records as its max_shift.  An end face drops a letter, of degree at
+    least 0, and an inner face keeps the degree, so they span a subcomplex,
+    and it holds every object whose hom from b can reach a quantum degree
+    at most qmax.
     """
     floor_tangles = {tangle_of(ends) for ends in bar_ends(rings, depth, reduced)}
-    max_degree = None
+    max_shift = max_degree = None
     if hom_bound is not None:
         b, qmax = hom_bound
-        max_degree = qmax - q0 - hom_floor(b, floor_tangles)
+        max_shift = qmax - hom_floor(b, floor_tangles)
+        max_degree = max_shift - q0
     spelled = [{r: _spelled(ring, r, reduced, max_degree) for r in range(depth + 1)}
                for ring in rings]
     words, index, shifts = {}, {}, {}
@@ -549,7 +563,6 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
         shifts[-total] = at
     objects = {h: tuple((tangle_of(word_ends(mw)), s) for mw, s in zip(mws, shifts[h]))
                for h, mws in words.items()}
-    idents = {}
     diffs = {}
     for h in range(-depth, 0):
         entries = {}
@@ -570,10 +583,7 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
                     if side:
                         sv = absorb(mw, g, side, w_tgt, sv)
                     else:
-                        T = objects[h][j][0]
-                        if T not in idents:
-                            idents[T] = identity_state(T)
-                        sv = idents[T]
+                        sv = identity_state(objects[h][j][0])
                     key = (i, j)
                     sv = sv.scaled(koszul * sign)
                     entries[key] = entries[key] + sv if key in entries else sv
@@ -581,12 +591,9 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
         diffs[h] = entries
     slopes = [c for c in (ring.min_letter_degree if reduced else 0 for ring in rings)
               if c is not None]
-    cert = None
-    if slopes:
-        c_min = min(slopes)
-        cert = lambda r: q0 + c_min * r
+    cert = Certificate(((q0, min(slopes)),)) if slopes else None
     twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert, check=check,
-                                   floor_tangles=floor_tangles)
+                                   floor_tangles=floor_tangles, max_shift=max_shift)
     return words, index, twisted
 
 
@@ -644,7 +651,13 @@ def twisted_cone(source, target, components, check=True):
             h, bad = defect
             raise ChainMapError(
                 f"components do not commute with differentials at {h}: {list(bad)[:3]}")
-    return mapping_cone(source, target, components)
+    cone = mapping_cone(source, target, components)
+    # the cone holds the tangles of both sides, and every object up to the
+    # lower of their max shifts
+    cone.floor_tangles = source.floor_tangles | target.floor_tangles
+    shifts = [s for s in (source.max_shift, target.max_shift) if s is not None]
+    cone.max_shift = min(shifts, default=None)
+    return cone
 
 
 def signed_shuffles(r, s):

@@ -35,17 +35,13 @@ SCHEMA = 1
 
 @dataclass
 class JobConfig:
-    """Window, depth, and execution knobs shared by the table commands."""
+    """Window and depth shared by the table commands."""
 
-    command: str
     hmin: int = -4
     hmax: int = 0
     qmin: int = 0
     qmax: int = 8
     depth: int = None
-    threads: int = None
-    fmt: str = "json"
-    seed: int = 0
 
     def validated(self):
         if self.hmin > self.hmax:
@@ -54,8 +50,6 @@ class JobConfig:
             raise SpecError(f"window: qmin {self.qmin} exceeds qmax {self.qmax}")
         if self.depth is not None and self.depth < 0:
             raise SpecError(f"depth must be non-negative, got {self.depth}")
-        if self.threads is not None and self.threads < 1:
-            raise SpecError(f"thread count must be positive, got {self.threads}")
         return self
 
 
@@ -64,18 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(64)
-
-
-def _threads(args):
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    raw = os.environ.get("SKEINHOM_THREADS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecError(f"SKEINHOM_THREADS must be an integer, got {raw!r}")
 
 
 def _load_json(source, what):
@@ -142,14 +124,6 @@ def _homology_payload(hom):
     betti = [[i, j, b] for (i, j), b in sorted(hom.betti.items())]
     torsion = [[i, j, list(t)] for (i, j), t in sorted(hom.torsion.items())]
     return betti, torsion
-
-
-def _homology_rows(hom):
-    cells = sorted(set(hom.betti) | set(hom.torsion))
-    return [
-        (i, j, hom.betti.get((i, j), 0), hom.torsion.get((i, j), ()))
-        for i, j in cells
-    ]
 
 
 def _cmd_tl_basis(args):
@@ -263,7 +237,7 @@ def _cmd_ring(args):
 
 
 def _cmd_bproj(args):
-    cfg = JobConfig("bproj", qmax=args.qmax, depth=args.depth).validated()
+    cfg = JobConfig(qmax=args.qmax, depth=args.depth).validated()
     proj = bottom_projector(args.strands, cfg.depth)
     counts = {}
     tangles = []
@@ -309,22 +283,15 @@ def _load_surface_inputs(args):
 
 
 def _cmd_surface_hom(args):
-    cfg = JobConfig(
-        "surface hom",
-        hmin=args.hmin,
-        hmax=args.hmax,
-        qmin=args.qmin,
-        qmax=args.qmax,
-        depth=args.depth,
-        threads=_threads(args),
-    ).validated()
+    cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
+                    depth=args.depth).validated()
     depth = cfg.depth if cfg.depth is not None else max(1, -cfg.hmin + 1)
     cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=depth,
                         q_range=(cfg.qmin, cfg.qmax))
-    hom = cx.homology((cfg.hmin, cfg.hmax), (cfg.qmin, cfg.qmax), threads=cfg.threads)
+    hom = cx.homology((cfg.hmin, cfg.hmax), (cfg.qmin, cfg.qmax))
     betti, torsion = _homology_payload(hom)
     if args.out == "csv":
-        _emit_csv("surface hom", _homology_rows(hom))
+        _emit_csv("surface hom", hom.rows())
     elif args.out == "pretty":
         print(f"homology on h [{cfg.hmin}, {cfg.hmax}], q [{cfg.qmin}, {cfg.qmax}]")
         for i, j, b in betti:
@@ -347,7 +314,7 @@ def _cmd_surface_hom(args):
 
 
 def _cmd_surface_h0(args):
-    cfg = JobConfig("surface h0", qmin=args.qmin, qmax=args.qmax).validated()
+    cfg = JobConfig(qmin=args.qmin, qmax=args.qmax).validated()
     ranks = [
         [q, h0(args._spec, args._top, args._bottom, q)]
         for q in range(cfg.qmin, cfg.qmax + 1)
@@ -371,25 +338,18 @@ def _cmd_surface_h0(args):
 
 
 def _cmd_coarsen_check(args):
-    cfg = JobConfig(
-        "coarsen-check",
-        hmin=args.hmin,
-        hmax=args.hmax,
-        qmin=args.qmin,
-        qmax=args.qmax,
-        depth=args.depth,
-        threads=_threads(args),
-    ).validated()
+    cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
+                    depth=args.depth).validated()
     depth = cfg.depth if cfg.depth is not None else max(1, -cfg.hmin + 1)
     removable_seam(args._spec, args.seam)
     cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=depth)
     target, cmap = coarsen(cx, args.seam)
     h_range = (cfg.hmin, cfg.hmax)
     q_range = (cfg.qmin, cfg.qmax)
-    cone_hom = cmap.cone().homology(h_range, q_range, threads=cfg.threads)
+    cone_hom = cmap.cone().homology(h_range, q_range)
     acyclic = not cone_hom.betti and not cone_hom.torsion
-    src = cx.homology(h_range, q_range, threads=cfg.threads)
-    tgt = target.homology(h_range, q_range, threads=cfg.threads)
+    src = cx.homology(h_range, q_range)
+    tgt = target.homology(h_range, q_range)
     match = src.betti == tgt.betti and src.torsion == tgt.torsion
     ok = acyclic and match
     src_betti, src_torsion = _homology_payload(src)
@@ -545,7 +505,6 @@ def build_parser():
     hom.add_argument("--s", required=True)
     _add_window(hom)
     hom.add_argument("--depth", type=int)
-    hom.add_argument("--threads", type=int)
     _add_out(hom, "json", table=True)
     hom.set_defaults(handler=_cmd_surface_hom)
     hz = surf_sub.add_parser("h0", help="degree-zero homology ranks by quantum degree")
@@ -564,7 +523,6 @@ def build_parser():
     cc.add_argument("--seam", required=True)
     _add_window(cc)
     cc.add_argument("--depth", type=int)
-    cc.add_argument("--threads", type=int)
     _add_out(cc, "json")
     cc.set_defaults(handler=_cmd_coarsen_check)
 

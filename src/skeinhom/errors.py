@@ -21,10 +21,6 @@ class GradingError(SkeinError):
     """A quantum or homological grading came out non-integral or mismatched."""
 
 
-class InvalidSite(SkeinError):
-    """A surgery or dot site does not exist in the diagram at hand."""
-
-
 class TruncationError(SkeinError):
     """The requested window is not certified by the truncation in memory."""
 

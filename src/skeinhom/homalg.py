@@ -4,7 +4,7 @@ A TruncatedComplex stores generators per cohomological degree (differentials
 raise that degree by one and preserve the quantum degree) together with an
 honest account of what is known: degrees above h_max are genuinely zero,
 degrees below h_min are either zero (complete complexes) or merely not
-computed, in which case a certificate bounds the quantum degrees living
+computed, in which case a Certificate bounds the quantum degrees living
 there.  Requests that the stored data cannot answer raise TruncationError
 rather than returning something quietly wrong.
 """
@@ -291,6 +291,24 @@ def unit_cancellation(entries):
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """A lower bound on the quantum degrees at degree -r of a complex
+    truncated below: the least of q0 + slope * r over the (q0, slope)
+    pairs of bounds.  Bar resolutions shift by a fixed least letter degree
+    per bar letter, so one affine bound per resolution certifies them."""
+
+    bounds: tuple
+
+    def __call__(self, r):
+        return min(q0 + slope * r for q0, slope in self.bounds)
+
+    def shifted(self, dh=0, dq=0):
+        """The certificate of the complex shifted by dh homological and dq
+        quantum degrees: r -> self(r + dh) + dq."""
+        return Certificate(tuple((q0 + slope * dh + dq, slope) for q0, slope in self.bounds))
+
+
+@dataclass(frozen=True)
 class BigradedHomology:
     """Free ranks and torsion of a complex on a bidegree window."""
 
@@ -337,10 +355,10 @@ class SparseComplex:
     Entries negate as -x and compose by the class's compose(a, b, c, x, y),
     x from payload a to b and y from b to c.  Degrees above h_max are zero;
     degrees below h_min are zero (complete complexes) or merely not
-    computed, in which case certificate(r) bounds from below the quantum
-    degrees at degree -r.  q_range, when set, is the window of quantum
-    degrees the stored cells hold: the complex is then only the direct
-    summand of those q-strands.
+    computed, in which case the Certificate certificate(r) bounds from
+    below the quantum degrees at degree -r.  q_range, when set, is the
+    window of quantum degrees the stored cells hold: the complex is then
+    only the direct summand of those q-strands.
     """
 
     q_range = None
@@ -379,13 +397,20 @@ class SparseComplex:
             raise TruncationError(f"degree {h} lies below the truncation and no certificate is stored")
         return self.certificate(-h)
 
+    def require_series(self, j1, j2, what):
+        """Raise TruncationError if the degrees below h_min, which are not
+        stored, can reach a quantum degree at most j2: a series over the
+        quantum degrees j1..j2 would need them."""
+        bound = self.min_q_at(self.h_min - 1)
+        if bound is not None and bound <= j2:
+            raise TruncationError(f"{what} at q={max(j1, bound)} needs degrees below "
+                                  f"{self.h_min} (certificate bound {bound})")
+
     def shifted(self, dh=0, dq=0):
         cells = {h + dh: tuple((p, q + dq) for p, q in cc) for h, cc in self.cells.items()}
         diffs = {h + dh: {k: -x if dh % 2 else x for k, x in d.items()}
                  for h, d in self.differentials.items()}
-        cert = None
-        if self.certificate is not None:
-            cert = lambda r: self.certificate(r + dh) + dq
+        cert = None if self.certificate is None else self.certificate.shifted(dh, dq)
         return type(self)(cells, diffs, self.h_min + dh, self.h_max + dh,
                           self.complete, cert, check=False)
 
@@ -444,12 +469,11 @@ def mapping_cone(source, target, components):
             d[(offs[h + 1] + i, offs[h] + j)] = -x
         diffs[h] = d
     complete = a.complete and b.complete
+    # cone degree -r holds target^{-r} and source^{-r + 1}
+    sides = [(side.certificate, dh) for side, dh in ((b, 0), (a, -1)) if not side.complete]
     cert = None
-    if not complete:
-        def cert(r):
-            # cone degree -r holds target^{-r} and source^{-r + 1}
-            vals = [v for v in (b.min_q_at(-r), a.min_q_at(-r + 1)) if v is not None]
-            return min(vals) if vals else 10 ** 9
+    if sides and all(c is not None for c, _dh in sides):
+        cert = Certificate(tuple(bound for c, dh in sides for bound in c.shifted(dh=dh).bounds))
     cone = type(b)(cells, diffs, h_lo, h_hi, complete, cert, check=False)
     windows = [w for w in (a.q_range, b.q_range) if w is not None]
     if windows:
@@ -643,14 +667,8 @@ class TruncatedComplex(SparseComplex):
             for (i, j), b in hom.betti.items():
                 out[j] = out.get(j, 0) + (-1) ** (i % 2) * b
             return LaurentPoly(out)
+        self.require_series(j1, j2, "euler series")
         for j in range(j1, j2 + 1):
-            if not self.complete:
-                bound = self.min_q_at(self.h_min - 1)
-                if bound is not None and bound <= j:
-                    raise TruncationError(
-                        f"euler series at q={j} needs degrees below {self.h_min} "
-                        f"(certificate bound {bound})"
-                    )
             for h in range(self.h_min, self.h_max + 1):
                 c = self.gen_count(h, j)
                 if c:

@@ -443,6 +443,7 @@ def _vertex_tangle(a, b, c):
     return PlanarTangle(a + b, c, tuple(partner))
 
 
+@lru_cache(maxsize=None)
 def loop(a):
     """Closure of the a-strand Jones-Wenzl idempotent; equals [a+1]."""
     return tl_closure(wenzl(a))
@@ -693,14 +694,7 @@ def _annulus_core_complex(depth):
 def _word_euler_series(cx, order):
     """Euler series of an assembled complex by direct circle counting of the
     plugged closures; no homology is computed."""
-    t = cx.truncated
-    if not t.complete:
-        bound = t.min_q_at(t.h_min - 1)
-        if bound is not None and bound <= order:
-            raise TruncationError(
-                f"series at q={order} needs degrees below {t.h_min} "
-                f"(certificate bound {bound})"
-            )
+    cx.truncated.require_series(0, order, "series")
     out = LaurentPoly.zero()
     for h, words in cx.multiwords.items():
         sign = (-1) ** (h % 2)

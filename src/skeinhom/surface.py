@@ -301,7 +301,6 @@ class SurfaceComplex:
         self.q_base = boundary_points // 4
 
         self._m_cache = {}
-        self._ident_cache = {}
         self._entries = {}
         self.q_range = None if q_range is None else tuple(q_range)
         self.multiwords, self.index, self.twisted = bar_complex(
@@ -349,11 +348,6 @@ class SurfaceComplex:
         )
         return total - self.q_base
 
-    def _ident(self, tangle):
-        if tangle not in self._ident_cache:
-            self._ident_cache[tangle] = identity_state(tangle)
-        return self._ident_cache[tangle]
-
     def _slot_entry(self, mw, g, side, word, sv):
         """An end face at seam g: sv acts on the slot of that side, which
         now holds the end plug of word, and identities on every other slot.
@@ -369,13 +363,13 @@ class SurfaceComplex:
         if entry is None:
             k = self._seam_slots[self.seam_names[g]][side]
             tgt = objs[0].reflect_x() if side < 0 else objs[-1]
-            factors = [(t, tgt, sv) if i == k else (t, t, self._ident(t))
+            factors = [(t, tgt, sv) if i == k else (t, t, identity_state(t))
                        for i, t in enumerate(self._slot_tangles(ends))]
             entry = self._entries[key] = juxtaposed(factors)
         return entry
 
-    def homology(self, h_range, q_range, threads=None):
-        return self.truncated.homology(h_range, q_range, threads)
+    def homology(self, h_range, q_range):
+        return self.truncated.homology(h_range, q_range)
 
     def basis_elements(self, h):
         self._require_full("basis_elements")
@@ -913,7 +907,7 @@ def h0(spec, top, bottom, q_degree, inserts=None, reduced=True):
     return cx.truncated.homology_at(0, q_degree)[0]
 
 
-def symmetrized_pairing(spec, x, y, h_range, q_range, depth=None, threads=None):
+def symmetrized_pairing(spec, x, y, h_range, q_range, depth=None):
     """Homology of the hom complex pairing two surface tangles.
 
     Reflecting the second factor is the identity on cap matchings, so the
@@ -924,7 +918,7 @@ def symmetrized_pairing(spec, x, y, h_range, q_range, depth=None, threads=None):
     if depth is None:
         depth = -h_range[0] + 1
     cx = SurfaceComplex(spec, x, y, depth=depth, q_range=q_range)
-    return cx.truncated.homology(h_range, q_range, threads)
+    return cx.truncated.homology(h_range, q_range)
 
 
 def _plug_surgeries(cx, seam, mw, a0, m_src, d_src):

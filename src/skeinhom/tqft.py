@@ -248,11 +248,13 @@ def hom_graded_rank(a, b):
     return graded_rank(*hom_double(a, b))
 
 
+@lru_cache(maxsize=None)
 def identity_state(a):
     """The identity morphism of a, as a state on its self-double.
 
     Chord circles are labeled 1; each carried free circle appears twice in
-    the double and contributes the two-term coproduct of 1.
+    the double and contributes the two-term coproduct of 1.  Cached for the
+    life of the process, like hom_double: nothing may mutate the state.
     """
     d, off = hom_double(a, a)
     base = [None] * len(d)

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from skeinhom import barproj
 from skeinhom.barproj import (SmallRing, TwistedTangleComplex, _compositions, _spelled, bar_ends,
                               bar_words, bottom_projector, counit_components, fold_entry, fold_tangle,
                               shuffle_words, signed_shuffles, twisted_cone, unit_complex,
@@ -215,16 +214,15 @@ class TestBottomProjector:
 
 
 class TestRingCaches:
-    def test_identity_labeling_builds_one_state_per_object(self, monkeypatch):
+    def test_identity_labeling_builds_one_state_per_object(self):
+        # identity states are cached once per process, not per ring
         ring = SmallRing(2, 2)
-        calls = []
-        monkeypatch.setattr(barproj, "identity_state",
-                            lambda a: calls.append(a) or identity_state(a))
+        identity_state.cache_clear()
         for _ in range(3):
             for a in ring.objects:
                 (lab, _), = identity_state(a).sorted_terms()
                 assert ring.identity_labeling(a) == lab
-        assert calls == list(ring.objects)
+        assert identity_state.cache_info().misses == len(ring.objects)
 
     def test_letters_are_built_once(self):
         ring = SmallRing(2, 2)

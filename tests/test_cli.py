@@ -372,35 +372,14 @@ class TestSurfaceCommands:
         assert "surface hom,-1,2,1," in lines
         assert "surface hom,-1,4,0,2" in lines
 
-    def test_hom_identical_across_threads(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", [["surface", "hom"], ["coarsen-check", "--seam", "g"]])
+    def test_threads_flag_is_gone(self, capsys, tmp_path, command):
         spec = write_json(tmp_path, "spec.json", ANNULUS)
         t = write_json(tmp_path, "t.json", CIRCLE)
-        outs = []
-        for threads in ("1", "2", "8"):
-            code, out, _ = run_cli(
-                capsys,
-                "surface", "hom", "--spec", spec, "--t", t, "--s", t,
-                "--hmin", "-2", "--qmax", "4", "--threads", threads,
-            )
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1] == outs[2]
-
-    def test_threads_env_var(self, capsys, tmp_path, monkeypatch):
-        spec = write_json(tmp_path, "spec.json", DISK)
-        t = write_json(tmp_path, "t.json", DISK_ARC)
-        monkeypatch.setenv("SKEINHOM_THREADS", "2")
-        code, _, _ = run_cli(
-            capsys, "surface", "hom", "--spec", spec, "--t", t, "--s", t,
-            "--hmin", "0", "--qmax", "4",
-        )
-        assert code == 0
-        monkeypatch.setenv("SKEINHOM_THREADS", "many")
-        code, _, err = run_cli(
-            capsys, "surface", "hom", "--spec", spec, "--t", t, "--s", t,
-        )
-        assert code == 3
-        assert "SKEINHOM_THREADS" in err
+        code, out, err = run_cli(capsys, *command, "--spec", spec, "--t", t, "--s", t,
+                                 "--threads", "2")
+        assert (code, out) == (64, "")
+        assert "unrecognized arguments: --threads 2" in err
 
     def test_insane_window(self, capsys, tmp_path):
         spec = write_json(tmp_path, "spec.json", DISK)

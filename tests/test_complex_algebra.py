@@ -9,7 +9,7 @@ import pytest
 from skeinhom.barproj import (TwistedTangleComplex, bottom_projector, counit_components,
                               twisted_cone, unit_complex)
 from skeinhom.errors import ChainMapError, TruncationError
-from skeinhom.homalg import ChainMap, TruncatedComplex, defect_degrees, map_defect
+from skeinhom.homalg import Certificate, ChainMap, TruncatedComplex, defect_degrees, map_defect
 from skeinhom.planar import cup_over_cap, identity_tangle
 from skeinhom.surface import SurfaceComplex, coarsen
 from skeinhom.tqft import StateVector, identity_state
@@ -84,9 +84,9 @@ def same_complex(new, old, radius=6):
         {h: list(d.items()) for h, d in old.differentials.items()}
     assert (new.h_min, new.h_max, new.complete) == (old.h_min, old.h_max, old.complete)
     assert (new.certificate is None) == (old.certificate is None)
-    if new.certificate is not None:
-        assert [new.certificate(r) for r in range(radius + 1)] == \
-            [old.certificate(r) for r in range(radius + 1)]
+    # what the program reads of a certificate: min_q_at below h_min
+    degrees = range(new.h_min - radius, new.h_max + 2)
+    assert [new.min_q_at(h) for h in degrees] == [old.min_q_at(h) for h in degrees]
 
 
 class TestSquareCheck:
@@ -171,6 +171,27 @@ class TestCones:
         for cx in (bottom_projector(2, 2), surface_twisted(1)):
             args = (cx, cx, identity_components(cx))
             same_complex(twisted_cone(*args), twisted_cone_reference(*args))
+
+
+    def test_coarsening_cone_joins_both_certificates(self):
+        # both sides are truncated: the cone takes the target's bounds as
+        # they are and the source's one degree up
+        cx = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=2)
+        _tgt, cmap = coarsen(cx, "g2")
+        src, tgt = cmap.source, cmap.target
+        assert not (src.complete or tgt.complete)
+        cone, ref = cmap.cone(), chain_map_cone_reference(cmap)
+        assert cone.certificate == Certificate(
+            tgt.certificate.bounds + src.certificate.shifted(dh=-1).bounds)
+        below = range(cone.h_min - 8, cone.h_min)
+        assert [cone.min_q_at(h) for h in below] == [ref.min_q_at(h) for h in below]
+
+    def test_cone_of_an_uncertified_side_has_no_certificate(self):
+        bare = TruncatedComplex({0: (("g", 1),)}, {}, h_min=0, h_max=0, complete=False)
+        cone = ChainMap(bare, bare, {0: {(0, 0): 1}}).cone()
+        assert cone.certificate is None
+        with pytest.raises(TruncationError, match="no certificate"):
+            cone.min_q_at(cone.h_min - 1)
 
 
 class TestConeTruncationBoundary:

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from skeinhom import homalg
 from skeinhom.errors import ChainMapError, GradingError, InvariantFactorError, TruncationError
-from skeinhom.homalg import (ChainMap, LaurentPoly, TruncatedComplex, circle_poly,
-                             matrix_rank, smith_invariants, tensor, unit_cancellation)
+from skeinhom.homalg import (Certificate, ChainMap, LaurentPoly, TruncatedComplex,
+                             circle_poly, matrix_rank, smith_invariants, tensor,
+                             unit_cancellation)
 
 from .optimized import error_under_optimize
 from .oracles import bareiss_rank, dense_homology_at, rational_rank
@@ -49,6 +50,29 @@ class TestLaurentPoly:
         p = LaurentPoly({0: 1})
         with pytest.raises(AttributeError):
             p.terms = ()
+
+
+BOUNDS = st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 6)), min_size=1, max_size=3)
+
+
+class TestCertificate:
+    """Certificates as values agree with the closures they replace:
+    q0 + slope * r per bound, shifted as r -> cert(r + dh) + dq."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(BOUNDS, st.integers(-4, 4), st.integers(-10, 10))
+    def test_call_and_shift_match_closures(self, bounds, dh, dq):
+        cert = Certificate(tuple(bounds))
+        closure = lambda r: min(q0 + slope * r for q0, slope in bounds)
+        shifted = lambda r: closure(r + dh) + dq
+        assert [cert(r) for r in range(9)] == [closure(r) for r in range(9)]
+        assert [cert.shifted(dh, dq)(r) for r in range(9)] == [shifted(r) for r in range(9)]
+        assert cert.shifted() == cert
+        assert cert.shifted(dh, dq).shifted(-dh, -dq) == cert
+
+    def test_compares_and_prints_as_a_value(self):
+        assert Certificate(((1, 2),)) == Certificate(((1, 2),)) != Certificate(((1, 3),))
+        assert repr(Certificate(((1, 2),)).shifted(dq=-3)) == "Certificate(bounds=((-2, 2),))"
 
 
 class TestIntegerLinearAlgebra:
@@ -340,7 +364,7 @@ class TestTruncatedComplex:
         assert cx.euler_series((-2, 2), from_homology=True, h_range=(0, 1)) == LaurentPoly({-1: 1})
 
     def test_truncation_guard(self):
-        cert = lambda r: 2 * r + 1
+        cert = Certificate(((1, 2),))
         cx = TruncatedComplex(
             {0: (("g", 1), ("h", 3)), -1: (("k", 3),)},
             {-1: {(1, 0): 2}},
@@ -508,7 +532,7 @@ class TestBlockMemo:
         cx = TruncatedComplex(
             {0: (("g", 1), ("h", 3)), -1: (("k", 3),)},
             {-1: {(1, 0): 2}},
-            h_min=-1, h_max=0, complete=False, certificate=lambda r: 2 * r + 1,
+            h_min=-1, h_max=0, complete=False, certificate=Certificate(((1, 2),)),
         )
         bound = cx.min_q_at(-2)
         assert bound == 5

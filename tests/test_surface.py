@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skeinhom import planar, surface
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError
-from skeinhom.homalg import LaurentPoly, TruncatedComplex
+from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex
 from skeinhom.planar import PlanarTangle
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, SurfaceTangle,
                               arc, coarsen, compose, h0, identity_unit, seam_side,
@@ -662,6 +662,7 @@ class TestBarConstruction:
         cx = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=2, reduced=reduced)
         slope = min(cx.rings[n].min_letter_degree for n in cx.seam_names) if reduced else 0
         assert not cx.twisted.complete
+        assert cx.twisted.certificate == Certificate(((-cx.q_base, slope),))
         assert [cx.twisted.certificate(r) for r in range(4)] == \
             [-cx.q_base + slope * r for r in range(4)]
         assert SurfaceComplex(ANNULUS, EMPTY, EMPTY, depth=2).twisted.complete

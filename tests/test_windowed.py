@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinhom import cli, surface
-from skeinhom.barproj import bar_ends, word_ends
+from skeinhom.barproj import bar_ends, twisted_cone, word_ends
 from skeinhom.errors import InvalidBoundary, TruncationError, WindowError
-from skeinhom.homalg import ChainMap, tensor
+from skeinhom.homalg import ChainMap, LaurentPoly, tensor
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, coarsen, compose, h0,
                               identity_unit, symmetrized_pairing, transfer)
+
+from skeinhom.tqft import identity_state
 
 from .test_golden import FIXTURES
 from .test_surface import (ANNULUS, ANNULUS2, CORE, CORE2, CUPCAP2, SEAMED_DISK,
@@ -81,8 +83,8 @@ class TestEquality:
         assert_window_matches(full, windowed(name, depth, ((lo + hi) // 2 + 1, hi)))
         # the certificate is the full build's, floor over all its tangles included
         assert low.twisted.floor_tangles == full.twisted.floor_tangles
-        assert [low.truncated.certificate(r) for r in range(depth + 3)] == \
-            [full.truncated.certificate(r) for r in range(depth + 3)]
+        assert low.twisted.certificate == full.twisted.certificate
+        assert low.truncated.certificate == full.truncated.certificate
         # the kept word tuples are a subcomplex of the full one, in its order
         for h, mws in low.multiwords.items():
             assert set(mws) <= set(full.multiwords[h])
@@ -250,3 +252,54 @@ class TestMisuse:
                                for h, gens in t.generators.items()}).cone()
         assert cone.q_range == (-4, 0)
         assert cone.homology((-2, 0), (-4, 0)).betti == {}
+
+
+class TestTwistedWindow:
+    """The twisted complex of a windowed build holds every object up to a
+    largest shift, qmax minus the hom floor, and refuses what needs more."""
+
+    @pytest.fixture(scope="class")
+    def builds(self):
+        return (SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=2),
+                SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=2, q_range=(-4, -2)))
+
+    def test_k0_series_past_the_max_shift(self, builds):
+        full, cx = builds
+        T = full.twisted.objects[0][0][0]
+        assert (cx.twisted.max_shift, full.twisted.max_shift) == (-2, None)
+        assert full.twisted.k0_series(T, (-10, 0)) == LaurentPoly({-2: 1, 0: -1})
+        assert cx.twisted.k0_series(T, (-10, -2)) == LaurentPoly({-2: 1})
+        with pytest.raises(WindowError, match="holds only those of shift at most -2"):
+            cx.twisted.k0_series(T, (-10, 0))
+
+    def test_hom_complex_off_a_covered_window(self, builds):
+        # with no window it would hold 10 of the 282 generators and answer
+        # H^{0,1} = 4 and H^{-1,3} = 0
+        full, cx = builds
+        hom = full.twisted.hom_complex(full.z_jux)
+        assert (hom.homology_at(0, 1), hom.homology_at(-1, 3)) == ((2, ()), (1, (2,)))
+        for q_range in (None, (-4, 0), (0, 4)):
+            with pytest.raises(WindowError, match="holds only those of shift at most -2"):
+                cx.twisted.hom_complex(cx.z_jux, q_range)
+
+    def test_covered_window_equals_the_full_build(self, builds):
+        full, cx = builds
+        hom = cx.twisted.hom_complex(cx.z_jux, (-6, -2))
+        window = ((-2, 0), (-6, -2))
+        assert hom.homology(*window) == full.truncated.homology(*window)
+        assert hom.euler_series((-6, -2)) == full.truncated.euler_series((-6, -2))
+        assert hom.certificate == full.truncated.certificate
+
+    def test_shifts_and_cones_keep_the_bound(self, builds):
+        _full, cx = builds
+        tw = cx.twisted
+        moved = tw.shifted(dh=1, dq=3)
+        assert (moved.max_shift, moved.floor_tangles) == (1, tw.floor_tangles)
+        with pytest.raises(WindowError, match="shift at most 1"):
+            moved.hom_complex(cx.z_jux)
+        ident = {h: {(j, j): identity_state(T) for j, (T, _s) in enumerate(obs)}
+                 for h, obs in tw.objects.items()}
+        cone = twisted_cone(tw, tw, ident)
+        assert (cone.max_shift, cone.floor_tangles) == (-2, tw.floor_tangles)
+        with pytest.raises(WindowError, match="shift at most -2"):
+            cone.hom_complex(cx.z_jux)
