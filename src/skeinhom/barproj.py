@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .errors import ChainMapError, GradingError, InvalidBoundary, WindowError
+from .errors import ChainMapError, GradingError, InvalidBoundary
 from .homalg import (Certificate, LaurentPoly, SparseComplex, TruncatedComplex, map_defect,
                      mapping_cone)
 from .planar import PlanarTangle, bend_down, bend_up, compose, enumerate_matchings, identity_tangle
@@ -330,21 +330,19 @@ class TwistedTangleComplex(SparseComplex):
     preserves the quantum grading.  Degrees below h_min may be truncated
     away, in which case a certificate bounds the shifts living there; the
     tangles down there are assumed to repeat floor_tangles, by default the
-    tangles of the objects present.  max_shift, when set, is the largest
-    shift up to which the complex holds every object: a windowed build
-    keeps only the subcomplex of low shifts, and refuses (WindowError)
-    what needs more.
+    tangles of the objects present.  The q of an object is its shift, so a
+    windowed build, which keeps only the subcomplex of low shifts, holds
+    the q-window (None, largest shift kept).
     """
 
     def __init__(self, objects, differentials, h_min=None, h_max=None,
                  complete=True, certificate=None, check=True, floor_tangles=None,
-                 max_shift=None):
+                 q_range=None):
         nonzero = {h: {k: sv for k, sv in d.items() if sv} for h, d in differentials.items()}
-        super().__init__(objects, nonzero, h_min, h_max, complete, certificate)
+        super().__init__(objects, nonzero, h_min, h_max, complete, certificate, q_range)
         if floor_tangles is None:
             floor_tangles = {T for obs in self.objects.values() for T, _ in obs}
         self.floor_tangles = frozenset(floor_tangles)
-        self.max_shift = max_shift
         if check:
             self._validate()
 
@@ -399,21 +397,12 @@ class TwistedTangleComplex(SparseComplex):
                                     self.complete, self.certificate, check=False,
                                     floor_tangles=[compose(e, T) if above else compose(T, e)
                                                    for T in self.floor_tangles],
-                                    max_shift=self.max_shift)
+                                    q_range=self.q_range)
 
     def shifted(self, dh=0, dq=0):
         out = super().shifted(dh, dq)
         out.floor_tangles = self.floor_tangles
-        out.max_shift = None if self.max_shift is None else self.max_shift + dq
         return out
-
-    def _require_shifts(self, what, top):
-        """Raise WindowError unless the complex holds every object of shift
-        at most top (every object, with top None)."""
-        if self.max_shift is not None and (top is None or top > self.max_shift):
-            need = "every object" if top is None else f"every object of shift at most {top}"
-            raise WindowError(f"{what} needs {need}; this complex holds only those of "
-                              f"shift at most {self.max_shift}")
 
     def _hom_floor(self, b):
         return hom_floor(b, self.floor_tangles)
@@ -429,14 +418,14 @@ class TwistedTangleComplex(SparseComplex):
         that window are generators, and entries from objects without one are
         skipped: the differential preserves the quantum degree, so the
         result is the direct summand of the full evaluation on the window,
-        and it refuses queries outside the window (WindowError).  With
-        max_shift set the window is required, and it must lie below
-        max_shift plus the hom floor from b: the objects left out have
-        nothing there.
+        and it refuses queries outside the window (WindowError).  On a
+        windowed complex the window is required, and it must lie below the
+        window's top shift plus the hom floor from b: the objects left out
+        have nothing there.
         """
         qmin, qmax = q_range if q_range is not None else (None, None)
         floor = self._hom_floor(b)
-        self._require_shifts("hom_complex", None if q_range is None else qmax - floor)
+        self.require_window("hom_complex", None, None if qmax is None else qmax - floor)
         gens, rows = {}, {}
         for h, obs in sorted(self.objects.items()):
             bucket, at = [], []
@@ -482,7 +471,7 @@ class TwistedTangleComplex(SparseComplex):
     def k0_series(self, tangle, q_range):
         """Alternating sum of shift monomials over objects equal to tangle."""
         j1, j2 = q_range
-        self._require_shifts("k0_series", j2)
+        self.require_window("k0_series", j1, j2)
         self.require_series(j1, j2, "series")
         out = {}
         for h, obs in self.objects.items():
@@ -536,17 +525,17 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
     With hom_bound = (b, qmax) only what hom from the fixed tangle b needs
     up to quantum degree qmax is built: the word tuples of shift at most
     qmax - F, F the hom floor from b over those tangles, which the complex
-    records as its max_shift.  An end face drops a letter, of degree at
-    least 0, and an inner face keeps the degree, so they span a subcomplex,
-    and it holds every object whose hom from b can reach a quantum degree
-    at most qmax.
+    records as its q-window (None, qmax - F).  An end face drops a letter,
+    of degree at least 0, and an inner face keeps the degree, so they span
+    a subcomplex, and it holds every object whose hom from b can reach a
+    quantum degree at most qmax.
     """
     floor_tangles = {tangle_of(ends) for ends in bar_ends(rings, depth, reduced)}
-    max_shift = max_degree = None
+    window = max_degree = None
     if hom_bound is not None:
         b, qmax = hom_bound
-        max_shift = qmax - hom_floor(b, floor_tangles)
-        max_degree = max_shift - q0
+        window = (None, qmax - hom_floor(b, floor_tangles))
+        max_degree = window[1] - q0
     spelled = [{r: _spelled(ring, r, reduced, max_degree) for r in range(depth + 1)}
                for ring in rings]
     words, index, shifts = {}, {}, {}
@@ -593,7 +582,7 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
               if c is not None]
     cert = Certificate(((q0, min(slopes)),)) if slopes else None
     twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert, check=check,
-                                   floor_tangles=floor_tangles, max_shift=max_shift)
+                                   floor_tangles=floor_tangles, q_range=window)
     return words, index, twisted
 
 
@@ -624,7 +613,7 @@ def bottom_projector(N, depth, split=None):
             return fold_entry(a0, ar, b0, br, sv, identity_state(ar))
         return fold_entry(a0, ar, b0, br, identity_state(a0.reflect_x()), sv)
 
-    _words, _index, projector = bar_complex((SmallRing(m, n),), depth, N // 2, fold_of, absorb)
+    _words, _index, projector = bar_complex((small_ring(m, n),), depth, N // 2, fold_of, absorb)
     return projector
 
 
@@ -652,11 +641,7 @@ def twisted_cone(source, target, components, check=True):
             raise ChainMapError(
                 f"components do not commute with differentials at {h}: {list(bad)[:3]}")
     cone = mapping_cone(source, target, components)
-    # the cone holds the tangles of both sides, and every object up to the
-    # lower of their max shifts
     cone.floor_tangles = source.floor_tangles | target.floor_tangles
-    shifts = [s for s in (source.max_shift, target.max_shift) if s is not None]
-    cone.max_shift = min(shifts, default=None)
     return cone
 
 

@@ -35,7 +35,8 @@ SCHEMA = 1
 
 @dataclass
 class JobConfig:
-    """Window and depth shared by the table commands."""
+    """Window and depth shared by the table commands.  The depth defaults
+    to the least that stores degree hmin - 1, which homology at hmin reads."""
 
     hmin: int = -4
     hmax: int = 0
@@ -48,7 +49,9 @@ class JobConfig:
             raise SpecError(f"window: hmin {self.hmin} exceeds hmax {self.hmax}")
         if self.qmin > self.qmax:
             raise SpecError(f"window: qmin {self.qmin} exceeds qmax {self.qmax}")
-        if self.depth is not None and self.depth < 0:
+        if self.depth is None:
+            self.depth = max(1, -self.hmin + 1)
+        elif self.depth < 0:
             raise SpecError(f"depth must be non-negative, got {self.depth}")
         return self
 
@@ -285,8 +288,7 @@ def _load_surface_inputs(args):
 def _cmd_surface_hom(args):
     cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
                     depth=args.depth).validated()
-    depth = cfg.depth if cfg.depth is not None else max(1, -cfg.hmin + 1)
-    cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=depth,
+    cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=cfg.depth,
                         q_range=(cfg.qmin, cfg.qmax))
     hom = cx.homology((cfg.hmin, cfg.hmax), (cfg.qmin, cfg.qmax))
     betti, torsion = _homology_payload(hom)
@@ -305,7 +307,7 @@ def _cmd_surface_hom(args):
                 "command": "surface hom",
                 "window": {"hmin": cfg.hmin, "hmax": cfg.hmax,
                            "qmin": cfg.qmin, "qmax": cfg.qmax},
-                "depth": depth,
+                "depth": cfg.depth,
                 "betti": betti,
                 "torsion": torsion,
             }
@@ -340,9 +342,8 @@ def _cmd_surface_h0(args):
 def _cmd_coarsen_check(args):
     cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
                     depth=args.depth).validated()
-    depth = cfg.depth if cfg.depth is not None else max(1, -cfg.hmin + 1)
     removable_seam(args._spec, args.seam)
-    cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=depth)
+    cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=cfg.depth)
     target, cmap = coarsen(cx, args.seam)
     h_range = (cfg.hmin, cfg.hmax)
     q_range = (cfg.qmin, cfg.qmax)
@@ -365,7 +366,7 @@ def _cmd_coarsen_check(args):
                 "seam": args.seam,
                 "window": {"hmin": cfg.hmin, "hmax": cfg.hmax,
                            "qmin": cfg.qmin, "qmax": cfg.qmax},
-                "depth": depth,
+                "depth": cfg.depth,
                 "acyclic": acyclic,
                 "betti_match": match,
                 "source": {"betti": src_betti, "torsion": src_torsion},

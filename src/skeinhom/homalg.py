@@ -356,14 +356,14 @@ class SparseComplex:
     x from payload a to b and y from b to c.  Degrees above h_max are zero;
     degrees below h_min are zero (complete complexes) or merely not
     computed, in which case the Certificate certificate(r) bounds from
-    below the quantum degrees at degree -r.  q_range, when set, is the
-    window of quantum degrees the stored cells hold: the complex is then
-    only the direct summand of those q-strands.
+    below the quantum degrees at degree -r.  q_range = (lo, hi), when set,
+    is the window of quantum degrees the stored cells hold, None at an
+    unbounded end: the complex is then only the direct summand of those
+    q-strands, and require_window refuses (WindowError) what needs more.
     """
 
-    q_range = None
-
-    def __init__(self, cells, differentials, h_min, h_max, complete, certificate):
+    def __init__(self, cells, differentials, h_min, h_max, complete, certificate,
+                 q_range=None):
         self.cells = {h: tuple(cc) for h, cc in cells.items() if cc}
         self.differentials = {h: dict(d) for h, d in differentials.items() if d}
         degrees = sorted(self.cells)
@@ -371,6 +371,23 @@ class SparseComplex:
         self.h_max = h_max if h_max is not None else (degrees[-1] if degrees else 0)
         self.complete = complete
         self.certificate = certificate
+        self.q_range = None if q_range is None else tuple(q_range)
+
+    def require_window(self, what, j1=None, j2=None):
+        """Raise WindowError unless the quantum degrees j1..j2 lie in the
+        window q_range.  None at an end of either range is unbounded, so
+        by default the query needs every quantum degree; an empty query
+        (j1 > j2) needs none."""
+        window = self.q_range
+        if window is None or (j1 is not None and j2 is not None and j1 > j2):
+            return
+        lo, hi = window
+        if ((lo is None or j1 is not None and lo <= j1)
+                and (hi is None or j2 is not None and j2 <= hi)):
+            return
+        span = "every quantum degree" if j1 is None and j2 is None else f"q {_interval(j1, j2)}"
+        raise WindowError(f"{what} needs {span}; this complex holds only "
+                          f"the q-window {_interval(lo, hi)}")
 
     def square_defect(self):
         """(h, {key: entry}) with the nonzero entries of d_{h+1} d_h at the
@@ -390,6 +407,7 @@ class SparseComplex:
         if h > self.h_max:
             return None
         if h >= self.h_min:
+            self.require_window(f"min_q_at({h})")
             return min((q for _, q in self.cells.get(h, ())), default=None)
         if self.complete:
             return None
@@ -411,14 +429,32 @@ class SparseComplex:
         diffs = {h + dh: {k: -x if dh % 2 else x for k, x in d.items()}
                  for h, d in self.differentials.items()}
         cert = None if self.certificate is None else self.certificate.shifted(dh, dq)
+        window = None if self.q_range is None else tuple(None if e is None else e + dq
+                                                         for e in self.q_range)
         return type(self)(cells, diffs, self.h_min + dh, self.h_max + dh,
-                          self.complete, cert, check=False)
+                          self.complete, cert, check=False, q_range=window)
 
     @staticmethod
     def _cone_cell(side, cell):
         """How a mapping cone stores a cell of its source ("src") or target
         ("tgt") side."""
         return cell
+
+
+def _interval(lo, hi):
+    """[lo, hi], with an open infinite end where lo or hi is None."""
+    left = "(-inf" if lo is None else f"[{lo}"
+    right = "inf)" if hi is None else f"{hi}]"
+    return f"{left}, {right}"
+
+
+def _meet(a, b):
+    """The intersection of two q-windows, None meaning every quantum degree."""
+    if a is None or b is None:
+        return b if a is None else a
+    los = [e for e in (a[0], b[0]) if e is not None]
+    his = [e for e in (a[1], b[1]) if e is not None]
+    return max(los, default=None), min(his, default=None)
 
 
 def defect_degrees(source, target, components):
@@ -474,12 +510,9 @@ def mapping_cone(source, target, components):
     cert = None
     if sides and all(c is not None for c, _dh in sides):
         cert = Certificate(tuple(bound for c, dh in sides for bound in c.shifted(dh=dh).bounds))
-    cone = type(b)(cells, diffs, h_lo, h_hi, complete, cert, check=False)
-    windows = [w for w in (a.q_range, b.q_range) if w is not None]
-    if windows:
-        # the cone of the q-strand summands is the cone's q-strand summand
-        cone.q_range = (max(w[0] for w in windows), min(w[1] for w in windows))
-    return cone
+    # the cone of the q-strand summands is the cone's q-strand summand
+    return type(b)(cells, diffs, h_lo, h_hi, complete, cert, check=False,
+                   q_range=_meet(a.q_range, b.q_range))
 
 
 class TruncatedComplex(SparseComplex):
@@ -498,8 +531,8 @@ class TruncatedComplex(SparseComplex):
 
     def __init__(self, generators, differentials, h_min=None, h_max=None,
                  complete=True, certificate=None, check=True, q_range=None):
-        super().__init__(generators, differentials, h_min, h_max, complete, certificate)
-        self.q_range = None if q_range is None else tuple(q_range)
+        super().__init__(generators, differentials, h_min, h_max, complete, certificate,
+                         q_range)
         self._index = None
         self._reductions = {}
         if check:
@@ -539,38 +572,16 @@ class TruncatedComplex(SparseComplex):
             h, bad = defect
             raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")
 
-    def _require_window(self, what, j1=None, j2=None):
-        """Raise WindowError unless the quantum degrees j1..j2 (all of
-        them, by default) lie in the window the complex holds."""
-        if self.q_range is None or (j1 is not None and j1 > j2):
-            return
-        qmin, qmax = self.q_range
-        if j1 is None or not qmin <= j1 <= j2 <= qmax:
-            span = "every quantum degree" if j1 is None else f"q [{j1}, {j2}]"
-            raise WindowError(f"{what} needs {span}; this complex holds only "
-                              f"the q-window [{qmin}, {qmax}]")
-
-    def min_q_at(self, h):
-        if self.h_min <= h <= self.h_max:
-            self._require_window(f"min_q_at({h})")
-        return super().min_q_at(h)
-
-    def shifted(self, dh=0, dq=0):
-        out = super().shifted(dh, dq)
-        if self.q_range is not None:
-            out.q_range = (self.q_range[0] + dq, self.q_range[1] + dq)
-        return out
-
     def gen_count(self, h, j=None):
         gens = self.generators.get(h, ())
         if self.q_range is not None:
-            self._require_window("gen_count", *(() if j is None else (j, j)))
+            self.require_window("gen_count", *(() if j is None else (j, j)))
         if j is None:
             return len(gens)
         return sum(1 for g in gens if g[1] == j)
 
     def chain_poincare(self):
-        self._require_window("chain_poincare")
+        self.require_window("chain_poincare")
         out = {}
         for h, gens in self.generators.items():
             for _, j in gens:
@@ -610,7 +621,7 @@ class TruncatedComplex(SparseComplex):
     def _require_known(self, h, j):
         """Raise unless the chain group at (h, j) is fully stored or provably zero."""
         if self.q_range is not None:
-            self._require_window("a chain group", j, j)
+            self.require_window("a chain group", j, j)
         if h > self.h_max or h >= self.h_min:
             return
         if self.complete:
@@ -658,7 +669,7 @@ class TruncatedComplex(SparseComplex):
     def euler_series(self, q_range, from_homology=False, h_range=None):
         """Alternating sum over homological degrees, per quantum degree."""
         j1, j2 = q_range
-        self._require_window("euler_series", j1, j2)
+        self.require_window("euler_series", j1, j2)
         out = {}
         if from_homology:
             if h_range is None:
@@ -678,8 +689,8 @@ class TruncatedComplex(SparseComplex):
 
 def tensor(a, b):
     """Tensor product with the Koszul sign on the second differential."""
-    a._require_window("tensor")
-    b._require_window("tensor")
+    a.require_window("tensor")
+    b.require_window("tensor")
     if not (a.complete and b.complete):
         raise TruncationError("tensor of truncated complexes is not supported; tensor complete ones")
     gens = {}

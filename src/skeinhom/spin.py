@@ -18,7 +18,7 @@ from .barproj import bottom_projector
 from .errors import (AdmissibilityError, InexactDivision, InvalidBoundary, SpecError,
                      TruncationError)
 from .homalg import LaurentPoly, circle_poly
-from .planar import PlanarTangle, compose, cup_over_cap, identity_tangle, juxtapose
+from .planar import PlanarTangle, bend_down, compose, cup_over_cap, identity_tangle, juxtapose
 from .surface import SurfaceComplex, SurfaceSpec, SurfaceTangle, arc, validate_surface
 from .tqft import hom_double
 
@@ -592,25 +592,6 @@ _TRIANGLE = SurfaceSpec(
 )
 
 
-def _triangle_cap(a, b, c):
-    i = (a + b - c) // 2
-    j = (b + c - a) // 2
-    k = (c + a - b) // 2
-    total = a + b + c
-    partner = [None] * total
-
-    def pair(p, q):
-        partner[p], partner[q] = q, p
-
-    for t in range(i):
-        pair(a - 1 - t, a + t)
-    for t in range(j):
-        pair(a + b - 1 - t, a + b + t)
-    for t in range(k):
-        pair(total - 1 - t, t)
-    return PlanarTangle(total, 0, tuple(partner))
-
-
 def costandard_pairing_series(colors, order):
     """Euler series, exact through q^order, of the symmetrized self-pairing
     of the costandard object on the one-triangle disk with the given edge
@@ -620,7 +601,7 @@ def costandard_pairing_series(colors, order):
         raise AdmissibilityError(f"colors {colors} fail parity or triangle conditions")
     if max(colors) > 2:
         raise SpecError(f"categorified idempotent data stops at 2 strands, got {colors}")
-    base = _triangle_cap(a, b, c)
+    base = bend_down(_vertex_tangle(a, b, c))
     counts = ((a, b, c),)
     objects = []
     plugs = [projector_truncation(col, (order + 1) // 2) for col in colors]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .barproj import bar_complex, signed_shuffles, small_ring, word_degree, word_ends
-from .errors import InvalidBoundary, SpecError, TruncationError, WindowError
+from .errors import InvalidBoundary, SpecError, TruncationError
 from .homalg import ChainMap
 from .planar import ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
 from .planar import compose as stack
@@ -221,10 +221,11 @@ class SurfaceComplex:
     are built: the word tuples whose objects can reach a degree at most
     qmax, and of those only the generators in the window.  The differential
     preserves the quantum degree, so homology on the window and the
-    truncation certificate are those of the full build.  Everything that
-    needs the whole complex (elements, and so the differential; units,
-    compose, transfer, coarsen) refuses a windowed one with WindowError,
-    and so does its integer complex for quantum degrees off the window.
+    truncation certificate are those of the full build.  The integer
+    complex keeps the window as its q_range, and everything that needs the
+    whole complex (elements, and so the differential; units, compose,
+    transfer, coarsen) asks it, so that a windowed build refuses them with
+    WindowError, as it does quantum degrees off the window.
     """
 
     def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, check=True,
@@ -302,22 +303,15 @@ class SurfaceComplex:
 
         self._m_cache = {}
         self._entries = {}
-        self.q_range = None if q_range is None else tuple(q_range)
         self.multiwords, self.index, self.twisted = bar_complex(
             tuple(self.rings[n] for n in self.seam_names), depth, -self.q_base,
             self._middle, self._slot_entry, reduced, check,
-            None if q_range is None else (self.z_jux, self.q_range[1]))
-        self.truncated = self.twisted.hom_complex(self.z_jux, self.q_range, check=check)
+            None if q_range is None else (self.z_jux, q_range[1]))
+        self.truncated = self.twisted.hom_complex(self.z_jux, q_range, check=check)
         self._positions = {
             h: {lbl: idx for idx, (lbl, _q) in enumerate(gens)}
             for h, gens in self.truncated.generators.items()
         }
-
-    def _require_full(self, what):
-        if self.q_range is not None:
-            qmin, qmax = self.q_range
-            raise WindowError(f"{what} needs the full complex; this one is built only "
-                              f"for the q-window [{qmin}, {qmax}]")
 
     def slot_tangles(self, mw):
         return self._slot_tangles(word_ends(mw))
@@ -372,7 +366,7 @@ class SurfaceComplex:
         return self.truncated.homology(h_range, q_range)
 
     def basis_elements(self, h):
-        self._require_full("basis_elements")
+        self.truncated.require_window("basis_elements")
         out = []
         for (i, lab), _q in self.truncated.generators.get(h, ()):
             out.append(SurfaceElement(self, h, {(self.multiwords[h][i], lab): 1}))
@@ -401,7 +395,7 @@ class SurfaceElement:
     terms: dict
 
     def __post_init__(self):
-        self.owner._require_full("SurfaceElement")
+        self.owner.truncated.require_window("SurfaceElement")
 
     def _clean(self):
         return {k: v for k, v in sorted(self.terms.items()) if v}
@@ -445,7 +439,7 @@ class SurfaceElement:
 
 def identity_unit(cx):
     """The unit of an endomorphism complex: identity plugs, all-ones state."""
-    cx._require_full("identity_unit")
+    cx.truncated.require_window("identity_unit")
     if cx.top != cx.bottom:
         raise InvalidBoundary("units need equal top and bottom tangles")
     if not cx.arcs_are_identities():
@@ -559,7 +553,7 @@ def compose(f, g, target=None):
             raise InvalidBoundary("provide a target complex when arc inserts are present")
         target = SurfaceComplex(fc.spec, fc.top, gc.bottom, fc.depth + gc.depth,
                                 reduced=fc.reduced)
-    target._require_full("compose")
+    target.truncated.require_window("compose")
     if target.top != fc.top or target.bottom != gc.bottom:
         raise InvalidBoundary("target complex has the wrong boundary tangles")
     h_out = f.h + g.h
@@ -694,7 +688,7 @@ def coarsen(cx, seam, check=True):
     removed seam map to zero; length-zero words map by one saddle per plug
     chord, replayed from a plan compiled once per word's tangles and sites.
     """
-    cx._require_full("coarsen")
+    cx.truncated.require_window("coarsen")
     target, z_arc_map, m_arc_map = _coarsened(cx, seam, check)
     z_items = tuple(z_arc_map.items())
     g_idx = cx._seam_pos[seam]
@@ -866,7 +860,7 @@ def _middle_arc_map(cx, target, seg_pos, seam):
 
 def transfer(elem, cmap, target):
     """Push an element through a chain map onto the target surface complex."""
-    target._require_full("transfer")
+    target.truncated.require_window("transfer")
     owner = elem.owner
     if cmap.source is not owner.truncated or cmap.target is not target.truncated:
         raise InvalidBoundary("chain map does not connect these complexes")

@@ -96,3 +96,36 @@ def test_unused_import_scan_sees_aliases_and_all(tmp_path):
         "def f():\n"
         "    return os.sep, prod\n")
     assert unused_module_imports(module) == [("js", 3), ("chain", 4)]
+
+
+def raises_of(path, name):
+    """[line] of every raise of the exception class name in the module at path."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == name:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_window_errors_come_from_one_guard():
+    # a complex keeps its q-window in one place, SparseComplex.q_range, and
+    # refuses queries off it in one place, SparseComplex.require_window
+    sites = [f"{path.name}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for line in raises_of(path, "WindowError")]
+    assert len(sites) == 1 and sites[0].startswith("homalg.py:"), (
+        "WindowError raised at " + ", ".join(sites)
+        + "; refuse through SparseComplex.require_window instead")
+
+
+def test_raise_scan_sees_names_calls_and_attributes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise WindowError('a')\n"
+        "    if x > 1:\n"
+        "        raise errors.WindowError\n"
+        "    raise ValueError(WindowError)\n")
+    assert raises_of(module, "WindowError") == [3, 5]

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinhom import cli, surface
-from skeinhom.barproj import bar_ends, twisted_cone, word_ends
+from skeinhom.barproj import TwistedTangleComplex, bar_ends, twisted_cone, word_ends
 from skeinhom.errors import InvalidBoundary, TruncationError, WindowError
-from skeinhom.homalg import ChainMap, LaurentPoly, tensor
+from skeinhom.homalg import ChainMap, LaurentPoly, TruncatedComplex, mapping_cone, tensor
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, coarsen, compose, h0,
                               identity_unit, symmetrized_pairing, transfer)
 
@@ -65,7 +65,7 @@ def certified_span(cx):
 
 
 def assert_window_matches(full, cx):
-    qmin, qmax = cx.q_range
+    qmin, qmax = cx.truncated.q_range
     for i in range(full.truncated.h_min - 1, 2):
         for j in range(qmin, qmax + 1):
             assert cell(cx, i, j) == cell(full, i, j), (i, j)
@@ -266,10 +266,10 @@ class TestTwistedWindow:
     def test_k0_series_past_the_max_shift(self, builds):
         full, cx = builds
         T = full.twisted.objects[0][0][0]
-        assert (cx.twisted.max_shift, full.twisted.max_shift) == (-2, None)
+        assert (cx.twisted.q_range, full.twisted.q_range) == ((None, -2), None)
         assert full.twisted.k0_series(T, (-10, 0)) == LaurentPoly({-2: 1, 0: -1})
         assert cx.twisted.k0_series(T, (-10, -2)) == LaurentPoly({-2: 1})
-        with pytest.raises(WindowError, match="holds only those of shift at most -2"):
+        with pytest.raises(WindowError, match=r"q-window \(-inf, -2\]"):
             cx.twisted.k0_series(T, (-10, 0))
 
     def test_hom_complex_off_a_covered_window(self, builds):
@@ -279,7 +279,7 @@ class TestTwistedWindow:
         hom = full.twisted.hom_complex(full.z_jux)
         assert (hom.homology_at(0, 1), hom.homology_at(-1, 3)) == ((2, ()), (1, (2,)))
         for q_range in (None, (-4, 0), (0, 4)):
-            with pytest.raises(WindowError, match="holds only those of shift at most -2"):
+            with pytest.raises(WindowError, match=r"q-window \(-inf, -2\]"):
                 cx.twisted.hom_complex(cx.z_jux, q_range)
 
     def test_covered_window_equals_the_full_build(self, builds):
@@ -294,12 +294,129 @@ class TestTwistedWindow:
         _full, cx = builds
         tw = cx.twisted
         moved = tw.shifted(dh=1, dq=3)
-        assert (moved.max_shift, moved.floor_tangles) == (1, tw.floor_tangles)
-        with pytest.raises(WindowError, match="shift at most 1"):
+        assert (moved.q_range, moved.floor_tangles) == ((None, 1), tw.floor_tangles)
+        with pytest.raises(WindowError, match=r"q-window \(-inf, 1\]"):
             moved.hom_complex(cx.z_jux)
         ident = {h: {(j, j): identity_state(T) for j, (T, _s) in enumerate(obs)}
                  for h, obs in tw.objects.items()}
         cone = twisted_cone(tw, tw, ident)
-        assert (cone.max_shift, cone.floor_tangles) == (-2, tw.floor_tangles)
-        with pytest.raises(WindowError, match="shift at most -2"):
+        assert (cone.q_range, cone.floor_tangles) == ((None, -2), tw.floor_tangles)
+        with pytest.raises(WindowError, match=r"q-window \(-inf, -2\]"):
             cone.hom_complex(cx.z_jux)
+
+
+INF = float("inf")
+END = st.one_of(st.none(), st.integers(-8, 8))
+WINDOW = st.one_of(st.none(), st.tuples(END, END))
+
+
+def extended(lo, hi):
+    """(lo, hi) with None ends read as -inf and inf."""
+    return (-INF if lo is None else lo, INF if hi is None else hi)
+
+
+def holds(window, j1, j2):
+    """Whether a complex with q_range window holds every q from j1 to j2."""
+    a, b = extended(j1, j2)
+    lo, hi = extended(*(window or (None, None)))
+    return a > b or lo <= a and b <= hi
+
+
+def met(w1, w2):
+    """The intersection of two q-windows, each None for every degree."""
+    ends = [extended(*w) for w in (w1, w2) if w is not None]
+    if not ends:
+        return None
+    lo, hi = max(e[0] for e in ends), min(e[1] for e in ends)
+    return (None if lo == -INF else lo, None if hi == INF else hi)
+
+
+@functools.lru_cache(maxsize=None)
+def twisted_builds():
+    """The twisted complexes of the full and the (-4, -2)-windowed builds
+    of ANNULUS CUPCAP2 -> THROUGH2 at depth 2, and the windowed build."""
+    cx = windowed("ANNULUS CUPCAP2 THROUGH2", 2, (-4, -2))
+    return full_build("ANNULUS CUPCAP2 THROUGH2", 2).twisted, cx.twisted, cx
+
+
+def with_window(kind, window):
+    """A complex of the given kind holding the q-window window."""
+    if kind == "integer":
+        return TruncatedComplex(
+            {-1: (("a", 0), ("b", 2)), 0: (("c", 0), ("d", 2), ("e", 4))},
+            {-1: {(0, 0): 1, (1, 1): 2}}, q_range=window)
+    _full, tw, _cx = twisted_builds()
+    return TwistedTangleComplex(tw.objects, tw.differentials, tw.h_min, tw.h_max, tw.complete,
+                                tw.certificate, check=False, floor_tangles=tw.floor_tangles,
+                                q_range=window)
+
+
+def outcome(query, *args):
+    """What query(*args) answers, or the TruncationError it raises."""
+    try:
+        return query(*args)
+    except TruncationError as exc:
+        return "refused", str(exc)
+
+
+def refuses(cx, j1, j2):
+    try:
+        cx.require_window("probe", j1, j2)
+    except WindowError as exc:
+        lo, hi = cx.q_range
+        assert str(exc).startswith("probe needs ")
+        assert str(exc).endswith(f"q-window {'(-inf' if lo is None else f'[{lo}'}, "
+                                 f"{'inf)' if hi is None else f'{hi}]'}")
+        return True
+    return False
+
+
+class TestOneWindow:
+    """One q-window per complex, SparseComplex.q_range, with closed or open
+    ends, and one guard, SparseComplex.require_window."""
+
+    KINDS = st.sampled_from(("integer", "twisted"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(KINDS, WINDOW, END, END)
+    def test_guard_refuses_exactly_the_ranges_off_the_window(self, kind, window, j1, j2):
+        assert refuses(with_window(kind, window), j1, j2) == (not holds(window, j1, j2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(KINDS, WINDOW, st.integers(-2, 2), st.integers(-5, 5), END, END)
+    def test_shift_moves_both_ends(self, kind, window, dh, dq, j1, j2):
+        cx = with_window(kind, window)
+        moved = cx.shifted(dh=dh, dq=dq)
+        assert moved.q_range == (None if window is None else
+                                 tuple(None if e is None else e + dq for e in window))
+        up = [None if j is None else j + dq for j in (j1, j2)]
+        assert refuses(moved, *up) == refuses(cx, j1, j2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(KINDS, WINDOW, WINDOW)
+    def test_a_cone_holds_the_meet(self, kind, w1, w2):
+        a, b = with_window(kind, w1), with_window(kind, w2)
+        cone = (mapping_cone if kind == "integer" else twisted_cone)(a, b, {})
+        assert cone.q_range == met(w1, w2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-12, 4), st.integers(-12, 4))
+    def test_windowed_build_refuses_what_the_full_build_answers(self, j1, j2):
+        # the twisted complex holds every object of shift at most -2, and
+        # the hom floor from the closure is 0
+        full, tw, cx = twisted_builds()
+        assert tw.q_range == (None, -2) and tw._hom_floor(cx.z_jux) == 0
+        T = full.objects[0][0][0]
+        if j1 <= j2 and j2 > -2:
+            with pytest.raises(WindowError, match=r"k0_series needs q \[.*q-window \(-inf, -2\]"):
+                tw.k0_series(T, (j1, j2))
+        else:
+            assert outcome(tw.k0_series, T, (j1, j2)) == outcome(full.k0_series, T, (j1, j2))
+        if j1 <= j2:
+            if j2 > -2:
+                with pytest.raises(WindowError, match=r"hom_complex needs q \(-inf, "):
+                    tw.hom_complex(cx.z_jux, (j1, j2), check=False)
+            else:
+                assert tw.hom_complex(cx.z_jux, (j1, j2), check=False).q_range == (j1, j2)
+        with pytest.raises(WindowError, match="hom_complex needs every quantum degree"):
+            tw.hom_complex(cx.z_jux)
