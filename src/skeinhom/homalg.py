@@ -418,7 +418,10 @@ class SparseComplex:
     def require_series(self, j1, j2, what):
         """Raise TruncationError if the degrees below h_min, which are not
         stored, can reach a quantum degree at most j2: a series over the
-        quantum degrees j1..j2 would need them."""
+        quantum degrees j1..j2 would need them.  An empty query (j1 > j2)
+        needs none."""
+        if j1 > j2:
+            return
         bound = self.min_q_at(self.h_min - 1)
         if bound is not None and bound <= j2:
             raise TruncationError(f"{what} at q={max(j1, bound)} needs degrees below "

@@ -110,6 +110,11 @@ class PlanarTangle:
             and all(self.partner[i] == self.bottom + i for i in range(self.bottom))
         )
 
+    def through_degree(self):
+        """The number of chords joining a bottom point to a top point."""
+        m = self.bottom
+        return sum(1 for q in self.partner[:m] if q >= m)
+
     def with_circles(self, circles):
         return PlanarTangle(self.bottom, self.top, self.partner, circles)
 

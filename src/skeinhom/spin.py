@@ -453,23 +453,50 @@ def theta(a, b, c):
     """Evaluation of the theta graph with edges colored a, b, c, each edge
     carrying its Jones-Wenzl idempotent; zero when inadmissible.
 
+    The graph is symmetric in its three edges, so it is evaluated once per
+    sorted triple, with the largest color on the c edge."""
+    return _theta(*sorted((a, b, c)))
+
+
+def _identity_halves(terms, half, c):
+    """(half(d), coefficient) over the terms of an idempotent, keeping the
+    halves with all c strands of the c edge passing through: a composite
+    has through-degree at most that of each factor."""
+    out = []
+    for d, coeff in terms.items():
+        t = half(d)
+        if t.through_degree() == c:
+            out.append((t, coeff))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _theta(a, b, c):
+    """theta(a, b, c) for a <= b <= c.
+
     The c edge's idempotent kills every non-identity (c, c) diagram, which
     has a turnback at both ends, so X * JW_c = coeff_id(X) * JW_c and the
     graph is coeff_id(X) * loop(c) for the sandwich X of JW_a (x) JW_b
-    between the two vertices.  Only the identity coefficient is summed."""
+    between the two vertices.  The middle is (da (x) 1_b) o (1_a (x) db):
+    the upper vertex is composed with each da (x) 1_b and each 1_a (x) db
+    with the lower vertex once, halves that cannot reach the identity are
+    dropped, and each surviving pair costs one compose.  Only the identity
+    coefficient is summed."""
     if not admissible_triple(a, b, c):
         return RationalFunctionQ.zero()
     vertex = _vertex_tangle(a, b, c)
     mirror = vertex.reflect_y()
-    ident = identity_tangle(c)
-    terms_b = wenzl(b).terms.items()
+    id_a, id_b = identity_tangle(a), identity_tangle(b)
+    uppers = _identity_halves(wenzl(a).terms, lambda d: compose(vertex, juxtapose(d, id_b)), c)
+    lowers = _identity_halves(wenzl(b).terms, lambda d: compose(juxtapose(id_a, d), mirror), c)
+    ident = identity_tangle(c).partner
 
     def identity_terms():
-        for da, ca in wenzl(a).terms.items():
-            for db, cb in terms_b:
-                t = compose(vertex, compose(juxtapose(da, db), mirror))
-                if t.strip_circles() == ident:
-                    yield ca.num * cb.num * circle_poly(t.circles), ca.den * cb.den
+        for du, cu in uppers:
+            for dl, cl in lowers:
+                t = compose(du, dl)
+                if t.partner == ident:
+                    yield cu.num * cl.num * circle_poly(t.circles), cu.den * cl.den
 
     return _fraction_sum(identity_terms()) * loop(c)
 

@@ -237,6 +237,30 @@ def theta_by_sandwich(a, b, c):
     return tl_closure(tl_compose(TLElement(c, sandwich), wenzl_two_sided(c)))
 
 
+def theta_by_pairs(a, b, c):
+    """Theta graph as the identity coefficient of the sandwich, summed over
+    every ordered pair of terms of JW_a and JW_b with the colors in the
+    order given, no rotation and no cache; the route spin.theta took before
+    it composed each vertex with its half once."""
+    from skeinhom.homalg import circle_poly
+    from skeinhom.planar import compose, identity_tangle, juxtapose
+    from skeinhom.spin import (RationalFunctionQ, _fraction_sum, _vertex_tangle,
+                               admissible_triple, loop, wenzl)
+
+    if not admissible_triple(a, b, c):
+        return RationalFunctionQ.zero()
+    vertex = _vertex_tangle(a, b, c)
+    mirror = vertex.reflect_y()
+    ident = identity_tangle(c)
+    terms = []
+    for da, ca in wenzl(a).terms.items():
+        for db, cb in wenzl(b).terms.items():
+            t = compose(vertex, compose(juxtapose(da, db), mirror))
+            if t.strip_circles() == ident:
+                terms.append((ca.num * cb.num * circle_poly(t.circles), ca.den * cb.den))
+    return _fraction_sum(terms) * loop(c)
+
+
 def all_shuffles(r, s):
     """(r, s)-shuffles as interleaving patterns: tuples over {0, 1} with the
     sign given by inversion parity."""

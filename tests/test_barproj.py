@@ -152,6 +152,12 @@ class TestBottomProjector:
         with pytest.raises(TruncationError):
             P.k0_series(E, (0, 9))
 
+    def test_k0_series_over_an_empty_range_is_zero(self):
+        P = bottom_projector(2, depth=2)
+        assert P.k0_series(E, (9, 8)) == LaurentPoly.zero()
+        with pytest.raises(TruncationError, match="series at q=9 needs degrees below -2"):
+            P.k0_series(E, (9, 9))
+
     def test_four_strand_shifts_follow_word_degree(self):
         ring = SmallRing(2, 2)
         P = bottom_projector(4, depth=2)

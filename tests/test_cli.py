@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -204,14 +205,29 @@ class TestSpinCommands:
         assert payload["admissible"] is False
         assert payload["value"] == {"num": "0", "den": "1", "quantum_integer": None}
 
-    def test_theta_at_color_six_matches_formula(self, capsys):
-        code, out, _ = run_cli(capsys, "spin", "theta", "4", "4", "6", "--out", "json")
-        num, den = theta_formula(4, 4, 6)
+    @staticmethod
+    def assert_theta_matches_formula(capsys, a, b, c):
+        code, out, _ = run_cli(capsys, "spin", "theta", str(a), str(b), str(c), "--out", "json")
+        num, den = theta_formula(a, b, c)
         want = RationalFunctionQ(LaurentPoly(num), LaurentPoly(den))
         assert code == 0
         assert json.loads(out)["value"] == {
             "num": str(want.num), "den": str(want.den), "quantum_integer": None,
         }
+
+    def test_theta_at_color_six_matches_formula(self, capsys):
+        self.assert_theta_matches_formula(capsys, 4, 4, 6)
+
+    def test_theta_at_color_seven_matches_formula(self, capsys):
+        self.assert_theta_matches_formula(capsys, 7, 7, 6)
+
+    def test_theta_prints_one_line_for_every_ordering(self, capsys):
+        lines = set()
+        for colors in itertools.permutations(("2", "4", "6")):
+            code, out, _ = run_cli(capsys, "spin", "theta", *colors)
+            assert code == 0
+            lines.add(out)
+        assert len(lines) == 1
 
     @pytest.mark.parametrize("colors", [("-1", "1", "0"), ("2", "-2", "0"), ("0", "0", "-4")])
     def test_theta_negative_color_refused(self, capsys, colors):

@@ -380,6 +380,9 @@ class TestTruncatedComplex:
         assert cx.euler_series((0, 4)) == LaurentPoly({1: 1})
         with pytest.raises(TruncationError):
             cx.euler_series((0, 5))
+        assert cx.euler_series((6, 5)) == LaurentPoly.zero()
+        with pytest.raises(TruncationError, match="euler series at q=6 needs degrees below -1"):
+            cx.euler_series((6, 6))
 
     def test_truncated_without_certificate_refuses(self):
         cx = TruncatedComplex(

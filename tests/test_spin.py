@@ -20,7 +20,8 @@ from skeinhom.spin import _fraction_sum, _poly_div_exact, _poly_gcd
 from skeinhom.surface import SurfaceSpec, arc, seam_side
 
 from .optimized import error_under_optimize
-from .oracles import fraction_reduced, theta_by_sandwich, theta_formula, wenzl_two_sided
+from .oracles import (fraction_reduced, theta_by_pairs, theta_by_sandwich, theta_formula,
+                      wenzl_two_sided)
 
 RFQ = RationalFunctionQ
 
@@ -317,17 +318,23 @@ class TestTheta:
     def test_matches_sandwich_oracle(self, triple):
         assert theta(*triple) == theta_by_sandwich(*triple)
 
+    @pytest.mark.parametrize("triple", ADMISSIBLE_UP_TO_4)
+    def test_matches_pairs_oracle(self, triple):
+        assert theta(*triple) == theta_by_pairs(*triple)
+
     def test_matches_factorial_formula(self):
-        triples = list(itertools.product(range(6), repeat=3)) + [(3, 3, 6), (4, 4, 6), (2, 4, 6)]
+        triples = list(itertools.product(range(7), repeat=3)) + [(7, 7, 6), (6, 7, 7)]
         for a, b, c in triples:
             num, den = theta_formula(a, b, c)
             val = theta(a, b, c)
             assert val.num * LaurentPoly(den) == val.den * LaurentPoly(num), (a, b, c)
 
     def test_symmetric_in_colors(self):
+        # theta evaluates every ordering at one rotation, so the symmetry
+        # is checked on the oracle, which takes the colors as given
         for triple in [(1, 1, 2), (2, 2, 2), (1, 2, 3), (0, 2, 2)]:
-            vals = {theta(*p) for p in itertools.permutations(triple)}
-            assert len(vals) == 1, triple
+            vals = {theta_by_pairs(*p) for p in itertools.permutations(triple)}
+            assert vals == {theta(*triple)}, triple
 
     def test_inadmissible_vanishes(self):
         assert not theta(1, 1, 1)
