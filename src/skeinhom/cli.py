@@ -342,7 +342,7 @@ def _cmd_surface_h0(args):
 def _cmd_coarsen_check(args):
     cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
                     depth=args.depth).validated()
-    removable_seam(args._spec, args.seam)
+    removable_seam(args._spec, args.seam, (args._top, args._bottom))
     cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=cfg.depth)
     target, cmap = coarsen(cx, args.seam)
     h_range = (cfg.hmin, cfg.hmax)

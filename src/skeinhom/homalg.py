@@ -290,6 +290,37 @@ def unit_cancellation(entries):
     return units, residual
 
 
+class _BlockSummary:
+    """What homology reads of one (h, q) block of a differential, each part
+    computed at most once: the number of unit pivots unit_cancellation
+    removes, the block's rank and its torsion (invariant factors above 1).
+
+    The residual the pivots leave stays only until its invariant factors
+    are known, since they give the rank too.
+    """
+
+    __slots__ = ("units", "residual", "rank", "torsion")
+
+    def __init__(self, entries):
+        self.units, self.residual = unit_cancellation(entries)
+        self.rank = self.torsion = None
+
+    def smith(self):
+        """(rank, torsion) of the block, as homology at its target needs."""
+        if self.torsion is None:
+            invs = smith_invariants(self.residual)
+            self.rank = self.units + len(invs)
+            self.torsion = tuple(d for d in invs if d > 1)
+            self.residual = None
+        return self.rank, self.torsion
+
+    def full_rank(self):
+        """The block's rank, as homology at its source needs."""
+        if self.rank is None:
+            self.rank = self.units + matrix_rank(self.residual)
+        return self.rank
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A lower bound on the quantum degrees at degree -r of a complex
@@ -526,8 +557,8 @@ class TruncatedComplex(SparseComplex):
     degree h to degree h+1.
 
     Neither may be mutated after construction: homology queries index the
-    differential by (h, q) block on first use and keep each block's unit
-    cancellation, in place of the block, for later queries.  shifted, cone
+    differential by (h, q) block on first use and keep one _BlockSummary
+    per block, in place of the block, for later queries.  shifted, cone
     and tensor build new complexes; a cone labels its generators ("tgt",
     label) and ("src", label).
     """
@@ -537,7 +568,7 @@ class TruncatedComplex(SparseComplex):
         super().__init__(generators, differentials, h_min, h_max, complete, certificate,
                          q_range)
         self._index = None
-        self._reductions = {}
+        self._blocks = {}
         if check:
             self._validate()
 
@@ -594,8 +625,8 @@ class TruncatedComplex(SparseComplex):
     def _block_index(self):
         """(sizes, blocks): generators per (h, q), and the differential from
         h to h+1 in quantum degree q as {(row, col): coeff} in cell positions,
-        keyed on (h, q).  Built in one pass on first use; _reduced takes each
-        block out once it has reduced it."""
+        keyed on (h, q).  Built in one pass on first use; _block takes each
+        block out once it has summarised it."""
         if self._index is None:
             sizes, slots = {}, {}
             for h, gens in self.generators.items():
@@ -613,13 +644,12 @@ class TruncatedComplex(SparseComplex):
             self._index = sizes, blocks
         return self._index
 
-    def _reduced(self, h, j):
-        """unit_cancellation of the (h, j) block, computed once."""
-        red = self._reductions.get((h, j))
-        if red is None:
-            red = self._reductions[(h, j)] = unit_cancellation(
-                self._block_index()[1].pop((h, j), {}))
-        return red
+    def _block(self, h, j):
+        """The _BlockSummary of the (h, j) block, made once."""
+        block = self._blocks.get((h, j))
+        if block is None:
+            block = self._blocks[(h, j)] = _BlockSummary(self._block_index()[1].pop((h, j), {}))
+        return block
 
     def _require_known(self, h, j):
         """Raise unless the chain group at (h, j) is fully stored or provably zero."""
@@ -641,17 +671,13 @@ class TruncatedComplex(SparseComplex):
         self._require_known(i - 1, j)
         self._require_known(i, j)
         self._require_known(i + 1, j)
-        units_in, res_in = self._reduced(i - 1, j)
-        units_out, res_out = self._reduced(i, j)
-        invs = smith_invariants(res_in)
-        rank_in = units_in + len(invs)
-        rank_out = units_out + matrix_rank(res_out)
+        rank_in, torsion = self._block(i - 1, j).smith()
+        rank_out = self._block(i, j).full_rank()
         n_i = self._block_index()[0].get((i, j), 0)
         betti = n_i - rank_in - rank_out
         if betti < 0:
             raise ChainMapError(f"d^2 != 0 at (h={i}, q={j}): incoming rank {rank_in} "
                                 f"and outgoing rank {rank_out} exceed {n_i} generators")
-        torsion = tuple(d for d in invs if d > 1)
         return betti, torsion
 
     def homology(self, h_range, q_range, threads=None):

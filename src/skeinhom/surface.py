@@ -166,12 +166,34 @@ class SurfaceTangle:
 
     @classmethod
     def from_data(cls, data):
+        """The tangle of {"regions": [{"counts": [...], "chords": [[p, q], ...]}, ...]};
+        SpecError names the region and field of anything malformed."""
+        if not isinstance(data, dict):
+            raise SpecError(f"tangle must be an object, got {data!r}")
+        regions = data.get("regions", ())
+        if not isinstance(regions, (list, tuple)):
+            raise SpecError(f"tangle: regions must be a list, got {regions!r}")
         caps, counts = [], []
-        for ri, reg in enumerate(data.get("regions", ())):
-            cnt = tuple(int(c) for c in reg.get("counts", ()))
+        for ri, reg in enumerate(regions):
+            if not isinstance(reg, dict):
+                raise SpecError(f"region {ri} must be an object with counts and chords, "
+                                f"got {reg!r}")
+            cnt, chords = reg.get("counts", ()), reg.get("chords", ())
+            if not (isinstance(cnt, (list, tuple))
+                    and all(type(c) is int and c >= 0 for c in cnt)):
+                raise SpecError(f"region {ri}: counts must be a list of non-negative "
+                                f"integers, got {cnt!r}")
+            if not isinstance(chords, (list, tuple)):
+                raise SpecError(f"region {ri}: chords must be a list, got {chords!r}")
+            for ci, chord in enumerate(chords):
+                if not (isinstance(chord, (list, tuple)) and len(chord) == 2
+                        and all(type(p) is int for p in chord)):
+                    raise SpecError(f"region {ri}: chord {ci} must be a pair of integer "
+                                    f"points, got {chord!r}")
+            cnt = tuple(cnt)
             k = sum(cnt)
             partner = [None] * k
-            for p, q in reg.get("chords", ()):
+            for p, q in chords:
                 if not (0 <= p < k and 0 <= q < k) or p == q:
                     raise SpecError(f"region {ri}: chord ({p}, {q}) is out of range")
                 if partner[p] is not None or partner[q] is not None:
@@ -663,12 +685,15 @@ def _splice_caps(tangle, ri, si, rj, sj, order):
     return merged, tuple(new_counts), point_map, chord_carry
 
 
-def removable_seam(spec, seam):
+def removable_seam(spec, seam, tangles=()):
     """The (region, segment) of the minus and plus side of a seam that
-    coarsening can delete.
+    coarsening can delete, and the segments of the merged region in order,
+    as (region, segment) pairs.
 
-    Raises SpecError unless the seam exists and joins two regions; it needs
-    only the spec, so callers can refuse a seam before building anything.
+    Raises SpecError unless the seam exists and joins two regions, and
+    unless splicing each of tangles across it leaves every component on
+    the boundary; it needs only the spec and the tangles, so callers can
+    refuse a seam before building anything.
     """
     if seam not in spec.seams:
         raise SpecError(f"unknown seam {seam!r}")
@@ -677,7 +702,13 @@ def removable_seam(spec, seam):
         raise SpecError(
             f"seam {seam!r} has both sides on one region; removing it does not leave disks"
         )
-    return (ri, si), (rj, sj)
+    order = ([(ri, s) for s in range(si)]
+             + [(rj, s) for s in range(sj + 1, len(spec.regions[rj]))]
+             + [(rj, s) for s in range(sj)]
+             + [(ri, s) for s in range(si + 1, len(spec.regions[ri]))])
+    for tangle in tangles:
+        _splice_caps(tangle, ri, si, rj, sj, order)
+    return (ri, si), (rj, sj), order
 
 
 def coarsen(cx, seam, check=True):
@@ -735,11 +766,7 @@ def _coarsened(cx, seam, check):
     """The complex over the surface without seam, and the arc maps that
     carry closure chords and, per length-zero word, middle chords onto it."""
     spec = cx.spec
-    (ri, si), (rj, sj) = removable_seam(spec, seam)
-    order = ([(ri, s) for s in range(si)]
-             + [(rj, s) for s in range(sj + 1, len(spec.regions[rj]))]
-             + [(rj, s) for s in range(sj)]
-             + [(ri, s) for s in range(si + 1, len(spec.regions[ri]))])
+    (ri, si), (rj, sj), order = removable_seam(spec, seam)
     merged_segs = tuple(spec.regions[r][s] for r, s in order)
     new_regions = []
     region_pos = {}

@@ -472,6 +472,55 @@ class TestSurfaceCommands:
         assert not built
 
 
+    def test_coarsen_check_refuses_closed_component_before_build(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        """Coarsening g1 closes the two-strand caps into a circle off the
+        boundary; the spliced tangles alone show it, so nothing is built."""
+        def refuse_to_build(self, *a, **k):
+            raise AssertionError("SurfaceComplex built before the splice check")
+
+        monkeypatch.setattr(SurfaceComplex, "__init__", refuse_to_build)
+        caps = lambda chords: {"regions": [{"counts": [2, 0, 2, 0], "chords": chords}] * 2}
+        code, out, err = run_cli(
+            capsys,
+            "coarsen-check",
+            "--spec", write_json(tmp_path, "spec.json", ANNULUS2),
+            "--t", write_json(tmp_path, "t.json", caps([[0, 1], [2, 3]])),
+            "--s", write_json(tmp_path, "s.json", caps([[0, 3], [1, 2]])),
+            "--seam", "g1", "--depth", "4",
+        )
+        assert (code, out, err) == (
+            3, "", "SpecError: coarsening would close a tangle component off the boundary\n")
+
+    @pytest.mark.parametrize("tangle,message", [
+        ({"regions": [{"counts": [1, 0, 1, 0], "chords": [[0.0, 1]]}]},
+         "region 0: chord 0 must be a pair of integer points, got [0.0, 1]"),
+        ({"regions": [None]}, "region 0 must be an object with counts and chords, got None"),
+        ({"regions": [{"counts": [1, 0, 1, 0], "chords": [3]}]},
+         "region 0: chord 0 must be a pair of integer points, got 3"),
+        ({"regions": [{"counts": "x", "chords": [[0, 1]]}]},
+         "region 0: counts must be a list of non-negative integers, got 'x'"),
+        ({"regions": [{"counts": [1, 0, 1, 0], "chords": [[0, 1, 2]]}]},
+         "region 0: chord 0 must be a pair of integer points, got [0, 1, 2]"),
+        ({"regions": 7}, "tangle: regions must be a list, got 7"),
+        ({"regions": [{"counts": [1.5, 0, 1, 0], "chords": [[0, 1]]}]},
+         "region 0: counts must be a list of non-negative integers, got [1.5, 0, 1, 0]"),
+        ({"regions": [{"counts": [1, 0, 1, 0], "chords": {"a": 1}}]},
+         "region 0: chords must be a list, got {'a': 1}"),
+        ([CIRCLE], "tangle must be an object, got [{'regions'"),
+    ])
+    def test_malformed_tangle_is_a_spec_error(self, capsys, tmp_path, tangle, message):
+        code, out, err = run_cli(
+            capsys,
+            "surface", "hom",
+            "--spec", write_json(tmp_path, "spec.json", ANNULUS),
+            "--t", write_json(tmp_path, "t.json", CIRCLE),
+            "--s", write_json(tmp_path, "s.json", tangle),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("SpecError: " + message)
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         """The console script declared in pyproject.toml runs the real CLI.

@@ -487,7 +487,7 @@ class TestEngineAgainstDenseOracle:
             if not cx.differentials:
                 continue
             assert_matches_dense_oracle(cx, *full_window(cx))
-            assert cx._reductions and all(units == 0 for units, _ in cx._reductions.values())
+            assert cx._blocks and all(block.units == 0 for block in cx._blocks.values())
 
     def test_blocks_that_need_fill_in(self):
         rng = random.Random(79)
@@ -499,8 +499,12 @@ class TestEngineAgainstDenseOracle:
                  1: tuple((f"t{k}", q) for k in range(n))},
                 {0: entries})
             assert_matches_dense_oracle(cx, (-1, 2), (q - 1, q + 1))
-            units, residual = cx._reductions[(0, q)]
-            assert units == 1 and len(residual) == n - 1
+            # one unit pivot leaves n - 1 rows, each with its own column, so
+            # the residual has full row rank n - 1 and the block rank n
+            block = cx._blocks[(0, q)]
+            assert block.units == 1 and block.rank == n and block.residual is None
+            invs = smith_invariants(dense(entries, n, n + 1))
+            assert block.torsion == tuple(d for d in invs if d > 1)
 
 
 class TestBlockMemo:
@@ -528,8 +532,43 @@ class TestBlockMemo:
             window = full_window(cx)
             cx.homology(*window)
             _sizes, blocks = cx._index
-            assert cx._reductions and not blocks
+            assert cx._blocks and not blocks
+            assert all(block.residual is None
+                       for block in cx._blocks.values() if block.torsion is not None)
             assert_matches_dense_oracle(cx, *window)
+
+    def test_each_block_reaches_smith_and_rank_at_most_once(self, monkeypatch):
+        rng = random.Random(43)
+        for _ in range(12):
+            cx, _, _ = random_shuffled_complex(rng)
+            h_range, q_range = full_window(cx)
+            cells = [(i, j) for i in range(h_range[0], h_range[1] + 1)
+                     for j in range(q_range[0], q_range[1] + 1)]
+            want = {c: dense_homology_at(cx, *c) for c in cells}
+            calls = {}
+
+            def counted(name, fn):
+                def wrapper(rows):
+                    # a block's residual is its own list until its Smith form drops it
+                    key = next(k for k, b in cx._blocks.items() if b.residual is rows)
+                    calls[(name, key)] = calls.get((name, key), 0) + 1
+                    return fn(rows)
+                return wrapper
+
+            monkeypatch.setattr(homalg, "smith_invariants",
+                                counted("smith", homalg.smith_invariants))
+            monkeypatch.setattr(homalg, "matrix_rank", counted("rank", homalg.matrix_rank))
+            queries = [(h_range, q_range)] + cells + [(h_range, q_range)]
+            rng.shuffle(queries)
+            for query in queries:
+                if isinstance(query[0], tuple):
+                    hom = cx.homology(*query)
+                    got = {c: (hom.betti.get(c, 0), hom.torsion.get(c, ())) for c in cells}
+                    assert got == want
+                else:
+                    assert cx.homology_at(*query) == want[query]
+            monkeypatch.undo()
+            assert calls and max(calls.values()) == 1
 
     def test_refusals_fire_on_a_warmed_complex(self):
         cx = TruncatedComplex(

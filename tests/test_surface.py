@@ -11,7 +11,7 @@ from skeinhom.errors import InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex
 from skeinhom.planar import PlanarTangle
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, SurfaceTangle,
-                              arc, coarsen, compose, h0, identity_unit, seam_side,
+                              arc, coarsen, compose, h0, identity_unit, removable_seam, seam_side,
                               symmetrized_pairing, transfer, validate_surface)
 
 from .oracles import (coarsen_by_surgery, dense_homology_at, hom_complex_by_pair,
@@ -495,6 +495,8 @@ class TestCoarsen:
         cx = SurfaceComplex(spec, loop, loop, depth=1)
         with pytest.raises(SpecError, match=r"close"):
             coarsen(cx, "g2")
+        with pytest.raises(SpecError, match=r"close"):
+            removable_seam(spec, "g2", (loop,))
 
 
 def seeded_element(rng, cx, h):
