@@ -291,9 +291,10 @@ def unit_cancellation(entries):
 
 
 class _BlockSummary:
-    """What homology reads of one (h, q) block of a differential, each part
-    computed at most once: the number of unit pivots unit_cancellation
-    removes, the block's rank and its torsion (invariant factors above 1).
+    """What homology reads of one (h, q) block of a differential: the number
+    of unit pivots unit_cancellation removes, made with the summary, then
+    the block's rank and its torsion (invariant factors above 1), each
+    computed at most once, when first asked for.
 
     The residual the pivots leave stays only until its invariant factors
     are known, since they give the rank too.
@@ -319,6 +320,11 @@ class _BlockSummary:
         if self.rank is None:
             self.rank = self.units + matrix_rank(self.residual)
         return self.rank
+
+
+# The summary of a block without entries: rank 0, no torsion, already known.
+_ZERO_BLOCK = _BlockSummary({})
+_ZERO_BLOCK.rank, _ZERO_BLOCK.torsion, _ZERO_BLOCK.residual = 0, (), None
 
 
 @dataclass(frozen=True)
@@ -556,9 +562,9 @@ class TruncatedComplex(SparseComplex):
     differentials: {h: {(target_index, source_index): coeff}} for the map from
     degree h to degree h+1.
 
-    Neither may be mutated after construction: homology queries index the
-    differential by (h, q) block on first use and keep one _BlockSummary
-    per block, in place of the block, for later queries.  shifted, cone
+    Neither may be mutated after construction: the first homology query
+    indexes the differential by (h, q) block and keeps one _BlockSummary
+    per block, in place of the block, for every later query.  shifted, cone
     and tensor build new complexes; a cone labels its generators ("tgt",
     label) and ("src", label).
     """
@@ -568,7 +574,6 @@ class TruncatedComplex(SparseComplex):
         super().__init__(generators, differentials, h_min, h_max, complete, certificate,
                          q_range)
         self._index = None
-        self._blocks = {}
         if check:
             self._validate()
 
@@ -623,10 +628,12 @@ class TruncatedComplex(SparseComplex):
         return out
 
     def _block_index(self):
-        """(sizes, blocks): generators per (h, q), and the differential from
-        h to h+1 in quantum degree q as {(row, col): coeff} in cell positions,
-        keyed on (h, q).  Built in one pass on first use; _block takes each
-        block out once it has summarised it."""
+        """(sizes, blocks): generators per (h, q), and the _BlockSummary of
+        each nonzero block of the differential from h to h+1 in quantum
+        degree q, keyed on (h, q).  Built in one pass on first use, unit
+        cancellation of every block included, so the first query on a
+        complex pays for all of it and what a later query costs does not
+        depend on the queries before it."""
         if self._index is None:
             sizes, slots = {}, {}
             for h, gens in self.generators.items():
@@ -641,15 +648,13 @@ class TruncatedComplex(SparseComplex):
                 for (i, j), c in d.items():
                     if 0 <= i < len(tgt) and 0 <= j < len(src) and src[j][0] == tgt[i][0]:
                         blocks.setdefault((h, src[j][0]), {})[(tgt[i][1], src[j][1])] = c
-            self._index = sizes, blocks
+            self._index = sizes, {key: _BlockSummary(entries) for key, entries in blocks.items()}
         return self._index
 
     def _block(self, h, j):
-        """The _BlockSummary of the (h, j) block, made once."""
-        block = self._blocks.get((h, j))
-        if block is None:
-            block = self._blocks[(h, j)] = _BlockSummary(self._block_index()[1].pop((h, j), {}))
-        return block
+        """The _BlockSummary of the (h, j) block; one shared zero summary
+        where the differential has no entry."""
+        return self._block_index()[1].get((h, j), _ZERO_BLOCK)
 
     def _require_known(self, h, j):
         """Raise unless the chain group at (h, j) is fully stored or provably zero."""

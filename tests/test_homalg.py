@@ -487,7 +487,8 @@ class TestEngineAgainstDenseOracle:
             if not cx.differentials:
                 continue
             assert_matches_dense_oracle(cx, *full_window(cx))
-            assert cx._blocks and all(block.units == 0 for block in cx._blocks.values())
+            blocks = cx._index[1]
+            assert blocks and all(block.units == 0 for block in blocks.values())
 
     def test_blocks_that_need_fill_in(self):
         rng = random.Random(79)
@@ -501,7 +502,7 @@ class TestEngineAgainstDenseOracle:
             assert_matches_dense_oracle(cx, (-1, 2), (q - 1, q + 1))
             # one unit pivot leaves n - 1 rows, each with its own column, so
             # the residual has full row rank n - 1 and the block rank n
-            block = cx._blocks[(0, q)]
+            block = cx._index[1][(0, q)]
             assert block.units == 1 and block.rank == n and block.residual is None
             invs = smith_invariants(dense(entries, n, n + 1))
             assert block.torsion == tuple(d for d in invs if d > 1)
@@ -531,11 +532,38 @@ class TestBlockMemo:
             cx, _, _ = random_shuffled_complex(rng)
             window = full_window(cx)
             cx.homology(*window)
+            # the index keeps each block's summary, not its entries
             _sizes, blocks = cx._index
-            assert cx._blocks and not blocks
+            assert blocks and all(isinstance(b, homalg._BlockSummary) for b in blocks.values())
             assert all(block.residual is None
-                       for block in cx._blocks.values() if block.torsion is not None)
+                       for block in blocks.values() if block.torsion is not None)
             assert_matches_dense_oracle(cx, *window)
+
+    def test_first_query_summarises_every_block(self, monkeypatch):
+        rng = random.Random(44)
+        for _ in range(12):
+            cx, _, _ = random_shuffled_complex(rng)
+            nonzero = {(h, cx.generators[h][j][1])
+                       for h, d in cx.differentials.items() for (_i, j), c in d.items() if c}
+            (h_lo, h_hi), (q_lo, q_hi) = full_window(cx)
+            cx.homology_at(h_lo, q_lo)
+            assert set(cx._index[1]) == nonzero
+            # later queries cancel nothing, and blocks without entries reach
+            # neither Smith form nor rank
+            calls = []
+            for name in ("unit_cancellation", "smith_invariants", "matrix_rank"):
+                fn = getattr(homalg, name)
+                monkeypatch.setattr(homalg, name,
+                                    lambda rows, fn=fn, name=name: calls.append(name) or fn(rows))
+            cx.homology((h_lo, h_hi), (q_lo, q_hi))
+            monkeypatch.undo()
+            assert "unit_cancellation" not in calls
+            assert len(calls) <= 2 * len(nonzero)
+            absent = [(h, q) for h in range(h_lo, h_hi + 1) for q in range(q_lo, q_hi + 1)
+                      if (h, q) not in nonzero]
+            assert all(cx._block(h, q) is homalg._ZERO_BLOCK for h, q in absent)
+            assert homalg._ZERO_BLOCK.smith() == (0, ()) and homalg._ZERO_BLOCK.full_rank() == 0
+            assert_matches_dense_oracle(cx, (h_lo, h_hi), (q_lo, q_hi))
 
     def test_each_block_reaches_smith_and_rank_at_most_once(self, monkeypatch):
         rng = random.Random(43)
@@ -550,7 +578,7 @@ class TestBlockMemo:
             def counted(name, fn):
                 def wrapper(rows):
                     # a block's residual is its own list until its Smith form drops it
-                    key = next(k for k, b in cx._blocks.items() if b.residual is rows)
+                    key = next(k for k, b in cx._index[1].items() if b.residual is rows)
                     calls[(name, key)] = calls.get((name, key), 0) + 1
                     return fn(rows)
                 return wrapper
