@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from .errors import ChainMapError, GradingError, InvalidBoundary
 from .homalg import (Certificate, LaurentPoly, SparseComplex, TruncatedComplex, map_defect,
                      mapping_cone)
-from .planar import PlanarTangle, bend_down, bend_up, compose, enumerate_matchings, identity_tangle
+from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle
 from .tqft import (ONE, X, StateVector, _check_on, _composition_plan, _replayed, _SurgeryPlan,
                    hom_double, identity_state, kh_basis, pair, reflected_x, transposed, whisker)
 
@@ -251,17 +251,9 @@ def word_degree(ring, word):
 @lru_cache(maxsize=None)
 def fold_tangle(a0, ar):
     """The (N, N) through-degree-zero tangle with a0 folded down and ar up."""
-    caps = bend_down(a0.reflect_x())
-    cups = bend_up(ar)
-    N = caps.bottom
-    if cups.top != N:
+    if a0.points != ar.points:
         raise InvalidBoundary("folded tangles need matching strand counts")
-    partner = [0] * (2 * N)
-    for p, q in caps.chords:
-        partner[p], partner[q] = q, p
-    for p, q in cups.chords:
-        partner[N + p], partner[N + q] = N + q, N + p
-    return PlanarTangle(N, N, tuple(partner))
+    return compose(bend_up(ar), bend_down(a0.reflect_x()))
 
 
 def _cap_chord_index(a0, p, q):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .barproj import SmallRing, bottom_projector
 from .errors import (AdmissibilityError, InvalidBoundary, SkeinError, SpecError,
-                     TruncationError)
+                     TruncationError, expect)
 from .homalg import LaurentPoly
 from .planar import PlanarTangle, enumerate_matchings
 from .spin import (SpinNetwork, admissible_triple, as_quantum_integer,
@@ -83,12 +83,13 @@ def _load_json(source, what):
 def _parse_tangle(data, what):
     """A bare array is a cap matching; an object gives the full tangle."""
     if isinstance(data, list):
-        return PlanarTangle(len(data), 0, tuple(int(p) for p in data))
+        return PlanarTangle(len(data), 0, tuple(expect(data, "a list of integers", what)))
     if isinstance(data, dict):
-        partner = tuple(int(p) for p in data.get("partner", ()))
-        top = int(data.get("top", 0))
-        bottom = int(data.get("bottom", len(partner) - top))
-        circles = int(data.get("circles", 0))
+        partner = tuple(expect(data.get("partner", ()), "a list of integers", f"{what}: partner"))
+        top = expect(data.get("top", 0), "a non-negative integer", f"{what}: top")
+        bottom = expect(data.get("bottom", len(partner) - top), "a non-negative integer",
+                        f"{what}: bottom")
+        circles = expect(data.get("circles", 0), "a non-negative integer", f"{what}: circles")
         return PlanarTangle(bottom, top, partner, circles)
     raise SpecError(f"{what}: tangle must be a partner array or an object")
 

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the shape checker for input data.
 
 Everything raised on purpose by this package derives from SkeinError, so
 callers (and the CLI) can tell deliberate rejections apart from bugs.
@@ -47,3 +47,36 @@ class InexactDivision(SkeinError):
 
 class InvariantFactorError(SkeinError):
     """A Smith normal form came out with factors that do not divide in order."""
+
+
+def _is_list(v):
+    return isinstance(v, (list, tuple))
+
+
+def _is_int(v):
+    return type(v) is int  # not bool, not float
+
+
+# the JSON shapes input data is checked against, by the name a message uses
+_SHAPES = {
+    "an object": lambda v: isinstance(v, dict),
+    "an object with counts and chords": lambda v: isinstance(v, dict),
+    "a name or an object with an id": lambda v: isinstance(v, (str, dict)),
+    "a list": _is_list,
+    "a string": lambda v: isinstance(v, str),
+    "a non-negative integer": lambda v: _is_int(v) and v >= 0,
+    "+1 or -1": lambda v: _is_int(v) and v in (1, -1),
+    "a list of integers": lambda v: _is_list(v) and all(map(_is_int, v)),
+    "a list of non-negative integers":
+        lambda v: _is_list(v) and all(_is_int(c) and c >= 0 for c in v),
+    "a pair of integer points": lambda v: _is_list(v) and len(v) == 2 and all(map(_is_int, v)),
+}
+
+
+def expect(value, shape, where):
+    """value itself if it has the named JSON shape, else a SpecError
+    "<where> must be <shape>, got <value>", where naming its place in the
+    input (for example "region 0: chord 1")."""
+    if not _SHAPES[shape](value):
+        raise SpecError(f"{where} must be {shape}, got {value!r}")
+    return value

@@ -126,11 +126,7 @@ class PlanarTangle:
         mirror = self.__dict__.get("_mirror_x")
         if mirror is None:
             m, n = self.bottom, self.top
-            ref = lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m))
-            partner = [0] * (m + n)
-            for p, q in enumerate(self.partner):
-                partner[ref(p)] = ref(q)
-            mirror = PlanarTangle._trusted(m, n, tuple(partner), self.circles)
+            mirror = _moved(self, m, n, lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m)))
             object.__setattr__(self, "_mirror_x", mirror)
             object.__setattr__(mirror, "_mirror_x", self)
         return mirror
@@ -138,11 +134,18 @@ class PlanarTangle:
     def reflect_y(self):
         """Top-bottom mirror; swaps the roles of the two edges."""
         m, n = self.bottom, self.top
-        ref = lambda p: (n + p) if p < m else p - m
-        partner = [0] * (m + n)
-        for p, q in enumerate(self.partner):
-            partner[ref(p)] = ref(q)
-        return PlanarTangle._trusted(n, m, tuple(partner), self.circles)
+        return _moved(self, n, m, lambda p: (n + p) if p < m else p - m)
+
+
+def _moved(t, bottom, top, image):
+    """t carried onto a (bottom, top)-tangle by a homeomorphism of the
+    boundary circle taking point p to image(p).  The image of a checked
+    tangle is a noncrossing fixed-point-free involution, so it is built
+    through _trusted and interned."""
+    partner = [0] * len(t.partner)
+    for p, q in enumerate(t.partner):
+        partner[image(p)] = image(q)
+    return PlanarTangle._trusted(bottom, top, tuple(partner), t.circles)
 
 
 def identity_tangle(n):
@@ -165,75 +168,47 @@ def rotate_cap(t):
     if t.top != 0:
         raise InvalidBoundary("rotation is defined for cap tangles only")
     k = t.bottom
-    partner = [0] * k
-    for p, q in enumerate(t.partner):
-        partner[(p + 1) % k] = (q + 1) % k
-    return PlanarTangle(k, 0, tuple(partner), t.circles)
+    return _moved(t, k, 0, lambda p: (p + 1) % k)
 
 
 def compose(upper, lower):
     """Stack upper onto lower, gluing lower's top edge to upper's bottom edge.
 
     Closed components created at the interface are added to the carried
-    circle count.
+    circle count.  The walk runs over one integer index for the points of
+    both tangles: lower's point p is p, upper's point p is kb + mid + p, so
+    that lower's top point q is glued to upper's bottom point q + mid.
     """
     if lower.top != upper.bottom:
         raise InvalidBoundary(
             f"cannot glue a {lower.top}-point top edge to a {upper.bottom}-point bottom edge"
         )
-    mid = lower.top
-    kb, nt = lower.bottom, upper.top
-
-    # encodings while walking: ("L", p) a point of lower, ("U", p) of upper
-    def step(enc):
-        side, p = enc
-        if side == "L":
-            q = lower.partner[p]
-            return ("U", q - kb) if q >= kb else ("L", q)
-        q = upper.partner[p]
-        return ("L", kb + q) if q < mid else ("U", q)
-
-    def result_index(enc):
-        side, p = enc
-        if side == "L" and p < kb:
-            return p
-        if side == "U" and p >= mid:
-            return kb + (p - mid)
-        return None
-
-    def twin(enc):
-        side, p = enc
-        return ("U", p - kb) if side == "L" else ("L", kb + p)
-
-    partner = [None] * (kb + nt)
-    touched = set()
-    starts = [("L", p) for p in range(kb)] + [("U", p) for p in range(mid, mid + nt)]
-    for start in starts:
-        if partner[result_index(start)] is not None:
+    kb, mid, nt = lower.bottom, lower.top, upper.top
+    top = kb + 2 * mid  # upper's top point i is top + i
+    chord = [*lower.partner, *[kb + mid + q for q in upper.partner]]
+    seen = bytearray(top)  # interface points walked
+    partner = [-1] * (kb + nt)
+    for i in range(kb + nt):
+        if partner[i] >= 0:
             continue
-        cur = step(start)
-        while result_index(cur) is None:
-            touched.add(cur)
-            touched.add(twin(cur))
-            cur = step(cur)
-        a, b = result_index(start), result_index(cur)
-        assert a != b
-        partner[a], partner[b] = b, a
+        q = chord[i if i < kb else i + 2 * mid]
+        while kb <= q < top:
+            seen[q] = 1
+            q = q + mid if q < kb + mid else q - mid
+            seen[q] = 1
+            q = chord[q]
+        j = q if q < kb else q - 2 * mid
+        partner[i], partner[j] = j, i
 
-    new_circles = 0
-    for i in range(mid):
-        enc = ("L", kb + i)
-        if enc in touched:
-            continue
-        cur = enc
-        while cur not in touched:
-            touched.add(cur)
-            touched.add(twin(cur))
-            cur = step(cur)
-        new_circles += 1
-
-    return PlanarTangle._trusted(kb, nt, tuple(partner),
-                                 lower.circles + upper.circles + new_circles)
+    circles = lower.circles + upper.circles
+    for q in range(kb, kb + mid):
+        if not seen[q]:
+            circles += 1
+            while not seen[q]:
+                r = chord[q + mid] - mid
+                seen[q] = seen[r] = 1
+                q = chord[r]
+    return PlanarTangle._trusted(kb, nt, tuple(partner), circles)
 
 
 def juxtapose(*tangles):
@@ -258,22 +233,14 @@ def bend_down(t):
     """Flatten an (m, n)-tangle to an (m+n, 0)-cap tangle by sweeping the top
     edge clockwise down to the right of the bottom edge."""
     m, n = t.bottom, t.top
-    rho = lambda p: p if p < m else m + (m + n - 1 - p)
-    partner = [0] * (m + n)
-    for p, q in enumerate(t.partner):
-        partner[rho(p)] = rho(q)
-    return PlanarTangle(m + n, 0, tuple(partner), t.circles)
+    return _moved(t, m + n, 0, lambda p: p if p < m else m + (m + n - 1 - p))
 
 
 def bend_up(t):
     """Flatten an (m, n)-tangle to a (0, m+n)-cup tangle, sweeping the bottom
     edge counterclockwise up to the left of the top edge."""
     m, n = t.bottom, t.top
-    sig = lambda p: (m - 1 - p) if p < m else p
-    partner = [0] * (m + n)
-    for p, q in enumerate(t.partner):
-        partner[sig(p)] = sig(q)
-    return PlanarTangle(0, m + n, tuple(partner), t.circles)
+    return _moved(t, 0, m + n, lambda p: (m - 1 - p) if p < m else p)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,8 @@ from .barproj import bottom_projector
 from .errors import (AdmissibilityError, InexactDivision, InvalidBoundary, SpecError,
                      TruncationError)
 from .homalg import LaurentPoly, circle_poly
-from .planar import PlanarTangle, bend_down, compose, cup_over_cap, identity_tangle, juxtapose
+from .planar import (PlanarTangle, bend_down, bend_up, compose, cup_over_cap, identity_tangle,
+                     juxtapose)
 from .surface import SurfaceComplex, SurfaceSpec, SurfaceTangle, arc, validate_surface
 from .tqft import hom_double
 
@@ -362,30 +363,12 @@ def tl_tensor(x, y):
     return TLElement(x.strands + y.strands, out)
 
 
-def _trace_circles(d):
-    """Circles formed when an (n, n)-tangle is closed around an annulus."""
-    n = d.bottom
-    seen = set()
-    count = 0
-    for start in range(2 * n):
-        if start in seen:
-            continue
-        count += 1
-        p = start
-        while True:
-            seen.add(p)
-            q = d.partner[p]
-            seen.add(q)
-            p = q + n if q < n else q - n
-            if p == start:
-                break
-    return count + d.circles
-
-
 def tl_closure(x):
     """Annular trace: every strand is closed off and each circle gives [2]."""
+    around = bend_up(identity_tangle(x.strands))
     return _fraction_sum(
-        (c.num * circle_poly(_trace_circles(d)), c.den) for d, c in x.terms.items()
+        (c.num * circle_poly(compose(bend_down(d), around).circles), c.den)
+        for d, c in x.terms.items()
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .barproj import bar_complex, signed_shuffles, small_ring, word_degree, word_ends
-from .errors import InvalidBoundary, SpecError, TruncationError
+from .errors import InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import ChainMap
 from .planar import ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
 from .planar import compose as stack
@@ -65,28 +65,37 @@ class SurfaceSpec:
 
     @classmethod
     def from_data(cls, data):
+        """The spec of {"arcs": [...], "seams": [...], "regions": [[segment, ...], ...]};
+        SpecError names the JSON path of anything malformed."""
+        expect(data, "an object", "spec")
         arcs = []
-        for a in data.get("arcs", ()):
-            if isinstance(a, str):
+        for ai, a in enumerate(expect(data.get("arcs", ()), "a list", "spec: arcs")):
+            if isinstance(expect(a, "a name or an object with an id", f"arc {ai}"), str):
                 arcs.append((a, 1))
             else:
-                arcs.append((a["id"], int(a.get("sign", 1))))
+                arcs.append((expect(a.get("id"), "a string", f"arc {ai}: id"),
+                             expect(a.get("sign", 1), "+1 or -1", f"arc {ai}: sign")))
+        seams = expect(data.get("seams", ()), "a list", "spec: seams")
+        for gi, name in enumerate(seams):
+            expect(name, "a string", f"seam {gi}")
         regions = []
-        for ri, region in enumerate(data.get("regions", ())):
+        for ri, region in enumerate(expect(data.get("regions", ()), "a list", "spec: regions")):
             segs = []
-            for si, seg in enumerate(region):
+            for si, seg in enumerate(expect(region, "a list", f"region {ri}")):
                 loc = f"region {ri}, segment {si}"
+                expect(seg, "an object", loc)
                 if "arc" in seg:
-                    segs.append(Segment("arc", seg["arc"]))
+                    segs.append(Segment("arc", expect(seg["arc"], "a string", f"{loc}: arc")))
                 elif "seam" in seg:
+                    name = expect(seg["seam"], "a string", f"{loc}: seam")
                     side = seg.get("side")
                     if side not in ("+", "-", 1, -1):
                         raise SpecError(f"{loc}: seam side must be '+' or '-'")
-                    segs.append(Segment("seam", seg["seam"], 1 if side in ("+", 1) else -1))
+                    segs.append(Segment("seam", name, 1 if side in ("+", 1) else -1))
                 else:
                     raise SpecError(f"{loc}: segment needs an 'arc' or 'seam' key")
             regions.append(tuple(segs))
-        return validate_surface(cls(tuple(arcs), tuple(data.get("seams", ())), tuple(regions)))
+        return validate_surface(cls(tuple(arcs), tuple(seams), tuple(regions)))
 
     def seam_sides(self, name):
         """(region, segment) of the minus and plus side of a seam."""
@@ -168,28 +177,15 @@ class SurfaceTangle:
     def from_data(cls, data):
         """The tangle of {"regions": [{"counts": [...], "chords": [[p, q], ...]}, ...]};
         SpecError names the region and field of anything malformed."""
-        if not isinstance(data, dict):
-            raise SpecError(f"tangle must be an object, got {data!r}")
-        regions = data.get("regions", ())
-        if not isinstance(regions, (list, tuple)):
-            raise SpecError(f"tangle: regions must be a list, got {regions!r}")
+        expect(data, "an object", "tangle")
         caps, counts = [], []
-        for ri, reg in enumerate(regions):
-            if not isinstance(reg, dict):
-                raise SpecError(f"region {ri} must be an object with counts and chords, "
-                                f"got {reg!r}")
-            cnt, chords = reg.get("counts", ()), reg.get("chords", ())
-            if not (isinstance(cnt, (list, tuple))
-                    and all(type(c) is int and c >= 0 for c in cnt)):
-                raise SpecError(f"region {ri}: counts must be a list of non-negative "
-                                f"integers, got {cnt!r}")
-            if not isinstance(chords, (list, tuple)):
-                raise SpecError(f"region {ri}: chords must be a list, got {chords!r}")
+        for ri, reg in enumerate(expect(data.get("regions", ()), "a list", "tangle: regions")):
+            expect(reg, "an object with counts and chords", f"region {ri}")
+            cnt = expect(reg.get("counts", ()), "a list of non-negative integers",
+                         f"region {ri}: counts")
+            chords = expect(reg.get("chords", ()), "a list", f"region {ri}: chords")
             for ci, chord in enumerate(chords):
-                if not (isinstance(chord, (list, tuple)) and len(chord) == 2
-                        and all(type(p) is int for p in chord)):
-                    raise SpecError(f"region {ri}: chord {ci} must be a pair of integer "
-                                    f"points, got {chord!r}")
+                expect(chord, "a pair of integer points", f"region {ri}: chord {ci}")
             cnt = tuple(cnt)
             k = sum(cnt)
             partner = [None] * k
@@ -303,17 +299,8 @@ class SurfaceComplex:
             (ri, si), _ = spec.seam_sides(name)
             self.rings[name] = small_ring(bottom.counts[ri][si], top.counts[ri][si])
 
-        closures = []
-        for ri in range(len(spec.regions)):
-            sc, tc = bottom.caps[ri], top.caps[ri]
-            partner = [0] * (sc.bottom + tc.bottom)
-            for p, q in sc.chords:
-                partner[p], partner[q] = q, p
-            for p, q in tc.chords:
-                partner[sc.bottom + p], partner[sc.bottom + q] = sc.bottom + q, sc.bottom + p
-            closures.append(PlanarTangle(sc.bottom, tc.bottom, tuple(partner)))
-        self.z_regions = tuple(closures)
-        self.z_jux = juxtapose(*closures)
+        self.z_regions = tuple(stack(tc.reflect_y(), sc) for sc, tc in zip(bottom.caps, top.caps))
+        self.z_jux = juxtapose(*self.z_regions)
 
         boundary_points = self.z_jux.bottom + self.z_jux.top
         if boundary_points % 4:

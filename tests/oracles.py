@@ -105,6 +105,91 @@ def count_circles_union_find(layers):
     return uf.component_count(pts) + loops
 
 
+def compose_by_encoded_walk(upper, lower):
+    """planar.compose as it was first written: each point is encoded as
+    ("L"|"U", p), a point of lower or of upper, and the walk steps through
+    closures over those encodings, collecting visited points in a set."""
+    from skeinhom.errors import InvalidBoundary
+    from skeinhom.planar import PlanarTangle
+
+    if lower.top != upper.bottom:
+        raise InvalidBoundary(
+            f"cannot glue a {lower.top}-point top edge to a {upper.bottom}-point bottom edge"
+        )
+    mid = lower.top
+    kb, nt = lower.bottom, upper.top
+
+    def step(enc):
+        side, p = enc
+        if side == "L":
+            q = lower.partner[p]
+            return ("U", q - kb) if q >= kb else ("L", q)
+        q = upper.partner[p]
+        return ("L", kb + q) if q < mid else ("U", q)
+
+    def result_index(enc):
+        side, p = enc
+        if side == "L" and p < kb:
+            return p
+        if side == "U" and p >= mid:
+            return kb + (p - mid)
+        return None
+
+    def twin(enc):
+        side, p = enc
+        return ("U", p - kb) if side == "L" else ("L", kb + p)
+
+    partner = [None] * (kb + nt)
+    touched = set()
+    starts = [("L", p) for p in range(kb)] + [("U", p) for p in range(mid, mid + nt)]
+    for start in starts:
+        if partner[result_index(start)] is not None:
+            continue
+        cur = step(start)
+        while result_index(cur) is None:
+            touched.add(cur)
+            touched.add(twin(cur))
+            cur = step(cur)
+        a, b = result_index(start), result_index(cur)
+        assert a != b
+        partner[a], partner[b] = b, a
+
+    new_circles = 0
+    for i in range(mid):
+        enc = ("L", kb + i)
+        if enc in touched:
+            continue
+        cur = enc
+        while cur not in touched:
+            touched.add(cur)
+            touched.add(twin(cur))
+            cur = step(cur)
+        new_circles += 1
+
+    return PlanarTangle(kb, nt, tuple(partner), lower.circles + upper.circles + new_circles)
+
+
+def annular_trace_circles(d):
+    """Circles formed when an (n, n)-tangle is closed around an annulus,
+    walking the partner array and the bottom-to-top identification in turn."""
+    n = d.bottom
+    seen = set()
+    count = 0
+    for start in range(2 * n):
+        if start in seen:
+            continue
+        count += 1
+        p = start
+        while True:
+            seen.add(p)
+            q = d.partner[p]
+            seen.add(q)
+            p = q + n if q < n else q - n
+            if p == start:
+                break
+    return count + d.circles
+
+
 def bareiss_rank(rows):
     """Rank of an integer matrix by fraction-free Gaussian elimination."""
     m = [list(map(int, r)) for r in rows]

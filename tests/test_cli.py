@@ -521,6 +521,72 @@ class TestSurfaceCommands:
         assert err.startswith("SpecError: " + message)
 
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"arcs": [{"a": 1}, "b"]}, "arc 0: id must be a string, got None"),
+        ({"seams": 1.5}, "spec: seams must be a list, got 1.5"),
+        ({"regions": [None]}, "region 0 must be a list, got None"),
+        ({"arcs": [{"id": "a", "sign": "x"}, "b"]}, "arc 0: sign must be +1 or -1, got 'x'"),
+        ({"arcs": [{"id": "a", "sign": 0}, "b"]}, "arc 0: sign must be +1 or -1, got 0"),
+        ({"regions": [[{"seam": "g", "side": "-"}, 3, {"seam": "g", "side": "+"}, {"arc": "b"}]]},
+         "region 0, segment 1 must be an object, got 3"),
+        ({"arcs": [["a"], "b"]}, "arc 0 must be a name or an object with an id, got ['a']"),
+        ({"regions": 7}, "spec: regions must be a list, got 7"),
+        ({"seams": [["g"]]}, "seam 0 must be a string, got ['g']"),
+        ({"regions": [[{"seam": "g", "side": "-"}, {"arc": 1}]]},
+         "region 0, segment 1: arc must be a string, got 1"),
+    ])
+    def test_malformed_spec_is_a_spec_error(self, capsys, tmp_path, fields, message):
+        code, out, err = run_cli(
+            capsys,
+            "surface", "hom",
+            "--spec", write_json(tmp_path, "spec.json", {**ANNULUS, **fields}),
+            "--t", write_json(tmp_path, "t.json", CIRCLE),
+            "--s", write_json(tmp_path, "s.json", CIRCLE),
+        )
+        assert (code, out, err) == (3, "", "SpecError: " + message + "\n")
+
+    def test_spec_must_be_an_object(self, capsys):
+        code, out, err = run_cli(capsys, "surface", "hom", "--spec", "[1]",
+                                 "--t", json.dumps(CIRCLE), "--s", json.dumps(CIRCLE))
+        assert (code, out, err) == (3, "", "SpecError: spec must be an object, got [1]\n")
+
+    def test_negative_arc_sign_is_accepted(self, capsys, tmp_path):
+        flipped = {**ANNULUS, "arcs": [{"id": "a", "sign": -1}, "b"]}
+        code, out, _err = run_cli(
+            capsys,
+            "surface", "hom",
+            "--spec", write_json(tmp_path, "spec.json", flipped),
+            "--t", write_json(tmp_path, "t.json", CIRCLE),
+            "--s", write_json(tmp_path, "s.json", CIRCLE),
+        )
+        assert code == 0 and out
+
+
+class TestKhEvalInput:
+    @pytest.mark.parametrize("tangle,message", [
+        ("[1.5, 0]", "--t must be a list of integers, got [1.5, 0]"),
+        ("[true, false]", "--t must be a list of integers, got [True, False]"),
+        ('{"partner": null}', "--t: partner must be a list of integers, got None"),
+        ('{"partner": [1, 0], "top": "x"}', "--t: top must be a non-negative integer, got 'x'"),
+        ("[[1], 0]", "--t must be a list of integers, got [[1], 0]"),
+        ('{"partner": [1, 0], "top": -1}', "--t: top must be a non-negative integer, got -1"),
+        ('{"partner": [1, 0], "circles": 0.5}',
+         "--t: circles must be a non-negative integer, got 0.5"),
+    ])
+    def test_malformed_tangle_is_a_spec_error(self, capsys, tangle, message):
+        code, out, err = run_cli(capsys, "kh", "eval", "--t", tangle, "--s", "[1, 0]")
+        assert (code, out, err) == (3, "", "SpecError: " + message + "\n")
+
+    @pytest.mark.parametrize("tangle,value", [
+        ("[1, 0]", "1 + q^2"),
+        ('{"partner": [1, 0]}', "1 + q^2"),
+        ('{"partner": [1, 0], "top": 1, "bottom": 1, "circles": 1}', "q^-2 + 3 + 3q^2 + q^4"),
+    ])
+    def test_valid_tangles_still_evaluate(self, capsys, tangle, value):
+        code, out, err = run_cli(capsys, "kh", "eval", "--t", tangle, "--s", tangle)
+        assert (code, out, err) == (0, value + "\n", "")
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         """The console script declared in pyproject.toml runs the real CLI.

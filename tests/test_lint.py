@@ -11,40 +11,84 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "skeinhom"
 # raises a SkeinError instead, because python -O strips asserts.
 ALLOWED_ASSERTS = Counter({
     ("homalg", "tensor"): 2,
-    ("planar", "port_of_point"): 1,
-    ("planar", "compose"): 1,
+    ("planar", "PlanarTangle.port_of_point"): 1,
+})
+
+# The only places outside planar that build a tangle from a partner array,
+# by (module, function): the parsers of outside data, the seam splice and
+# the fixed diagrams of the skein layer.  Every other tangle is derived
+# through planar (compose, juxtapose, mirrors, bends, rotations), which
+# stacks and moves partner arrays in one place.
+ALLOWED_TANGLE_BUILDS = Counter({
+    ("surface", "SurfaceTangle.from_data"): 1,
+    ("surface", "_splice_caps"): 1,
+    ("cli", "_parse_tangle"): 2,
+    ("cli", "_cmd_kh_eval"): 1,
+    ("spin", "cup_cap_at"): 1,
+    ("spin", "_vertex_tangle"): 1,
 })
 
 
-def asserts_by_function(path):
-    """[(function, line)] of every assert in the module at path, with the
-    name of the innermost function around it ("" at module level)."""
+def nodes_by_function(path, wanted):
+    """[(function, line)] of every node in the module at path that wanted
+    accepts, with the dotted name of the classes and functions around it
+    ("" at module level)."""
     found = []
 
-    def walk(node, function):
+    def walk(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Assert):
-                found.append((function, child.lineno))
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                else function
+            if wanted(child):
+                found.append((scope, child.lineno))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
             walk(child, inner)
 
     walk(ast.parse(path.read_text(), filename=str(path)), "")
     return found
 
 
-def source_asserts():
-    """Asserts of every module under src, counted by (module, function),
-    and the path:line of each beyond its allowance."""
+def asserts_by_function(path):
+    return nodes_by_function(path, lambda node: isinstance(node, ast.Assert))
+
+
+def is_tangle_build(node):
+    """A call of PlanarTangle(...) or PlanarTangle._trusted(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "_trusted":
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "PlanarTangle"
+
+
+def tangle_builds_by_function(path):
+    return nodes_by_function(path, is_tangle_build)
+
+
+def counted_beyond(allowed, scan, skip=()):
+    """Nodes that scan finds in every module under src but those named in
+    skip, counted by (module, function), and the path:line of each beyond
+    its allowance."""
     seen = Counter()
     stray = []
     for path in sorted(SOURCE.glob("*.py")):
-        for function, line in asserts_by_function(path):
+        if path.stem in skip:
+            continue
+        for function, line in scan(path):
             key = (path.stem, function)
             seen[key] += 1
-            if seen[key] > ALLOWED_ASSERTS[key]:
+            if seen[key] > allowed[key]:
                 stray.append(f"{path}:{line}")
     return seen, stray
+
+
+def source_asserts():
+    return counted_beyond(ALLOWED_ASSERTS, asserts_by_function)
+
+
+def source_tangle_builds():
+    return counted_beyond(ALLOWED_TANGLE_BUILDS, tangle_builds_by_function, skip=("planar",))
 
 
 def test_asserts_only_guard_internal_invariants():
@@ -58,6 +102,34 @@ def test_every_allowance_matches_an_assert():
     seen, _stray = source_asserts()
     stale = sorted(key for key, count in ALLOWED_ASSERTS.items() if seen[key] < count)
     assert not stale, f"allowances above the asserts left in the source: {stale}"
+
+
+def test_tangles_are_built_by_hand_only_where_listed():
+    _seen, stray = source_tangle_builds()
+    assert not stray, (
+        "tangle built from a partner array at " + ", ".join(stray)
+        + "; derive it with planar.compose, juxtapose, a mirror, bend or rotation")
+
+
+def test_every_allowance_matches_a_tangle_build():
+    seen, _stray = source_tangle_builds()
+    stale = sorted(key for key, count in ALLOWED_TANGLE_BUILDS.items() if seen[key] < count)
+    assert not stale, f"allowances above the tangle builds left in the source: {stale}"
+
+
+def test_tangle_build_scan_sees_calls_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "T = PlanarTangle(0, 0, ())\n"
+        "class S:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return PlanarTangle._trusted(2, 0, (1, 0), 0)\n"
+        "        return g, planar.PlanarTangle, PlanarTangle\n"
+        "def h(t):\n"
+        "    return t._trusted(), PlanarTangle(2, 0, (1, 0))\n")
+    assert tangle_builds_by_function(module) == [("", 1), ("S.f.g", 5), ("h", 8)]
+    assert asserts_by_function(module) == []
 
 
 def unused_module_imports(path):

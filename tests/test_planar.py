@@ -18,7 +18,8 @@ from skeinhom.planar import (
     rotate_cap,
 )
 
-from .oracles import brute_force_matchings, catalan, count_circles_union_find
+from .oracles import (brute_force_matchings, catalan, compose_by_encoded_walk,
+                      count_circles_union_find)
 
 
 def from_stack(layers):
@@ -151,6 +152,43 @@ class TestCompose:
         assert compose(E.with_circles(1), E.with_circles(2)).circles == 4
 
 
+def composable_pair(data, max_points=8, closable=False):
+    """A lower (m, k)- and an upper (k, n)-matching, each edge at most
+    max_points points, each factor carrying 0-2 free circles; closable
+    makes m and n even, so that cups below and caps above close the stack."""
+    k = data.draw(st.integers(0, max_points // 2)) * 2 if closable else \
+        data.draw(st.integers(0, max_points))
+    m = data.draw(st.integers(0, max_points).filter(lambda v: (v + k) % 2 == 0))
+    n = data.draw(st.integers(0, max_points).filter(lambda v: (v + k) % 2 == 0))
+    lower = data.draw(st.sampled_from(enumerate_matchings(m, k)))
+    upper = data.draw(st.sampled_from(enumerate_matchings(k, n)))
+    return (upper.with_circles(data.draw(st.integers(0, 2))),
+            lower.with_circles(data.draw(st.integers(0, 2))))
+
+
+class TestComposeOracle:
+    """compose walks integer point indices; the first version, which
+    walked tuple encodings through closures, is the oracle."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_encoded_walk(self, data):
+        upper, lower = composable_pair(data)
+        out, ref = compose(upper, lower), compose_by_encoded_walk(upper, lower)
+        assert (out.bottom, out.top, out.partner, out.circles) == \
+            (ref.bottom, ref.top, ref.partner, ref.circles)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_closed_stack_counts_circles_as_union_find(self, data):
+        upper, lower = composable_pair(data, closable=True)
+        cups = data.draw(st.sampled_from(enumerate_matchings(0, lower.bottom)))
+        caps = data.draw(st.sampled_from(enumerate_matchings(upper.top, 0)))
+        closed = compose(caps, compose(upper, compose(lower, cups)))
+        assert closed.points == 0
+        assert closed.circles == count_circles_union_find([cups, lower, upper, caps])
+
+
 class TestThroughDegree:
     def test_identity_passes_every_strand(self):
         for n in range(6):
@@ -255,6 +293,15 @@ class TestDerivedTangles:
         assert len(stacked) > 200
         for t in stacked:
             rebuilt(t)
+
+    def test_bends_and_rotations(self):
+        for t in self.POOL + [t.with_circles(1) for t in self.POOL]:
+            down, up = rebuilt(bend_down(t)), rebuilt(bend_up(t))
+            assert bend_down(t) is bend_down(t) and bend_up(t) is bend_up(t)
+            assert (down.circles, up.circles) == (t.circles, t.circles)
+            if t.top == 0 and t.bottom:
+                rebuilt(rotate_cap(t))
+                assert rotate_cap(t) is rotate_cap(t)
 
     def test_juxtapositions(self):
         for left, right in itertools.product(self.POOL, repeat=2):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from skeinhom.errors import (AdmissibilityError, InexactDivision, InvalidBoundary,
                              SpecError, TruncationError)
 from skeinhom.homalg import LaurentPoly, circle_poly
-from skeinhom.planar import compose, cup_over_cap, identity_tangle
+from skeinhom.planar import (bend_down, bend_up, compose, cup_over_cap, enumerate_matchings,
+                             identity_tangle)
 from skeinhom.spin import (CrosscheckReport, RationalFunctionQ, SpinNetwork,
                            TLElement, admissible_triple, as_quantum_integer,
                            check_admissible, costandard_pairing_offset,
@@ -20,8 +21,8 @@ from skeinhom.spin import _fraction_sum, _poly_div_exact, _poly_gcd
 from skeinhom.surface import SurfaceSpec, arc, seam_side
 
 from .optimized import error_under_optimize
-from .oracles import (fraction_reduced, theta_by_pairs, theta_by_sandwich, theta_formula,
-                      wenzl_two_sided)
+from .oracles import (annular_trace_circles, fraction_reduced, theta_by_pairs, theta_by_sandwich,
+                      theta_formula, wenzl_two_sided)
 
 RFQ = RationalFunctionQ
 
@@ -260,6 +261,16 @@ class TestTLElement:
         e = TLElement(2, {cup_over_cap(2): 1})
         both = tl_tensor(e, identity_element(1))
         assert tl_closure(both) == tl_closure(e) * tl_closure(identity_element(1))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_closure_counts_circles_as_the_annular_walk(self, n):
+        around = bend_up(identity_tangle(n))
+        for d in enumerate_matchings(n, n):
+            for c in range(3):
+                walked = annular_trace_circles(d.with_circles(c))
+                assert compose(bend_down(d.with_circles(c)), around).circles == walked
+                x = TLElement(n, {d.with_circles(c): 1})
+                assert tl_closure(x) == RFQ(circle_poly(walked))
 
 
 class TestWenzl:
