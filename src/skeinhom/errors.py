@@ -66,6 +66,7 @@ _SHAPES = {
     "a string": lambda v: isinstance(v, str),
     "a non-negative integer": lambda v: _is_int(v) and v >= 0,
     "+1 or -1": lambda v: _is_int(v) and v in (1, -1),
+    "'+' or '-'": lambda v: v in ("+", "-") or (_is_int(v) and v in (1, -1)),
     "a list of integers": lambda v: _is_list(v) and all(map(_is_int, v)),
     "a list of non-negative integers":
         lambda v: _is_list(v) and all(_is_int(c) and c >= 0 for c in v),

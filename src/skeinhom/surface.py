@@ -88,9 +88,7 @@ class SurfaceSpec:
                     segs.append(Segment("arc", expect(seg["arc"], "a string", f"{loc}: arc")))
                 elif "seam" in seg:
                     name = expect(seg["seam"], "a string", f"{loc}: seam")
-                    side = seg.get("side")
-                    if side not in ("+", "-", 1, -1):
-                        raise SpecError(f"{loc}: seam side must be '+' or '-'")
+                    side = expect(seg.get("side"), "'+' or '-'", f"{loc}: seam side")
                     segs.append(Segment("seam", name, 1 if side in ("+", 1) else -1))
                 else:
                     raise SpecError(f"{loc}: segment needs an 'arc' or 'seam' key")

@@ -534,6 +534,9 @@ class TestSurfaceCommands:
         ({"seams": [["g"]]}, "seam 0 must be a string, got ['g']"),
         ({"regions": [[{"seam": "g", "side": "-"}, {"arc": 1}]]},
          "region 0, segment 1: arc must be a string, got 1"),
+        ({"regions": [[{"seam": "g", "side": True}, {"arc": "a"}, {"seam": "g", "side": "+"},
+                       {"arc": "b"}]]},
+         "region 0, segment 0: seam side must be '+' or '-', got True"),
     ])
     def test_malformed_spec_is_a_spec_error(self, capsys, tmp_path, fields, message):
         code, out, err = run_cli(
