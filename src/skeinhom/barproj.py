@@ -10,10 +10,13 @@ the folds and compose adjacent inner letters, with alternating signs.
 
 The bar construction itself lives here once: bar_words, bar_faces and
 bar_complex enumerate words (one per ring, for several rings), build their
-faces with Koszul signs and certify the truncation by the smallest letter
-degree.  bottom_projector runs it over one ring with fold objects;
-surface.SurfaceComplex runs it over one ring per seam, supplying only its
-object tangles and how an end letter is absorbed into a seam slot.
+faces with Koszul signs, build each end face once per key of word ends,
+seam, side, new end object and letter, and certify the truncation by the
+smallest letter degree.  bottom_projector runs it over one ring with fold
+objects, a fold tangle being its bent-down caps beside its bent-up cups,
+so that an end face juxtaposes two bent states; surface.SurfaceComplex
+runs it over one ring per seam, supplying only its object tangles and
+how an end letter is absorbed into a seam slot.
 
 TwistedTangleComplex is the common carrier: a complex whose objects are
 shifted flat tangles (free circles allowed) and whose differentials are
@@ -29,9 +32,9 @@ from functools import cached_property, lru_cache
 from .errors import ChainMapError, GradingError, InvalidBoundary
 from .homalg import (Certificate, LaurentPoly, SparseComplex, TruncatedComplex, map_defect,
                      mapping_cone)
-from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle
-from .tqft import (ONE, X, StateVector, _check_on, _composition_plan, _replayed, _SurgeryPlan,
-                   hom_double, identity_state, kh_basis, pair, reflected_x, transposed, whisker)
+from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle, juxtapose
+from .tqft import (ONE, X, StateVector, _check_on, _composition_plan, _relabeled, hom_double,
+                   identity_state, juxtaposed, kh_basis, pair, reflected_x, transposed, whisker)
 
 
 class SmallRing:
@@ -253,64 +256,20 @@ def fold_tangle(a0, ar):
     """The (N, N) through-degree-zero tangle with a0 folded down and ar up."""
     if a0.points != ar.points:
         raise InvalidBoundary("folded tangles need matching strand counts")
-    return compose(bend_up(ar), bend_down(a0.reflect_x()))
-
-
-def _cap_chord_index(a0, p, q):
-    """Chord index in reflect_x(a0) folding onto the cap chord (p, q)."""
-    u = a0.reflect_x()
-    m, n = u.bottom, u.top
-
-    def inv(v):
-        return v if v < m else m + n - 1 - (v - m)
-
-    s, t = sorted((inv(p), inv(q)))
-    return u.chords.index((s, t))
-
-
-def _cup_chord_index(ar, p, q):
-    """Chord index in ar folding onto the cup chord at positions (p, q)."""
-    m = ar.bottom
-
-    def inv(w):
-        return m - 1 - w if w < m else w
-
-    s, t = sorted((inv(p), inv(q)))
-    return ar.chords.index((s, t))
+    return juxtapose(bend_down(a0.reflect_x()), bend_up(ar))
 
 
 def fold_entry(a0, ar, b0, br, cap_sv, cup_sv):
     """A morphism between fold tangles acting separately on caps and cups.
 
     cap_sv lives on the double of reflect_x(a0) and reflect_x(b0); cup_sv on
-    the double of ar and br.  Their labels are carried onto the bottom and
-    top circle families of the fold double, as compiled by _fold_plan.
+    the double of ar and br.  A fold tangle is its caps bent down beside
+    its cups bent up, so the entry is the two states, bent the same way,
+    juxtaposed.
     """
-    D, off, plan = _fold_plan(a0, ar, b0, br)
-    return StateVector._trusted(D, off, _replayed(plan, (cap_sv.terms.items(),
-                                                         cup_sv.terms.items())))
-
-
-@lru_cache(maxsize=None)
-def _fold_plan(a0, ar, b0, br):
-    """The double of the fold tangles of (a0, ar) and (b0, br), its hom
-    offset, and the step-free plan onto it, which takes a labeling of the
-    caps' double and one of the cups' double."""
-    Ta, Tb = fold_tangle(a0, ar), fold_tangle(b0, br)
-    D, off = hom_double(Ta, Tb)
-    caps, _ = hom_double(a0.reflect_x(), b0.reflect_x())
-    cups, _ = hom_double(ar, br)
-    N = Ta.bottom
-    pick = []
-    for circ in D.circles:
-        arc = next(a for a in circ if a[0] == "x")
-        p, q = Ta.chords[arc[1]]
-        if q < N:
-            pick.append(caps.component_of[("x", _cap_chord_index(a0, p, q))])
-        else:
-            k0 = _cup_chord_index(ar, p - N, q - N)
-            pick.append(len(caps) + cups.component_of[("x", k0)])
-    return D, off, _SurgeryPlan(tuple(pick), (), tuple(range(len(D))))
+    u0, v0 = a0.reflect_x(), b0.reflect_x()
+    return juxtaposed(((bend_down(u0), bend_down(v0), _relabeled(cap_sv, u0, v0, "bend_down")),
+                       (bend_up(ar), bend_up(br), _relabeled(cup_sv, ar, br, "bend_up"))))
 
 
 class TwistedTangleComplex(SparseComplex):
@@ -508,9 +467,12 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
     tuple mw is tangle_of(word_ends(mw)), shifted by q0 plus the degrees of
     its words.  Each face of word g carries the Koszul sign of the words
     before it: an inner face is the identity of the source object, an end
-    face is absorb(mw, g, side, target word, state) with side and state
-    from bar_faces.  The certificate slope is the smallest letter degree of
-    any ring (0 with reduced=False); with no letter in any ring the complex
+    face is absorb(word_ends(mw), g, side, new_end, state), with side and
+    state from bar_faces and new_end the end object the face leaves in
+    place of the one it absorbs.  Those and the letter absorbed determine
+    the face, so it is built once per (word ends, g, side, new_end,
+    letter).  The certificate slope is the smallest letter degree of any
+    ring (0 with reduced=False); with no letter in any ring the complex
     is complete.  The truncated degrees repeat the tangles of every word
     tuple, which bar_ends finds without spelling a word.
 
@@ -544,11 +506,12 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
         shifts[-total] = at
     objects = {h: tuple((tangle_of(word_ends(mw)), s) for mw, s in zip(mws, shifts[h]))
                for h, mws in words.items()}
-    diffs = {}
+    diffs, end_faces = {}, {}
     for h in range(-depth, 0):
         entries = {}
         targets = index[h + 1]
         for j, mw in enumerate(words[h]):
+            ends = word_ends(mw)
             koszul = 1
             for g, ring in enumerate(rings):
                 word = mw[g]
@@ -562,7 +525,11 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
                             f"a face of the word tuple at position {j} of degree {h} "
                             f"leaves the degree bound {max_degree}")
                     if side:
-                        sv = absorb(mw, g, side, w_tgt, sv)
+                        end = 0 if side < 0 else -1
+                        face = (ends, g, side, w_tgt[0][end], word[1][end])
+                        if face not in end_faces:
+                            end_faces[face] = absorb(ends, g, side, w_tgt[0][end], sv)
+                        sv = end_faces[face]
                     else:
                         sv = identity_state(objects[h][j][0])
                     key = (i, j)
@@ -596,14 +563,12 @@ def bottom_projector(N, depth, split=None):
         (a0, ar), = ends
         return fold_tangle(a0, ar)
 
-    def absorb(mw, _g, side, target, sv):
+    def absorb(ends, _g, side, new_end, sv):
         # the first letter acts on the bottom caps, the last on the top cups
-        (objs, _letters), = mw
-        a0, ar = objs[0], objs[-1]
-        b0, br = target[0][0], target[0][-1]
+        (a0, ar), = ends
         if side < 0:
-            return fold_entry(a0, ar, b0, br, sv, identity_state(ar))
-        return fold_entry(a0, ar, b0, br, identity_state(a0.reflect_x()), sv)
+            return fold_entry(a0, ar, new_end, ar, sv, identity_state(ar))
+        return fold_entry(a0, ar, a0, new_end, identity_state(a0.reflect_x()), sv)
 
     _words, _index, projector = bar_complex((small_ring(m, n),), depth, N // 2, fold_of, absorb)
     return projector

@@ -116,7 +116,11 @@ class PlanarTangle:
         return sum(1 for q in self.partner[:m] if q >= m)
 
     def with_circles(self, circles):
-        return PlanarTangle(self.bottom, self.top, self.partner, circles)
+        """The same chords with circles free circles; the chords were checked
+        already, so only the count is."""
+        if circles < 0:
+            raise InvalidBoundary("negative circle count")
+        return PlanarTangle._trusted(self.bottom, self.top, self.partner, circles)
 
     def strip_circles(self):
         return self.with_circles(0)
@@ -125,23 +129,36 @@ class PlanarTangle:
         """Left-right mirror, built once and remembered on both tangles."""
         mirror = self.__dict__.get("_mirror_x")
         if mirror is None:
-            m, n = self.bottom, self.top
-            mirror = _moved(self, m, n, lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m)))
+            mirror = moved(self, "reflect_x")
             object.__setattr__(self, "_mirror_x", mirror)
             object.__setattr__(mirror, "_mirror_x", self)
         return mirror
 
     def reflect_y(self):
         """Top-bottom mirror; swaps the roles of the two edges."""
-        m, n = self.bottom, self.top
-        return _moved(self, n, m, lambda p: (n + p) if p < m else p - m)
+        return moved(self, "reflect_y")
 
 
-def _moved(t, bottom, top, image):
-    """t carried onto a (bottom, top)-tangle by a homeomorphism of the
-    boundary circle taking point p to image(p).  The image of a checked
+# The moves of an (m, n)-tangle along its boundary circle, by name: each
+# gives the (bottom, top) it ends on and the image of boundary point p.
+# The mirrors reverse each edge (reflect_x) or swap the two (reflect_y);
+# bend_down sweeps the top edge clockwise down to the right of the bottom
+# edge, bend_up sweeps the bottom edge counterclockwise up to the left of
+# the top edge; rotate, for cap tangles only, makes the last point first.
+MOVES = {
+    "reflect_x": lambda m, n: (m, n, lambda p: m - 1 - p if p < m else 2 * m + n - 1 - p),
+    "reflect_y": lambda m, n: (n, m, lambda p: n + p if p < m else p - m),
+    "bend_down": lambda m, n: (m + n, 0, lambda p: p if p < m else 2 * m + n - 1 - p),
+    "bend_up": lambda m, n: (0, m + n, lambda p: m - 1 - p if p < m else p),
+    "rotate": lambda m, n: (m, n, lambda p: (p + 1) % m),
+}
+
+
+def moved(t, move):
+    """t carried along the named move of MOVES.  The image of a checked
     tangle is a noncrossing fixed-point-free involution, so it is built
     through _trusted and interned."""
+    bottom, top, image = MOVES[move](t.bottom, t.top)
     partner = [0] * len(t.partner)
     for p, q in enumerate(t.partner):
         partner[image(p)] = image(q)
@@ -167,8 +184,7 @@ def rotate_cap(t):
     """One-click rotation of a cap tangle: the last boundary point becomes the first."""
     if t.top != 0:
         raise InvalidBoundary("rotation is defined for cap tangles only")
-    k = t.bottom
-    return _moved(t, k, 0, lambda p: (p + 1) % k)
+    return moved(t, "rotate")
 
 
 def compose(upper, lower):
@@ -232,15 +248,13 @@ def juxtapose(*tangles):
 def bend_down(t):
     """Flatten an (m, n)-tangle to an (m+n, 0)-cap tangle by sweeping the top
     edge clockwise down to the right of the bottom edge."""
-    m, n = t.bottom, t.top
-    return _moved(t, m + n, 0, lambda p: p if p < m else m + (m + n - 1 - p))
+    return moved(t, "bend_down")
 
 
 def bend_up(t):
     """Flatten an (m, n)-tangle to a (0, m+n)-cup tangle, sweeping the bottom
     edge counterclockwise up to the left of the top edge."""
-    m, n = t.bottom, t.top
-    return _moved(t, 0, m + n, lambda p: (m - 1 - p) if p < m else p)
+    return moved(t, "bend_up")
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .barproj import bottom_projector
 from .errors import (AdmissibilityError, InexactDivision, InvalidBoundary, SpecError,
-                     TruncationError)
+                     TruncationError, expect)
 from .homalg import LaurentPoly, circle_poly
 from .planar import (PlanarTangle, bend_down, bend_up, compose, cup_over_cap, identity_tangle,
                      juxtapose)
@@ -493,18 +493,13 @@ class SpinNetwork:
 
     @classmethod
     def from_data(cls, data):
-        if not isinstance(data, dict):
-            raise SpecError("network: expected an object with 'surface' and 'coloring'")
-        for key in ("surface", "coloring"):
-            if key not in data:
-                raise SpecError(f"network: missing field {key!r}")
-        spec, coloring = data["surface"], data["coloring"]
+        """The network of {"surface": spec, "coloring": {segment: color}};
+        SpecError names the field of anything malformed."""
+        expect(data, "an object", "network")
+        spec = data.get("surface")
         if not isinstance(spec, SurfaceSpec):
-            if not isinstance(spec, dict):
-                raise SpecError("surface: expected an object")
-            spec = SurfaceSpec.from_data(spec)
-        if not isinstance(coloring, dict):
-            raise SpecError("coloring: expected an object of segment colors")
+            spec = SurfaceSpec.from_data(expect(spec, "an object", "network: field 'surface'"))
+        coloring = expect(data.get("coloring"), "an object", "network: field 'coloring'")
         return validate_network(cls(spec, {str(k): v for k, v in coloring.items()}))
 
 

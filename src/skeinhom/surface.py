@@ -9,8 +9,9 @@ bar words at the seams vary the middle layer through plug tangles.  The bar
 construction (words, faces with Koszul signs over the seam order, and the
 truncation certificate) is barproj.bar_complex; this module supplies the
 middle-layer tangle of a word tuple and how an end letter is absorbed into
-its seam slot.  Evaluating states against the closure produces an integer
-complex with a certified truncation.
+its seam slot, from the word ends and the new end object, which
+bar_complex calls once per end face.  Evaluating states against the
+closure produces an integer complex with a certified truncation.
 
 Composition stacks region states through the shared caps and shuffles the
 seam words, units are the all-ones states on identity words, and coarsening
@@ -26,7 +27,7 @@ from functools import lru_cache
 from .barproj import bar_complex, signed_shuffles, small_ring, word_degree, word_ends
 from .errors import InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import ChainMap
-from .planar import ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
+from .planar import MOVES, ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
 from .planar import compose as stack
 from .tqft import (ONE, _arc_at_port, _chord_index, _double_instances, _joint_pick, _Recorder,
                    hom_double, identity_state, juxtaposed, kh_basis, whisker)
@@ -309,7 +310,6 @@ class SurfaceComplex:
         self.q_base = boundary_points // 4
 
         self._m_cache = {}
-        self._entries = {}
         self.multiwords, self.index, self.twisted = bar_complex(
             tuple(self.rings[n] for n in self.seam_names), depth, -self.q_base,
             self._middle, self._slot_entry, reduced, check,
@@ -349,25 +349,14 @@ class SurfaceComplex:
         )
         return total - self.q_base
 
-    def _slot_entry(self, mw, g, side, word, sv):
+    def _slot_entry(self, ends, g, side, new_end, sv):
         """An end face at seam g: sv acts on the slot of that side, which
-        now holds the end plug of word, and identities on every other slot.
-
-        sv is the end letter carried onto that slot, so the entry depends
-        only on the end objects of mw, the seam, the side, the new plug and
-        the letter; it is juxtaposed once per such key."""
-        objs, _letters = word
-        letter = mw[g][1][0] if side < 0 else mw[g][1][-1]
-        ends = word_ends(mw)
-        key = (ends, g, side, objs[0] if side < 0 else objs[-1], letter)
-        entry = self._entries.get(key)
-        if entry is None:
-            k = self._seam_slots[self.seam_names[g]][side]
-            tgt = objs[0].reflect_x() if side < 0 else objs[-1]
-            factors = [(t, tgt, sv) if i == k else (t, t, identity_state(t))
-                       for i, t in enumerate(self._slot_tangles(ends))]
-            entry = self._entries[key] = juxtaposed(factors)
-        return entry
+        now holds new_end (mirrored on the minus side), and identities on
+        every other slot."""
+        k = self._seam_slots[self.seam_names[g]][side]
+        tgt = new_end.reflect_x() if side < 0 else new_end
+        return juxtaposed([(t, tgt, sv) if i == k else (t, t, identity_state(t))
+                           for i, t in enumerate(self._slot_tangles(ends))])
 
     def homology(self, h_range, q_range):
         return self.truncated.homology(h_range, q_range)
@@ -937,16 +926,12 @@ def _plug_surgeries(cx, seam, mw, a0, m_src, d_src):
     neg = cx._seam_slots[seam][-1]
     pos = cx._seam_slots[seam][1]
     src_b, src_t = _point_offsets(cx.slot_tangles(mw))
+    mir = MOVES["reflect_x"](a0.bottom, a0.top)[2]
 
     def glob(slot, p):
         if p < a0.bottom:
             return src_b[slot] + p
         return m_src.bottom + src_t[slot] + (p - a0.bottom)
-
-    def mir(p):
-        if p < a0.bottom:
-            return a0.bottom - 1 - p
-        return a0.bottom + (a0.top - 1 - (p - a0.bottom))
 
     def node(gp):
         if gp < m_src.bottom:

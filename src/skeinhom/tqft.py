@@ -15,12 +15,13 @@ concatenates circle lists left to right.  All maps here respect that
 order, so states produced by different routes can be composed safely.
 
 Every map this module applies to labels (composition, whiskering,
-juxtaposition, mirrors and transposition) is a _SurgeryPlan compiled once
-per key of tangles: a _Recorder runs the saddles and caps once, on
-diagrams, and keeps only how labels cross them.  Replaying a plan touches
-labels alone; a plan with steps keeps the basis products it has replayed.
-Doubles and plans are cached for the life of the process, so diagrams are
-built only by hom_double and by the plan compilers.
+juxtaposition, the mirrors and bends of planar.MOVES, and transposition)
+is a _SurgeryPlan compiled once per key of tangles: a _Recorder runs the
+saddles and caps once, on diagrams, and keeps only how labels cross them.
+Replaying a plan touches labels alone; a plan with steps keeps the basis
+products it has replayed.  Doubles and plans are cached for the life of
+the process, so diagrams are built only by hom_double and by the plan
+compilers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 from .errors import GradingError, InvalidBoundary
 from .homalg import LaurentPoly
-from .planar import ClosedDiagram, compose, juxtapose
+from .planar import MOVES, ClosedDiagram, compose, juxtapose, moved
 
 ONE, X = 0, 1
 
@@ -479,19 +480,15 @@ def _arc_at_port(instances, port):
 
 @lru_cache(maxsize=None)
 def _relabeling_plan(a, b, kind):
-    """Compile a relabeling of Hom(a, b) once: a mirror of both factors,
-    left-right (kind "x") or top-bottom ("y"), or reading it as Hom(b, a)
-    (kind "t").  Returns the double it ends on and the step-free plan."""
-    m, n = a.bottom, a.top
-    if kind == "x":
-        f = lambda p: (m - 1 - p) if p < m else m + (n - 1 - (p - m))
-        images = (("x", a, a.reflect_x()), ("y", b, b.reflect_x()))
-    elif kind == "y":
-        f = lambda p: (n + p) if p < m else p - m
-        images = (("x", a, a.reflect_y()), ("y", b, b.reflect_y()))
-    else:
+    """Compile a relabeling of Hom(a, b) once: one move of planar.MOVES on
+    both factors (a mirror or a bend), or reading it as Hom(b, a) (kind
+    "t").  Returns the double it ends on and the step-free plan."""
+    if kind == "t":
         f = lambda p: p
         images = (("y", a, a), ("x", b, b))
+    else:
+        f = MOVES[kind](a.bottom, a.top)[2]
+        images = (("x", a, moved(a, kind)), ("y", b, moved(b, kind)))
     arc_map = {}
     for src, (side, t, ft) in zip(("x", "y"), images):
         for p, _q in t.chords:
@@ -506,7 +503,7 @@ def _relabeling_plan(a, b, kind):
 
 def _relabeled(state, a, b, kind):
     """A state on the double of (a, b) carried along _relabeling_plan,
-    keeping its offset."""
+    keeping its offset: kind names a move of planar.MOVES, or "t"."""
     _check_double(state, a, b, "state")
     canon, plan = _relabeling_plan(a, b, kind)
     return StateVector._trusted(canon, state.offset, _replayed(plan, (state.terms.items(),)))
@@ -514,12 +511,12 @@ def _relabeled(state, a, b, kind):
 
 def reflected_x(state, a, b):
     """Left-right mirror on both factors of a hom element."""
-    return _relabeled(state, a, b, "x")
+    return _relabeled(state, a, b, "reflect_x")
 
 
 def reflected_y(state, a, b):
     """Top-bottom mirror on both factors of a hom element."""
-    return _relabeled(state, a, b, "y")
+    return _relabeled(state, a, b, "reflect_y")
 
 
 def transposed(state, a, b):

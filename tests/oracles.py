@@ -877,6 +877,24 @@ def reflected_y_by_transport(state, a, b):
     return _point_map_state(state, a, b, f, a.reflect_y(), b.reflect_y())
 
 
+def bent_down_by_transport(state, a, b):
+    """Both factors of a hom element bent down onto cap tangles."""
+    from skeinhom.planar import bend_down
+
+    m, n = a.bottom, a.top
+    f = lambda p: p if p < m else m + (m + n - 1 - p)
+    return _point_map_state(state, a, b, f, bend_down(a), bend_down(b))
+
+
+def bent_up_by_transport(state, a, b):
+    """Both factors of a hom element bent up onto cup tangles."""
+    from skeinhom.planar import bend_up
+
+    m = a.bottom
+    f = lambda p: (m - 1 - p) if p < m else p
+    return _point_map_state(state, a, b, f, bend_up(a), bend_up(b))
+
+
 def transposed_by_transport(state, a, b):
     """The same underlying labeling read as a morphism from b to a."""
     from skeinhom.tqft import hom_double
@@ -1117,6 +1135,29 @@ def coarsen_by_surgery(cx, seam):
     return target, comps
 
 
+def _cap_chord_index(a0, p, q):
+    """Chord index in reflect_x(a0) folding onto the cap chord (p, q)."""
+    u = a0.reflect_x()
+    m, n = u.bottom, u.top
+
+    def inv(v):
+        return v if v < m else m + n - 1 - (v - m)
+
+    s, t = sorted((inv(p), inv(q)))
+    return u.chords.index((s, t))
+
+
+def _cup_chord_index(ar, p, q):
+    """Chord index in ar folding onto the cup chord at positions (p, q)."""
+    m = ar.bottom
+
+    def inv(w):
+        return m - 1 - w if w < m else w
+
+    s, t = sorted((inv(p), inv(q)))
+    return ar.chords.index((s, t))
+
+
 def fold_entry_by_circles(a0, ar, b0, br, cap_sv, cup_sv):
     """A morphism between fold tangles acting separately on caps and cups.
 
@@ -1124,7 +1165,7 @@ def fold_entry_by_circles(a0, ar, b0, br, cap_sv, cup_sv):
     the double of ar and br.  Their labels are carried onto the bottom and
     top circle families of the fold double, its circles read on every call.
     """
-    from skeinhom.barproj import _cap_chord_index, _cup_chord_index, fold_tangle
+    from skeinhom.barproj import fold_tangle
     from skeinhom.tqft import StateVector, hom_double
 
     Ta, Tb = fold_tangle(a0, ar), fold_tangle(b0, br)

@@ -1,15 +1,19 @@
+import io
 import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import entry_points
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skeinhom
+from skeinhom import errors
 from skeinhom.cli import build_parser, run
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.spin import RationalFunctionQ
@@ -76,6 +80,48 @@ NET_ANNULUS = {
     },
     "coloring": {"a": 0, "b": 0, "g1": 1, "g2": 1},
 }
+
+
+# what a corrupted field is replaced with: wrong types, out-of-range
+# integers, unknown names and malformed nesting
+JUNK = (None, True, 1.5, -1, 7, "x", [], {}, [3], [[0, 1], 3], {"a": 1}, "+", [None])
+
+
+def field_paths(doc, path=()):
+    """The path, as a tuple of keys and indices, of a JSON document (the
+    empty path) and of every field nested in it."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from field_paths(value, path + (key,))
+
+
+def with_field(doc, path, value):
+    """A copy of doc with the field at path replaced by value."""
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = with_field(doc[path[0]], path[1:], value)
+    return out
+
+
+def surface_hom_argv(spec, tangle):
+    return ["surface", "hom", "--spec", json.dumps(spec), "--t", json.dumps(tangle),
+            "--s", json.dumps(tangle), "--hmin", "0", "--depth", "1"]
+
+
+# (fixture, the CLI call that reads it) for every input the property corrupts
+CORRUPTIBLE = (
+    (ANNULUS, lambda spec: surface_hom_argv(spec, CIRCLE)),
+    (CIRCLE, lambda tangle: surface_hom_argv(ANNULUS, tangle)),
+    (ANNULUS2, lambda spec: surface_hom_argv(spec, CIRCLE2)),
+    (CIRCLE2, lambda tangle: surface_hom_argv(ANNULUS2, tangle)),
+    (NET_ANNULUS, lambda net: ["spin", "pairing", "--net", json.dumps(net)]),
+)
+CORRUPTIONS = tuple((k, path) for k, (doc, _argv) in enumerate(CORRUPTIBLE)
+                    for path in field_paths(doc))
+SKEIN_ERRORS = {name for name, value in vars(errors).items()
+                if isinstance(value, type) and issubclass(value, errors.SkeinError)}
 
 
 def run_cli(capsys, *argv):
@@ -563,6 +609,22 @@ class TestSurfaceCommands:
             "--s", write_json(tmp_path, "s.json", CIRCLE),
         )
         assert code == 0 and out
+
+
+class TestCorruptedInput:
+    """Input with one field replaced by junk is refused as input, never
+    crashes: exit 0, 2 or 3, or 1 only for an error of the package's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CORRUPTIONS), st.sampled_from(JUNK))
+    def test_one_corrupted_field(self, corruption, junk):
+        k, path = corruption
+        doc, argv = CORRUPTIBLE[k]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run(argv(with_field(doc, path, junk)))
+        named = err.getvalue().partition(":")[0]
+        assert code in (0, 2, 3) or (code == 1 and named in SKEIN_ERRORS), err.getvalue()
 
 
 class TestKhEvalInput:

@@ -132,6 +132,23 @@ def test_tangle_build_scan_sees_calls_and_scopes(tmp_path):
     assert asserts_by_function(module) == []
 
 
+def is_chord_search(node):
+    """A call of <expression>.chords.index(...)."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+            and func.attr == "index" and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "chords")
+
+
+def test_chords_are_looked_up_in_one_place():
+    # the chord through a point is found by tqft._chord_index alone; a fold
+    # or a mirror reaches its chords through the point maps of planar.MOVES
+    sites = [f"{path.stem}.{function}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for function, line in nodes_by_function(path, is_chord_search)]
+    assert [site.partition(":")[0] for site in sites] == ["tqft._chord_index"], (
+        "chords searched at " + ", ".join(sites) + "; call tqft._chord_index instead")
+
+
 def unused_module_imports(path):
     """[(name, line)] of every name a module-level import binds in the
     module at path that no code in it reads and its __all__ does not list."""

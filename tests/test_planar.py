@@ -303,6 +303,18 @@ class TestDerivedTangles:
                 rebuilt(rotate_cap(t))
                 assert rotate_cap(t) is rotate_cap(t)
 
+    def test_circle_counts_keep_the_checked_chords(self, monkeypatch):
+        monkeypatch.setattr(PlanarTangle, "_noncrossing",
+                            lambda self: pytest.fail("chords of a checked tangle rechecked"))
+        loose = [t.with_circles(2) for t in self.POOL]
+        stripped = [t.strip_circles() for t in loose]
+        with pytest.raises(InvalidBoundary, match="negative circle count"):
+            E.with_circles(-1)
+        monkeypatch.undo()
+        assert stripped == self.POOL
+        for t in loose + stripped:
+            rebuilt(t)
+
     def test_juxtapositions(self):
         for left, right in itertools.product(self.POOL, repeat=2):
             rebuilt(juxtapose(left, right))

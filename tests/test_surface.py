@@ -622,9 +622,10 @@ class TestEvaluation:
         (1, "d2a0655ba046d19d"),
         (2, "c475e4e5a4ad88bf"),
         (3, "efbd5f3c983f4692"),
+        (4, "6ac7c3d1ac345b7a"),
     ])
     def test_annulus_complexes_are_pinned(self, depth, digest):
-        # CUPCAP2 -> THROUGH2 over the annulus (56, 282 and 1,408
+        # CUPCAP2 -> THROUGH2 over the annulus (56, 282, 1,408 and 7,034
         # generators): how the build gets there may change, the complex may not
         cx = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=depth)
         assert complex_digest(cx.truncated) == digest

@@ -10,11 +10,12 @@ from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.planar import (ClosedDiagram, PlanarTangle, compose, cup_over_cap,
                              enumerate_matchings, identity_tangle, juxtapose)
 from skeinhom.tqft import (ONE, X, StateVector, _composition_plan, _double_instances,
-                           basis_state, graded_rank, hom_double, hom_graded_rank,
+                           _relabeled, basis_state, graded_rank, hom_double, hom_graded_rank,
                            identity_state, juxtaposed, kh_basis, pair, reflected_x,
                            reflected_y, transposed, whisker)
 
-from .oracles import (joint_terms, pair_by_surgery, reflected_x_by_transport,
+from .oracles import (bent_down_by_transport, bent_up_by_transport, joint_terms,
+                      pair_by_surgery, reflected_x_by_transport,
                       reflected_y_by_transport, transport, transposed_by_transport,
                       whisker_by_reglue)
 
@@ -498,6 +499,8 @@ class TestCompiledMaps:
             assert reflected_x(sv, a, b) == reflected_x_by_transport(sv, a, b)
             assert reflected_y(sv, a, b) == reflected_y_by_transport(sv, a, b)
             assert transposed(sv, a, b) == transposed_by_transport(sv, a, b)
+            assert _relabeled(sv, a, b, "bend_down") == bent_down_by_transport(sv, a, b)
+            assert _relabeled(sv, a, b, "bend_up") == bent_up_by_transport(sv, a, b)
 
     def test_new_labels_on_known_keys_build_no_diagram(self, monkeypatch):
         a, b, e = ID2.with_circles(1), E, E.with_circles(1)
