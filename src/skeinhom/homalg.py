@@ -16,28 +16,67 @@ from dataclasses import dataclass
 from .errors import ChainMapError, GradingError, InvariantFactorError, TruncationError, WindowError
 
 
+def _integral(x, what):
+    """x as an int; GradingError if int() would change it (a float, a
+    fraction or a string), so no value is rounded on the way in."""
+    if type(x) is int:
+        return x
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise GradingError(f"LaurentPoly {what} must be an integer, got {x!r}")
+    return n
+
+
 class LaurentPoly:
-    """Integer Laurent polynomial in q, immutable."""
+    """Integer Laurent polynomial in q, immutable.
+
+    terms is canonical: (exponent, coefficient) pairs sorted by exponent,
+    int exponents and coefficients, no zero coefficient.  The public
+    constructor checks and sorts outside values; every arithmetic result is
+    canonical by construction and is built through _trusted."""
 
     __slots__ = ("terms",)
 
     def __init__(self, coeffs=None):
         terms = {}
         for e, c in dict(coeffs or {}).items():
+            e, c = _integral(e, "exponent"), _integral(c, "coefficient")
             if c:
-                terms[int(e)] = int(c)
+                terms[e] = c
         object.__setattr__(self, "terms", tuple(sorted(terms.items())))
+
+    @classmethod
+    def _trusted(cls, terms):
+        """A polynomial from a terms tuple that is already canonical;
+        nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
+    def _summed(cls, acc):
+        """The polynomial of an exponent -> int coefficient dict that may
+        still hold zero coefficients."""
+        return cls._trusted(tuple(sorted(t for t in acc.items() if t[1])))
+
+    @classmethod
+    def _constant(cls, n):
+        n = int(n)
+        return cls._trusted(((0, n),) if n else ())
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._trusted(())
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls._trusted(((0, 1),))
 
     @classmethod
     def q(cls, exp=1, coeff=1):
@@ -53,42 +92,69 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if isinstance(other, LaurentPoly):
+            return self.terms == other.terms
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+            return self.terms == LaurentPoly._constant(other).terms
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.terms)
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
+            other = LaurentPoly._constant(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            out[e] = get(e, 0) + c
+        return LaurentPoly._summed(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms})
+        return LaurentPoly._trusted(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
+            other = LaurentPoly._constant(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.terms})
+            other = int(other)
+            if not other:
+                return LaurentPoly.zero()
+            return LaurentPoly._trusted(tuple((e, c * other) for e, c in self.terms))
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial factor keeps the order and the nonzero terms
+            (e2, c2), = b
+            return LaurentPoly._trusted(tuple((e + e2, c * c2) for e, c in a))
         out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
+        get = out.get
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._summed(out)
 
     __rmul__ = __mul__
 
@@ -101,7 +167,8 @@ class LaurentPoly:
         return out
 
     def shifted(self, exp):
-        return LaurentPoly({e + exp: c for e, c in self.terms})
+        exp = _integral(exp, "exponent")
+        return LaurentPoly._trusted(tuple((e + exp, c) for e, c in self.terms))
 
     def min_exp(self):
         return self.terms[0][0] if self.terms else None
@@ -111,7 +178,7 @@ class LaurentPoly:
 
     def truncated(self, lo, hi):
         """Keep exponents in [lo, hi]."""
-        return LaurentPoly({e: c for e, c in self.terms if lo <= e <= hi})
+        return LaurentPoly._trusted(tuple(t for t in self.terms if lo <= t[0] <= hi))
 
     def __str__(self):
         if not self.terms:

@@ -99,6 +99,19 @@ def _coeff_list(poly):
     return lo, coeffs
 
 
+_ONE = LaurentPoly.one()
+
+
+def _laurent(value):
+    """An int or a LaurentPoly as a LaurentPoly; TypeError for anything else."""
+    if isinstance(value, LaurentPoly):
+        return value
+    if isinstance(value, int):
+        return LaurentPoly._constant(value)
+    raise TypeError(f"a RationalFunctionQ is built from ints and LaurentPolys, "
+                    f"not {type(value).__name__}")
+
+
 class RationalFunctionQ:
     """Quotient of integer Laurent polynomials in q, kept in reduced form.
 
@@ -117,14 +130,18 @@ class RationalFunctionQ:
             object.__setattr__(self, "num", num.num)
             object.__setattr__(self, "den", num.den)
             return
-        num = LaurentPoly({0: num}) if isinstance(num, int) else num
-        den = LaurentPoly.one() if den is None else den
-        den = LaurentPoly({0: den}) if isinstance(den, int) else den
+        num = _laurent(num)
+        den = _ONE if den is None else _laurent(den)
+        if den.terms == _ONE.terms:
+            # over one, every numerator is already reduced
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", _ONE)
+            return
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             object.__setattr__(self, "num", LaurentPoly.zero())
-            object.__setattr__(self, "den", LaurentPoly.one())
+            object.__setattr__(self, "den", _ONE)
             return
         nlo, ncs = _coeff_list(num)
         dlo, dcs = _coeff_list(den)
@@ -133,10 +150,11 @@ class RationalFunctionQ:
         dcs = _poly_div_exact(dcs, g)
         content = math.gcd(math.gcd(*(abs(c) for c in ncs)), math.gcd(*(abs(c) for c in dcs)))
         sign = 1 if dcs[-1] > 0 else -1
-        ncs = [sign * c // content for c in ncs]
-        dcs = [sign * c // content for c in dcs]
-        object.__setattr__(self, "num", LaurentPoly({nlo - dlo + i: c for i, c in enumerate(ncs)}))
-        object.__setattr__(self, "den", LaurentPoly(dict(enumerate(dcs))))
+        shift = nlo - dlo
+        object.__setattr__(self, "num", LaurentPoly._trusted(
+            tuple((shift + i, sign * c // content) for i, c in enumerate(ncs) if c)))
+        object.__setattr__(self, "den", LaurentPoly._trusted(
+            tuple((i, sign * c // content) for i, c in enumerate(dcs) if c)))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunctionQ is immutable")
@@ -542,14 +560,16 @@ def check_admissible(net):
 def pairing_prediction(net):
     """Predicted Euler characteristic of the symmetrized self-pairing of the
     network: the product of vertex theta values over loop values of the
-    internal edges."""
+    internal edges, multiplied out as Laurent polynomials and reduced once."""
     check_admissible(net)
-    value = RationalFunctionQ.one()
+    num = den = _ONE
     for ri in range(len(net.surface.regions)):
-        value = value * theta(*region_colors(net, ri))
+        value = theta(*region_colors(net, ri))
+        num, den = num * value.num, den * value.den
     for seam in net.surface.seams:
-        value = value / loop(net.coloring[seam])
-    return value
+        value = loop(net.coloring[seam])
+        num, den = num * value.den, den * value.num
+    return RationalFunctionQ(num, den)
 
 
 def cross_pairing_prediction(net_a, net_b):

@@ -346,6 +346,22 @@ def theta_by_pairs(a, b, c):
     return _fraction_sum(terms) * loop(c)
 
 
+def pairing_by_steps(net):
+    """Predicted self-pairing of a network as a running product of
+    RationalFunctionQ values, one reduction per theta value and one per loop
+    division; the route spin.pairing_prediction took before it multiplied
+    the Laurent numerators and denominators out and reduced once."""
+    from skeinhom.spin import RationalFunctionQ, check_admissible, loop, region_colors, theta
+
+    check_admissible(net)
+    value = RationalFunctionQ.one()
+    for ri in range(len(net.surface.regions)):
+        value = value * theta(*region_colors(net, ri))
+    for seam in net.surface.seams:
+        value = value / loop(net.coloring[seam])
+    return value
+
+
 def all_shuffles(r, s):
     """(r, s)-shuffles as interleaving patterns: tuples over {0, 1} with the
     sign given by inversion parity."""

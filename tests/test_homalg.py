@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +51,95 @@ class TestLaurentPoly:
         p = LaurentPoly({0: 1})
         with pytest.raises(AttributeError):
             p.terms = ()
+
+
+    @pytest.mark.parametrize("coeffs", [
+        {0: 0.5}, {0: Fraction(3, 2)}, {1.7: 1}, {0: "1"}, {"0": 1}, {0: None},
+        {0: float("inf")}, {0: float("nan")}, {0.5: 0},
+    ])
+    def test_refuses_non_integers(self, coeffs):
+        # 0.5 used to become a stored zero coefficient and 3/2 a 1
+        with pytest.raises(GradingError, match="must be an integer"):
+            LaurentPoly(coeffs)
+
+    def test_integral_values_become_ints(self):
+        p = LaurentPoly({2.0: Fraction(4, 2), True: 0})
+        assert p.terms == ((2, 2),)
+        assert all(type(e) is int and type(c) is int for e, c in p.terms)
+
+    def test_shift_refuses_non_integers(self):
+        with pytest.raises(GradingError, match="exponent must be an integer"):
+            LaurentPoly.one().shifted(0.5)
+        assert LaurentPoly.one().shifted(2.0).terms == ((2, 1),)
+
+    def test_unknown_operands_are_type_errors(self):
+        one = LaurentPoly.one()
+        for op in (lambda: one * 2.5, lambda: 2.5 * one, lambda: one + 0.5,
+                   lambda: 0.5 + one, lambda: one - 0.5, lambda: 0.5 - one):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+        assert one != 1.0 and one != "1"
+
+
+def _dict_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+def _dict_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def is_canonical(p):
+    exps = [e for e, _c in p.terms]
+    return (all(type(e) is int and type(c) is int and c for e, c in p.terms)
+            and exps == sorted(set(exps)))
+
+
+term_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=6)
+small_ints = st.integers(-3, 3)
+
+
+class TestTrustedArithmetic:
+    """Every arithmetic result is built through LaurentPoly._trusted; each
+    must be canonical and equal the checked constructor applied to terms
+    computed on plain dicts.  The dicts hold zero coefficients and the int
+    operands include zero."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(a=term_dicts, b=term_dicts, k=small_ints, n=st.integers(0, 3),
+           lo=small_ints, width=st.integers(-1, 6))
+    def test_results_match_the_checked_constructor(self, a, b, k, n, lo, width):
+        pa, pb = LaurentPoly(a), LaurentPoly(b)
+        power = {0: 1}
+        for _ in range(n):
+            power = _dict_product(power, a)
+        cases = [
+            (pa + pb, _dict_sum(a, b)),
+            (pa - pb, _dict_sum(a, b, -1)),
+            (-pa, {e: -c for e, c in a.items()}),
+            (pa * pb, _dict_product(a, b)),
+            (pa * k, {e: c * k for e, c in a.items()}),
+            (k * pa, {e: c * k for e, c in a.items()}),
+            (pa + k, _dict_sum(a, {0: k})),
+            (k + pa, _dict_sum(a, {0: k})),
+            (pa - k, _dict_sum(a, {0: -k})),
+            (k - pa, _dict_sum({0: k}, a, -1)),
+            (pa ** n, power),
+            (pa.shifted(k), {e + k: c for e, c in a.items()}),
+            (pa.truncated(lo, lo + width), {e: c for e, c in a.items() if lo <= e <= lo + width}),
+        ]
+        for got, terms in cases:
+            assert is_canonical(got), got.terms
+            assert got == LaurentPoly(terms)
+            assert got.terms == LaurentPoly(dict(got.terms)).terms
+        assert (pa == k) == (pa == LaurentPoly({0: k}))
 
 
 BOUNDS = st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 6)), min_size=1, max_size=3)

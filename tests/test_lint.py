@@ -29,6 +29,14 @@ ALLOWED_TANGLE_BUILDS = Counter({
 })
 
 
+# The only places outside homalg that build a LaurentPoly through its
+# unchecked constructor, by (module, function): the reduced numerator and
+# denominator that RationalFunctionQ computes in integers.  Every other
+# polynomial comes from homalg's arithmetic or its checked constructor.
+ALLOWED_TRUSTED_LAURENT = Counter({
+    ("spin", "RationalFunctionQ.__init__"): 2,
+})
+
 def nodes_by_function(path, wanted):
     """[(function, line)] of every node in the module at path that wanted
     accepts, with the dotted name of the classes and functions around it
@@ -131,6 +139,45 @@ def test_tangle_build_scan_sees_calls_and_scopes(tmp_path):
     assert tangle_builds_by_function(module) == [("", 1), ("S.f.g", 5), ("h", 8)]
     assert asserts_by_function(module) == []
 
+
+def is_trusted_laurent(node):
+    """A call of LaurentPoly._trusted(...)."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+            and func.attr == "_trusted" and isinstance(func.value, ast.Name)
+            and func.value.id == "LaurentPoly")
+
+
+def source_trusted_laurents():
+    return counted_beyond(ALLOWED_TRUSTED_LAURENT,
+                          lambda path: nodes_by_function(path, is_trusted_laurent),
+                          skip=("homalg",))
+
+
+def test_trusted_laurent_polynomials_only_where_listed():
+    _seen, stray = source_trusted_laurents()
+    assert not stray, (
+        "LaurentPoly._trusted called at " + ", ".join(stray)
+        + "; build the polynomial with LaurentPoly(...) or homalg's arithmetic")
+
+
+def test_every_allowance_matches_a_trusted_laurent():
+    seen, _stray = source_trusted_laurents()
+    stale = sorted(key for key, count in ALLOWED_TRUSTED_LAURENT.items() if seen[key] < count)
+    assert not stale, f"allowances above the trusted builds left in the source: {stale}"
+
+
+def test_trusted_laurent_scan_sees_calls_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "ONE = LaurentPoly._trusted(((0, 1),))\n"
+        "class R:\n"
+        "    def __init__(self, t):\n"
+        "        self.t = LaurentPoly._trusted(t), PlanarTangle._trusted(t)\n"
+        "def f(p):\n"
+        "    return LaurentPoly(p), p._trusted(()), LaurentPoly._trusted\n")
+    found = nodes_by_function(module, is_trusted_laurent)
+    assert found == [("", 1), ("R.__init__", 4)]
 
 def is_chord_search(node):
     """A call of <expression>.chords.index(...)."""

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,8 @@ from skeinhom.spin import _fraction_sum, _poly_div_exact, _poly_gcd
 from skeinhom.surface import SurfaceSpec, arc, seam_side
 
 from .optimized import error_under_optimize
-from .oracles import (annular_trace_circles, fraction_reduced, theta_by_pairs, theta_by_sandwich,
-                      theta_formula, wenzl_two_sided)
+from .oracles import (annular_trace_circles, fraction_reduced, pairing_by_steps, theta_by_pairs,
+                      theta_by_sandwich, theta_formula, wenzl_two_sided)
 
 RFQ = RationalFunctionQ
 
@@ -157,6 +158,26 @@ class TestRationalFunctionQ:
         assert line.startswith("TypeError:")
 
 
+    @pytest.mark.parametrize("args", [(1.5,), (Fraction(1, 2),), ("1",), (None,),
+                                      (1, 2.0), (LaurentPoly.one(), [1])])
+    def test_refuses_unknown_types(self, args):
+        # a float used to fail later with "no attribute 'terms'"
+        bad = type(args[-1]).__name__
+        with pytest.raises(TypeError, match=f"not {bad}$"):
+            RFQ(*args)
+
+    def test_mixed_with_laurent_polynomials(self):
+        one, q = LaurentPoly.one(), LaurentPoly.q()
+        assert one * RFQ.one() == RFQ.one() and isinstance(one * RFQ.one(), RFQ)
+        assert one + RFQ.one() == RFQ(2) and isinstance(one + RFQ.one(), RFQ)
+        assert q - RFQ(q) == RFQ.zero() and isinstance(q - RFQ(q), RFQ)
+        assert q * RFQ(1, quantum_integer(2)) == RFQ(q, quantum_integer(2))
+        assert one == RFQ.one() and RFQ.one() == one
+        assert q != RFQ.one() and RFQ.one() != q
+        with pytest.raises(TypeError):
+            RFQ.one() * 2.5
+
+
 def reduced_pair(f):
     return f.num.as_dict(), f.den.as_dict()
 
@@ -187,6 +208,17 @@ class TestNormalization:
     def test_reduced_forms(self, num, den, want):
         assert reduced_pair(RFQ(LaurentPoly(num), LaurentPoly(den))) == want
         assert fraction_reduced(num, den) == want
+
+    @settings(deadline=None, max_examples=150)
+    @given(a=laurents, d=nonzero_laurents.filter(lambda d: d != 1))
+    def test_over_one_keeps_the_general_reduced_form(self, a, d):
+        # a denominator of one returns at once; the general route through
+        # the gcd must reach the same pair
+        fast = RFQ(a, LaurentPoly.one())
+        assert fast.num is a and fast.den == LaurentPoly.one()
+        assert reduced_pair(fast) == reduced_pair(RFQ(a * d, d))
+        if a:
+            assert reduced_pair(fast) == fraction_reduced(a.as_dict(), {0: 1})
 
     def test_quantum_integer_quotients(self):
         qi = quantum_integer
@@ -428,6 +460,16 @@ class TestSpinNetwork:
             theta(2, 1, 1) * theta(2, 1, 1) / (loop(1) * loop(1))
         )
         assert pairing_prediction(net) == expected
+
+    def test_matches_stepwise_products(self):
+        # one reduction of the multiplied-out product against a reduction
+        # after every theta factor and loop division
+        colorings = [c for c in itertools.product(range(6), repeat=4)
+                     if admissible_triple(c[0], c[2], c[3]) and admissible_triple(c[1], c[3], c[2])]
+        assert len(colorings) == 155
+        for c in colorings:
+            net = SpinNetwork(TRI_ANNULUS, dict(zip(("a", "b", "g1", "g2"), c)))
+            assert pairing_prediction(net) == pairing_by_steps(net), c
 
     def test_cross_pairing_same_coloring(self):
         net = disk_network(1, 1, 2)
