@@ -106,10 +106,6 @@ class LaurentPoly:
             other = LaurentPoly._constant(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
         out = dict(self.terms)
         get = out.get
         for e, c in other.terms:
@@ -141,17 +137,10 @@ class LaurentPoly:
             return LaurentPoly._trusted(tuple((e, c * other) for e, c in self.terms))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            # a monomial factor keeps the order and the nonzero terms
-            (e2, c2), = b
-            return LaurentPoly._trusted(tuple((e + e2, c * c2) for e, c in a))
         out = {}
         get = out.get
-        for e1, c1 in a:
-            for e2, c2 in b:
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
         return LaurentPoly._summed(out)

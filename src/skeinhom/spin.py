@@ -107,7 +107,7 @@ def _laurent(value):
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, int):
-        return LaurentPoly._constant(value)
+        return LaurentPoly({0: value})
     raise TypeError(f"a RationalFunctionQ is built from ints and LaurentPolys, "
                     f"not {type(value).__name__}")
 

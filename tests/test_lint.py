@@ -29,10 +29,11 @@ ALLOWED_TANGLE_BUILDS = Counter({
 })
 
 
-# The only places outside homalg that build a LaurentPoly through its
-# unchecked constructor, by (module, function): the reduced numerator and
-# denominator that RationalFunctionQ computes in integers.  Every other
-# polynomial comes from homalg's arithmetic or its checked constructor.
+# The only places outside homalg that build a LaurentPoly through one of its
+# unchecked builders (_trusted, _summed, _constant), by (module, function):
+# the reduced numerator and denominator that RationalFunctionQ computes in
+# integers.  Every other polynomial comes from homalg's arithmetic or its
+# checked constructor.
 ALLOWED_TRUSTED_LAURENT = Counter({
     ("spin", "RationalFunctionQ.__init__"): 2,
 })
@@ -140,11 +141,14 @@ def test_tangle_build_scan_sees_calls_and_scopes(tmp_path):
     assert asserts_by_function(module) == []
 
 
+UNCHECKED_LAURENT_BUILDERS = ("_trusted", "_summed", "_constant")
+
+
 def is_trusted_laurent(node):
-    """A call of LaurentPoly._trusted(...)."""
+    """A call of LaurentPoly._trusted(...), ._summed(...) or ._constant(...)."""
     func = getattr(node, "func", None)
     return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
-            and func.attr == "_trusted" and isinstance(func.value, ast.Name)
+            and func.attr in UNCHECKED_LAURENT_BUILDERS and isinstance(func.value, ast.Name)
             and func.value.id == "LaurentPoly")
 
 
@@ -157,7 +161,7 @@ def source_trusted_laurents():
 def test_trusted_laurent_polynomials_only_where_listed():
     _seen, stray = source_trusted_laurents()
     assert not stray, (
-        "LaurentPoly._trusted called at " + ", ".join(stray)
+        "an unchecked LaurentPoly builder called at " + ", ".join(stray)
         + "; build the polynomial with LaurentPoly(...) or homalg's arithmetic")
 
 
@@ -175,9 +179,11 @@ def test_trusted_laurent_scan_sees_calls_and_scopes(tmp_path):
         "    def __init__(self, t):\n"
         "        self.t = LaurentPoly._trusted(t), PlanarTangle._trusted(t)\n"
         "def f(p):\n"
-        "    return LaurentPoly(p), p._trusted(()), LaurentPoly._trusted\n")
+        "    return LaurentPoly(p), p._trusted(()), LaurentPoly._trusted\n"
+        "def g(acc, n):\n"
+        "    return LaurentPoly._summed(acc), LaurentPoly._constant(n), LaurentPoly.one()\n")
     found = nodes_by_function(module, is_trusted_laurent)
-    assert found == [("", 1), ("R.__init__", 4)]
+    assert found == [("", 1), ("R.__init__", 4), ("g", 8), ("g", 8)]
 
 def is_chord_search(node):
     """A call of <expression>.chords.index(...)."""
