@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .errors import ChainMapError, GradingError, InvalidBoundary
+from .errors import ChainMapError, GradingError, InvalidBoundary, SpecError
 from .homalg import (Certificate, LaurentPoly, SparseComplex, TruncatedComplex, map_defect,
                      mapping_cone)
 from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle, juxtapose
@@ -49,9 +49,6 @@ class SmallRing:
         self._letters = {}
         self._end_letters = {}
 
-    def double(self, a, b):
-        return hom_double(a, b)
-
     def basis(self, a, b):
         return self._basis(a, b)[0]
 
@@ -59,7 +56,7 @@ class SmallRing:
         """The basis of Hom(a, b) as (labeling, degree) pairs, and as a dict."""
         key = (a, b)
         if key not in self._bases:
-            basis = kh_basis(*self.double(a, b))
+            basis = kh_basis(*hom_double(a, b))
             self._bases[key] = basis, dict(basis)
         return self._bases[key]
 
@@ -68,15 +65,15 @@ class SmallRing:
         lab = tuple(lab)
         if lab not in self._basis(a, b)[1]:
             raise GradingError(
-                f"labeling {lab!r} does not fit a {len(self.double(a, b)[0])}-circle diagram")
+                f"labeling {lab!r} does not fit a {len(hom_double(a, b)[0])}-circle diagram")
         return lab
 
     def degree(self, a, b, lab):
-        d, off = self.double(a, b)
+        d, off = hom_double(a, b)
         return off + sum(1 if l == X else -1 for l in lab)
 
     def state(self, a, b, lab):
-        d, off = self.double(a, b)
+        d, off = hom_double(a, b)
         return StateVector._trusted(d, off, {self._labeling(a, b, lab): 1})
 
     def identity_labeling(self, a):
@@ -484,6 +481,8 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
     a subcomplex, and it holds every object whose hom from b can reach a
     quantum degree at most qmax.
     """
+    if depth < 0:
+        raise SpecError(f"depth must be non-negative, got {depth}")
     floor_tangles = {tangle_of(ends) for ends in bar_ends(rings, depth, reduced)}
     window = max_degree = None
     if hom_bound is not None:
@@ -551,6 +550,8 @@ def bottom_projector(N, depth, split=None):
     Chain objects at degree -r are fold tangles of reduced words of length r,
     shifted by N/2 plus the word degree.
     """
+    if N < 0:
+        raise InvalidBoundary(f"strand count must be non-negative, got {N}")
     if N % 2:
         raise InvalidBoundary("an odd strand count admits no flat fold objects")
     if split is None:

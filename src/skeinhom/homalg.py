@@ -99,6 +99,11 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and self.terms[0][0] == 0:
+            return hash(self.terms[0][1])
         return hash(self.terms)
 
     def __add__(self, other):

@@ -195,10 +195,7 @@ def compose(upper, lower):
     both tangles: lower's point p is p, upper's point p is kb + mid + p, so
     that lower's top point q is glued to upper's bottom point q + mid.
     """
-    if lower.top != upper.bottom:
-        raise InvalidBoundary(
-            f"cannot glue a {lower.top}-point top edge to a {upper.bottom}-point bottom edge"
-        )
+    _check_glue(upper, lower)
     kb, mid, nt = lower.bottom, lower.top, upper.top
     top = kb + 2 * mid  # upper's top point i is top + i
     chord = [*lower.partner, *[kb + mid + q for q in upper.partner]]
@@ -227,22 +224,46 @@ def compose(upper, lower):
     return PlanarTangle._trusted(kb, nt, tuple(partner), circles)
 
 
+def _check_glue(upper, lower):
+    if lower.top != upper.bottom:
+        raise InvalidBoundary(
+            f"cannot glue a {lower.top}-point top edge to a {upper.bottom}-point bottom edge"
+        )
+
+
+def stacking_points(upper, lower):
+    """Where the factors' boundary points land in compose(upper, lower): a
+    tuple for lower and one for upper, giving the composite's point for
+    each factor point on its boundary (lower's bottom point p stays p,
+    upper's top point i follows lower's bottom edge) and None for each
+    point glued at the interface."""
+    _check_glue(upper, lower)
+    kb = lower.bottom
+    return ((*range(kb), *[None] * lower.top),
+            (*[None] * upper.bottom, *range(kb, kb + upper.top)))
+
+
+def juxtaposition_points(tangles):
+    """Where each factor's boundary points land in juxtapose(*tangles): one
+    tuple per factor, its point p going to point images[i][p]."""
+    b, t = 0, sum(f.bottom for f in tangles)
+    images = []
+    for f in tangles:
+        images.append((*range(b, b + f.bottom), *range(t, t + f.top)))
+        b, t = b + f.bottom, t + f.top
+    return images
+
+
 def juxtapose(*tangles):
     """Place tangles side by side, left to right."""
-    total_b = sum(t.bottom for t in tangles)
-    total_t = sum(t.top for t in tangles)
-    partner = [0] * (total_b + total_t)
-    off_b, off_t = 0, 0
-    for t in tangles:
-        def glob(p, off_b=off_b, off_t=off_t, t=t):
-            return (off_b + p) if p < t.bottom else (total_b + off_t + p - t.bottom)
-
-        for p, q in enumerate(t.partner):
-            partner[glob(p)] = glob(q)
-        off_b += t.bottom
-        off_t += t.top
-    return PlanarTangle._trusted(total_b, total_t, tuple(partner),
-                                 sum(t.circles for t in tangles))
+    images = juxtaposition_points(tangles)
+    partner = [0] * sum(map(len, images))
+    for f, image in zip(tangles, images):
+        for p, q in zip(image, f.partner):
+            partner[p] = image[q]
+    bottom = sum(f.bottom for f in tangles)
+    return PlanarTangle._trusted(bottom, len(partner) - bottom, tuple(partner),
+                                 sum(f.circles for f in tangles))
 
 
 def bend_down(t):

@@ -180,6 +180,9 @@ class RationalFunctionQ:
         )
 
     def __hash__(self):
+        # over one it equals its numerator, so it hashes as that
+        if self.den.terms == _ONE.terms:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __add__(self, other):

@@ -27,10 +27,11 @@ from functools import lru_cache
 from .barproj import bar_complex, signed_shuffles, small_ring, word_degree, word_ends
 from .errors import InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import ChainMap
-from .planar import MOVES, ClosedDiagram, PlanarTangle, identity_tangle, juxtapose
+from .planar import (MOVES, ClosedDiagram, PlanarTangle, identity_tangle, juxtapose,
+                     juxtaposition_points, stacking_points)
 from .planar import compose as stack
-from .tqft import (ONE, _arc_at_port, _chord_index, _double_instances, _joint_pick, _Recorder,
-                   hom_double, identity_state, juxtaposed, kh_basis, whisker)
+from .tqft import (ONE, _carried_arcs, _chord_index, _double_instances, _glued, _joint_pick,
+                   _Recorder, hom_double, identity_state, juxtaposed, kh_basis, whisker)
 
 
 @dataclass(frozen=True)
@@ -301,7 +302,7 @@ class SurfaceComplex:
         self.z_regions = tuple(stack(tc.reflect_y(), sc) for sc, tc in zip(bottom.caps, top.caps))
         self.z_jux = juxtapose(*self.z_regions)
 
-        boundary_points = self.z_jux.bottom + self.z_jux.top
+        boundary_points = self.z_jux.points
         if boundary_points % 4:
             raise SpecError(
                 f"{boundary_points} region boundary points leave the quantum "
@@ -466,31 +467,23 @@ def _stacking_plan(z1, m1, z2, m2, zt):
     _double_instances(2, z2, m2, tangles, glue)
     union = ClosedDiagram.from_instances(tangles, glue)
     rec = _Recorder(union)
-    kr = z2.bottom
+    z_lower, z_upper = stacking_points(z1, z2)
+    twin = {u: l for l, u in _glued(z_lower, z_upper)}  # z1's bottom point -> z2's top point
+
+    def nodes(p):
+        """The nodes of z1's bottom point p and of z2's top point under it."""
+        return (union.node_of_port(((1, "x"),) + z1.port_of_point(p)),
+                union.node_of_port(((2, "x"),) + z2.port_of_point(twin[p])))
+
     for k, (p, q) in enumerate(z1.chords):
-        if p >= z1.bottom:
-            break
-        arc1 = ((1, "x"), k)
-        arc2 = ((2, "x"), _chord_index(z2, kr + p))
-        n1p = union.node_of_port(((1, "x"), "b", p))
-        n1q = union.node_of_port(((1, "x"), "b", q))
-        n2p = union.node_of_port(((2, "x"), "t", p))
-        n2q = union.node_of_port(((2, "x"), "t", q))
-        rec.surger(arc1, arc2, ((n1p, n2p), (n1q, n2q)))
+        if p in twin:
+            rec.surger(((1, "x"), k), ((2, "x"), _chord_index(z2, twin[p])), (nodes(p), nodes(q)))
     canon, _off = hom_double(zt, m_out)
-    arc_map = {}
-    for k, (p, q) in enumerate(zt.chords):
-        if q < zt.bottom:
-            arc_map[((2, "x"), _chord_index(z2, p))] = ("x", k)
-        else:
-            local = p - zt.bottom
-            arc_map[((1, "x"), _chord_index(z1, z1.bottom + local))] = ("x", k)
-    for k, (p, q) in enumerate(m_out.chords):
-        if p < m_out.bottom:
-            port = ((2, "y"), "b", p)
-        else:
-            port = ((1, "y"), "t", p - m_out.bottom)
-        arc_map[_arc_at_port(tangles, port)] = ("y", k)
+    m_lower, m_upper = stacking_points(m1, m2)
+    arc_map = {**_carried_arcs((2, "x"), z2, z_lower, "x", zt),
+               **_carried_arcs((1, "x"), z1, z_upper, "x", zt),
+               **_carried_arcs((2, "y"), m2, m_lower, "y", m_out),
+               **_carried_arcs((1, "y"), m1, m_upper, "y", m_out)}
     pick = _joint_pick(union, ((1, hom_double(z1, m1)[0]), (2, hom_double(z2, m2)[0])))
     return rec.plan(pick, canon, arc_map)
 
@@ -598,9 +591,9 @@ def _splice_caps(tangle, ri, si, rj, sj, order):
 
     Seam points are identified end to end (point t on the minus side against
     point n-1-t on the plus side) and chords are followed through the
-    identification.  Returns the merged cap, its counts, a map from old
-    (region, point) to merged points, and a map from old (region, chord
-    index) to merged chord indices.
+    identification.  Returns the merged cap, its counts and where each old
+    (region, point) lands: a point off the seam at its merged point, a seam
+    point at one end of the merged chord its chain of chords becomes.
     """
     counts = tangle.counts
     n = counts[ri][si]
@@ -625,38 +618,22 @@ def _splice_caps(tangle, ri, si, rj, sj, order):
         ident[(rj, gj + n - 1 - t)] = (ri, gi + t)
 
     partner = [None] * acc
-    paths = []
-    visited = set()
-    for r0, p0 in point_map:
-        if (r0, p0) in visited:
+    image = dict(point_map)
+    for (r, p), u in point_map.items():
+        if partner[u] is not None:
             continue
-        chain = []
-        r, p = r0, p0
-        while True:
-            q = tangle.caps[r].partner[p]
-            chain.append((r, _chord_index(tangle.caps[r], p)))
-            if (r, q) not in ident:
-                break
+        q = tangle.caps[r].partner[p]
+        while (r, q) in ident:
+            image[(r, q)] = u
             r, p = ident[(r, q)]
-        visited.add((r0, p0))
-        visited.add((r, q))
-        u, v = point_map[(r0, p0)], point_map[(r, q)]
+            image[(r, p)] = u
+            q = tangle.caps[r].partner[p]
+        v = point_map[(r, q)]
         partner[u], partner[v] = v, u
-        paths.append(((u, v), chain))
-    if any(v is None for v in partner):
+    # a seam point no chain reached lies on a component closed off the boundary
+    if len(image) < tangle.caps[ri].points + tangle.caps[rj].points:
         raise SpecError("coarsening would close a tangle component off the boundary")
-    seen_chords = {rc for _, chain in paths for rc in chain}
-    for r in (ri, rj):
-        for k in range(len(tangle.caps[r].chords)):
-            if (r, k) not in seen_chords:
-                raise SpecError("coarsening would close a tangle component off the boundary")
-    merged = PlanarTangle(acc, 0, tuple(partner))
-    chord_carry = {}
-    for (u, v), chain in paths:
-        new_k = _chord_index(merged, u)
-        for rc in chain:
-            chord_carry[rc] = new_k
-    return merged, tuple(new_counts), point_map, chord_carry
+    return PlanarTangle(acc, 0, tuple(partner)), tuple(new_counts), image
 
 
 def removable_seam(spec, seam, tangles=()):
@@ -762,7 +739,7 @@ def _coarsened(cx, seam, check):
         seg_pos[(r, s)] = (region_pos[ri], new_s)
 
     def splice(tangle):
-        merged, new_counts, point_map, chord_carry = _splice_caps(tangle, ri, si, rj, sj, order)
+        merged, new_counts, image = _splice_caps(tangle, ri, si, rj, sj, order)
         caps, counts = [], []
         for r in range(len(spec.regions)):
             if r == rj:
@@ -773,89 +750,61 @@ def _coarsened(cx, seam, check):
             else:
                 caps.append(tangle.caps[r])
                 counts.append(tangle.counts[r])
-        return SurfaceTangle(tuple(caps), tuple(counts)), point_map, chord_carry
+        return SurfaceTangle(tuple(caps), tuple(counts)), image
 
-    new_top, top_points, top_chords = splice(cx.top)
-    new_bot, bot_points, bot_chords = splice(cx.bottom)
+    new_top, top_image = splice(cx.top)
+    new_bot, bot_image = splice(cx.bottom)
     target = SurfaceComplex(new_spec, new_top, new_bot, cx.depth,
                             inserts=cx.inserts, reduced=cx.reduced, check=check)
 
-    z_arc_map = _closure_arc_map(cx, target, region_pos, ri, rj,
-                                 bot_points, bot_chords, top_points, top_chords)
+    z_arc_map = _closure_arc_map(cx, target, region_pos, bot_image, top_image)
     m_arc_map = _middle_arc_map(cx, target, seg_pos, seam)
     return target, z_arc_map, m_arc_map
 
 
-def _point_offsets(tangles):
-    """Cumulative bottom and top point offsets of tangles set side by side."""
-    boff, toff = [], []
-    b = t = 0
-    for tangle in tangles:
-        boff.append(b)
-        toff.append(t)
-        b += tangle.bottom
-        t += tangle.top
-    return boff, toff
-
-
-def _closure_arc_map(cx, target, region_pos, ri, rj,
-                     bot_points, bot_chords, top_points, top_chords):
-    """Old closure chord arcs to new ones, following the cap splice."""
-    src_b, src_t = _point_offsets(cx.z_regions)
-    tgt_b, tgt_t = _point_offsets(target.z_regions)
-    out = {}
-    for r in range(len(cx.spec.regions)):
-        nr = region_pos[r]
-        sc, tc = cx.bottom.caps[r], cx.top.caps[r]
-        for k in range(len(sc.chords)):
-            if r in (ri, rj):
-                nk = bot_chords[(r, k)]
-                p_new = target.bottom.caps[nr].chords[nk][0]
-            else:
-                p_new = sc.chords[k][0]
-            old_arc = ("x", _chord_index(cx.z_jux, src_b[r] + sc.chords[k][0]))
-            out[old_arc] = ("x", _chord_index(target.z_jux, tgt_b[nr] + p_new))
-        for k in range(len(tc.chords)):
-            if r in (ri, rj):
-                nk = top_chords[(r, k)]
-                p_new = target.top.caps[nr].chords[nk][0]
-            else:
-                p_new = tc.chords[k][0]
-            old_arc = ("x", _chord_index(cx.z_jux, cx.z_jux.bottom + src_t[r] + tc.chords[k][0]))
-            out[old_arc] = ("x", _chord_index(target.z_jux,
-                                              target.z_jux.bottom + tgt_t[nr] + p_new))
+def _closure_points(cx):
+    """Where each region's bottom and top cap points land in cx.z_jux: a
+    pair of tuples per region."""
+    out = []
+    jux = juxtaposition_points(cx.z_regions)
+    for image, sc, tc in zip(jux, cx.bottom.caps, cx.top.caps):
+        lower, upper = stacking_points(tc.reflect_y(), sc)
+        flip = MOVES["reflect_y"](tc.bottom, tc.top)[2]
+        out.append((tuple(image[lower[p]] for p in range(sc.points)),
+                    tuple(image[upper[flip(p)]] for p in range(tc.points))))
     return out
+
+
+def _closure_arc_map(cx, target, region_pos, bot_image, top_image):
+    """Old closure chord arcs to new ones, following the cap splice:
+    bot_image and top_image place the spliced regions' cap points."""
+    new = _closure_points(target)
+    image = [None] * cx.z_jux.points
+    for r, olds in enumerate(_closure_points(cx)):
+        for old, tgt, spliced in zip(olds, new[region_pos[r]], (bot_image, top_image)):
+            for p, g in enumerate(old):
+                image[g] = tgt[spliced.get((r, p), p)]
+    return _carried_arcs("x", cx.z_jux, image, "x", target.z_jux)
 
 
 def _middle_arc_map(cx, target, seg_pos, seam):
     """Per word tuple, old middle chord arcs to new ones away from the seam."""
     g_idx = cx._seam_pos[seam]
     out = {}
-    for h, mws in cx.multiwords.items():
+    for mws in cx.multiwords.values():
         for mw in mws:
             if mw[g_idx][1]:
                 continue
             mw_t = mw[:g_idx] + mw[g_idx + 1:]
-            m_src, m_tgt = cx.m_tangle(mw), target.m_tangle(mw_t)
-            slots = cx.slot_tangles(mw)
-            src_b, src_t = _point_offsets(slots)
-            tgt_b, tgt_t = _point_offsets(target.slot_tangles(mw_t))
-            amap = {}
-            for k_old, tangle in enumerate(slots):
-                r, s = cx._slot_pos[k_old]
-                pos = seg_pos.get((r, s))
-                if pos is None:
-                    continue
-                k_new = target._slot_global[pos]
-                for p, _q in tangle.chords:
-                    if p < tangle.bottom:
-                        gp_old = src_b[k_old] + p
-                        gp_new = tgt_b[k_new] + p
-                    else:
-                        gp_old = m_src.bottom + src_t[k_old] + (p - tangle.bottom)
-                        gp_new = m_tgt.bottom + tgt_t[k_new] + (p - tangle.bottom)
-                    amap[("y", _chord_index(m_src, gp_old))] = ("y", _chord_index(m_tgt, gp_new))
-            out[mw] = amap
+            m_src = cx.m_tangle(mw)
+            new = juxtaposition_points(target.slot_tangles(mw_t))
+            image = [None] * m_src.points
+            for k, old in enumerate(juxtaposition_points(cx.slot_tangles(mw))):
+                pos = seg_pos.get(cx._slot_pos[k])
+                if pos is not None:
+                    for g, g_new in zip(old, new[target._slot_global[pos]]):
+                        image[g] = g_new
+            out[mw] = _carried_arcs("y", m_src, image, "y", target.m_tangle(mw_t))
     return out
 
 
@@ -923,25 +872,16 @@ def _plug_surgeries(cx, seam, mw, a0, m_src, d_src):
     count-1-t on the plus side, separately along the bottom and the top.
     One surgery per chord of a0.
     """
-    neg = cx._seam_slots[seam][-1]
-    pos = cx._seam_slots[seam][1]
-    src_b, src_t = _point_offsets(cx.slot_tangles(mw))
+    images = juxtaposition_points(cx.slot_tangles(mw))
+    neg, pos = (images[cx._seam_slots[seam][side]] for side in (-1, 1))
     mir = MOVES["reflect_x"](a0.bottom, a0.top)[2]
 
-    def glob(slot, p):
-        if p < a0.bottom:
-            return src_b[slot] + p
-        return m_src.bottom + src_t[slot] + (p - a0.bottom)
-
-    def node(gp):
-        if gp < m_src.bottom:
-            return d_src.node_of_port(("y", "b", gp))
-        return d_src.node_of_port(("y", "t", gp - m_src.bottom))
+    def node(g):
+        return d_src.node_of_port(("y",) + m_src.port_of_point(g))
 
     out = []
     for u, v in a0.chords:
-        gnu, gnv = glob(neg, mir(u)), glob(neg, mir(v))
-        gpu, gpv = glob(pos, u), glob(pos, v)
+        gnu, gnv, gpu, gpv = neg[mir(u)], neg[mir(v)], pos[u], pos[v]
         arc1 = ("y", _chord_index(m_src, gnu))
         arc2 = ("y", _chord_index(m_src, gpu))
         out.append((arc1, arc2, ((node(gnu), node(gpu)), (node(gnv), node(gpv)))))

@@ -18,6 +18,10 @@ Every map this module applies to labels (composition, whiskering,
 juxtaposition, the mirrors and bends of planar.MOVES, and transposition)
 is a _SurgeryPlan compiled once per key of tangles: a _Recorder runs the
 saddles and caps once, on diagrams, and keeps only how labels cross them.
+The arc map that names the circles a plan ends on is built by
+_carried_arcs from a point map of planar (a move, juxtaposition_points or
+stacking_points), which alone knows how a composite numbers its boundary
+points; no plan compiler does offset arithmetic of its own.
 Replaying a plan touches labels alone; a plan with steps keeps the basis
 products it has replayed.  Doubles and plans are cached for the life of
 the process, so diagrams are built only by hom_double and by the plan
@@ -31,7 +35,8 @@ from functools import lru_cache
 
 from .errors import GradingError, InvalidBoundary
 from .homalg import LaurentPoly
-from .planar import MOVES, ClosedDiagram, compose, juxtapose, moved
+from .planar import (MOVES, ClosedDiagram, compose, juxtapose, juxtaposition_points, moved,
+                     stacking_points)
 
 ONE, X = 0, 1
 
@@ -455,12 +460,8 @@ def _composition_plan(a, b, c):
         l1, l2 = rec.diagram.arcs[arc1][0], rec.diagram.arcs[arc2][0]
         rec.surger(arc1, arc2, ((l1, l2), (l1, l2)))
         rec.cap(("srg", arc1, arc2, 0))
-    arc_map = {}
-    for side, block, t in (("x", 1, a), ("y", 2, c)):
-        for k in range(len(t.chords)):
-            arc_map[((block, side), k)] = (side, k)
-        for k in range(t.circles):
-            arc_map[((block, side), "o", k)] = (side, "o", k)
+    arc_map = {**_carried_arcs((1, "x"), a, range(a.points), "x", a),
+               **_carried_arcs((2, "y"), c, range(c.points), "y", c)}
     return first, second, canon, off, rec.plan(_joint_pick(union, ((1, d1), (2, d2))), canon,
                                                arc_map)
 
@@ -471,11 +472,28 @@ def _chord_index(t, p):
     return t.chords.index((min(p, q), max(p, q)))
 
 
-def _arc_at_port(instances, port):
-    inst, side, i = port
-    t = instances[inst]
-    p = i if side == "b" else t.bottom + i
-    return (inst, _chord_index(t, p))
+def _carried_arcs(src, t, image, side, target, circles=0):
+    """Arc map entries carrying instance src of tangle t onto one side of a
+    double of target, along image, a point map of planar (a move, a
+    juxtaposition or a stack) from t's points to target's, None at points
+    off target's boundary.  Each chord of t with an end on target's
+    boundary goes to target's chord there; t's carried circle k goes to
+    target's circle circles + k."""
+    arcs = {}
+    for k, (p, q) in enumerate(t.chords):
+        g = image[q] if image[p] is None else image[p]
+        if g is not None:
+            arcs[(src, k)] = (side, _chord_index(target, g))
+    for k in range(t.circles):
+        arcs[(src, "o", k)] = (side, "o", circles + k)
+    return arcs
+
+
+def _glued(lower, upper):
+    """The (lower point, upper point) pairs a stack glues, in interface
+    order, from the two point maps of planar.stacking_points."""
+    return tuple(zip((p for p, g in enumerate(lower) if g is None),
+                     (p for p, g in enumerate(upper) if g is None)))
 
 
 @lru_cache(maxsize=None)
@@ -484,18 +502,13 @@ def _relabeling_plan(a, b, kind):
     both factors (a mirror or a bend), or reading it as Hom(b, a) (kind
     "t").  Returns the double it ends on and the step-free plan."""
     if kind == "t":
-        f = lambda p: p
-        images = (("y", a, a), ("x", b, b))
+        image, ends, sides = range(a.points), {"x": b, "y": a}, "yx"
     else:
-        f = MOVES[kind](a.bottom, a.top)[2]
-        images = (("x", a, moved(a, kind)), ("y", b, moved(b, kind)))
+        image = tuple(map(MOVES[kind](a.bottom, a.top)[2], range(a.points)))
+        ends, sides = {"x": moved(a, kind), "y": moved(b, kind)}, "xy"
     arc_map = {}
-    for src, (side, t, ft) in zip(("x", "y"), images):
-        for p, _q in t.chords:
-            arc_map[(src, _chord_index(t, p))] = (side, _chord_index(ft, f(p)))
-        for k in range(t.circles):
-            arc_map[(src, "o", k)] = (side, "o", k)
-    ends = {side: ft for side, _t, ft in images}
+    for src, t, side in zip("xy", (a, b), sides):
+        arc_map.update(_carried_arcs(src, t, image, side, ends[side]))
     d, _ = hom_double(a, b)
     canon, _ = hom_double(ends["x"], ends["y"])
     return canon, _Recorder(d).plan(tuple(range(len(d))), canon, arc_map)
@@ -553,55 +566,47 @@ def _whisker_plan(a, b, e, above):
     """
     if above:
         fa, fb = compose(e, a), compose(e, b)
+        lower, upper = stacking_points(e, a)
     else:
         fa, fb = compose(a, e), compose(b, e)
+        lower, upper = stacking_points(a, e)
     tangles, glue = {}, {}
     _double_instances("m", a, b, tangles, glue)
     _double_instances("e", e, e, tangles, glue)
     start = ClosedDiagram.from_instances(tangles, glue)
     rec = _Recorder(start)
-    if above:
-        pairs = [((("m", "x"), "t", i), (("e", "x"), "b", i)) for i in range(a.top)]
-    else:
-        pairs = [((("m", "x"), "b", i), (("e", "x"), "t", i)) for i in range(a.bottom)]
-    for p1, p2 in pairs:
+    # the (a, b) factor is the lower one above, the upper one below
+    for pl, pu in _glued(lower, upper):
+        pm, pe = (pl, pu) if above else (pu, pl)
+        p1, p2 = (("m", "x"),) + a.port_of_point(pm), (("e", "x"),) + e.port_of_point(pe)
         q1, q2 = glue[p1], glue[p2]
         glue = dict(glue)
         glue[p1], glue[p2] = p2, p1
         glue[q1], glue[q2] = q2, q1
         new = ClosedDiagram.from_instances(tangles, glue)
-        a1, a2 = _arc_at_port(tangles, p1), _arc_at_port(tangles, p2)
+        a1, a2 = (("m", "x"), _chord_index(a, pm)), (("e", "x"), _chord_index(e, pe))
         c1, c2 = rec.diagram.component_of[a1], rec.diagram.component_of[a2]
         t0 = new.component_of[a1]
         # the daughters of a split meet the new nodes {p1, p2} and {q1, q2}
-        t1 = t0 if c1 != c2 else new.component_of[_arc_at_port(tangles, q1)]
+        t1 = t0 if c1 != c2 else new.component_of[(("m", "y"), _chord_index(b, pm))]
         rec.saddle(new, c1, c2, t0, t1)
     canon, off = hom_double(fa, fb)
     end = rec.diagram.component_of
     final_map = {}
-    for side in ("x", "y"):
-        f = fa if side == "x" else fb
-        mid_t = a if side == "x" else b
-        m_inst, e_inst = ("m", side), ("e", side)
-        lo_inst, lo_t = (m_inst, mid_t) if above else (e_inst, e)
-        up_inst, up_t = (e_inst, e) if above else (m_inst, mid_t)
-        for j, (p, _q) in enumerate(f.chords):
-            if p < f.bottom:
-                port = (lo_inst, "b", p)
-            else:
-                port = (up_inst, "t", p - f.bottom)
-            final_map[_arc_at_port(tangles, port)] = (side, j)
-        loops = [(lo_inst, "o", k) for k in range(lo_t.circles)]
-        loops += [(up_inst, "o", k) for k in range(up_t.circles)]
+    for side, f, mid in (("x", fa, a), ("y", fb, b)):
+        m_inst, e_inst = (("m", side), mid), (("e", side), e)
+        (lo, lo_t), (up, up_t) = (m_inst, e_inst) if above else (e_inst, m_inst)
+        final_map.update(_carried_arcs(lo, lo_t, lower, side, f))
+        final_map.update(_carried_arcs(up, up_t, upper, side, f, lo_t.circles))
         # then the circles closed at the interface, by smallest interface point
         seen = {end[arc] for arc in final_map}
-        for i in range(lo_t.top):
-            arc = _arc_at_port(tangles, (lo_inst, "t", i))
+        k = lo_t.circles + up_t.circles
+        for p, _q in _glued(lower, upper):
+            arc = (lo, _chord_index(lo_t, p))
             if end[arc] not in seen:
                 seen.add(end[arc])
-                loops.append(arc)
-        for k, arc in enumerate(loops):
-            final_map[arc] = (side, "o", k)
+                final_map[arc] = (side, "o", k)
+                k += 1
     pick = _joint_pick(start, (("m", hom_double(a, b)[0]), ("e", hom_double(e, e)[0])))
     return canon, off, rec.plan(pick, canon, final_map)
 
@@ -633,22 +638,16 @@ def _juxtaposition_plan(shapes):
     for i, (a, b) in enumerate(shapes):
         _double_instances(i, a, b, tangles, glue)
     big = ClosedDiagram.from_instances(tangles, glue)
-    ja = juxtapose(*(a for a, _b in shapes))
-    jb = juxtapose(*(b for _a, b in shapes))
+    xs, ys = tuple(a for a, _b in shapes), tuple(b for _a, b in shapes)
+    ja, jb = juxtapose(*xs), juxtapose(*ys)
     canon, off = hom_double(ja, jb)
+    # a and b of a factor share their boundary, so one map places both
+    images = juxtaposition_points(xs)
     arc_map = {}
-    for side, get in (("x", lambda f: f[0]), ("y", lambda f: f[1])):
-        jt = ja if side == "x" else jb
-        off_b = off_t = off_o = 0
-        for i, fac in enumerate(shapes):
-            t = get(fac)
-            for k, (p, _q) in enumerate(t.chords):
-                gp = (off_b + p) if p < t.bottom else (jt.bottom + off_t + p - t.bottom)
-                arc_map[((i, side), k)] = (side, _chord_index(jt, gp))
-            for k in range(t.circles):
-                arc_map[((i, side), "o", k)] = (side, "o", off_o + k)
-            off_b += t.bottom
-            off_t += t.top
-            off_o += t.circles
+    for side, factors, jt in (("x", xs, ja), ("y", ys, jb)):
+        circles = 0
+        for i, (t, image) in enumerate(zip(factors, images)):
+            arc_map.update(_carried_arcs((i, side), t, image, side, jt, circles))
+            circles += t.circles
     pick = _joint_pick(big, [(i, d) for i, (d, _off) in enumerate(doubles)])
     return doubles, canon, off, _Recorder(big).plan(pick, canon, arc_map)

@@ -928,10 +928,20 @@ def transposed_by_transport(state, a, b):
     return transport(state, canon, arc_map)
 
 
+def _arc_at_port(instances, port):
+    """The chord arc of a tangle instance through one of its ports."""
+    from skeinhom.tqft import _chord_index
+
+    inst, side, i = port
+    t = instances[inst]
+    p = i if side == "b" else t.bottom + i
+    return (inst, _chord_index(t, p))
+
+
 def _reglue(state, instances, glue, p1, p2):
     """Saddle re-pairing ports: {p1-q1, p2-q2} becomes {p1-p2, q1-q2}."""
     from skeinhom.planar import ClosedDiagram
-    from skeinhom.tqft import StateVector, _arc_at_port
+    from skeinhom.tqft import StateVector
 
     q1, q2 = glue[p1], glue[p2]
     new_glue = dict(glue)
@@ -1006,7 +1016,7 @@ def whisker_by_reglue(state, a, b, e, above=True):
     """
     from skeinhom.errors import InvalidBoundary
     from skeinhom.planar import ClosedDiagram, compose
-    from skeinhom.tqft import _arc_at_port, _check_on, _double_instances, hom_double, identity_state
+    from skeinhom.tqft import _check_on, _double_instances, hom_double, identity_state
 
     _check_on(state, hom_double(a, b), "state")
     if above:
@@ -1068,8 +1078,7 @@ def stacked_state_by_surgery(fc, gc, tc, m1, m2, labf, labg):
     from skeinhom.errors import SpecError
     from skeinhom.planar import ClosedDiagram
     from skeinhom.planar import compose as stack
-    from skeinhom.tqft import (StateVector, _arc_at_port, _chord_index, _double_instances,
-                               hom_double)
+    from skeinhom.tqft import StateVector, _chord_index, _double_instances, hom_double
 
     z1, z2, zt = fc.z_jux, gc.z_jux, tc.z_jux
     tangles, glue = {}, {}
@@ -1112,13 +1121,189 @@ def stacked_state_by_surgery(fc, gc, tc, m1, m2, labf, labg):
     return StateVector(canon, off_t, dict(out.terms))
 
 
+def _point_offsets(tangles):
+    """Cumulative bottom and top point offsets of tangles set side by side."""
+    boff, toff = [], []
+    b = t = 0
+    for tangle in tangles:
+        boff.append(b)
+        toff.append(t)
+        b += tangle.bottom
+        t += tangle.top
+    return boff, toff
+
+
+def _spliced_chords(tangle, ri, si, rj, sj, order):
+    """(region, chord index) -> chord index in the merged cap, for the two
+    regions a seam splice joins: each chain of chords is walked across the
+    seam (point t on the minus side against point n-1-t on the plus side)
+    from one end off the seam to the other."""
+    counts = tangle.counts
+    start = {}
+    for r in (ri, rj):
+        acc = 0
+        for s, c in enumerate(counts[r]):
+            start[(r, s)] = acc
+            acc += c
+    merged_point, acc = {}, 0
+    for r, s in order:
+        for t in range(counts[r][s]):
+            merged_point[(r, start[(r, s)] + t)] = acc + t
+        acc += counts[r][s]
+    n = counts[ri][si]
+    across = {}
+    for t in range(n):
+        a, b = (ri, start[(ri, si)] + t), (rj, start[(rj, sj)] + n - 1 - t)
+        across[a], across[b] = b, a
+    chains, done = [], set()
+    for (r, p), u in merged_point.items():
+        if u in done:
+            continue
+        chain = []
+        while True:
+            cap = tangle.caps[r]
+            q = cap.partner[p]
+            chain.append((r, cap.chords.index((min(p, q), max(p, q)))))
+            if (r, q) not in across:
+                break
+            r, p = across[(r, q)]
+        v = merged_point[(r, q)]
+        done |= {u, v}
+        chains.append((min(u, v), chain))
+    # merged chords are sorted by their first point
+    firsts = sorted(first for first, _chain in chains)
+    return {rc: firsts.index(first) for first, chain in chains for rc in chain}
+
+
+def _closure_arc_map(cx, target, region_pos, ri, rj, bot_chords, top_chords):
+    """Old closure chord arcs to new ones, following the cap splice."""
+    from skeinhom.tqft import _chord_index
+
+    src_b, src_t = _point_offsets(cx.z_regions)
+    tgt_b, tgt_t = _point_offsets(target.z_regions)
+    out = {}
+    for r in range(len(cx.spec.regions)):
+        nr = region_pos[r]
+        sc, tc = cx.bottom.caps[r], cx.top.caps[r]
+        for k in range(len(sc.chords)):
+            if r in (ri, rj):
+                nk = bot_chords[(r, k)]
+                p_new = target.bottom.caps[nr].chords[nk][0]
+            else:
+                p_new = sc.chords[k][0]
+            old_arc = ("x", _chord_index(cx.z_jux, src_b[r] + sc.chords[k][0]))
+            out[old_arc] = ("x", _chord_index(target.z_jux, tgt_b[nr] + p_new))
+        for k in range(len(tc.chords)):
+            if r in (ri, rj):
+                nk = top_chords[(r, k)]
+                p_new = target.top.caps[nr].chords[nk][0]
+            else:
+                p_new = tc.chords[k][0]
+            old_arc = ("x", _chord_index(cx.z_jux, cx.z_jux.bottom + src_t[r] + tc.chords[k][0]))
+            out[old_arc] = ("x", _chord_index(target.z_jux,
+                                              target.z_jux.bottom + tgt_t[nr] + p_new))
+    return out
+
+
+def _middle_arc_map(cx, target, seg_pos, seam):
+    """Per word tuple, old middle chord arcs to new ones away from the seam."""
+    from skeinhom.tqft import _chord_index
+
+    g_idx = cx._seam_pos[seam]
+    out = {}
+    for h, mws in cx.multiwords.items():
+        for mw in mws:
+            if mw[g_idx][1]:
+                continue
+            mw_t = mw[:g_idx] + mw[g_idx + 1:]
+            m_src, m_tgt = cx.m_tangle(mw), target.m_tangle(mw_t)
+            slots = cx.slot_tangles(mw)
+            src_b, src_t = _point_offsets(slots)
+            tgt_b, tgt_t = _point_offsets(target.slot_tangles(mw_t))
+            amap = {}
+            for k_old, tangle in enumerate(slots):
+                r, s = cx._slot_pos[k_old]
+                pos = seg_pos.get((r, s))
+                if pos is None:
+                    continue
+                k_new = target._slot_global[pos]
+                for p, _q in tangle.chords:
+                    if p < tangle.bottom:
+                        gp_old = src_b[k_old] + p
+                        gp_new = tgt_b[k_new] + p
+                    else:
+                        gp_old = m_src.bottom + src_t[k_old] + (p - tangle.bottom)
+                        gp_new = m_tgt.bottom + tgt_t[k_new] + (p - tangle.bottom)
+                    amap[("y", _chord_index(m_src, gp_old))] = ("y", _chord_index(m_tgt, gp_new))
+            out[mw] = amap
+    return out
+
+
+def coarsening_arc_maps(cx, seam, target):
+    """The arc maps that carry closure chords and, per length-zero word,
+    middle chords of cx onto target, the coarsening of cx at seam, placed
+    by explicit point offsets and the chord chains of the cap splice:
+    (closure map, {word tuple: middle map})."""
+    from skeinhom.surface import removable_seam
+
+    spec = cx.spec
+    (ri, si), (rj, sj), order = removable_seam(spec, seam)
+    kept = [r for r in range(len(spec.regions)) if r != rj]
+    region_pos = {r: i for i, r in enumerate(kept)}
+    region_pos[rj] = region_pos[ri]
+    seg_pos = {(r, s): (region_pos[r], s) for r in kept if r != ri
+               for s in range(len(spec.regions[r]))}
+    seg_pos.update({rs: (region_pos[ri], new_s) for new_s, rs in enumerate(order)})
+    z_map = _closure_arc_map(cx, target, region_pos, ri, rj,
+                             _spliced_chords(cx.bottom, ri, si, rj, sj, order),
+                             _spliced_chords(cx.top, ri, si, rj, sj, order))
+    return z_map, _middle_arc_map(cx, target, seg_pos, seam)
+
+
+def _plug_sites(cx, seam, mw, a0, m_src, d_src):
+    """Saddle data joining the two plug copies of a length-zero seam word,
+    placed by explicit point offsets: the minus-side slot holds a0
+    reflected, so its point m-1-u (bottom) or 2m+n-1-u (top) of an
+    (m, n)-plug faces point u on the plus side."""
+    from skeinhom.tqft import _chord_index
+
+    neg = cx._seam_slots[seam][-1]
+    pos = cx._seam_slots[seam][1]
+    src_b, src_t = _point_offsets(cx.slot_tangles(mw))
+    m, n = a0.bottom, a0.top
+
+    def mirrored(u):
+        return m - 1 - u if u < m else 2 * m + n - 1 - u
+
+    def glob(slot, p):
+        if p < m:
+            return src_b[slot] + p
+        return m_src.bottom + src_t[slot] + (p - m)
+
+    def node(gp):
+        if gp < m_src.bottom:
+            return d_src.node_of_port(("y", "b", gp))
+        return d_src.node_of_port(("y", "t", gp - m_src.bottom))
+
+    out = []
+    for u, v in a0.chords:
+        gnu, gnv = glob(neg, mirrored(u)), glob(neg, mirrored(v))
+        gpu, gpv = glob(pos, u), glob(pos, v)
+        arc1 = ("y", _chord_index(m_src, gnu))
+        arc2 = ("y", _chord_index(m_src, gpu))
+        out.append((arc1, arc2, ((node(gnu), node(gpu)), (node(gnv), node(gpv)))))
+    return out
+
+
 def coarsen_by_surgery(cx, seam):
-    """The coarsening of cx at seam, its chain map surgered label by label:
-    (target complex, components by degree)."""
-    from skeinhom.surface import _coarsened, _plug_surgeries
+    """The coarsening of cx at seam, its chain map surgered label by label
+    along the saddles of _plug_sites and the arc maps of
+    coarsening_arc_maps: (target complex, components by degree)."""
+    from skeinhom.surface import _coarsened
     from skeinhom.tqft import StateVector, hom_double, kh_basis
 
-    target, z_arc_map, m_arc_map = _coarsened(cx, seam, check=False)
+    target = _coarsened(cx, seam, check=False)[0]
+    z_arc_map, m_arc_map = coarsening_arc_maps(cx, seam, target)
     g_idx = cx._seam_pos[seam]
     comps = {}
     for h, mws in cx.multiwords.items():
@@ -1133,7 +1318,7 @@ def coarsen_by_surgery(cx, seam):
             m_src = cx.m_tangle(mw)
             d_src, off_src = hom_double(cx.z_jux, m_src)
             d_tgt, _off_tgt = hom_double(target.z_jux, target.m_tangle(mw_t))
-            surgeries = _plug_surgeries(cx, seam, mw, a0, m_src, d_src)
+            surgeries = _plug_sites(cx, seam, mw, a0, m_src, d_src)
             arc_map = dict(z_arc_map)
             arc_map.update(m_arc_map[mw])
             for lab, _raw in kh_basis(d_src, off_src):

@@ -7,7 +7,7 @@ from skeinhom.barproj import (SmallRing, TwistedTangleComplex, _compositions, _s
                               bar_words, bottom_projector, counit_components, fold_entry, fold_tangle,
                               shuffle_words, signed_shuffles, twisted_cone, unit_complex,
                               word_degree, word_ends)
-from skeinhom.errors import ChainMapError, GradingError, InvalidBoundary, TruncationError
+from skeinhom.errors import ChainMapError, GradingError, InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import LaurentPoly
 from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
 from skeinhom.tqft import (StateVector, basis_state, hom_double, identity_state, kh_basis,
@@ -123,6 +123,17 @@ class TestBottomProjector:
     def test_odd_strand_count_rejected(self):
         with pytest.raises(InvalidBoundary):
             bottom_projector(3, depth=2)
+
+    @pytest.mark.parametrize("strands", [-1, -2])
+    def test_negative_strand_count_rejected_by_name(self, strands):
+        with pytest.raises(InvalidBoundary, match=f"strand count must be non-negative, got {strands}"):
+            bottom_projector(strands, depth=1)
+
+    @pytest.mark.parametrize("strands", [0, 2])
+    def test_negative_depth_rejected(self, strands):
+        # one guard in bar_complex, not an empty complex with h_min above h_max
+        with pytest.raises(SpecError, match="depth must be non-negative, got -1"):
+            bottom_projector(strands, -1)
 
     def test_two_strand_objects(self):
         P = bottom_projector(2, depth=12)

@@ -356,6 +356,16 @@ class TestSpinCommands:
         assert code == 2
         assert "TruncationError" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--scenario", "strands0", "--order", "2", "--depth", "-3"),
+        ("--scenario", "annulus", "--order", "2", "--depth", "-1"),
+    ])
+    def test_crosscheck_negative_depth_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "spin", "crosscheck", *argv)
+        assert code == 3
+        assert out == ""
+        assert "SpecError: depth must be non-negative" in err
+
     def test_crosscheck_unknown_scenario(self, capsys):
         code, _, err = run_cli(
             capsys, "spin", "crosscheck", "--scenario", "moebius", "--order", "4"
@@ -380,6 +390,12 @@ class TestBproj:
         )
         assert code == 2
         assert "TruncationError" in err
+
+    def test_negative_strand_count_refused(self, capsys):
+        code, out, err = run_cli(capsys, "bproj", "--strands", "-2", "--depth", "1")
+        assert code == 3
+        assert out == ""
+        assert "strand count must be non-negative, got -2" in err
 
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(

@@ -28,6 +28,13 @@ ALLOWED_TANGLE_BUILDS = Counter({
     ("spin", "_vertex_tangle"): 1,
 })
 
+# The only places outside planar that shift an index by a tangle's edge size
+# (add or subtract x.bottom or x.top), by (module, function); none today.
+# Where a factor's boundary points land in a juxtaposition, a stack or a
+# move is planar's to say, through juxtaposition_points, stacking_points and
+# MOVES, and a point's port through port_of_point.
+ALLOWED_POINT_ARITHMETIC = Counter()
+
 
 # The only places outside homalg that build a LaurentPoly through one of its
 # unchecked builders (_trusted, _summed, _constant), by (module, function):
@@ -75,13 +82,13 @@ def tangle_builds_by_function(path):
     return nodes_by_function(path, is_tangle_build)
 
 
-def counted_beyond(allowed, scan, skip=()):
-    """Nodes that scan finds in every module under src but those named in
-    skip, counted by (module, function), and the path:line of each beyond
-    its allowance."""
+def counted_beyond(allowed, scan, skip=(), source=SOURCE):
+    """Nodes that scan finds in every module under source (by default the
+    package) but those named in skip, counted by (module, function), and
+    the path:line of each beyond its allowance."""
     seen = Counter()
     stray = []
-    for path in sorted(SOURCE.glob("*.py")):
+    for path in sorted(source.glob("*.py")):
         if path.stem in skip:
             continue
         for function, line in scan(path):
@@ -139,6 +146,60 @@ def test_tangle_build_scan_sees_calls_and_scopes(tmp_path):
         "    return t._trusted(), PlanarTangle(2, 0, (1, 0))\n")
     assert tangle_builds_by_function(module) == [("", 1), ("S.f.g", 5), ("h", 8)]
     assert asserts_by_function(module) == []
+
+
+def is_point_arithmetic(node):
+    """An addition or subtraction, plain or augmented, with an operand
+    x.bottom or x.top."""
+    if isinstance(node, ast.BinOp):
+        operands = (node.left, node.right)
+    elif isinstance(node, ast.AugAssign):
+        operands = (node.value,)
+    else:
+        return False
+    return isinstance(node.op, (ast.Add, ast.Sub)) and any(
+        isinstance(x, ast.Attribute) and x.attr in ("bottom", "top") for x in operands)
+
+
+def source_point_arithmetic(source=SOURCE):
+    return counted_beyond(ALLOWED_POINT_ARITHMETIC,
+                          lambda path: nodes_by_function(path, is_point_arithmetic),
+                          skip=("planar",), source=source)
+
+
+def test_points_are_numbered_only_in_planar():
+    _seen, stray = source_point_arithmetic()
+    assert not stray, (
+        "a point index shifted by a tangle's edge size at " + ", ".join(stray)
+        + "; place points with planar.juxtaposition_points, stacking_points or MOVES")
+
+
+def test_every_allowance_matches_point_arithmetic():
+    seen, _stray = source_point_arithmetic()
+    stale = sorted(key for key, count in ALLOWED_POINT_ARITHMETIC.items() if seen[key] < count)
+    assert not stale, f"allowances above the point arithmetic left in the source: {stale}"
+
+
+def test_point_arithmetic_scan_sees_shifts_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def offsets(tangles):\n"
+        "    b = 0\n"
+        "    for t in tangles:\n"
+        "        b += t.bottom\n"
+        "    return b\n"
+        "class M:\n"
+        "    def glob(self, m, p):\n"
+        "        return m.bottom + self.off + (p - self.t.top)\n"
+        "def sizes(t, p):\n"
+        "    return t.points, t.bottom * 2, p + 1, t.bottom < p, -t.top, t.bottom + t.top\n")
+    found = nodes_by_function(module, is_point_arithmetic)
+    # in sizes only the edge sum counts, which t.points gives without a shift
+    assert found == [("offsets", 4), ("M.glob", 8), ("M.glob", 8), ("sizes", 10)]
+    # with no allowance, every shift is stray
+    seen, stray = source_point_arithmetic(tmp_path)
+    assert seen == Counter({("module", "offsets"): 1, ("module", "M.glob"): 2,
+                            ("module", "sizes"): 1}) and len(stray) == 4
 
 
 UNCHECKED_LAURENT_BUILDERS = ("_trusted", "_summed", "_constant")

@@ -15,7 +15,9 @@ from skeinhom.planar import (
     enumerate_matchings,
     identity_tangle,
     juxtapose,
+    juxtaposition_points,
     rotate_cap,
+    stacking_points,
 )
 
 from .oracles import (brute_force_matchings, catalan, compose_by_encoded_walk,
@@ -187,6 +189,45 @@ class TestComposeOracle:
         closed = compose(caps, compose(upper, compose(lower, cups)))
         assert closed.points == 0
         assert closed.circles == count_circles_union_find([cups, lower, upper, caps])
+
+
+class TestPointMaps:
+    """Where a factor's boundary points land in a juxtaposition or a stack
+    is planar's to say; the maps must agree with the tangles built."""
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_juxtaposition_points_carry_every_chord(self, data):
+        factors = [t for _ in range(data.draw(st.integers(0, 3)))
+                   for t in composable_pair(data, max_points=4)]
+        whole = juxtapose(*factors)
+        images = juxtaposition_points(factors)
+        assert sorted(g for image in images for g in image) == list(range(whole.points))
+        for t, image in zip(factors, images):
+            assert [g < whole.bottom for g in image] == [p < t.bottom for p in range(t.points)]
+            assert all(whole.partner[image[p]] == image[q] for p, q in enumerate(t.partner))
+        assert whole.circles == sum(t.circles for t in factors)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_stacking_points_carry_chords_off_the_interface(self, data):
+        upper, lower = composable_pair(data)
+        whole = compose(upper, lower)
+        lo, up = stacking_points(upper, lower)
+        assert sorted(g for g in lo + up if g is not None) == list(range(whole.points))
+        # lower keeps the bottom edge, upper the top; the rest is glued
+        assert [g is None for g in lo] == [p >= lower.bottom for p in range(lower.points)]
+        assert [g is None for g in up] == [p < upper.bottom for p in range(upper.points)]
+        assert all(g < whole.bottom for g in lo if g is not None)
+        assert all(g >= whole.bottom for g in up if g is not None)
+        for t, image in ((lower, lo), (upper, up)):
+            for p, q in enumerate(t.partner):
+                if image[p] is not None and image[q] is not None:
+                    assert whole.partner[image[p]] == image[q]
+
+    def test_stacking_points_refuse_mismatched_edges(self):
+        with pytest.raises(InvalidBoundary, match="cannot glue"):
+            stacking_points(ID2, ID1)
 
 
 class TestThroughDegree:

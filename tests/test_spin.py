@@ -178,6 +178,40 @@ class TestRationalFunctionQ:
             RFQ.one() * 2.5
 
 
+    def test_equal_mixed_values_share_dict_keys(self):
+        one, q = LaurentPoly.one(), LaurentPoly.q(1)
+        assert {one: "x"}.get(1) == "x" and {1: "x"}.get(one) == "x"
+        assert {RFQ.one(): "x"}.get(one) == "x" and {RFQ(q): "x"}.get(q) == "x"
+        assert hash(LaurentPoly.zero()) == hash(0) == hash(RFQ.zero())
+        assert hash(q) == hash(RFQ(q)) == hash(RFQ(q * quantum_integer(2), quantum_integer(2)))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_equal_values_hash_alike(self, data):
+        # two views of one polynomial, or of two: an int where it is a
+        # constant, the polynomial, or a rational function over any factor
+        small = st.dictionaries(st.integers(-1, 1), st.integers(-2, 2), max_size=2).map(LaurentPoly)
+        base = data.draw(small)
+
+        def view(p):
+            kinds = ["poly", "rfq", "rfq over a factor"] + (["int"] if p == p.coefficient(0) else [])
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "int":
+                return p.coefficient(0)
+            if kind == "poly":
+                return p
+            if kind == "rfq":
+                return RFQ(p)
+            d = data.draw(small.filter(bool))
+            return RFQ(p * d, d)
+
+        a = view(base)
+        b = view(data.draw(st.sampled_from([base, data.draw(small)])))
+        if a == b:
+            assert b == a
+            assert hash(a) == hash(b)
+
+
 def reduced_pair(f):
     return f.num.as_dict(), f.den.as_dict()
 

@@ -14,8 +14,9 @@ from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, Surfa
                               arc, coarsen, compose, h0, identity_unit, removable_seam, seam_side,
                               symmetrized_pairing, transfer, validate_surface)
 
-from .oracles import (coarsen_by_surgery, dense_homology_at, hom_complex_by_pair,
-                      stacked_state_by_surgery, surface_differentials, surface_multiwords)
+from .oracles import (_plug_sites, coarsen_by_surgery, coarsening_arc_maps, dense_homology_at,
+                      hom_complex_by_pair, stacked_state_by_surgery, surface_differentials,
+                      surface_multiwords)
 
 DISK = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"),),))
 DISK_ARC = SurfaceTangle.from_data({"regions": [{"counts": [2], "chords": [[0, 1]]}]})
@@ -66,6 +67,35 @@ SEAMED_DISK_ARC = SurfaceTangle.from_data(
         ]
     }
 )
+
+# the spliced arc runs through a chord with both ends on the seam
+SEAMED_DISK_CHAIN = SurfaceTangle.from_data(
+    {
+        "regions": [
+            {"counts": [2, 2], "chords": [[0, 3], [1, 2]]},
+            {"counts": [2, 0], "chords": [[0, 1]]},
+        ]
+    }
+)
+
+# a point on every segment, so splicing either seam reorders the points
+ANNULUS2_SPOKES = SurfaceTangle.from_data(
+    {
+        "regions": [
+            {"counts": [1, 1, 1, 1], "chords": [[0, 1], [2, 3]]},
+            {"counts": [1, 1, 1, 1], "chords": [[0, 3], [1, 2]]},
+        ]
+    }
+)
+
+COARSENINGS = [
+    (ANNULUS2, CORE2, "g1"),
+    (ANNULUS2, CORE2, "g2"),
+    (SEAMED_DISK, SEAMED_DISK_ARC, "g"),
+    (SEAMED_DISK, SEAMED_DISK_CHAIN, "g"),
+    (ANNULUS2, ANNULUS2_SPOKES, "g1"),
+    (ANNULUS2, ANNULUS2_SPOKES, "g2"),
+]
 
 
 class TestValidation:
@@ -192,6 +222,11 @@ class TestAssembly:
         hom = cx.homology((-2, 0), (-2, 2))
         assert hom.betti == {(0, 0): 1}
         assert hom.torsion == {}
+
+    @pytest.mark.parametrize("spec,t", [(ANNULUS, CORE), (DISK, DISK_ARC)])
+    def test_negative_depth_rejected(self, spec, t):
+        with pytest.raises(SpecError, match="depth must be non-negative, got -1"):
+            SurfaceComplex(spec, t, t, depth=-1)
 
     def test_disk_arc_hom_is_one_plus_q_squared(self):
         cx = SurfaceComplex(DISK, DISK_ARC, DISK_ARC, depth=0)
@@ -559,17 +594,29 @@ class TestCompiledRoutes:
         assert any(compiled)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    @pytest.mark.parametrize("spec,t,seam", [
-        (ANNULUS2, CORE2, "g1"),
-        (ANNULUS2, CORE2, "g2"),
-        (SEAMED_DISK, SEAMED_DISK_ARC, "g"),
-    ])
+    @pytest.mark.parametrize("spec,t,seam", COARSENINGS)
     def test_coarsen_matches_surgery_by_label(self, spec, t, seam, depth):
         cx = SurfaceComplex(spec, t, t, depth=depth)
         _tgt, cmap = coarsen(cx, seam)
         _tgt, comps = coarsen_by_surgery(cx, seam)
         assert cmap.components == {h: mat for h, mat in comps.items() if mat}
         assert cmap.components
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("spec,t,seam", COARSENINGS)
+    def test_coarsening_maps_match_offset_reference(self, spec, t, seam, depth):
+        # arc maps and saddle sites built from planar's point maps equal
+        # those placed by explicit point offsets and chord chains
+        cx = SurfaceComplex(spec, t, t, depth=depth)
+        target, z_map, m_maps = surface._coarsened(cx, seam, check=False)
+        assert (z_map, m_maps) == coarsening_arc_maps(cx, seam, target)
+        assert z_map and any(m_maps.values())
+        g = cx._seam_pos[seam]
+        for mw in m_maps:
+            m_src = cx.m_tangle(mw)
+            d_src, _off = surface.hom_double(cx.z_jux, m_src)
+            args = (cx, seam, mw, mw[g][0][0], m_src, d_src)
+            assert surface._plug_surgeries(*args) == _plug_sites(*args)
 
     def test_second_compose_and_coarsen_build_no_diagram(self, monkeypatch):
         cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=1)
