@@ -57,6 +57,10 @@ def _is_int(v):
     return type(v) is int  # not bool, not float
 
 
+def _is_int_pair(v):
+    return _is_list(v) and len(v) == 2 and all(map(_is_int, v))
+
+
 # the JSON shapes input data is checked against, by the name a message uses
 _SHAPES = {
     "an object": lambda v: isinstance(v, dict),
@@ -70,7 +74,8 @@ _SHAPES = {
     "a list of integers": lambda v: _is_list(v) and all(map(_is_int, v)),
     "a list of non-negative integers":
         lambda v: _is_list(v) and all(_is_int(c) and c >= 0 for c in v),
-    "a pair of integer points": lambda v: _is_list(v) and len(v) == 2 and all(map(_is_int, v)),
+    "a pair of integer points": _is_int_pair,
+    "a pair of integers": _is_int_pair,
 }
 
 

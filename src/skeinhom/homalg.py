@@ -11,6 +11,7 @@ rather than returning something quietly wrong.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ChainMapError, GradingError, InvariantFactorError, TruncationError, WindowError
@@ -300,6 +301,15 @@ def unit_cancellation(entries):
         if v:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, {})[r] = v
+    return _cancel_units(rows, cols)
+
+
+def _cancel_units(rows, cols):
+    """unit_cancellation on a matrix held twice, as rows {r: {c: v}} and
+    columns {c: {r: v}} of the same nonzero entries; both are consumed.
+    Pivots are scanned in the insertion order of cols and of each column,
+    and the residual keeps its rows and columns in key order, so any keys
+    that sort alike give the same units and residual."""
     units = 0
     while True:
         best = None
@@ -352,8 +362,8 @@ def unit_cancellation(entries):
 
 
 class _BlockSummary:
-    """What homology reads of one (h, q) block of a differential: the number
-    of unit pivots unit_cancellation removes, made with the summary, then
+    """What homology reads of one (h, q) block of a differential, made from
+    its rows and columns (_cancel_units): the number of unit pivots, then
     the block's rank and its torsion (invariant factors above 1), each
     computed at most once, when first asked for.
 
@@ -363,8 +373,8 @@ class _BlockSummary:
 
     __slots__ = ("units", "residual", "rank", "torsion")
 
-    def __init__(self, entries):
-        self.units, self.residual = unit_cancellation(entries)
+    def __init__(self, rows, cols):
+        self.units, self.residual = _cancel_units(rows, cols)
         self.rank = self.torsion = None
 
     def smith(self):
@@ -384,7 +394,7 @@ class _BlockSummary:
 
 
 # The summary of a block without entries: rank 0, no torsion, already known.
-_ZERO_BLOCK = _BlockSummary({})
+_ZERO_BLOCK = _BlockSummary({}, {})
 _ZERO_BLOCK.rank, _ZERO_BLOCK.torsion, _ZERO_BLOCK.residual = 0, (), None
 
 
@@ -694,36 +704,46 @@ class TruncatedComplex(SparseComplex):
         degree q, keyed on (h, q).  Built in one pass on first use, unit
         cancellation of every block included, so the first query on a
         complex pays for all of it and what a later query costs does not
-        depend on the queries before it."""
+        depend on the queries before it.
+
+        Each in-range, q-preserving nonzero entry goes straight into its
+        block's rows {i: {j: c}} and columns {j: {i: c}}, keyed by the
+        generators' indices in their degrees.  Those sort as the
+        generators' places within the block do, so a block's units and
+        residual are those of its entries renumbered by place."""
         if self._index is None:
-            sizes, slots = {}, {}
-            for h, gens in self.generators.items():
-                where = slots[h] = []
-                for _, q in gens:
-                    k = sizes.get((h, q), 0)
-                    sizes[(h, q)] = k + 1
-                    where.append((q, k))
+            qs = {h: [q for _, q in gens] for h, gens in self.generators.items()}
+            sizes = {(h, q): n for h, col in qs.items() for q, n in Counter(col).items()}
             blocks = {}
             for h, d in self.differentials.items():
-                src, tgt = slots.get(h, ()), slots.get(h + 1, ())
+                src, tgt = qs.get(h, ()), qs.get(h + 1, ())
+                n_src, n_tgt = len(src), len(tgt)
+                by_q = {}
                 for (i, j), c in d.items():
-                    if 0 <= i < len(tgt) and 0 <= j < len(src) and src[j][0] == tgt[i][0]:
-                        blocks.setdefault((h, src[j][0]), {})[(tgt[i][1], src[j][1])] = c
-            self._index = sizes, {key: _BlockSummary(entries) for key, entries in blocks.items()}
+                    if c and 0 <= i < n_tgt and 0 <= j < n_src and src[j] == tgt[i]:
+                        block = by_q.get(src[j])
+                        if block is None:
+                            block = by_q[src[j]] = ({}, {})
+                        rows, cols = block
+                        row = rows.get(i)
+                        if row is None:
+                            rows[i] = {j: c}
+                        else:
+                            row[j] = c
+                        col = cols.get(j)
+                        if col is None:
+                            cols[j] = {i: c}
+                        else:
+                            col[i] = c
+                for q, (rows, cols) in by_q.items():
+                    blocks[(h, q)] = _BlockSummary(rows, cols)
+            self._index = sizes, blocks
         return self._index
 
-    def _block(self, h, j):
-        """The _BlockSummary of the (h, j) block; one shared zero summary
-        where the differential has no entry."""
-        return self._block_index()[1].get((h, j), _ZERO_BLOCK)
-
     def _require_known(self, h, j):
-        """Raise unless the chain group at (h, j) is fully stored or provably zero."""
-        if self.q_range is not None:
-            self.require_window("a chain group", j, j)
-        if h > self.h_max or h >= self.h_min:
-            return
-        if self.complete:
+        """Raise unless the chain group at (h, j) is fully stored or provably
+        zero; the caller has checked j against the q-window."""
+        if h > self.h_max or h >= self.h_min or self.complete:
             return
         bound = self.min_q_at(h)
         if bound is None or j < bound:
@@ -734,12 +754,17 @@ class TruncatedComplex(SparseComplex):
 
     def homology_at(self, i, j):
         """(betti, torsion) of H^{i, j}; exact or TruncationError."""
-        self._require_known(i - 1, j)
-        self._require_known(i, j)
-        self._require_known(i + 1, j)
-        rank_in, torsion = self._block(i - 1, j).smith()
-        rank_out = self._block(i, j).full_rank()
-        n_i = self._block_index()[0].get((i, j), 0)
+        if self.q_range is not None:
+            self.require_window("a chain group", j, j)
+        # _require_known passes every degree at or above h_min at once
+        if i - 1 < self.h_min and not self.complete:
+            self._require_known(i - 1, j)
+            self._require_known(i, j)
+            self._require_known(i + 1, j)
+        sizes, blocks = self._block_index()
+        rank_in, torsion = blocks.get((i - 1, j), _ZERO_BLOCK).smith()
+        rank_out = blocks.get((i, j), _ZERO_BLOCK).full_rank()
+        n_i = sizes.get((i, j), 0)
         betti = n_i - rank_in - rank_out
         if betti < 0:
             raise ChainMapError(f"d^2 != 0 at (h={i}, q={j}): incoming rank {rank_in} "

@@ -741,9 +741,13 @@ class CrosscheckReport:
 
 def euler_crosscheck(scenario, order, depth=None):
     """Compare a truncated Euler series from the chain level against the
-    closed-form prediction, coefficientwise through q^order."""
+    closed-form prediction, coefficientwise through q^order.  depth is the
+    bar-resolution depth (default: enough for order); triangle112 truncates
+    its projectors by order alone, but refuses a negative depth all the same."""
     if order < 0:
         raise SpecError(f"order must be non-negative, got {order}")
+    if depth is not None and depth < 0:
+        raise SpecError(f"depth must be non-negative, got {depth}")
     if scenario == "strands0":
         proj = bottom_projector(0, depth if depth is not None else 1)
         lhs = proj.k0_series(identity_tangle(0), (0, order))

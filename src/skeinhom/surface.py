@@ -235,9 +235,10 @@ class SurfaceComplex:
     middle-layer tangle whose seam slots hold the word's end plugs.  The
     evaluated integer complex sits in .truncated.
 
-    With q_range = (qmin, qmax) only the quantum degrees of that window
-    are built: the word tuples whose objects can reach a degree at most
-    qmax, and of those only the generators in the window.  The differential
+    With q_range = (qmin, qmax), two ints (SpecError otherwise), only the
+    quantum degrees of that window are built: the word tuples whose
+    objects can reach a degree at most qmax, and of those only the
+    generators in the window.  The differential
     preserves the quantum degree, so homology on the window and the
     truncation certificate are those of the full build.  The integer
     complex keeps the window as its q_range, and everything that needs the
@@ -251,6 +252,8 @@ class SurfaceComplex:
         validate_surface(spec)
         validate_tangle(spec, top, "top tangle")
         validate_tangle(spec, bottom, "bottom tangle")
+        if q_range is not None:
+            expect(q_range, "a pair of integers", "q_range")
         self.spec, self.top, self.bottom = spec, top, bottom
         self.depth, self.reduced = depth, reduced
         self.inserts = dict(inserts or {})

@@ -484,9 +484,8 @@ def dense_homology_at(cx, i, j):
     one, with no unit cancellation, index or memo."""
     from skeinhom.homalg import matrix_rank, smith_invariants
 
-    cx._require_known(i - 1, j)
-    cx._require_known(i, j)
-    cx._require_known(i + 1, j)
+    for h in (i - 1, i, i + 1):
+        require_known_by_cell(cx, h, j)
     rows_in, n_src_in, _ = dense_block(cx, i - 1, j)
     rows_out, n_i, _ = dense_block(cx, i, j)
     invs = smith_invariants(rows_in) if rows_in and rows_in[0] else []
@@ -496,6 +495,84 @@ def dense_homology_at(cx, i, j):
     assert betti >= 0
     torsion = tuple(d for d in invs if d > 1)
     return betti, torsion
+
+
+# The homology route TruncatedComplex took before it built each block
+# straight into the rows and columns unit cancellation works on: every
+# block gathered as entries {(place, place): c} through (q, place) slots and
+# handed to unit_cancellation, and every cell checked against the q-window
+# and the truncation once for each of its three degrees.
+
+def block_index_by_entries(cx):
+    """(sizes, blocks): generators of cx per (h, q), and the (units,
+    residual) of unit_cancellation on each block of the differential from
+    h to h+1 in quantum degree q, its entries keyed by the generators'
+    places within the block."""
+    from skeinhom.homalg import unit_cancellation
+
+    sizes, slots = {}, {}
+    for h, gens in cx.generators.items():
+        where = slots[h] = []
+        for _, q in gens:
+            k = sizes.get((h, q), 0)
+            sizes[(h, q)] = k + 1
+            where.append((q, k))
+    blocks = {}
+    for h, d in cx.differentials.items():
+        src, tgt = slots.get(h, ()), slots.get(h + 1, ())
+        for (i, j), c in d.items():
+            if 0 <= i < len(tgt) and 0 <= j < len(src) and src[j][0] == tgt[i][0]:
+                blocks.setdefault((h, src[j][0]), {})[(tgt[i][1], src[j][1])] = c
+    return sizes, {key: unit_cancellation(entries) for key, entries in blocks.items()}
+
+
+def require_known_by_cell(cx, h, j):
+    """Raise unless the chain group of cx at (h, j) lies in its q-window and
+    is fully stored or provably zero."""
+    from skeinhom.errors import TruncationError
+
+    if cx.q_range is not None:
+        cx.require_window("a chain group", j, j)
+    if h > cx.h_max or h >= cx.h_min or cx.complete:
+        return
+    bound = cx.min_q_at(h)
+    if bound is None or j < bound:
+        return
+    raise TruncationError(
+        f"chain group at (h={h}, q={j}) is beyond the truncation (certificate bound {bound})"
+    )
+
+
+def homology_by_cells(cx, h_range, q_range):
+    """BigradedHomology of cx on the window from block_index_by_entries,
+    cell by cell (q outside, h inside), each cell checking its three
+    degrees with require_known_by_cell first; raises what the first bad
+    cell raises."""
+    from skeinhom.errors import ChainMapError
+    from skeinhom.homalg import BigradedHomology, matrix_rank, smith_invariants
+
+    sizes, blocks = block_index_by_entries(cx)
+    betti, torsion = {}, {}
+    for j in range(q_range[0], q_range[1] + 1):
+        for i in range(h_range[0], h_range[1] + 1):
+            for h in (i - 1, i, i + 1):
+                require_known_by_cell(cx, h, j)
+            units, residual = blocks.get((i - 1, j), (0, []))
+            invs = smith_invariants(residual)
+            rank_in = units + len(invs)
+            units, residual = blocks.get((i, j), (0, []))
+            rank_out = units + matrix_rank(residual)
+            n_i = sizes.get((i, j), 0)
+            b = n_i - rank_in - rank_out
+            if b < 0:
+                raise ChainMapError(f"d^2 != 0 at (h={i}, q={j}): incoming rank {rank_in} "
+                                    f"and outgoing rank {rank_out} exceed {n_i} generators")
+            if b:
+                betti[(i, j)] = b
+            tor = tuple(d for d in invs if d > 1)
+            if tor:
+                torsion[(i, j)] = tor
+    return BigradedHomology(betti, torsion, (h_range, q_range))
 
 
 # The complex algebra as twisted and integer complexes each did it before

@@ -359,6 +359,7 @@ class TestSpinCommands:
     @pytest.mark.parametrize("argv", [
         ("--scenario", "strands0", "--order", "2", "--depth", "-3"),
         ("--scenario", "annulus", "--order", "2", "--depth", "-1"),
+        ("--scenario", "triangle112", "--order", "2", "--depth", "-1"),
     ])
     def test_crosscheck_negative_depth_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, "spin", "crosscheck", *argv)

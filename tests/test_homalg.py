@@ -11,7 +11,8 @@ from skeinhom.homalg import (Certificate, ChainMap, LaurentPoly, TruncatedComple
                              unit_cancellation)
 
 from .optimized import error_under_optimize
-from .oracles import bareiss_rank, dense_homology_at, rational_rank
+from .oracles import (bareiss_rank, block_index_by_entries, dense_homology_at,
+                      homology_by_cells, rational_rank)
 
 
 class TestLaurentPoly:
@@ -636,22 +637,21 @@ class TestBlockMemo:
             nonzero = {(h, cx.generators[h][j][1])
                        for h, d in cx.differentials.items() for (_i, j), c in d.items() if c}
             (h_lo, h_hi), (q_lo, q_hi) = full_window(cx)
-            cx.homology_at(h_lo, q_lo)
-            assert set(cx._index[1]) == nonzero
-            # later queries cancel nothing, and blocks without entries reach
-            # neither Smith form nor rank
             calls = []
-            for name in ("unit_cancellation", "smith_invariants", "matrix_rank"):
+            for name in ("_cancel_units", "smith_invariants", "matrix_rank"):
                 fn = getattr(homalg, name)
                 monkeypatch.setattr(homalg, name,
-                                    lambda rows, fn=fn, name=name: calls.append(name) or fn(rows))
+                                    lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+            cx.homology_at(h_lo, q_lo)
+            assert set(cx._index[1]) == nonzero
+            assert calls.count("_cancel_units") == len(nonzero)
+            # later queries cancel nothing, and blocks without entries reach
+            # neither Smith form nor rank
+            calls.clear()
             cx.homology((h_lo, h_hi), (q_lo, q_hi))
             monkeypatch.undo()
-            assert "unit_cancellation" not in calls
+            assert "_cancel_units" not in calls
             assert len(calls) <= 2 * len(nonzero)
-            absent = [(h, q) for h in range(h_lo, h_hi + 1) for q in range(q_lo, q_hi + 1)
-                      if (h, q) not in nonzero]
-            assert all(cx._block(h, q) is homalg._ZERO_BLOCK for h, q in absent)
             assert homalg._ZERO_BLOCK.smith() == (0, ()) and homalg._ZERO_BLOCK.full_rank() == 0
             assert_matches_dense_oracle(cx, (h_lo, h_hi), (q_lo, q_hi))
 
@@ -705,6 +705,75 @@ class TestBlockMemo:
                 cx.homology_at(-1, j)
             with pytest.raises(TruncationError):
                 cx.homology((-1, 0), (0, j))
+
+
+def q_window(cx, lo, hi):
+    """The summand of cx on the q-strands lo..hi, as a windowed build holds
+    it: generators outside dropped, the rest renumbered within each degree."""
+    keep = {h: [k for k, (_, q) in enumerate(gens) if lo <= q <= hi]
+            for h, gens in cx.generators.items()}
+    place = {h: {k: n for n, k in enumerate(ks)} for h, ks in keep.items()}
+    gens = {h: tuple(cx.generators[h][k] for k in ks) for h, ks in keep.items()}
+    diffs = {h: {(place[h + 1][i], place[h][j]): c for (i, j), c in d.items()
+                 if j in place[h] and i in place.get(h + 1, {})}
+             for h, d in cx.differentials.items()}
+    return TruncatedComplex(gens, diffs, q_range=(lo, hi))
+
+
+def with_stray_entries(cx, rng):
+    """cx stored unchecked with entries homology must skip: a zero, indices
+    out of range at either end, and a map between different q-strands."""
+    diffs = {h: dict(d) for h, d in cx.differentials.items()}
+    for h in sorted(diffs):
+        d, src, tgt = diffs[h], cx.generators[h], cx.generators[h + 1]
+        d[(rng.randrange(len(tgt)), rng.randrange(len(src)))] = 0
+        d[(-1, 0)] = d[(0, len(src))] = d[(len(tgt), 0)] = 1
+        cross = [(i, j) for i in range(len(tgt)) for j in range(len(src))
+                 if tgt[i][1] != src[j][1]]
+        if cross:
+            d[rng.choice(cross)] = 3
+    return TruncatedComplex(cx.generators, diffs, check=False)
+
+
+def outcome(query):
+    """What a query returns, or the type and message of what it raises."""
+    try:
+        return query()
+    except Exception as err:  # compared, not swallowed
+        return type(err), str(err)
+
+
+class TestBlockIndexOracle:
+    """The block index built straight into pivot rows and columns against
+    the entries-based index and cell-by-cell route it replaced."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(("complete", "truncated", "windowed", "stray")),
+           cert=st.tuples(st.integers(-3, 2), st.integers(0, 1)),
+           window=st.tuples(st.integers(-1, 2), st.integers(0, 2)),
+           h_span=st.tuples(st.integers(-3, 1), st.integers(-1, 3)),
+           q_span=st.tuples(st.integers(-2, 3), st.integers(-1, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_entries_route(self, seed, shape, cert, window, h_span, q_span):
+        # a span (lo, width) with width -1 is an empty range
+        h_range, q_range = [(lo, lo + width) for lo, width in (h_span, q_span)]
+        rng = random.Random(seed)
+        cx, _, _ = random_shuffled_complex(rng)
+        if shape == "truncated":
+            cx = TruncatedComplex(cx.generators, cx.differentials, h_min=-2, h_max=1,
+                                  complete=False, certificate=Certificate((cert,)))
+        elif shape == "windowed":
+            cx = q_window(cx, window[0], window[0] + window[1])
+        elif shape == "stray" and cx.differentials:
+            cx = with_stray_entries(cx, rng)
+        want_sizes, want_blocks = block_index_by_entries(cx)
+        sizes, blocks = cx._block_index()
+        assert sizes == want_sizes
+        # a block of zeros alone cancels to (0, []) and needs no summary
+        assert ({key: (b.units, b.residual) for key, b in blocks.items()}
+                == {key: v for key, v in want_blocks.items() if v != (0, [])})
+        assert (outcome(lambda: cx.homology(h_range, q_range))
+                == outcome(lambda: homology_by_cells(cx, h_range, q_range)))
 
 
 class TestErrorsUnderOptimize:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from skeinhom import cli, surface
 from skeinhom.barproj import TwistedTangleComplex, bar_ends, twisted_cone, word_ends
-from skeinhom.errors import InvalidBoundary, TruncationError, WindowError
+from skeinhom.errors import InvalidBoundary, SpecError, TruncationError, WindowError
 from skeinhom.homalg import ChainMap, LaurentPoly, TruncatedComplex, mapping_cone, tensor
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, coarsen, compose, h0,
                               identity_unit, symmetrized_pairing, transfer)
@@ -180,6 +180,13 @@ class TestRefusals:
                 full.homology(*window)
             assert f"q={bound})" in str(refused.value)
             assert (code, out, err) == (2, "", f"TruncationError: {refused.value}\n")
+
+    @pytest.mark.parametrize("q_range", [(None, 10), (0, None), (0.0, 4), (0, True), (0,),
+                                         (0, 4, 8), "04", 4])
+    def test_window_ends_must_be_integers(self, q_range):
+        with pytest.raises(SpecError) as refused:
+            SurfaceComplex(ANNULUS, CORE, CORE, depth=2, q_range=q_range)
+        assert str(refused.value) == f"q_range must be a pair of integers, got {q_range!r}"
 
 
 class TestMisuse:
