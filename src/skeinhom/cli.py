@@ -210,6 +210,8 @@ def _check_ring(ring, seed, samples):
 
 
 def _cmd_ring(args):
+    if args.check:
+        expect(args.samples, "a positive integer", "--samples")
     ring = SmallRing(args.m, args.n)
     gram = ring.gram()
     dims = [

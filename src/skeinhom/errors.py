@@ -69,6 +69,7 @@ _SHAPES = {
     "a list": _is_list,
     "a string": lambda v: isinstance(v, str),
     "a non-negative integer": lambda v: _is_int(v) and v >= 0,
+    "a positive integer": lambda v: _is_int(v) and v >= 1,
     "+1 or -1": lambda v: _is_int(v) and v in (1, -1),
     "'+' or '-'": lambda v: v in ("+", "-") or (_is_int(v) and v in (1, -1)),
     "a list of integers": lambda v: _is_list(v) and all(map(_is_int, v)),

@@ -341,9 +341,10 @@ class ClosedDiagram:
         for a, (u, v) in self.arcs.items():
             at_node.setdefault(u, []).append(a)
             at_node.setdefault(v, []).append(a)
+        key = {a: _sort_key(a) for a in self.arcs}
         unseen = set(self.arcs)
         circles = []
-        for start in sorted(self.arcs, key=_sort_key):
+        for start in sorted(self.arcs, key=key.__getitem__):
             if start not in unseen:
                 continue
             circ = [start]
@@ -354,13 +355,13 @@ class ClosedDiagram:
                 nxt = [a for a in at_node[node] if a in unseen]
                 if not nxt:
                     break
-                step = min(nxt, key=_sort_key)
+                step = min(nxt, key=key.__getitem__)
                 circ.append(step)
                 unseen.discard(step)
                 a, b = self.arcs[step]
                 node = b if a == node else a
             circles.append(tuple(circ))
-        return tuple(sorted(circles, key=lambda c: _sort_key(c[0])))
+        return tuple(sorted(circles, key=lambda c: key[c[0]]))
 
     @classmethod
     def from_instances(cls, tangles, glue):
@@ -412,20 +413,3 @@ class ClosedDiagram:
 
     def node_of_port(self, port):
         return self.port_node[port]
-
-    def surger(self, arc1, arc2, pairing):
-        """Cut arc1 and arc2 and reconnect their ends as prescribed.
-
-        pairing is ((u1, u2), (v1, v2)) with {u1, v1} the nodes of arc1 and
-        {u2, v2} those of arc2; the new arcs run u1-u2 and v1-v2.
-        """
-        if arc1 not in self.arcs or arc2 not in self.arcs or arc1 == arc2:
-            raise KeyError((arc1, arc2))
-        (u1, u2), (v1, v2) = pairing
-        if set(self.arcs[arc1]) != {u1, v1} or set(self.arcs[arc2]) != {u2, v2}:
-            raise KeyError(f"pairing does not match arc endpoints for {arc1!r}, {arc2!r}")
-        arcs = dict(self.arcs)
-        del arcs[arc1], arcs[arc2]
-        arcs[("srg", arc1, arc2, 0)] = (u1, u2)
-        arcs[("srg", arc1, arc2, 1)] = (v1, v2)
-        return ClosedDiagram(arcs, self.port_node)

@@ -27,11 +27,11 @@ from functools import lru_cache
 from .barproj import bar_complex, signed_shuffles, small_ring, word_degree, word_ends
 from .errors import InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import ChainMap
-from .planar import (MOVES, ClosedDiagram, PlanarTangle, identity_tangle, juxtapose,
-                     juxtaposition_points, stacking_points)
+from .planar import (MOVES, PlanarTangle, identity_tangle, juxtapose, juxtaposition_points,
+                     stacking_points)
 from .planar import compose as stack
-from .tqft import (ONE, _carried_arcs, _chord_index, _double_instances, _glued, _joint_pick,
-                   _Recorder, hom_double, identity_state, juxtaposed, kh_basis, whisker)
+from .tqft import (ONE, _carried_arcs, _chord_index, _glued, _Recorder, hom_double,
+                   identity_state, juxtaposed, kh_basis, whisker)
 
 
 @dataclass(frozen=True)
@@ -455,7 +455,7 @@ def identity_unit(cx):
 @lru_cache(maxsize=None)
 def _stacking_plan(z1, m1, z2, m2, zt):
     """Compile stacking Hom(z1, m1) x Hom(z2, m2) through the shared middle
-    caps once, on diagrams.
+    caps once, on circles.
 
     On the union of the two doubles, one saddle per bottom chord of z1
     joins it to the chord of z2 through the same middle point.  The plan
@@ -465,18 +465,14 @@ def _stacking_plan(z1, m1, z2, m2, zt):
     m_out = stack(m1, m2)
     if m_out.circles:
         raise SpecError("stacked middle layers acquire free circles; out of scope")
-    tangles, glue = {}, {}
-    _double_instances(1, z1, m1, tangles, glue)
-    _double_instances(2, z2, m2, tangles, glue)
-    union = ClosedDiagram.from_instances(tangles, glue)
-    rec = _Recorder(union)
+    rec = _Recorder.on_union(((1, hom_double(z1, m1)[0]), (2, hom_double(z2, m2)[0])))
     z_lower, z_upper = stacking_points(z1, z2)
     twin = {u: l for l, u in _glued(z_lower, z_upper)}  # z1's bottom point -> z2's top point
 
     def nodes(p):
         """The nodes of z1's bottom point p and of z2's top point under it."""
-        return (union.node_of_port(((1, "x"),) + z1.port_of_point(p)),
-                union.node_of_port(((2, "x"),) + z2.port_of_point(twin[p])))
+        return (rec.node(1, ("x",) + z1.port_of_point(p)),
+                rec.node(2, ("x",) + z2.port_of_point(twin[p])))
 
     for k, (p, q) in enumerate(z1.chords):
         if p in twin:
@@ -487,8 +483,7 @@ def _stacking_plan(z1, m1, z2, m2, zt):
                **_carried_arcs((1, "x"), z1, z_upper, "x", zt),
                **_carried_arcs((2, "y"), m2, m_lower, "y", m_out),
                **_carried_arcs((1, "y"), m1, m_upper, "y", m_out)}
-    pick = _joint_pick(union, ((1, hom_double(z1, m1)[0]), (2, hom_double(z2, m2)[0])))
-    return rec.plan(pick, canon, arc_map)
+    return rec.plan(canon, arc_map)
 
 
 def _shuffle_compose(ring_f, ring_g, w1, w2):
@@ -702,18 +697,16 @@ def coarsen(cx, seam, check=True):
 
 @lru_cache(maxsize=None)
 def _coarsening_plan(z_src, m_src, z_tgt, m_tgt, sites, arc_map):
-    """Compile the collapse of one length-zero seam word once, on diagrams.
+    """Compile the collapse of one length-zero seam word once, on circles.
 
     One saddle per site (arc1, arc2, pairing) on the double of (z_src,
     m_src), then its circles carried onto the double of (z_tgt, m_tgt)
     along arc_map, given as (source arc, target arc) pairs.
     """
-    d_src, _ = hom_double(z_src, m_src)
-    d_tgt, _ = hom_double(z_tgt, m_tgt)
-    rec = _Recorder(d_src)
+    rec = _Recorder.on(hom_double(z_src, m_src)[0])
     for arc1, arc2, pairing in sites:
         rec.surger(arc1, arc2, pairing)
-    return rec.plan(tuple(range(len(d_src))), d_tgt, dict(arc_map))
+    return rec.plan(hom_double(z_tgt, m_tgt)[0], dict(arc_map))
 
 
 def _coarsened(cx, seam, check):

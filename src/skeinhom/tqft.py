@@ -17,15 +17,18 @@ order, so states produced by different routes can be composed safely.
 Every map this module applies to labels (composition, whiskering,
 juxtaposition, the mirrors and bends of planar.MOVES, and transposition)
 is a _SurgeryPlan compiled once per key of tangles: a _Recorder runs the
-saddles and caps once, on diagrams, and keeps only how labels cross them.
+saddles and caps once, on circles, and keeps only how labels cross them.
+It starts from the circles of cached doubles, listed block after block
+in input order, and each step updates only the circles it touches: a
+saddle merges two circles or walks one to split it, and a cap drops one.
 The arc map that names the circles a plan ends on is built by
 _carried_arcs from a point map of planar (a move, juxtaposition_points or
 stacking_points), which alone knows how a composite numbers its boundary
 points; no plan compiler does offset arithmetic of its own.
 Replaying a plan touches labels alone; a plan with steps keeps the basis
 products it has replayed.  Doubles and plans are cached for the life of
-the process, so diagrams are built only by hom_double and by the plan
-compilers.
+the process, and diagrams are built and traced only by hom_double, once
+per pair of tangles.
 """
 
 from __future__ import annotations
@@ -143,32 +146,6 @@ class StateVector:
         return StateVector(self.diagram, self.offset, terms)
 
 
-def _saddle(diagram, arc1, arc2, pairing):
-    """The diagram after a saddle joining arc1 and arc2, reconnected as
-    prescribed, with the circles c1, c2 of the two arcs before it and the
-    circles t0, t1 of the two new arcs after it."""
-    new_diag = diagram.surger(arc1, arc2, pairing)
-    t0 = new_diag.component_of[("srg", arc1, arc2, 0)]
-    t1 = new_diag.component_of[("srg", arc1, arc2, 1)]
-    return new_diag, diagram.component_of[arc1], diagram.component_of[arc2], t0, t1
-
-
-def _capped(diagram, arc):
-    """The diagram without the circle through arc, and that circle."""
-    c = diagram.component_of[arc]
-    gone = set(diagram.circles[c])
-    remaining = {a: uv for a, uv in diagram.arcs.items() if a not in gone}
-    return ClosedDiagram(remaining, diagram.port_node), c
-
-
-def _carry(old, new, made):
-    """For each circle of new, the circle of old it continues, or None for
-    the circles in made, which a cobordism between the two created."""
-    of = old.component_of
-    return tuple(None if i in made else of[next(a for a in circ if a in of)]
-                 for i, circ in enumerate(new.circles))
-
-
 def _frobenius_terms(terms, carry, c1, c2=None, t0=None, t1=None):
     """Labelings after one saddle or cap, by the rules of Z[x]/(x^2).
 
@@ -193,24 +170,6 @@ def _frobenius_terms(terms, carry, c1, c2=None, t0=None, t1=None):
                             for i, k in enumerate(carry))
             out[new_lab] = out.get(new_lab, 0) + coeff
     return out
-
-
-def _circle_map(src, target, arc_map):
-    """The bijection of circles, source index to target index, that arc_map
-    induces between two homeomorphic diagrams."""
-    circle_map = {}
-    for a_src, a_tgt in arc_map.items():
-        i = src.component_of[a_src]
-        j = target.component_of[a_tgt]
-        if circle_map.setdefault(i, j) != j:
-            raise GradingError("arc map does not descend to circles")
-    if (
-        len(circle_map) != len(src)
-        or len(src) != len(target)
-        or len(set(circle_map.values())) != len(target)
-    ):
-        raise GradingError("arc map does not cover circles bijectively")
-    return circle_map
 
 
 def integral_offset(offset):
@@ -285,38 +244,6 @@ def basis_state(a, b, lab):
     return StateVector(d, off, {tuple(lab): 1})
 
 
-def _joint_pick(big, blocks):
-    """Position of each circle of big in the concatenated labelings of blocks.
-
-    blocks is a sequence of (block id, diagram) in input order; arcs of big
-    must have the form ((block, side), ...) with (side, ...) an arc of that
-    block's diagram.
-    """
-    start, diagrams, n = {}, {}, 0
-    for block, d in blocks:
-        start[block], diagrams[block] = n, d
-        n += len(d)
-    pick = []
-    for circ in big.circles:
-        (block, side), *rest = circ[0]
-        pick.append(start[block] + diagrams[block].component_of[(side, *rest)])
-    return tuple(pick)
-
-
-def _double_instances(block, a, b, tangles, glue):
-    """Register the double of (a, b) as instances (block, "x"), (block, "y")."""
-    tangles[(block, "x")] = a
-    tangles[(block, "y")] = b
-    _glue_all(glue, (block, "x"), "b", (block, "y"), "b", a.bottom)
-    _glue_all(glue, (block, "x"), "t", (block, "y"), "t", a.top)
-
-
-def _glue_all(glue, inst1, side1, inst2, side2, count):
-    for i in range(count):
-        glue[(inst1, side1, i)] = (inst2, side2, i)
-        glue[(inst2, side2, i)] = (inst1, side1, i)
-
-
 def _check_double(sv, a, b, what):
     """Raise unless sv lies on the double of (a, b)."""
     d, off = hom_double(a, b)
@@ -338,19 +265,18 @@ def _check_on(sv, double, what):
 class _SurgeryPlan:
     """A cobordism between closed diagrams, compiled to steps on labels.
 
-    pick takes each circle of the start diagram to its position in the
-    concatenated input labelings; steps are the arguments, after the terms,
-    of one _frobenius_terms call per saddle or cap; and circle j of the end
-    diagram takes the label of circle perm[j] after them.  A plan without
-    steps folds perm into pick and keeps no table of products.
+    The start diagram's circles are the input diagrams' circles in input
+    order, so one labeling per input diagram, concatenated, labels it;
+    steps are the arguments, after the terms, of one _frobenius_terms call
+    per saddle or cap; and circle j of the end diagram takes the label of
+    circle perm[j] after them.  A plan without steps keeps no table of
+    products.
     """
 
-    __slots__ = ("pick", "steps", "perm", "products")
+    __slots__ = ("steps", "perm", "products")
 
-    def __init__(self, pick, steps, perm):
-        if not steps:
-            pick, perm = tuple(pick[i] for i in perm), tuple(range(len(perm)))
-        self.pick, self.steps, self.perm = pick, steps, perm
+    def __init__(self, steps, perm):
+        self.steps, self.perm = steps, perm
         self.products = {} if steps else None
 
     def product(self, *labs):
@@ -359,11 +285,10 @@ class _SurgeryPlan:
         plan has steps, kept."""
         if not self.steps:
             joint = sum(labs, ())
-            return ((tuple(joint[p] for p in self.pick), 1),)
+            return ((tuple(joint[p] for p in self.perm), 1),)
         out = self.products.get(labs)
         if out is None:
-            joint = sum(labs, ())
-            terms = {tuple(joint[p] for p in self.pick): 1}
+            terms = {sum(labs, ()): 1}
             for step in self.steps:
                 terms = _frobenius_terms(terms, *step)
             out = self.products[labs] = tuple(sorted(
@@ -387,37 +312,163 @@ def _replayed(plan, factors):
 
 
 class _Recorder:
-    """Surgery on diagrams, recorded as steps on labels for a _SurgeryPlan.
+    """Surgery on circles, recorded as steps on labels for a _SurgeryPlan.
 
-    Every compiler below starts one on a diagram; each saddle or cap moves
-    it to the diagram after the step and records how labels cross.
+    It keeps the circles of its current state itself: the two end nodes of
+    each arc, each circle as a set of arcs, and the circle of each arc.  A
+    saddle on two circles merges their sets, a saddle on one circle walks
+    that circle alone to split it, and a cap drops its circle; a step
+    renumbers only the circles it touches and the last circle, which moves
+    into a slot a step frees.  No diagram is built or traced per step.
     """
 
-    def __init__(self, diagram):
-        self.diagram, self.steps = diagram, []
+    def __init__(self, arcs, circles, circle_of, blocks=None):
+        self.arcs, self.circles, self.circle_of = arcs, circles, circle_of
+        self.blocks, self.steps = blocks, []
 
-    def saddle(self, new, c1, c2, t0, t1):
-        """A saddle onto new, on the circles c1, c2 before it, making t0, t1
-        after it (t0 == t1 for a merge)."""
-        self.steps.append((_carry(self.diagram, new, {t0, t1}), c1, c2, t0, t1))
-        self.diagram = new
+    @classmethod
+    def on(cls, diagram):
+        """A recorder starting on diagram, with its names and circle order."""
+        return cls(dict(diagram.arcs), [set(c) for c in diagram.circles],
+                   dict(diagram.component_of))
+
+    @classmethod
+    def on_union(cls, blocks):
+        """A recorder starting on the disjoint union of the diagrams of
+        blocks, (block id, diagram) pairs, their circles listed in block
+        order: arc (side, *rest) of block i is renamed ((i, side), *rest)
+        and node u is renamed (i, u)."""
+        arcs, circles, circle_of = {}, [], {}
+        for i, d in blocks:
+            for circ in d.circles:
+                here, n = set(), len(circles)
+                for side, *rest in circ:
+                    a = ((i, side), *rest)
+                    u, v = d.arcs[(side, *rest)]
+                    arcs[a] = ((i, u), (i, v))
+                    circle_of[a] = n
+                    here.add(a)
+                circles.append(here)
+        return cls(arcs, circles, circle_of, dict(blocks))
+
+    def node(self, block, port):
+        """The node at port of the diagram of block, as this recorder names it."""
+        return (block, self.blocks[block].node_of_port(port))
 
     def surger(self, arc1, arc2, pairing):
-        self.saddle(*_saddle(self.diagram, arc1, arc2, pairing))
+        """Cut arc1 and arc2 and reconnect their ends as prescribed.
+
+        pairing is ((u1, u2), (v1, v2)) with {u1, v1} the nodes of arc1 and
+        {u2, v2} those of arc2; the new arcs ("srg", arc1, arc2, 0) and
+        ("srg", arc1, arc2, 1) run u1-u2 and v1-v2.
+        """
+        arcs = self.arcs
+        if arc1 not in arcs or arc2 not in arcs or arc1 == arc2:
+            raise KeyError((arc1, arc2))
+        (u1, u2), (v1, v2) = pairing
+        if set(arcs[arc1]) != {u1, v1} or set(arcs[arc2]) != {u2, v2}:
+            raise KeyError(f"pairing does not match arc endpoints for {arc1!r}, {arc2!r}")
+        made = ("srg", arc1, arc2, 0), ("srg", arc1, arc2, 1)
+        of, circles = self.circle_of, self.circles
+        c1, c2 = of[arc1], of[arc2]
+        for a, c in ((arc1, c1), (arc2, c2)):
+            del arcs[a], of[a]
+            circles[c].remove(a)
+        arcs[made[0]], arcs[made[1]] = (u1, u2), (v1, v2)
+        for a in made:
+            of[a] = c1
+            circles[c1].add(a)
+        self._saddle(c1, c2, *made)
+
+    def reglue(self, node1, node2, at1, at2):
+        """A saddle at two nodes: at1 holds the two arcs that meet at node1
+        and at2 those at node2; afterwards the first arcs of at1 and at2
+        meet at one new node and the second arcs at another."""
+        arcs = self.arcs
+        (a1, b1), (a2, b2) = at1, at2
+        if node1 == node2 or a1 == b1 or a2 == b2 or not all(
+                node in arcs[a] for node, ends in ((node1, at1), (node2, at2)) for a in ends):
+            raise KeyError(f"arcs {at1!r}, {at2!r} do not meet at nodes {node1!r}, {node2!r}")
+        for arc, old, k in ((a1, node1, 0), (b1, node1, 1), (a2, node2, 0), (b2, node2, 1)):
+            u, v = arcs[arc]
+            new = ("rg", node1, node2, k)
+            arcs[arc] = (new, v) if u == old else (u, new)
+        self._saddle(self.circle_of[a1], self.circle_of[a2], a1, b1)
+
+    def _saddle(self, c1, c2, first, second):
+        """Record a saddle on circles c1 and c2 whose arcs are already
+        reconnected, first and second lying on different new circles when
+        it splits c1 == c2."""
+        circles, of = self.circles, self.circle_of
+        n = len(circles)
+        if c1 != c2:
+            t0, drop = min(c1, c2), max(c1, c2)
+            for a in circles[drop]:
+                of[a] = t0
+            circles[t0] |= circles[drop]
+            carry = self._vacate(drop)
+            carry[t0] = None
+            self.steps.append((tuple(carry), c1, c2, t0, t0))
+            return
+        arcs = self.arcs
+        at_node = {}
+        for a in circles[c1]:
+            for u in arcs[a]:
+                at_node.setdefault(u, []).append(a)
+        walked, prev, node = {first}, first, arcs[first][1]
+        while True:
+            x, y = at_node[node]
+            a = y if x == prev else x
+            if a == first:
+                break
+            walked.add(a)
+            u, v = arcs[a]
+            prev, node = a, (v if u == node else u)
+        if second in walked:
+            raise GradingError("a saddle on one circle must split it in two")
+        circles[c1] -= walked
+        circles.append(walked)
+        for a in walked:
+            of[a] = n
+        carry = list(range(n + 1))
+        carry[c1] = carry[n] = None
+        self.steps.append((tuple(carry), c1, c1, n, c1))
+
+    def _vacate(self, c):
+        """Free circle slot c by moving the last circle into it; the carry,
+        as a list, of the circles left."""
+        circles, of = self.circles, self.circle_of
+        last = circles.pop()
+        carry = list(range(len(circles)))
+        if c < len(circles):
+            circles[c] = last
+            for a in last:
+                of[a] = c
+            carry[c] = len(circles)
+        return carry
 
     def cap(self, arc):
-        new, c = _capped(self.diagram, arc)
-        self.steps.append((_carry(self.diagram, new, ()), c))
-        self.diagram = new
+        """Cap off the circle through arc with the counit."""
+        c = self.circle_of[arc]
+        for a in self.circles[c]:
+            del self.arcs[a], self.circle_of[a]
+        self.steps.append((tuple(self._vacate(c)), c))
 
-    def plan(self, pick, target, arc_map):
-        """The plan from the start diagram to target, whose circles arc_map
-        names through the arcs of the current diagram; see _SurgeryPlan
-        for pick."""
+    def plan(self, target, arc_map):
+        """The plan from the start circles to the circles of target, which
+        arc_map names through the arcs of the current state."""
+        circle_map = {}
+        for a_src, a_tgt in arc_map.items():
+            j = target.component_of[a_tgt]
+            if circle_map.setdefault(self.circle_of[a_src], j) != j:
+                raise GradingError("arc map does not descend to circles")
+        if (len(circle_map) != len(self.circles) or len(self.circles) != len(target)
+                or len(set(circle_map.values())) != len(target)):
+            raise GradingError("arc map does not cover circles bijectively")
         perm = [None] * len(target)
-        for i, j in _circle_map(self.diagram, target, arc_map).items():
+        for i, j in circle_map.items():
             perm[j] = i
-        return _SurgeryPlan(pick, tuple(self.steps), tuple(perm))
+        return _SurgeryPlan(tuple(self.steps), tuple(perm))
 
 
 def pair(a, b, c, sv1, sv2):
@@ -435,7 +486,7 @@ def pair(a, b, c, sv1, sv2):
 
 @lru_cache(maxsize=None)
 def _composition_plan(a, b, c):
-    """Compile composition through b once, on diagrams.
+    """Compile composition through b once, on circles.
 
     On the union of the doubles of (a, b) and (b, c): one saddle per chord
     of b, then each free circle of b is merged across the two copies and
@@ -444,26 +495,20 @@ def _composition_plan(a, b, c):
     and the plan, which takes a labeling of each of the two input doubles.
     """
     first, second = hom_double(a, b), hom_double(b, c)
-    d1, d2 = first[0], second[0]
     canon, off = hom_double(a, c)
-    tangles, glue = {}, {}
-    _double_instances(1, a, b, tangles, glue)
-    _double_instances(2, b, c, tangles, glue)
-    union = ClosedDiagram.from_instances(tangles, glue)
-    rec = _Recorder(union)
+    rec = _Recorder.on_union(((1, first[0]), (2, second[0])))
     for k, (p, q) in enumerate(b.chords):
-        n1p, n1q, n2p, n2q = (union.node_of_port((inst,) + b.port_of_point(x))
-                              for inst in ((1, "y"), (2, "x")) for x in (p, q))
+        n1p, n1q, n2p, n2q = (rec.node(block, (side,) + b.port_of_point(x))
+                              for block, side in ((1, "y"), (2, "x")) for x in (p, q))
         rec.surger(((1, "y"), k), ((2, "x"), k), ((n1p, n2p), (n1q, n2q)))
     for k in range(b.circles):
         arc1, arc2 = ((1, "y"), "o", k), ((2, "x"), "o", k)
-        l1, l2 = rec.diagram.arcs[arc1][0], rec.diagram.arcs[arc2][0]
+        l1, l2 = rec.arcs[arc1][0], rec.arcs[arc2][0]
         rec.surger(arc1, arc2, ((l1, l2), (l1, l2)))
         rec.cap(("srg", arc1, arc2, 0))
     arc_map = {**_carried_arcs((1, "x"), a, range(a.points), "x", a),
                **_carried_arcs((2, "y"), c, range(c.points), "y", c)}
-    return first, second, canon, off, rec.plan(_joint_pick(union, ((1, d1), (2, d2))), canon,
-                                               arc_map)
+    return first, second, canon, off, rec.plan(canon, arc_map)
 
 
 def _chord_index(t, p):
@@ -509,9 +554,8 @@ def _relabeling_plan(a, b, kind):
     arc_map = {}
     for src, t, side in zip("xy", (a, b), sides):
         arc_map.update(_carried_arcs(src, t, image, side, ends[side]))
-    d, _ = hom_double(a, b)
     canon, _ = hom_double(ends["x"], ends["y"])
-    return canon, _Recorder(d).plan(tuple(range(len(d))), canon, arc_map)
+    return canon, _Recorder.on(hom_double(a, b)[0]).plan(canon, arc_map)
 
 
 def _relabeled(state, a, b, kind):
@@ -557,7 +601,7 @@ def whisker(state, a, b, e, above=True):
 
 @lru_cache(maxsize=None)
 def _whisker_plan(a, b, e, above):
-    """Compile whiskering Hom(a, b) by the identity of e once, on diagrams.
+    """Compile whiskering Hom(a, b) by the identity of e once, on circles.
 
     On the union of the doubles of (a, b) and (e, e), each saddle re-pairs
     the ports {p1-q1, p2-q2} of one glued boundary point into {p1-p2,
@@ -570,28 +614,16 @@ def _whisker_plan(a, b, e, above):
     else:
         fa, fb = compose(a, e), compose(b, e)
         lower, upper = stacking_points(a, e)
-    tangles, glue = {}, {}
-    _double_instances("m", a, b, tangles, glue)
-    _double_instances("e", e, e, tangles, glue)
-    start = ClosedDiagram.from_instances(tangles, glue)
-    rec = _Recorder(start)
+    rec = _Recorder.on_union((("m", hom_double(a, b)[0]), ("e", hom_double(e, e)[0])))
     # the (a, b) factor is the lower one above, the upper one below
     for pl, pu in _glued(lower, upper):
         pm, pe = (pl, pu) if above else (pu, pl)
-        p1, p2 = (("m", "x"),) + a.port_of_point(pm), (("e", "x"),) + e.port_of_point(pe)
-        q1, q2 = glue[p1], glue[p2]
-        glue = dict(glue)
-        glue[p1], glue[p2] = p2, p1
-        glue[q1], glue[q2] = q2, q1
-        new = ClosedDiagram.from_instances(tangles, glue)
-        a1, a2 = (("m", "x"), _chord_index(a, pm)), (("e", "x"), _chord_index(e, pe))
-        c1, c2 = rec.diagram.component_of[a1], rec.diagram.component_of[a2]
-        t0 = new.component_of[a1]
-        # the daughters of a split meet the new nodes {p1, p2} and {q1, q2}
-        t1 = t0 if c1 != c2 else new.component_of[(("m", "y"), _chord_index(b, pm))]
-        rec.saddle(new, c1, c2, t0, t1)
+        ca, cb, ce = _chord_index(a, pm), _chord_index(b, pm), _chord_index(e, pe)
+        rec.reglue(rec.node("m", ("x",) + a.port_of_point(pm)),
+                   rec.node("e", ("x",) + e.port_of_point(pe)),
+                   ((("m", "x"), ca), (("m", "y"), cb)), ((("e", "x"), ce), (("e", "y"), ce)))
     canon, off = hom_double(fa, fb)
-    end = rec.diagram.component_of
+    end = rec.circle_of
     final_map = {}
     for side, f, mid in (("x", fa, a), ("y", fb, b)):
         m_inst, e_inst = (("m", side), mid), (("e", side), e)
@@ -607,8 +639,7 @@ def _whisker_plan(a, b, e, above):
                 seen.add(end[arc])
                 final_map[arc] = (side, "o", k)
                 k += 1
-    pick = _joint_pick(start, (("m", hom_double(a, b)[0]), ("e", hom_double(e, e)[0])))
-    return canon, off, rec.plan(pick, canon, final_map)
+    return canon, off, rec.plan(canon, final_map)
 
 
 def juxtaposed(factors):
@@ -634,10 +665,6 @@ def _juxtaposition_plan(shapes):
     offset, and the step-free plan onto it, which takes a labeling of each
     factor's double."""
     doubles = tuple(hom_double(a, b) for a, b in shapes)
-    tangles, glue = {}, {}
-    for i, (a, b) in enumerate(shapes):
-        _double_instances(i, a, b, tangles, glue)
-    big = ClosedDiagram.from_instances(tangles, glue)
     xs, ys = tuple(a for a, _b in shapes), tuple(b for _a, b in shapes)
     ja, jb = juxtapose(*xs), juxtapose(*ys)
     canon, off = hom_double(ja, jb)
@@ -649,5 +676,5 @@ def _juxtaposition_plan(shapes):
         for i, (t, image) in enumerate(zip(factors, images)):
             arc_map.update(_carried_arcs((i, side), t, image, side, jt, circles))
             circles += t.circles
-    pick = _joint_pick(big, [(i, d) for i, (d, _off) in enumerate(doubles)])
-    return doubles, canon, off, _Recorder(big).plan(pick, canon, arc_map)
+    rec = _Recorder.on_union([(i, d) for i, (d, _off) in enumerate(doubles)])
+    return doubles, canon, off, rec.plan(canon, arc_map)

@@ -759,11 +759,11 @@ def pair_by_surgery(a, b, c, sv1, sv2):
     composition was compiled once per triple of tangles.
     """
     from skeinhom.planar import ClosedDiagram
-    from skeinhom.tqft import _double_instances, hom_double
+    from skeinhom.tqft import hom_double
 
     tangles, glue = {}, {}
-    _double_instances(1, a, b, tangles, glue)
-    _double_instances(2, b, c, tangles, glue)
+    double_instances(1, a, b, tangles, glue)
+    double_instances(2, b, c, tangles, glue)
     union = ClosedDiagram.from_instances(tangles, glue)
     state = joint_terms(union, {1: sv1, 2: sv2})
     for k, (p, q) in enumerate(b.chords):
@@ -841,9 +841,93 @@ def hom_complex_by_pair(cx, b, check=True):
 # of tangles.  States are rebuilt and their diagrams re-traced at every
 # saddle, so agreement with the compiled plans is meaningful.
 
+def _glue_all(glue, inst1, side1, inst2, side2, count):
+    for i in range(count):
+        glue[(inst1, side1, i)] = (inst2, side2, i)
+        glue[(inst2, side2, i)] = (inst1, side1, i)
+
+
+def double_instances(block, a, b, tangles, glue):
+    """Register the double of (a, b) as instances (block, "x"), (block, "y")."""
+    tangles[(block, "x")] = a
+    tangles[(block, "y")] = b
+    _glue_all(glue, (block, "x"), "b", (block, "y"), "b", a.bottom)
+    _glue_all(glue, (block, "x"), "t", (block, "y"), "t", a.top)
+
+
+def surger(diagram, arc1, arc2, pairing):
+    """The diagram with arc1 and arc2 cut and their ends reconnected as
+    prescribed, traced from scratch.
+
+    pairing is ((u1, u2), (v1, v2)) with {u1, v1} the nodes of arc1 and
+    {u2, v2} those of arc2; the new arcs run u1-u2 and v1-v2.
+    """
+    from skeinhom.planar import ClosedDiagram
+
+    if arc1 not in diagram.arcs or arc2 not in diagram.arcs or arc1 == arc2:
+        raise KeyError((arc1, arc2))
+    (u1, u2), (v1, v2) = pairing
+    if set(diagram.arcs[arc1]) != {u1, v1} or set(diagram.arcs[arc2]) != {u2, v2}:
+        raise KeyError(f"pairing does not match arc endpoints for {arc1!r}, {arc2!r}")
+    arcs = dict(diagram.arcs)
+    del arcs[arc1], arcs[arc2]
+    arcs[("srg", arc1, arc2, 0)] = (u1, u2)
+    arcs[("srg", arc1, arc2, 1)] = (v1, v2)
+    return ClosedDiagram(arcs, diagram.port_node)
+
+
+def _saddle(diagram, arc1, arc2, pairing):
+    """The diagram after a saddle joining arc1 and arc2, reconnected as
+    prescribed, with the circles c1, c2 of the two arcs before it and the
+    circles t0, t1 of the two new arcs after it."""
+    new_diag = surger(diagram, arc1, arc2, pairing)
+    t0 = new_diag.component_of[("srg", arc1, arc2, 0)]
+    t1 = new_diag.component_of[("srg", arc1, arc2, 1)]
+    return new_diag, diagram.component_of[arc1], diagram.component_of[arc2], t0, t1
+
+
+def _capped(diagram, arc):
+    """The diagram without the circle through arc, traced from scratch, and
+    that circle."""
+    from skeinhom.planar import ClosedDiagram
+
+    c = diagram.component_of[arc]
+    gone = set(diagram.circles[c])
+    remaining = {a: uv for a, uv in diagram.arcs.items() if a not in gone}
+    return ClosedDiagram(remaining, diagram.port_node), c
+
+
+def _carry(old, new, made):
+    """For each circle of new, the circle of old it continues, or None for
+    the circles in made, which a cobordism between the two created."""
+    of = old.component_of
+    return tuple(None if i in made else of[next(a for a in circ if a in of)]
+                 for i, circ in enumerate(new.circles))
+
+
+def _circle_map(src, target, arc_map):
+    """The bijection of circles, source index to target index, that arc_map
+    induces between two homeomorphic diagrams."""
+    from skeinhom.errors import GradingError
+
+    circle_map = {}
+    for a_src, a_tgt in arc_map.items():
+        i = src.component_of[a_src]
+        j = target.component_of[a_tgt]
+        if circle_map.setdefault(i, j) != j:
+            raise GradingError("arc map does not descend to circles")
+    if (
+        len(circle_map) != len(src)
+        or len(src) != len(target)
+        or len(set(circle_map.values())) != len(target)
+    ):
+        raise GradingError("arc map does not cover circles bijectively")
+    return circle_map
+
+
 def _saddle_terms(state, new_diag, c1, c2, t0, t1):
     """Label bookkeeping shared by arc surgery and port regluing."""
-    from skeinhom.tqft import _carry, _frobenius_terms
+    from skeinhom.tqft import _frobenius_terms
 
     if c1 == c2:
         assert t0 != t1, "a planar saddle on one circle must split it"
@@ -857,7 +941,7 @@ def surgered(state, arc1, arc2, pairing):
     Distinct circles merge with the product; a single circle splits with
     the coproduct.  The offset drops by one either way.
     """
-    from skeinhom.tqft import StateVector, _saddle
+    from skeinhom.tqft import StateVector
 
     new_diag, c1, c2, t0, t1 = _saddle(state.diagram, arc1, arc2, pairing)
     if c1 != c2:
@@ -868,7 +952,7 @@ def surgered(state, arc1, arc2, pairing):
 
 def killed(state, arc):
     """Cap off the circle through arc with the counit."""
-    from skeinhom.tqft import StateVector, _capped, _carry, _frobenius_terms
+    from skeinhom.tqft import StateVector, _frobenius_terms
 
     new_diag, c = _capped(state.diagram, arc)
     terms = _frobenius_terms(state.terms, _carry(state.diagram, new_diag, ()), c)
@@ -881,7 +965,7 @@ def transport(state, target, arc_map):
     arc_map sends source arcs to target arcs and must determine a bijection
     of circles; it does not need to mention every arc.
     """
-    from skeinhom.tqft import StateVector, _circle_map
+    from skeinhom.tqft import StateVector
 
     circle_map = _circle_map(state.diagram, target, arc_map)
     terms = {}
@@ -1093,7 +1177,7 @@ def whisker_by_reglue(state, a, b, e, above=True):
     """
     from skeinhom.errors import InvalidBoundary
     from skeinhom.planar import ClosedDiagram, compose
-    from skeinhom.tqft import _check_on, _double_instances, hom_double, identity_state
+    from skeinhom.tqft import _check_on, hom_double, identity_state
 
     _check_on(state, hom_double(a, b), "state")
     if above:
@@ -1106,8 +1190,8 @@ def whisker_by_reglue(state, a, b, e, above=True):
         fa, fb = compose(a, e), compose(b, e)
     id_e = identity_state(e)
     tangles, glue = {}, {}
-    _double_instances("m", a, b, tangles, glue)
-    _double_instances("e", e, e, tangles, glue)
+    double_instances("m", a, b, tangles, glue)
+    double_instances("e", e, e, tangles, glue)
     start = ClosedDiagram.from_instances(tangles, glue)
     cur = joint_terms(start, {"m": state, "e": id_e})
     if above:
@@ -1155,12 +1239,12 @@ def stacked_state_by_surgery(fc, gc, tc, m1, m2, labf, labg):
     from skeinhom.errors import SpecError
     from skeinhom.planar import ClosedDiagram
     from skeinhom.planar import compose as stack
-    from skeinhom.tqft import StateVector, _chord_index, _double_instances, hom_double
+    from skeinhom.tqft import StateVector, _chord_index, hom_double
 
     z1, z2, zt = fc.z_jux, gc.z_jux, tc.z_jux
     tangles, glue = {}, {}
-    _double_instances(1, z1, m1, tangles, glue)
-    _double_instances(2, z2, m2, tangles, glue)
+    double_instances(1, z1, m1, tangles, glue)
+    double_instances(2, z2, m2, tangles, glue)
     union = ClosedDiagram.from_instances(tangles, glue)
     d1, off1 = hom_double(z1, m1)
     d2, off2 = hom_double(z2, m2)

@@ -1,0 +1,149 @@
+"""The surgery-plan compilers as they ran before tqft._Recorder kept its
+circles itself: the reference its plans must agree with.
+
+Each saddle or cap builds and re-traces a whole ClosedDiagram through the
+whole-diagram route of tests/oracles.py, the start diagram is the union of
+the input doubles traced from their instances, and a pick places its
+circles in the concatenated input labelings.  Kept apart from oracles.py,
+which the benchmark imports and so compiles in every worker process.
+"""
+
+from .oracles import _capped, _carry, _circle_map, _local_arc, _saddle, double_instances
+
+
+class SurgeryPlanByDiagram:
+    """A compiled cobordism: pick takes each start circle to its position in
+    the concatenated input labelings, steps are _frobenius_terms arguments
+    and end circle j takes the label of circle perm[j] after them."""
+
+    def __init__(self, pick, steps, perm):
+        self.pick, self.steps, self.perm = pick, steps, perm
+
+    def product(self, *labs):
+        from skeinhom.tqft import _frobenius_terms
+
+        joint = sum(labs, ())
+        terms = {tuple(joint[p] for p in self.pick): 1}
+        for step in self.steps:
+            terms = _frobenius_terms(terms, *step)
+        return tuple(sorted((tuple(lab[i] for i in self.perm), k)
+                            for lab, k in terms.items() if k))
+
+
+class RecorderByDiagram:
+    """Surgery on whole diagrams, one new diagram per saddle or cap."""
+
+    def __init__(self, diagram):
+        self.diagram, self.steps = diagram, []
+
+    def surger(self, arc1, arc2, pairing):
+        new, c1, c2, t0, t1 = _saddle(self.diagram, arc1, arc2, pairing)
+        self.steps.append((_carry(self.diagram, new, {t0, t1}), c1, c2, t0, t1))
+        self.diagram = new
+
+    def cap(self, arc):
+        new, c = _capped(self.diagram, arc)
+        self.steps.append((_carry(self.diagram, new, ()), c))
+        self.diagram = new
+
+    def plan(self, pick, target, arc_map):
+        perm = [None] * len(target)
+        for i, j in _circle_map(self.diagram, target, arc_map).items():
+            perm[j] = i
+        return SurgeryPlanByDiagram(pick, tuple(self.steps), tuple(perm))
+
+
+def union_of_doubles(blocks):
+    """The diagram traced from the doubles of blocks, (block id, a, b)
+    triples glued to nothing, and the position of each of its circles in
+    the concatenated labelings of the doubles."""
+    from skeinhom.planar import ClosedDiagram
+    from skeinhom.tqft import hom_double
+
+    tangles, glue, start, doubles, n = {}, {}, {}, {}, 0
+    for block, a, b in blocks:
+        double_instances(block, a, b, tangles, glue)
+        start[block], doubles[block] = n, hom_double(a, b)[0]
+        n += len(doubles[block])
+    big = ClosedDiagram.from_instances(tangles, glue)
+    pick = []
+    for circ in big.circles:
+        block, local = _local_arc(circ[0])
+        pick.append(start[block] + doubles[block].component_of[local])
+    return big, tuple(pick)
+
+
+def composition_plan(a, b, c):
+    """The plan of tqft._composition_plan(a, b, c)."""
+    from skeinhom.tqft import _carried_arcs, hom_double
+
+    union, pick = union_of_doubles(((1, a, b), (2, b, c)))
+    rec = RecorderByDiagram(union)
+    for k, (p, q) in enumerate(b.chords):
+        n1p, n1q, n2p, n2q = (union.node_of_port((inst,) + b.port_of_point(x))
+                              for inst in ((1, "y"), (2, "x")) for x in (p, q))
+        rec.surger(((1, "y"), k), ((2, "x"), k), ((n1p, n2p), (n1q, n2q)))
+    for k in range(b.circles):
+        arc1, arc2 = ((1, "y"), "o", k), ((2, "x"), "o", k)
+        l1, l2 = rec.diagram.arcs[arc1][0], rec.diagram.arcs[arc2][0]
+        rec.surger(arc1, arc2, ((l1, l2), (l1, l2)))
+        rec.cap(("srg", arc1, arc2, 0))
+    arc_map = {**_carried_arcs((1, "x"), a, range(a.points), "x", a),
+               **_carried_arcs((2, "y"), c, range(c.points), "y", c)}
+    return rec.plan(pick, hom_double(a, c)[0], arc_map)
+
+
+def juxtaposition_plan(shapes):
+    """The step-free plan of tqft._juxtaposition_plan(shapes)."""
+    from skeinhom.planar import juxtapose, juxtaposition_points
+    from skeinhom.tqft import _carried_arcs, hom_double
+
+    big, pick = union_of_doubles([(i, a, b) for i, (a, b) in enumerate(shapes)])
+    xs, ys = tuple(a for a, _b in shapes), tuple(b for _a, b in shapes)
+    ja, jb = juxtapose(*xs), juxtapose(*ys)
+    images = juxtaposition_points(xs)
+    arc_map = {}
+    for side, factors, jt in (("x", xs, ja), ("y", ys, jb)):
+        circles = 0
+        for i, (t, image) in enumerate(zip(factors, images)):
+            arc_map.update(_carried_arcs((i, side), t, image, side, jt, circles))
+            circles += t.circles
+    return RecorderByDiagram(big).plan(pick, hom_double(ja, jb)[0], arc_map)
+
+
+def stacking_plan(z1, m1, z2, m2, zt):
+    """The plan of surface._stacking_plan(z1, m1, z2, m2, zt)."""
+    from skeinhom.planar import compose as stack
+    from skeinhom.planar import stacking_points
+    from skeinhom.tqft import _carried_arcs, _chord_index, _glued, hom_double
+
+    m_out = stack(m1, m2)
+    union, pick = union_of_doubles(((1, z1, m1), (2, z2, m2)))
+    rec = RecorderByDiagram(union)
+    z_lower, z_upper = stacking_points(z1, z2)
+    twin = {u: l for l, u in _glued(z_lower, z_upper)}
+
+    def nodes(p):
+        return (union.node_of_port(((1, "x"),) + z1.port_of_point(p)),
+                union.node_of_port(((2, "x"),) + z2.port_of_point(twin[p])))
+
+    for k, (p, q) in enumerate(z1.chords):
+        if p in twin:
+            rec.surger(((1, "x"), k), ((2, "x"), _chord_index(z2, twin[p])), (nodes(p), nodes(q)))
+    m_lower, m_upper = stacking_points(m1, m2)
+    arc_map = {**_carried_arcs((2, "x"), z2, z_lower, "x", zt),
+               **_carried_arcs((1, "x"), z1, z_upper, "x", zt),
+               **_carried_arcs((2, "y"), m2, m_lower, "y", m_out),
+               **_carried_arcs((1, "y"), m1, m_upper, "y", m_out)}
+    return rec.plan(pick, hom_double(zt, m_out)[0], arc_map)
+
+
+def coarsening_plan(z_src, m_src, z_tgt, m_tgt, sites, arc_map):
+    """The plan of surface._coarsening_plan, with the same arguments."""
+    from skeinhom.tqft import hom_double
+
+    d_src, _ = hom_double(z_src, m_src)
+    rec = RecorderByDiagram(d_src)
+    for arc1, arc2, pairing in sites:
+        rec.surger(arc1, arc2, pairing)
+    return rec.plan(tuple(range(len(d_src))), hom_double(z_tgt, m_tgt)[0], dict(arc_map))

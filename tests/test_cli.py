@@ -189,6 +189,14 @@ class TestBasics:
         assert dims[(0, 0)] == "1 + 2q^2 + q^4"
         assert dims[(0, 1)] == "q + q^3"
 
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_ring_check_refuses_samples_below_one(self, capsys, samples):
+        # 45,200 associativity triples on (4, 2): the check samples them
+        code, out, err = run_cli(capsys, "ring", "4", "2", "--check", "--samples", samples)
+        assert code == 3
+        assert out == ""
+        assert f"--samples must be a positive integer, got {samples}" in err
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):

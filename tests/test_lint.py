@@ -28,6 +28,14 @@ ALLOWED_TANGLE_BUILDS = Counter({
     ("spin", "_vertex_tangle"): 1,
 })
 
+# The only places outside planar that build a ClosedDiagram, by (module,
+# function): the doubles, cached per pair of tangles.  Every surgery plan
+# starts from cached doubles and follows the circles its steps touch itself,
+# so no plan compiler traces a diagram.
+ALLOWED_DIAGRAM_BUILDS = Counter({
+    ("tqft", "hom_double"): 1,
+})
+
 # The only places outside planar that shift an index by a tangle's edge size
 # (add or subtract x.bottom or x.top), by (module, function); none today.
 # Where a factor's boundary points land in a juxtaposition, a stack or a
@@ -146,6 +154,55 @@ def test_tangle_build_scan_sees_calls_and_scopes(tmp_path):
         "    return t._trusted(), PlanarTangle(2, 0, (1, 0))\n")
     assert tangle_builds_by_function(module) == [("", 1), ("S.f.g", 5), ("h", 8)]
     assert asserts_by_function(module) == []
+
+
+def is_diagram_build(node):
+    """A call of ClosedDiagram(...) or of one of its constructors,
+    ClosedDiagram.<name>(...), through any module prefix."""
+    if not isinstance(node, ast.Call):
+        return False
+    names, func = [], node.func
+    while isinstance(func, ast.Attribute):
+        names.append(func.attr)
+        func = func.value
+    if isinstance(func, ast.Name):
+        names.append(func.id)
+    return "ClosedDiagram" in names[:2]
+
+
+def source_diagram_builds(source=SOURCE):
+    return counted_beyond(ALLOWED_DIAGRAM_BUILDS,
+                          lambda path: nodes_by_function(path, is_diagram_build),
+                          skip=("planar",), source=source)
+
+
+def test_diagrams_are_built_only_in_planar_and_for_doubles():
+    _seen, stray = source_diagram_builds()
+    assert not stray, (
+        "ClosedDiagram built at " + ", ".join(stray)
+        + "; start a tqft._Recorder on cached doubles and follow its circles instead")
+
+
+def test_every_allowance_matches_a_diagram_build():
+    seen, _stray = source_diagram_builds()
+    stale = sorted(key for key, count in ALLOWED_DIAGRAM_BUILDS.items() if seen[key] < count)
+    assert not stale, f"allowances above the diagram builds left in the source: {stale}"
+
+
+def test_diagram_build_scan_sees_constructors_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "D = ClosedDiagram({}, {})\n"
+        "class R:\n"
+        "    def f(self, a, b):\n"
+        "        return planar.ClosedDiagram.double(a, b), isinstance(a, ClosedDiagram)\n"
+        "def g(d, t):\n"
+        "    return ClosedDiagram.from_instances(t, {}), d.surger(1, 2, ()), ClosedDiagram\n")
+    found = nodes_by_function(module, is_diagram_build)
+    assert found == [("", 1), ("R.f", 4), ("g", 6)]
+    seen, stray = source_diagram_builds(tmp_path)
+    assert seen == Counter({("module", ""): 1, ("module", "R.f"): 1, ("module", "g"): 1})
+    assert len(stray) == 3
 
 
 def is_point_arithmetic(node):

@@ -21,7 +21,7 @@ from skeinhom.planar import (
 )
 
 from .oracles import (brute_force_matchings, catalan, compose_by_encoded_walk,
-                      count_circles_union_find)
+                      count_circles_union_find, surger)
 
 
 def from_stack(layers):
@@ -426,7 +426,7 @@ class TestClosedDiagram:
         a1, a2 = ("x", 0), ("x", 1)  # bottom cap and top cup of the x copy
         u1, v1 = d.arcs[a1]
         u2, v2 = d.arcs[a2]
-        out = d.surger(a1, a2, ((u1, u2), (v1, v2)))
+        out = surger(d, a1, a2, ((u1, u2), (v1, v2)))
         assert len(out) == 1
 
     def test_surger_splits_one_circle(self):
@@ -439,10 +439,10 @@ class TestClosedDiagram:
         a1, a2 = ("x", 0), ("x", 1)
         u1, v1 = d2.arcs[a1]
         u2, v2 = d2.arcs[a2]
-        out = d2.surger(a1, a2, ((u1, u2), (v1, v2)))
+        out = surger(d2, a1, a2, ((u1, u2), (v1, v2)))
         assert len(out) == 2
 
     def test_surger_rejects_unknown_arcs(self):
         d = ClosedDiagram.double(E, E)
         with pytest.raises(KeyError):
-            d.surger(("x", 0), ("zzz", 9), ((None, None), (None, None)))
+            surger(d, ("x", 0), ("zzz", 9), ((None, None), (None, None)))

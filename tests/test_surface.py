@@ -14,6 +14,7 @@ from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, Surfa
                               arc, coarsen, compose, h0, identity_unit, removable_seam, seam_side,
                               symmetrized_pairing, transfer, validate_surface)
 
+from . import plan_oracles
 from .oracles import (_plug_sites, coarsen_by_surgery, coarsening_arc_maps, dense_homology_at,
                       hom_complex_by_pair, stacked_state_by_surgery, surface_differentials,
                       surface_multiwords)
@@ -560,6 +561,10 @@ def built_diagrams(monkeypatch):
     return built
 
 
+def basis_labelings(a, b):
+    return [lab for lab, _ in surface.kh_basis(*surface.hom_double(a, b))]
+
+
 class TestCompiledRoutes:
     """compose and coarsen replay plans compiled once per key; surgery on
     diagrams, label by label, is the reference."""
@@ -618,6 +623,44 @@ class TestCompiledRoutes:
             args = (cx, seam, mw, mw[g][0][0], m_src, d_src)
             assert surface._plug_surgeries(*args) == _plug_sites(*args)
 
+    @pytest.mark.parametrize("spec,a,b,c", [
+        (DISK, DISK_ARC, DISK_ARC, DISK_ARC),
+        (ANNULUS, CORE, CORE, CORE),
+        (ANNULUS, CUPCAP2, EMPTY, THROUGH2),
+        (ANNULUS, THROUGH2, EMPTY, CUPCAP2),
+        (ANNULUS2, CORE2, CORE2, CORE2),
+        (ANNULUS2, ANNULUS2_SPOKES, ANNULUS2_SPOKES, ANNULUS2_SPOKES),
+        (SEAMED_DISK, SEAMED_DISK_ARC, SEAMED_DISK_ARC, SEAMED_DISK_ARC),
+    ])
+    def test_stacking_plans_match_the_diagram_compiler(self, spec, a, b, c):
+        fc = SurfaceComplex(spec, a, b, depth=1)
+        gc = SurfaceComplex(spec, b, c, depth=1)
+        tc = SurfaceComplex(spec, a, c, depth=2)
+        keys = {(fc.z_jux, fc.m_tangle(wf), gc.z_jux, gc.m_tangle(wg), tc.z_jux)
+                for wf, wg in itertools.product(*(
+                    [mw for mws in cx.multiwords.values() for mw in mws] for cx in (fc, gc)))}
+        for key in keys:
+            plan, reference = surface._stacking_plan(*key), plan_oracles.stacking_plan(*key)
+            for labf, labg in itertools.product(
+                    *(basis_labelings(z, m) for z, m in (key[:2], key[2:4]))):
+                assert plan.product(labf, labg) == reference.product(labf, labg)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("spec,t,seam", COARSENINGS)
+    def test_coarsening_plans_match_the_diagram_compiler(self, spec, t, seam, depth):
+        cx = SurfaceComplex(spec, t, t, depth=depth)
+        target, z_map, m_maps = surface._coarsened(cx, seam, check=False)
+        g = cx._seam_pos[seam]
+        for mw in m_maps:
+            m_src = cx.m_tangle(mw)
+            d_src, _off = surface.hom_double(cx.z_jux, m_src)
+            sites = tuple(surface._plug_surgeries(cx, seam, mw, mw[g][0][0], m_src, d_src))
+            key = (cx.z_jux, m_src, target.z_jux, target.m_tangle(mw[:g] + mw[g + 1:]), sites,
+                   tuple(z_map.items()) + tuple(m_maps[mw].items()))
+            plan, reference = surface._coarsening_plan(*key), plan_oracles.coarsening_plan(*key)
+            for lab in basis_labelings(cx.z_jux, m_src):
+                assert plan.product(lab) == reference.product(lab)
+
     def test_second_compose_and_coarsen_build_no_diagram(self, monkeypatch):
         cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=1)
         tgt = SurfaceComplex(ANNULUS, CORE, CORE, depth=2)
@@ -626,11 +669,18 @@ class TestCompiledRoutes:
         compose(f0, g0, target=tgt)
         cx2 = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=2)
         _t, first_map = coarsen(cx2, "g2")
-        built = built_diagrams(monkeypatch)
+        plans = (surface._stacking_plan, surface._coarsening_plan)
+        built, misses = built_diagrams(monkeypatch), [f.cache_info().misses for f in plans]
         fg = compose(f1 + f0.scaled(3), g1 - g0, target=tgt)
         _t, second_map = coarsen(cx2, "g2")
-        assert not built
+        assert not built and [f.cache_info().misses for f in plans] == misses
         assert fg and second_map.components == first_map.components
+        # compiled afresh on doubles already cached, the plans build none either
+        for f in plans:
+            f.cache_clear()
+        assert compose(f1 + f0.scaled(3), g1 - g0, target=tgt) == fg
+        assert coarsen(cx2, "g2")[1].components == first_map.components
+        assert not built and all(f.cache_info().misses for f in plans)
 
 
 # every (spec, top, bottom) the fixtures above can build a complex for

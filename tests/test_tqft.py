@@ -9,14 +9,15 @@ from skeinhom.errors import GradingError, InvalidBoundary
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.planar import (ClosedDiagram, PlanarTangle, compose, cup_over_cap,
                              enumerate_matchings, identity_tangle, juxtapose)
-from skeinhom.tqft import (ONE, X, StateVector, _composition_plan, _double_instances,
-                           _relabeled, basis_state, graded_rank, hom_double, hom_graded_rank,
-                           identity_state, juxtaposed, kh_basis, pair, reflected_x,
-                           reflected_y, transposed, whisker)
+from skeinhom.tqft import (ONE, X, StateVector, _composition_plan, _juxtaposition_plan, _Recorder,
+                           _relabeled, _relabeling_plan, _whisker_plan, basis_state, graded_rank,
+                           hom_double, hom_graded_rank, identity_state, juxtaposed, kh_basis, pair,
+                           reflected_x, reflected_y, transposed, whisker)
 
-from .oracles import (bent_down_by_transport, bent_up_by_transport, joint_terms,
-                      pair_by_surgery, reflected_x_by_transport,
-                      reflected_y_by_transport, transport, transposed_by_transport,
+from . import plan_oracles
+from .oracles import (_capped, bent_down_by_transport, bent_up_by_transport, double_instances,
+                      joint_terms, pair_by_surgery, reflected_x_by_transport,
+                      reflected_y_by_transport, surger, transport, transposed_by_transport,
                       whisker_by_reglue)
 
 ID1 = identity_tangle(1)
@@ -337,7 +338,7 @@ def juxtaposed_by_diagram(factors):
     to the double of the juxtaposed tangles, state by state."""
     tangles, glue, states = {}, {}, {}
     for i, (a, b, sv) in enumerate(factors):
-        _double_instances(i, a, b, tangles, glue)
+        double_instances(i, a, b, tangles, glue)
         states[i] = sv
     state = joint_terms(ClosedDiagram.from_instances(tangles, glue), states)
     arc_map = {}
@@ -415,16 +416,9 @@ class TestCompiledComposition:
         # every other labeling on each side: label pairs the table has not met
         sv1 = StateVector(d1, off1, {lab: i + 1 for i, lab in enumerate(basis1[1:])})
         sv2 = StateVector(d2, off2, {lab: (-1) ** i for i, lab in enumerate(basis2[1:])})
-        built = []
-        original = planar.ClosedDiagram.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(planar.ClosedDiagram, "__init__", counting)
+        built, misses = count_diagrams(monkeypatch), _composition_plan.cache_info().misses
         second = pair(a, b, c, sv1, sv2)
-        assert not built
+        assert not built and _composition_plan.cache_info().misses == misses
         monkeypatch.undo()
         assert first == pair_by_surgery(a, b, c, basis_state(a, b, basis1[0]),
                                         basis_state(b, c, basis2[0]))
@@ -474,6 +468,121 @@ def count_diagrams(monkeypatch):
     return built
 
 
+def basis_labelings(a, b):
+    return [lab for lab, _ in kh_basis(*hom_double(a, b))]
+
+
+SPLITS_UP_TO_FOUR = [(0, 0), (1, 1), (0, 2), (2, 0), (2, 2), (1, 3), (3, 1), (0, 4), (4, 0)]
+
+
+class TestRecorder:
+    """The recorder follows only the circles each step touches; tracing the
+    whole diagram again after every step is the reference."""
+
+    @pytest.mark.parametrize("m,n", SPLITS_UP_TO_FOUR)
+    @pytest.mark.parametrize("circles", [0, 1, 2])
+    def test_composition_plan_matches_the_diagram_compiler(self, m, n, circles):
+        flat = enumerate_matchings(m, n)
+        for a, b, c in itertools.product(flat, repeat=3):
+            b = b.with_circles(circles)
+            plan, reference = _composition_plan(a, b, c)[4], plan_oracles.composition_plan(a, b, c)
+            for lab1, lab2 in itertools.product(basis_labelings(a, b), basis_labelings(b, c)):
+                assert plan.product(lab1, lab2) == reference.product(lab1, lab2)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_juxtaposition_plan_matches_the_diagram_compiler(self, count):
+        rng = random.Random(50 + count)
+        shapes = [(1, 1), (0, 2), (2, 2), (2, 0), (1, 3)]
+        for _ in range(12):
+            pairs = []
+            for m, n in rng.sample(shapes, count):
+                objs = small_objects(m, n)
+                pairs.append((rng.choice(objs), rng.choice(objs)))
+            pairs = tuple(pairs)
+            plan = _juxtaposition_plan(pairs)[3]
+            reference = plan_oracles.juxtaposition_plan(pairs)
+            for labs in itertools.product(*(basis_labelings(a, b) for a, b in pairs)):
+                assert plan.product(*labs) == reference.product(*labs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_circles_match_a_fresh_trace_after_random_steps(self, data):
+        split = data.draw(st.sampled_from([(1, 1), (0, 2), (2, 2), (1, 3), (0, 4)]))
+        objs = small_objects(*split)
+        blocks = [(i, data.draw(st.sampled_from(objs)), data.draw(st.sampled_from(objs)))
+                  for i in range(data.draw(st.integers(1, 2)))]
+        tangles, glue = {}, {}
+        for i, a, b in blocks:
+            double_instances(i, a, b, tangles, glue)
+        diagram = ClosedDiagram.from_instances(tangles, glue)
+        rec = _Recorder.on(diagram)
+        for _ in range(data.draw(st.integers(1, 8))):
+            arcs = sorted(diagram.arcs, key=repr)
+            if not arcs:
+                break
+            if len(arcs) > 1 and data.draw(st.booleans()):
+                arc1, arc2 = data.draw(st.lists(st.sampled_from(arcs), min_size=2, max_size=2,
+                                                unique=True))
+                (u1, v1), (u2, v2) = diagram.arcs[arc1], diagram.arcs[arc2]
+                if data.draw(st.booleans()):
+                    u1, v1 = v1, u1
+                new = surger(diagram, arc1, arc2, ((u1, u2), (v1, v2)))
+                same = diagram.component_of[arc1] == diagram.component_of[arc2]
+                if same and len(new) == len(diagram):
+                    # the other reconnection of one circle splits it
+                    u1, v1 = v1, u1
+                    new = surger(diagram, arc1, arc2, ((u1, u2), (v1, v2)))
+                rec.surger(arc1, arc2, ((u1, u2), (v1, v2)))
+                diagram = new
+            else:
+                arc = data.draw(st.sampled_from(arcs))
+                diagram, _c = _capped(diagram, arc)
+                rec.cap(arc)
+            assert rec.arcs == diagram.arcs
+            assert len(rec.circles) == len(diagram)
+            assert set(map(frozenset, rec.circles)) == set(map(frozenset, diagram.circles))
+            assert rec.circle_of == {a: i for i, c in enumerate(rec.circles) for a in c}
+
+    def start(self):
+        d = hom_double(ID2, E)[0]  # one circle through all four arcs
+        return d, _Recorder.on(d)
+
+    def test_refuses_a_saddle_that_leaves_one_circle_whole(self):
+        d, rec = self.start()
+        a1, a2 = ("x", 0), ("x", 1)
+        (u1, v1), (u2, v2) = d.arcs[a1], d.arcs[a2]
+        pairing = ((u1, u2), (v1, v2))
+        if len(surger(d, a1, a2, pairing)) == 2:
+            pairing = ((v1, u2), (u1, v2))
+        with pytest.raises(GradingError):
+            rec.surger(a1, a2, pairing)
+
+    def test_refuses_equal_unknown_or_mismatched_arcs(self):
+        d, rec = self.start()
+        (u1, v1), (u2, v2) = d.arcs[("x", 0)], d.arcs[("x", 1)]
+        for arc1, arc2, pairing in [(("x", 0), ("x", 0), ((u1, u1), (v1, v1))),
+                                    (("x", 0), ("zzz", 9), ((u1, None), (v1, None))),
+                                    (("x", 0), ("x", 1), ((u1, v2), (v1, v2)))]:
+            with pytest.raises(KeyError):
+                rec.surger(arc1, arc2, pairing)
+        with pytest.raises(KeyError):
+            rec.cap(("zzz", 9))
+
+    def test_new_compiles_on_cached_doubles_build_no_diagram(self, monkeypatch):
+        a, b, c, e = E, ID2.with_circles(1), E.with_circles(2), identity_tangle(2)
+        cases = [(_composition_plan, (a, b, c)), (_whisker_plan, (a, b, e, True)),
+                 (_whisker_plan, (b, a, e, False)), (_juxtaposition_plan, (((a, b), (ID1, ID1)),))]
+        for compiler, args in cases:
+            compiler(*args)  # caches every double the compiler reads
+        for compiler, _args in cases:
+            compiler.cache_clear()
+        built = count_diagrams(monkeypatch)
+        for compiler, args in cases:
+            compiler(*args)
+        assert not built
+        assert all(compiler.cache_info().misses for compiler, _args in cases)
+
+
 class TestCompiledMaps:
     """whisker and the relabelings replay plans compiled once per key;
     the diagram routes they replaced are the reference."""
@@ -512,9 +621,11 @@ class TestCompiledMaps:
         # every other labeling: label pairs the whisker tables have not met
         sv = StateVector(d, off, {lab: i + 2 for i, lab in enumerate(basis[1:])})
         built = count_diagrams(monkeypatch)
+        misses = [f.cache_info().misses for f in (_whisker_plan, _relabeling_plan)]
         results = [whisker(sv, a, b, e, above) for above in (True, False)]
         mirrored = reflected_x(sv, a, b)
         assert not built
+        assert [f.cache_info().misses for f in (_whisker_plan, _relabeling_plan)] == misses
         monkeypatch.undo()
         assert results == [whisker_by_reglue(sv, a, b, e, above) for above in (True, False)]
         assert mirrored == reflected_x_by_transport(sv, a, b)
