@@ -289,12 +289,13 @@ def matrix_rank(rows):
 def unit_cancellation(entries):
     """Eliminate the +-1 pivots of a sparse integer matrix {(row, col): value}.
 
-    Each step takes a unit entry from the shortest column holding one, clears
-    its column with row operations and drops its row and column (Bar-Natan,
-    "Fast Khovanov homology computations", JKTR 16, 2007).  Returns
-    (units, residual): the number of pivots eliminated and what is left, as
-    dense rows without empty rows or columns.  The Smith form of the matrix
-    is units ones followed by the Smith form of residual.
+    Sweeps over the columns, shortest first, take the first unit entry of
+    each column that holds one, clear its column with row operations and
+    drop its row and column (Bar-Natan, "Fast Khovanov homology
+    computations", JKTR 16, 2007).  Returns (units, residual): the number of
+    pivots eliminated and what is left, as dense rows without empty rows or
+    columns.  The Smith form of the matrix is units ones followed by the
+    Smith form of residual, whichever units were taken as pivots.
     """
     rows, cols = {}, {}
     for (r, c), v in entries.items():
@@ -307,50 +308,56 @@ def unit_cancellation(entries):
 def _cancel_units(rows, cols):
     """unit_cancellation on a matrix held twice, as rows {r: {c: v}} and
     columns {c: {r: v}} of the same nonzero entries; both are consumed.
-    Pivots are scanned in the insertion order of cols and of each column,
-    and the residual keeps its rows and columns in key order, so any keys
-    that sort alike give the same units and residual."""
+
+    Each sweep sorts the columns once by their length at its start (stably,
+    so equal lengths keep the insertion order of cols) and walks them in
+    that order, pivoting on the first unit, in insertion order, of each
+    column still present; fill-in can give a column a unit, so sweeps repeat
+    until one cancels nothing.  Pivots depend only on lengths and insertion
+    orders, and the residual keeps its rows and columns in key order, so
+    equal insertion orders, with keys that sort alike, give equal units and
+    residual.
+    """
     units = 0
-    while True:
-        best = None
-        for c, col in cols.items():
-            if best is not None and len(col) >= best[0]:
+    swept = None
+    while swept != units:
+        swept = units
+        for pc in sorted(cols, key=lambda c: len(cols[c])):
+            col = cols.get(pc)
+            if col is None:
                 continue
-            r = next((r for r, v in col.items() if v == 1 or v == -1), None)
-            if r is not None:
-                best = (len(col), r, c)
-                if len(col) == 1:
+            for pr, v in col.items():
+                if v == 1 or v == -1:
                     break
-        if best is None:
-            break
-        _, pr, pc = best
-        units += 1
-        pivot_row = rows.pop(pr)
-        p = pivot_row.pop(pc)
-        for c in pivot_row:
-            col = cols[c]
-            del col[pr]
-            if not col:
-                del cols[c]
-        for r, a in cols.pop(pc).items():
-            if r == pr:
+            else:
                 continue
-            row = rows[r]
-            del row[pc]
-            f = a * p
-            for c, b in pivot_row.items():
-                v = row.get(c, 0) - f * b
-                if v:
-                    row[c] = v
-                    cols.setdefault(c, {})[r] = v
-                else:
-                    del row[c]
-                    col = cols[c]
-                    del col[r]
-                    if not col:
-                        del cols[c]
-            if not row:
-                del rows[r]
+            units += 1
+            pivot_row = rows.pop(pr)
+            p = pivot_row.pop(pc)
+            for c in pivot_row:
+                col = cols[c]
+                del col[pr]
+                if not col:
+                    del cols[c]
+            for r, a in cols.pop(pc).items():
+                if r == pr:
+                    continue
+                row = rows[r]
+                del row[pc]
+                f = a * p
+                for c, b in pivot_row.items():
+                    v = row.get(c, 0) - f * b
+                    if v:
+                        row[c] = v
+                        cols.setdefault(c, {})[r] = v
+                    else:
+                        del row[c]
+                        col = cols[c]
+                        del col[r]
+                        if not col:
+                            del cols[c]
+                if not row:
+                    del rows[r]
     pos = {c: k for k, c in enumerate(sorted(cols))}
     residual = []
     for r in sorted(rows):

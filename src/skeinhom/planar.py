@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvalidBoundary, OpenBoundary
 
@@ -90,9 +90,21 @@ class PlanarTangle:
                 return False
         return True
 
-    @property
+    # chords and chord_at are derived from partner once per tangle and kept
+    # in its __dict__, beside the four fields equality and hashing read
+
+    @cached_property
     def chords(self):
-        return tuple(sorted((p, q) for p, q in enumerate(self.partner) if p < q))
+        """The chords as (p, q) with p < q, in order of p."""
+        return tuple((p, q) for p, q in enumerate(self.partner) if p < q)
+
+    @cached_property
+    def chord_at(self):
+        """Point -> index into chords of the chord through it."""
+        at = [0] * len(self.partner)
+        for k, (p, q) in enumerate(self.chords):
+            at[p] = at[q] = k
+        return tuple(at)
 
     @property
     def points(self):

@@ -513,8 +513,7 @@ def _composition_plan(a, b, c):
 
 def _chord_index(t, p):
     """Index into t.chords of the chord through point p."""
-    q = t.partner[p]
-    return t.chords.index((min(p, q), max(p, q)))
+    return t.chord_at[p]
 
 
 def _carried_arcs(src, t, image, side, target, circles=0):

@@ -1,11 +1,16 @@
-"""The surgery-plan compilers as they ran before tqft._Recorder kept its
-circles itself: the reference its plans must agree with.
+"""Replaced routes kept as references, apart from oracles.py, which the
+benchmark imports and so compiles in every worker process.
 
-Each saddle or cap builds and re-traces a whole ClosedDiagram through the
-whole-diagram route of tests/oracles.py, the start diagram is the union of
-the input doubles traced from their instances, and a pick places its
-circles in the concatenated input labelings.  Kept apart from oracles.py,
-which the benchmark imports and so compiles in every worker process.
+The surgery-plan compilers as they ran before tqft._Recorder kept its
+circles itself: each saddle or cap builds and re-traces a whole
+ClosedDiagram through the whole-diagram route of tests/oracles.py, the
+start diagram is the union of the input doubles traced from their
+instances, and a pick places its circles in the concatenated input
+labelings.
+
+The unit cancellation as it ran before homalg._cancel_units swept its
+columns: every pivot rescans every column for the shortest one holding a
+unit (unit_cancellation_by_scan).
 """
 
 from .oracles import _capped, _carry, _circle_map, _local_arc, _saddle, double_instances
@@ -147,3 +152,68 @@ def coarsening_plan(z_src, m_src, z_tgt, m_tgt, sites, arc_map):
     for arc1, arc2, pairing in sites:
         rec.surger(arc1, arc2, pairing)
     return rec.plan(tuple(range(len(d_src))), hom_double(z_tgt, m_tgt)[0], dict(arc_map))
+
+
+def cancel_units_by_scan(rows, cols):
+    """homalg._cancel_units with a scan of every column per pivot: the
+    first unit of the first shortest column holding one, in the insertion
+    order of cols and of each column."""
+    units = 0
+    while True:
+        best = None
+        for c, col in cols.items():
+            if best is not None and len(col) >= best[0]:
+                continue
+            r = next((r for r, v in col.items() if v == 1 or v == -1), None)
+            if r is not None:
+                best = (len(col), r, c)
+                if len(col) == 1:
+                    break
+        if best is None:
+            break
+        _, pr, pc = best
+        units += 1
+        pivot_row = rows.pop(pr)
+        p = pivot_row.pop(pc)
+        for c in pivot_row:
+            col = cols[c]
+            del col[pr]
+            if not col:
+                del cols[c]
+        for r, a in cols.pop(pc).items():
+            if r == pr:
+                continue
+            row = rows[r]
+            del row[pc]
+            f = a * p
+            for c, b in pivot_row.items():
+                v = row.get(c, 0) - f * b
+                if v:
+                    row[c] = v
+                    cols.setdefault(c, {})[r] = v
+                else:
+                    del row[c]
+                    col = cols[c]
+                    del col[r]
+                    if not col:
+                        del cols[c]
+            if not row:
+                del rows[r]
+    pos = {c: k for k, c in enumerate(sorted(cols))}
+    residual = []
+    for r in sorted(rows):
+        dense = [0] * len(pos)
+        for c, v in rows[r].items():
+            dense[pos[c]] = v
+        residual.append(dense)
+    return units, residual
+
+
+def unit_cancellation_by_scan(entries):
+    """homalg.unit_cancellation(entries) through cancel_units_by_scan."""
+    rows, cols = {}, {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+    return cancel_units_by_scan(rows, cols)

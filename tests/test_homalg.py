@@ -13,6 +13,7 @@ from skeinhom.homalg import (Certificate, ChainMap, LaurentPoly, TruncatedComple
 from .optimized import error_under_optimize
 from .oracles import (bareiss_rank, block_index_by_entries, dense_homology_at,
                       homology_by_cells, rational_rank)
+from .plan_oracles import unit_cancellation_by_scan
 
 
 class TestLaurentPoly:
@@ -262,6 +263,52 @@ class TestUnitCancellation:
         assert smith_invariants(rows) == [1] * units + smith_invariants(residual)
         assert all(any(row) for row in residual)
         assert all(any(col) for col in zip(*residual))
+
+
+@st.composite
+def sparse_blocks(draw):
+    """Sparse integer matrices up to 15 x 15 as {(row, col): value}, mostly
+    +-1, some with a fill-in chain as in fill_in_block: rows that share a
+    unit column, each with an even entry in a column of its own."""
+    n_rows, n_cols = draw(st.integers(1, 15)), draw(st.integers(1, 15))
+    cell = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    value = st.sampled_from((1, -1, 1, -1, 1, -1, 2, -2, 3, 4))
+    entries = draw(st.dictionaries(cell, value, max_size=40))
+    longest = min(n_rows, n_cols - 1)
+    if longest >= 2 and draw(st.booleans()):
+        length = draw(st.integers(2, longest))
+        rows = draw(st.permutations(range(n_rows)))[:length]
+        cols = draw(st.permutations(range(n_cols)))[:length + 1]
+        for k, r in enumerate(rows):
+            entries[(r, cols[0])] = draw(st.sampled_from((1, -1)))
+            entries[(r, cols[k + 1])] = draw(st.sampled_from((-4, -2, 2, 4)))
+    return entries, n_rows, n_cols
+
+
+class TestSweepsAgainstScan:
+    """homalg._cancel_units sweeps columns by length; the per-pivot scan it
+    replaced (tests/plan_oracles.py) is the reference.  Pivots may differ,
+    so the two are compared through Smith form and rank."""
+
+    @given(sparse_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_units_and_residual_keep_smith_form_and_rank(self, block):
+        entries, n_rows, n_cols = block
+        rows = dense(entries, n_rows, n_cols)
+        invs, rank = smith_invariants(rows), matrix_rank(rows)
+        for cancel in (unit_cancellation, unit_cancellation_by_scan):
+            units, residual = cancel(dict(entries))
+            assert [1] * units + smith_invariants(residual) == invs
+            assert units + matrix_rank(residual) == rank
+            assert all(any(row) for row in residual)
+            assert all(any(col) for col in zip(*residual))
+
+    def test_fill_in_unit_behind_the_sweep_is_taken_by_the_next(self):
+        # column 1 is walked first and holds no unit; pivoting on (0, 0)
+        # then turns its entry in row 1 into 3 - 2 = 1
+        entries = {(1, 1): 3, (0, 1): 2, (0, 0): 1, (1, 0): 1}
+        assert unit_cancellation(entries) == (2, [])
+        assert unit_cancellation_by_scan(entries) == (2, [])
 
 
 def random_shuffled_complex(rng, h_range=(-2, 1), q_values=(0, 1, 2), max_pieces=4):

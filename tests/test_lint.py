@@ -304,7 +304,10 @@ def test_trusted_laurent_scan_sees_calls_and_scopes(tmp_path):
     assert found == [("", 1), ("R.__init__", 4), ("g", 8), ("g", 8)]
 
 def is_chord_search(node):
-    """A call of <expression>.chords.index(...)."""
+    """A call of <expression>.chords.index(...), or a read of the point to
+    chord map <expression>.chord_at."""
+    if isinstance(node, ast.Attribute) and node.attr == "chord_at":
+        return isinstance(node.ctx, ast.Load)
     func = getattr(node, "func", None)
     return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
             and func.attr == "index" and isinstance(func.value, ast.Attribute)

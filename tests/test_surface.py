@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinhom import planar, surface
+from skeinhom import homalg, planar, surface
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError
-from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex
+from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex, smith_invariants
 from skeinhom.planar import PlanarTangle
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, SurfaceTangle,
                               arc, coarsen, compose, h0, identity_unit, removable_seam, seam_side,
@@ -324,7 +324,39 @@ def window_cells(cx):
             for j in range(min(grades) - 2, max(grades) + 3)]
 
 
+# the two-seam pair: caps on both seams against caps through both
+TWO_SEAM_TOP = SurfaceTangle.from_data(
+    {"regions": [{"counts": [2, 0, 2, 0], "chords": [[0, 1], [2, 3]]}] * 2}
+)
+TWO_SEAM_BOTTOM = SurfaceTangle.from_data(
+    {"regions": [{"counts": [2, 0, 2, 0], "chords": [[0, 3], [1, 2]]}] * 2}
+)
+
+
 class TestHomologyEngine:
+    @pytest.mark.parametrize("spec, top, bottom, depth", [
+        (ANNULUS, CUPCAP2, THROUGH2, 3),
+        (ANNULUS2, TWO_SEAM_TOP, TWO_SEAM_BOTTOM, 2),
+    ])
+    def test_blocks_match_the_scan_oracle(self, monkeypatch, spec, top, bottom, depth):
+        cx = SurfaceComplex(spec, top, bottom, depth=depth).truncated
+        taken, cancel = [], homalg._cancel_units
+
+        def recorded(rows, cols):
+            taken.append(({r: dict(row) for r, row in rows.items()},
+                          {c: dict(col) for c, col in cols.items()}))
+            return cancel(rows, cols)
+
+        monkeypatch.setattr(homalg, "_cancel_units", recorded)
+        blocks = cx._block_index()[1]
+        monkeypatch.undo()
+        assert len(taken) == len(blocks) > 5
+        assert sum(len(rows) for rows, _ in taken) > 100
+        for block, (rows, cols) in zip(blocks.values(), taken):
+            units, residual = plan_oracles.cancel_units_by_scan(rows, cols)
+            invs = smith_invariants(residual)
+            assert block.smith() == (units + len(invs), tuple(d for d in invs if d > 1))
+
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_matches_dense_oracle(self, depth):
         cx = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=depth).truncated
