@@ -2,14 +2,17 @@
 against truncated Euler series of the categorified complexes.
 
 Coefficients are exact rational functions in q.  The module provides
-Jones-Wenzl idempotents, closed-diagram evaluations (loops and colored
-theta graphs), admissibly colored networks on triangulated surfaces with
-their predicted self-pairings, and crosscheck reports comparing those
-closed forms against Euler series computed from the chain level.
+Jones-Wenzl idempotents, closed evaluations (a loop as the closure of its
+idempotent, a colored theta graph by the quantum-factorial formula),
+admissibly colored networks on triangulated surfaces with their predicted
+self-pairings, and crosscheck reports comparing those closed forms against
+Euler series computed from the chain level.  The diagrammatic theta
+evaluation is kept as a test oracle.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -453,56 +456,41 @@ def loop(a):
     return tl_closure(wenzl(a))
 
 
+def _quantum_factorial(n):
+    """[n]! = [1][2]...[n] as a Laurent polynomial."""
+    out = _ONE
+    for k in range(2, n + 1):
+        out = out * quantum_integer(k)
+    return out
+
+
 def theta(a, b, c):
     """Evaluation of the theta graph with edges colored a, b, c, each edge
     carrying its Jones-Wenzl idempotent; zero when inadmissible.
 
-    The graph is symmetric in its three edges, so it is evaluated once per
-    sorted triple, with the largest color on the c edge."""
-    return _theta(*sorted((a, b, c)))
+    With the internal colors i, j, k (the strands each pair of edges
+    shares), the graph is the ratio of quantum factorials
 
+        [i+j+k+1]! [i]! [j]! [k]! / ([i+j]! [j+k]! [k+i]!)
 
-def _identity_halves(terms, half, c):
-    """(half(d), coefficient) over the terms of an idempotent, keeping the
-    halves with all c strands of the c edge passing through: a composite
-    has through-degree at most that of each factor."""
-    out = []
-    for d, coeff in terms.items():
-        t = half(d)
-        if t.through_degree() == c:
-            out.append((t, coeff))
-    return out
+    (Kauffman-Lins, Temperley-Lieb Recoupling Theory, 1994; Masbaum-Vogel,
+    Pacific J. Math. 164, 1994).  It is symmetric in the edges, so it is
+    cached per sorted triple."""
+    return _sorted_theta(*sorted((a, b, c)))
 
 
 @lru_cache(maxsize=None)
-def _theta(a, b, c):
-    """theta(a, b, c) for a <= b <= c.
-
-    The c edge's idempotent kills every non-identity (c, c) diagram, which
-    has a turnback at both ends, so X * JW_c = coeff_id(X) * JW_c and the
-    graph is coeff_id(X) * loop(c) for the sandwich X of JW_a (x) JW_b
-    between the two vertices.  The middle is (da (x) 1_b) o (1_a (x) db):
-    the upper vertex is composed with each da (x) 1_b and each 1_a (x) db
-    with the lower vertex once, halves that cannot reach the identity are
-    dropped, and each surviving pair costs one compose.  Only the identity
-    coefficient is summed."""
+def _sorted_theta(a, b, c):
+    """theta(a, b, c) for a <= b <= c: both products are multiplied out and
+    reduced once."""
     if not admissible_triple(a, b, c):
         return RationalFunctionQ.zero()
-    vertex = _vertex_tangle(a, b, c)
-    mirror = vertex.reflect_y()
-    id_a, id_b = identity_tangle(a), identity_tangle(b)
-    uppers = _identity_halves(wenzl(a).terms, lambda d: compose(vertex, juxtapose(d, id_b)), c)
-    lowers = _identity_halves(wenzl(b).terms, lambda d: compose(juxtapose(id_a, d), mirror), c)
-    ident = identity_tangle(c).partner
-
-    def identity_terms():
-        for du, cu in uppers:
-            for dl, cl in lowers:
-                t = compose(du, dl)
-                if t.partner == ident:
-                    yield cu.num * cl.num * circle_poly(t.circles), cu.den * cl.den
-
-    return _fraction_sum(identity_terms()) * loop(c)
+    i, j, k = (a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2
+    num = _quantum_factorial(i + j + k + 1)
+    for t in (i, j, k):
+        num = num * _quantum_factorial(t)
+    den = _quantum_factorial(i + j) * _quantum_factorial(j + k) * _quantum_factorial(k + i)
+    return RationalFunctionQ(num, den)
 
 
 @dataclass
@@ -620,6 +608,15 @@ _TRIANGLE = SurfaceSpec(
 )
 
 
+@lru_cache(maxsize=None)
+def _graded_rank(t1, t2, counts):
+    """Graded rank of the depth-0 hom space from t2 to t1 on the triangle,
+    read from a SurfaceComplex built (and checked) once per process."""
+    cx = SurfaceComplex(_TRIANGLE, SurfaceTangle((t2,), counts), SurfaceTangle((t1,), counts),
+                        depth=0)
+    return LaurentPoly(Counter(qq for _label, qq in cx.truncated.generators[0]))
+
+
 def costandard_pairing_series(colors, order):
     """Euler series, exact through q^order, of the symmetrized self-pairing
     of the costandard object on the one-triangle disk with the given edge
@@ -646,30 +643,20 @@ def costandard_pairing_series(colors, order):
         )
 
     tangles = {o[0] for o in objects}
-    ranks = {}
-    for t1 in tangles:
-        for t2 in tangles:
-            cx = SurfaceComplex(
-                _TRIANGLE,
-                SurfaceTangle((t2,), counts),
-                SurfaceTangle((t1,), counts),
-                depth=0,
-            )
-            gens = cx.truncated.generators[0]
-            poly = LaurentPoly.zero()
-            for _label, qq in gens:
-                poly = poly + LaurentPoly.q(qq)
-            ranks[(t1, t2)] = poly
+    ranks = {(t1, t2): _graded_rank(t1, t2, counts) for t1 in tangles for t2 in tangles}
     max_circles = max(o[1] for o in objects)
     floor = min(r.min_exp() for r in ranks.values()) - 2 * max_circles
 
-    series = LaurentPoly.zero()
+    # sign * q^(q1+q2) summed per (t1, t2, circles) before any product
+    groups = {}
     for (t1, c1, h1, q1), (t2, c2, h2, q2) in itertools.product(objects, objects):
         if q1 + q2 + floor > order:
             continue
-        contrib = ranks[(t1, t2)] * circle_poly(c1 + c2)
-        sign = (-1) ** ((h1 + h2) % 2)
-        series = series + contrib.shifted(q1 + q2) * sign
+        shifts = groups.setdefault((t1, t2, c1 + c2), {})
+        shifts[q1 + q2] = shifts.get(q1 + q2, 0) + (-1) ** ((h1 + h2) % 2)
+    series = LaurentPoly.zero()
+    for (t1, t2, circles), shifts in groups.items():
+        series = series + ranks[(t1, t2)] * circle_poly(circles) * LaurentPoly(shifts)
     return series.truncated(series.min_exp() or 0, order)
 
 

@@ -11,7 +11,15 @@ labelings.
 The unit cancellation as it ran before homalg._cancel_units swept its
 columns: every pivot rescans every column for the shortest one holding a
 unit (unit_cancellation_by_scan).
+
+The theta graph as spin.theta evaluated it diagrammatically before it took
+the quantum-factorial formula (theta_by_planar), and the costandard
+pairing series as it was accumulated before its ranks were cached and its
+monomials grouped: one complex per tangle pair per call, one product per
+pair of objects (costandard_series_by_pairs).
 """
+
+import itertools
 
 from .oracles import _capped, _carry, _circle_map, _local_arc, _saddle, double_instances
 
@@ -217,3 +225,91 @@ def unit_cancellation_by_scan(entries):
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, {})[r] = v
     return cancel_units_by_scan(rows, cols)
+
+
+def _identity_halves(terms, half, c):
+    """(half(d), coefficient) over the terms of an idempotent, keeping the
+    halves with all c strands of the c edge passing through: a composite
+    has through-degree at most that of each factor."""
+    out = []
+    for d, coeff in terms.items():
+        t = half(d)
+        if t.through_degree() == c:
+            out.append((t, coeff))
+    return out
+
+
+def theta_by_planar(a, b, c):
+    """The theta graph evaluated on diagrams, with the largest color on the
+    c edge.  The c edge's idempotent kills every non-identity (c, c)
+    diagram, which has a turnback at both ends, so X * JW_c = coeff_id(X) *
+    JW_c and the graph is coeff_id(X) * loop(c) for the sandwich X of
+    JW_a (x) JW_b between the two vertices.  The middle is
+    (da (x) 1_b) o (1_a (x) db): the upper vertex is composed with each
+    da (x) 1_b and each 1_a (x) db with the lower vertex once, halves that
+    cannot reach the identity are dropped, and each surviving pair costs
+    one compose.  Only the identity coefficient is summed."""
+    from skeinhom.homalg import circle_poly
+    from skeinhom.planar import compose, identity_tangle, juxtapose
+    from skeinhom.spin import (RationalFunctionQ, _fraction_sum, _vertex_tangle,
+                               admissible_triple, loop, wenzl)
+
+    a, b, c = sorted((a, b, c))
+    if not admissible_triple(a, b, c):
+        return RationalFunctionQ.zero()
+    vertex = _vertex_tangle(a, b, c)
+    mirror = vertex.reflect_y()
+    id_a, id_b = identity_tangle(a), identity_tangle(b)
+    uppers = _identity_halves(wenzl(a).terms, lambda d: compose(vertex, juxtapose(d, id_b)), c)
+    lowers = _identity_halves(wenzl(b).terms, lambda d: compose(juxtapose(id_a, d), mirror), c)
+    ident = identity_tangle(c).partner
+
+    def identity_terms():
+        for du, cu in uppers:
+            for dl, cl in lowers:
+                t = compose(du, dl)
+                if t.partner == ident:
+                    yield cu.num * cl.num * circle_poly(t.circles), cu.den * cl.den
+
+    return _fraction_sum(identity_terms()) * loop(c)
+
+
+def costandard_series_by_pairs(colors, order):
+    """spin.costandard_pairing_series with a depth-0 SurfaceComplex built
+    for every tangle pair on every call, and one multiply, shift and add
+    per pair of objects."""
+    from skeinhom.homalg import LaurentPoly, circle_poly
+    from skeinhom.planar import bend_down, compose, juxtapose
+    from skeinhom.spin import _TRIANGLE, _vertex_tangle, projector_truncation
+    from skeinhom.surface import SurfaceComplex, SurfaceTangle
+
+    base = bend_down(_vertex_tangle(*colors))
+    counts = (tuple(colors),)
+    objects = []
+    plugs = [projector_truncation(col, (order + 1) // 2) for col in colors]
+    for combo in itertools.product(*plugs):
+        plugged = compose(base, juxtapose(*(plug for plug, _h, _q in combo)))
+        objects.append((plugged.strip_circles(), plugged.circles,
+                        sum(h for _p, h, _q in combo), sum(q for _p, _h, q in combo)))
+
+    tangles = {o[0] for o in objects}
+    ranks = {}
+    for t1 in tangles:
+        for t2 in tangles:
+            cx = SurfaceComplex(_TRIANGLE, SurfaceTangle((t2,), counts),
+                                SurfaceTangle((t1,), counts), depth=0)
+            poly = LaurentPoly.zero()
+            for _label, qq in cx.truncated.generators[0]:
+                poly = poly + LaurentPoly.q(qq)
+            ranks[(t1, t2)] = poly
+    max_circles = max(o[1] for o in objects)
+    floor = min(r.min_exp() for r in ranks.values()) - 2 * max_circles
+
+    series = LaurentPoly.zero()
+    for (t1, c1, h1, q1), (t2, c2, h2, q2) in itertools.product(objects, objects):
+        if q1 + q2 + floor > order:
+            continue
+        contrib = ranks[(t1, t2)] * circle_poly(c1 + c2)
+        sign = (-1) ** ((h1 + h2) % 2)
+        series = series + contrib.shifted(q1 + q2) * sign
+    return series.truncated(series.min_exp() or 0, order)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -22,6 +23,10 @@ from skeinhom.surface import SurfaceComplex
 from .oracles import theta_formula
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# sha256 of `spin theta a b c` stdout, pretty and --out json, for every
+# triple of colors <= 6 and (7, 7, 6), (6, 7, 7), (8, 8, 8), as printed
+# by the diagrammatic theta evaluation before theta took the formula.
+THETA_PINS = Path(__file__).resolve().parent / "theta_cli_pins.json"
 
 ANNULUS = {
     "arcs": ["a", "b"],
@@ -282,6 +287,15 @@ class TestSpinCommands:
             assert code == 0
             lines.add(out)
         assert len(lines) == 1
+
+    def test_theta_stdout_matches_pins(self, capsys):
+        pins = json.loads(THETA_PINS.read_text())
+        assert len(pins) == 7 ** 3 + 3
+        for colors, digests in pins.items():
+            for extra, want in zip(((), ("--out", "json")), digests):
+                code, out, _ = run_cli(capsys, "spin", "theta", *colors.split(), *extra)
+                assert code == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == want, (colors, extra)
 
     @pytest.mark.parametrize("colors", [("-1", "1", "0"), ("2", "-2", "0"), ("0", "0", "-4")])
     def test_theta_negative_color_refused(self, capsys, colors):

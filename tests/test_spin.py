@@ -19,11 +19,13 @@ from skeinhom.spin import (CrosscheckReport, RationalFunctionQ, SpinNetwork,
                            tl_closure, tl_compose, tl_tensor, validate_network,
                            wenzl)
 from skeinhom.spin import _fraction_sum, _poly_div_exact, _poly_gcd
-from skeinhom.surface import SurfaceSpec, arc, seam_side
+from skeinhom import spin
+from skeinhom.surface import SurfaceComplex, SurfaceSpec, arc, seam_side
 
 from .optimized import error_under_optimize
 from .oracles import (annular_trace_circles, fraction_reduced, pairing_by_steps, theta_by_pairs,
                       theta_by_sandwich, theta_formula, wenzl_two_sided)
+from .plan_oracles import costandard_series_by_pairs, theta_by_planar
 
 RFQ = RationalFunctionQ
 
@@ -406,6 +408,23 @@ class TestTheta:
             val = theta(a, b, c)
             assert val.num * LaurentPoly(den) == val.den * LaurentPoly(num), (a, b, c)
 
+    def test_matches_planar_oracle(self):
+        triples = [t for t in itertools.combinations_with_replacement(range(8), 3)
+                   if admissible_triple(*t)]
+        for triple in triples:
+            assert theta(*triple) == theta_by_planar(*triple), triple
+
+    def test_formula_route_composes_no_diagram(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("theta evaluated a diagram")
+
+        spin._sorted_theta.cache_clear()
+        monkeypatch.setattr(spin, "wenzl", refuse)
+        monkeypatch.setattr(spin, "compose", refuse)
+        for triple in [(8, 8, 8), (7, 7, 6)]:
+            num, den = theta_formula(*triple)
+            assert theta(*triple) == RFQ(LaurentPoly(num), LaurentPoly(den)), triple
+
     def test_symmetric_in_colors(self):
         # theta evaluates every ordering at one rotation, so the symmetry
         # is checked on the oracle, which takes the colors as given
@@ -565,6 +584,28 @@ class TestCostandardPairing:
         assert costandard_pairing_series((2, 2, 2), 8) == LaurentPoly(
             {0: 1, 4: 2, 6: -1, 8: 2}
         )
+
+    def test_matches_per_pair_route(self):
+        colorings = [t for t in itertools.product(range(3), repeat=3) if admissible_triple(*t)]
+        assert len(colorings) == 11
+        for colors in colorings:
+            for order in range(13):
+                want = costandard_series_by_pairs(colors, order)
+                assert costandard_pairing_series(colors, order) == want, (colors, order)
+
+    def test_one_complex_per_tangle_pair(self, monkeypatch):
+        built = []
+        real = SurfaceComplex.__init__
+
+        def counted(self, spec, top, bottom, *args, **kwargs):
+            built.append((top, bottom))
+            real(self, spec, top, bottom, *args, **kwargs)
+
+        spin._graded_rank.cache_clear()
+        monkeypatch.setattr(SurfaceComplex, "__init__", counted)
+        for order in range(25):
+            assert euler_crosscheck("triangle112", order).ok
+        assert built and len(built) == len(set(built))
 
     def test_inadmissible_colors_rejected(self):
         with pytest.raises(AdmissibilityError):
