@@ -27,7 +27,7 @@ from .spin import (SpinNetwork, admissible_triple, as_quantum_integer,
                    cross_pairing_prediction, euler_crosscheck,
                    pairing_prediction, theta)
 from .surface import (SurfaceComplex, SurfaceSpec, SurfaceTangle, coarsen, h0,
-                      removable_seam, validate_tangle)
+                      removable_seam, validate_tangle, window_depth)
 from .tqft import hom_graded_rank, identity_state, pair
 
 SCHEMA = 1
@@ -35,8 +35,10 @@ SCHEMA = 1
 
 @dataclass
 class JobConfig:
-    """Window and depth shared by the table commands.  The depth defaults
-    to the least that stores degree hmin - 1, which homology at hmin reads."""
+    """Window and depth shared by the table commands.  The depth is the
+    truncation asked for, and defaults to the least that stores degree
+    hmin - 1, which homology at hmin reads; surface.window_depth says how
+    much of it a command builds."""
 
     hmin: int = -4
     hmax: int = 0
@@ -291,8 +293,8 @@ def _load_surface_inputs(args):
 def _cmd_surface_hom(args):
     cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
                     depth=args.depth).validated()
-    cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=cfg.depth,
-                        q_range=(cfg.qmin, cfg.qmax))
+    cx = SurfaceComplex(args._spec, args._top, args._bottom,
+                        depth=window_depth(cfg.depth, cfg.hmin), q_range=(cfg.qmin, cfg.qmax))
     hom = cx.homology((cfg.hmin, cfg.hmax), (cfg.qmin, cfg.qmax))
     betti, torsion = _homology_payload(hom)
     if args.out == "csv":
@@ -346,7 +348,8 @@ def _cmd_coarsen_check(args):
     cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
                     depth=args.depth).validated()
     removable_seam(args._spec, args.seam, (args._top, args._bottom))
-    cx = SurfaceComplex(args._spec, args._top, args._bottom, depth=cfg.depth)
+    cx = SurfaceComplex(args._spec, args._top, args._bottom,
+                        depth=window_depth(cfg.depth, cfg.hmin))
     target, cmap = coarsen(cx, args.seam)
     h_range = (cfg.hmin, cfg.hmax)
     q_range = (cfg.qmin, cfg.qmax)

@@ -122,11 +122,6 @@ class PlanarTangle:
             and all(self.partner[i] == self.bottom + i for i in range(self.bottom))
         )
 
-    def through_degree(self):
-        """The number of chords joining a bottom point to a top point."""
-        m = self.bottom
-        return sum(1 for q in self.partner[:m] if q >= m)
-
     def with_circles(self, circles):
         """The same chords with circles free circles; the chords were checked
         already, so only the count is."""

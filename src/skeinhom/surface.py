@@ -847,17 +847,29 @@ def h0(spec, top, bottom, q_degree, inserts=None, reduced=True):
     return cx.truncated.homology_at(0, q_degree)[0]
 
 
+def window_depth(depth, hmin):
+    """The bar depth to build for homology from degree hmin up of a complex
+    truncated at depth, or, with depth None, at the least depth it needs.
+
+    Homology at degree i reads degrees i - 1 to i + 1, and truncating
+    deeper changes no degree above -depth, so the build stops at degree
+    hmin - 1.  Where depth does not reach below that, the truncation
+    certificate is read and the build is the full one, refusals included.
+    """
+    floor = max(0, 1 - hmin)
+    return floor if depth is None else min(depth, floor)
+
+
 def symmetrized_pairing(spec, x, y, h_range, q_range, depth=None):
     """Homology of the hom complex pairing two surface tangles.
 
     Reflecting the second factor is the identity on cap matchings, so the
     pairing complex is the hom complex from y to x; the symmetry in x and y
-    holds at the level of homology, not of chains.  Only the quantum
-    degrees of q_range are built.
+    holds at the level of homology, not of chains.  The complex is truncated
+    at depth (by default just below h_range), and only the quantum degrees
+    of q_range and the bar degrees window_depth gives are built.
     """
-    if depth is None:
-        depth = -h_range[0] + 1
-    cx = SurfaceComplex(spec, x, y, depth=depth, q_range=q_range)
+    cx = SurfaceComplex(spec, x, y, depth=window_depth(depth, h_range[0]), q_range=q_range)
     return cx.truncated.homology(h_range, q_range)
 
 

@@ -13,7 +13,8 @@ columns: every pivot rescans every column for the shortest one holding a
 unit (unit_cancellation_by_scan).
 
 The theta graph as spin.theta evaluated it diagrammatically before it took
-the quantum-factorial formula (theta_by_planar), and the costandard
+the quantum-factorial formula (theta_by_planar, with the through_degree
+of a tangle that it filters halves by), and the costandard
 pairing series as it was accumulated before its ranks were cached and its
 monomials grouped: one complex per tangle pair per call, one product per
 pair of objects (costandard_series_by_pairs).
@@ -227,6 +228,12 @@ def unit_cancellation_by_scan(entries):
     return cancel_units_by_scan(rows, cols)
 
 
+def through_degree(t):
+    """The number of chords of t joining a bottom point to a top point."""
+    m = t.bottom
+    return sum(1 for q in t.partner[:m] if q >= m)
+
+
 def _identity_halves(terms, half, c):
     """(half(d), coefficient) over the terms of an idempotent, keeping the
     halves with all c strands of the c edge passing through: a composite
@@ -234,7 +241,7 @@ def _identity_halves(terms, half, c):
     out = []
     for d, coeff in terms.items():
         t = half(d)
-        if t.through_degree() == c:
+        if through_degree(t) == c:
             out.append((t, coeff))
     return out
 

@@ -392,3 +392,44 @@ def test_raise_scan_sees_names_calls_and_attributes(tmp_path):
         "        raise errors.WindowError\n"
         "    raise ValueError(WindowError)\n")
     assert raises_of(module, "WindowError") == [3, 5]
+
+
+def surface_builds_off_the_window(path):
+    """[(function, line)] of every SurfaceComplex(...) call in the module at
+    path whose depth is not a depth= keyword computed by window_depth(...)."""
+    def called(node, name):
+        func = getattr(node, "func", None)
+        return (isinstance(node, ast.Call)
+                and getattr(func, "id", getattr(func, "attr", None)) == name)
+
+    def off(node):
+        if not called(node, "SurfaceComplex"):
+            return False
+        depth = [kw.value for kw in node.keywords if kw.arg == "depth"]
+        return len(node.args) > 3 or not (depth and called(depth[0], "window_depth"))
+    return nodes_by_function(path, off)
+
+
+def test_cli_builds_surface_complexes_only_down_to_the_window():
+    # homology from hmin up reads degrees from hmin - 1, so every command
+    # builds at surface.window_depth, which builds to the requested depth
+    # only for a window that reaches the truncation certificate
+    stray = [f"cli.py:{line} ({function})"
+             for function, line in surface_builds_off_the_window(SOURCE / "cli.py")]
+    assert not stray, (
+        "SurfaceComplex built at a depth not from window_depth at " + ", ".join(stray))
+
+
+def test_window_depth_scan_sees_every_depth_form(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(spec, t, s, cfg):\n"
+        "    a = SurfaceComplex(spec, t, s, depth=window_depth(cfg.depth, cfg.hmin))\n"
+        "    b = SurfaceComplex(spec, t, s, depth=surface.window_depth(3, -1), q_range=(0, 4))\n"
+        "    c = SurfaceComplex(spec, t, s, depth=cfg.depth)\n"
+        "    d = SurfaceComplex(spec, t, s, cfg.depth)\n"
+        "    e = SurfaceComplex(spec, t, s, 4, depth=window_depth(4, 0))\n"
+        "    g = surface.SurfaceComplex(spec, t, s, depth=min(cfg.depth, 2))\n"
+        "    return surface.SurfaceComplex, SurfaceComplex(spec, t, s), window_depth\n")
+    assert surface_builds_off_the_window(module) == [
+        ("f", 4), ("f", 5), ("f", 6), ("f", 7), ("f", 8)]

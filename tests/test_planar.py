@@ -230,24 +230,6 @@ class TestPointMaps:
             stacking_points(ID2, ID1)
 
 
-class TestThroughDegree:
-    def test_identity_passes_every_strand(self):
-        for n in range(6):
-            assert identity_tangle(n).through_degree() == n
-
-    def test_cup_over_cap_passes_none(self):
-        for m in (0, 2, 4, 6):
-            assert cup_over_cap(m).through_degree() == 0
-
-    @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3), st.data())
-    def test_composite_passes_at_most_each_factor(self, k, i, j, data):
-        m, n = 2 * i + k % 2, 2 * j + k % 2
-        lower = data.draw(st.sampled_from(enumerate_matchings(k, m)))
-        upper = data.draw(st.sampled_from(enumerate_matchings(m, n)))
-        through = compose(upper, lower).through_degree()
-        assert through <= min(lower.through_degree(), upper.through_degree())
-
-
 class TestSymmetries:
     @given(tangle_strategy)
     def test_reflections_are_involutions(self, t):

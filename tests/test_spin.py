@@ -25,7 +25,7 @@ from skeinhom.surface import SurfaceComplex, SurfaceSpec, arc, seam_side
 from .optimized import error_under_optimize
 from .oracles import (annular_trace_circles, fraction_reduced, pairing_by_steps, theta_by_pairs,
                       theta_by_sandwich, theta_formula, wenzl_two_sided)
-from .plan_oracles import costandard_series_by_pairs, theta_by_planar
+from .plan_oracles import costandard_series_by_pairs, theta_by_planar, through_degree
 
 RFQ = RationalFunctionQ
 
@@ -454,6 +454,24 @@ class TestTheta:
         num = quantum_integer(4) * quantum_integer(3)
         den = quantum_integer(2) * quantum_integer(2)
         assert val == RFQ(num, den)
+
+
+class TestThroughDegree:
+    def test_identity_passes_every_strand(self):
+        for n in range(6):
+            assert through_degree(identity_tangle(n)) == n
+
+    def test_cup_over_cap_passes_none(self):
+        for m in (0, 2, 4, 6):
+            assert through_degree(cup_over_cap(m)) == 0
+
+    @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_composite_passes_at_most_each_factor(self, k, i, j, data):
+        m, n = 2 * i + k % 2, 2 * j + k % 2
+        lower = data.draw(st.sampled_from(enumerate_matchings(k, m)))
+        upper = data.draw(st.sampled_from(enumerate_matchings(m, n)))
+        through = through_degree(compose(upper, lower))
+        assert through <= min(through_degree(lower), through_degree(upper))
 
 
 class TestSpinNetwork:
