@@ -283,16 +283,13 @@ class TwistedTangleComplex(SparseComplex):
     the q-window (None, largest shift kept).
     """
 
-    def __init__(self, objects, differentials, h_min=None, h_max=None,
-                 complete=True, certificate=None, check=True, floor_tangles=None,
-                 q_range=None):
+    def _build(self, objects, differentials, h_min=None, h_max=None,
+               complete=True, certificate=None, floor_tangles=None, q_range=None):
         nonzero = {h: {k: sv for k, sv in d.items() if sv} for h, d in differentials.items()}
-        super().__init__(objects, nonzero, h_min, h_max, complete, certificate, q_range)
+        super()._build(objects, nonzero, h_min, h_max, complete, certificate, q_range)
         if floor_tangles is None:
             floor_tangles = {T for obs in self.objects.values() for T, _ in obs}
         self.floor_tangles = frozenset(floor_tangles)
-        if check:
-            self._validate()
 
     @property
     def objects(self):
@@ -341,11 +338,10 @@ class TwistedTangleComplex(SparseComplex):
                 T_tgt = self.objects[h + 1][i][0]
                 new[(i, j)] = whisker(sv, T_src, T_tgt, e, above=above)
             diffs[h] = new
-        return TwistedTangleComplex(objects, diffs, self.h_min, self.h_max,
-                                    self.complete, self.certificate, check=False,
-                                    floor_tangles=[compose(e, T) if above else compose(T, e)
-                                                   for T in self.floor_tangles],
-                                    q_range=self.q_range)
+        return TwistedTangleComplex._trusted(
+            objects, diffs, self.h_min, self.h_max, self.complete, self.certificate,
+            floor_tangles=[compose(e, T) if above else compose(T, e) for T in self.floor_tangles],
+            q_range=self.q_range)
 
     def shifted(self, dh=0, dq=0):
         out = super().shifted(dh, dq)
@@ -355,7 +351,7 @@ class TwistedTangleComplex(SparseComplex):
     def _hom_floor(self, b):
         return hom_floor(b, self.floor_tangles)
 
-    def hom_complex(self, b, q_range=None, check=True):
+    def hom_complex(self, b, q_range=None):
         """Evaluate hom from the fixed tangle b, object by object.
 
         An entry sv from T_src to T_tgt sends the basis labeling lab of
@@ -414,7 +410,7 @@ class TwistedTangleComplex(SparseComplex):
             diffs[h] = entries
         cert = None if self.certificate is None else self.certificate.shifted(dq=floor)
         return TruncatedComplex(gens, diffs, self.h_min, self.h_max,
-                                self.complete, cert, check=check, q_range=q_range)
+                                self.complete, cert, q_range=q_range)
 
     def k0_series(self, tangle, q_range):
         """Alternating sum of shift monomials over objects equal to tangle."""
@@ -454,8 +450,7 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
-                hom_bound=None):
+def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, hom_bound=None):
     """The bar construction over rings, one word per ring, truncated at
     total length depth.
 
@@ -539,7 +534,7 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, check=True,
     slopes = [c for c in (ring.min_letter_degree if reduced else 0 for ring in rings)
               if c is not None]
     cert = Certificate(((q0, min(slopes)),)) if slopes else None
-    twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert, check=check,
+    twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert,
                                    floor_tangles=floor_tangles, q_range=window)
     return words, index, twisted
 
@@ -590,14 +585,13 @@ def counit_components(projector, N):
     return comps
 
 
-def twisted_cone(source, target, components, check=True):
+def twisted_cone(source, target, components):
     """Mapping cone of a degree-zero map between twisted complexes."""
-    if check:
-        defect = map_defect(source, target, components)
-        if defect:
-            h, bad = defect
-            raise ChainMapError(
-                f"components do not commute with differentials at {h}: {list(bad)[:3]}")
+    defect = map_defect(source, target, components)
+    if defect:
+        h, bad = defect
+        raise ChainMapError(
+            f"components do not commute with differentials at {h}: {list(bad)[:3]}")
     cone = mapping_cone(source, target, components)
     cone.floor_tangles = source.floor_tangles | target.floor_tangles
     return cone

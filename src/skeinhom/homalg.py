@@ -475,10 +475,28 @@ class SparseComplex:
     is the window of quantum degrees the stored cells hold, None at an
     unbounded end: the complex is then only the direct summand of those
     q-strands, and require_window refuses (WindowError) what needs more.
+
+    Every construction stores its arguments (_build, a subclass's with its
+    own parameters) and then validates them (the subclass's _validate:
+    entries in range and of the right degree, d^2 = 0), so a complex that
+    exists is a complex; only _trusted skips the second step.
     """
 
-    def __init__(self, cells, differentials, h_min, h_max, complete, certificate,
-                 q_range=None):
+    def __init__(self, *args, **kwargs):
+        self._build(*args, **kwargs)
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, *args, **kwargs):
+        """cls(*args, **kwargs) without _validate: only for derivations of
+        validated complexes whose checks theirs imply (shifted,
+        mapping_cone, TwistedTangleComplex.stacked)."""
+        cx = cls.__new__(cls)
+        cx._build(*args, **kwargs)
+        return cx
+
+    def _build(self, cells, differentials, h_min, h_max, complete, certificate,
+               q_range=None):
         self.cells = {h: tuple(cc) for h, cc in cells.items() if cc}
         self.differentials = {h: dict(d) for h, d in differentials.items() if d}
         degrees = sorted(self.cells)
@@ -549,8 +567,8 @@ class SparseComplex:
         cert = None if self.certificate is None else self.certificate.shifted(dh, dq)
         window = None if self.q_range is None else tuple(None if e is None else e + dq
                                                          for e in self.q_range)
-        return type(self)(cells, diffs, self.h_min + dh, self.h_max + dh,
-                          self.complete, cert, check=False, q_range=window)
+        return type(self)._trusted(cells, diffs, self.h_min + dh, self.h_max + dh,
+                                   self.complete, cert, q_range=window)
 
     @staticmethod
     def _cone_cell(side, cell):
@@ -629,8 +647,8 @@ def mapping_cone(source, target, components):
     if sides and all(c is not None for c, _dh in sides):
         cert = Certificate(tuple(bound for c, dh in sides for bound in c.shifted(dh=dh).bounds))
     # the cone of the q-strand summands is the cone's q-strand summand
-    return type(b)(cells, diffs, h_lo, h_hi, complete, cert, check=False,
-                   q_range=_meet(a.q_range, b.q_range))
+    return type(b)._trusted(cells, diffs, h_lo, h_hi, complete, cert,
+                            q_range=_meet(a.q_range, b.q_range))
 
 
 class TruncatedComplex(SparseComplex):
@@ -647,13 +665,11 @@ class TruncatedComplex(SparseComplex):
     label) and ("src", label).
     """
 
-    def __init__(self, generators, differentials, h_min=None, h_max=None,
-                 complete=True, certificate=None, check=True, q_range=None):
-        super().__init__(generators, differentials, h_min, h_max, complete, certificate,
-                         q_range)
+    def _build(self, generators, differentials, h_min=None, h_max=None,
+               complete=True, certificate=None, q_range=None):
+        super()._build(generators, differentials, h_min, h_max, complete, certificate,
+                       q_range)
         self._index = None
-        if check:
-            self._validate()
 
     @property
     def generators(self):
@@ -850,12 +866,11 @@ def tensor(a, b):
 class ChainMap:
     """A degree-(0,0) map of complexes, stored sparsely per degree."""
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         self.source = source
         self.target = target
         self.components = {h: dict(d) for h, d in components.items() if d}
-        if check:
-            self.verify()
+        self.verify()
 
     def verify(self):
         for h, comp in self.components.items():

@@ -247,8 +247,7 @@ class SurfaceComplex:
     WindowError, as it does quantum degrees off the window.
     """
 
-    def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, check=True,
-                 q_range=None):
+    def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, q_range=None):
         validate_surface(spec)
         validate_tangle(spec, top, "top tangle")
         validate_tangle(spec, bottom, "bottom tangle")
@@ -316,9 +315,9 @@ class SurfaceComplex:
         self._m_cache = {}
         self.multiwords, self.index, self.twisted = bar_complex(
             tuple(self.rings[n] for n in self.seam_names), depth, -self.q_base,
-            self._middle, self._slot_entry, reduced, check,
+            self._middle, self._slot_entry, reduced,
             None if q_range is None else (self.z_jux, q_range[1]))
-        self.truncated = self.twisted.hom_complex(self.z_jux, q_range, check=check)
+        self.truncated = self.twisted.hom_complex(self.z_jux, q_range)
         self._positions = {
             h: {lbl: idx for idx, (lbl, _q) in enumerate(gens)}
             for h, gens in self.truncated.generators.items()
@@ -660,7 +659,7 @@ def removable_seam(spec, seam, tangles=()):
     return (ri, si), (rj, sj), order
 
 
-def coarsen(cx, seam, check=True):
+def coarsen(cx, seam):
     """Delete one seam, collapsing its plugs into each other.
 
     Returns the complex over the coarsened surface and the chain map from
@@ -669,7 +668,7 @@ def coarsen(cx, seam, check=True):
     chord, replayed from a plan compiled once per word's tangles and sites.
     """
     cx.truncated.require_window("coarsen")
-    target, z_arc_map, m_arc_map = _coarsened(cx, seam, check)
+    target, z_arc_map, m_arc_map = _coarsened(cx, seam)
     z_items = tuple(z_arc_map.items())
     g_idx = cx._seam_pos[seam]
     comps = {}
@@ -692,7 +691,7 @@ def coarsen(cx, seam, check=True):
                     row = target._positions[h][(i_t, lab2)]
                     mat[(row, col)] = mat.get((row, col), 0) + c2
         comps[h] = mat
-    return target, ChainMap(cx.truncated, target.truncated, comps, check=check)
+    return target, ChainMap(cx.truncated, target.truncated, comps)
 
 
 @lru_cache(maxsize=None)
@@ -709,7 +708,7 @@ def _coarsening_plan(z_src, m_src, z_tgt, m_tgt, sites, arc_map):
     return rec.plan(hom_double(z_tgt, m_tgt)[0], dict(arc_map))
 
 
-def _coarsened(cx, seam, check):
+def _coarsened(cx, seam):
     """The complex over the surface without seam, and the arc maps that
     carry closure chords and, per length-zero word, middle chords onto it."""
     spec = cx.spec
@@ -751,7 +750,7 @@ def _coarsened(cx, seam, check):
     new_top, top_image = splice(cx.top)
     new_bot, bot_image = splice(cx.bottom)
     target = SurfaceComplex(new_spec, new_top, new_bot, cx.depth,
-                            inserts=cx.inserts, reduced=cx.reduced, check=check)
+                            inserts=cx.inserts, reduced=cx.reduced)
 
     z_arc_map = _closure_arc_map(cx, target, region_pos, bot_image, top_image)
     m_arc_map = _middle_arc_map(cx, target, seg_pos, seam)

@@ -637,12 +637,11 @@ def nested_scan_twisted_map_check(source, target, components):
             raise ChainMapError(f"components do not commute with differentials at {h}: {bad[:3]}")
 
 
-def twisted_cone_reference(source, target, components, check=True):
+def twisted_cone_reference(source, target, components):
     """Mapping cone of a degree-zero map between twisted complexes."""
     from skeinhom.barproj import TwistedTangleComplex
 
-    if check:
-        nested_scan_twisted_map_check(source, target, components)
+    nested_scan_twisted_map_check(source, target, components)
     objects, diffs = {}, {}
     offs = {}
     h_lo = min(source.h_min - 1, target.h_min)
@@ -677,7 +676,7 @@ def twisted_cone_reference(source, target, components, check=True):
                 elif not cx.complete:
                     vals.append(cx.certificate(-h))
             return min(vals) if vals else 10 ** 9
-    return TwistedTangleComplex(objects, diffs, h_lo, h_hi, complete, cert, check=False)
+    return TwistedTangleComplex(objects, diffs, h_lo, h_hi, complete, cert)
 
 
 def nested_scan_chain_map_verify(self):
@@ -747,7 +746,7 @@ def chain_map_cone_reference(self):
             # cone degree -r holds target^{-r} and source^{-r + 1}
             vals = [v for v in (b.min_q_at(-r), a.min_q_at(-r + 1)) if v is not None]
             return min(vals) if vals else 10 ** 9
-    return TruncatedComplex(gens, diffs, h_lo, h_hi, complete, cert, check=False)
+    return TruncatedComplex(gens, diffs, h_lo, h_hi, complete, cert)
 
 
 def pair_by_surgery(a, b, c, sv1, sv2):
@@ -801,7 +800,7 @@ def ring_mul_by_pair(a, b, c, lab1, lab2):
     return pair(a, b, c, basis_state(a, b, lab1), basis_state(b, c, lab2))
 
 
-def hom_complex_by_pair(cx, b, check=True):
+def hom_complex_by_pair(cx, b):
     """Hom from the fixed tangle b into the twisted complex cx, with one
     checked basis state and one tqft.pair call per (entry, source labeling):
     the route TwistedTangleComplex.hom_complex took before it read the
@@ -833,7 +832,7 @@ def hom_complex_by_pair(cx, b, check=True):
     if cx.certificate is not None:
         floor = cx._hom_floor(b)
         cert = lambda r: cx.certificate(r) + floor
-    return TruncatedComplex(gens, diffs, cx.h_min, cx.h_max, cx.complete, cert, check=check)
+    return TruncatedComplex(gens, diffs, cx.h_min, cx.h_max, cx.complete, cert)
 
 
 # Cobordisms on labeled diagrams, surgery by surgery: the routes the package
@@ -1463,7 +1462,7 @@ def coarsen_by_surgery(cx, seam):
     from skeinhom.surface import _coarsened
     from skeinhom.tqft import StateVector, hom_double, kh_basis
 
-    target = _coarsened(cx, seam, check=False)[0]
+    target = _coarsened(cx, seam)[0]
     z_arc_map, m_arc_map = coarsening_arc_maps(cx, seam, target)
     g_idx = cx._seam_pos[seam]
     comps = {}

@@ -10,7 +10,7 @@ from skeinhom.barproj import (SmallRing, TwistedTangleComplex, _compositions, _s
 from skeinhom.errors import ChainMapError, GradingError, InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import LaurentPoly
 from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
-from skeinhom.tqft import (StateVector, basis_state, hom_double, identity_state, kh_basis,
+from skeinhom.tqft import (ONE, StateVector, basis_state, hom_double, identity_state, kh_basis,
                            pair, reflected_x)
 
 from .oracles import (all_shuffles, bottom_projector_by_faces, dense_block, fold_entry_by_circles,
@@ -257,7 +257,7 @@ class TestValidation:
         diffs = {g: dict(d) for g, d in P.differentials.items()}
         diffs[h][key] = sv
         return TwistedTangleComplex(P.objects, diffs, P.h_min, P.h_max,
-                                    P.complete, P.certificate, check=True)
+                                    P.complete, P.certificate)
 
     def test_unperturbed_rebuild_passes(self):
         P = bottom_projector(2, depth=2)
@@ -274,6 +274,22 @@ class TestValidation:
         assert pair(T, T, T, bumped, P.differentials[-1][(0, 0)])
         with pytest.raises(ChainMapError):
             self.rebuilt(P, -2, (0, 0), bumped)
+
+    def test_entry_on_the_wrong_double_rejected(self):
+        P = bottom_projector(2, depth=2)
+        d, off = hom_double(E, ID2)
+        assert d.arcs != P.differentials[-2][(0, 0)].diagram.arcs
+        with pytest.raises(GradingError,
+                           match=r"^entry \(0, 0\) at degree -2 is on the wrong double$"):
+            self.rebuilt(P, -2, (0, 0), StateVector(d, off, {(ONE,) * len(d): 1}))
+
+    def test_inhomogeneous_entry_rejected(self):
+        P = bottom_projector(2, depth=2)
+        sv = P.differentials[-2][(0, 0)]
+        mixed = sv + StateVector(sv.diagram, sv.offset, {(ONE,) * len(sv.diagram): 1})
+        assert len(mixed.degrees()) == 2
+        with pytest.raises(GradingError, match=r"^entry \(0, 0\) at degree -2 is inhomogeneous$"):
+            self.rebuilt(P, -2, (0, 0), mixed)
 
     def test_wrong_degree_entry_rejected(self):
         P = bottom_projector(2, depth=2)
@@ -294,11 +310,11 @@ class TestCounit:
 
     def test_chain_map_two_strands(self):
         P = bottom_projector(2, depth=6)
-        twisted_cone(P, unit_complex(2), counit_components(P, 2), check=True)
+        twisted_cone(P, unit_complex(2), counit_components(P, 2))
 
     def test_chain_map_four_strands(self):
         P = bottom_projector(4, depth=2)
-        twisted_cone(P, unit_complex(4), counit_components(P, 4), check=True)
+        twisted_cone(P, unit_complex(4), counit_components(P, 4))
 
     def test_left_and_right_absorption_collapse_equally(self):
         ring = SmallRing(2, 2)
@@ -438,8 +454,8 @@ class TestPlanDrivenEvaluation:
         diffs = {h: dict(d) for h, d in P.differentials.items()}
         key, sv = next(iter(diffs[-2].items()))
         diffs[-2][key] = make(sv)
-        return TwistedTangleComplex(P.objects, diffs, P.h_min, P.h_max,
-                                    P.complete, P.certificate, check=False)
+        return TwistedTangleComplex._trusted(P.objects, diffs, P.h_min, P.h_max,
+                                             P.complete, P.certificate)
 
     @pytest.mark.parametrize("fault", ["double", "offset"])
     def test_faulty_entry_raises_as_the_pair_route_did(self, fault):

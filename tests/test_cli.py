@@ -691,6 +691,63 @@ class TestKhEvalInput:
         assert (code, out, err) == (0, value + "\n", "")
 
 
+ANNULUS_CIRCLE = ("--spec", json.dumps(ANNULUS), "--t", json.dumps(CIRCLE), "--s", json.dumps(CIRCLE))
+
+
+class TestOutsideInputRefusals:
+    """Refusals of outside input that only a malformed argument reaches:
+    exit 3, the SpecError on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["surface", "hom", *ANNULUS_CIRCLE, "--qmin", "5", "--qmax", "2"],
+         "window: qmin 5 exceeds qmax 2"),
+        (["surface", "hom", *ANNULUS_CIRCLE, "--depth", "-1"], "depth must be non-negative, got -1"),
+        (["coarsen-check", *ANNULUS_CIRCLE, "--seam", "g", "--depth", "-2"],
+         "depth must be non-negative, got -2"),
+        (["bproj", "--strands", "2", "--depth", "-1"], "depth must be non-negative, got -1"),
+    ], ids=["qmin-above-qmax", "negative-depth", "coarsen-negative-depth", "bproj-negative-depth"])
+    def test_window_and_depth(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", "SpecError: " + message + "\n")
+
+    @pytest.mark.parametrize("spec,tangle,message", [
+        ({**ANNULUS, "arcs": ["a", "a", "b"]}, CIRCLE, "duplicate arc ids"),
+        ({**ANNULUS, "seams": ["g", "g"]}, CIRCLE, "duplicate seam ids"),
+        (ANNULUS, {"regions": [{"counts": [2, 0, 2, 0], "chords": [[0, 1], [1, 2]]}]},
+         "region 0: point reused by chord (1, 2)"),
+    ], ids=["arc-ids", "seam-ids", "reused-point"])
+    def test_surface_data(self, capsys, spec, tangle, message):
+        code, out, err = run_cli(capsys, "surface", "hom", "--spec", json.dumps(spec),
+                                 "--t", json.dumps(tangle), "--s", json.dumps(CIRCLE))
+        assert (code, out, err) == (3, "", "SpecError: " + message + "\n")
+
+    def test_invalid_json_literal(self, capsys):
+        circle = json.dumps(CIRCLE)
+        code, out, err = run_cli(capsys, "surface", "hom", "--spec", '{"arcs": ["a",',
+                                 "--t", circle, "--s", circle)
+        assert (code, out) == (3, "")
+        assert err.startswith("SpecError: --spec: invalid JSON (Expecting value: line 1")
+
+    def test_path_that_looks_like_json(self, capsys, tmp_path, monkeypatch):
+        # a relative path opening with a bracket is read as a file when it is one
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "{annulus}.json", ANNULUS)
+        write_json(tmp_path, "[circle].json", CIRCLE)
+        window = ("--hmin", "-2", "--qmax", "4")
+        by_literal = run_cli(capsys, "surface", "hom", "--spec", json.dumps(ANNULUS),
+                             "--t", json.dumps(CIRCLE), "--s", json.dumps(CIRCLE), *window)
+        by_path = run_cli(capsys, "surface", "hom", "--spec", "{annulus}.json",
+                          "--t", "[circle].json", "--s", "[circle].json", *window)
+        assert by_path == by_literal and by_path[0] == 0 and by_path[1]
+
+    def test_tangle_that_is_neither_array_nor_object(self, capsys, tmp_path):
+        # a scalar is no JSON literal to the loader, so it comes from a file
+        code, out, err = run_cli(capsys, "kh", "eval",
+                                 "--t", write_json(tmp_path, "t.json", 7), "--s", "[1, 0]")
+        assert (code, out, err) == (
+            3, "", "SpecError: --t: tangle must be a partner array or an object\n")
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         """The console script declared in pyproject.toml runs the real CLI.

@@ -3,6 +3,7 @@ product, d^2 = 0 check, chain-map check, mapping cone and its certificate),
 checked against the nested scans and per-class cones in tests/oracles.py."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,13 +63,23 @@ def perturbations(maps, rng, count):
         yield out
 
 
-def rebuilt(cx, diffs, check):
-    return type(cx)(cx.cells, diffs, cx.h_min, cx.h_max, cx.complete, cx.certificate,
-                    check=check)
+def rebuilt(cx, diffs):
+    """cx with the differentials diffs, validated on construction."""
+    return type(cx)(cx.cells, diffs, cx.h_min, cx.h_max, cx.complete, cx.certificate)
+
+
+def unchecked(cx, diffs):
+    """cx with the differentials diffs, stored without validation."""
+    return type(cx)._trusted(cx.cells, diffs, cx.h_min, cx.h_max, cx.complete, cx.certificate)
+
+
+def unverified(source, target, components):
+    """The parts of a ChainMap, with no check that they make one."""
+    return SimpleNamespace(source=source, target=target, components=components)
 
 
 def surface_twisted(depth):
-    return SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=depth, check=False).twisted
+    return SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=depth).twisted
 
 
 def identity_components(cx):
@@ -98,12 +109,12 @@ class TestSquareCheck:
     ], ids=["projector", "annulus1", "annulus2", "annulus3"])
     def test_matches_nested_scan_on_perturbed_complexes(self, make, count):
         cx = make()
-        assert outcome(rebuilt, cx, cx.differentials, True) == "ok"
+        assert outcome(rebuilt, cx, cx.differentials) == "ok"
         assert outcome(nested_scan_square_check, cx) == "ok"
         failures = 0
         for diffs in perturbations(cx.differentials, random.Random(count), count):
-            want = outcome(nested_scan_square_check, rebuilt(cx, diffs, False))
-            assert outcome(rebuilt, cx, diffs, True) == want
+            want = outcome(nested_scan_square_check, unchecked(cx, diffs))
+            assert outcome(rebuilt, cx, diffs) == want
             failures += want != "ok"
         # at depth 1 there is one differential and nothing to compose
         assert failures or len(cx.differentials) < 2
@@ -125,7 +136,7 @@ class TestChainMapCheck:
             assert outcome(twisted_cone, cx, cx, comps) == want
             failures += want != "ok"
         for diffs in perturbations(cx.differentials, rng, count):
-            source = rebuilt(cx, diffs, False)
+            source = unchecked(cx, diffs)
             want = outcome(nested_scan_twisted_map_check, source, cx, ident)
             assert outcome(twisted_cone, source, cx, ident) == want
             failures += want != "ok"
@@ -139,7 +150,7 @@ class TestChainMapCheck:
         failures = 0
         for comps in perturbations(cmap.components, rng, 16):
             want = outcome(nested_scan_chain_map_verify,
-                           ChainMap(cx.truncated, tgt.truncated, comps, check=False))
+                           unverified(cx.truncated, tgt.truncated, comps))
             assert outcome(ChainMap, cx.truncated, tgt.truncated, comps) == want
             failures += want != "ok"
         assert failures
@@ -244,7 +255,7 @@ class TestMapDefectDegrees:
         assert defect_degrees(a, c, comps) == [-1]
         with pytest.raises(ChainMapError):
             ChainMap(a, c, comps)
-        assert outcome(nested_scan_chain_map_verify, ChainMap(a, c, comps, check=False)) != "ok"
+        assert outcome(nested_scan_chain_map_verify, unverified(a, c, comps)) != "ok"
         # without the differential the same component is a chain map
         ChainMap(TruncatedComplex({-1: (("a", 0),), 0: (("b", 0),)}, {}), c, comps)
 
@@ -263,7 +274,7 @@ class TestMapDefectDegrees:
         comps, unit = counit_components(P, 2), unit_complex(2)
         failures = 0
         for low in perturbations({-1: P.differentials[-1]}, random.Random(5), 12):
-            source = rebuilt(P, {**P.differentials, **low}, False)
+            source = unchecked(P, {**P.differentials, **low})
             want = outcome(nested_scan_twisted_map_check, source, unit, comps)
             assert outcome(twisted_cone, source, unit, comps) == want
             failures += want != "ok"

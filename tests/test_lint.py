@@ -53,6 +53,21 @@ ALLOWED_TRUSTED_LAURENT = Counter({
     ("spin", "RationalFunctionQ.__init__"): 2,
 })
 
+# The only places that build a complex through SparseComplex._trusted, which
+# skips _validate, by (module, function): derivations of validated complexes
+# whose entries and d^2 = 0 follow from theirs.  Every other complex, chain
+# map and surface complex validates on construction.
+ALLOWED_TRUSTED_COMPLEXES = Counter({
+    ("homalg", "SparseComplex.shifted"): 1,
+    ("homalg", "mapping_cone"): 1,
+    ("barproj", "TwistedTangleComplex.stacked"): 1,
+})
+
+# The classes whose _trusted builds a value, not a complex: called by name,
+# or as cls in their own methods.
+VALUE_TRUSTED_BUILDERS = ("LaurentPoly", "PlanarTangle", "StateVector")
+
+
 def nodes_by_function(path, wanted):
     """[(function, line)] of every node in the module at path that wanted
     accepts, with the dotted name of the classes and functions around it
@@ -302,6 +317,109 @@ def test_trusted_laurent_scan_sees_calls_and_scopes(tmp_path):
         "    return LaurentPoly._summed(acc), LaurentPoly._constant(n), LaurentPoly.one()\n")
     found = nodes_by_function(module, is_trusted_laurent)
     assert found == [("", 1), ("R.__init__", 4), ("g", 8), ("g", 8)]
+
+def trusted_receiver(node):
+    """The name X of a call X._trusted(...), "" for a receiver that is not a
+    bare name (type(self)._trusted(...)), or None for any other node."""
+    func = getattr(node, "func", None)
+    if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+            and func.attr == "_trusted"):
+        return None
+    return func.value.id if isinstance(func.value, ast.Name) else ""
+
+
+def trusted_complex_builds(path):
+    """[(function, line)] of every _trusted(...) call in the module at path
+    but those of VALUE_TRUSTED_BUILDERS, in source order."""
+    def named(node):
+        return trusted_receiver(node) not in (None, "cls") + VALUE_TRUSTED_BUILDERS
+
+    def by_cls(node):
+        return trusted_receiver(node) == "cls"
+    found = nodes_by_function(path, named) + [
+        (function, line) for function, line in nodes_by_function(path, by_cls)
+        if function.partition(".")[0] not in VALUE_TRUSTED_BUILDERS]
+    return sorted(found, key=lambda site: site[1])
+
+
+def source_trusted_complexes(source=SOURCE):
+    return counted_beyond(ALLOWED_TRUSTED_COMPLEXES, trusted_complex_builds, source=source)
+
+
+def test_trusted_complexes_only_in_the_listed_derivations():
+    _seen, stray = source_trusted_complexes()
+    assert not stray, (
+        "a complex built through _trusted at " + ", ".join(stray)
+        + "; build it with its validating constructor")
+
+
+def test_every_allowance_matches_a_trusted_complex():
+    seen, _stray = source_trusted_complexes()
+    stale = sorted(key for key, count in ALLOWED_TRUSTED_COMPLEXES.items() if seen[key] < count)
+    assert not stale, f"allowances above the trusted complexes left in the source: {stale}"
+
+
+def test_trusted_complex_scan_sees_receivers_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "ONE = LaurentPoly._trusted(((0, 1),)), TruncatedComplex._trusted({}, {})\n"
+        "class LaurentPoly:\n"
+        "    @classmethod\n"
+        "    def zero(cls):\n"
+        "        return cls._trusted(())\n"
+        "class Cx(SparseComplex):\n"
+        "    @classmethod\n"
+        "    def empty(cls):\n"
+        "        return cls._trusted({}, {}, 0, 0, True, None)\n"
+        "    def shifted(self):\n"
+        "        return type(self)._trusted(self.cells, {}), StateVector._trusted(d, 0, {})\n"
+        "def f(t, sv):\n"
+        "    return PlanarTangle._trusted(t), TwistedTangleComplex._trusted, t._trusted()\n")
+    assert trusted_complex_builds(module) == [("", 1), ("Cx.empty", 9), ("Cx.shifted", 11),
+                                              ("f", 13)]
+    seen, stray = source_trusted_complexes(tmp_path)
+    assert len(stray) == 4 and sum(seen.values()) == 4
+
+
+def check_switches(path):
+    """[(function, line)] of every function or lambda in the module at path
+    that takes a parameter named check, by the scope it is defined in."""
+    def takes_check(node):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return False
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        return any(p.arg == "check" for p in params)
+    return nodes_by_function(path, takes_check)
+
+
+def test_no_function_takes_a_check_switch():
+    # every complex, chain map and surface build validates; a derivation
+    # that need not builds through SparseComplex._trusted
+    stray = [f"{path.name}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for _function, line in check_switches(path)]
+    assert not stray, (
+        "a check parameter at " + ", ".join(stray)
+        + "; validate unconditionally, or derive through SparseComplex._trusted")
+
+
+def test_check_switch_scan_sees_every_parameter_kind(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def a(x, check=True):\n"
+        "    return x\n"
+        "class C:\n"
+        "    def __init__(self, *, check):\n"
+        "        self.check = check\n"
+        "    def b(self, check, /):\n"
+        "        def inner(**check):\n"
+        "            return check\n"
+        "        return inner\n"
+        "f = lambda *check: check\n"
+        "def g(checked, crosscheck, x=check):\n"
+        "    return check(checked)\n")
+    assert check_switches(module) == [("", 1), ("C", 4), ("C", 6), ("C.b", 7), ("", 10)]
+
 
 def is_chord_search(node):
     """A call of <expression>.chords.index(...), or a read of the point to

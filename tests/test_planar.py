@@ -93,6 +93,10 @@ class TestValidation:
         # boundary circle
         assert identity_tangle(3).partner == (3, 4, 5, 0, 1, 2)
 
+    def test_cup_over_cap_needs_an_even_strand_count(self):
+        with pytest.raises(InvalidBoundary, match="^cup_over_cap needs an even strand count$"):
+            cup_over_cap(3)
+
     def test_rejects_negative_circles(self):
         with pytest.raises(InvalidBoundary):
             PlanarTangle(2, 0, (1, 0), circles=-1)
@@ -361,6 +365,10 @@ class TestClosedDiagram:
 
     def test_double_of_cupcap_with_itself(self):
         assert len(ClosedDiagram.double(E, E)) == 2
+
+    def test_double_needs_equal_boundaries(self):
+        with pytest.raises(InvalidBoundary, match="^tangles in a double must share boundary data$"):
+            ClosedDiagram.double(ID1, E)
 
     def test_double_mixed(self):
         assert len(ClosedDiagram.double(ID2, E)) == 1

@@ -1,18 +1,21 @@
 import hashlib
 import itertools
+import json
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinhom import homalg, planar, surface
+from skeinhom import cli, homalg, planar, surface
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex, smith_invariants
-from skeinhom.planar import PlanarTangle
-from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec, SurfaceTangle,
-                              arc, coarsen, compose, h0, identity_unit, removable_seam, seam_side,
-                              symmetrized_pairing, transfer, validate_surface)
+from skeinhom.planar import PlanarTangle, cup_over_cap, identity_tangle
+from skeinhom.surface import (Segment, SurfaceComplex, SurfaceElement, SurfaceSpec,
+                              SurfaceTangle, arc, coarsen, compose, h0, identity_unit,
+                              removable_seam, seam_side, symmetrized_pairing, transfer,
+                              validate_surface)
 
 from . import plan_oracles
 from .oracles import (_plug_sites, coarsen_by_surgery, coarsening_arc_maps, dense_homology_at,
@@ -78,6 +81,45 @@ SEAMED_DISK_CHAIN = SurfaceTangle.from_data(
         ]
     }
 )
+
+# a disk cut by two seams into three regions in a row: removing either seam
+# leaves the region at the far end untouched
+STRIP3 = SurfaceSpec(
+    arcs=(("a0", 1), ("a1", 1), ("a2", 1), ("a3", 1)),
+    seams=("g1", "g2"),
+    regions=(
+        (arc("a0"), seam_side("g1", 1)),
+        (seam_side("g1", -1), arc("a1"), seam_side("g2", 1), arc("a2")),
+        (seam_side("g2", -1), arc("a3")),
+    ),
+)
+STRIP3_DATA = {
+    "arcs": ["a0", "a1", "a2", "a3"],
+    "seams": ["g1", "g2"],
+    "regions": [
+        [{"arc": "a0"}, {"seam": "g1", "side": "+"}],
+        [{"seam": "g1", "side": "-"}, {"arc": "a1"}, {"seam": "g2", "side": "+"}, {"arc": "a2"}],
+        [{"seam": "g2", "side": "-"}, {"arc": "a3"}],
+    ],
+}
+# one strand from a0 through both seams to a3
+STRIP3_ARC_DATA = {"regions": [
+    {"counts": [1, 1], "chords": [[0, 1]]},
+    {"counts": [1, 0, 1, 0], "chords": [[0, 1]]},
+    {"counts": [1, 1], "chords": [[0, 1]]},
+]}
+STRIP3_ARC = SurfaceTangle.from_data(STRIP3_ARC_DATA)
+# two strands through both seams, and the same with a cap on a0 and one on g1
+STRIP3_PAIR = SurfaceTangle.from_data({"regions": [
+    {"counts": [2, 2], "chords": [[0, 3], [1, 2]]},
+    {"counts": [2, 0, 2, 0], "chords": [[0, 3], [1, 2]]},
+    {"counts": [2, 2], "chords": [[0, 3], [1, 2]]},
+]})
+STRIP3_CAPS = SurfaceTangle.from_data({"regions": [
+    {"counts": [2, 2], "chords": [[0, 1], [2, 3]]},
+    {"counts": [2, 0, 2, 0], "chords": [[0, 3], [1, 2]]},
+    {"counts": [2, 2], "chords": [[0, 3], [1, 2]]},
+]})
 
 # a point on every segment, so splicing either seam reorders the points
 ANNULUS2_SPOKES = SurfaceTangle.from_data(
@@ -172,6 +214,36 @@ class TestValidation:
         data = {"seams": ["g"], "regions": [[{"seam": "g", "side": "x"}]]}
         with pytest.raises(SpecError, match=r"side must be"):
             SurfaceSpec.from_data(data)
+
+    def test_bad_seam_side_rejected(self):
+        # from_data reads a side as + or -, so only a spec built in code has another
+        spec = SurfaceSpec(arcs=(), seams=("g",),
+                           regions=((Segment("seam", "g", 0), seam_side("g", 1)),))
+        with pytest.raises(SpecError, match=r"^region 0, segment 0: seam side must be \+1 or -1$"):
+            validate_surface(spec)
+
+    def test_unknown_segment_kind_rejected(self):
+        spec = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"), Segment("hole", "h")),))
+        with pytest.raises(SpecError, match=r"^region 0, segment 1: unknown segment kind 'hole'$"):
+            validate_surface(spec)
+
+    @pytest.mark.parametrize("cap,counts,message", [
+        (PlanarTangle(0, 2, (1, 0)), (0,), "top tangle: region 0 cap has points on top"),
+        (PlanarTangle(2, 0, (1, 0), 1), (2,), "top tangle: region 0 cap must be minimal"),
+        (PlanarTangle(2, 0, (1, 0)), (4,), "top tangle: region 0 cap has 2 points, counts give 4"),
+    ], ids=["top-points", "circle", "count"])
+    def test_caps_built_in_code_are_checked(self, cap, counts, message):
+        # from_data builds every cap from its counts, so only code reaches these
+        with pytest.raises(SpecError, match="^" + re.escape(message) + "$"):
+            SurfaceComplex(DISK, SurfaceTangle((cap,), (counts,)), DISK_ARC, depth=0)
+
+    @pytest.mark.parametrize("insert,message", [
+        (PlanarTangle(2, 4, (2, 5, 0, 4, 3, 1)), "arc 'a': insert is (2, 4), boundary needs (2, 2)"),
+        (identity_tangle(2).with_circles(1), "arc 'a': insert tangles must be minimal"),
+    ], ids=["shape", "circle"])
+    def test_arc_inserts_are_checked(self, insert, message):
+        with pytest.raises(SpecError, match="^" + re.escape(message) + "$"):
+            SurfaceComplex(DISK, DISK_ARC, DISK_ARC, depth=0, inserts={"a": insert})
 
     def test_tangle_chords_must_cover_all_points(self):
         with pytest.raises(SpecError, match=r"cover"):
@@ -322,6 +394,13 @@ def window_cells(cx):
     grades = [q for gens in cx.generators.values() for _, q in gens]
     return [(i, j) for i in range(cx.h_min - 1, cx.h_max + 2)
             for j in range(min(grades) - 2, max(grades) + 3)]
+
+
+def certified_cells(cx):
+    """{(i, j): (betti, torsion)} on the cells of window_cells(cx) that its
+    truncation certificate answers."""
+    cells = {cell: outcome(cx.homology_at, *cell) for cell in window_cells(cx)}
+    return {cell: hom for cell, hom in cells.items() if hom != "refused"}
 
 
 # the two-seam pair: caps on both seams against caps through both
@@ -499,6 +578,18 @@ class TestCompose:
         with pytest.raises(TruncationError):
             compose(f, f, target=self.cx)
 
+    def test_default_target_sums_the_depths(self):
+        for f, g in itertools.product(self.cx.basis_elements(-1), repeat=2):
+            fg = compose(f, g)
+            assert (fg.owner.depth, fg.owner.top, fg.owner.bottom) == (2, CORE, CORE)
+            assert self.lift(fg) == compose(self.lift(f), self.lift(g), target=self.tgt)
+
+    def test_default_target_refuses_arc_inserts(self):
+        cx = SurfaceComplex(DISK, DISK_ARC, DISK_ARC, depth=0, inserts={"a": cup_over_cap(2)})
+        e = cx.basis_elements(0)[0]
+        with pytest.raises(InvalidBoundary, match="provide a target complex"):
+            compose(e, e)
+
 
 class TestCoarsen:
     def test_two_seams_to_one_betti_agreement(self):
@@ -518,6 +609,38 @@ class TestCoarsen:
         assert hom.betti == {(0, 0): 1, (0, 2): 1}
         cone = cmap.cone()
         assert cone.homology((-1, 0), (0, 4)).betti == {}
+
+    @pytest.mark.parametrize("seam", ["g1", "g2"])
+    @pytest.mark.parametrize("top,bottom,depth", [
+        (STRIP3_ARC, STRIP3_ARC, 1), (STRIP3_ARC, STRIP3_ARC, 3), (STRIP3_CAPS, STRIP3_PAIR, 2),
+    ], ids=["arc-1", "arc-3", "caps-pair-2"])
+    def test_region_the_seam_does_not_touch(self, top, bottom, depth, seam):
+        cx = SurfaceComplex(STRIP3, top, bottom, depth=depth)
+        tgt, cmap = coarsen(cx, seam)
+        # the far region keeps its segments and both caps, now beside one merged region
+        far = 2 if seam == "g1" else 0
+        kept = 1 if seam == "g1" else 0
+        assert len(tgt.spec.regions) == 2 and tgt.spec.regions[kept] == STRIP3.regions[far]
+        assert tgt.top.caps[kept] == top.caps[far] and tgt.bottom.caps[kept] == bottom.caps[far]
+        cone = certified_cells(cmap.cone())
+        assert cone and set(cone.values()) == {(0, ())}
+        src, dst = certified_cells(cx.truncated), certified_cells(tgt.truncated)
+        shared = src.keys() & dst.keys()
+        assert shared and all(src[k] == dst[k] for k in shared)
+        assert any(src[k] != (0, ()) for k in shared)
+
+    @pytest.mark.parametrize("seam", ["g1", "g2"])
+    def test_coarsen_check_with_an_untouched_region(self, capsys, seam):
+        assert SurfaceSpec.from_data(STRIP3_DATA) == STRIP3
+        strand = json.dumps(STRIP3_ARC_DATA)
+        code = cli.run(["coarsen-check", "--spec", json.dumps(STRIP3_DATA), "--t", strand,
+                        "--s", strand, "--seam", seam, "--hmin", "-2", "--qmax", "4",
+                        "--depth", "3"])
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert payload["acyclic"] is True and payload["betti_match"] is True
+        assert payload["source"]["betti"] == payload["target"]["betti"] == [[0, 0, 1], [0, 2, 1]]
 
     def test_unit_maps_to_unit(self):
         cx2 = SurfaceComplex(ANNULUS2, CORE2, CORE2, depth=2)
@@ -645,7 +768,7 @@ class TestCompiledRoutes:
         # arc maps and saddle sites built from planar's point maps equal
         # those placed by explicit point offsets and chord chains
         cx = SurfaceComplex(spec, t, t, depth=depth)
-        target, z_map, m_maps = surface._coarsened(cx, seam, check=False)
+        target, z_map, m_maps = surface._coarsened(cx, seam)
         assert (z_map, m_maps) == coarsening_arc_maps(cx, seam, target)
         assert z_map and any(m_maps.values())
         g = cx._seam_pos[seam]
@@ -681,7 +804,7 @@ class TestCompiledRoutes:
     @pytest.mark.parametrize("spec,t,seam", COARSENINGS)
     def test_coarsening_plans_match_the_diagram_compiler(self, spec, t, seam, depth):
         cx = SurfaceComplex(spec, t, t, depth=depth)
-        target, z_map, m_maps = surface._coarsened(cx, seam, check=False)
+        target, z_map, m_maps = surface._coarsened(cx, seam)
         g = cx._seam_pos[seam]
         for mw in m_maps:
             m_src = cx.m_tangle(mw)

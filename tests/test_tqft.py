@@ -252,6 +252,12 @@ class TestTransports:
                     rhs = pair(c, b, a, transposed(g, b, c), transposed(f, a, b))
                     assert lhs == rhs
 
+    def test_reflection_rejects_a_state_off_its_double(self):
+        f = basis_state(ID2, E, (ONE,))
+        assert f.diagram.arcs != hom_double(E, E)[0].arcs
+        with pytest.raises(InvalidBoundary, match="^state does not live on the expected double$"):
+            reflected_x(f, E, E)
+
     def test_transpose_fixes_identity(self):
         for a in enumerate_matchings(2, 2):
             assert transposed(identity_state(a), a, a) == identity_state(a)
@@ -297,8 +303,10 @@ class TestWhisker:
         assert w.offset == 1
 
     def test_wrong_edge_rejected(self):
-        with pytest.raises(InvalidBoundary):
+        with pytest.raises(InvalidBoundary, match="^whisker tangle does not fit the top edge$"):
             whisker(identity_state(ID1), ID1, ID1, E, above=True)
+        with pytest.raises(InvalidBoundary, match="^whisker tangle does not fit the bottom edge$"):
+            whisker(identity_state(ID1), ID1, ID1, E, above=False)
 
 
 class TestJuxtaposed:

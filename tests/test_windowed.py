@@ -41,9 +41,7 @@ SMALL = tuple(CASES)[:3]
 
 @functools.lru_cache(maxsize=None)
 def full_build(name, depth):
-    # the oracle only supplies answers here; full builds with their d^2=0
-    # checks on are tested in test_surface.py
-    return SurfaceComplex(*CASES[name], depth=depth, check=False)
+    return SurfaceComplex(*CASES[name], depth=depth)
 
 
 def windowed(name, depth, q_range):
@@ -105,7 +103,7 @@ class TestEquality:
         # 1.5-2.2 s; the one the command-line default window is timed on
         # stands for the four
         name = "ANNULUS CUPCAP2 THROUGH2"
-        full = SurfaceComplex(*CASES[name], depth=5, check=False)
+        full = SurfaceComplex(*CASES[name], depth=5)
         cx = windowed(name, 5, (0, 8))
         assert_window_matches(full, cx)
         assert sum(map(len, cx.truncated.generators.values())) * 10 < \
@@ -364,7 +362,7 @@ def with_window(kind, window):
             {-1: {(0, 0): 1, (1, 1): 2}}, q_range=window)
     _full, tw, _cx = twisted_builds()
     return TwistedTangleComplex(tw.objects, tw.differentials, tw.h_min, tw.h_max, tw.complete,
-                                tw.certificate, check=False, floor_tangles=tw.floor_tangles,
+                                tw.certificate, floor_tangles=tw.floor_tangles,
                                 q_range=window)
 
 
@@ -432,8 +430,8 @@ class TestOneWindow:
         if j1 <= j2:
             if j2 > -2:
                 with pytest.raises(WindowError, match=r"hom_complex needs q \(-inf, "):
-                    tw.hom_complex(cx.z_jux, (j1, j2), check=False)
+                    tw.hom_complex(cx.z_jux, (j1, j2))
             else:
-                assert tw.hom_complex(cx.z_jux, (j1, j2), check=False).q_range == (j1, j2)
+                assert tw.hom_complex(cx.z_jux, (j1, j2)).q_range == (j1, j2)
         with pytest.raises(WindowError, match="hom_complex needs every quantum degree"):
             tw.hom_complex(cx.z_jux)
