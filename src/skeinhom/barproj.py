@@ -29,9 +29,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .errors import ChainMapError, GradingError, InvalidBoundary, SpecError
-from .homalg import (Certificate, LaurentPoly, SparseComplex, TruncatedComplex, map_defect,
-                     mapping_cone)
+from .errors import GradingError, InvalidBoundary, SpecError
+from .homalg import Certificate, ChainMap, LaurentPoly, SparseComplex, TruncatedComplex
 from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle, juxtapose
 from .tqft import (ONE, X, StateVector, _check_on, _composition_plan, _relabeled, hom_double,
                    identity_state, juxtaposed, kh_basis, pair, reflected_x, transposed, whisker)
@@ -300,29 +299,20 @@ class TwistedTangleComplex(SparseComplex):
         """Entries compose as cobordisms, x in Hom(a, b) then y in Hom(b, c)."""
         return pair(a, b, c, x, y)
 
-    def _validate(self):
-        for h, d in self.differentials.items():
-            src = self.objects.get(h, ())
-            tgt = self.objects.get(h + 1, ())
-            for (i, j), sv in d.items():
-                T_src, s_src = src[j]
-                T_tgt, s_tgt = tgt[i]
-                expected, _ = hom_double(T_src, T_tgt)
-                if sv.diagram is not expected and sv.diagram.arcs != expected.arcs:
-                    raise GradingError(f"entry ({i}, {j}) at degree {h} is on the wrong double")
-                degrees = sv.degrees()
-                if len(degrees) > 1:
-                    raise GradingError(f"entry ({i}, {j}) at degree {h} is inhomogeneous")
-                if degrees and degrees[0] != s_src - s_tgt:
-                    raise GradingError(
-                        f"entry ({i}, {j}) at degree {h} has degree {degrees[0]}, "
-                        f"expected {s_src - s_tgt}"
-                    )
-        defect = self.square_defect()
-        if defect:
-            h, bad = defect
-            raise ChainMapError(
-                f"differential does not square to zero from degree {h}: {list(bad)[:3]}")
+    @staticmethod
+    def _entry_fault(src, tgt, sv):
+        """An entry lives on the double of its objects and is homogeneous of
+        degree s_src - s_tgt."""
+        (T_src, s_src), (T_tgt, s_tgt) = src, tgt
+        expected, _ = hom_double(T_src, T_tgt)
+        if sv.diagram is not expected and sv.diagram.arcs != expected.arcs:
+            return "is on the wrong double"
+        degrees = sv.degrees()
+        if len(degrees) > 1:
+            return "is inhomogeneous"
+        if degrees and degrees[0] != s_src - s_tgt:
+            return f"has degree {degrees[0]}, expected {s_src - s_tgt}"
+        return None
 
     def stacked(self, e, above=True):
         """Glue the fixed tangle e onto every object, whiskering entries."""
@@ -586,13 +576,9 @@ def counit_components(projector, N):
 
 
 def twisted_cone(source, target, components):
-    """Mapping cone of a degree-zero map between twisted complexes."""
-    defect = map_defect(source, target, components)
-    if defect:
-        h, bad = defect
-        raise ChainMapError(
-            f"components do not commute with differentials at {h}: {list(bad)[:3]}")
-    cone = mapping_cone(source, target, components)
+    """Mapping cone of a degree-zero map between twisted complexes, whose
+    truncated degrees repeat the floor tangles of both."""
+    cone = ChainMap(source, target, components).cone()
     cone.floor_tangles = source.floor_tangles | target.floor_tangles
     return cone
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .barproj import SmallRing, bottom_projector
-from .errors import (AdmissibilityError, InvalidBoundary, SkeinError, SpecError,
-                     TruncationError, expect)
+from .errors import AdmissibilityError, InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import LaurentPoly
 from .planar import PlanarTangle, enumerate_matchings
 from .spin import (SpinNetwork, admissible_triple, as_quantum_integer,
@@ -66,20 +65,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(source, what):
-    """Parse a CLI argument as inline JSON or as a path to a JSON file."""
-    text = source
-    if not source.lstrip().startswith(("[", "{")):
-        if not os.path.exists(source):
-            raise SpecError(f"{what}: no file {source!r} and not a JSON literal")
+    """Parse a CLI argument as inline JSON or as a path to a JSON file.  One
+    that opens with [ or { is the literal if it parses, and otherwise the
+    file of that name if there is one."""
+    literal = source.lstrip().startswith(("[", "{"))
+    if literal:
+        try:
+            return json.loads(source)
+        except json.JSONDecodeError as exc:
+            error = exc
+    if os.path.exists(source):
         with open(source) as fh:
             text = fh.read()
-    elif os.path.exists(source):
-        with open(source) as fh:
-            text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{what}: invalid JSON ({exc})")
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            error = exc
+    elif not literal:
+        raise SpecError(f"{what}: no file {source!r} and not a JSON literal")
+    raise SpecError(f"{what}: invalid JSON ({error})")
 
 
 def _parse_tangle(data, what):
@@ -574,9 +578,6 @@ def run(argv=None):
     except (SpecError, InvalidBoundary, AdmissibilityError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except SkeinError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

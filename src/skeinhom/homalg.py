@@ -477,9 +477,11 @@ class SparseComplex:
     q-strands, and require_window refuses (WindowError) what needs more.
 
     Every construction stores its arguments (_build, a subclass's with its
-    own parameters) and then validates them (the subclass's _validate:
-    entries in range and of the right degree, d^2 = 0), so a complex that
-    exists is a complex; only _trusted skips the second step.
+    own parameters) and then validates them (_validate: cells in [h_min,
+    h_max], entries in range, nonzero and accepted by the class's
+    _entry_fault, d^2 = 0), so a complex that exists is a complex; only
+    _trusted skips the second step.  ChainMap asks the same _entry_fault of
+    each map component.
     """
 
     def __init__(self, *args, **kwargs):
@@ -490,7 +492,7 @@ class SparseComplex:
     def _trusted(cls, *args, **kwargs):
         """cls(*args, **kwargs) without _validate: only for derivations of
         validated complexes whose checks theirs imply (shifted,
-        mapping_cone, TwistedTangleComplex.stacked)."""
+        ChainMap.cone, TwistedTangleComplex.stacked)."""
         cx = cls.__new__(cls)
         cx._build(*args, **kwargs)
         return cx
@@ -505,6 +507,46 @@ class SparseComplex:
         self.complete = complete
         self.certificate = certificate
         self.q_range = None if q_range is None else tuple(q_range)
+
+    @staticmethod
+    def _entry_fault(src, tgt, entry):
+        """Why entry cannot map the cell src to the cell tgt, a phrase after
+        "entry (i, j) at degree h", or None; each class says what fits."""
+        return None
+
+    def _misfit(self, entries, src, tgt):
+        """(key, phrase) for the first entry of the sparse map entries from
+        the cells src to tgt that is out of range or that _entry_fault
+        refuses, or None."""
+        fault_of = self._entry_fault
+        n_src, n_tgt = len(src), len(tgt)
+        for (i, j), x in entries.items():
+            if not (0 <= j < n_src and 0 <= i < n_tgt):
+                return (i, j), "is out of range"
+            fault = fault_of(src[j], tgt[i], x)
+            if fault:
+                return (i, j), fault
+        return None
+
+    def _validate(self):
+        cells, diffs = self.cells, self.differentials
+        for h in cells:
+            if not (self.h_min <= h <= self.h_max):
+                raise GradingError(f"cells at degree {h} outside [{self.h_min}, {self.h_max}]")
+        for h, d in diffs.items():
+            misfit = self._misfit(d, cells.get(h, ()), cells.get(h + 1, ()))
+            if misfit:
+                raise GradingError(f"entry {misfit[0]} at degree {h} {misfit[1]}")
+            if not all(d.values()):
+                zero = next(k for k, x in d.items() if not x)
+                raise GradingError(f"zero differential entry stored at degree {h}: {zero}")
+        for h in sorted(diffs):
+            if h + 1 in diffs:
+                prod = sparse_product(diffs[h], diffs[h + 1], self.compose,
+                                      cells[h], cells[h + 1], cells[h + 2])
+                bad = {k: x for k, x in prod.items() if x}
+                if bad:
+                    raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")
 
     def require_window(self, what, j1=None, j2=None):
         """Raise WindowError unless the quantum degrees j1..j2 lie in the
@@ -521,19 +563,6 @@ class SparseComplex:
         span = "every quantum degree" if j1 is None and j2 is None else f"q {_interval(j1, j2)}"
         raise WindowError(f"{what} needs {span}; this complex holds only "
                           f"the q-window {_interval(lo, hi)}")
-
-    def square_defect(self):
-        """(h, {key: entry}) with the nonzero entries of d_{h+1} d_h at the
-        lowest degree h where there are any, or None when d^2 = 0."""
-        for h in sorted(self.differentials):
-            if h + 1 not in self.differentials:
-                continue
-            prod = sparse_product(self.differentials[h], self.differentials[h + 1], self.compose,
-                                  self.cells[h], self.cells[h + 1], self.cells[h + 2])
-            bad = {k: x for k, x in prod.items() if x}
-            if bad:
-                return h, bad
-        return None
 
     def min_q_at(self, h):
         """Smallest quantum degree that can occur at degree h, or None if empty."""
@@ -601,56 +630,6 @@ def defect_degrees(source, target, components):
                   | {h for h, f in components.items() if f and target.differentials.get(h)})
 
 
-def map_defect(source, target, components):
-    """(h, {key: entry}) with the nonzero entries of f d - d f from degree h
-    of source to degree h+1 of target, at the lowest degree h where there
-    are any, for the degree-zero map components f; None for a chain map."""
-    compose = source.compose
-    for h in defect_degrees(source, target, components):
-        a, b, c = source.cells.get(h, ()), source.cells.get(h + 1, ()), target.cells.get(h + 1, ())
-        defect = sparse_product(source.differentials.get(h, {}), components.get(h + 1, {}),
-                                compose, a, b, c)
-        df = sparse_product(components.get(h, {}), target.differentials.get(h, {}),
-                            compose, a, target.cells.get(h, ()), c)
-        for k, x in df.items():
-            defect[k] = defect[k] - x if k in defect else -x
-        bad = {k: x for k, x in defect.items() if x}
-        if bad:
-            return h, bad
-    return None
-
-
-def mapping_cone(source, target, components):
-    """Mapping cone of the degree-zero map components from source to target,
-    a complex of target's class whose degree h holds target^h, then
-    source^{h+1}."""
-    a, b, f = source, target, components
-    cells, diffs, offs = {}, {}, {}
-    h_lo = min(a.h_min - 1, b.h_min)
-    h_hi = max(a.h_max - 1, b.h_max)
-    for h in range(h_lo, h_hi + 1):
-        bucket = [b._cone_cell("tgt", cell) for cell in b.cells.get(h, ())]
-        offs[h] = len(bucket)
-        bucket.extend(b._cone_cell("src", cell) for cell in a.cells.get(h + 1, ()))
-        cells[h] = bucket
-    for h in range(h_lo, h_hi):
-        d = dict(b.differentials.get(h, {}))
-        for (i, j), x in f.get(h + 1, {}).items():
-            d[(i, offs[h] + j)] = x
-        for (i, j), x in a.differentials.get(h + 1, {}).items():
-            d[(offs[h + 1] + i, offs[h] + j)] = -x
-        diffs[h] = d
-    complete = a.complete and b.complete
-    # cone degree -r holds target^{-r} and source^{-r + 1}
-    sides = [(side.certificate, dh) for side, dh in ((b, 0), (a, -1)) if not side.complete]
-    cert = None
-    if sides and all(c is not None for c, _dh in sides):
-        cert = Certificate(tuple(bound for c, dh in sides for bound in c.shifted(dh=dh).bounds))
-    # the cone of the q-strand summands is the cone's q-strand summand
-    return type(b)._trusted(cells, diffs, h_lo, h_hi, complete, cert,
-                            q_range=_meet(a.q_range, b.q_range))
-
-
 class TruncatedComplex(SparseComplex):
     """Bigraded cochain complex of free abelian groups, possibly truncated below.
 
@@ -683,27 +662,11 @@ class TruncatedComplex(SparseComplex):
     def _cone_cell(side, cell):
         return (side, cell[0]), cell[1]
 
-    def _validate(self):
-        for h, gens in self.generators.items():
-            if not (self.h_min <= h <= self.h_max):
-                raise GradingError(f"generators at degree {h} outside [{self.h_min}, {self.h_max}]")
-        for h, d in self.differentials.items():
-            src = self.generators.get(h, ())
-            tgt = self.generators.get(h + 1, ())
-            for (i, j), c in d.items():
-                if not (0 <= j < len(src)) or not (0 <= i < len(tgt)):
-                    raise GradingError(f"differential entry out of range at degree {h}")
-                if src[j][1] != tgt[i][1]:
-                    raise GradingError(
-                        f"differential does not preserve quantum degree at h={h}: "
-                        f"{src[j]} -> {tgt[i]}"
-                    )
-                if c == 0:
-                    raise GradingError(f"zero differential entry stored at degree {h}: {(i, j)}")
-        defect = self.square_defect()
-        if defect:
-            h, bad = defect
-            raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")
+    @staticmethod
+    def _entry_fault(src, tgt, c):
+        if src[1] != tgt[1]:
+            return f"does not preserve the quantum degree: {src} -> {tgt}"
+        return None
 
     def gen_count(self, h, j=None):
         gens = self.generators.get(h, ())
@@ -864,28 +827,62 @@ def tensor(a, b):
 
 
 class ChainMap:
-    """A degree-(0,0) map of complexes, stored sparsely per degree."""
+    """A degree-(0,0) map of complexes of one class, stored sparsely per
+    degree; its entries pass the class's _entry_fault but may be zero."""
 
     def __init__(self, source, target, components):
+        if type(source) is not type(target):
+            raise ChainMapError(f"a map from {type(source).__name__} to {type(target).__name__}")
         self.source = source
         self.target = target
         self.components = {h: dict(d) for h, d in components.items() if d}
         self.verify()
 
     def verify(self):
-        for h, comp in self.components.items():
-            src = self.source.generators.get(h, ())
-            tgt = self.target.generators.get(h, ())
-            for (i, j), c in comp.items():
-                if not (0 <= j < len(src) and 0 <= i < len(tgt)):
-                    raise ChainMapError(f"component out of range at degree {h}")
-                if src[j][1] != tgt[i][1]:
-                    raise ChainMapError(f"component changes quantum degree at {h}")
-        defect = map_defect(self.source, self.target, self.components)
-        if defect:
-            h, bad = defect
-            raise ChainMapError(f"does not commute with differentials at degree {h}: {sorted(bad)[:4]}")
+        source, target, f = self.source, self.target, self.components
+        for h, comp in f.items():
+            misfit = target._misfit(comp, source.cells.get(h, ()), target.cells.get(h, ()))
+            if misfit:
+                raise ChainMapError(f"component {misfit[0]} at degree {h} {misfit[1]}")
+        # f d - d f from degree h of source to degree h+1 of target
+        for h in defect_degrees(source, target, f):
+            a, c = source.cells.get(h, ()), target.cells.get(h + 1, ())
+            defect = sparse_product(source.differentials.get(h, {}), f.get(h + 1, {}),
+                                    source.compose, a, source.cells.get(h + 1, ()), c)
+            df = sparse_product(f.get(h, {}), target.differentials.get(h, {}),
+                                source.compose, a, target.cells.get(h, ()), c)
+            for k, x in df.items():
+                defect[k] = defect[k] - x if k in defect else -x
+            bad = [k for k, x in defect.items() if x]
+            if bad:
+                raise ChainMapError(
+                    f"does not commute with differentials at degree {h}: {sorted(bad)[:4]}")
 
     def cone(self):
-        """Mapping cone; degree h holds target^h then source^{h+1}."""
-        return mapping_cone(self.source, self.target, self.components)
+        """Mapping cone, a complex of the target's class whose degree h
+        holds target^h, then source^{h+1}."""
+        a, b, f = self.source, self.target, self.components
+        cells, diffs, offs = {}, {}, {}
+        h_lo = min(a.h_min - 1, b.h_min)
+        h_hi = max(a.h_max - 1, b.h_max)
+        for h in range(h_lo, h_hi + 1):
+            bucket = [b._cone_cell("tgt", cell) for cell in b.cells.get(h, ())]
+            offs[h] = len(bucket)
+            bucket.extend(b._cone_cell("src", cell) for cell in a.cells.get(h + 1, ()))
+            cells[h] = bucket
+        for h in range(h_lo, h_hi):
+            d = dict(b.differentials.get(h, {}))
+            for (i, j), x in f.get(h + 1, {}).items():
+                d[(i, offs[h] + j)] = x
+            for (i, j), x in a.differentials.get(h + 1, {}).items():
+                d[(offs[h + 1] + i, offs[h] + j)] = -x
+            diffs[h] = d
+        complete = a.complete and b.complete
+        # cone degree -r holds target^{-r} and source^{-r + 1}
+        sides = [(side.certificate, dh) for side, dh in ((b, 0), (a, -1)) if not side.complete]
+        cert = None
+        if sides and all(c is not None for c, _dh in sides):
+            cert = Certificate(tuple(bound for c, dh in sides for bound in c.shifted(dh=dh).bounds))
+        # the cone of the q-strand summands is the cone's q-strand summand
+        return type(b)._trusted(cells, diffs, h_lo, h_hi, complete, cert,
+                                q_range=_meet(a.q_range, b.q_range))

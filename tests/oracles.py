@@ -602,9 +602,9 @@ def nested_scan_square_check(self):
                     acc[(i, j)] = acc[(i, j)] + prod
                 else:
                     acc[(i, j)] = prod
-        bad = [k for k, sv in acc.items() if sv]
+        bad = {k: sv for k, sv in acc.items() if sv}
         if bad:
-            raise ChainMapError(f"differential does not square to zero from degree {h}: {bad[:3]}")
+            raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")
 
 
 def nested_scan_twisted_map_check(source, target, components):
@@ -634,7 +634,7 @@ def nested_scan_twisted_map_check(source, target, components):
                 acc[(i, j)] = acc[(i, j)] + prod if (i, j) in acc else prod
         bad = [key for key, sv in acc.items() if sv]
         if bad:
-            raise ChainMapError(f"components do not commute with differentials at {h}: {bad[:3]}")
+            raise ChainMapError(f"does not commute with differentials at degree {h}: {sorted(bad)[:4]}")
 
 
 def twisted_cone_reference(source, target, components):
@@ -688,9 +688,10 @@ def nested_scan_chain_map_verify(self):
         tgt = self.target.generators.get(h, ())
         for (i, j), c in comp.items():
             if not (0 <= j < len(src) and 0 <= i < len(tgt)):
-                raise ChainMapError(f"component out of range at degree {h}")
+                raise ChainMapError(f"component {(i, j)} at degree {h} is out of range")
             if src[j][1] != tgt[i][1]:
-                raise ChainMapError(f"component changes quantum degree at {h}")
+                raise ChainMapError(f"component {(i, j)} at degree {h} does not preserve the "
+                                    f"quantum degree: {src[j]} -> {tgt[i]}")
     # every degree where either complex has a differential
     lo = min(self.source.h_min, self.target.h_min)
     hi = max(self.source.h_max, self.target.h_max)

@@ -10,7 +10,7 @@ from skeinhom.barproj import (SmallRing, TwistedTangleComplex, _compositions, _s
 from skeinhom.errors import ChainMapError, GradingError, InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import LaurentPoly
 from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
-from skeinhom.tqft import (ONE, StateVector, basis_state, hom_double, identity_state, kh_basis,
+from skeinhom.tqft import (ONE, X, StateVector, basis_state, hom_double, identity_state, kh_basis,
                            pair, reflected_x)
 
 from .oracles import (all_shuffles, bottom_projector_by_faces, dense_block, fold_entry_by_circles,
@@ -298,6 +298,57 @@ class TestValidation:
         assert low.degrees() != sv.degrees()
         with pytest.raises(GradingError):
             self.rebuilt(P, -2, (0, 0), low)
+
+
+    def test_entry_out_of_range_rejected(self):
+        P = bottom_projector(2, depth=2)
+        assert len(P.objects[0]) == 1
+        with pytest.raises(GradingError, match=r"^entry \(7, 0\) at degree -1 is out of range$"):
+            self.rebuilt(P, -1, (7, 0), P.differentials[-1][(0, 0)])
+
+    def test_objects_above_h_max_rejected(self):
+        P = bottom_projector(2, depth=2)
+        objects = {**P.objects, 3: P.objects[0]}
+        with pytest.raises(GradingError, match=r"^cells at degree 3 outside \[-2, 0\]$"):
+            TwistedTangleComplex(objects, P.differentials, P.h_min, P.h_max,
+                                 P.complete, P.certificate)
+
+
+class TestConeComponents:
+    """twisted_cone checks its components as ChainMap checks integer ones."""
+
+    def cone_with(self, h, key, sv):
+        P = bottom_projector(2, depth=2)
+        comps = counit_components(P, 2)
+        comps.setdefault(h, {})[key] = sv
+        return twisted_cone(P, unit_complex(2), comps)
+
+    def counit_entry(self):
+        P = bottom_projector(2, depth=2)
+        return counit_components(P, 2)[0][(0, 0)]
+
+    def test_component_out_of_range_rejected(self):
+        with pytest.raises(ChainMapError, match=r"^component \(5, 0\) at degree 0 is out of range$"):
+            self.cone_with(0, (5, 0), self.counit_entry())
+
+    def test_component_where_neither_side_has_objects_rejected(self):
+        with pytest.raises(ChainMapError, match=r"^component \(0, 0\) at degree 1 is out of range$"):
+            self.cone_with(1, (0, 0), self.counit_entry())
+
+    def test_component_on_the_wrong_double_rejected(self):
+        P = bottom_projector(2, depth=2)
+        wrong = identity_state(ID2)
+        assert wrong.diagram.arcs != hom_double(P.objects[0][0][0], ID2)[0].arcs
+        with pytest.raises(ChainMapError,
+                           match=r"^component \(0, 0\) at degree 0 is on the wrong double$"):
+            self.cone_with(0, (0, 0), wrong)
+
+    def test_component_of_the_wrong_degree_rejected(self):
+        sv = self.counit_entry()
+        with pytest.raises(ChainMapError, match=r"^component \(0, 0\) at degree 0 has degree 3, "
+                                                r"expected 1$"):
+            self.cone_with(0, (0, 0), StateVector(sv.diagram, sv.offset,
+                                                 {(X,) * len(sv.diagram): 1}))
 
 
 class TestCounit:

@@ -740,12 +740,36 @@ class TestOutsideInputRefusals:
                           "--t", "[circle].json", "--s", "[circle].json", *window)
         assert by_path == by_literal and by_path[0] == 0 and by_path[1]
 
+    def test_literal_that_names_a_file(self, capsys, tmp_path, monkeypatch):
+        # an argument that parses as JSON is the literal, whatever files exist
+        without_file = run_cli(capsys, "kh", "eval", "--t", "[1, 0]", "--s", "[1, 0]")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "[1, 0]").write_text("[1, 0, 3, 2]")
+        assert run_cli(capsys, "kh", "eval", "--t", "[1, 0]", "--s", "[1, 0]") == without_file
+        assert without_file == (0, "1 + q^2\n", "")
+
     def test_tangle_that_is_neither_array_nor_object(self, capsys, tmp_path):
         # a scalar is no JSON literal to the loader, so it comes from a file
         code, out, err = run_cli(capsys, "kh", "eval",
                                  "--t", write_json(tmp_path, "t.json", 7), "--s", "[1, 0]")
         assert (code, out, err) == (
             3, "", "SpecError: --t: tangle must be a partner array or an object\n")
+
+
+class TestUnexpectedErrors:
+    """A failure that no refusal of outside input names exits 1, printing
+    its class name and message."""
+
+    @pytest.mark.parametrize("exc,line", [
+        (errors.ChainMapError("d^2 != 0 from degree 0: []"),
+         "ChainMapError: d^2 != 0 from degree 0: []\n"),
+        (RuntimeError("no pivot"), "RuntimeError: no pivot\n"),
+    ])
+    def test_exit_one_with_name_and_message(self, capsys, monkeypatch, exc, line):
+        def fail(*_args):
+            raise exc
+        monkeypatch.setattr("skeinhom.cli.hom_graded_rank", fail)
+        assert run_cli(capsys, "kh", "eval", "--t", "[1, 0]", "--s", "[1, 0]") == (1, "", line)
 
 
 class TestEntryPoint:

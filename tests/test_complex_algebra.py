@@ -10,7 +10,7 @@ import pytest
 from skeinhom.barproj import (TwistedTangleComplex, bottom_projector, counit_components,
                               twisted_cone, unit_complex)
 from skeinhom.errors import ChainMapError, TruncationError
-from skeinhom.homalg import Certificate, ChainMap, TruncatedComplex, defect_degrees, map_defect
+from skeinhom.homalg import Certificate, ChainMap, TruncatedComplex, defect_degrees
 from skeinhom.planar import cup_over_cap, identity_tangle
 from skeinhom.surface import SurfaceComplex, coarsen
 from skeinhom.tqft import StateVector, identity_state
@@ -264,7 +264,6 @@ class TestMapDefectDegrees:
         P = bottom_projector(2, depth)
         args = (P, unit_complex(2), counit_components(P, 2))
         assert defect_degrees(*args) == [-1]
-        assert map_defect(*args) is None
         assert outcome(nested_scan_twisted_map_check, *args) == "ok"
         twisted_cone(*args)
 

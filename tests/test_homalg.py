@@ -581,6 +581,28 @@ class TestTensorAndCone:
         with pytest.raises(ChainMapError):
             ChainMap(a, b, {0: {(0, 0): 1}, 1: {(0, 0): 1}})
 
+    def test_zero_component_accepted(self):
+        # summed components can cancel; a map stores what is left, zeros too
+        a = TruncatedComplex({0: (("a", 0),)}, {})
+        f = ChainMap(a, a, {0: {(0, 0): 0}})
+        assert f.cone().homology((-1, 0), (0, 0)).betti == {(-1, 0): 1, (0, 0): 1}
+
+    def test_component_messages_name_the_entry(self):
+        a = TruncatedComplex({0: (("a", 0),)}, {})
+        b = TruncatedComplex({0: (("b", 2),)}, {})
+        with pytest.raises(ChainMapError, match=r"^component \(0, 1\) at degree 0 is out of range$"):
+            ChainMap(a, a, {0: {(0, 1): 1}})
+        with pytest.raises(ChainMapError, match=r"^component \(0, 0\) at degree 0 does not "
+                                                r"preserve the quantum degree: "):
+            ChainMap(a, b, {0: {(0, 0): 1}})
+
+    def test_map_between_classes_rejected(self):
+        from skeinhom.barproj import unit_complex
+        a = TruncatedComplex({0: (("a", 0),)}, {})
+        with pytest.raises(ChainMapError, match="^a map from TruncatedComplex to "
+                                                "TwistedTangleComplex$"):
+            ChainMap(a, unit_complex(2), {})
+
     def test_cone_exactness_for_multiplication(self):
         # cone of multiplication by 3 on a point: Z --3--> Z
         a = self_point = TruncatedComplex({0: (("p", 0),)}, {})

@@ -59,7 +59,7 @@ ALLOWED_TRUSTED_LAURENT = Counter({
 # map and surface complex validates on construction.
 ALLOWED_TRUSTED_COMPLEXES = Counter({
     ("homalg", "SparseComplex.shifted"): 1,
-    ("homalg", "mapping_cone"): 1,
+    ("homalg", "ChainMap.cone"): 1,
     ("barproj", "TwistedTangleComplex.stacked"): 1,
 })
 
@@ -379,6 +379,44 @@ def test_trusted_complex_scan_sees_receivers_and_scopes(tmp_path):
                                               ("f", 13)]
     seen, stray = source_trusted_complexes(tmp_path)
     assert len(stray) == 4 and sum(seen.values()) == 4
+
+
+def validate_definitions(path):
+    """[(scope, line)] of every def of, or assignment to, a name _validate
+    in the module at path, by the scope it stands in."""
+    def defines(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name == "_validate"
+        targets = node.targets if isinstance(node, ast.Assign) else ()
+        return any(isinstance(t, ast.Name) and t.id == "_validate" for t in targets)
+    return nodes_by_function(path, defines)
+
+
+def test_complexes_validate_in_one_place():
+    # SparseComplex._validate checks ranges and d^2 = 0 for every class; a
+    # class says only what its entries must be, in _entry_fault
+    sites = [(path.stem, scope) for path in sorted(SOURCE.glob("*.py"))
+             for scope, _line in validate_definitions(path)]
+    assert sites == [("homalg", "SparseComplex")], (
+        f"_validate defined at {sites}; override _entry_fault instead")
+
+
+def test_validate_scan_sees_methods_functions_and_assignments(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "class SparseComplex:\n"
+        "    def _validate(self):\n"
+        "        return self._entry_fault\n"
+        "class Twisted(SparseComplex):\n"
+        "    _validate = SparseComplex._validate\n"
+        "    def build(self):\n"
+        "        self._validate()\n"
+        "def _validate(cx, validate=None):\n"
+        "    class Inner:\n"
+        "        async def _validate(self):\n"
+        "            pass\n")
+    assert validate_definitions(module) == [
+        ("SparseComplex", 2), ("Twisted", 5), ("", 8), ("_validate.Inner", 10)]
 
 
 def check_switches(path):

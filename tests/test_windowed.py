@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from skeinhom import cli, surface
 from skeinhom.barproj import TwistedTangleComplex, bar_ends, twisted_cone, word_ends
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError, WindowError
-from skeinhom.homalg import ChainMap, LaurentPoly, TruncatedComplex, mapping_cone, tensor
+from skeinhom.homalg import ChainMap, LaurentPoly, TruncatedComplex, tensor
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, coarsen, compose, h0,
                               identity_unit, symmetrized_pairing, transfer)
 
@@ -411,7 +411,7 @@ class TestOneWindow:
     @given(KINDS, WINDOW, WINDOW)
     def test_a_cone_holds_the_meet(self, kind, w1, w2):
         a, b = with_window(kind, w1), with_window(kind, w2)
-        cone = (mapping_cone if kind == "integer" else twisted_cone)(a, b, {})
+        cone = ChainMap(a, b, {}).cone() if kind == "integer" else twisted_cone(a, b, {})
         assert cone.q_range == met(w1, w2)
 
     @settings(max_examples=40, deadline=None)
