@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from .errors import GradingError, InvalidBoundary, SpecError
 from .homalg import Certificate, ChainMap, LaurentPoly, SparseComplex, TruncatedComplex
 from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle, juxtapose
-from .tqft import (ONE, X, StateVector, _check_on, _composition_plan, _relabeled, hom_double,
+from .tqft import (ONE, StateVector, _check_on, _composition_plan, _relabeled, hom_double,
                    identity_state, juxtaposed, kh_basis, pair, reflected_x, transposed, whisker)
 
 
@@ -68,8 +68,7 @@ class SmallRing:
         return lab
 
     def degree(self, a, b, lab):
-        d, off = hom_double(a, b)
-        return off + sum(1 if l == X else -1 for l in lab)
+        return self._basis(a, b)[1][self._labeling(a, b, lab)]
 
     def state(self, a, b, lab):
         d, off = hom_double(a, b)

@@ -75,8 +75,11 @@ def _load_json(source, what):
         except json.JSONDecodeError as exc:
             error = exc
     if os.path.exists(source):
-        with open(source) as fh:
-            text = fh.read()
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SpecError(f"{what}: cannot read {source!r} ({exc.strerror})") from None
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:

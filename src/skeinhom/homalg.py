@@ -83,9 +83,6 @@ class LaurentPoly:
     def q(cls, exp=1, coeff=1):
         return cls({exp: coeff})
 
-    def as_dict(self):
-        return dict(self.terms)
-
     def coefficient(self, exp):
         return dict(self.terms).get(exp, 0)
 
@@ -431,6 +428,14 @@ class BigradedHomology:
     torsion: dict
     window: tuple
 
+    def euler_series(self):
+        """Alternating sum of the free ranks over homological degrees, per
+        quantum degree of the window."""
+        out = {}
+        for (i, j), b in self.betti.items():
+            out[j] = out.get(j, 0) + (-1) ** (i % 2) * b
+        return LaurentPoly._summed(out)
+
     def rows(self):
         keys = sorted(set(self.betti) | set(self.torsion))
         out = []
@@ -772,25 +777,18 @@ class TruncatedComplex(SparseComplex):
                 torsion[(i, j)] = tor
         return BigradedHomology(betti, torsion, (h_range, q_range))
 
-    def euler_series(self, q_range, from_homology=False, h_range=None):
-        """Alternating sum over homological degrees, per quantum degree."""
+    def euler_series(self, q_range):
+        """Alternating sum of the generator counts over homological degrees,
+        per quantum degree of q_range."""
         j1, j2 = q_range
         self.require_window("euler_series", j1, j2)
-        out = {}
-        if from_homology:
-            if h_range is None:
-                raise TypeError("euler_series(from_homology=True) needs h_range")
-            hom = self.homology(h_range, q_range)
-            for (i, j), b in hom.betti.items():
-                out[j] = out.get(j, 0) + (-1) ** (i % 2) * b
-            return LaurentPoly(out)
         self.require_series(j1, j2, "euler series")
-        for j in range(j1, j2 + 1):
-            for h in range(self.h_min, self.h_max + 1):
-                c = self.gen_count(h, j)
-                if c:
-                    out[j] = out.get(j, 0) + (-1) ** (h % 2) * c
-        return LaurentPoly(out)
+        out = {}
+        for h, gens in self.generators.items():
+            for _, j in gens:
+                if j1 <= j <= j2:
+                    out[j] = out.get(j, 0) + (-1) ** (h % 2)
+        return LaurentPoly._summed(out)
 
 
 def tensor(a, b):
@@ -872,8 +870,10 @@ class ChainMap:
             cells[h] = bucket
         for h in range(h_lo, h_hi):
             d = dict(b.differentials.get(h, {}))
+            # a map may hold zeros (coarsen sums cancel); a differential may not
             for (i, j), x in f.get(h + 1, {}).items():
-                d[(i, offs[h] + j)] = x
+                if x:
+                    d[(i, offs[h] + j)] = x
             for (i, j), x in a.differentials.get(h + 1, {}).items():
                 d[(offs[h + 1] + i, offs[h] + j)] = -x
             diffs[h] = d

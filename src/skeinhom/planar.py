@@ -151,13 +151,12 @@ class PlanarTangle:
 # The mirrors reverse each edge (reflect_x) or swap the two (reflect_y);
 # bend_down sweeps the top edge clockwise down to the right of the bottom
 # edge, bend_up sweeps the bottom edge counterclockwise up to the left of
-# the top edge; rotate, for cap tangles only, makes the last point first.
+# the top edge.
 MOVES = {
     "reflect_x": lambda m, n: (m, n, lambda p: m - 1 - p if p < m else 2 * m + n - 1 - p),
     "reflect_y": lambda m, n: (n, m, lambda p: n + p if p < m else p - m),
     "bend_down": lambda m, n: (m + n, 0, lambda p: p if p < m else 2 * m + n - 1 - p),
     "bend_up": lambda m, n: (0, m + n, lambda p: m - 1 - p if p < m else p),
-    "rotate": lambda m, n: (m, n, lambda p: (p + 1) % m),
 }
 
 
@@ -185,13 +184,6 @@ def cup_over_cap(m=2):
         partner[i], partner[m - 1 - i] = m - 1 - i, i
         partner[m + i], partner[2 * m - 1 - i] = 2 * m - 1 - i, m + i
     return PlanarTangle(m, m, tuple(partner))
-
-
-def rotate_cap(t):
-    """One-click rotation of a cap tangle: the last boundary point becomes the first."""
-    if t.top != 0:
-        raise InvalidBoundary("rotation is defined for cap tangles only")
-    return moved(t, "rotate")
 
 
 def compose(upper, lower):

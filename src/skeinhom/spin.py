@@ -689,14 +689,15 @@ def _annulus_core_complex(depth):
 
 def _word_euler_series(cx, order):
     """Euler series of an assembled complex by direct circle counting of the
-    plugged closures; no homology is computed."""
+    plugged closures of its objects, each at the shift the build stored; no
+    homology is computed."""
     cx.truncated.require_series(0, order, "series")
     out = LaurentPoly.zero()
-    for h, words in cx.multiwords.items():
+    for h, objs in cx.twisted.objects.items():
         sign = (-1) ** (h % 2)
-        for mw in words:
-            d, off = hom_double(cx.z_jux, cx.m_tangle(mw))
-            out = out + circle_poly(len(d)).shifted(cx.qshift(mw) + off) * sign
+        for tangle, shift in objs:
+            d, off = hom_double(cx.z_jux, tangle)
+            out = out + circle_poly(len(d)).shifted(shift + off) * sign
     return out.truncated(out.min_exp() or 0, order)
 
 
@@ -720,10 +721,6 @@ class CrosscheckReport:
     @property
     def ok(self):
         return not self.mismatches
-
-    @property
-    def max_mismatch(self):
-        return max((abs(lc - rc) for _e, lc, rc in self.mismatches), default=0)
 
 
 def euler_crosscheck(scenario, order, depth=None):
@@ -753,7 +750,7 @@ def euler_crosscheck(scenario, order, depth=None):
                 f"series at q={order} gets contributions at degree {t.h_min}, "
                 f"outside the homology window (first quantum degree {bound})"
             )
-        lhs = t.euler_series((0, order), from_homology=True, h_range=(t.h_min + 1, 0))
+        lhs = t.homology((t.h_min + 1, 0), (0, order)).euler_series()
         rhs = _word_euler_series(cx, order)
     elif scenario == "triangle112":
         lhs = costandard_pairing_series((1, 1, 2), order)

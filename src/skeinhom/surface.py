@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .barproj import bar_complex, signed_shuffles, small_ring, word_degree, word_ends
+from .barproj import bar_complex, signed_shuffles, small_ring, word_ends
 from .errors import InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import ChainMap
 from .planar import (MOVES, PlanarTangle, identity_tangle, juxtapose, juxtaposition_points,
@@ -346,12 +346,6 @@ class SurfaceComplex:
             self._m_cache[ends] = juxtapose(*self._slot_tangles(ends))
         return self._m_cache[ends]
 
-    def qshift(self, mw):
-        total = sum(
-            word_degree(self.rings[n], w) for n, w in zip(self.seam_names, mw)
-        )
-        return total - self.q_base
-
     def _slot_entry(self, ends, g, side, new_end, sv):
         """An end face at seam g: sv acts on the slot of that side, which
         now holds new_end (mirrored on the minus side), and identities on
@@ -426,14 +420,10 @@ class SurfaceElement:
         return self + (-other)
 
     def quantum_degrees(self):
-        out = set()
-        for (mw, lab), c in self.terms.items():
-            if not c:
-                continue
-            d, off = hom_double(self.owner.z_jux, self.owner.m_tangle(mw))
-            raw = off + sum(1 if l else -1 for l in lab)
-            out.add(self.owner.qshift(mw) + raw)
-        return sorted(out)
+        """The degrees of the generators the element's nonzero terms hold."""
+        owner, h = self.owner, self.h
+        gens, index, pos = owner.truncated.generators[h], owner.index[h], owner._positions[h]
+        return sorted({gens[pos[(index[mw], lab)]][1] for (mw, lab), c in self.terms.items() if c})
 
 
 def identity_unit(cx):

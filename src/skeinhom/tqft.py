@@ -118,9 +118,6 @@ class StateVector:
     def degrees(self):
         return sorted({self.degree_of(lab) for lab in self.terms})
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def sorted_terms(self):
         return tuple(sorted(self.terms.items()))
 

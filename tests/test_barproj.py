@@ -54,6 +54,19 @@ class TestSmallRing:
                 for lab in ring.reduced(a, b):
                     assert ring.degree(a, b, lab) >= floor
 
+    def test_degree_is_the_state_degree(self):
+        ring = SmallRing(2, 2)
+        for a, b in itertools.product(ring.objects, repeat=2):
+            for lab in itertools.product((ONE, X), repeat=len(hom_double(a, b)[0])):
+                assert ring.degree(a, b, list(lab)) == ring.state(a, b, lab).degrees()[0]
+
+    def test_degree_of_a_misfit_labeling_refused(self):
+        ring = SmallRing(2, 2)
+        n = len(hom_double(ID2, E)[0])
+        for lab in [(ONE,) * (n + 1), (ONE,) * (n - 1), (2,) * n]:
+            with pytest.raises(GradingError, match="does not fit"):
+                ring.degree(ID2, E, lab)
+
     def test_min_letter_degree(self):
         assert SmallRing(1, 1).min_letter_degree == 2
         assert SmallRing(2, 2).min_letter_degree == 1

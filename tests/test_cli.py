@@ -748,6 +748,17 @@ class TestOutsideInputRefusals:
         assert run_cli(capsys, "kh", "eval", "--t", "[1, 0]", "--s", "[1, 0]") == without_file
         assert without_file == (0, "1 + q^2\n", "")
 
+    @pytest.mark.parametrize("option", ["--t", "--spec"])
+    def test_path_that_cannot_be_read(self, capsys, tmp_path, option):
+        # a directory exists but is no file to read
+        folder = str(tmp_path)
+        argv = (["kh", "eval", "--t", folder, "--s", "[1, 0]"] if option == "--t" else
+                ["surface", "hom", "--spec", folder, "--t", json.dumps(CIRCLE),
+                 "--s", json.dumps(CIRCLE)])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (
+            3, "", f"SpecError: {option}: cannot read {folder!r} (Is a directory)\n")
+
     def test_tangle_that_is_neither_array_nor_object(self, capsys, tmp_path):
         # a scalar is no JSON literal to the loader, so it comes from a file
         code, out, err = run_cli(capsys, "kh", "eval",

@@ -499,7 +499,7 @@ class TestTruncatedComplex:
             {0: {(0, 1): 2}},
         )
         assert cx.euler_series((-2, 2)) == LaurentPoly({-1: 1})
-        assert cx.euler_series((-2, 2), from_homology=True, h_range=(0, 1)) == LaurentPoly({-1: 1})
+        assert cx.homology((0, 1), (-2, 2)).euler_series() == LaurentPoly({-1: 1})
 
     def test_truncation_guard(self):
         cert = Certificate(((1, 2),))
@@ -586,6 +586,14 @@ class TestTensorAndCone:
         a = TruncatedComplex({0: (("a", 0),)}, {})
         f = ChainMap(a, a, {0: {(0, 0): 0}})
         assert f.cone().homology((-1, 0), (0, 0)).betti == {(-1, 0): 1, (0, 0): 1}
+
+    def test_cone_leaves_zero_components_out(self):
+        # a differential stores no zeros, so the cone rebuilds as it is
+        a = TruncatedComplex({0: (("a", 0),)}, {})
+        cone = ChainMap(a, a, {0: {(0, 0): 0}}).cone()
+        rebuilt = TruncatedComplex(cone.generators, cone.differentials, cone.h_min, cone.h_max,
+                                   cone.complete, cone.certificate, q_range=cone.q_range)
+        assert rebuilt.differentials == cone.differentials == {}
 
     def test_component_messages_name_the_entry(self):
         a = TruncatedComplex({0: (("a", 0),)}, {})
@@ -865,13 +873,3 @@ class TestErrorsUnderOptimize:
         line = error_under_optimize(
             "from skeinhom.homalg import circle_poly\ncircle_poly() ** -1\n")
         assert line.startswith("ValueError: LaurentPoly power needs a non-negative exponent")
-
-    def test_euler_from_homology_needs_h_range(self):
-        cx = TruncatedComplex({0: (("a", 0),)}, {})
-        with pytest.raises(TypeError, match="needs h_range"):
-            cx.euler_series((0, 0), from_homology=True)
-        line = error_under_optimize(
-            "from skeinhom.homalg import TruncatedComplex\n"
-            "TruncatedComplex({0: (('a', 0),)}, {}).euler_series((0, 0), from_homology=True)\n"
-        )
-        assert line.startswith("TypeError: euler_series(from_homology=True) needs h_range")

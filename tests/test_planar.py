@@ -16,7 +16,6 @@ from skeinhom.planar import (
     identity_tangle,
     juxtapose,
     juxtaposition_points,
-    rotate_cap,
     stacking_points,
 )
 
@@ -255,17 +254,6 @@ class TestSymmetries:
         pool = set(enumerate_matchings(3, 3))
         assert {t.reflect_x() for t in pool} == pool
 
-    def test_rotate_cap_example(self):
-        assert rotate_cap(CAPS).partner == (3, 2, 1, 0)
-
-    @pytest.mark.parametrize("k", [2, 4, 6])
-    def test_rotate_cap_orbit_closes(self, k):
-        for t in enumerate_matchings(k, 0):
-            out = t
-            for _ in range(k):
-                out = rotate_cap(out)
-            assert out == t
-
 
 class TestBending:
     def test_bend_identity_strand_pair(self):
@@ -326,9 +314,6 @@ class TestDerivedTangles:
             down, up = rebuilt(bend_down(t)), rebuilt(bend_up(t))
             assert bend_down(t) is bend_down(t) and bend_up(t) is bend_up(t)
             assert (down.circles, up.circles) == (t.circles, t.circles)
-            if t.top == 0 and t.bottom:
-                rebuilt(rotate_cap(t))
-                assert rotate_cap(t) is rotate_cap(t)
 
     def test_circle_counts_keep_the_checked_chords(self, monkeypatch):
         monkeypatch.setattr(PlanarTangle, "_noncrossing",

@@ -215,7 +215,7 @@ class TestRationalFunctionQ:
 
 
 def reduced_pair(f):
-    return f.num.as_dict(), f.den.as_dict()
+    return dict(f.num.terms), dict(f.den.terms)
 
 
 class TestNormalization:
@@ -226,7 +226,7 @@ class TestNormalization:
     @given(a=nonzero_laurents, b=nonzero_laurents, c=nonzero_laurents)
     def test_matches_fraction_oracle(self, a, b, c):
         num, den = a * c, b * c
-        assert reduced_pair(RFQ(num, den)) == fraction_reduced(num.as_dict(), den.as_dict())
+        assert reduced_pair(RFQ(num, den)) == fraction_reduced(dict(num.terms), dict(den.terms))
 
     @pytest.mark.parametrize(
         "num, den, want",
@@ -254,7 +254,7 @@ class TestNormalization:
         assert fast.num is a and fast.den == LaurentPoly.one()
         assert reduced_pair(fast) == reduced_pair(RFQ(a * d, d))
         if a:
-            assert reduced_pair(fast) == fraction_reduced(a.as_dict(), {0: 1})
+            assert reduced_pair(fast) == fraction_reduced(dict(a.terms), {0: 1})
 
     def test_quantum_integer_quotients(self):
         qi = quantum_integer
@@ -262,7 +262,7 @@ class TestNormalization:
         assert f == RFQ(LaurentPoly({-3: 1, 3: 1}))
         for num, den in [(qi(6) * qi(4), qi(4) * qi(3)), (qi(5) * qi(2), qi(4) * qi(6)),
                          (qi(3) * qi(3) * qi(2), qi(6) * qi(4)), (qi(7), qi(5) * qi(5))]:
-            assert reduced_pair(RFQ(num, den)) == fraction_reduced(num.as_dict(), den.as_dict())
+            assert reduced_pair(RFQ(num, den)) == fraction_reduced(dict(num.terms), dict(den.terms))
 
     def test_gcd_is_primitive_with_positive_lead(self):
         # (2q + 2)(q - 3) and (-4q - 4)(q^2 + 1) share q + 1
@@ -645,7 +645,6 @@ class TestCrosscheck:
         assert report.order == order
         assert report.ok
         assert report.mismatches == ()
-        assert report.max_mismatch == 0
 
     def test_shallow_depth_is_detected(self):
         with pytest.raises(TruncationError):
@@ -665,4 +664,3 @@ class TestCrosscheck:
         )
         assert not report.ok
         assert report.mismatches == ((2, 2, 1), (4, 0, 1))
-        assert report.max_mismatch == 1

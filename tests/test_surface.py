@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinhom import cli, homalg, planar, surface
+from skeinhom.barproj import word_degree
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex, smith_invariants
 from skeinhom.planar import PlanarTangle, cup_over_cap, identity_tangle
@@ -323,7 +324,7 @@ class TestAssembly:
         cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=4)
         unit = LaurentPoly({0: 1})
         assert cx.truncated.euler_series((0, 6)) == unit
-        assert cx.truncated.euler_series((0, 6), from_homology=True, h_range=(-3, 0)) == unit
+        assert cx.homology((-3, 0), (0, 6)).euler_series() == unit
 
     def test_stable_under_depth_increase(self):
         shallow = SurfaceComplex(ANNULUS, CORE, CORE, depth=4)
@@ -902,7 +903,9 @@ class TestBarConstruction:
         assert [list(cx.index[h].items()) for h in cx.index] == \
             [list(index[h].items()) for h in index]
         assert cx.twisted.objects == {
-            h: tuple((cx.m_tangle(mw), cx.qshift(mw)) for mw in mws)
+            h: tuple((cx.m_tangle(mw), sum(word_degree(cx.rings[n], w)
+                                           for n, w in zip(cx.seam_names, mw)) - cx.q_base)
+                     for mw in mws)
             for h, mws in multiwords.items()
         }
         diffs = surface_differentials(cx)
