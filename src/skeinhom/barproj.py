@@ -32,8 +32,9 @@ from functools import cached_property, lru_cache
 from .errors import GradingError, InvalidBoundary, SpecError
 from .homalg import Certificate, ChainMap, LaurentPoly, SparseComplex, TruncatedComplex
 from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle, juxtapose
-from .tqft import (ONE, StateVector, _check_on, _composition_plan, _relabeled, hom_double,
-                   identity_state, juxtaposed, kh_basis, pair, reflected_x, transposed, whisker)
+from .tqft import (ONE, StateVector, _check_on, _composition_plan, _on_diagram, _relabeled,
+                   hom_double, hom_graded_rank, identity_state, juxtaposed, kh_basis, pair,
+                   reflected_x, transposed, whisker)
 
 
 class SmallRing:
@@ -114,20 +115,9 @@ class SmallRing:
         plan = _composition_plan(a, b, c)[-1]
         return plan.product(self._labeling(a, b, lab1), self._labeling(b, c, lab2))
 
-    def mul(self, a, b, c, lab1, lab2):
-        canon, off = _composition_plan(a, b, c)[2:4]
-        return StateVector._trusted(canon, off, dict(self.product(a, b, c, lab1, lab2)))
-
     def gram(self):
-        """Graded dimensions of all hom spaces, as a nested dict."""
-        out = {}
-        for a in self.objects:
-            for b in self.objects:
-                counts = {}
-                for _, deg in self.basis(a, b):
-                    counts[deg] = counts.get(deg, 0) + 1
-                out[(a, b)] = LaurentPoly(counts)
-        return out
+        """Graded dimensions of all hom spaces, keyed on (a, b)."""
+        return {(a, b): hom_graded_rank(a, b) for a in self.objects for b in self.objects}
 
     @cached_property
     def min_letter_degree(self):
@@ -303,8 +293,7 @@ class TwistedTangleComplex(SparseComplex):
         """An entry lives on the double of its objects and is homogeneous of
         degree s_src - s_tgt."""
         (T_src, s_src), (T_tgt, s_tgt) = src, tgt
-        expected, _ = hom_double(T_src, T_tgt)
-        if sv.diagram is not expected and sv.diagram.arcs != expected.arcs:
+        if not _on_diagram(sv, hom_double(T_src, T_tgt)[0]):
             return "is on the wrong double"
         degrees = sv.degrees()
         if len(degrees) > 1:

@@ -644,9 +644,9 @@ class TruncatedComplex(SparseComplex):
 
     Neither may be mutated after construction: the first homology query
     indexes the differential by (h, q) block and keeps one _BlockSummary
-    per block, in place of the block, for every later query.  shifted, cone
-    and tensor build new complexes; a cone labels its generators ("tgt",
-    label) and ("src", label).
+    per block, in place of the block, for every later query.  shifted and
+    cone build new complexes; a cone labels its generators ("tgt", label)
+    and ("src", label).
     """
 
     def _build(self, generators, differentials, h_min=None, h_max=None,
@@ -680,14 +680,6 @@ class TruncatedComplex(SparseComplex):
         if j is None:
             return len(gens)
         return sum(1 for g in gens if g[1] == j)
-
-    def chain_poincare(self):
-        self.require_window("chain_poincare")
-        out = {}
-        for h, gens in self.generators.items():
-            for _, j in gens:
-                out[(h, j)] = out.get((h, j), 0) + 1
-        return out
 
     def _block_index(self):
         """(sizes, blocks): generators per (h, q), and the _BlockSummary of
@@ -789,39 +781,6 @@ class TruncatedComplex(SparseComplex):
                 if j1 <= j <= j2:
                     out[j] = out.get(j, 0) + (-1) ** (h % 2)
         return LaurentPoly._summed(out)
-
-
-def tensor(a, b):
-    """Tensor product with the Koszul sign on the second differential."""
-    a.require_window("tensor")
-    b.require_window("tensor")
-    if not (a.complete and b.complete):
-        raise TruncationError("tensor of truncated complexes is not supported; tensor complete ones")
-    gens = {}
-    index = {}
-    for ha, ga in a.generators.items():
-        for hb, gb in b.generators.items():
-            h = ha + hb
-            bucket = gens.setdefault(h, [])
-            for ia, (la, qa) in enumerate(ga):
-                for ib, (lb, qb) in enumerate(gb):
-                    index[(ha, ia, hb, ib)] = (h, len(bucket))
-                    bucket.append(((la, lb), qa + qb))
-    diffs = {}
-    for (ha, ia, hb, ib), (h, pos) in index.items():
-        for (it, js), c in a.differentials.get(ha, {}).items():
-            if js == ia:
-                ht, post = index[(ha + 1, it, hb, ib)]
-                assert ht == h + 1
-                diffs.setdefault(h, {})[(post, pos)] = diffs.get(h, {}).get((post, pos), 0) + c
-        sign = -1 if ha % 2 else 1
-        for (it, js), c in b.differentials.get(hb, {}).items():
-            if js == ib:
-                ht, post = index[(ha, ia, hb + 1, it)]
-                assert ht == h + 1
-                diffs.setdefault(h, {})[(post, pos)] = diffs.get(h, {}).get((post, pos), 0) + sign * c
-    diffs = {h: {k: c for k, c in d.items() if c} for h, d in diffs.items()}
-    return TruncatedComplex({h: tuple(g) for h, g in gens.items()}, diffs)
 
 
 class ChainMap:

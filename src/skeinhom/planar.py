@@ -41,6 +41,8 @@ class PlanarTangle:
     circles: int = 0
 
     def __post_init__(self):
+        if self.bottom < 0 or self.top < 0:
+            raise InvalidBoundary(f"negative edge size: bottom {self.bottom}, top {self.top}")
         k = self.bottom + self.top
         if len(self.partner) != k:
             raise InvalidBoundary(f"partner array has length {len(self.partner)}, expected {k}")

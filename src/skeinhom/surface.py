@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .barproj import bar_complex, signed_shuffles, small_ring, word_ends
-from .errors import InvalidBoundary, SpecError, TruncationError, expect
+from .errors import GradingError, InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import ChainMap
 from .planar import (MOVES, PlanarTangle, identity_tangle, juxtapose, juxtaposition_points,
                      stacking_points)
@@ -368,6 +368,14 @@ class SurfaceComplex:
     def arcs_are_identities(self):
         return all(slot[0] != "arc" or slot[1].is_identity() for slot in self._slots)
 
+    def _row(self, h, mw, lab):
+        """The index in .truncated.generators[h] of word tuple mw with
+        labeling lab; GradingError if that term is no generator there."""
+        row = self._positions.get(h, {}).get((self.index.get(h, {}).get(mw), lab))
+        if row is None:
+            raise GradingError(f"term {(mw, lab)!r} is not a generator at degree {h}")
+        return row
+
     def differential(self, elem):
         """Apply the integer differential to an element."""
         if elem.owner is not self:
@@ -379,8 +387,9 @@ class SurfaceComplex:
 class SurfaceElement:
     """A homogeneous chain of a surface hom complex.
 
-    terms maps (word tuple, labeling) pairs to integer coefficients; h is
-    the homological degree, minus the total bar length of each word tuple.
+    terms maps (word tuple, labeling) pairs, each a generator of the
+    owner's .truncated at degree h, to integer coefficients; h is the
+    homological degree, minus the total bar length of each word tuple.
     """
 
     owner: SurfaceComplex
@@ -389,6 +398,8 @@ class SurfaceElement:
 
     def __post_init__(self):
         self.owner.truncated.require_window("SurfaceElement")
+        for mw, lab in self.terms:
+            self.owner._row(self.h, mw, lab)
 
     def _clean(self):
         return {k: v for k, v in sorted(self.terms.items()) if v}
@@ -422,8 +433,8 @@ class SurfaceElement:
     def quantum_degrees(self):
         """The degrees of the generators the element's nonzero terms hold."""
         owner, h = self.owner, self.h
-        gens, index, pos = owner.truncated.generators[h], owner.index[h], owner._positions[h]
-        return sorted({gens[pos[(index[mw], lab)]][1] for (mw, lab), c in self.terms.items() if c})
+        gens = owner.truncated.generators[h]
+        return sorted({gens[owner._row(h, mw, lab)][1] for (mw, lab), c in self.terms.items() if c})
 
 
 def identity_unit(cx):
@@ -813,7 +824,7 @@ def _applied(elem, matrix, target, h):
     for (mw, lab), c in elem.terms.items():
         if not c:
             continue
-        col = owner._positions[elem.h][(owner.index[elem.h][mw], lab)]
+        col = owner._row(elem.h, mw, lab)
         for row, c2 in by_col.get(col, ()):
             vec[row] = vec.get(row, 0) + c * c2
     terms = {}

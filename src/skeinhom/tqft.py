@@ -65,17 +65,13 @@ class StateVector:
     def __setattr__(self, *a):
         raise AttributeError("StateVector is immutable")
 
-    @classmethod
-    def zero(cls, diagram, offset):
-        return cls(diagram, offset, {})
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return (
             isinstance(other, StateVector)
-            and self.diagram.arcs == other.diagram.arcs
+            and _on_diagram(self, other.diagram)
             and self.offset == other.offset
             and self.terms == other.terms
         )
@@ -89,8 +85,7 @@ class StateVector:
         return f"StateVector(q^{self.offset}; {body or '0'})"
 
     def _compatible(self, other):
-        if (self.diagram is not other.diagram and self.diagram.arcs != other.diagram.arcs
-                or self.offset != other.offset):
+        if not _on_diagram(self, other.diagram) or self.offset != other.offset:
             raise GradingError("state vectors live on different diagrams or offsets")
 
     def __add__(self, other):
@@ -113,7 +108,7 @@ class StateVector:
         return StateVector._trusted(self.diagram, self.offset, terms)
 
     def degree_of(self, lab):
-        return self.offset + sum(1 if l == X else -1 for l in lab)
+        return label_degree(self.offset, lab)
 
     def degrees(self):
         return sorted({self.degree_of(lab) for lab in self.terms})
@@ -177,13 +172,17 @@ def integral_offset(offset):
     return off
 
 
+def label_degree(offset, lab):
+    """The quantum degree of labeling lab at offset: each circle labeled 1
+    (stored as 0) adds -1 and each labeled x (stored as 1) adds +1."""
+    return offset + 2 * sum(lab) - len(lab)
+
+
 def kh_basis(diagram, offset):
     """All labelings of the diagram with their quantum degrees."""
     off = integral_offset(offset)
-    out = []
-    for lab in itertools.product((ONE, X), repeat=len(diagram)):
-        out.append((lab, off + sum(1 if l == X else -1 for l in lab)))
-    return tuple(out)
+    return tuple((lab, label_degree(off, lab))
+                 for lab in itertools.product((ONE, X), repeat=len(diagram)))
 
 
 def graded_rank(diagram, offset):
@@ -241,19 +240,16 @@ def basis_state(a, b, lab):
     return StateVector(d, off, {tuple(lab): 1})
 
 
-def _check_double(sv, a, b, what):
-    """Raise unless sv lies on the double of (a, b)."""
-    d, off = hom_double(a, b)
-    if sv.diagram is not d and sv.diagram.arcs != d.arcs:
-        raise InvalidBoundary(f"{what} does not live on the expected double")
-    return off
+def _on_diagram(sv, diagram):
+    """Whether state sv lies on diagram: the same object, or equal arcs."""
+    return sv.diagram is diagram or sv.diagram.arcs == diagram.arcs
 
 
 def _check_on(sv, double, what):
     """Raise unless sv lies on double, a (diagram, hom offset) pair from
     hom_double, at that offset."""
     d, off = double
-    if sv.diagram is not d and sv.diagram.arcs != d.arcs:
+    if not _on_diagram(sv, d):
         raise InvalidBoundary(f"{what} does not live on the expected double")
     if sv.offset != off:
         raise GradingError(f"{what} sits at offset {sv.offset}, not at the hom offset {off}")
@@ -555,9 +551,9 @@ def _relabeling_plan(a, b, kind):
 
 
 def _relabeled(state, a, b, kind):
-    """A state on the double of (a, b) carried along _relabeling_plan,
-    keeping its offset: kind names a move of planar.MOVES, or "t"."""
-    _check_double(state, a, b, "state")
+    """A state on the double of (a, b), at its hom offset, carried along
+    _relabeling_plan: kind names a move of planar.MOVES, or "t"."""
+    _check_on(state, hom_double(a, b), "state")
     canon, plan = _relabeling_plan(a, b, kind)
     return StateVector._trusted(canon, state.offset, _replayed(plan, (state.terms.items(),)))
 

@@ -194,6 +194,14 @@ class TestBasics:
         assert dims[(0, 0)] == "1 + 2q^2 + q^4"
         assert dims[(0, 1)] == "q + q^3"
 
+    @pytest.mark.parametrize("m,n,message", [
+        ("-2", "0", "negative edge size: bottom -2, top 0"),
+        ("-1", "3", "no flat (-1, 3)-tangles exist"),
+    ], ids=["negative-bottom", "odd-split"])
+    def test_ring_refuses_negative_splits(self, capsys, m, n, message):
+        code, out, err = run_cli(capsys, "ring", m, n)
+        assert (code, out, err) == (3, "", f"InvalidBoundary: {message}\n")
+
     @pytest.mark.parametrize("samples", ["-5", "0"])
     def test_ring_check_refuses_samples_below_one(self, capsys, samples):
         # 45,200 associativity triples on (4, 2): the check samples them

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from skeinhom import homalg
 from skeinhom.errors import ChainMapError, GradingError, InvariantFactorError, TruncationError
 from skeinhom.homalg import (Certificate, ChainMap, LaurentPoly, TruncatedComplex,
-                             circle_poly, matrix_rank, smith_invariants, tensor,
-                             unit_cancellation)
+                             circle_poly, matrix_rank, smith_invariants, unit_cancellation)
 
 from .optimized import error_under_optimize
 from .oracles import (bareiss_rank, block_index_by_entries, dense_homology_at,
@@ -534,34 +533,10 @@ class TestTruncatedComplex:
         hom = cx.homology((-1, 0), (3, 3))
         assert hom.rows() == [(0, 3, 0, (2,))]
 
-    def test_chain_poincare(self):
-        cx = self.two_term(1, q=2)
-        assert cx.chain_poincare() == {(0, 2): 1, (1, 2): 1}
-
 
 class TestTensorAndCone:
     def point(self, q):
         return TruncatedComplex({0: (("p", q),)}, {})
-
-    def test_tensor_euler_multiplies(self):
-        a = TruncatedComplex({0: (("u", -1), ("v", 1))}, {})
-        t = tensor(a, a)
-        assert t.euler_series((-2, 2)) == circle_poly(2)
-
-    def test_tensor_with_acyclic_is_acyclic(self):
-        acyclic = TruncatedComplex({0: (("a", 0),), 1: (("b", 0),)}, {0: {(0, 0): 1}})
-        other = TruncatedComplex(
-            {0: (("u", 0), ("v", 2)), 1: (("w", 2),)}, {0: {(0, 1): 3}}
-        )
-        t = tensor(acyclic, other)
-        hom = t.homology((0, 2), (0, 4))
-        assert hom.rows() == []
-
-    def test_tensor_koszul_sign_gives_complex(self):
-        two = TruncatedComplex({0: (("a", 0),), 1: (("b", 0),)}, {0: {(0, 0): 1}})
-        # construction would raise if the sign convention broke d^2 = 0
-        t = tensor(two, two)
-        assert t.gen_count(1) == 2
 
     def test_cone_of_identity_is_acyclic(self):
         cx = TruncatedComplex({0: (("a", 0),), 1: (("b", 0),)}, {0: {(0, 0): 2}})

@@ -10,7 +10,6 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "skeinhom"
 # only places an assert may stand.  Anything that input data can violate
 # raises a SkeinError instead, because python -O strips asserts.
 ALLOWED_ASSERTS = Counter({
-    ("homalg", "tensor"): 2,
     ("planar", "PlanarTangle.port_of_point"): 1,
 })
 
@@ -589,3 +588,62 @@ def test_window_depth_scan_sees_every_depth_form(tmp_path):
         "    return surface.SurfaceComplex, SurfaceComplex(spec, t, s), window_depth\n")
     assert surface_builds_off_the_window(module) == [
         ("f", 4), ("f", 5), ("f", 6), ("f", 7), ("f", 8)]
+
+
+LABEL_CONSTANTS = ("X", "ONE")
+
+
+def is_label_rule(node):
+    """A statement whose own expressions give labels their degrees: a
+    sum(...) whose argument compares a name with X or ONE, or sum(v) and
+    len(v) of one name v."""
+    if not isinstance(node, ast.stmt):
+        return False
+    summed, counted = set(), set()
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.expr):
+            continue
+        for call in ast.walk(child):
+            func = getattr(call, "func", None)
+            if not (isinstance(call, ast.Call) and isinstance(func, ast.Name)
+                    and len(call.args) == 1):
+                continue
+            (arg,) = call.args
+            if func.id == "sum" and any(
+                    isinstance(c, ast.Compare) and any(
+                        isinstance(x, ast.Name) and x.id in LABEL_CONSTANTS
+                        for x in (c.left, *c.comparators))
+                    for c in ast.walk(arg)):
+                return True
+            if isinstance(arg, ast.Name) and func.id in ("sum", "len"):
+                (summed if func.id == "sum" else counted).add(arg.id)
+    return bool(summed & counted)
+
+
+def test_labels_get_degrees_in_one_place():
+    # a circle labeled 1 adds -1 and one labeled x adds +1 to its offset:
+    # tqft.label_degree says so, and kh_basis and StateVector.degree_of call it
+    sites = [f"{path.stem}.{function}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for function, line in nodes_by_function(path, is_label_rule)]
+    assert [site.partition(":")[0] for site in sites] == ["tqft.label_degree"], (
+        "labels turned into degrees at " + ", ".join(sites) + "; call tqft.label_degree instead")
+
+
+def test_label_rule_scan_sees_both_forms_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def a(off, lab):\n"
+        "    return off + sum(1 if l == X else -1 for l in lab)\n"
+        "class S:\n"
+        "    def degree(self, lab):\n"
+        "        d = self.offset + 2 * sum(lab) - len(lab)\n"
+        "        return d\n"
+        "    def count(self, lab):\n"
+        "        return sum(ONE != l for l in lab), sum(lab), len(self.lab)\n"
+        "def b(labs, lab):\n"
+        "    n = len(lab)\n"
+        "    for l in labs:\n"
+        "        total = sum(lab)\n"
+        "    return sum(x == 1 for x in lab), [sum(v) - len(v) for v in labs]\n")
+    assert nodes_by_function(module, is_label_rule) == [
+        ("a", 2), ("S.degree", 5), ("S.count", 8), ("b", 13)]

@@ -100,6 +100,12 @@ class TestValidation:
         with pytest.raises(InvalidBoundary):
             PlanarTangle(2, 0, (1, 0), circles=-1)
 
+    @pytest.mark.parametrize("bottom,top", [(-1, 1), (1, -1)])
+    def test_rejects_negative_edge_sizes(self, bottom, top):
+        with pytest.raises(InvalidBoundary,
+                           match=rf"^negative edge size: bottom {bottom}, top {top}$"):
+            PlanarTangle(bottom, top, ())
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("m,n", list(small_splits(3)))

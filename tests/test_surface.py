@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from skeinhom import cli, homalg, planar, surface
 from skeinhom.barproj import word_degree
-from skeinhom.errors import InvalidBoundary, SpecError, TruncationError
+from skeinhom.errors import GradingError, InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex, smith_invariants
 from skeinhom.planar import PlanarTangle, cup_over_cap, identity_tangle
 from skeinhom.surface import (Segment, SurfaceComplex, SurfaceElement, SurfaceSpec,
@@ -19,6 +19,7 @@ from skeinhom.surface import (Segment, SurfaceComplex, SurfaceElement, SurfaceSp
                               validate_surface)
 
 from . import plan_oracles
+from .optimized import error_under_optimize
 from .oracles import (_plug_sites, coarsen_by_surgery, coarsening_arc_maps, dense_homology_at,
                       hom_complex_by_pair, stacked_state_by_surgery, surface_differentials,
                       surface_multiwords)
@@ -506,6 +507,33 @@ class TestElements:
         assert (a + b) - a == b
         assert not (a - a)
         assert (a + a) == a.scaled(2)
+
+    # CORE in ANNULUS at depth 1: one word tuple at each of degrees 0 and -1,
+    # each with one-circle labelings; a term with a labeling one circle too
+    # long, or with the word tuple of the other degree, is no generator
+    OFF_GENERATOR = [(0, (0, 0)), (-1, (0,))]
+
+    @pytest.mark.parametrize("word_h,lab", OFF_GENERATOR, ids=["long-labeling", "other-degree"])
+    def test_term_off_the_generators_refused(self, word_h, lab):
+        cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=1)
+        term = (cx.multiwords[word_h][0], lab)
+        with pytest.raises(GradingError,
+                           match=re.escape(f"term {term!r} is not a generator at degree 0")):
+            SurfaceElement(cx, 0, {term: 1})
+
+    @pytest.mark.parametrize("word_h,lab", OFF_GENERATOR, ids=["long-labeling", "other-degree"])
+    def test_term_check_is_not_an_assert(self, word_h, lab):
+        line = error_under_optimize(
+            "from skeinhom.surface import (SurfaceComplex, SurfaceElement, SurfaceSpec,\n"
+            "                              SurfaceTangle, arc, seam_side)\n"
+            "spec = SurfaceSpec(arcs=(('a', 1), ('b', 1)), seams=('g',), regions=((\n"
+            "    seam_side('g', -1), arc('a'), seam_side('g', 1), arc('b')),))\n"
+            "core = SurfaceTangle.from_data(\n"
+            "    {'regions': [{'counts': [1, 0, 1, 0], 'chords': [[0, 1]]}]})\n"
+            "cx = SurfaceComplex(spec, core, core, depth=1)\n"
+            f"SurfaceElement(cx, 0, {{(cx.multiwords[{word_h}][0], {lab!r}): 1}})\n")
+        assert line.startswith("skeinhom.errors.GradingError: term ")
+        assert line.endswith(f"{lab!r}) is not a generator at degree 0")
 
 
 class TestCompose:

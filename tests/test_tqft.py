@@ -54,7 +54,7 @@ class TestEvaluation:
         with pytest.raises(GradingError, match="integral"):
             StateVector(d, Fraction(1, 2), {(ONE,): 1})
         with pytest.raises(GradingError, match="integral"):
-            StateVector.zero(d, 0.5)
+            StateVector(d, 0.5, {})
 
     def test_offsets_are_ints(self):
         from fractions import Fraction
@@ -672,3 +672,11 @@ class TestOffsetChecks:
     def test_whisker_rejects_state_off_offset(self):
         with pytest.raises(GradingError):
             whisker(self.shifted_saddle(1), ID2, E, E, above=True)
+
+    @pytest.mark.parametrize("relabel", [
+        reflected_x, transposed, lambda sv, a, b: _relabeled(sv, a, b, "bend_down"),
+    ], ids=["reflected_x", "transposed", "bend_down"])
+    def test_relabelings_reject_state_off_offset(self, relabel):
+        # the hom offset of (ID2, E) is 2; a relabeling keeps no other
+        with pytest.raises(GradingError, match="^state sits at offset 4, not at the hom offset 2$"):
+            relabel(self.shifted_saddle(2), ID2, E)

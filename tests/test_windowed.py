@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from skeinhom import cli, surface
 from skeinhom.barproj import TwistedTangleComplex, bar_ends, twisted_cone, word_ends
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError, WindowError
-from skeinhom.homalg import ChainMap, LaurentPoly, TruncatedComplex, tensor
+from skeinhom.homalg import ChainMap, LaurentPoly, TruncatedComplex
 from skeinhom.surface import (SurfaceComplex, SurfaceElement, coarsen, compose, h0,
                               identity_unit, symmetrized_pairing, transfer)
 
@@ -257,8 +257,7 @@ class TestMisuse:
         window = r"q-window \[-4, 0\]"
         for query in (lambda: t.homology_at(0, 1), lambda: t.homology((-2, 0), (-5, -1)),
                       lambda: t.min_q_at(0), lambda: t.euler_series((-4, 1)),
-                      lambda: t.gen_count(0, 1), lambda: t.gen_count(0),
-                      lambda: t.chain_poincare(), lambda: tensor(t, full)):
+                      lambda: t.gen_count(0, 1), lambda: t.gen_count(0)):
             with pytest.raises(WindowError, match=window):
                 query()
         with pytest.raises(WindowError, match=r"q-window \[-3, 1\]"):
