@@ -290,11 +290,14 @@ class TwistedTangleComplex(SparseComplex):
 
     @staticmethod
     def _entry_fault(src, tgt, sv):
-        """An entry lives on the double of its objects and is homogeneous of
-        degree s_src - s_tgt."""
+        """An entry lives on the double of its objects at its hom offset and
+        is homogeneous of degree s_src - s_tgt."""
         (T_src, s_src), (T_tgt, s_tgt) = src, tgt
-        if not _on_diagram(sv, hom_double(T_src, T_tgt)[0]):
+        diagram, offset = hom_double(T_src, T_tgt)
+        if not _on_diagram(sv, diagram):
             return "is on the wrong double"
+        if sv.offset != offset:
+            return f"sits at offset {sv.offset}, not at the hom offset {offset}"
         degrees = sv.degrees()
         if len(degrees) > 1:
             return "is inhomogeneous"

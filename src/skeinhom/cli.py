@@ -45,7 +45,7 @@ class JobConfig:
     qmax: int = 8
     depth: int = None
 
-    def validated(self):
+    def __post_init__(self):
         if self.hmin > self.hmax:
             raise SpecError(f"window: hmin {self.hmin} exceeds hmax {self.hmax}")
         if self.qmin > self.qmax:
@@ -54,7 +54,6 @@ class JobConfig:
             self.depth = max(1, -self.hmin + 1)
         elif self.depth < 0:
             raise SpecError(f"depth must be non-negative, got {self.depth}")
-        return self
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,7 +187,6 @@ def _check_ring(ring, seed, samples):
     """Unitality on all pairs; associativity exhaustively or by seeded sample."""
     objs = ring.objects
     for a, b in itertools.product(objs, repeat=2):
-        e_a, e_b = ring.identity_labeling(a), ring.identity_labeling(b)
         for lab, _ in ring.basis(a, b):
             f = ring.state(a, b, lab)
             if pair(a, a, b, identity_state(a), f) != f:
@@ -252,7 +250,7 @@ def _cmd_ring(args):
 
 
 def _cmd_bproj(args):
-    cfg = JobConfig(qmax=args.qmax, depth=args.depth).validated()
+    cfg = JobConfig(qmax=args.qmax, depth=args.depth)
     proj = bottom_projector(args.strands, cfg.depth)
     counts = {}
     tangles = []
@@ -299,7 +297,7 @@ def _load_surface_inputs(args):
 
 def _cmd_surface_hom(args):
     cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
-                    depth=args.depth).validated()
+                    depth=args.depth)
     cx = SurfaceComplex(args._spec, args._top, args._bottom,
                         depth=window_depth(cfg.depth, cfg.hmin), q_range=(cfg.qmin, cfg.qmax))
     hom = cx.homology((cfg.hmin, cfg.hmax), (cfg.qmin, cfg.qmax))
@@ -328,7 +326,7 @@ def _cmd_surface_hom(args):
 
 
 def _cmd_surface_h0(args):
-    cfg = JobConfig(qmin=args.qmin, qmax=args.qmax).validated()
+    cfg = JobConfig(qmin=args.qmin, qmax=args.qmax)
     ranks = [
         [q, h0(args._spec, args._top, args._bottom, q)]
         for q in range(cfg.qmin, cfg.qmax + 1)
@@ -353,7 +351,7 @@ def _cmd_surface_h0(args):
 
 def _cmd_coarsen_check(args):
     cfg = JobConfig(hmin=args.hmin, hmax=args.hmax, qmin=args.qmin, qmax=args.qmax,
-                    depth=args.depth).validated()
+                    depth=args.depth)
     removable_seam(args._spec, args.seam, (args._top, args._bottom))
     cx = SurfaceComplex(args._spec, args._top, args._bottom,
                         depth=window_depth(cfg.depth, cfg.hmin))

@@ -284,7 +284,10 @@ def enumerate_matchings(m, n):
     """All minimal (m, n)-tangles (no free circles), sorted by partner array.
 
     Empty when m + n is odd; otherwise there are Catalan((m+n)/2) of them.
+    A negative m or n is refused as PlanarTangle refuses it.
     """
+    if m < 0 or n < 0:
+        raise InvalidBoundary(f"negative edge size: bottom {m}, top {n}")
     k = m + n
     if k % 2:
         return ()

@@ -23,7 +23,7 @@ from .errors import (AdmissibilityError, InexactDivision, InvalidBoundary, SpecE
 from .homalg import LaurentPoly, circle_poly
 from .planar import (PlanarTangle, bend_down, bend_up, compose, cup_over_cap, identity_tangle,
                      juxtapose)
-from .surface import SurfaceComplex, SurfaceSpec, SurfaceTangle, arc, validate_surface
+from .surface import SurfaceComplex, SurfaceSpec, SurfaceTangle, arc
 from .tqft import hom_double
 
 
@@ -493,7 +493,7 @@ def _sorted_theta(a, b, c):
     return RationalFunctionQ(num, den)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinNetwork:
     """A triangulated surface together with a coloring of its arcs and seams."""
 
@@ -509,27 +509,26 @@ class SpinNetwork:
         if not isinstance(spec, SurfaceSpec):
             spec = SurfaceSpec.from_data(expect(spec, "an object", "network: field 'surface'"))
         coloring = expect(data.get("coloring"), "an object", "network: field 'coloring'")
-        return validate_network(cls(spec, {str(k): v for k, v in coloring.items()}))
+        return cls(spec, {str(k): v for k, v in coloring.items()})
 
-
-def validate_network(net):
-    validate_surface(net.surface)
-    names = {name for name, _sign in net.surface.arcs} | set(net.surface.seams)
-    missing = sorted(names - set(net.coloring))
-    if missing:
-        raise SpecError(f"coloring misses {missing}")
-    extra = sorted(set(net.coloring) - names)
-    if extra:
-        raise SpecError(f"coloring mentions unknown segments {extra}")
-    bad = sorted(k for k, v in net.coloring.items() if type(v) is not int or v < 0)
-    if bad:
-        raise SpecError(f"colors must be non-negative integers; bad at {bad}")
-    for ri, region in enumerate(net.surface.regions):
-        if len(region) != 3:
-            raise SpecError(
-                f"region {ri} has {len(region)} sides; networks need triangles"
-            )
-    return net
+    def __post_init__(self):
+        """Refuse a coloring that misses or invents a segment, or uses a color
+        other than a non-negative int, and a surface with a non-triangle."""
+        names = {name for name, _sign in self.surface.arcs} | set(self.surface.seams)
+        missing = sorted(names - set(self.coloring))
+        if missing:
+            raise SpecError(f"coloring misses {missing}")
+        extra = sorted(set(self.coloring) - names)
+        if extra:
+            raise SpecError(f"coloring mentions unknown segments {extra}")
+        bad = sorted(k for k, v in self.coloring.items() if type(v) is not int or v < 0)
+        if bad:
+            raise SpecError(f"colors must be non-negative integers; bad at {bad}")
+        for ri, region in enumerate(self.surface.regions):
+            if len(region) != 3:
+                raise SpecError(
+                    f"region {ri} has {len(region)} sides; networks need triangles"
+                )
 
 
 def region_colors(net, ri):
@@ -537,7 +536,6 @@ def region_colors(net, ri):
 
 
 def check_admissible(net):
-    validate_network(net)
     for ri in range(len(net.surface.regions)):
         triple = region_colors(net, ri)
         if not admissible_triple(*triple):

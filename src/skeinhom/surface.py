@@ -95,7 +95,60 @@ class SurfaceSpec:
                 else:
                     raise SpecError(f"{loc}: segment needs an 'arc' or 'seam' key")
             regions.append(tuple(segs))
-        return validate_surface(cls(tuple(arcs), tuple(seams), tuple(regions)))
+        return cls(tuple(arcs), tuple(seams), tuple(regions))
+
+    def __post_init__(self):
+        """Refuse a malformed spec: SpecError names the first fault found."""
+        names = [n for n, _ in self.arcs]
+        if len(set(names)) != len(names):
+            raise SpecError("duplicate arc ids")
+        if len(set(self.seams)) != len(self.seams):
+            raise SpecError("duplicate seam ids")
+        seen_arcs = {}
+        sides = {n: {} for n in self.seams}
+        for ri, region in enumerate(self.regions):
+            for si, seg in enumerate(region):
+                loc = f"region {ri}, segment {si}"
+                if seg.kind == "arc":
+                    if seg.name not in names:
+                        raise SpecError(f"{loc}: unknown arc {seg.name!r}")
+                    if seg.name in seen_arcs:
+                        raise SpecError(f"{loc}: arc {seg.name!r} already used at {seen_arcs[seg.name]}")
+                    seen_arcs[seg.name] = loc
+                elif seg.kind == "seam":
+                    if seg.name not in sides:
+                        raise SpecError(f"{loc}: unknown seam {seg.name!r}")
+                    if seg.side not in (1, -1):
+                        raise SpecError(f"{loc}: seam side must be +1 or -1")
+                    if seg.side in sides[seg.name]:
+                        raise SpecError(
+                            f"{loc}: side {'+' if seg.side > 0 else '-'} of seam "
+                            f"{seg.name!r} appears twice"
+                        )
+                    sides[seg.name][seg.side] = ri
+                else:
+                    raise SpecError(f"{loc}: unknown segment kind {seg.kind!r}")
+        for n, d in sides.items():
+            for s, label in ((1, "+"), (-1, "-")):
+                if s not in d:
+                    raise SpecError(f"seam {n!r} is missing its {label} side")
+        unused = sorted(set(names) - set(seen_arcs))
+        if unused:
+            raise SpecError(f"arcs never referenced: {unused}")
+        if self.regions:
+            parent = list(range(len(self.regions)))
+
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for d in sides.values():
+                parent[find(d[1])] = find(d[-1])
+            roots = {find(r) for r in range(len(self.regions))}
+            if len(roots) > 1:
+                raise SpecError("regions do not glue into a connected surface")
 
     def seam_sides(self, name):
         """(region, segment) of the minus and plus side of a seam."""
@@ -105,61 +158,6 @@ class SurfaceSpec:
                 if seg.kind == "seam" and seg.name == name:
                     out[seg.side] = (ri, si)
         return out[-1], out[1]
-
-
-def validate_surface(spec):
-    """Check a spec for well-formedness and return it unchanged."""
-    names = [n for n, _ in spec.arcs]
-    if len(set(names)) != len(names):
-        raise SpecError("duplicate arc ids")
-    if len(set(spec.seams)) != len(spec.seams):
-        raise SpecError("duplicate seam ids")
-    seen_arcs = {}
-    sides = {n: {} for n in spec.seams}
-    for ri, region in enumerate(spec.regions):
-        for si, seg in enumerate(region):
-            loc = f"region {ri}, segment {si}"
-            if seg.kind == "arc":
-                if seg.name not in names:
-                    raise SpecError(f"{loc}: unknown arc {seg.name!r}")
-                if seg.name in seen_arcs:
-                    raise SpecError(f"{loc}: arc {seg.name!r} already used at {seen_arcs[seg.name]}")
-                seen_arcs[seg.name] = loc
-            elif seg.kind == "seam":
-                if seg.name not in sides:
-                    raise SpecError(f"{loc}: unknown seam {seg.name!r}")
-                if seg.side not in (1, -1):
-                    raise SpecError(f"{loc}: seam side must be +1 or -1")
-                if seg.side in sides[seg.name]:
-                    raise SpecError(
-                        f"{loc}: side {'+' if seg.side > 0 else '-'} of seam "
-                        f"{seg.name!r} appears twice"
-                    )
-                sides[seg.name][seg.side] = ri
-            else:
-                raise SpecError(f"{loc}: unknown segment kind {seg.kind!r}")
-    for n, d in sides.items():
-        for s, label in ((1, "+"), (-1, "-")):
-            if s not in d:
-                raise SpecError(f"seam {n!r} is missing its {label} side")
-    unused = sorted(set(names) - set(seen_arcs))
-    if unused:
-        raise SpecError(f"arcs never referenced: {unused}")
-    if spec.regions:
-        parent = list(range(len(spec.regions)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d in sides.values():
-            parent[find(d[1])] = find(d[-1])
-        roots = {find(r) for r in range(len(spec.regions))}
-        if len(roots) > 1:
-            raise SpecError("regions do not glue into a connected surface")
-    return spec
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,6 @@ class SurfaceComplex:
     """
 
     def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, q_range=None):
-        validate_surface(spec)
         validate_tangle(spec, top, "top tangle")
         validate_tangle(spec, bottom, "bottom tangle")
         if q_range is not None:

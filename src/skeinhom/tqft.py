@@ -166,8 +166,11 @@ def _frobenius_terms(terms, carry, c1, c2=None, t0=None, t1=None):
 
 def integral_offset(offset):
     """offset as an int; raise GradingError unless it is a whole number."""
-    off = int(offset)
-    if off != offset:
+    try:
+        off = int(offset)
+    except (TypeError, ValueError, OverflowError):
+        off = None
+    if off is None or off != offset:
         raise GradingError(f"offset {offset} does not make degrees integral")
     return off
 

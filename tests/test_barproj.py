@@ -312,6 +312,16 @@ class TestValidation:
         with pytest.raises(GradingError):
             self.rebuilt(P, -2, (0, 0), low)
 
+    def test_entry_off_its_hom_offset_rejected(self):
+        # same double and same degree, but two units above the hom offset:
+        # refused when the complex is made, not later by hom_complex
+        P = bottom_projector(2, depth=1)
+        sv = P.differentials[-1][(0, 0)]
+        shifted = StateVector(sv.diagram, sv.offset + 2, {(ONE,) * len(sv.diagram): 1})
+        assert shifted.degrees() == sv.degrees()
+        with pytest.raises(GradingError, match=r"^entry \(0, 0\) at degree -1 sits at offset 4, "
+                                               r"not at the hom offset 2$"):
+            self.rebuilt(P, -1, (0, 0), shifted)
 
     def test_entry_out_of_range_rejected(self):
         P = bottom_projector(2, depth=2)

@@ -169,7 +169,7 @@ def test_window_build_has_the_homology_of_the_full_build():
     for spec, t, s in HOM_INPUTS:
         for depth, qmax in itertools.product(range(6), (4, 8)):
             for hmin, hmax in itertools.combinations_with_replacement(range(-depth - 1, 2), 2):
-                cfg = cli.JobConfig(hmin=hmin, hmax=hmax, qmax=qmax, depth=depth).validated()
+                cfg = cli.JobConfig(hmin=hmin, hmax=hmax, qmax=qmax, depth=depth)
                 h_range, q_range = (cfg.hmin, cfg.hmax), (cfg.qmin, cfg.qmax)
                 full = homology_or_refusal(built(spec, t, s, cfg.depth, qmax), h_range, q_range)
                 window = built(spec, t, s, surface.window_depth(cfg.depth, cfg.hmin), qmax)

@@ -196,8 +196,10 @@ class TestBasics:
 
     @pytest.mark.parametrize("m,n,message", [
         ("-2", "0", "negative edge size: bottom -2, top 0"),
-        ("-1", "3", "no flat (-1, 3)-tangles exist"),
-    ], ids=["negative-bottom", "odd-split"])
+        ("-1", "3", "negative edge size: bottom -1, top 3"),
+        ("-1", "1", "negative edge size: bottom -1, top 1"),
+        ("1", "2", "no flat (1, 2)-tangles exist"),
+    ], ids=["negative-bottom", "odd-split", "even-negative-split", "odd-non-negative-split"])
     def test_ring_refuses_negative_splits(self, capsys, m, n, message):
         code, out, err = run_cli(capsys, "ring", m, n)
         assert (code, out, err) == (3, "", f"InvalidBoundary: {message}\n")

@@ -535,9 +535,6 @@ class TestTruncatedComplex:
 
 
 class TestTensorAndCone:
-    def point(self, q):
-        return TruncatedComplex({0: (("p", q),)}, {})
-
     def test_cone_of_identity_is_acyclic(self):
         cx = TruncatedComplex({0: (("a", 0),), 1: (("b", 0),)}, {0: {(0, 0): 2}})
         cone = ChainMap(cx, cx, {0: {(0, 0): 1}, 1: {(0, 0): 1}}).cone()

@@ -119,6 +119,13 @@ class TestEnumeration:
     def test_odd_point_count_is_empty(self):
         assert enumerate_matchings(2, 1) == ()
 
+    @pytest.mark.parametrize("m,n", [(-1, 3), (-1, 1), (2, -2)])
+    def test_negative_split_refused_as_planar_tangle_refuses_it(self, m, n):
+        with pytest.raises(InvalidBoundary, match=rf"^negative edge size: bottom {m}, top {n}$"):
+            enumerate_matchings(m, n)
+        with pytest.raises(InvalidBoundary, match=rf"^negative edge size: bottom {m}, top {n}$"):
+            PlanarTangle(m, n, ())
+
     def test_closed_form_catalan(self):
         assert [catalan(k) for k in range(9)] == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
         assert len(enumerate_matchings(8, 8)) == catalan(8)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -16,8 +17,7 @@ from skeinhom.spin import (CrosscheckReport, RationalFunctionQ, SpinNetwork,
                            cup_cap_at, euler_crosscheck, identity_element, loop,
                            pairing_prediction, projector_euler_terms,
                            projector_truncation, quantum_integer, theta,
-                           tl_closure, tl_compose, tl_tensor, validate_network,
-                           wenzl)
+                           tl_closure, tl_compose, tl_tensor, wenzl)
 from skeinhom.spin import _fraction_sum, _poly_div_exact, _poly_gcd
 from skeinhom import spin
 from skeinhom.surface import SurfaceComplex, SurfaceSpec, arc, seam_side
@@ -490,20 +490,32 @@ class TestSpinNetwork:
 
     def test_missing_and_extra_colors(self):
         with pytest.raises(SpecError, match="misses"):
-            validate_network(SpinNetwork(TRI_DISK, {"ea": 1, "eb": 1}))
+            SpinNetwork(TRI_DISK, {"ea": 1, "eb": 1})
         with pytest.raises(SpecError, match="unknown"):
-            validate_network(
-                SpinNetwork(TRI_DISK, {"ea": 1, "eb": 1, "ec": 0, "ed": 1})
-            )
+            SpinNetwork(TRI_DISK, {"ea": 1, "eb": 1, "ec": 0, "ed": 1})
+
+    def test_missing_color_is_refused_under_optimize(self):
+        line = error_under_optimize(
+            "from skeinhom.spin import SpinNetwork\n"
+            "from skeinhom.surface import SurfaceSpec, arc\n"
+            "tri = SurfaceSpec((('ea', 1), ('eb', 1), ('ec', 1)), (),\n"
+            "                  ((arc('ea'), arc('eb'), arc('ec')),))\n"
+            "SpinNetwork(tri, {'ea': 1, 'eb': 1})\n")
+        assert line == "skeinhom.errors.SpecError: coloring misses ['ec']"
+
+    def test_network_is_frozen(self):
+        net = disk_network(1, 1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.coloring = {"ea": 1, "eb": 1, "ec": 3}
 
     def test_negative_color_rejected(self):
         with pytest.raises(SpecError, match="non-negative"):
-            validate_network(SpinNetwork(TRI_DISK, {"ea": -1, "eb": 1, "ec": 0}))
+            SpinNetwork(TRI_DISK, {"ea": -1, "eb": 1, "ec": 0})
 
     @pytest.mark.parametrize("color", [1.5, 2.0, "2", None, True, [1]])
     def test_non_integer_color_rejected(self, color):
         with pytest.raises(SpecError, match=r"integers; bad at \['ec'\]"):
-            validate_network(SpinNetwork(TRI_DISK, {"ea": 1, "eb": 1, "ec": color}))
+            SpinNetwork(TRI_DISK, {"ea": 1, "eb": 1, "ec": color})
 
     def test_non_triangular_region_rejected(self):
         square = SurfaceSpec(
@@ -512,7 +524,7 @@ class TestSpinNetwork:
             regions=((seam_side("g", -1), arc("a"), seam_side("g", 1), arc("b")),),
         )
         with pytest.raises(SpecError, match="triangles"):
-            validate_network(SpinNetwork(square, {"a": 0, "b": 0, "g": 0}))
+            SpinNetwork(square, {"a": 0, "b": 0, "g": 0})
 
     def test_admissibility_names_the_region(self):
         with pytest.raises(AdmissibilityError, match="region 0"):

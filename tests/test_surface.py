@@ -15,8 +15,7 @@ from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex, smith_in
 from skeinhom.planar import PlanarTangle, cup_over_cap, identity_tangle
 from skeinhom.surface import (Segment, SurfaceComplex, SurfaceElement, SurfaceSpec,
                               SurfaceTangle, arc, coarsen, compose, h0, identity_unit,
-                              removable_seam, seam_side, symmetrized_pairing, transfer,
-                              validate_surface)
+                              removable_seam, seam_side, symmetrized_pairing, transfer)
 
 from . import plan_oracles
 from .optimized import error_under_optimize
@@ -145,7 +144,7 @@ COARSENINGS = [
 
 class TestValidation:
     def test_annulus_spec_is_valid(self):
-        assert validate_surface(ANNULUS) is ANNULUS
+        assert SurfaceSpec(ANNULUS.arcs, ANNULUS.seams, ANNULUS.regions) == ANNULUS
 
     def test_disk_with_three_arcs_no_seams(self):
         spec = SurfaceSpec(
@@ -153,49 +152,52 @@ class TestValidation:
             seams=(),
             regions=((arc("a"), arc("b"), arc("c")),),
         )
-        assert validate_surface(spec) is spec
+        assert spec.regions == ((arc("a"), arc("b"), arc("c")),)
 
     def test_seam_with_two_plus_sides_rejected(self):
-        spec = SurfaceSpec(
-            arcs=(),
-            seams=("g",),
-            regions=((seam_side("g", 1), seam_side("g", 1)),),
-        )
         with pytest.raises(SpecError, match=r"region 0, segment 1"):
-            validate_surface(spec)
+            SurfaceSpec(
+                arcs=(),
+                seams=("g",),
+                regions=((seam_side("g", 1), seam_side("g", 1)),),
+            )
 
     def test_dangling_seam_side_rejected(self):
-        spec = SurfaceSpec(
-            arcs=(("a", 1),),
-            seams=("g",),
-            regions=((arc("a"), seam_side("g", 1)),),
-        )
         with pytest.raises(SpecError, match=r"missing its - side"):
-            validate_surface(spec)
+            SurfaceSpec(
+                arcs=(("a", 1),),
+                seams=("g",),
+                regions=((arc("a"), seam_side("g", 1)),),
+            )
 
     def test_repeated_arc_rejected(self):
-        spec = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"), arc("a")),))
         with pytest.raises(SpecError, match=r"already used"):
-            validate_surface(spec)
+            SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"), arc("a")),))
 
     def test_unknown_references_carry_location(self):
-        spec = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"), arc("z")),))
         with pytest.raises(SpecError, match=r"region 0, segment 1: unknown arc 'z'"):
-            validate_surface(spec)
+            SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"), arc("z")),))
 
     def test_unused_arc_rejected(self):
-        spec = SurfaceSpec(arcs=(("a", 1), ("b", 1)), seams=(), regions=((arc("a"),),))
         with pytest.raises(SpecError, match=r"never referenced"):
-            validate_surface(spec)
+            SurfaceSpec(arcs=(("a", 1), ("b", 1)), seams=(), regions=((arc("a"),),))
 
     def test_disconnected_regions_rejected(self):
-        spec = SurfaceSpec(
-            arcs=(("a", 1), ("b", 1)),
-            seams=(),
-            regions=((arc("a"),), (arc("b"),)),
-        )
         with pytest.raises(SpecError, match=r"connected"):
-            validate_surface(spec)
+            SurfaceSpec(
+                arcs=(("a", 1), ("b", 1)),
+                seams=(),
+                regions=((arc("a"),), (arc("b"),)),
+            )
+
+    def test_dangling_seam_side_is_refused_under_optimize(self):
+        # a spec that gets past construction is whole, so seam lookups on it
+        # never meet a missing side as a bare KeyError
+        line = error_under_optimize(
+            "from skeinhom.surface import SurfaceSpec, arc, seam_side\n"
+            "SurfaceSpec(arcs=(('a', 1),), seams=('g',),\n"
+            "            regions=((arc('a'), seam_side('g', 1)),))\n")
+        assert line == "skeinhom.errors.SpecError: seam 'g' is missing its - side"
 
     def test_from_data_round_trip(self):
         data = {
@@ -219,15 +221,13 @@ class TestValidation:
 
     def test_bad_seam_side_rejected(self):
         # from_data reads a side as + or -, so only a spec built in code has another
-        spec = SurfaceSpec(arcs=(), seams=("g",),
-                           regions=((Segment("seam", "g", 0), seam_side("g", 1)),))
         with pytest.raises(SpecError, match=r"^region 0, segment 0: seam side must be \+1 or -1$"):
-            validate_surface(spec)
+            SurfaceSpec(arcs=(), seams=("g",),
+                        regions=((Segment("seam", "g", 0), seam_side("g", 1)),))
 
     def test_unknown_segment_kind_rejected(self):
-        spec = SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"), Segment("hole", "h")),))
         with pytest.raises(SpecError, match=r"^region 0, segment 1: unknown segment kind 'hole'$"):
-            validate_surface(spec)
+            SurfaceSpec(arcs=(("a", 1),), seams=(), regions=((arc("a"), Segment("hole", "h")),))
 
     @pytest.mark.parametrize("cap,counts,message", [
         (PlanarTangle(0, 2, (1, 0)), (0,), "top tangle: region 0 cap has points on top"),

@@ -15,6 +15,7 @@ from skeinhom.tqft import (ONE, X, StateVector, _composition_plan, _juxtapositio
                            reflected_x, reflected_y, transposed, whisker)
 
 from . import plan_oracles
+from .optimized import error_under_optimize
 from .oracles import (_capped, bent_down_by_transport, bent_up_by_transport, double_instances,
                       joint_terms, pair_by_surgery, reflected_x_by_transport,
                       reflected_y_by_transport, surger, transport, transposed_by_transport,
@@ -55,6 +56,21 @@ class TestEvaluation:
             StateVector(d, Fraction(1, 2), {(ONE,): 1})
         with pytest.raises(GradingError, match="integral"):
             StateVector(d, 0.5, {})
+
+    @pytest.mark.parametrize("offset", [None, "x", "3", 1.5, float("nan"), float("inf")])
+    def test_non_number_offset_is_a_grading_error(self, offset):
+        d, _off = hom_double(ID1, ID1)
+        with pytest.raises(GradingError, match=r"^offset .* does not make degrees integral$"):
+            StateVector(d, offset, {})
+        assert StateVector(d, 2.0, {}).offset == 2
+
+    def test_non_number_offset_is_refused_under_optimize(self):
+        code = ("from skeinhom.planar import identity_tangle\n"
+                "from skeinhom.tqft import StateVector, hom_double\n"
+                "d, _off = hom_double(identity_tangle(1), identity_tangle(1))\n"
+                "StateVector(d, None, {})\n")
+        assert error_under_optimize(code) == (
+            "skeinhom.errors.GradingError: offset None does not make degrees integral")
 
     def test_offsets_are_ints(self):
         from fractions import Fraction
