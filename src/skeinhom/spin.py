@@ -6,16 +6,20 @@ Jones-Wenzl idempotents, closed evaluations (a loop as the closure of its
 idempotent, a colored theta graph by the quantum-factorial formula),
 admissibly colored networks on triangulated surfaces with their predicted
 self-pairings, and crosscheck reports comparing those closed forms against
-Euler series computed from the chain level.  The diagrammatic theta
+Euler series computed from the chain level.  Theta values and pairings are
+products of quantum integers, so they are built from exponents of
+cyclotomic polynomials, reduced with no gcd.  The diagrammatic theta
 evaluation is kept as a test oracle.
 """
 
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .barproj import bottom_projector
 from .errors import (AdmissibilityError, InexactDivision, InvalidBoundary, SpecError,
@@ -94,6 +98,55 @@ def _poly_div_exact(a, g):
     return out
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """Ascending integer coefficients of the d-th cyclotomic polynomial
+    Phi_d(x): x^d - 1 divided exactly by Phi_k for every proper divisor k
+    of d."""
+    if type(d) is not int or d < 1:
+        raise InvalidBoundary(f"no cyclotomic polynomial of index {d!r}")
+    out = [-1] + [0] * (d - 1) + [1]
+    for k in range(1, d):
+        if d % k == 0:
+            out = _poly_div_exact(out, _cyclotomic(k))
+    return tuple(out)
+
+
+def _times_power(a, factor, e):
+    """a * factor^e for dense ascending integer lists."""
+    terms = [(i, c) for i, c in enumerate(factor) if c]
+    for _ in range(e):
+        out = [0] * (len(a) + len(factor) - 1)
+        for i, c in terms:
+            for j, x in enumerate(a, i):
+                out[j] += c * x
+        a = out
+    return a
+
+
+def _quantum_integer_exponents(n):
+    """[n] = q^(1-n) * prod_{d | n, d > 1} Phi_d(q^2), for n >= 1, as
+    (shift, {d: 1})."""
+    return 1 - n, {d: 1 for d in range(2, n + 1) if n % d == 0}
+
+
+def _factorial_exponents(n):
+    """[n]! = [1][2]...[n] as (shift, {d: e_d}): the shifts 1 - m add up,
+    and Phi_d comes from each of the floor(n/d) multiples of d."""
+    return -n * (n - 1) // 2, {d: n // d for d in range(2, n + 1)}
+
+
+def _sum_exponents(factors):
+    """(shift, {d: e_d}) of a product of values q^s * prod Phi_d(q^2)^e_d,
+    from (value exponents, sign) pairs; sign -1 divides by the value."""
+    shift, total = 0, {}
+    for (s, exponents), sign in factors:
+        shift += sign * s
+        for d, e in exponents.items():
+            total[d] = total.get(d, 0) + sign * e
+    return shift, total
+
+
 def _coeff_list(poly):
     lo, hi = poly.min_exp(), poly.max_exp()
     coeffs = [0] * (hi - lo + 1)
@@ -158,6 +211,25 @@ class RationalFunctionQ:
             tuple((shift + i, sign * c // content) for i, c in enumerate(ncs) if c)))
         object.__setattr__(self, "den", LaurentPoly._trusted(
             tuple((i, sign * c // content) for i, c in enumerate(dcs) if c)))
+
+    @classmethod
+    def from_exponents(cls, shift, exponents):
+        """q^shift * prod Phi_d(q^2)^e_d over the d with e_d > 0, divided by
+        prod Phi_d(q^2)^(-e_d) over the d with e_d < 0, for exponents a
+        mapping {d: e_d}.  Distinct cyclotomic polynomials are coprime
+        irreducibles with lead 1 and constant term +-1, so this quotient is
+        already the reduced form: no gcd is taken."""
+        num, den = [1], [1]
+        for d, e in sorted(exponents.items()):
+            if e > 0:
+                num = _times_power(num, _cyclotomic(d), e)
+            elif e < 0:
+                den = _times_power(den, _cyclotomic(d), -e)
+        value = object.__new__(cls)
+        object.__setattr__(value, "num", LaurentPoly(
+            {shift + 2 * i: c for i, c in enumerate(num)}))
+        object.__setattr__(value, "den", LaurentPoly({2 * i: c for i, c in enumerate(den)}))
+        return value
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunctionQ is immutable")
@@ -274,7 +346,8 @@ def _fraction_sum(terms):
 
 def as_quantum_integer(value):
     """The k with value = [k], or None."""
-    value = RationalFunctionQ(value)
+    if not isinstance(value, RationalFunctionQ):
+        value = RationalFunctionQ(value)
     if value.den != LaurentPoly.one():
         return None
     if not value.num:
@@ -456,14 +529,6 @@ def loop(a):
     return tl_closure(wenzl(a))
 
 
-def _quantum_factorial(n):
-    """[n]! = [1][2]...[n] as a Laurent polynomial."""
-    out = _ONE
-    for k in range(2, n + 1):
-        out = out * quantum_integer(k)
-    return out
-
-
 def theta(a, b, c):
     """Evaluation of the theta graph with edges colored a, b, c, each edge
     carrying its Jones-Wenzl idempotent; zero when inadmissible.
@@ -481,24 +546,33 @@ def theta(a, b, c):
 
 @lru_cache(maxsize=None)
 def _sorted_theta(a, b, c):
-    """theta(a, b, c) for a <= b <= c: both products are multiplied out and
-    reduced once."""
+    """theta(a, b, c) for a <= b <= c, built from its cyclotomic exponents."""
     if not admissible_triple(a, b, c):
         return RationalFunctionQ.zero()
+    return RationalFunctionQ.from_exponents(*_theta_exponents(a, b, c))
+
+
+@lru_cache(maxsize=None)
+def _theta_exponents(a, b, c):
+    """(shift, {d: e_d}) of theta(a, b, c) for an admissible a <= b <= c:
+    the exponents of its four numerator factorials less those of its three
+    denominator factorials."""
     i, j, k = (a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2
-    num = _quantum_factorial(i + j + k + 1)
-    for t in (i, j, k):
-        num = num * _quantum_factorial(t)
-    den = _quantum_factorial(i + j) * _quantum_factorial(j + k) * _quantum_factorial(k + i)
-    return RationalFunctionQ(num, den)
+    shift, exponents = _sum_exponents(
+        (_factorial_exponents(n), sign) for n, sign in (
+            (i + j + k + 1, 1), (i, 1), (j, 1), (k, 1), (i + j, -1), (j + k, -1), (k + i, -1)))
+    return shift, MappingProxyType(exponents)
 
 
 @dataclass(frozen=True)
 class SpinNetwork:
-    """A triangulated surface together with a coloring of its arcs and seams."""
+    """A triangulated surface together with a coloring of its arcs and seams.
+
+    The coloring is kept as a read-only copy, so a checked network stays
+    checked; networks hash by their surface and the set of their colors."""
 
     surface: SurfaceSpec
-    coloring: dict
+    coloring: Mapping
 
     @classmethod
     def from_data(cls, data):
@@ -514,6 +588,9 @@ class SpinNetwork:
     def __post_init__(self):
         """Refuse a coloring that misses or invents a segment, or uses a color
         other than a non-negative int, and a surface with a non-triangle."""
+        if not isinstance(self.coloring, Mapping):
+            raise SpecError(f"coloring must be a mapping, got {type(self.coloring).__name__}")
+        object.__setattr__(self, "coloring", MappingProxyType(dict(self.coloring)))
         names = {name for name, _sign in self.surface.arcs} | set(self.surface.seams)
         missing = sorted(names - set(self.coloring))
         if missing:
@@ -529,6 +606,9 @@ class SpinNetwork:
                 raise SpecError(
                     f"region {ri} has {len(region)} sides; networks need triangles"
                 )
+
+    def __hash__(self):
+        return hash((self.surface, frozenset(self.coloring.items())))
 
 
 def region_colors(net, ri):
@@ -549,16 +629,20 @@ def check_admissible(net):
 def pairing_prediction(net):
     """Predicted Euler characteristic of the symmetrized self-pairing of the
     network: the product of vertex theta values over loop values of the
-    internal edges, multiplied out as Laurent polynomials and reduced once."""
+    internal edges.  Each loop is read as a quantum integer, so the product
+    is a sum of cyclotomic exponents, built once with no gcd."""
     check_admissible(net)
-    num = den = _ONE
-    for ri in range(len(net.surface.regions)):
-        value = theta(*region_colors(net, ri))
-        num, den = num * value.num, den * value.den
+    factors = [(_theta_exponents(*sorted(region_colors(net, ri))), 1)
+               for ri in range(len(net.surface.regions))]
     for seam in net.surface.seams:
         value = loop(net.coloring[seam])
-        num, den = num * value.den, den * value.num
-    return RationalFunctionQ(num, den)
+        k = as_quantum_integer(value)
+        if not k:
+            raise InexactDivision(
+                f"loop({net.coloring[seam]}) = {value} is not a quantum integer [k], k >= 1"
+            )
+        factors.append((_quantum_integer_exponents(k), -1))
+    return RationalFunctionQ.from_exponents(*_sum_exponents(factors))
 
 
 def cross_pairing_prediction(net_a, net_b):
@@ -737,7 +821,8 @@ def euler_crosscheck(scenario, order, depth=None):
     elif scenario == "bproj2":
         proj = bottom_projector(2, depth if depth is not None else order // 2 + 1)
         lhs = proj.k0_series(cup_over_cap(2), (0, order))
-        rhs = RationalFunctionQ(quantum_integer(1), quantum_integer(2)).series_poly(0, order)
+        # [1]/[2] = q / Phi_2(q^2)
+        rhs = RationalFunctionQ.from_exponents(1, {2: -1}).series_poly(0, order)
     elif scenario == "annulus":
         d = depth if depth is not None else order // 2 + 2
         cx = _annulus_core_complex(d)

@@ -109,6 +109,8 @@ class SurfaceSpec:
         for ri, region in enumerate(self.regions):
             for si, seg in enumerate(region):
                 loc = f"region {ri}, segment {si}"
+                if not isinstance(seg, Segment):
+                    raise SpecError(f"{loc} must be a Segment, got {seg!r}")
                 if seg.kind == "arc":
                     if seg.name not in names:
                         raise SpecError(f"{loc}: unknown arc {seg.name!r}")

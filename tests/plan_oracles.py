@@ -18,6 +18,11 @@ of a tangle that it filters halves by), and the costandard
 pairing series as it was accumulated before its ranks were cached and its
 monomials grouped: one complex per tangle pair per call, one product per
 pair of objects (costandard_series_by_pairs).
+
+The theta graph and the network self-pairing as spin evaluated them before
+it read their reduced forms off cyclotomic exponents: both products
+multiplied out as Laurent polynomials and reduced by one gcd
+(theta_by_one_reduction, pairing_by_one_reduction).
 """
 
 import itertools
@@ -320,3 +325,53 @@ def costandard_series_by_pairs(colors, order):
         sign = (-1) ** ((h1 + h2) % 2)
         series = series + contrib.shifted(q1 + q2) * sign
     return series.truncated(series.min_exp() or 0, order)
+
+
+def _laurent_quantum_factorial(n):
+    """[n]! = [1][2]...[n] as a LaurentPoly."""
+    from skeinhom.homalg import LaurentPoly
+    from skeinhom.spin import quantum_integer
+
+    out = LaurentPoly.one()
+    for k in range(2, n + 1):
+        out = out * quantum_integer(k)
+    return out
+
+
+def theta_by_one_reduction(a, b, c):
+    """Theta graph as the ratio of quantum factorials with both products
+    multiplied out as Laurent polynomials and reduced by one gcd; the route
+    spin.theta took before it read the reduced form off cyclotomic
+    exponents."""
+    from skeinhom.spin import RationalFunctionQ, admissible_triple
+
+    a, b, c = sorted((a, b, c))
+    if not admissible_triple(a, b, c):
+        return RationalFunctionQ.zero()
+    i, j, k = (a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2
+    num = _laurent_quantum_factorial(i + j + k + 1)
+    for t in (i, j, k):
+        num = num * _laurent_quantum_factorial(t)
+    den = (_laurent_quantum_factorial(i + j) * _laurent_quantum_factorial(j + k)
+           * _laurent_quantum_factorial(k + i))
+    return RationalFunctionQ(num, den)
+
+
+def pairing_by_one_reduction(net):
+    """Predicted self-pairing of a network with the theta numerators times
+    the loop denominators, and the theta denominators times the loop
+    numerators, multiplied out as Laurent polynomials and reduced by one
+    gcd; the route spin.pairing_prediction took before it summed cyclotomic
+    exponents.  Thetas come from theta_by_one_reduction."""
+    from skeinhom.homalg import LaurentPoly
+    from skeinhom.spin import RationalFunctionQ, check_admissible, loop, region_colors
+
+    check_admissible(net)
+    num = den = LaurentPoly.one()
+    for ri in range(len(net.surface.regions)):
+        value = theta_by_one_reduction(*region_colors(net, ri))
+        num, den = num * value.num, den * value.den
+    for seam in net.surface.seams:
+        value = loop(net.coloring[seam])
+        num, den = num * value.den, den * value.num
+    return RationalFunctionQ(num, den)

@@ -25,7 +25,8 @@ from skeinhom.surface import SurfaceComplex, SurfaceSpec, arc, seam_side
 from .optimized import error_under_optimize
 from .oracles import (annular_trace_circles, fraction_reduced, pairing_by_steps, theta_by_pairs,
                       theta_by_sandwich, theta_formula, wenzl_two_sided)
-from .plan_oracles import costandard_series_by_pairs, theta_by_planar, through_degree
+from .plan_oracles import (costandard_series_by_pairs, pairing_by_one_reduction,
+                           theta_by_one_reduction, theta_by_planar, through_degree)
 
 RFQ = RationalFunctionQ
 
@@ -50,6 +51,30 @@ TRI_ANNULUS = SurfaceSpec(
 
 def disk_network(ea, eb, ec):
     return SpinNetwork(TRI_DISK, {"ea": ea, "eb": eb, "ec": ec})
+
+
+def ring_surface(arcs, seams):
+    """A ring of k triangles around an annulus: region t is [arc a_t,
+    seam g_t +, seam g_(t-1) -], indices mod k.  k = 2 with arcs a, b and
+    seams g1, g2 is TRI_ANNULUS."""
+    return SurfaceSpec(
+        arcs=tuple((name, 1) for name in arcs),
+        seams=tuple(seams),
+        regions=tuple((arc(arcs[t]), seam_side(seams[t], 1), seam_side(seams[t - 1], -1))
+                      for t in range(len(arcs))),
+    )
+
+
+def ring_network(arc_colors, seam_colors):
+    arcs = [f"a{t}" for t in range(len(arc_colors))]
+    seams = [f"g{t}" for t in range(len(seam_colors))]
+    return SpinNetwork(ring_surface(arcs, seams),
+                       {**dict(zip(arcs, arc_colors)), **dict(zip(seams, seam_colors))})
+
+
+def literal(value):
+    """A rational function as its printed form and its stored terms."""
+    return str(value), value.num.terms, value.den.terms
 
 
 class TestQuantumInteger:
@@ -531,6 +556,29 @@ class TestSpinNetwork:
             check_admissible(disk_network(1, 1, 1))
         check_admissible(disk_network(1, 1, 2))
 
+    def test_coloring_is_a_copy(self):
+        coloring = {"ea": 1, "eb": 1, "ec": 2}
+        net = SpinNetwork(TRI_DISK, coloring)
+        coloring["ec"] = 0
+        assert net.coloring == {"ea": 1, "eb": 1, "ec": 2}
+        assert pairing_prediction(net) == RFQ(quantum_integer(3))
+
+    def test_coloring_refuses_assignment(self):
+        net = disk_network(1, 1, 2)
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            net.coloring["ec"] = 2.0
+        assert pairing_prediction(net) == RFQ(quantum_integer(3))
+
+    def test_equal_networks_hash_alike(self):
+        one = SpinNetwork(TRI_DISK, {"ea": 1, "eb": 1, "ec": 2})
+        other = SpinNetwork(TRI_DISK, {"ec": 2, "eb": 1, "ea": 1})
+        assert one == other and hash(one) == hash(other)
+        assert len({one, other, disk_network(1, 1, 0)}) == 2
+
+    def test_coloring_that_is_not_a_mapping_rejected(self):
+        with pytest.raises(SpecError, match="coloring must be a mapping, got list"):
+            SpinNetwork(TRI_DISK, [("ea", 1), ("eb", 1), ("ec", 2)])
+
     def test_disk_predictions(self):
         assert pairing_prediction(disk_network(1, 1, 0)) == RFQ(quantum_integer(2))
         assert pairing_prediction(disk_network(1, 1, 2)) == RFQ(quantum_integer(3))
@@ -676,3 +724,90 @@ class TestCrosscheck:
         )
         assert not report.ok
         assert report.mismatches == ((2, 2, 1), (4, 0, 1))
+
+
+class TestCyclotomicExponents:
+    """Theta values, pairings and bproj2's [1]/[2] built from exponents of
+    cyclotomic polynomials, against the route that multiplied Laurent
+    polynomials out and took one gcd (tests/plan_oracles.py)."""
+
+    def test_cyclotomic_polynomials_divide_x_n_minus_one(self):
+        for n in range(1, 41):
+            product = LaurentPoly.one()
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    product = product * LaurentPoly(dict(enumerate(spin._cyclotomic(d))))
+            assert product == LaurentPoly({0: -1, n: 1}), n
+        assert spin._cyclotomic(7) == (1,) * 7
+        assert spin._cyclotomic(12) == (1, 0, -1, 0, 1)
+        # the first cyclotomic polynomial with a coefficient other than 0, +-1
+        assert min(spin._cyclotomic(105)) == -2
+
+    def test_cyclotomic_index_must_be_positive(self):
+        for d in (0, -2):
+            with pytest.raises(InvalidBoundary, match="cyclotomic"):
+                RFQ.from_exponents(0, {d: 1})
+
+    @settings(deadline=None, max_examples=150)
+    @given(shift=st.integers(-12, 12),
+           exponents=st.dictionaries(st.integers(1, 30), st.integers(-3, 3), max_size=5))
+    def test_from_exponents_is_the_general_reduced_form(self, shift, exponents):
+        def expanded(sign):
+            out = LaurentPoly.one()
+            for d, e in exponents.items():
+                phi = LaurentPoly({2 * i: c for i, c in enumerate(spin._cyclotomic(d))})
+                out = out * phi ** max(sign * e, 0)
+            return out
+
+        general = RFQ(LaurentPoly.q(shift) * expanded(1), expanded(-1))
+        assert literal(RFQ.from_exponents(shift, exponents)) == literal(general)
+
+    def test_theta_matches_one_reduction(self):
+        for triple in itertools.product(range(9), repeat=3):
+            assert literal(theta(*triple)) == literal(theta_by_one_reduction(*triple)), triple
+
+    def test_annulus_pairings_match_one_reduction(self):
+        colorings = [c for c in itertools.product(range(7), repeat=4)
+                     if admissible_triple(c[0], c[2], c[3]) and admissible_triple(c[1], c[3], c[2])]
+        assert len(colorings) == 274
+        for c in colorings:
+            net = SpinNetwork(TRI_ANNULUS, dict(zip(("a", "b", "g1", "g2"), c)))
+            assert literal(pairing_prediction(net)) == literal(pairing_by_one_reduction(net)), c
+
+    def test_two_triangle_ring_is_the_annulus(self):
+        assert ring_surface(("a", "b"), ("g1", "g2")) == TRI_ANNULUS
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_ring_pairings_match_one_reduction(self, k):
+        cycle = lambda colors: [colors[t % len(colors)] for t in range(k)]
+        colorings = [([c] * k, [c] * k) for c in (0, 2, 4)]
+        colorings += [(cycle((0, 2, 4)), [4] * k), (cycle((0, 2, 4)), [3] * k),
+                      (cycle((0, 2)), [1] * k), (cycle((2, 4)), cycle((1, 3))),
+                      (cycle((2, 4)), cycle((2, 4)))]
+        for arc_colors, seam_colors in colorings:
+            net = ring_network(arc_colors, seam_colors)
+            assert literal(pairing_prediction(net)) == literal(pairing_by_one_reduction(net)), (
+                arc_colors, seam_colors)
+
+    def test_loop_that_is_not_a_quantum_integer_is_refused(self, monkeypatch):
+        monkeypatch.setattr(spin, "loop", lambda c: RFQ(1, quantum_integer(c + 1)))
+        net = SpinNetwork(TRI_ANNULUS, {"a": 2, "b": 2, "g1": 1, "g2": 1})
+        with pytest.raises(InexactDivision, match=r"loop\(1\) = .* is not a quantum integer"):
+            pairing_prediction(net)
+
+    def test_skein_values_take_no_gcd(self, monkeypatch):
+        colorings = [c for c in itertools.product(range(5), repeat=4)
+                     if admissible_triple(c[0], c[2], c[3]) and admissible_triple(c[1], c[3], c[2])]
+        nets = [SpinNetwork(TRI_ANNULUS, dict(zip(("a", "b", "g1", "g2"), c))) for c in colorings]
+        # the one-gcd oracle also warms the loop cache, which wenzl fills through gcds
+        pairings = [literal(pairing_by_one_reduction(net)) for net in nets]
+        theta888 = literal(theta_by_one_reduction(8, 8, 8))
+
+        def refuse(*_args):
+            raise AssertionError("a skein value took a gcd")
+
+        monkeypatch.setattr(spin, "_poly_gcd", refuse)
+        spin._sorted_theta.cache_clear()
+        assert literal(theta(8, 8, 8)) == theta888
+        assert [literal(pairing_prediction(net)) for net in nets] == pairings
+        assert euler_crosscheck("bproj2", 9).ok

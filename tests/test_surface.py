@@ -199,6 +199,16 @@ class TestValidation:
             "            regions=((arc('a'), seam_side('g', 1)),))\n")
         assert line == "skeinhom.errors.SpecError: seam 'g' is missing its - side"
 
+    def test_region_entry_that_is_not_a_segment_rejected(self):
+        with pytest.raises(SpecError, match=r"^region 0, segment 0 must be a Segment, got 'a'$"):
+            SurfaceSpec(arcs=(("a", 1),), seams=(), regions=(("a",),))
+
+    def test_region_entry_that_is_not_a_segment_is_refused_under_optimize(self):
+        line = error_under_optimize(
+            "from skeinhom.surface import SurfaceSpec\n"
+            "SurfaceSpec((('a', 1),), (), (('a',),))\n")
+        assert line == "skeinhom.errors.SpecError: region 0, segment 0 must be a Segment, got 'a'"
+
     def test_from_data_round_trip(self):
         data = {
             "arcs": [{"id": "a", "sign": 1}, "b"],
