@@ -67,6 +67,10 @@ _SHAPES = {
     "an object with counts and chords": lambda v: isinstance(v, dict),
     "a name or an object with an id": lambda v: isinstance(v, (str, dict)),
     "a list": _is_list,
+    "a tuple": _is_list,
+    "a (string, +1 or -1) pair":
+        lambda v: _is_list(v) and len(v) == 2 and isinstance(v[0], str)
+        and _is_int(v[1]) and v[1] in (1, -1),
     "a string": lambda v: isinstance(v, str),
     "a non-negative integer": lambda v: _is_int(v) and v >= 0,
     "a positive integer": lambda v: _is_int(v) and v >= 1,

@@ -736,7 +736,9 @@ class TruncatedComplex(SparseComplex):
         )
 
     def homology_at(self, i, j):
-        """(betti, torsion) of H^{i, j}; exact or TruncationError."""
+        """(betti, torsion) of H^{i, j}; exact, or WindowError outside the
+        q-window, TruncationError beyond the truncation.  The one reader of
+        a cell: homology reads each cell of its window through it."""
         if self.q_range is not None:
             self.require_window("a chain group", j, j)
         # _require_known passes every degree at or above h_min at once
@@ -756,13 +758,37 @@ class TruncatedComplex(SparseComplex):
 
     def homology(self, h_range, q_range, threads=None):
         """Homology on the window; threads is accepted for compatibility and
-        does not change how or what is computed."""
+        does not change how or what is computed.
+
+        Whether a cell can be refused is decided once per window.  No cell
+        of a clean window can be: it lies inside the q-window, and the
+        complex is complete or i1 - 1 >= h_min.  Any other window, and a
+        clean one that meets a d^2 fault, is first read cell by cell, q
+        outside and h inside, so that it raises what its first faulty cell
+        raises."""
         i1, i2 = h_range
         j1, j2 = q_range
-        results = {(i, j): self.homology_at(i, j)
-                   for j in range(j1, j2 + 1) for i in range(i1, i2 + 1)}
+        lo, hi = self.q_range or (None, None)
+        if ((lo is None or lo <= j1) and (hi is None or j2 <= hi)
+                and (self.complete or i1 - 1 >= self.h_min)):
+            try:
+                return self._table(h_range, q_range)
+            except ChainMapError:
+                pass  # the walk below raises it at the first faulty cell
+        for j in range(j1, j2 + 1):
+            for i in range(i1, i2 + 1):
+                self.homology_at(i, j)
+        return self._table(h_range, q_range)
+
+    def _table(self, h_range, q_range):
+        """The window's table from its cells that hold generators, in (h, q)
+        order: a cell without them has no block into or out of it, so it
+        is (0, ())."""
+        (i1, i2), (j1, j2) = h_range, q_range
+        sizes, _ = self._block_index()
         betti, torsion = {}, {}
-        for (i, j), (b, tor) in sorted(results.items()):
+        for i, j in sorted(c for c in sizes if i1 <= c[0] <= i2 and j1 <= c[1] <= j2):
+            b, tor = self.homology_at(i, j)
             if b:
                 betti[(i, j)] = b
             if tor:

@@ -99,6 +99,12 @@ class SurfaceSpec:
 
     def __post_init__(self):
         """Refuse a malformed spec: SpecError names the first fault found."""
+        for ai, a in enumerate(expect(self.arcs, "a tuple", "arcs")):
+            expect(a, "a (string, +1 or -1) pair", f"arc {ai}")
+        for gi, name in enumerate(expect(self.seams, "a tuple", "seams")):
+            expect(name, "a string", f"seam {gi}")
+        for ri, region in enumerate(expect(self.regions, "a tuple", "regions")):
+            expect(region, "a tuple", f"region {ri}")
         names = [n for n, _ in self.arcs]
         if len(set(names)) != len(names):
             raise SpecError("duplicate arc ids")

@@ -825,6 +825,70 @@ class TestBlockIndexOracle:
                 == outcome(lambda: homology_by_cells(cx, h_range, q_range)))
 
 
+class TestOnePassWindow:
+    """homology reads a clean window's cells with generators alone, and any
+    other window cell by cell, as homology_by_cells does."""
+
+    def test_clean_window_reads_only_cells_with_generators(self, monkeypatch):
+        read = []
+        cell = TruncatedComplex.homology_at
+
+        def counted(self, i, j):
+            read.append((i, j))
+            return cell(self, i, j)
+
+        monkeypatch.setattr(TruncatedComplex, "homology_at", counted)
+        rng = random.Random(34)
+        windows = [((-2, 1), (0, 2)), ((-3, 2), (-1, 3)), ((-1, 0), (1, 1)),
+                   ((0, 1), (0, 0)), ((-2, -1), (1, 2)), ((1, 0), (0, 2)), ((-2, 1), (2, 1))]
+        for _ in range(30):
+            cx, _, _ = random_shuffled_complex(rng)
+            sizes, _ = cx._block_index()
+            for h_range, q_range in windows:
+                read.clear()
+                hom = cx.homology(h_range, q_range)
+                want = [(i, j) for i in range(h_range[0], h_range[1] + 1)
+                        for j in range(q_range[0], q_range[1] + 1) if (i, j) in sizes]
+                # once per cell with generators, none for an empty cell
+                assert sorted(read) == want
+                assert hom == homology_by_cells(cx, h_range, q_range)
+                assert list(hom.betti) == sorted(hom.betti)
+                assert list(hom.torsion) == sorted(hom.torsion)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(("windowed", "truncated", "both")),
+           cert=st.tuples(st.integers(-3, 2), st.integers(0, 1)),
+           window=st.tuples(st.integers(0, 2), st.integers(0, 1)),
+           h_lo=st.integers(-4, 0), h_width=st.integers(0, 3),
+           q_lo=st.integers(-2, 2), q_width=st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_straddling_window_matches_cell_route(self, seed, shape, cert, window,
+                                                  h_lo, h_width, q_lo, q_width):
+        # windows that may reach below h_min = -2 or past the q-window edges
+        h_range, q_range = (h_lo, h_lo + h_width), (q_lo, q_lo + q_width)
+        cx, _, _ = random_shuffled_complex(random.Random(seed))
+        if shape != "truncated":
+            cx = q_window(cx, window[0], window[0] + window[1])
+        if shape != "windowed":
+            cx = TruncatedComplex(cx.generators, cx.differentials, h_min=-2, h_max=1,
+                                  complete=False, certificate=Certificate((cert,)),
+                                  q_range=cx.q_range)
+        assert (outcome(lambda: cx.homology(h_range, q_range))
+                == outcome(lambda: homology_by_cells(cx, h_range, q_range)))
+
+    def test_first_d_squared_fault_is_named_q_outside_h_inside(self):
+        # d^2 != 0 along the q = 5 strand at h = 1 and the q = 3 strand at
+        # h = 2; q = 3 comes first in the window's order, h = 1 in the table's
+        gens = {0: (("a", 5),), 1: (("b", 5), ("x", 3)), 2: (("c", 5), ("y", 3)),
+                3: (("z", 3),)}
+        diffs = {0: {(0, 0): 1}, 1: {(0, 0): 1, (1, 1): 1}, 2: {(0, 1): 1}}
+        cx = TruncatedComplex._trusted(gens, diffs)
+        for query in (lambda: cx.homology((0, 3), (3, 5)),
+                      lambda: homology_by_cells(cx, (0, 3), (3, 5))):
+            with pytest.raises(ChainMapError, match=r"^d\^2 != 0 at \(h=2, q=3\)"):
+                query()
+
+
 class TestErrorsUnderOptimize:
     def test_negative_betti_is_a_chain_map_error(self):
         gens = {0: (("a", 0),), 1: (("b", 0),), 2: (("c", 0),)}

@@ -647,3 +647,39 @@ def test_label_rule_scan_sees_both_forms_and_scopes(tmp_path):
         "    return sum(x == 1 for x in lab), [sum(v) - len(v) for v in labs]\n")
     assert nodes_by_function(module, is_label_rule) == [
         ("a", 2), ("S.degree", 5), ("S.count", 8), ("b", 13)]
+
+
+def is_cell_rule(node):
+    """The free rank of a homology cell, a - b - c with neither b nor c a
+    constant (n_i - rank_in - rank_out), or a string holding the message
+    of its d^2 fault."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and "d^2 != 0 at (h=" in node.value
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and not isinstance(node.left.right, ast.Constant)
+            and not isinstance(node.right, ast.Constant))
+
+
+def test_homology_cells_are_read_in_one_place():
+    # homology reads every cell through homology_at, so a window and a
+    # single cell share one betti rule and one d^2 refusal
+    sites = [f"{path.stem}.{function}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for function, line in nodes_by_function(path, is_cell_rule)]
+    home = "homalg.TruncatedComplex.homology_at"
+    assert [site.partition(":")[0] for site in sites] == [home, home], (
+        "cell rule at " + ", ".join(sites) + "; call TruncatedComplex.homology_at instead")
+
+
+def test_cell_rule_scan_sees_both_forms_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def a(n, r_in, r_out):\n"
+        "    return n - r_in - r_out\n"
+        "class C:\n"
+        "    def cell(self, i, j):\n"
+        "        b = self.sizes.get((i, j), 0) - self.rank(i - 1) - ranks[i]\n"
+        "        raise E(f'd^2 != 0 at (h={i}, q={j})')\n"
+        "def b(m, i, x, y):\n"
+        "    return m - 1 - i, m - i - 1, x - y, x - (y - i), 'd^2 != 0 from degree'\n")
+    assert nodes_by_function(module, is_cell_rule) == [("a", 2), ("C.cell", 5), ("C.cell", 6)]

@@ -209,6 +209,31 @@ class TestValidation:
             "SurfaceSpec((('a', 1),), (), (('a',),))\n")
         assert line == "skeinhom.errors.SpecError: region 0, segment 0 must be a Segment, got 'a'"
 
+    # A spec built in code, shaped as from_data refuses; each is the
+    # argument list of a SurfaceSpec call, with what it must raise.
+    MISSHAPEN = {
+        "(('a',), (), ((arc('a'),),))": "arc 0 must be a (string, +1 or -1) pair, got 'a'",
+        "((('a', 2),), (), ((arc('a'),),))":
+            "arc 0 must be a (string, +1 or -1) pair, got ('a', 2)",
+        "(((1, 1),), (), ((arc(1),),))": "arc 0 must be a (string, +1 or -1) pair, got (1, 1)",
+        "(5, (), ((arc('a'),),))": "arcs must be a tuple, got 5",
+        "((('a', 1),), (), (5,))": "region 0 must be a tuple, got 5",
+        "((('a', 1),), (), 5)": "regions must be a tuple, got 5",
+        "((('a', 1),), 5, ((arc('a'),),))": "seams must be a tuple, got 5",
+        "((('a', 1),), (1,), ((arc('a'),),))": "seam 0 must be a string, got 1",
+    }
+
+    @pytest.mark.parametrize("args", MISSHAPEN)
+    def test_misshapen_spec_rejected(self, args):
+        with pytest.raises(SpecError, match=f"^{re.escape(self.MISSHAPEN[args])}$"):
+            eval(f"SurfaceSpec{args}", {"SurfaceSpec": SurfaceSpec, "arc": arc})
+
+    @pytest.mark.parametrize("args", MISSHAPEN)
+    def test_misshapen_spec_is_refused_under_optimize(self, args):
+        line = error_under_optimize(
+            f"from skeinhom.surface import SurfaceSpec, arc\nSurfaceSpec{args}\n")
+        assert line == f"skeinhom.errors.SpecError: {self.MISSHAPEN[args]}"
+
     def test_from_data_round_trip(self):
         data = {
             "arcs": [{"id": "a", "sign": 1}, "b"],
