@@ -58,7 +58,8 @@ def _is_int(v):
 
 
 def _is_int_pair(v):
-    return _is_list(v) and len(v) == 2 and all(map(_is_int, v))
+    # spelled out: TruncatedComplex.homology checks its window on every call
+    return isinstance(v, (list, tuple)) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
 
 
 # the JSON shapes input data is checked against, by the name a message uses

@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ChainMapError, GradingError, InvariantFactorError, TruncationError, WindowError
+from .errors import (ChainMapError, GradingError, InvariantFactorError, TruncationError,
+                     WindowError, expect)
 
 
 def _integral(x, what):
@@ -682,9 +683,10 @@ class TruncatedComplex(SparseComplex):
         return sum(1 for g in gens if g[1] == j)
 
     def _block_index(self):
-        """(sizes, blocks): generators per (h, q), and the _BlockSummary of
-        each nonzero block of the differential from h to h+1 in quantum
-        degree q, keyed on (h, q).  Built in one pass on first use, unit
+        """(sizes, blocks): generators per (h, q), in the order homology
+        walks a window (q outside, h inside), and the _BlockSummary of each
+        nonzero block of the differential from h to h+1 in quantum degree
+        q, keyed on (h, q).  Built in one pass on first use, unit
         cancellation of every block included, so the first query on a
         complex pays for all of it and what a later query costs does not
         depend on the queries before it.
@@ -696,7 +698,8 @@ class TruncatedComplex(SparseComplex):
         residual are those of its entries renumbered by place."""
         if self._index is None:
             qs = {h: [q for _, q in gens] for h, gens in self.generators.items()}
-            sizes = {(h, q): n for h, col in qs.items() for q, n in Counter(col).items()}
+            counts = [((h, q), n) for h, col in qs.items() for q, n in Counter(col).items()]
+            sizes = dict(sorted(counts, key=lambda c: (c[0][1], c[0][0])))
             blocks = {}
             for h, d in self.differentials.items():
                 src, tgt = qs.get(h, ()), qs.get(h + 1, ())
@@ -760,34 +763,24 @@ class TruncatedComplex(SparseComplex):
         """Homology on the window; threads is accepted for compatibility and
         does not change how or what is computed.
 
-        Whether a cell can be refused is decided once per window.  No cell
-        of a clean window can be: it lies inside the q-window, and the
-        complex is complete or i1 - 1 >= h_min.  Any other window, and a
-        clean one that meets a d^2 fault, is first read cell by cell, q
-        outside and h inside, so that it raises what its first faulty cell
-        raises."""
-        i1, i2 = h_range
-        j1, j2 = q_range
+        Each cell is read once, through homology_at, q outside and h inside,
+        so a window raises what its first refused or faulty cell raises.
+        No cell of a clean window can be refused: it lies inside the
+        q-window, and the complex is complete or i1 - 1 >= h_min.  A clean
+        window reads only its cells that hold generators, since a cell
+        without them has no block into or out of it and is (0, ()); any
+        other window reads every cell."""
+        i1, i2 = expect(h_range, "a pair of integers", "h_range")
+        j1, j2 = expect(q_range, "a pair of integers", "q_range")
         lo, hi = self.q_range or (None, None)
         if ((lo is None or lo <= j1) and (hi is None or j2 <= hi)
                 and (self.complete or i1 - 1 >= self.h_min)):
-            try:
-                return self._table(h_range, q_range)
-            except ChainMapError:
-                pass  # the walk below raises it at the first faulty cell
-        for j in range(j1, j2 + 1):
-            for i in range(i1, i2 + 1):
-                self.homology_at(i, j)
-        return self._table(h_range, q_range)
-
-    def _table(self, h_range, q_range):
-        """The window's table from its cells that hold generators, in (h, q)
-        order: a cell without them has no block into or out of it, so it
-        is (0, ())."""
-        (i1, i2), (j1, j2) = h_range, q_range
-        sizes, _ = self._block_index()
+            cells = [c for c in self._block_index()[0]
+                     if i1 <= c[0] <= i2 and j1 <= c[1] <= j2]
+        else:
+            cells = [(i, j) for j in range(j1, j2 + 1) for i in range(i1, i2 + 1)]
         betti, torsion = {}, {}
-        for i, j in sorted(c for c in sizes if i1 <= c[0] <= i2 and j1 <= c[1] <= j2):
+        for i, j in cells:
             b, tor = self.homology_at(i, j)
             if b:
                 betti[(i, j)] = b

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinhom import homalg
-from skeinhom.errors import ChainMapError, GradingError, InvariantFactorError, TruncationError
+from skeinhom.errors import (ChainMapError, GradingError, InvariantFactorError, SpecError,
+                             TruncationError)
 from skeinhom.homalg import (Certificate, ChainMap, LaurentPoly, TruncatedComplex,
                              circle_poly, matrix_rank, smith_invariants, unit_cancellation)
 
@@ -534,7 +535,7 @@ class TestTruncatedComplex:
         assert hom.rows() == [(0, 3, 0, (2,))]
 
 
-class TestTensorAndCone:
+class TestCone:
     def test_cone_of_identity_is_acyclic(self):
         cx = TruncatedComplex({0: (("a", 0),), 1: (("b", 0),)}, {0: {(0, 0): 2}})
         cone = ChainMap(cx, cx, {0: {(0, 0): 1}, 1: {(0, 0): 1}}).cone()
@@ -792,6 +793,21 @@ def outcome(query):
         return type(err), str(err)
 
 
+def walk_order(cell):
+    """The sort key of the order homology reads a window: q outside, h inside."""
+    return cell[1], cell[0]
+
+
+def with_flipped_entry(cx, rng):
+    """cx stored unchecked, with all it holds, and one seeded differential
+    entry negated, so that d^2 = 0 may fail."""
+    diffs = {h: dict(d) for h, d in cx.differentials.items()}
+    h, k = rng.choice([(h, k) for h, d in sorted(diffs.items()) for k in d])
+    diffs[h][k] = -diffs[h][k]
+    return TruncatedComplex._trusted(cx.generators, diffs, cx.h_min, cx.h_max, cx.complete,
+                                     cx.certificate, q_range=cx.q_range)
+
+
 class TestBlockIndexOracle:
     """The block index built straight into pivot rows and columns against
     the entries-based index and cell-by-cell route it replaced."""
@@ -847,34 +863,63 @@ class TestOnePassWindow:
             for h_range, q_range in windows:
                 read.clear()
                 hom = cx.homology(h_range, q_range)
-                want = [(i, j) for i in range(h_range[0], h_range[1] + 1)
-                        for j in range(q_range[0], q_range[1] + 1) if (i, j) in sizes]
-                # once per cell with generators, none for an empty cell
-                assert sorted(read) == want
+                want = [(i, j) for j in range(q_range[0], q_range[1] + 1)
+                        for i in range(h_range[0], h_range[1] + 1) if (i, j) in sizes]
+                # once per cell with generators, in walk order, none for an
+                # empty cell
+                assert read == want
                 assert hom == homology_by_cells(cx, h_range, q_range)
-                assert list(hom.betti) == sorted(hom.betti)
-                assert list(hom.torsion) == sorted(hom.torsion)
+                assert list(hom.betti) == sorted(hom.betti, key=walk_order)
+                assert list(hom.torsion) == sorted(hom.torsion, key=walk_order)
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            shape=st.sampled_from(("windowed", "truncated", "both")),
            cert=st.tuples(st.integers(-3, 2), st.integers(0, 1)),
            window=st.tuples(st.integers(0, 2), st.integers(0, 1)),
            h_lo=st.integers(-4, 0), h_width=st.integers(0, 3),
-           q_lo=st.integers(-2, 2), q_width=st.integers(0, 4))
+           q_lo=st.integers(-2, 2), q_width=st.integers(0, 4), flip=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_straddling_window_matches_cell_route(self, seed, shape, cert, window,
-                                                  h_lo, h_width, q_lo, q_width):
-        # windows that may reach below h_min = -2 or past the q-window edges
+                                                  h_lo, h_width, q_lo, q_width, flip):
+        # windows that may reach below h_min = -2 or past the q-window edges,
+        # of a valid complex or of one with a flipped entry, whose d^2 fault
+        # the window names at the cell the walk meets first
         h_range, q_range = (h_lo, h_lo + h_width), (q_lo, q_lo + q_width)
-        cx, _, _ = random_shuffled_complex(random.Random(seed))
+        rng = random.Random(seed)
+        cx, _, _ = random_shuffled_complex(rng)
         if shape != "truncated":
             cx = q_window(cx, window[0], window[0] + window[1])
         if shape != "windowed":
             cx = TruncatedComplex(cx.generators, cx.differentials, h_min=-2, h_max=1,
                                   complete=False, certificate=Certificate((cert,)),
                                   q_range=cx.q_range)
+        if flip and cx.differentials:
+            cx = with_flipped_entry(cx, rng)
         assert (outcome(lambda: cx.homology(h_range, q_range))
                 == outcome(lambda: homology_by_cells(cx, h_range, q_range)))
+
+    def test_refusable_window_that_answers_reads_each_cell_once(self, monkeypatch):
+        # below h_min = -2 the certificate bounds q from 3 + 1 = 4 up, so a
+        # window from h = -2 can be refused but answers for q in 0..2
+        read = []
+        cell = TruncatedComplex.homology_at
+
+        def counted(self, i, j):
+            read.append((i, j))
+            return cell(self, i, j)
+
+        monkeypatch.setattr(TruncatedComplex, "homology_at", counted)
+        rng = random.Random(36)
+        h_range, q_range = (-2, 1), (0, 2)
+        every = [(i, j) for j in range(0, 3) for i in range(-2, 2)]
+        for _ in range(20):
+            cx, _, _ = random_shuffled_complex(rng)
+            cx = TruncatedComplex(cx.generators, cx.differentials, h_min=-2, h_max=1,
+                                  complete=False, certificate=Certificate(((3, 1),)))
+            read.clear()
+            hom = cx.homology(h_range, q_range)
+            assert read == every
+            assert hom == homology_by_cells(cx, h_range, q_range)
 
     def test_first_d_squared_fault_is_named_q_outside_h_inside(self):
         # d^2 != 0 along the q = 5 strand at h = 1 and the q = 3 strand at
@@ -890,6 +935,31 @@ class TestOnePassWindow:
 
 
 class TestErrorsUnderOptimize:
+    @pytest.mark.parametrize("h_range, q_range, message", [
+        ((1,), (0, 4), "h_range must be a pair of integers, got (1,)"),
+        (None, (0, 4), "h_range must be a pair of integers, got None"),
+        ((0, 1), (0, 4.0), "q_range must be a pair of integers, got (0, 4.0)"),
+        ((0, 1), (True, 4), "q_range must be a pair of integers, got (True, 4)"),
+        ((0, 1, 2), "04", "h_range must be a pair of integers, got (0, 1, 2)"),
+    ])
+    def test_misshapen_window_is_a_spec_error(self, h_range, q_range, message):
+        cx = TruncatedComplex({0: (("a", 0),)}, {})
+        with pytest.raises(SpecError) as err:
+            cx.homology(h_range, q_range)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("window, message", [
+        ("(1,), (0, 4)", "h_range must be a pair of integers, got (1,)"),
+        ("None, (0, 4)", "h_range must be a pair of integers, got None"),
+    ])
+    def test_misshapen_window_under_optimize(self, window, message):
+        line = error_under_optimize(
+            "from skeinhom.homalg import TruncatedComplex\n"
+            "cx = TruncatedComplex({0: (('a', 0),)}, {})\n"
+            f"cx.homology({window})\n"
+        )
+        assert line == "skeinhom.errors.SpecError: " + message
+
     def test_negative_betti_is_a_chain_map_error(self):
         gens = {0: (("a", 0),), 1: (("b", 0),), 2: (("c", 0),)}
         cx = TruncatedComplex._trusted(gens, {0: {(0, 0): 1}, 1: {(0, 0): 1}})

@@ -683,3 +683,73 @@ def test_cell_rule_scan_sees_both_forms_and_scopes(tmp_path):
         "def b(m, i, x, y):\n"
         "    return m - 1 - i, m - i - 1, x - y, x - (y - i), 'd^2 != 0 from degree'\n")
     assert nodes_by_function(module, is_cell_rule) == [("a", 2), ("C.cell", 5), ("C.cell", 6)]
+
+
+# What an except clause catches if it catches a d^2 fault (ChainMapError):
+# the class, a base class of it, or everything.
+CHAIN_MAP_CATCHERS = ("ChainMapError", "SkeinError", "Exception", "BaseException")
+
+
+def catches_chain_map_error(node):
+    """An except clause that catches ChainMapError: by name, through a base
+    class, in a tuple, or bare."""
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(getattr(c, "id", getattr(c, "attr", None)) in CHAIN_MAP_CATCHERS for c in caught)
+
+
+def window_read_sites(path):
+    """[line] of every call of homology_at inside TruncatedComplex.homology,
+    nested functions included, in the module at path."""
+    def is_cell_read(node):
+        func = getattr(node, "func", None)
+        return (isinstance(node, ast.Call)
+                and getattr(func, "id", getattr(func, "attr", None)) == "homology_at")
+    home = "TruncatedComplex.homology"
+    return [line for function, line in nodes_by_function(path, is_cell_read)
+            if function == home or function.startswith(home + ".")]
+
+
+def test_homology_has_one_path_and_no_fallback():
+    # a window reads each cell once through one call of homology_at and
+    # lets the first refusal or d^2 fault out; no handler in homalg catches
+    # a fault to walk the window again
+    handlers = [f"homalg.py:{line} ({function})" for function, line
+                in nodes_by_function(SOURCE / "homalg.py", catches_chain_map_error)]
+    assert not handlers, "ChainMapError caught at " + ", ".join(handlers)
+    sites = window_read_sites(SOURCE / "homalg.py")
+    assert len(sites) == 1, (
+        f"TruncatedComplex.homology calls homology_at at lines {sites}; "
+        "read every cell of a window through one loop")
+
+
+def test_fallback_scans_see_handlers_and_call_sites(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "class TruncatedComplex:\n"
+        "    def homology(self, cells):\n"
+        "        try:\n"
+        "            return [self.homology_at(i, j) for i, j in cells]\n"
+        "        except ChainMapError:\n"
+        "            pass\n"
+        "        def again(c):\n"
+        "            return homology_at(*c)\n"
+        "        return list(map(again, cells))\n"
+        "    def homology_at(self, i, j):\n"
+        "        try:\n"
+        "            return self.cell(i, j)\n"
+        "        except (KeyError, errors.SkeinError):\n"
+        "            raise\n"
+        "        except ValueError:\n"
+        "            return self.homology_at\n"
+        "def f(cx):\n"
+        "    try:\n"
+        "        return cx.homology_at(0, 0)\n"
+        "    except:\n"
+        "        pass\n")
+    assert nodes_by_function(module, catches_chain_map_error) == [
+        ("TruncatedComplex.homology", 5), ("TruncatedComplex.homology_at", 13), ("f", 20)]
+    assert window_read_sites(module) == [4, 8]
