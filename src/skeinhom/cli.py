@@ -429,6 +429,10 @@ def _cmd_spin_pairing(args):
 
 
 def _cmd_spin_crosscheck(args):
+    if args.order < 0:
+        raise SpecError(f"order must be non-negative, got {args.order}")
+    if args.depth is not None and args.depth < 0:
+        raise SpecError(f"depth must be non-negative, got {args.depth}")
     report = euler_crosscheck(args.scenario, args.order, depth=args.depth)
     if args.out == "json":
         _emit_json(

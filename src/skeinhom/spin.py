@@ -218,18 +218,10 @@ class RationalFunctionQ:
         prod Phi_d(q^2)^(-e_d) over the d with e_d < 0, for exponents a
         mapping {d: e_d}.  Distinct cyclotomic polynomials are coprime
         irreducibles with lead 1 and constant term +-1, so this quotient is
-        already the reduced form: no gcd is taken."""
-        num, den = [1], [1]
-        for d, e in sorted(exponents.items()):
-            if e > 0:
-                num = _times_power(num, _cyclotomic(d), e)
-            elif e < 0:
-                den = _times_power(den, _cyclotomic(d), -e)
-        value = object.__new__(cls)
-        object.__setattr__(value, "num", LaurentPoly(
-            {shift + 2 * i: c for i, c in enumerate(num)}))
-        object.__setattr__(value, "den", LaurentPoly({2 * i: c for i, c in enumerate(den)}))
-        return value
+        already the reduced form: no gcd is taken.  Equal signatures (the
+        shift and the sorted nonzero (d, e_d)) give one shared value, built
+        on first use."""
+        return _from_signature(shift, tuple(sorted((d, e) for d, e in exponents.items() if e)))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunctionQ is immutable")
@@ -327,6 +319,22 @@ class RationalFunctionQ:
 
     def __repr__(self):
         return f"RationalFunctionQ({self.num!r}, {self.den!r})"
+
+
+@lru_cache(maxsize=None)
+def _from_signature(shift, signature):
+    """RationalFunctionQ.from_exponents for a signature ((d, e_d), ...) sorted
+    by d, every e_d nonzero."""
+    num, den = [1], [1]
+    for d, e in signature:
+        if e > 0:
+            num = _times_power(num, _cyclotomic(d), e)
+        else:
+            den = _times_power(den, _cyclotomic(d), -e)
+    value = object.__new__(RationalFunctionQ)
+    object.__setattr__(value, "num", LaurentPoly({shift + 2 * i: c for i, c in enumerate(num)}))
+    object.__setattr__(value, "den", LaurentPoly({2 * i: c for i, c in enumerate(den)}))
+    return value
 
 
 def _fraction_sum(terms):
@@ -523,15 +531,33 @@ def _vertex_tangle(a, b, c):
     return PlanarTangle(a + b, c, tuple(partner))
 
 
-@lru_cache(maxsize=None)
 def loop(a):
-    """Closure of the a-strand Jones-Wenzl idempotent; equals [a+1]."""
+    """Closure of the a-strand Jones-Wenzl idempotent; equals [a+1].  A color
+    that is not a non-negative int is a SpecError."""
+    return _loop(expect(a, "a non-negative integer", "loop: color"))
+
+
+@lru_cache(maxsize=None)
+def _loop(a):
     return tl_closure(wenzl(a))
+
+
+@lru_cache(maxsize=None)
+def _loop_exponents(c):
+    """(shift, {d: e_d}) of loop(c), read back as a quantum integer [k] once
+    per color; InexactDivision if it is not one."""
+    value = loop(c)
+    k = as_quantum_integer(value)
+    if not k:
+        raise InexactDivision(f"loop({c}) = {value} is not a quantum integer [k], k >= 1")
+    shift, exponents = _quantum_integer_exponents(k)
+    return shift, MappingProxyType(exponents)
 
 
 def theta(a, b, c):
     """Evaluation of the theta graph with edges colored a, b, c, each edge
-    carrying its Jones-Wenzl idempotent; zero when inadmissible.
+    carrying its Jones-Wenzl idempotent; zero when inadmissible, and a
+    SpecError for a color that is not a non-negative int.
 
     With the internal colors i, j, k (the strands each pair of edges
     shares), the graph is the ratio of quantum factorials
@@ -539,14 +565,11 @@ def theta(a, b, c):
         [i+j+k+1]! [i]! [j]! [k]! / ([i+j]! [j+k]! [k+i]!)
 
     (Kauffman-Lins, Temperley-Lieb Recoupling Theory, 1994; Masbaum-Vogel,
-    Pacific J. Math. 164, 1994).  It is symmetric in the edges, so it is
-    cached per sorted triple."""
-    return _sorted_theta(*sorted((a, b, c)))
-
-
-@lru_cache(maxsize=None)
-def _sorted_theta(a, b, c):
-    """theta(a, b, c) for a <= b <= c, built from its cyclotomic exponents."""
+    Pacific J. Math. 164, 1994).  It is symmetric in the edges, so its
+    exponents are cached per sorted triple."""
+    for name, color in zip("abc", (a, b, c)):
+        expect(color, "a non-negative integer", f"theta: color {name}")
+    a, b, c = sorted((a, b, c))
     if not admissible_triple(a, b, c):
         return RationalFunctionQ.zero()
     return RationalFunctionQ.from_exponents(*_theta_exponents(a, b, c))
@@ -629,19 +652,13 @@ def check_admissible(net):
 def pairing_prediction(net):
     """Predicted Euler characteristic of the symmetrized self-pairing of the
     network: the product of vertex theta values over loop values of the
-    internal edges.  Each loop is read as a quantum integer, so the product
-    is a sum of cyclotomic exponents, built once with no gcd."""
+    internal edges.  Each loop is a quantum integer, read as one once per
+    color, so the product is a sum of cyclotomic exponents, built with no
+    gcd."""
     check_admissible(net)
     factors = [(_theta_exponents(*sorted(region_colors(net, ri))), 1)
                for ri in range(len(net.surface.regions))]
-    for seam in net.surface.seams:
-        value = loop(net.coloring[seam])
-        k = as_quantum_integer(value)
-        if not k:
-            raise InexactDivision(
-                f"loop({net.coloring[seam]}) = {value} is not a quantum integer [k], k >= 1"
-            )
-        factors.append((_quantum_integer_exponents(k), -1))
+    factors += [(_loop_exponents(net.coloring[seam]), -1) for seam in net.surface.seams]
     return RationalFunctionQ.from_exponents(*_sum_exponents(factors))
 
 
@@ -810,10 +827,9 @@ def euler_crosscheck(scenario, order, depth=None):
     closed-form prediction, coefficientwise through q^order.  depth is the
     bar-resolution depth (default: enough for order); triangle112 truncates
     its projectors by order alone, but refuses a negative depth all the same."""
-    if order < 0:
-        raise SpecError(f"order must be non-negative, got {order}")
-    if depth is not None and depth < 0:
-        raise SpecError(f"depth must be non-negative, got {depth}")
+    expect(order, "a non-negative integer", "crosscheck: order")
+    if depth is not None:
+        expect(depth, "a non-negative integer", "crosscheck: depth")
     if scenario == "strands0":
         proj = bottom_projector(0, depth if depth is not None else 1)
         lhs = proj.k0_series(identity_tangle(0), (0, order))

@@ -399,6 +399,13 @@ class TestSpinCommands:
         assert out == ""
         assert "SpecError: depth must be non-negative" in err
 
+    def test_crosscheck_negative_order_refused(self, capsys):
+        code, out, err = run_cli(capsys, "spin", "crosscheck", "--scenario", "bproj2",
+                                 "--order", "-1")
+        assert code == 3
+        assert out == ""
+        assert "SpecError: order must be non-negative, got -1" in err
+
     def test_crosscheck_unknown_scenario(self, capsys):
         code, _, err = run_cli(
             capsys, "spin", "crosscheck", "--scenario", "moebius", "--order", "4"

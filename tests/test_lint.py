@@ -478,6 +478,35 @@ def test_chords_are_looked_up_in_one_place():
         "chords searched at " + ", ".join(sites) + "; call tqft._chord_index instead")
 
 
+def is_loop_call(node):
+    """A call of loop(...) or <expression>.loop(...)."""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        isinstance(func, ast.Name) and func.id == "loop"
+        or isinstance(func, ast.Attribute) and func.attr == "loop")
+
+
+def test_loops_are_read_in_one_place():
+    # a product reads a loop value through spin._loop_exponents, once per
+    # color, so a closed form for loop values changes one function
+    sites = [f"{path.stem}.{function}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for function, line in nodes_by_function(path, is_loop_call)]
+    assert [site.partition(":")[0] for site in sites] == ["spin._loop_exponents"], (
+        "loop called at " + ", ".join(sites) + "; read it through spin._loop_exponents")
+
+
+def test_loop_call_scan_sees_names_attributes_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "X = loop(2)\n"
+        "def loop(a):\n"
+        "    return _loop(a)\n"
+        "class C:\n"
+        "    def f(self, c):\n"
+        "        return spin.loop(c), loop, self.loops(c)\n")
+    assert nodes_by_function(module, is_loop_call) == [("", 1), ("C.f", 6)]
+
+
 def unused_module_imports(path):
     """[(name, line)] of every name a module-level import binds in the
     module at path that no code in it reads and its __all__ does not list."""

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -443,7 +444,7 @@ class TestTheta:
         def refuse(*_args):
             raise AssertionError("theta evaluated a diagram")
 
-        spin._sorted_theta.cache_clear()
+        spin._from_signature.cache_clear()
         monkeypatch.setattr(spin, "wenzl", refuse)
         monkeypatch.setattr(spin, "compose", refuse)
         for triple in [(8, 8, 8), (7, 7, 6)]:
@@ -479,6 +480,61 @@ class TestTheta:
         num = quantum_integer(4) * quantum_integer(3)
         den = quantum_integer(2) * quantum_integer(2)
         assert val == RFQ(num, den)
+
+
+MALFORMED_SKEIN_CALLS = [
+    ("theta", (None, 1, 1), "theta: color a must be a non-negative integer, got None"),
+    ("theta", (1.5, 1, 1), "theta: color a must be a non-negative integer, got 1.5"),
+    ("theta", (True, 1, 1), "theta: color a must be a non-negative integer, got True"),
+    ("theta", (-1, 1, 1), "theta: color a must be a non-negative integer, got -1"),
+    ("theta", (1, 1, "2"), "theta: color c must be a non-negative integer, got '2'"),
+    ("loop", (1.5,), "loop: color must be a non-negative integer, got 1.5"),
+    ("loop", (None,), "loop: color must be a non-negative integer, got None"),
+    ("loop", ("2",), "loop: color must be a non-negative integer, got '2'"),
+    ("loop", (True,), "loop: color must be a non-negative integer, got True"),
+    ("loop", (-1,), "loop: color must be a non-negative integer, got -1"),
+    ("euler_crosscheck", ("annulus", 1.5),
+     "crosscheck: order must be a non-negative integer, got 1.5"),
+    ("euler_crosscheck", ("annulus", 2, 1.5),
+     "crosscheck: depth must be a non-negative integer, got 1.5"),
+    ("euler_crosscheck", ("annulus", 2, -1),
+     "crosscheck: depth must be a non-negative integer, got -1"),
+]
+
+
+class TestMalformedArguments:
+    """theta, loop and euler_crosscheck check each color, order and depth
+    where it comes in, before any cache: an lru_cache would take True for 1."""
+
+    @pytest.mark.parametrize("name, args, message", MALFORMED_SKEIN_CALLS)
+    def test_refused_with_a_spec_error(self, name, args, message):
+        theta(1, 1, 2), loop(1)  # warm the caches a bool would hit
+        with pytest.raises(SpecError) as info:
+            getattr(spin, name)(*args)
+        assert str(info.value) == message
+
+    def test_refused_under_optimize(self):
+        calls = "\n".join(f"    check({name!r}, {args!r})"
+                           for name, args, _message in MALFORMED_SKEIN_CALLS)
+        line = error_under_optimize(
+            "from skeinhom import spin\n"
+            "from skeinhom.errors import SpecError\n"
+            "def check(name, args):\n"
+            "    try:\n"
+            "        getattr(spin, name)(*args)\n"
+            "    except SpecError:\n"
+            "        return\n"
+            "    raise SystemExit(f'{name}{args} was not refused')\n"
+            "if True:\n" + calls + "\n"
+            "    raise ValueError('all refused')\n")
+        assert line == "ValueError: all refused"
+
+    def test_well_formed_values_are_unchanged(self):
+        assert not theta(1, 1, 1) and not theta(0, 0, 2)
+        assert loop(0) == RFQ(1) and loop(2) == RFQ(quantum_integer(3))
+        assert euler_crosscheck("strands0", 0, None).ok
+        with pytest.raises(InvalidBoundary):
+            wenzl(-1)
 
 
 class TestThroughDegree:
@@ -762,6 +818,50 @@ class TestCyclotomicExponents:
         general = RFQ(LaurentPoly.q(shift) * expanded(1), expanded(-1))
         assert literal(RFQ.from_exponents(shift, exponents)) == literal(general)
 
+    @settings(deadline=None, max_examples=150)
+    @given(shift=st.integers(-12, 12),
+           factors=st.lists(st.tuples(st.integers(1, 30), st.integers(-3, 3)), max_size=8))
+    def test_equal_signatures_share_one_value(self, shift, factors):
+        # a list of (d, e_d) factors may repeat a d, and its exponents may
+        # add up to zero; the value depends on their sums alone
+        exponents = {}
+        for d, e in factors:
+            exponents[d] = exponents.get(d, 0) + e
+
+        def expanded(sign):
+            out = LaurentPoly.one()
+            for d, e in exponents.items():
+                phi = LaurentPoly({2 * i: c for i, c in enumerate(spin._cyclotomic(d))})
+                out = out * phi ** max(sign * e, 0)
+            return out
+
+        value = RFQ.from_exponents(shift, exponents)
+        general = RFQ(LaurentPoly.q(shift) * expanded(1), expanded(-1))
+        assert (value.num.terms, value.den.terms) == (general.num.terms, general.den.terms)
+        reordered = {d: exponents[d] for d in reversed(list(exponents))}
+        reordered[31] = 0
+        assert RFQ.from_exponents(shift, reordered) is value
+
+    def test_pairings_read_each_seam_color_once(self, monkeypatch):
+        # the 61 colorings of the skein benchmark: colors up to 4, at most one 4
+        colorings = [c for c in itertools.product(range(5), repeat=4)
+                     if admissible_triple(c[0], c[2], c[3]) and admissible_triple(c[1], c[3], c[2])
+                     and c.count(4) <= 1]
+        assert len(colorings) == 61
+        reads = Counter()
+
+        def counted(value):
+            k = as_quantum_integer(value)
+            reads[k] += 1
+            return k
+
+        spin._loop_exponents.cache_clear()
+        monkeypatch.setattr(spin, "as_quantum_integer", counted)
+        for c in colorings:
+            pairing_prediction(SpinNetwork(TRI_ANNULUS, dict(zip(("a", "b", "g1", "g2"), c))))
+        seam_colors = {color for c in colorings for color in c[2:]}
+        assert reads == Counter({color + 1: 1 for color in seam_colors})
+
     def test_theta_matches_one_reduction(self):
         for triple in itertools.product(range(9), repeat=3):
             assert literal(theta(*triple)) == literal(theta_by_one_reduction(*triple)), triple
@@ -790,6 +890,7 @@ class TestCyclotomicExponents:
                 arc_colors, seam_colors)
 
     def test_loop_that_is_not_a_quantum_integer_is_refused(self, monkeypatch):
+        spin._loop_exponents.cache_clear()
         monkeypatch.setattr(spin, "loop", lambda c: RFQ(1, quantum_integer(c + 1)))
         net = SpinNetwork(TRI_ANNULUS, {"a": 2, "b": 2, "g1": 1, "g2": 1})
         with pytest.raises(InexactDivision, match=r"loop\(1\) = .* is not a quantum integer"):
@@ -807,7 +908,8 @@ class TestCyclotomicExponents:
             raise AssertionError("a skein value took a gcd")
 
         monkeypatch.setattr(spin, "_poly_gcd", refuse)
-        spin._sorted_theta.cache_clear()
+        spin._from_signature.cache_clear()
+        spin._loop_exponents.cache_clear()
         assert literal(theta(8, 8, 8)) == theta888
         assert [literal(pairing_prediction(net)) for net in nets] == pairings
         assert euler_crosscheck("bproj2", 9).ok
