@@ -124,27 +124,36 @@ def _times_power(a, factor, e):
     return a
 
 
+# A value q^shift * prod Phi_d(q^2)^e_d is kept as (shift, signature): the
+# signature is the tuple of its (d, e_d) with e_d nonzero, sorted by d, so
+# equal values have equal signatures.
+
+def _signature(exponents):
+    """The signature of a mapping {d: e_d}."""
+    return tuple(sorted((d, e) for d, e in exponents.items() if e))
+
+
 def _quantum_integer_exponents(n):
     """[n] = q^(1-n) * prod_{d | n, d > 1} Phi_d(q^2), for n >= 1, as
-    (shift, {d: 1})."""
-    return 1 - n, {d: 1 for d in range(2, n + 1) if n % d == 0}
+    (shift, signature)."""
+    return 1 - n, tuple((d, 1) for d in range(2, n + 1) if n % d == 0)
 
 
 def _factorial_exponents(n):
-    """[n]! = [1][2]...[n] as (shift, {d: e_d}): the shifts 1 - m add up,
+    """[n]! = [1][2]...[n] as (shift, signature): the shifts 1 - m add up,
     and Phi_d comes from each of the floor(n/d) multiples of d."""
-    return -n * (n - 1) // 2, {d: n // d for d in range(2, n + 1)}
+    return -n * (n - 1) // 2, tuple((d, n // d) for d in range(2, n + 1))
 
 
 def _sum_exponents(factors):
-    """(shift, {d: e_d}) of a product of values q^s * prod Phi_d(q^2)^e_d,
-    from (value exponents, sign) pairs; sign -1 divides by the value."""
+    """(shift, signature) of a product of values, from ((shift, signature),
+    sign) pairs; sign -1 divides by the value."""
     shift, total = 0, {}
-    for (s, exponents), sign in factors:
+    for (s, signature), sign in factors:
         shift += sign * s
-        for d, e in exponents.items():
+        for d, e in signature:
             total[d] = total.get(d, 0) + sign * e
-    return shift, total
+    return shift, _signature(total)
 
 
 def _coeff_list(poly):
@@ -221,7 +230,7 @@ class RationalFunctionQ:
         already the reduced form: no gcd is taken.  Equal signatures (the
         shift and the sorted nonzero (d, e_d)) give one shared value, built
         on first use."""
-        return _from_signature(shift, tuple(sorted((d, e) for d, e in exponents.items() if e)))
+        return _from_signature(shift, _signature(exponents))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunctionQ is immutable")
@@ -323,8 +332,7 @@ class RationalFunctionQ:
 
 @lru_cache(maxsize=None)
 def _from_signature(shift, signature):
-    """RationalFunctionQ.from_exponents for a signature ((d, e_d), ...) sorted
-    by d, every e_d nonzero."""
+    """RationalFunctionQ.from_exponents for a (shift, signature)."""
     num, den = [1], [1]
     for d, e in signature:
         if e > 0:
@@ -544,14 +552,13 @@ def _loop(a):
 
 @lru_cache(maxsize=None)
 def _loop_exponents(c):
-    """(shift, {d: e_d}) of loop(c), read back as a quantum integer [k] once
+    """(shift, signature) of loop(c), read back as a quantum integer [k] once
     per color; InexactDivision if it is not one."""
     value = loop(c)
     k = as_quantum_integer(value)
     if not k:
         raise InexactDivision(f"loop({c}) = {value} is not a quantum integer [k], k >= 1")
-    shift, exponents = _quantum_integer_exponents(k)
-    return shift, MappingProxyType(exponents)
+    return _quantum_integer_exponents(k)
 
 
 def theta(a, b, c):
@@ -567,24 +574,24 @@ def theta(a, b, c):
     (Kauffman-Lins, Temperley-Lieb Recoupling Theory, 1994; Masbaum-Vogel,
     Pacific J. Math. 164, 1994).  It is symmetric in the edges, so its
     exponents are cached per sorted triple."""
-    for name, color in zip("abc", (a, b, c)):
-        expect(color, "a non-negative integer", f"theta: color {name}")
+    expect(a, "a non-negative integer", "theta: color a")
+    expect(b, "a non-negative integer", "theta: color b")
+    expect(c, "a non-negative integer", "theta: color c")
     a, b, c = sorted((a, b, c))
     if not admissible_triple(a, b, c):
         return RationalFunctionQ.zero()
-    return RationalFunctionQ.from_exponents(*_theta_exponents(a, b, c))
+    return _from_signature(*_theta_exponents(a, b, c))
 
 
 @lru_cache(maxsize=None)
 def _theta_exponents(a, b, c):
-    """(shift, {d: e_d}) of theta(a, b, c) for an admissible a <= b <= c:
+    """(shift, signature) of theta(a, b, c) for an admissible a <= b <= c:
     the exponents of its four numerator factorials less those of its three
     denominator factorials."""
     i, j, k = (a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2
-    shift, exponents = _sum_exponents(
+    return _sum_exponents(
         (_factorial_exponents(n), sign) for n, sign in (
             (i + j + k + 1, 1), (i, 1), (j, 1), (k, 1), (i + j, -1), (j + k, -1), (k + i, -1)))
-    return shift, MappingProxyType(exponents)
 
 
 @dataclass(frozen=True)
@@ -659,7 +666,7 @@ def pairing_prediction(net):
     factors = [(_theta_exponents(*sorted(region_colors(net, ri))), 1)
                for ri in range(len(net.surface.regions))]
     factors += [(_loop_exponents(net.coloring[seam]), -1) for seam in net.surface.seams]
-    return RationalFunctionQ.from_exponents(*_sum_exponents(factors))
+    return _from_signature(*_sum_exponents(factors))
 
 
 def cross_pairing_prediction(net_a, net_b):
