@@ -508,14 +508,16 @@ class TestMalformedArguments:
 
     @pytest.mark.parametrize("name, args, message", MALFORMED_SKEIN_CALLS)
     def test_refused_with_a_spec_error(self, name, args, message):
-        theta(1, 1, 2), loop(1)  # warm the caches a bool would hit
+        # warm the caches that True would hit as 1
+        theta(1, 1, 2)
+        loop(1)
         with pytest.raises(SpecError) as info:
             getattr(spin, name)(*args)
         assert str(info.value) == message
 
     def test_refused_under_optimize(self):
-        calls = "\n".join(f"    check({name!r}, {args!r})"
-                           for name, args, _message in MALFORMED_SKEIN_CALLS)
+        calls = "".join(f"check({name!r}, {args!r})\n"
+                        for name, args, _message in MALFORMED_SKEIN_CALLS)
         line = error_under_optimize(
             "from skeinhom import spin\n"
             "from skeinhom.errors import SpecError\n"
@@ -525,8 +527,7 @@ class TestMalformedArguments:
             "    except SpecError:\n"
             "        return\n"
             "    raise SystemExit(f'{name}{args} was not refused')\n"
-            "if True:\n" + calls + "\n"
-            "    raise ValueError('all refused')\n")
+            + calls + "raise ValueError('all refused')\n")
         assert line == "ValueError: all refused"
 
     def test_well_formed_values_are_unchanged(self):
