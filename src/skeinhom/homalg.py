@@ -81,8 +81,8 @@ class LaurentPoly:
         return cls._trusted(((0, 1),))
 
     @classmethod
-    def q(cls, exp=1, coeff=1):
-        return cls({exp: coeff})
+    def q(cls, exp=1):
+        return cls({exp: 1})
 
     def coefficient(self, exp):
         return dict(self.terms).get(exp, 0)
@@ -673,14 +673,6 @@ class TruncatedComplex(SparseComplex):
         if src[1] != tgt[1]:
             return f"does not preserve the quantum degree: {src} -> {tgt}"
         return None
-
-    def gen_count(self, h, j=None):
-        gens = self.generators.get(h, ())
-        if self.q_range is not None:
-            self.require_window("gen_count", *(() if j is None else (j, j)))
-        if j is None:
-            return len(gens)
-        return sum(1 for g in gens if g[1] == j)
 
     def _block_index(self):
         """(sizes, blocks): generators per (h, q), in the order homology

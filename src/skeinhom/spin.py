@@ -697,16 +697,6 @@ def projector_truncation(n, depth):
     raise SpecError(f"categorified idempotent data stops at 2 strands, got {n}")
 
 
-def projector_euler_terms(n, depth):
-    """Alternating sum of shift monomials per tangle, for comparison against
-    the coefficients of wenzl(n)."""
-    out = {}
-    for tangle, h, q in projector_truncation(n, depth):
-        cur = out.get(tangle, LaurentPoly.zero())
-        out[tangle] = cur + LaurentPoly({q: (-1) ** (h % 2)})
-    return out
-
-
 _TRIANGLE = SurfaceSpec(
     arcs=(("ea", 1), ("eb", 1), ("ec", 1)),
     seams=(),

@@ -841,14 +841,13 @@ def _applied(elem, matrix, target, h):
     return SurfaceElement(target, h, terms)
 
 
-def h0(spec, top, bottom, q_degree, inserts=None, reduced=True):
+def h0(spec, top, bottom, q_degree):
     """Rank of the degree-zero homology in one quantum degree.
 
     Exact: only bar lengths zero and one enter, so no truncation is needed.
     Only that quantum degree is built.
     """
-    cx = SurfaceComplex(spec, top, bottom, depth=1, inserts=inserts, reduced=reduced,
-                        q_range=(q_degree, q_degree))
+    cx = SurfaceComplex(spec, top, bottom, depth=1, q_range=(q_degree, q_degree))
     return cx.truncated.homology_at(0, q_degree)[0]
 
 

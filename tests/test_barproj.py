@@ -425,7 +425,7 @@ class TestHomComplex:
         for b in (ID2, E):
             hc = U.hom_complex(b)
             d, off = hom_double(b, ID2)
-            assert hc.gen_count(0) == len(kh_basis(d, off))
+            assert len(hc.generators[0]) == len(kh_basis(d, off))
             assert not hc.differentials
 
     def test_homology_stable_under_deeper_truncation(self):

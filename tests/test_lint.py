@@ -782,3 +782,211 @@ def test_fallback_scans_see_handlers_and_call_sites(tmp_path):
     assert nodes_by_function(module, catches_chain_map_error) == [
         ("TruncatedComplex.homology", 5), ("TruncatedComplex.homology_at", 13), ("f", 20)]
     assert window_read_sites(module) == [4, 8]
+
+
+# Public definitions in the package that no product code reads, each with
+# the reason it stays.  Product code is the package outside the definition's
+# own body, the benchmark, and the acceptance tests.
+UNREAD_DEFINITIONS = {
+    "homalg.unit_cancellation": "the entries form of _cancel_units, which the unit/Smith "
+                                "property and tests/oracles.py call",
+    "surface.SurfaceComplex.differential": "the dg-element API that the tests of "
+                                           "surface.compose and coarsen read",
+    "surface.SurfaceElement.quantum_degrees": "the dg-element API that the tests of "
+                                              "surface.compose and coarsen read",
+    "surface.transfer": "the dg-element API that the tests of surface.compose and coarsen read",
+    "surface.symmetrized_pairing": "the library form of the CLI's surface hom window, which "
+                                   "cli calls once the benchmark stops patching "
+                                   "cli.SurfaceComplex",
+    "tqft.reflected_y": "the mirror beside reflected_x",
+}
+
+# Keyword parameters of public definitions that no product call sets, by
+# (definition, keyword), each with the reason it stays.
+UNSET_KEYWORDS = {
+    ("surface.symmetrized_pairing", "depth"): "the CLI's --depth, once cli calls it",
+    ("barproj.bar_words", "reduced"): "the unreduced words are checked against words_of",
+    ("barproj.bottom_projector", "split"): "its (4, 2, (1, 3)) case is the only fold-form "
+                                           "check of an asymmetric ring",
+}
+
+ROOT = SOURCE.parents[1]
+PRODUCT_READERS = (*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py")
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def public_definitions(path):
+    """[(dotted name, method, node)] of every public top-level function and
+    class in the module at path, and of every public method of such a class;
+    dunder and _private names are not public."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(node, (*DEFS, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        found.append((node.name, False, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", True, item) for item in node.body
+                      if isinstance(item, DEFS) and not item.name.startswith("_")]
+    return found
+
+
+def decorated(node, name):
+    return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == name
+               for d in node.decorator_list)
+
+
+def name_uses(path):
+    """The reads and calls by name in the module at path: [(kind, name,
+    line)] and [(kind, name, line, call)], kind "name" for a loaded name or an
+    import alias and "attr" for a loaded attribute.  A cls(...) call in a
+    classmethod is a call of its class by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads, calls = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append(("name", node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append(("attr", node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            reads += [("name", alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            kind, name = (("name", node.func.id) if isinstance(node.func, ast.Name)
+                          else ("attr", node.func.attr))
+            calls.append((kind, name, node.lineno, node))
+    for cls in tree.body:
+        for method in getattr(cls, "body", ()) if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(method, DEFS) and decorated(method, "classmethod") and method.args.args:
+                first = method.args.args[0].arg
+                calls += [("name", cls.name, call.lineno, call) for call in ast.walk(method)
+                          if isinstance(call, ast.Call)
+                          and getattr(call.func, "id", None) == first]
+    return reads, calls
+
+
+def keyword_parameters(node, method):
+    """The function that declares the keywords of a function, a method or a
+    class (its __init__; none for dataclass fields), and [(keyword,
+    position)] of those with a default, position being the index of a
+    positional argument that sets it (None for a keyword-only one)."""
+    if isinstance(node, ast.ClassDef):
+        init = [item for item in node.body if isinstance(item, DEFS) and item.name == "__init__"]
+        if init:
+            return keyword_parameters(init[0], True)
+        fields = [item for item in node.body if decorated(node, "dataclass")
+                  and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        return None, [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+    a = node.args
+    positional = a.posonlyargs + a.args
+    skip = int(method and not decorated(node, "staticmethod"))
+    first = len(positional) - len(a.defaults)
+    return node, ([(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+                  + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def sets(call, keyword, position):
+    """Whether a call passes keyword, by name, by position, or by forwarding
+    *args or **kwargs."""
+    return (any(kw.arg in (keyword, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def unread_and_unset(source=SOURCE, readers=PRODUCT_READERS):
+    """The public definitions in the package at source that no product code
+    reads, as "module.name", and the keywords of public definitions that no
+    product call sets, as ("module.name", keyword).  Product code is the
+    package outside the definition's own body, and the modules in readers.
+
+    A top-level function or class is read by a name, an import alias or an
+    attribute of its name, a method only by an attribute; a docstring
+    mention is no read.  Both scans match by name and infer no types, so a
+    method that shares its name with another class's method counts as read
+    and its keywords as set: they can miss dead code but never flag live
+    code."""
+    modules = sorted(source.glob("*.py"))
+    uses = {path: name_uses(path) for path in (*modules, *readers)}
+
+    def outside(body, path, where, line):
+        return body is None or where != path or not body.lineno <= line <= body.end_lineno
+    unread, unset = [], []
+    for path in modules:
+        for name, method, node in public_definitions(path):
+            short = name.rpartition(".")[2]
+            kinds = ("attr",) if method else ("name", "attr")
+            if not any(kind in kinds and used == short and outside(node, path, where, line)
+                       for where, (reads, _calls) in uses.items()
+                       for kind, used, line in reads):
+                unread.append(f"{path.stem}.{name}")
+            body, keywords = keyword_parameters(node, method)
+            calls = [call for where, (_reads, found) in uses.items()
+                     for kind, used, line, call in found
+                     if kind in kinds and used == short and outside(body, path, where, line)]
+            unset += [(f"{path.stem}.{name}", keyword) for keyword, position in keywords
+                      if not any(sets(call, keyword, position) for call in calls)]
+    return unread, unset
+
+
+def test_every_public_definition_has_a_product_reader():
+    unread, _unset = unread_and_unset()
+    stray = [name for name in unread if name not in UNREAD_DEFINITIONS]
+    assert not stray, (
+        f"public definitions no product code reads: {stray}; delete them, or list each "
+        "in UNREAD_DEFINITIONS with its reason")
+
+
+def test_every_keyword_has_a_product_setter():
+    _unread, unset = unread_and_unset()
+    stray = [key for key in unset if key not in UNSET_KEYWORDS]
+    assert not stray, (
+        f"keywords no product call sets: {stray}; drop them, or list each in "
+        "UNSET_KEYWORDS with its reason")
+
+
+def test_every_reader_allowance_is_still_needed():
+    unread, unset = unread_and_unset()
+    stale = sorted(set(UNREAD_DEFINITIONS) - set(unread)) + sorted(set(UNSET_KEYWORDS) - set(unset))
+    assert not stale, f"allowances for definitions or keywords that are read or gone: {stale}"
+
+
+def test_reader_scans_see_each_kind_of_read_and_set(tmp_path):
+    source = tmp_path / "pkg"
+    source.mkdir()
+    (source / "mod.py").write_text(
+        "def called(x, k=1):\n"
+        "    return x\n"
+        "def imported(x, k=1, *, only=2):\n"
+        "    return x\n"
+        "def dotted(x, k=1):\n"
+        "    '''Not read by dotted or unread in a docstring.'''\n"
+        "    return dotted(x, k=2)\n"
+        "def unread(x, k=1):\n"
+        "    return unread(x - 1, k=k)\n"
+        "class Box:\n"
+        "    def __init__(self, v, w=0):\n"
+        "        self.v = v\n"
+        "    @classmethod\n"
+        "    def make(cls, v):\n"
+        "        return cls(v, 1)\n"
+        "    def opened(self, k=1):\n"
+        "        return self.v\n"
+        "    def named(self):\n"
+        "        return self.v\n"
+        "    def _private(self):\n"
+        "        return called(self.v, 3)\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "from pkg.mod import imported, Box\n"
+        "def f(*args, **kwargs):\n"
+        "    return imported(1, **kwargs), mod.dotted(*args), Box.make(1).opened(), named\n")
+    unread, unset = unread_and_unset(source, (reader,))
+    # a top-level definition is read by a name, an import alias or an
+    # attribute, a method only by an attribute; a docstring mention or a
+    # call in its own body is no read
+    assert unread == ["mod.unread", "mod.Box.named"]
+    # a keyword is set by name, by position, by forwarding *args or
+    # **kwargs, or by cls(...) in a classmethod; the recursive calls in
+    # dotted and unread set nothing
+    assert unset == [("mod.unread", "k"), ("mod.Box.opened", "k")]

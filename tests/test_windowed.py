@@ -252,12 +252,10 @@ class TestMisuse:
         t = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=2, q_range=(-4, 0)).truncated
         assert t.homology((-2, 0), (-4, 0)) == full.homology((-2, 0), (-4, 0))
         assert t.euler_series((-4, 0)) == full.euler_series((-4, 0)) != 0
-        assert t.gen_count(0, -1) == full.gen_count(0, -1) == 1
         assert t.min_q_at(-3) == full.min_q_at(-3)
         window = r"q-window \[-4, 0\]"
         for query in (lambda: t.homology_at(0, 1), lambda: t.homology((-2, 0), (-5, -1)),
-                      lambda: t.min_q_at(0), lambda: t.euler_series((-4, 1)),
-                      lambda: t.gen_count(0, 1), lambda: t.gen_count(0)):
+                      lambda: t.min_q_at(0), lambda: t.euler_series((-4, 1))):
             with pytest.raises(WindowError, match=window):
                 query()
         with pytest.raises(WindowError, match=r"q-window \[-3, 1\]"):
