@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .errors import GradingError, InvalidBoundary, SpecError
+from .errors import GradingError, InvalidBoundary, SpecError, expect
 from .homalg import Certificate, ChainMap, LaurentPoly, SparseComplex, TruncatedComplex
 from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle, juxtapose
 from .tqft import (ONE, StateVector, _check_on, _composition_plan, _on_diagram, _relabeled,
@@ -41,7 +41,8 @@ class SmallRing:
     """Hom spaces among the minimal flat (m, n)-tangles, with composition."""
 
     def __init__(self, m, n):
-        self.m, self.n = m, n
+        self.m = expect(m, "an integer", "small ring: m")
+        self.n = expect(n, "an integer", "small ring: n")
         self.objects = enumerate_matchings(m, n)
         if not self.objects:
             raise InvalidBoundary(f"no flat ({m}, {n})-tangles exist")
@@ -126,10 +127,16 @@ class SmallRing:
                     for _lab, deg in self.letters(a, b)), default=None)
 
 
-@lru_cache(maxsize=None)
 def small_ring(m, n):
     """The SmallRing of the split (m, n), one per process, so that its
-    caches serve every complex built over it."""
+    caches serve every complex built over it.  The split is checked before
+    the cache, which would take True for 1."""
+    return _small_ring(expect(m, "an integer", "small ring: m"),
+                       expect(n, "an integer", "small ring: n"))
+
+
+@lru_cache(maxsize=None)
+def _small_ring(m, n):
     return SmallRing(m, n)
 
 
@@ -526,6 +533,10 @@ def bottom_projector(N, depth, split=None):
     Chain objects at degree -r are fold tangles of reduced words of length r,
     shifted by N/2 plus the word degree.
     """
+    expect(N, "an integer", "bottom_projector: strand count")
+    expect(depth, "an integer", "bottom_projector: depth")
+    if split is not None:
+        expect(split, "a pair of integers", "bottom_projector: split")
     if N < 0:
         raise InvalidBoundary(f"strand count must be non-negative, got {N}")
     if N % 2:

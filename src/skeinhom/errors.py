@@ -73,6 +73,7 @@ _SHAPES = {
         lambda v: _is_list(v) and len(v) == 2 and isinstance(v[0], str)
         and _is_int(v[1]) and v[1] in (1, -1),
     "a string": lambda v: isinstance(v, str),
+    "an integer": _is_int,
     "a non-negative integer": lambda v: _is_int(v) and v >= 0,
     "a positive integer": lambda v: _is_int(v) and v >= 1,
     "+1 or -1": lambda v: _is_int(v) and v in (1, -1),

@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InvalidBoundary, OpenBoundary
+from .errors import InvalidBoundary, OpenBoundary, SpecError
 
 
 def _sort_key(x):
@@ -41,6 +41,10 @@ class PlanarTangle:
     circles: int = 0
 
     def __post_init__(self):
+        if not (type(self.bottom) is int and type(self.top) is int and type(self.circles) is int
+                and type(self.partner) is tuple and all(type(q) is int for q in self.partner)):
+            raise SpecError(f"a tangle needs integer bottom, top and circles and a tuple of "
+                            f"integer partners, got {self!r}")
         if self.bottom < 0 or self.top < 0:
             raise InvalidBoundary(f"negative edge size: bottom {self.bottom}, top {self.top}")
         k = self.bottom + self.top

@@ -21,6 +21,7 @@ deletes one seam by surgering its two plugs into each other.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -256,15 +257,20 @@ class SurfaceComplex:
     def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, q_range=None):
         validate_tangle(spec, top, "top tangle")
         validate_tangle(spec, bottom, "bottom tangle")
+        expect(depth, "an integer", "depth")
         if q_range is not None:
             expect(q_range, "a pair of integers", "q_range")
+        if not isinstance(inserts, Mapping | None):
+            raise SpecError(f"inserts must be a mapping, got {type(inserts).__name__}")
         self.spec, self.top, self.bottom = spec, top, bottom
         self.depth, self.reduced = depth, reduced
         self.inserts = dict(inserts or {})
         arc_sign = dict(spec.arcs)
-        for name in self.inserts:
+        for name, v in self.inserts.items():
             if name not in arc_sign:
                 raise SpecError(f"insert references unknown arc {name!r}")
+            if not isinstance(v, PlanarTangle):
+                raise SpecError(f"insert for arc {name!r} must be a PlanarTangle, got {v!r}")
 
         self.seam_names = tuple(spec.seams)
         self._seam_pos = {n: g for g, n in enumerate(self.seam_names)}
@@ -873,6 +879,9 @@ def symmetrized_pairing(spec, x, y, h_range, q_range, depth=None):
     at depth (by default just below h_range), and only the quantum degrees
     of q_range and the bar degrees window_depth gives are built.
     """
+    expect(h_range, "a pair of integers", "h_range")
+    if depth is not None:
+        expect(depth, "an integer", "depth")
     cx = SurfaceComplex(spec, x, y, depth=window_depth(depth, h_range[0]), q_range=q_range)
     return cx.truncated.homology(h_range, q_range)
 

@@ -201,3 +201,48 @@ def test_symmetrized_pairing_builds_at_the_window_depth(monkeypatch):
     assert depths == [3, 3]
     assert surface.symmetrized_pairing(spec, x, y, (2, 3), (0, 4)).betti == {}
     assert depths[-1] == 0
+
+
+def cli_hom(spec, t, s, hmin, depth, qmin, qmax):
+    """(exit code, betti, torsion) of `surface hom --out json` on fixtures,
+    or (exit code, stderr) for a refusal."""
+    argv = ["surface", "hom", "--spec", json.dumps(FIXTURES[spec]),
+            "--t", json.dumps(FIXTURES[t]), "--s", json.dumps(FIXTURES[s]),
+            "--hmin", str(hmin), "--qmin", str(qmin), "--qmax", str(qmax), "--out", "json"]
+    argv += [] if depth is None else ["--depth", str(depth)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    if code:
+        return code, err.getvalue()
+    payload = json.loads(out.getvalue())
+    return code, payload["betti"], payload["torsion"]
+
+
+def library_hom(spec, t, s, hmin, depth, qmin, qmax):
+    """cli_hom's answer through surface.symmetrized_pairing."""
+    x, y = (SurfaceTangle.from_data(FIXTURES[n]) for n in (t, s))
+    try:
+        hom = surface.symmetrized_pairing(SurfaceSpec.from_data(FIXTURES[spec]), x, y,
+                                          (hmin, 0), (qmin, qmax), depth)
+    except TruncationError as exc:
+        return 2, f"TruncationError: {exc}\n"
+    return (0, [[i, j, b] for (i, j), b in sorted(hom.betti.items())],
+            [[i, j, list(v)] for (i, j), v in sorted(hom.torsion.items())])
+
+
+@pytest.mark.parametrize("inputs", [("ANNULUS", "CORE", "CORE"),
+                                    ("ANNULUS", "CUPCAP2", "THROUGH2"),
+                                    ("SEAMED_DISK", "SEAMED_DISK_ARC", "SEAMED_DISK_ARC"),
+                                    ("ANNULUS2", "CORE2", "CORE2")])
+def test_cli_and_symmetrized_pairing_agree(inputs):
+    # the CLI builds the window symmetrized_pairing builds, so the two give
+    # the same Betti numbers, torsion and refusals, each at its own default
+    # depth; depth 1 with hmin -3 is refused
+    codes = set()
+    for hmin, depth, (qmin, qmax) in itertools.product((-3, 0), (None, 1, 4), ((0, 6), (-2, 4))):
+        job = (*inputs, hmin, depth, qmin, qmax)
+        answer = cli_hom(*job)
+        assert answer == library_hom(*job), job
+        codes.add(answer[0])
+    assert codes == {0, 2}

@@ -787,14 +787,13 @@ def test_fallback_scans_see_handlers_and_call_sites(tmp_path):
 # Public definitions in the package that no product code reads, each with
 # the reason it stays.  Product code is the package outside the definition's
 # own body, the benchmark, and the acceptance tests.
+DG_ELEMENTS = "the dg-element API that the tests of surface.compose and coarsen read"
 UNREAD_DEFINITIONS = {
     "homalg.unit_cancellation": "the entries form of _cancel_units, which the unit/Smith "
                                 "property and tests/oracles.py call",
-    "surface.SurfaceComplex.differential": "the dg-element API that the tests of "
-                                           "surface.compose and coarsen read",
-    "surface.SurfaceElement.quantum_degrees": "the dg-element API that the tests of "
-                                              "surface.compose and coarsen read",
-    "surface.transfer": "the dg-element API that the tests of surface.compose and coarsen read",
+    "surface.SurfaceComplex.differential": DG_ELEMENTS,
+    "surface.SurfaceElement.quantum_degrees": DG_ELEMENTS,
+    "surface.transfer": DG_ELEMENTS,
     "surface.symmetrized_pairing": "the library form of the CLI's surface hom window, which "
                                    "cli calls once the benchmark stops patching "
                                    "cli.SurfaceComplex",
@@ -822,9 +821,7 @@ def public_definitions(path):
     dunder and _private names are not public."""
     found = []
     for node in ast.parse(path.read_text(), filename=str(path)).body:
-        if not isinstance(node, (*DEFS, ast.ClassDef)):
-            continue
-        if node.name.startswith("_"):
+        if not isinstance(node, (*DEFS, ast.ClassDef)) or node.name.startswith("_"):
             continue
         found.append((node.name, False, node))
         if isinstance(node, ast.ClassDef):
@@ -857,12 +854,13 @@ def name_uses(path):
                           else ("attr", node.func.attr))
             calls.append((kind, name, node.lineno, node))
     for cls in tree.body:
-        for method in getattr(cls, "body", ()) if isinstance(cls, ast.ClassDef) else ():
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
             if isinstance(method, DEFS) and decorated(method, "classmethod") and method.args.args:
                 first = method.args.args[0].arg
                 calls += [("name", cls.name, call.lineno, call) for call in ast.walk(method)
-                          if isinstance(call, ast.Call)
-                          and getattr(call.func, "id", None) == first]
+                          if isinstance(call, ast.Call) and getattr(call.func, "id", None) == first]
     return reads, calls
 
 
@@ -975,18 +973,24 @@ def test_reader_scans_see_each_kind_of_read_and_set(tmp_path):
         "    def named(self):\n"
         "        return self.v\n"
         "    def _private(self):\n"
-        "        return called(self.v, 3)\n")
+        "        return called(self.v, 3)\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 0\n")
     reader = tmp_path / "reader.py"
     reader.write_text(
         "from pkg.mod import imported, Box\n"
         "def f(*args, **kwargs):\n"
-        "    return imported(1, **kwargs), mod.dotted(*args), Box.make(1).opened(), named\n")
+        "    return imported(1, **kwargs), mod.dotted(*args), Box.make(1).opened(), named\n"
+        "P = mod.Point(1, 2)\n")
     unread, unset = unread_and_unset(source, (reader,))
     # a top-level definition is read by a name, an import alias or an
     # attribute, a method only by an attribute; a docstring mention or a
     # call in its own body is no read
     assert unread == ["mod.unread", "mod.Box.named"]
-    # a keyword is set by name, by position, by forwarding *args or
-    # **kwargs, or by cls(...) in a classmethod; the recursive calls in
-    # dotted and unread set nothing
-    assert unset == [("mod.unread", "k"), ("mod.Box.opened", "k")]
+    # a keyword or a dataclass field is set by name, by position, by
+    # forwarding *args or **kwargs, or by cls(...) in a classmethod; the
+    # recursive calls in dotted and unread set nothing
+    assert unset == [("mod.unread", "k"), ("mod.Box.opened", "k"), ("mod.Point", "z")]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinhom import cli, homalg, planar, surface
-from skeinhom.barproj import word_degree
+from skeinhom.barproj import bottom_projector, small_ring, word_degree
 from skeinhom.errors import GradingError, InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex, smith_invariants
 from skeinhom.planar import PlanarTangle, cup_over_cap, identity_tangle
@@ -324,6 +324,88 @@ class TestValidation:
         for k in range(1, parts):
             expect = expect * (total + k) // k
         assert len(comps) == (expect if parts else (1 if total == 0 else 0))
+
+
+# Construction entry points fed junk: each call, run after SETUP, must raise
+# a SpecError with its message, also under python -O.
+MALFORMED_SETUP = (
+    "from skeinhom.barproj import SmallRing, bottom_projector, small_ring\n"
+    "from skeinhom.planar import PlanarTangle\n"
+    "from skeinhom.surface import SurfaceComplex, SurfaceSpec, SurfaceTangle, arc, "
+    "symmetrized_pairing\n"
+    "D = SurfaceSpec((('a', 1),), (), ((arc('a'),),))\n"
+    "T = SurfaceTangle.from_data({'regions': [{'counts': [2], 'chords': [[0, 1]]}]})\n"
+    "small_ring(1, 1)  # the cache entry True would hit as 1\n")
+TANGLE_FIELDS = "a tangle needs integer bottom, top and circles and a tuple of integer partners"
+MALFORMED_BUILDS = {
+    "SurfaceComplex(D, T, T, depth=True)": "depth must be an integer, got True",
+    "SurfaceComplex(D, T, T, depth=None)": "depth must be an integer, got None",
+    "SurfaceComplex(D, T, T, depth=1.5)": "depth must be an integer, got 1.5",
+    "SurfaceComplex(D, T, T, 0, inserts={'a': -1})":
+        "insert for arc 'a' must be a PlanarTangle, got -1",
+    "SurfaceComplex(D, T, T, 0, inserts=[1])": "inserts must be a mapping, got list",
+    "symmetrized_pairing(D, T, T, (0, 0), (0, 4), depth=1.5)": "depth must be an integer, got 1.5",
+    "symmetrized_pairing(D, T, T, None, (0, 4))": "h_range must be a pair of integers, got None",
+    "bottom_projector('x', 1)": "bottom_projector: strand count must be an integer, got 'x'",
+    "bottom_projector(2, None)": "bottom_projector: depth must be an integer, got None",
+    "bottom_projector(2, 1.5)": "bottom_projector: depth must be an integer, got 1.5",
+    "bottom_projector(2, 1, (1,))": "bottom_projector: split must be a pair of integers, got (1,)",
+    "SmallRing(None, 2)": "small ring: m must be an integer, got None",
+    "small_ring(None, 2)": "small ring: m must be an integer, got None",
+    "small_ring(True, 1)": "small ring: m must be an integer, got True",
+    "small_ring(1, 1.0)": "small ring: n must be an integer, got 1.0",
+    "PlanarTangle(2, 0, None)":
+        f"{TANGLE_FIELDS}, got PlanarTangle(bottom=2, top=0, partner=None, circles=0)",
+    "PlanarTangle(2, 0, [1, 0])":
+        f"{TANGLE_FIELDS}, got PlanarTangle(bottom=2, top=0, partner=[1, 0], circles=0)",
+    "PlanarTangle(2.0, 0, (1, 0))":
+        f"{TANGLE_FIELDS}, got PlanarTangle(bottom=2.0, top=0, partner=(1, 0), circles=0)",
+    "PlanarTangle(2, 0, (1, 0), True)":
+        f"{TANGLE_FIELDS}, got PlanarTangle(bottom=2, top=0, partner=(1, 0), circles=True)",
+}
+
+
+class TestMalformedConstruction:
+    """SurfaceComplex, symmetrized_pairing, bottom_projector, SmallRing,
+    small_ring and PlanarTangle check each argument where it comes in;
+    small_ring before its cache, which would take True for 1."""
+
+    @pytest.mark.parametrize("call", MALFORMED_BUILDS)
+    def test_refused_with_a_spec_error(self, call):
+        namespace = {}
+        exec(MALFORMED_SETUP, namespace)
+        with pytest.raises(SpecError) as info:
+            eval(call, namespace)
+        assert str(info.value) == MALFORMED_BUILDS[call]
+
+    def test_refused_under_optimize(self):
+        calls = "".join(f"check({call!r})\n" for call in MALFORMED_BUILDS)
+        line = error_under_optimize(
+            MALFORMED_SETUP
+            + "from skeinhom.errors import SpecError\n"
+            "def check(call):\n"
+            "    try:\n"
+            "        eval(call)\n"
+            "    except SpecError:\n"
+            "        return\n"
+            "    raise SystemExit(f'{call} was not refused')\n"
+            + calls + "raise ValueError('all refused')\n")
+        assert line == "ValueError: all refused"
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: SurfaceComplex(DISK, DISK_ARC, DISK_ARC, depth=-1), SpecError,
+         "depth must be non-negative, got -1"),
+        (lambda: bottom_projector(-2, 1), InvalidBoundary,
+         "strand count must be non-negative, got -2"),
+        (lambda: bottom_projector(2, -1), SpecError, "depth must be non-negative, got -1"),
+        (lambda: small_ring(-1, 1), InvalidBoundary, "negative edge size: bottom -1, top 1"),
+        (lambda: PlanarTangle(2, -2, (1, 0)), InvalidBoundary,
+         "negative edge size: bottom 2, top -2"),
+    ], ids=["surface-depth", "strands", "projector-depth", "ring", "tangle"])
+    def test_negative_integers_keep_their_errors(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestAssembly:
