@@ -8,25 +8,31 @@ bottom edge and ar up onto the top edge, shifted by the word's total letter
 degree plus half the strand count.  Face maps absorb the outer letters into
 the folds and compose adjacent inner letters, with alternating signs.
 
-The bar construction itself lives here once: bar_words, bar_faces and
-bar_complex enumerate words (one per ring, for several rings), build their
-faces with Koszul signs, build each end face once per key of word ends,
-seam, side, new end object and letter, and certify the truncation by the
-smallest letter degree.  bottom_projector runs it over one ring with fold
-objects, a fold tangle being its bent-down caps beside its bent-up cups,
-so that an end face juxtaposes two bent states; surface.SurfaceComplex
-runs it over one ring per seam, supplying only its object tangles and
-how an end letter is absorbed into a seam slot.
+The bar construction itself lives here once, in two halves.  bar_plan is
+the half that reads no tangle: the word tuples (one word per ring, for
+several rings), their degrees and every face with its Koszul sign, compiled
+once per process per rings, depth and degree bound (bar_words and bar_faces
+spell and face the words of one ring).  bar_complex turns a plan into a
+complex: it builds each end face once per key of word ends, seam, side, new
+end object and letter, and certifies the truncation by the smallest letter
+degree.  bottom_projector runs it over one ring with fold objects, a fold
+tangle being its bent-down caps beside its bent-up cups, so that an end
+face juxtaposes two bent states; surface.SurfaceComplex runs it over one
+ring per seam, supplying only its object tangles and how an end letter is
+absorbed into a seam slot.
 
 TwistedTangleComplex is the common carrier: a complex whose objects are
 shifted flat tangles (free circles allowed) and whose differentials are
-state vectors between their doubles.  Evaluating hom from a fixed tangle
-turns it into an integer complex for the homological algebra layer.
+state vectors between their doubles.  Its entries are interned, so that the
+checks on construction and hom evaluation do their work once per distinct
+value.  Evaluating hom from a fixed tangle turns it into an integer complex
+for the homological algebra layer.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import GradingError, InvalidBoundary, SpecError, expect
@@ -113,8 +119,12 @@ class SmallRing:
         """The product of the basis elements lab1 of Hom(a, b) and lab2 of
         Hom(b, c), as sorted (labeling, coefficient) pairs on Hom(a, c):
         one entry of the composition plan's table."""
-        plan = _composition_plan(a, b, c)[-1]
-        return plan.product(self._labeling(a, b, lab1), self._labeling(b, c, lab2))
+        return self._product(a, b, c, self._labeling(a, b, lab1), self._labeling(b, c, lab2))
+
+    @staticmethod
+    def _product(a, b, c, lab1, lab2):
+        """product of two labeling tuples known to fit, such as letters."""
+        return _composition_plan(a, b, c)[-1].product(lab1, lab2)
 
     def gram(self):
         """Graded dimensions of all hom spaces, keyed on (a, b)."""
@@ -180,9 +190,11 @@ def _spelled(ring, r, reduced, max_degree):
     return out
 
 
+@lru_cache(maxsize=None)
 def bar_ends(rings, depth, reduced=True):
     """The end objects of every word tuple up to total length depth, one
-    word per ring, as a frozenset of tuples of (first, last) object pairs.
+    word per ring, as a frozenset of tuples of (first, last) object pairs,
+    computed once per process per (rings, depth, reduced).
 
     No word is enumerated.  Per ring, the end pairs of words of length 0
     are the diagonal, those of length 1 the pairs with a letter, and those
@@ -217,7 +229,8 @@ def word_ends(mw):
 
 
 def bar_faces(ring, word):
-    """The faces of one word, as (side, target word, state, sign).
+    """The faces of one word as _spelled spells it (its letters are the
+    ring's own), as (side, target word, state, sign).
 
     The left absorption (side -1) carries the first letter, reflected onto
     the mirrored first object, with sign +1; each term of the product of
@@ -230,7 +243,7 @@ def bar_faces(ring, word):
     first = ring.end_letter(objs[0], objs[1], letters[0], -1)
     yield -1, (objs[1:], letters[1:]), first, 1
     for i in range(1, r):
-        prod = ring.product(objs[i - 1], objs[i], objs[i + 1], letters[i - 1], letters[i])
+        prod = ring._product(objs[i - 1], objs[i], objs[i + 1], letters[i - 1], letters[i])
         for lab, coeff in prod:
             wi = (objs[:i] + objs[i + 1:], letters[:i - 1] + (lab,) + letters[i + 1:])
             yield 0, wi, None, coeff * (-1) ** (i % 2)
@@ -264,6 +277,102 @@ def fold_entry(a0, ar, b0, br, cap_sv, cup_sv):
                        (bend_up(ar), bend_up(br), _relabeled(cup_sv, ar, br, "bend_up"))))
 
 
+# The entry values of every twisted complex built in this process,
+# interned the way PlanarTangle._trusted interns tangles: equal states on
+# one diagram object are one StateVector, numbered in order of first
+# appearance.  _ENTRY_IDS maps the id() of each interned state to its
+# number, so a lookup hashes no state; _ENTRY_STATES holds the states, so
+# an id() in it is never reused.  The work tables below are keyed on those
+# numbers, hold values and never complexes, and live as long as the process.
+_ENTRY_NUMBERS = {}  # (diagram, offset, frozenset of terms) -> number
+_ENTRY_STATES = []   # number -> interned state
+_ENTRY_IDS = {}      # id(interned state) -> number
+_FAULTS = {}         # (source object, target object, number) -> _entry_fault's answer
+_PRODUCTS = {}       # (a, b, c, number x, number y) -> terms of compose(a, b, c, x, y)
+_IMAGES = {}         # (b, source tangle, target tangle, number) -> {labeling: column}
+_SIGNED = {}         # (number, coefficient) -> number of the state times the coefficient
+_UNJUDGED = object()
+
+
+def _entry_number(sv):
+    """The number of the interned state equal to sv on its diagram,
+    interning sv itself if no such state exists yet."""
+    n = _ENTRY_IDS.get(id(sv))
+    if n is None:
+        key = (sv.diagram, sv.offset, frozenset(sv.terms.items()))
+        n = _ENTRY_NUMBERS.get(key)
+        if n is None:
+            n = _ENTRY_NUMBERS[key] = len(_ENTRY_STATES)
+            _ENTRY_STATES.append(sv)
+            _ENTRY_IDS[id(sv)] = n
+    return n
+
+
+def _interned(entry):
+    """The interned state equal to entry; anything but a state is left to
+    _entry_fault to refuse."""
+    if type(entry) is not StateVector:
+        return entry
+    return _ENTRY_STATES[_entry_number(entry)]
+
+
+def _signed(sv, coeff):
+    """coeff times the state sv, interned: scaled once per process per
+    (sv, coeff), with 1 taking sv as it is."""
+    if coeff == 1:
+        return sv
+    key = (_entry_number(sv), coeff)
+    n = _SIGNED.get(key)
+    if n is None:
+        n = _SIGNED[key] = _entry_number(sv.scaled(coeff))
+    return _ENTRY_STATES[n]
+
+
+def _forget_entries():
+    """Empty the interning and work tables together, so that a test can
+    count the work a fresh process does."""
+    for table in (_ENTRY_NUMBERS, _ENTRY_STATES, _ENTRY_IDS, _FAULTS, _PRODUCTS, _IMAGES,
+                  _SIGNED):
+        table.clear()
+
+
+def _state_fault(src, tgt, sv):
+    """An entry lives on the double of its objects at its hom offset and is
+    homogeneous of degree s_src - s_tgt."""
+    (T_src, s_src), (T_tgt, s_tgt) = src, tgt
+    diagram, offset = hom_double(T_src, T_tgt)
+    if not _on_diagram(sv, diagram):
+        return "is on the wrong double"
+    if sv.offset != offset:
+        return f"sits at offset {sv.offset}, not at the hom offset {offset}"
+    degrees = sv.degrees()
+    if len(degrees) > 1:
+        return "is inhomogeneous"
+    if degrees and degrees[0] != s_src - s_tgt:
+        return f"has degree {degrees[0]}, expected {s_src - s_tgt}"
+    return None
+
+
+def _path_sum(compose, tangles, na, nc, paths):
+    """The terms of the sum, over the paths (x, (b, y)) of entry numbers and
+    tangle numbers, of compose(a, b, c, x, y) from a = tangles[na] to
+    c = tangles[nc]; each distinct composite is composed once per process."""
+    counts = {}
+    for path in paths:
+        counts[path] = counts.get(path, 0) + 1
+    a, c = tangles[na], tangles[nc]
+    acc = {}
+    for (nx, (nb, ny)), count in counts.items():
+        key = (a, tangles[nb], c, nx, ny)
+        terms = _PRODUCTS.get(key)
+        if terms is None:
+            terms = _PRODUCTS[key] = tuple(compose(
+                *key[:3], _ENTRY_STATES[nx], _ENTRY_STATES[ny]).terms.items())
+        for lab, k in terms:
+            acc[lab] = acc.get(lab, 0) + count * k
+    return {lab: k for lab, k in acc.items() if k}
+
+
 class TwistedTangleComplex(SparseComplex):
     """A complex of grading-shifted flat tangles with state-vector entries.
 
@@ -276,11 +385,20 @@ class TwistedTangleComplex(SparseComplex):
     tangles of the objects present.  The q of an object is its shift, so a
     windowed build, which keeps only the subcomplex of low shifts, holds
     the q-window (None, largest shift kept).
+
+    Every entry is stored as its interned state, one StateVector per value
+    and diagram in the process with a small number, and the work on
+    entries is kept in process tables keyed on those numbers: _entry_fault
+    judges an entry once per (source object, target object, number), the
+    d^2 = 0 check (_square) composes once per (a, b, c, number, number),
+    and hom_complex computes a labeling's column once per (b, source
+    tangle, target tangle, number).
     """
 
     def _build(self, objects, differentials, h_min=None, h_max=None,
                complete=True, certificate=None, floor_tangles=None, q_range=None):
-        nonzero = {h: {k: sv for k, sv in d.items() if sv} for h, d in differentials.items()}
+        nonzero = {h: {k: _interned(sv) for k, sv in d.items() if sv}
+                   for h, d in differentials.items()}
         super()._build(objects, nonzero, h_min, h_max, complete, certificate, q_range)
         if floor_tangles is None:
             floor_tangles = {T for obs in self.objects.values() for T, _ in obs}
@@ -297,20 +415,59 @@ class TwistedTangleComplex(SparseComplex):
 
     @staticmethod
     def _entry_fault(src, tgt, sv):
-        """An entry lives on the double of its objects at its hom offset and
-        is homogeneous of degree s_src - s_tgt."""
-        (T_src, s_src), (T_tgt, s_tgt) = src, tgt
-        diagram, offset = hom_double(T_src, T_tgt)
-        if not _on_diagram(sv, diagram):
-            return "is on the wrong double"
-        if sv.offset != offset:
-            return f"sits at offset {sv.offset}, not at the hom offset {offset}"
-        degrees = sv.degrees()
-        if len(degrees) > 1:
-            return "is inhomogeneous"
-        if degrees and degrees[0] != s_src - s_tgt:
-            return f"has degree {degrees[0]}, expected {s_src - s_tgt}"
-        return None
+        """_state_fault, judged once per process per (src, tgt, interned
+        state); a state that is not interned (a chain map's component) is
+        judged on every call."""
+        n = _ENTRY_IDS.get(id(sv))
+        if n is None:
+            return _state_fault(src, tgt, sv)
+        key = (src, tgt, n)
+        fault = _FAULTS.get(key, _UNJUDGED)
+        if fault is _UNJUDGED:
+            fault = _FAULTS[key] = _state_fault(src, tgt, sv)
+        return fault
+
+    @staticmethod
+    def _square(first, second, compose, a, b, c):
+        """The nonzero entries of sparse_product(first, second, compose, a,
+        b, c), from the entries' numbers.
+
+        Source by source, the paths j -> k -> i are listed per target i as
+        (tangle of k, number of the entry at (k, j), number of the entry at
+        (i, k)), tangles numbered within the call.  The sum over one such
+        list from tangle a_j to tangle c_i depends only on (a_j, c_i, list),
+        so it is computed once per call and distinct key: integer
+        multiplicities per (b, x, y), times compose(a, b, c, x, y), which
+        runs once per process per distinct (a, b, c, x, y).
+        """
+        numbers = {}
+        na, nb, nc = ([numbers.setdefault(T, len(numbers)) for T, _s in cells]
+                      for cells in (a, b, c))
+        tangles = tuple(numbers)
+        by_source, columns = {}, {}
+        for (i, k), y in second.items():
+            by_source.setdefault(k, []).append((i, (nb[k], _entry_number(y))))
+        for (k, j), x in first.items():
+            columns.setdefault(j, []).append((k, _entry_number(x)))
+        sums, out = {}, {}
+        for j, column in columns.items():
+            paths = {}
+            for k, nx in column:
+                for i, ky in by_source.get(k, ()):
+                    path = (nx, ky)
+                    at = paths.get(i)
+                    if at is None:
+                        paths[i] = [path]
+                    else:
+                        at.append(path)
+            for i, at in paths.items():
+                key = (na[j], nc[i], tuple(at))
+                terms = sums.get(key)
+                if terms is None:
+                    terms = sums[key] = _path_sum(compose, tangles, *key)
+                if terms:
+                    out[(i, j)] = StateVector._trusted(*hom_double(a[j][0], c[i][0]), terms)
+        return out
 
     def stacked(self, e, above=True):
         """Glue the fixed tangle e onto every object, whiskering entries."""
@@ -346,6 +503,8 @@ class TwistedTangleComplex(SparseComplex):
         Hom(b, T_src) to the sum over the terms c * lab2 of sv of c times
         the product of lab and lab2 in the plan composing through T_src:
         one plan lookup and one check of sv per entry, then table reads.
+        That column is computed once per process per (b, T_src, T_tgt,
+        number of sv, lab) and kept in the image table of its key.
         With q_range = (qmin, qmax) only the labelings of quantum degree in
         that window are generators, and entries from objects without one are
         skipped: the differential preserves the quantum degree, so the
@@ -362,9 +521,8 @@ class TwistedTangleComplex(SparseComplex):
         for h, obs in sorted(self.objects.items()):
             bucket, at = [], []
             for i, (T, s) in enumerate(obs):
-                d, off = hom_double(b, T)
                 index = {}
-                for lab, raw in kh_basis(d, off):
+                for lab, raw in _hom_basis(b, T):
                     if q_range is None or qmin <= s + raw <= qmax:
                         index[lab] = len(bucket)
                         bucket.append(((i, lab), s + raw))
@@ -379,22 +537,27 @@ class TwistedTangleComplex(SparseComplex):
                 cols = rows[h][j]
                 if not cols:
                     continue
-                _first, second, _canon, _off, plan = _composition_plan(b, src[j][0], tgt[i][0])
+                T_src, T_tgt = src[j][0], tgt[i][0]
+                _first, second, _canon, _off, plan = _composition_plan(b, T_src, T_tgt)
                 _check_on(sv, second, "second state")
-                row_of, terms = rows[h + 1][i], sv.terms.items()
+                image = _IMAGES.setdefault((b, T_src, T_tgt, _entry_number(sv)), {})
+                row_of = rows[h + 1][i]
                 for lab, col in cols.items():
-                    column = {}
-                    for lab2, c in terms:
-                        for lab_out, k in plan.product(lab, lab2):
-                            column[lab_out] = column.get(lab_out, 0) + c * k
-                    for lab_out, c in sorted(column.items()):
-                        if c:
-                            row = row_of.get(lab_out)
-                            if row is None:
-                                raise GradingError(
-                                    f"entry ({i}, {j}) at degree {h} leaves the quantum "
-                                    f"degree of labeling {lab!r}")
-                            entries[(row, col)] = c
+                    column = image.get(lab)
+                    if column is None:
+                        acc = {}
+                        for lab2, c in sv.terms.items():
+                            for lab_out, k in plan.product(lab, lab2):
+                                acc[lab_out] = acc.get(lab_out, 0) + c * k
+                        column = image[lab] = tuple(sorted(
+                            (lab_out, c) for lab_out, c in acc.items() if c))
+                    for lab_out, c in column:
+                        row = row_of.get(lab_out)
+                        if row is None:
+                            raise GradingError(
+                                f"entry ({i}, {j}) at degree {h} leaves the quantum "
+                                f"degree of labeling {lab!r}")
+                        entries[(row, col)] = c
             diffs[h] = entries
         cert = None if self.certificate is None else self.certificate.shifted(dq=floor)
         return TruncatedComplex(gens, diffs, self.h_min, self.h_max,
@@ -411,6 +574,12 @@ class TwistedTangleComplex(SparseComplex):
                 if T == tangle:
                     out[s] = out.get(s, 0) + (-1) ** (h % 2)
         return LaurentPoly(out).truncated(j1, j2)
+
+
+@lru_cache(maxsize=None)
+def _hom_basis(b, T):
+    """kh_basis of the double of (b, T), once per process."""
+    return kh_basis(*hom_double(b, T))
 
 
 def hom_floor(b, tangles):
@@ -438,23 +607,104 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+@dataclass(frozen=True)
+class BarPlan:
+    """What the bar construction over some rings is before any tangle.
+
+    Keyed on the bar degree h = -r, r the total length of a word tuple:
+    words[h] lists the word tuples (one word per ring), index[h] their
+    positions, degrees[h] their letter degrees and ends[h] their word_ends.
+    faces[h], for h < 0, lists the faces from degree h to h + 1 as records
+    (i, j, g, side, new_end, letter, state, coeff): the face of word tuple
+    j at the word of ring g lands on word tuple i.  An end face (side -1,
+    the first letter, or +1, the last) leaves new_end in place of the end
+    object it absorbs, the letter with its state as bar_faces gives it; an
+    inner face has side 0 and None in the three.  coeff is the face's sign
+    from bar_faces times the Koszul sign of the words before g.  Records
+    come source by source, then ring by ring, in bar_faces order, which is
+    the order the entries of a complex first meet their keys.  A plan is
+    shared by every complex over its rings: read it, never change it.
+    """
+
+    words: dict
+    index: dict
+    degrees: dict
+    ends: dict
+    faces: dict
+
+
+@lru_cache(maxsize=None)
+def bar_plan(rings, depth, reduced=True, max_degree=None):
+    """The BarPlan of the word tuples over rings up to total length depth,
+    one word per ring, of letter degree at most max_degree (no bound with
+    None), compiled once per process per (rings, depth, reduced,
+    max_degree).  Rings are process singletons (small_ring), so every
+    complex over the same rings and bound reads one plan.
+
+    A face that leaves the degree bound is a GradingError; none does when
+    no letter has negative degree, which _spelled requires of a bound.
+    """
+    spelled = [{r: _spelled(ring, r, reduced, max_degree) for r in range(depth + 1)}
+               for ring in rings]
+    words, index, degrees, ends = {}, {}, {}, {}
+    for total in range(depth + 1):
+        bucket, at = [], []
+        for comp in _compositions(total, len(rings)):
+            for combo in itertools.product(*(pool[r] for pool, r in zip(spelled, comp))):
+                degree = sum(deg for _w, deg in combo)
+                if max_degree is None or degree <= max_degree:
+                    bucket.append(tuple(w for w, _deg in combo))
+                    at.append(degree)
+        words[-total] = tuple(bucket)
+        index[-total] = {mw: i for i, mw in enumerate(bucket)}
+        degrees[-total] = tuple(at)
+        ends[-total] = tuple(word_ends(mw) for mw in bucket)
+    faces = {}
+    for h in range(-depth, 0):
+        records = []
+        targets = index[h + 1]
+        for j, mw in enumerate(words[h]):
+            koszul = 1
+            for g, ring in enumerate(rings):
+                word = mw[g]
+                if not word[1]:
+                    continue
+                for side, w_tgt, state, sign in bar_faces(ring, word):
+                    i = targets.get(mw[:g] + (w_tgt,) + mw[g + 1:])
+                    if i is None:
+                        raise GradingError(
+                            f"a face of the word tuple at position {j} of degree {h} "
+                            f"leaves the degree bound {max_degree}")
+                    if side:
+                        end = 0 if side < 0 else -1
+                        records.append((i, j, g, side, w_tgt[0][end], word[1][end], state,
+                                        koszul * sign))
+                    else:
+                        records.append((i, j, g, 0, None, None, None, koszul * sign))
+                koszul *= (-1) ** (len(word[1]) % 2)
+        faces[h] = tuple(records)
+    return BarPlan(words, index, degrees, ends, faces)
+
+
 def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, hom_bound=None):
     """The bar construction over rings, one word per ring, truncated at
     total length depth.
 
     Returns (words, index, complex): words[-r] lists the word tuples of
-    total length r and index[-r] their positions.  The object of a word
-    tuple mw is tangle_of(word_ends(mw)), shifted by q0 plus the degrees of
-    its words.  Each face of word g carries the Koszul sign of the words
-    before it: an inner face is the identity of the source object, an end
-    face is absorb(word_ends(mw), g, side, new_end, state), with side and
-    state from bar_faces and new_end the end object the face leaves in
-    place of the one it absorbs.  Those and the letter absorbed determine
-    the face, so it is built once per (word ends, g, side, new_end,
-    letter).  The certificate slope is the smallest letter degree of any
-    ring (0 with reduced=False); with no letter in any ring the complex
-    is complete.  The truncated degrees repeat the tangles of every word
-    tuple, which bar_ends finds without spelling a word.
+    total length r and index[-r] their positions, both read from the
+    process-wide bar_plan, so shared and not to be changed.  The object of
+    a word tuple mw is tangle_of(word_ends(mw)), shifted by q0 plus the
+    degrees of its words.  Each face of word g carries the Koszul sign of
+    the words before it: an inner face is the identity of the source
+    object, an end face is absorb(word_ends(mw), g, side, new_end, state),
+    with side, new_end and state from the plan's face records.  Those and
+    the letter absorbed determine the face, so within one build it is
+    built once per (word ends, g, side, new_end, letter); a caller may
+    cache it across builds too (surface does).  The certificate slope is
+    the smallest letter degree of any ring (0 with reduced=False); with
+    no letter in any ring the complex is complete.  The truncated degrees
+    repeat the tangles of every word tuple, which bar_ends finds without
+    spelling a word.
 
     With hom_bound = (b, qmax) only what hom from the fixed tangle b needs
     up to quantum degree qmax is built: the word tuples of shift at most
@@ -466,65 +716,38 @@ def bar_complex(rings, depth, q0, tangle_of, absorb, reduced=True, hom_bound=Non
     """
     if depth < 0:
         raise SpecError(f"depth must be non-negative, got {depth}")
+    rings = tuple(rings)
     floor_tangles = {tangle_of(ends) for ends in bar_ends(rings, depth, reduced)}
     window = max_degree = None
     if hom_bound is not None:
         b, qmax = hom_bound
         window = (None, qmax - hom_floor(b, floor_tangles))
         max_degree = window[1] - q0
-    spelled = [{r: _spelled(ring, r, reduced, max_degree) for r in range(depth + 1)}
-               for ring in rings]
-    words, index, shifts = {}, {}, {}
-    for total in range(depth + 1):
-        bucket, at = [], []
-        for comp in _compositions(total, len(rings)):
-            for combo in itertools.product(*(pool[r] for pool, r in zip(spelled, comp))):
-                degree = sum(deg for _w, deg in combo)
-                if max_degree is None or degree <= max_degree:
-                    bucket.append(tuple(w for w, _deg in combo))
-                    at.append(q0 + degree)
-        words[-total] = tuple(bucket)
-        index[-total] = {mw: i for i, mw in enumerate(bucket)}
-        shifts[-total] = at
-    objects = {h: tuple((tangle_of(word_ends(mw)), s) for mw, s in zip(mws, shifts[h]))
-               for h, mws in words.items()}
+    plan = bar_plan(rings, depth, reduced, max_degree)
+    objects = {h: tuple((tangle_of(e), q0 + deg) for e, deg in zip(ends, plan.degrees[h]))
+               for h, ends in plan.ends.items()}
     diffs, end_faces = {}, {}
-    for h in range(-depth, 0):
+    for h, records in plan.faces.items():
+        ends, src = plan.ends[h], objects[h]
         entries = {}
-        targets = index[h + 1]
-        for j, mw in enumerate(words[h]):
-            ends = word_ends(mw)
-            koszul = 1
-            for g, ring in enumerate(rings):
-                word = mw[g]
-                if not word[1]:
-                    continue
-                for side, w_tgt, sv, sign in bar_faces(ring, word):
-                    mw_tgt = mw[:g] + (w_tgt,) + mw[g + 1:]
-                    i = targets.get(mw_tgt)
-                    if i is None:
-                        raise GradingError(
-                            f"a face of the word tuple at position {j} of degree {h} "
-                            f"leaves the degree bound {max_degree}")
-                    if side:
-                        end = 0 if side < 0 else -1
-                        face = (ends, g, side, w_tgt[0][end], word[1][end])
-                        if face not in end_faces:
-                            end_faces[face] = absorb(ends, g, side, w_tgt[0][end], sv)
-                        sv = end_faces[face]
-                    else:
-                        sv = identity_state(objects[h][j][0])
-                    key = (i, j)
-                    sv = sv.scaled(koszul * sign)
-                    entries[key] = entries[key] + sv if key in entries else sv
-                koszul *= (-1) ** (len(word[1]) % 2)
+        for i, j, g, side, new_end, letter, state, coeff in records:
+            if side:
+                face = (ends[j], g, side, new_end, letter)
+                sv = end_faces.get(face)
+                if sv is None:
+                    sv = end_faces[face] = absorb(ends[j], g, side, new_end, state)
+            else:
+                sv = identity_state(src[j][0])
+            sv = _signed(sv, coeff)
+            key = (i, j)
+            entries[key] = entries[key] + sv if key in entries else sv
         diffs[h] = entries
     slopes = [c for c in (ring.min_letter_degree if reduced else 0 for ring in rings)
               if c is not None]
     cert = Certificate(((q0, min(slopes)),)) if slopes else None
     twisted = TwistedTangleComplex(objects, diffs, -depth, 0, not slopes, cert,
                                    floor_tangles=floor_tangles, q_range=window)
-    return words, index, twisted
+    return plan.words, plan.index, twisted
 
 
 def bottom_projector(N, depth, split=None):

@@ -485,9 +485,9 @@ class SparseComplex:
     Every construction stores its arguments (_build, a subclass's with its
     own parameters) and then validates them (_validate: cells in [h_min,
     h_max], entries in range, nonzero and accepted by the class's
-    _entry_fault, d^2 = 0), so a complex that exists is a complex; only
-    _trusted skips the second step.  ChainMap asks the same _entry_fault of
-    each map component.
+    _entry_fault, d^2 = 0 by the class's _square), so a complex that exists
+    is a complex; only _trusted skips the second step.  ChainMap asks the
+    same _entry_fault of each map component.
     """
 
     def __init__(self, *args, **kwargs):
@@ -520,6 +520,12 @@ class SparseComplex:
         "entry (i, j) at degree h", or None; each class says what fits."""
         return None
 
+    # The composite d_{h+1} d_h that _validate requires to vanish, with
+    # sparse_product's signature and nonzero entries: by default
+    # sparse_product itself; a class whose entries repeat may compose each
+    # distinct pair once instead.
+    _square = staticmethod(sparse_product)
+
     def _misfit(self, entries, src, tgt):
         """(key, phrase) for the first entry of the sparse map entries from
         the cells src to tgt that is out of range or that _entry_fault
@@ -548,8 +554,8 @@ class SparseComplex:
                 raise GradingError(f"zero differential entry stored at degree {h}: {zero}")
         for h in sorted(diffs):
             if h + 1 in diffs:
-                prod = sparse_product(diffs[h], diffs[h + 1], self.compose,
-                                      cells[h], cells[h + 1], cells[h + 2])
+                prod = self._square(diffs[h], diffs[h + 1], self.compose,
+                                    cells[h], cells[h + 1], cells[h + 2])
                 bad = {k: x for k, x in prod.items() if x}
                 if bad:
                     raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")

@@ -646,6 +646,11 @@ def region_colors(net, ri):
 
 
 def check_admissible(net):
+    """net, if it is a SpinNetwork whose every region carries an admissible
+    triple of colors; SpecError for anything but a network, and
+    AdmissibilityError naming the first region that fails."""
+    if not isinstance(net, SpinNetwork):
+        raise SpecError(f"a pairing needs a SpinNetwork, got {type(net).__name__}")
     for ri in range(len(net.surface.regions)):
         triple = region_colors(net, ri)
         if not admissible_triple(*triple):
@@ -672,10 +677,10 @@ def pairing_prediction(net):
 def cross_pairing_prediction(net_a, net_b):
     """Predicted pairing of two networks on the same triangulated surface
     with equal boundary colors; distinct colorings pair to zero."""
-    if net_a.surface != net_b.surface:
-        raise InvalidBoundary("networks live on different surfaces")
     check_admissible(net_a)
     check_admissible(net_b)
+    if net_a.surface != net_b.surface:
+        raise InvalidBoundary("networks live on different surfaces")
     for name, _sign in net_a.surface.arcs:
         if net_a.coloring[name] != net_b.coloring[name]:
             raise InvalidBoundary(f"boundary colors differ on arc {name!r}")

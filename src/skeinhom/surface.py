@@ -10,7 +10,8 @@ construction (words, faces with Koszul signs over the seam order, and the
 truncation certificate) is barproj.bar_complex; this module supplies the
 middle-layer tangle of a word tuple and how an end letter is absorbed into
 its seam slot, from the word ends and the new end object, which
-bar_complex calls once per end face.  Evaluating states against the
+bar_complex calls once per end face of a build; the face itself is
+built once per process (_slot_face).  Evaluating states against the
 closure produces an integer complex with a certified truncation.
 
 Composition stacks region states through the shared caps and shuffles the
@@ -363,8 +364,7 @@ class SurfaceComplex:
         every other slot."""
         k = self._seam_slots[self.seam_names[g]][side]
         tgt = new_end.reflect_x() if side < 0 else new_end
-        return juxtaposed([(t, tgt, sv) if i == k else (t, t, identity_state(t))
-                           for i, t in enumerate(self._slot_tangles(ends))])
+        return _slot_face(self._slot_tangles(ends), k, tgt, sv)
 
     def homology(self, h_range, q_range):
         return self.truncated.homology(h_range, q_range)
@@ -461,6 +461,15 @@ def identity_unit(cx):
     d, _off = hom_double(cx.z_jux, cx.m_tangle(mw))
     lab = (ONE,) * len(d)
     return SurfaceElement(cx, 0, {(mw, lab): 1})
+
+
+@lru_cache(maxsize=None)
+def _slot_face(slot_tangles, k, tgt, sv):
+    """The end face on the middle layer of slot_tangles whose slot k goes
+    to tgt by sv, every other slot by its identity: built once per process
+    per key, for every surface whose middle layer holds those slots."""
+    return juxtaposed([(t, tgt, sv) if i == k else (t, t, identity_state(t))
+                       for i, t in enumerate(slot_tangles)])
 
 
 @lru_cache(maxsize=None)

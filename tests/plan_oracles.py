@@ -19,6 +19,11 @@ pairing series as it was accumulated before its ranks were cached and its
 monomials grouped: one complex per tangle pair per call, one product per
 pair of objects (costandard_series_by_pairs).
 
+The d^2 = 0 check of a twisted complex as SparseComplex._validate ran it
+before the twisted class composed each distinct pair of interned entries
+once: sparse_product, with one pair per path j -> k -> i and one state
+vector sum per (i, j) (square_check_by_sparse_product).
+
 The theta graph and the network self-pairing as spin evaluated them before
 it read their reduced forms off cyclotomic exponents: both products
 multiplied out as Laurent polynomials and reduced by one gcd
@@ -375,3 +380,19 @@ def pairing_by_one_reduction(net):
         value = loop(net.coloring[seam])
         num, den = num * value.den, den * value.num
     return RationalFunctionQ(num, den)
+
+
+def square_check_by_sparse_product(cx):
+    """Raise ChainMapError unless d^2 = 0 on the twisted complex cx, with
+    the message SparseComplex._validate gives."""
+    from skeinhom.errors import ChainMapError
+    from skeinhom.homalg import sparse_product
+
+    cells, diffs = cx.cells, cx.differentials
+    for h in sorted(diffs):
+        if h + 1 in diffs:
+            prod = sparse_product(diffs[h], diffs[h + 1], cx.compose,
+                                  cells[h], cells[h + 1], cells[h + 2])
+            bad = {k: x for k, x in prod.items() if x}
+            if bad:
+                raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")

@@ -4,17 +4,19 @@ import random
 import pytest
 
 from skeinhom.barproj import (SmallRing, TwistedTangleComplex, _compositions, _spelled, bar_ends,
-                              bar_words, bottom_projector, counit_components, fold_entry, fold_tangle,
-                              shuffle_words, signed_shuffles, twisted_cone, unit_complex,
-                              word_degree, word_ends)
+                              bar_plan, bar_words, bottom_projector, counit_components, fold_entry,
+                              fold_tangle, shuffle_words, signed_shuffles, small_ring, twisted_cone,
+                              unit_complex, word_degree, word_ends)
 from skeinhom.errors import ChainMapError, GradingError, InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import LaurentPoly
 from skeinhom.planar import cup_over_cap, enumerate_matchings, identity_tangle
+from skeinhom.surface import SurfaceComplex
 from skeinhom.tqft import (ONE, X, StateVector, basis_state, hom_double, identity_state, kh_basis,
                            pair, reflected_x)
 
 from .oracles import (all_shuffles, bottom_projector_by_faces, dense_block, fold_entry_by_circles,
                       hom_complex_by_pair, ring_mul_by_pair, words_of)
+from .test_surface import ANNULUS, CUPCAP2, THROUGH2
 
 ID1 = identity_tangle(1)
 ID2 = identity_tangle(2)
@@ -241,6 +243,39 @@ class TestBottomProjector:
                 ends.update(word_ends(mw) for mw in itertools.product(*pools))
         assert bar_ends(rings, depth, reduced) == ends
         assert bar_ends((), depth, reduced) == {()}
+
+
+class TestBarPlan:
+    # the rings of the fixture surfaces: one seam of one or two points,
+    # and two seams, equal or of different slopes
+    SHAPES = (((1, 1),), ((2, 2),), ((1, 1), (1, 1)), ((2, 2), (1, 1)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("bound", [None, 0, 3, 5])
+    def test_words_are_bar_words_within_the_bound(self, shape, bound):
+        rings = tuple(small_ring(m, n) for m, n in shape)
+        for depth in range(5):
+            plan = bar_plan(rings, depth, True, bound)
+            for r in range(depth + 1):
+                want = []
+                for comp in _compositions(r, len(rings)):
+                    pools = [bar_words(ring, c) for ring, c in zip(rings, comp)]
+                    for mw in itertools.product(*pools):
+                        degree = sum(word_degree(ring, w) for ring, w in zip(rings, mw))
+                        if bound is None or degree <= bound:
+                            want.append((mw, degree))
+                assert plan.words[-r] == tuple(mw for mw, _deg in want)
+                assert plan.degrees[-r] == tuple(deg for _mw, deg in want)
+                assert plan.ends[-r] == tuple(word_ends(mw) for mw, _deg in want)
+                assert plan.index[-r] == {mw: i for i, (mw, _deg) in enumerate(want)}
+            assert bar_plan(rings, depth, True, bound) is plan
+
+    def test_surfaces_over_the_same_rings_share_one_plan(self):
+        one = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=3)
+        other = SurfaceComplex(ANNULUS, THROUGH2, THROUGH2, depth=3)
+        plan = bar_plan((small_ring(2, 2),), 3, True, None)
+        assert one.multiwords is other.multiwords is plan.words
+        assert one.index is other.index is plan.index
 
 
 class TestRingCaches:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from skeinhom import barproj
 from skeinhom.barproj import (TwistedTangleComplex, bottom_projector, counit_components,
                               twisted_cone, unit_complex)
 from skeinhom.errors import ChainMapError, TruncationError
@@ -18,7 +19,9 @@ from skeinhom.tqft import StateVector, identity_state
 from .oracles import (chain_map_cone_reference, nested_scan_chain_map_verify,
                       nested_scan_square_check, nested_scan_twisted_map_check,
                       twisted_cone_reference)
+from .plan_oracles import square_check_by_sparse_product
 from .test_surface import ANNULUS, ANNULUS2, CORE2, CUPCAP2, THROUGH2
+from .test_windowed import CASES, full_build
 
 ID2 = identity_tangle(2)
 
@@ -118,6 +121,73 @@ class TestSquareCheck:
             failures += want != "ok"
         # at depth 1 there is one differential and nothing to compose
         assert failures or len(cx.differentials) < 2
+
+
+class TestInternedEntries:
+    """The d^2 = 0 check on interned entries (TwistedTangleComplex._square)
+    against the sparse_product route it replaced, and the process tables."""
+
+    @pytest.mark.parametrize("name", tuple(CASES))
+    def test_routes_agree_on_every_windowed_case(self, name):
+        cx = full_build(name, 3).twisted
+        assert outcome(rebuilt, cx, cx.differentials) == "ok"
+        assert outcome(square_check_by_sparse_product, cx) == "ok"
+        for diffs in perturbations(cx.differentials, random.Random(name), 6):
+            want = outcome(square_check_by_sparse_product, unchecked(cx, diffs))
+            assert outcome(rebuilt, cx, diffs) == want
+
+    def test_negated_entry_of_a_long_word_is_refused_alike(self):
+        cx = surface_twisted(4)
+        refused = 0
+        # entries from word tuples of length 4 to ones of length 3; some
+        # compose to zero with every next face, so their sign goes unseen
+        for key in list(cx.differentials[-4])[:8]:
+            diffs = {h: dict(d) for h, d in cx.differentials.items()}
+            diffs[-4][key] = -diffs[-4][key]
+            want = outcome(square_check_by_sparse_product, unchecked(cx, diffs))
+            assert outcome(rebuilt, cx, diffs) == want
+            refused += want.startswith("d^2 != 0 from degree -4: ")
+        assert refused
+
+    def test_equal_values_share_a_number_and_offsets_do_not(self):
+        sv = next(iter(surface_twisted(1).differentials[-1].values()))
+        n = barproj._entry_number(sv)
+        copy = StateVector(sv.diagram, sv.offset, dict(sv.terms))
+        assert copy is not sv
+        assert barproj._entry_number(copy) == n and barproj._interned(copy) is sv
+        moved = StateVector(sv.diagram, sv.offset + 2, dict(sv.terms))
+        assert barproj._entry_number(moved) != n
+        assert barproj._interned(moved) is moved
+
+    def test_each_distinct_composite_and_fault_is_worked_once(self, monkeypatch):
+        composed, judged = [], []
+        real_pair, real_fault = barproj.pair, barproj._state_fault
+
+        def pair(a, b, c, x, y):
+            composed.append((a, b, c, barproj._entry_number(x), barproj._entry_number(y)))
+            return real_pair(a, b, c, x, y)
+
+        def fault(src, tgt, sv):
+            judged.append((src, tgt, barproj._entry_number(sv)))
+            return real_fault(src, tgt, sv)
+
+        monkeypatch.setattr(barproj, "pair", pair)
+        monkeypatch.setattr(barproj, "_state_fault", fault)
+        barproj._forget_entries()
+        first = surface_twisted(3)
+        assert composed and judged
+        assert len(set(composed)) == len(composed)
+        assert len(set(judged)) == len(judged)
+        # paths and entries repeat their values: far fewer composites than
+        # paths, and fewer faults than entries
+        paths = sum(1 for h, d in first.differentials.items()
+                    for (k, _j) in d for (_i, k2) in first.differentials.get(h + 1, {})
+                    if k2 == k)
+        assert len(composed) * 2 < paths
+        assert len(judged) < sum(map(len, first.differentials.values()))
+        counts = len(composed), len(judged)
+        surface_twisted(3)
+        assert (len(composed), len(judged)) == counts
 
 
 class TestChainMapCheck:

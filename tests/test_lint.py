@@ -507,6 +507,60 @@ def test_loop_call_scan_sees_names_attributes_and_scopes(tmp_path):
     assert nodes_by_function(module, is_loop_call) == [("", 1), ("C.f", 6)]
 
 
+# The only readers of the word spellers, per speller by (module, function):
+# bar_plan spells and faces the words of every complex once per process,
+# and bar_words lists one ring's words.  No build spells or faces a word
+# of its own; it reads them from the cached plan.
+ALLOWED_SPELLER_READS = {
+    "_spelled": Counter({("barproj", "bar_plan"): 1, ("barproj", "bar_words"): 1}),
+    "bar_faces": Counter({("barproj", "bar_plan"): 1}),
+}
+
+
+def speller_reads(name):
+    """A scan for the reads of name: a loaded name or attribute, or an
+    import of it."""
+    def reads(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return any(alias.name.rpartition(".")[2] == name for alias in node.names)
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name) \
+            and isinstance(node.ctx, ast.Load)
+    return lambda path: nodes_by_function(path, reads)
+
+
+def test_words_are_spelled_in_one_place():
+    for name, allowed in ALLOWED_SPELLER_READS.items():
+        _seen, stray = counted_beyond(allowed, speller_reads(name))
+        stray += [f"{path}:{line}" for path in PRODUCT_READERS
+                  for _function, line in speller_reads(name)(path)]
+        assert not stray, (f"{name} read at " + ", ".join(stray)
+                           + "; read words and faces from barproj.bar_plan")
+
+
+def test_every_speller_allowance_matches_a_read():
+    for name, allowed in ALLOWED_SPELLER_READS.items():
+        seen, _stray = counted_beyond(allowed, speller_reads(name))
+        assert seen == allowed, name
+
+
+def test_speller_scan_sees_names_attributes_imports_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from skeinhom.barproj import bar_faces\n"
+        "import skeinhom.barproj.bar_faces\n"
+        "def bar_faces(ring, word):\n"
+        "    return list(bar_faces_of(word))\n"
+        "class C:\n"
+        "    def f(self, ring, w):\n"
+        "        faces = barproj.bar_faces\n"
+        "        return faces(ring, w), self.bar_faces, bar_faces(ring, w)\n"
+        "    bar_faces = None\n")
+    assert speller_reads("bar_faces")(module) == [("", 1), ("", 2), ("C.f", 7), ("C.f", 8),
+                                                  ("C.f", 8)]
+    assert speller_reads("_spelled")(module) == []
+
+
 def unused_module_imports(path):
     """[(name, line)] of every name a module-level import binds in the
     module at path that no code in it reads and its __all__ does not list."""

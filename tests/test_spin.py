@@ -675,6 +675,16 @@ class TestSpinNetwork:
         with pytest.raises(InvalidBoundary, match="surfaces"):
             cross_pairing_prediction(one, disk_network(1, 1, 2))
 
+    @pytest.mark.parametrize("junk", [None, 3, "x"])
+    def test_predictions_refuse_what_is_not_a_network(self, junk):
+        net = disk_network(1, 1, 2)
+        want = f"^a pairing needs a SpinNetwork, got {type(junk).__name__}$"
+        for call in (lambda: pairing_prediction(junk), lambda: check_admissible(junk),
+                     lambda: cross_pairing_prediction(junk, net),
+                     lambda: cross_pairing_prediction(net, junk)):
+            with pytest.raises(SpecError, match=want):
+                call()
+
 
 class TestProjectorTruncation:
     def test_small_strand_counts_are_identities(self):

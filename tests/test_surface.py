@@ -123,6 +123,17 @@ STRIP3_CAPS = SurfaceTangle.from_data({"regions": [
 ]})
 
 # a point on every segment, so splicing either seam reorders the points
+# Cup-caps on ANNULUS2 with two points on g1 and one on g2, so that the
+# seams carry rings of different least letter degree
+MIXED_SLOPES = SurfaceTangle.from_data(
+    {
+        "regions": [
+            {"counts": [2, 0, 1, 1], "chords": [[0, 1], [2, 3]]},
+            {"counts": [1, 1, 2, 0], "chords": [[0, 1], [2, 3]]},
+        ]
+    }
+)
+
 ANNULUS2_SPOKES = SurfaceTangle.from_data(
     {
         "regions": [
@@ -1056,6 +1067,21 @@ class TestBarConstruction:
         assert [cx.twisted.certificate(r) for r in range(4)] == \
             [-cx.q_base + slope * r for r in range(4)]
         assert SurfaceComplex(ANNULUS, EMPTY, EMPTY, depth=2).twisted.complete
+
+
+    def test_mixed_slopes_certify_by_the_least(self):
+        # seam g1 carries the ring (2, 2), of least letter degree 1, and g2
+        # the ring (1, 1), of least letter degree 2: the certificate must
+        # take the smaller slope, or it passes generators a deeper build has
+        shallow = SurfaceComplex(ANNULUS2, MIXED_SLOPES, MIXED_SLOPES, depth=1)
+        deep = SurfaceComplex(ANNULUS2, MIXED_SLOPES, MIXED_SLOPES, depth=4)
+        least = {h: min(q for _lbl, q in gens) for h, gens in deep.truncated.generators.items()}
+        # no generator of a build three levels deeper lies below the bound
+        for h in range(deep.truncated.h_min, shallow.truncated.h_min):
+            assert least[h] >= shallow.truncated.min_q_at(h), h
+        assert [shallow.rings[n].min_letter_degree for n in shallow.seam_names] == [1, 2]
+        assert shallow.truncated.certificate == Certificate(((-4, 1),))
+        assert (least[-4], shallow.truncated.min_q_at(-4)) == (2, 0)
 
 
 class TestPairing:

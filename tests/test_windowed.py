@@ -124,6 +124,8 @@ class TestEquality:
         assert symmetrized_pairing(ANNULUS, THROUGH2, CUPCAP2, *window) == full.homology(*window)
 
     def test_full_builds_read_one_entry_per_letter(self, monkeypatch):
+        # end faces are kept for the life of the process; start from none
+        surface._slot_face.cache_clear()
         calls = []
         real = surface.juxtaposed
         monkeypatch.setattr(surface, "juxtaposed", lambda fs: calls.append(1) or real(fs))
@@ -142,6 +144,10 @@ class TestEquality:
                         keys.add((ends, g, 1, objs[-2], letters[-1]))
         assert len(calls) == len(keys) < end_faces / 3
         assert complex_digest(cx.truncated) == "efbd5f3c983f4692"
+        # a second build of the same complex builds no face
+        again = SurfaceComplex(ANNULUS, CUPCAP2, THROUGH2, depth=3)
+        assert len(calls) == len(keys)
+        assert complex_digest(again.truncated) == "efbd5f3c983f4692"
 
 
 def run_cli(argv):
