@@ -433,12 +433,12 @@ class TwistedTangleComplex(SparseComplex):
         b, c), from the entries' numbers.
 
         Source by source, the paths j -> k -> i are listed per target i as
-        (tangle of k, number of the entry at (k, j), number of the entry at
-        (i, k)), tangles numbered within the call.  The sum over one such
-        list from tangle a_j to tangle c_i depends only on (a_j, c_i, list),
-        so it is computed once per call and distinct key: integer
-        multiplicities per (b, x, y), times compose(a, b, c, x, y), which
-        runs once per process per distinct (a, b, c, x, y).
+        (number of the entry at (k, j), (tangle of k, number of the entry
+        at (i, k))), tangles numbered within the call.  The sum of (i, j)
+        depends only on its list and the tangles of a_j and c_i, so each
+        distinct such key is summed once per call (_path_sum): integer
+        multiplicities per path times compose(a, b, c, x, y), which runs
+        once per process per distinct (a, b, c, x, y).
         """
         numbers = {}
         na, nb, nc = ([numbers.setdefault(T, len(numbers)) for T, _s in cells]

@@ -149,6 +149,18 @@ class TestInternedEntries:
             refused += want.startswith("d^2 != 0 from degree -4: ")
         assert refused
 
+    @pytest.mark.parametrize("last,want", [(-2, "ok"), (-1, "d^2 != 0 from degree 0: ")])
+    def test_repeated_paths_count_with_their_multiplicity(self, last, want):
+        # three equal middle objects: two equal paths from 0 to 0 and a
+        # third that cancels both only when the two are counted twice
+        one = identity_state(ID2)
+        cx = TwistedTangleComplex._trusted(
+            {0: ((ID2, 0),), 1: ((ID2, 0),) * 3, 2: ((ID2, 0),)},
+            {0: {(k, 0): one for k in range(3)},
+             1: {(0, 0): one, (0, 1): one, (0, 2): one.scaled(last)}}, 0, 2)
+        for check in (square_check_by_sparse_product, lambda cx: rebuilt(cx, cx.differentials)):
+            assert outcome(check, cx).startswith(want)
+
     def test_equal_values_share_a_number_and_offsets_do_not(self):
         sv = next(iter(surface_twisted(1).differentials[-1].values()))
         n = barproj._entry_number(sv)
