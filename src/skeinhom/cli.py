@@ -25,7 +25,7 @@ from .planar import PlanarTangle, enumerate_matchings
 from .spin import (SpinNetwork, admissible_triple, as_quantum_integer,
                    cross_pairing_prediction, euler_crosscheck,
                    pairing_prediction, theta)
-from .surface import (SurfaceComplex, SurfaceSpec, SurfaceTangle, coarsen, h0,
+from .surface import (SurfaceComplex, SurfaceSpec, SurfaceTangle, _decoded, coarsen, h0,
                       removable_seam, validate_tangle, window_depth)
 from .tqft import hom_graded_rank, identity_state, pair
 
@@ -286,10 +286,26 @@ def _cmd_bproj(args):
     return 0
 
 
+def _load_surface_input(source, what, cls):
+    """The cls (SurfaceSpec or SurfaceTangle) of a CLI argument, read as
+    _load_json reads it.  A literal that parses is decoded once per process
+    per text (surface._decoded); a path, and a bracketed text that falls
+    back to a file, are read on every call, since the file may change."""
+    if source.lstrip().startswith(("[", "{")):
+        try:
+            return _decoded(cls, source)
+        except json.JSONDecodeError:
+            pass
+    return cls.from_data(_load_json(source, what))
+
+
 def _load_surface_inputs(args):
-    spec = SurfaceSpec.from_data(_load_json(args.spec, "--spec"))
-    top = SurfaceTangle.from_data(_load_json(args.t, "--t"))
-    bottom = SurfaceTangle.from_data(_load_json(args.s, "--s"))
+    """The spec and the two tangles of a surface command, each decoded as
+    _load_surface_input says, and both tangles checked against the spec on
+    every call."""
+    spec = _load_surface_input(args.spec, "--spec", SurfaceSpec)
+    top = _load_surface_input(args.t, "--t", SurfaceTangle)
+    bottom = _load_surface_input(args.s, "--s", SurfaceTangle)
     validate_tangle(spec, top, who="--t")
     validate_tangle(spec, bottom, who="--s")
     return spec, top, bottom

@@ -11,8 +11,10 @@ truncation certificate) is barproj.bar_complex; this module supplies the
 middle-layer tangle of a word tuple and how an end letter is absorbed into
 its seam slot, from the word ends and the new end object, which
 bar_complex calls once per end face of a build; the face itself is
-built once per process (_slot_face).  Evaluating states against the
-closure produces an integer complex with a certified truncation.
+built once per process (_slot_face), and so are a surface's slot table,
+rings and region closures (SurfaceLayout, by _layout).  Evaluating states
+against the closure produces an integer complex with a certified
+truncation.
 
 Composition stacks region states through the shared caps and shuffles the
 seam words, units are the all-ones states on identity words, and coarsening
@@ -22,11 +24,13 @@ deletes one seam by surgering its two plugs into each other.
 from __future__ import annotations
 
 import itertools
+import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
-from .barproj import bar_complex, signed_shuffles, small_ring, word_ends
+from .barproj import _forget_entries, bar_complex, signed_shuffles, small_ring, word_ends
 from .errors import GradingError, InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import ChainMap
 from .planar import (MOVES, PlanarTangle, identity_tangle, juxtapose, juxtaposition_points,
@@ -210,6 +214,14 @@ class SurfaceTangle:
         return cls(tuple(caps), tuple(counts))
 
 
+@lru_cache(maxsize=None)
+def _decoded(cls, text):
+    """cls.from_data of a JSON text, for cls SurfaceSpec or SurfaceTangle:
+    decoded once per process per text.  A text that raises, as invalid
+    JSON or as a malformed spec or tangle, is not kept."""
+    return cls.from_data(json.loads(text))
+
+
 def validate_tangle(spec, tangle, who="tangle"):
     if len(tangle.caps) != len(spec.regions):
         raise SpecError(
@@ -235,6 +247,112 @@ def validate_tangle(spec, tangle, who="tangle"):
     return tangle
 
 
+class SurfaceLayout:
+    """What a surface complex derives from its spec, tangles and arc
+    inserts alone, whatever its depth and window: the slot table of the
+    middle layer, the seam positions and rings, the region closures and
+    their juxtaposition, and the quantum shift.  Built once per process
+    per key by _layout, and shared by every build over that key, so its
+    pieces are read-only: tuples and MappingProxyTypes.
+
+    inserts is a tuple of (arc name, PlanarTangle) pairs in spec.arcs
+    order, checked by the caller; SpecError refuses an insert of the
+    wrong shape, and region boundary points that leave the quantum
+    grading non-integral.
+    """
+
+    def __init__(self, spec, top, bottom, inserts):
+        arc_sign = dict(spec.arcs)
+        inserts = dict(inserts)
+        self.seam_names = tuple(spec.seams)
+        self.seam_pos = MappingProxyType({n: g for g, n in enumerate(self.seam_names)})
+        slots, slot_pos, slot_global = [], [], {}
+        seam_slots = {n: {} for n in self.seam_names}
+        for ri, region in enumerate(spec.regions):
+            for si, seg in enumerate(region):
+                k = len(slots)
+                slot_pos.append((ri, si))
+                slot_global[(ri, si)] = k
+                nb, nt = bottom.counts[ri][si], top.counts[ri][si]
+                if seg.kind == "arc":
+                    v = inserts.get(seg.name)
+                    if v is None:
+                        if nb != nt:
+                            raise SpecError(
+                                f"arc {seg.name!r}: {nt} top points against {nb} bottom "
+                                "points with no insert tangle"
+                            )
+                        v = identity_tangle(nt)
+                    elif arc_sign[seg.name] < 0:
+                        v = v.reflect_x()
+                    if (v.bottom, v.top) != (nb, nt):
+                        raise SpecError(
+                            f"arc {seg.name!r}: insert is ({v.bottom}, {v.top}), "
+                            f"boundary needs ({nb}, {nt})"
+                        )
+                    if v.circles:
+                        raise SpecError(f"arc {seg.name!r}: insert tangles must be minimal")
+                    slots.append(("arc", v))
+                else:
+                    seam_slots[seg.name][seg.side] = k
+                    slots.append(("seam", seg.name, seg.side))
+        self.slots, self.slot_pos = tuple(slots), tuple(slot_pos)
+        self.slot_global = MappingProxyType(slot_global)
+        self.seam_slots = MappingProxyType({n: MappingProxyType(d) for n, d in seam_slots.items()})
+
+        rings = {}
+        for name in self.seam_names:
+            (ri, si), _ = spec.seam_sides(name)
+            rings[name] = small_ring(bottom.counts[ri][si], top.counts[ri][si])
+        self.rings = MappingProxyType(rings)
+
+        self.z_regions = tuple(stack(tc.reflect_y(), sc) for sc, tc in zip(bottom.caps, top.caps))
+        self.z_jux = juxtapose(*self.z_regions)
+        boundary_points = self.z_jux.points
+        if boundary_points % 4:
+            raise SpecError(
+                f"{boundary_points} region boundary points leave the quantum "
+                "grading non-integral"
+            )
+        self.q_base = boundary_points // 4
+        self._middles = {}
+
+    def slot_tangles(self, ends):
+        """The tangle in each slot of the middle layer of word tuples with
+        these end objects."""
+        out = []
+        for slot in self.slots:
+            if slot[0] == "arc":
+                out.append(slot[1])
+            else:
+                _, name, side = slot
+                first, last = ends[self.seam_pos[name]]
+                out.append(first.reflect_x() if side < 0 else last)
+        return tuple(out)
+
+    def middle(self, ends):
+        """The middle-layer tangle of word tuples with these end objects."""
+        m = self._middles.get(ends)
+        if m is None:
+            m = self._middles[ends] = juxtapose(*self.slot_tangles(ends))
+        return m
+
+    def slot_entry(self, ends, g, side, new_end, sv):
+        """An end face at seam g: sv acts on the slot of that side, which
+        now holds new_end (mirrored on the minus side), and identities on
+        every other slot."""
+        k = self.seam_slots[self.seam_names[g]][side]
+        tgt = new_end.reflect_x() if side < 0 else new_end
+        return _slot_face(self.slot_tangles(ends), k, tgt, sv)
+
+
+@lru_cache(maxsize=None)
+def _layout(spec, top, bottom, inserts):
+    """The SurfaceLayout of a spec, its two tangles and its arc inserts,
+    built once per process per key; a build that raises is not kept."""
+    return SurfaceLayout(spec, top, bottom, inserts)
+
+
 class SurfaceComplex:
     """The glued hom complex between two surface tangles, truncated at a depth.
 
@@ -253,6 +371,13 @@ class SurfaceComplex:
     whole complex (elements, and so the differential; units, compose,
     transfer, coarsen) asks it, so that a windowed build refuses them with
     WindowError, as it does quantum degrees off the window.
+
+    What the spec, the two tangles and the inserts alone determine (the
+    slot table, seams, rings, region closures and quantum shift) is read
+    from .layout, the one SurfaceLayout per process of that key
+    (_layout), after the tangles, depth, window and inserts are checked
+    on every build; seam_names, rings, z_regions, z_jux and q_base are
+    its pieces, shared and read-only.
     """
 
     def __init__(self, spec, top, bottom, depth, inserts=None, reduced=True, q_range=None):
@@ -272,62 +397,21 @@ class SurfaceComplex:
                 raise SpecError(f"insert references unknown arc {name!r}")
             if not isinstance(v, PlanarTangle):
                 raise SpecError(f"insert for arc {name!r} must be a PlanarTangle, got {v!r}")
+        key = (spec, top, bottom,
+               tuple((n, self.inserts[n]) for n, _s in spec.arcs if n in self.inserts))
+        try:
+            layout = _layout(*key)
+        except TypeError:
+            # lists where the dataclasses hold tuples leave the key
+            # unhashable: such inputs are laid out per build
+            layout = SurfaceLayout(*key)
+        self.layout = layout
+        self.seam_names, self.rings = layout.seam_names, layout.rings
+        self.z_regions, self.z_jux, self.q_base = layout.z_regions, layout.z_jux, layout.q_base
 
-        self.seam_names = tuple(spec.seams)
-        self._seam_pos = {n: g for g, n in enumerate(self.seam_names)}
-        self._slots = []
-        self._slot_pos = []
-        self._slot_global = {}
-        self._seam_slots = {n: {} for n in self.seam_names}
-        for ri, region in enumerate(spec.regions):
-            for si, seg in enumerate(region):
-                k = len(self._slots)
-                self._slot_pos.append((ri, si))
-                self._slot_global[(ri, si)] = k
-                nb, nt = bottom.counts[ri][si], top.counts[ri][si]
-                if seg.kind == "arc":
-                    v = self.inserts.get(seg.name)
-                    if v is None:
-                        if nb != nt:
-                            raise SpecError(
-                                f"arc {seg.name!r}: {nt} top points against {nb} bottom "
-                                "points with no insert tangle"
-                            )
-                        v = identity_tangle(nt)
-                    elif arc_sign[seg.name] < 0:
-                        v = v.reflect_x()
-                    if (v.bottom, v.top) != (nb, nt):
-                        raise SpecError(
-                            f"arc {seg.name!r}: insert is ({v.bottom}, {v.top}), "
-                            f"boundary needs ({nb}, {nt})"
-                        )
-                    if v.circles:
-                        raise SpecError(f"arc {seg.name!r}: insert tangles must be minimal")
-                    self._slots.append(("arc", v))
-                else:
-                    self._seam_slots[seg.name][seg.side] = k
-                    self._slots.append(("seam", seg.name, seg.side))
-
-        self.rings = {}
-        for name in self.seam_names:
-            (ri, si), _ = spec.seam_sides(name)
-            self.rings[name] = small_ring(bottom.counts[ri][si], top.counts[ri][si])
-
-        self.z_regions = tuple(stack(tc.reflect_y(), sc) for sc, tc in zip(bottom.caps, top.caps))
-        self.z_jux = juxtapose(*self.z_regions)
-
-        boundary_points = self.z_jux.points
-        if boundary_points % 4:
-            raise SpecError(
-                f"{boundary_points} region boundary points leave the quantum "
-                "grading non-integral"
-            )
-        self.q_base = boundary_points // 4
-
-        self._m_cache = {}
         self.multiwords, self.index, self.twisted = bar_complex(
             tuple(self.rings[n] for n in self.seam_names), depth, -self.q_base,
-            self._middle, self._slot_entry, reduced,
+            layout.middle, layout.slot_entry, reduced,
             None if q_range is None else (self.z_jux, q_range[1]))
         self.truncated = self.twisted.hom_complex(self.z_jux, q_range)
         self._positions = {
@@ -336,35 +420,10 @@ class SurfaceComplex:
         }
 
     def slot_tangles(self, mw):
-        return self._slot_tangles(word_ends(mw))
-
-    def _slot_tangles(self, ends):
-        out = []
-        for slot in self._slots:
-            if slot[0] == "arc":
-                out.append(slot[1])
-            else:
-                _, name, side = slot
-                first, last = ends[self._seam_pos[name]]
-                out.append(first.reflect_x() if side < 0 else last)
-        return tuple(out)
+        return self.layout.slot_tangles(word_ends(mw))
 
     def m_tangle(self, mw):
-        return self._middle(word_ends(mw))
-
-    def _middle(self, ends):
-        """The middle-layer tangle of word tuples with these end objects."""
-        if ends not in self._m_cache:
-            self._m_cache[ends] = juxtapose(*self._slot_tangles(ends))
-        return self._m_cache[ends]
-
-    def _slot_entry(self, ends, g, side, new_end, sv):
-        """An end face at seam g: sv acts on the slot of that side, which
-        now holds new_end (mirrored on the minus side), and identities on
-        every other slot."""
-        k = self._seam_slots[self.seam_names[g]][side]
-        tgt = new_end.reflect_x() if side < 0 else new_end
-        return _slot_face(self._slot_tangles(ends), k, tgt, sv)
+        return self.layout.middle(word_ends(mw))
 
     def homology(self, h_range, q_range):
         return self.truncated.homology(h_range, q_range)
@@ -377,7 +436,7 @@ class SurfaceComplex:
         return tuple(out)
 
     def arcs_are_identities(self):
-        return all(slot[0] != "arc" or slot[1].is_identity() for slot in self._slots)
+        return all(slot[0] != "arc" or slot[1].is_identity() for slot in self.layout.slots)
 
     def _row(self, h, mw, lab):
         """The index in .truncated.generators[h] of word tuple mw with
@@ -470,6 +529,15 @@ def _slot_face(slot_tangles, k, tgt, sv):
     per key, for every surface whose middle layer holds those slots."""
     return juxtaposed([(t, tgt, sv) if i == k else (t, t, identity_state(t))
                        for i, t in enumerate(slot_tangles)])
+
+
+def _forget_tables():
+    """Empty the process tables of surface builds together (decoded
+    inputs, layouts and end faces) and barproj's entry tables, so that a
+    test can count the work a fresh process does."""
+    for table in (_decoded, _layout, _slot_face):
+        table.cache_clear()
+    _forget_entries()
 
 
 @lru_cache(maxsize=None)
@@ -691,7 +759,7 @@ def coarsen(cx, seam):
     cx.truncated.require_window("coarsen")
     target, z_arc_map, m_arc_map = _coarsened(cx, seam)
     z_items = tuple(z_arc_map.items())
-    g_idx = cx._seam_pos[seam]
+    g_idx = cx.layout.seam_pos[seam]
     comps = {}
     for h, mws in cx.multiwords.items():
         mat = {}
@@ -805,7 +873,7 @@ def _closure_arc_map(cx, target, region_pos, bot_image, top_image):
 
 def _middle_arc_map(cx, target, seg_pos, seam):
     """Per word tuple, old middle chord arcs to new ones away from the seam."""
-    g_idx = cx._seam_pos[seam]
+    g_idx = cx.layout.seam_pos[seam]
     out = {}
     for mws in cx.multiwords.values():
         for mw in mws:
@@ -816,9 +884,9 @@ def _middle_arc_map(cx, target, seg_pos, seam):
             new = juxtaposition_points(target.slot_tangles(mw_t))
             image = [None] * m_src.points
             for k, old in enumerate(juxtaposition_points(cx.slot_tangles(mw))):
-                pos = seg_pos.get(cx._slot_pos[k])
+                pos = seg_pos.get(cx.layout.slot_pos[k])
                 if pos is not None:
-                    for g, g_new in zip(old, new[target._slot_global[pos]]):
+                    for g, g_new in zip(old, new[target.layout.slot_global[pos]]):
                         image[g] = g_new
             out[mw] = _carried_arcs("y", m_src, image, "y", target.m_tangle(mw_t))
     return out
@@ -903,7 +971,7 @@ def _plug_surgeries(cx, seam, mw, a0, m_src, d_src):
     One surgery per chord of a0.
     """
     images = juxtaposition_points(cx.slot_tangles(mw))
-    neg, pos = (images[cx._seam_slots[seam][side]] for side in (-1, 1))
+    neg, pos = (images[cx.layout.seam_slots[seam][side]] for side in (-1, 1))
     mir = MOVES["reflect_x"](a0.bottom, a0.top)[2]
 
     def node(g):

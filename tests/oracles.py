@@ -1370,7 +1370,7 @@ def _middle_arc_map(cx, target, seg_pos, seam):
     """Per word tuple, old middle chord arcs to new ones away from the seam."""
     from skeinhom.tqft import _chord_index
 
-    g_idx = cx._seam_pos[seam]
+    g_idx = cx.layout.seam_pos[seam]
     out = {}
     for h, mws in cx.multiwords.items():
         for mw in mws:
@@ -1383,11 +1383,11 @@ def _middle_arc_map(cx, target, seg_pos, seam):
             tgt_b, tgt_t = _point_offsets(target.slot_tangles(mw_t))
             amap = {}
             for k_old, tangle in enumerate(slots):
-                r, s = cx._slot_pos[k_old]
+                r, s = cx.layout.slot_pos[k_old]
                 pos = seg_pos.get((r, s))
                 if pos is None:
                     continue
-                k_new = target._slot_global[pos]
+                k_new = target.layout.slot_global[pos]
                 for p, _q in tangle.chords:
                     if p < tangle.bottom:
                         gp_old = src_b[k_old] + p
@@ -1428,8 +1428,8 @@ def _plug_sites(cx, seam, mw, a0, m_src, d_src):
     (m, n)-plug faces point u on the plus side."""
     from skeinhom.tqft import _chord_index
 
-    neg = cx._seam_slots[seam][-1]
-    pos = cx._seam_slots[seam][1]
+    neg = cx.layout.seam_slots[seam][-1]
+    pos = cx.layout.seam_slots[seam][1]
     src_b, src_t = _point_offsets(cx.slot_tangles(mw))
     m, n = a0.bottom, a0.top
 
@@ -1465,7 +1465,7 @@ def coarsen_by_surgery(cx, seam):
 
     target = _coarsened(cx, seam)[0]
     z_arc_map, m_arc_map = coarsening_arc_maps(cx, seam, target)
-    g_idx = cx._seam_pos[seam]
+    g_idx = cx.layout.seam_pos[seam]
     comps = {}
     for h, mws in cx.multiwords.items():
         mat = {}
@@ -1615,8 +1615,8 @@ def surface_faces(cx, mw):
         objs, letters = mw[g]
         r = len(letters)
         if r:
-            neg = cx._seam_slots[name][-1]
-            pos = cx._seam_slots[name][1]
+            neg = cx.layout.seam_slots[name][-1]
+            pos = cx.layout.seam_slots[name][1]
             first = basis_state(objs[0], objs[1], letters[0])
             sv = reflected_x(first, objs[0], objs[1])
             w0 = (objs[1:], letters[1:])

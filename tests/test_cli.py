@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skeinhom
-from skeinhom import errors
+from skeinhom import errors, surface
 from skeinhom.cli import build_parser, run
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.spin import RationalFunctionQ
-from skeinhom.surface import SurfaceComplex
+from skeinhom.surface import SurfaceComplex, SurfaceSpec
 
 from .oracles import theta_formula
 
@@ -254,6 +254,50 @@ class TestSharedParser:
         after = run_cli(capsys, *bad)
         assert fresh[0] == after[0] == 64
         assert fresh[2] and after[2].encode() == fresh[2].encode()
+
+
+class TestDecodedInputs:
+    """A literal --spec, --t or --s text is decoded once per process; a path
+    is read on every call, and a refusal is never kept."""
+
+    ARGV = ("--t", json.dumps(CIRCLE), "--s", json.dumps(CIRCLE), "--hmin", "-1", "--qmax", "4")
+    # the annulus cut open along its seam: the same tangles fit its segments
+    SQUARE = {"arcs": ["c", "a", "d", "b"],
+              "regions": [[{"arc": "c"}, {"arc": "a"}, {"arc": "d"}, {"arc": "b"}]]}
+
+    def test_a_spec_path_is_read_on_every_call(self, capsys, tmp_path):
+        spec = write_json(tmp_path, "spec.json", ANNULUS)
+        first = run_cli(capsys, "surface", "hom", "--spec", spec, *self.ARGV)
+        write_json(tmp_path, "spec.json", self.SQUARE)
+        second = run_cli(capsys, "surface", "hom", "--spec", spec, *self.ARGV)
+        inline = run_cli(capsys, "surface", "hom", "--spec", json.dumps(self.SQUARE), *self.ARGV)
+        assert first[0] == second[0] == 0
+        assert second == inline and second != first
+
+    def test_a_bracketed_path_is_read_on_every_call(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "{spec}.json", ANNULUS)
+        first = run_cli(capsys, "surface", "hom", "--spec", "{spec}.json", *self.ARGV)
+        write_json(tmp_path, "{spec}.json", self.SQUARE)
+        second = run_cli(capsys, "surface", "hom", "--spec", "{spec}.json", *self.ARGV)
+        inline = run_cli(capsys, "surface", "hom", "--spec", json.dumps(self.SQUARE), *self.ARGV)
+        assert first[0] == 0 and second == inline and second != first
+
+    def test_a_junk_literal_is_refused_on_every_call(self, capsys):
+        argv = ("surface", "hom", "--spec", '{"arcs": 3}', *self.ARGV)
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second == (3, "", "SpecError: spec: arcs must be a list, got 3\n")
+
+    def test_a_literal_spec_is_decoded_once(self, capsys, monkeypatch):
+        decoded = []
+        real = SurfaceSpec.from_data
+        monkeypatch.setattr(SurfaceSpec, "from_data",
+                            classmethod(lambda cls, data: decoded.append(1) or real(data)))
+        surface._forget_tables()
+        argv = ("surface", "hom", "--spec", json.dumps(ANNULUS), *self.ARGV)
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first[0] == 0 and second == first
+        assert len(decoded) == 1
 
 
 class TestSpinCommands:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skeinhom import barproj
+from skeinhom import barproj, surface
 from skeinhom.barproj import (TwistedTangleComplex, bottom_projector, counit_components,
                               twisted_cone, unit_complex)
 from skeinhom.errors import ChainMapError, TruncationError
@@ -185,7 +185,7 @@ class TestInternedEntries:
 
         monkeypatch.setattr(barproj, "pair", pair)
         monkeypatch.setattr(barproj, "_state_fault", fault)
-        barproj._forget_entries()
+        surface._forget_tables()
         first = surface_twisted(3)
         assert composed and judged
         assert len(set(composed)) == len(composed)

@@ -355,6 +355,10 @@ MALFORMED_BUILDS = {
     "SurfaceComplex(D, T, T, 0, inserts={'a': -1})":
         "insert for arc 'a' must be a PlanarTangle, got -1",
     "SurfaceComplex(D, T, T, 0, inserts=[1])": "inserts must be a mapping, got list",
+    # checked before the layout key is made, which would hash the values
+    "SurfaceComplex(D, T, T, 0, inserts={'a': [1, 0]})":
+        "insert for arc 'a' must be a PlanarTangle, got [1, 0]",
+    "SurfaceComplex(D, T, T, 0, inserts={3: None})": "insert references unknown arc 3",
     "symmetrized_pairing(D, T, T, (0, 0), (0, 4), depth=1.5)": "depth must be an integer, got 1.5",
     "symmetrized_pairing(D, T, T, None, (0, 4))": "h_range must be a pair of integers, got None",
     "bottom_projector('x', 1)": "bottom_projector: strand count must be an integer, got 'x'",
@@ -402,6 +406,60 @@ class TestMalformedConstruction:
             "    raise SystemExit(f'{call} was not refused')\n"
             + calls + "raise ValueError('all refused')\n")
         assert line == "ValueError: all refused"
+
+
+class TestSharedLayout:
+    """A build reads what its spec, tangles and inserts alone determine
+    from one SurfaceLayout per process per key (surface._layout)."""
+
+    def test_one_layout_per_key(self):
+        cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=1)
+        again = SurfaceComplex(ANNULUS, CORE, CORE, depth=3, q_range=(0, 4), reduced=False)
+        assert again.layout is cx.layout and again.rings is cx.rings
+        inserted = SurfaceComplex(ANNULUS, CORE, CORE, depth=1, inserts={"a": identity_tangle(0)})
+        assert inserted.layout is not cx.layout
+        assert inserted.inserts == {"a": identity_tangle(0)} and cx.inserts == {}
+        assert complex_digest(inserted.truncated) == complex_digest(cx.truncated)
+
+    def test_inserts_key_follows_the_arc_order(self):
+        spec = SurfaceSpec(arcs=(("a", 1), ("b", 1)), seams=(), regions=((arc("a"), arc("b")),))
+        tangle = SurfaceTangle.from_data({"regions": [{"counts": [1, 1], "chords": [[0, 1]]}]})
+        one = identity_tangle(1)
+        first = SurfaceComplex(spec, tangle, tangle, 0, inserts={"a": one, "b": one})
+        second = SurfaceComplex(spec, tangle, tangle, 0, inserts={"b": one, "a": one})
+        assert second.layout is first.layout
+
+    def test_cold_and_warm_builds_agree(self):
+        from .test_windowed import CASES
+        for name, (spec, top, bottom) in CASES.items():
+            for q_range in (None, (0, 4)):
+                surface._forget_tables()
+                cold = SurfaceComplex(spec, top, bottom, depth=2, q_range=q_range)
+                warm = SurfaceComplex(spec, top, bottom, depth=2, q_range=q_range)
+                assert warm.layout is cold.layout, name
+                assert warm.truncated.generators == cold.truncated.generators, name
+                assert warm.truncated.differentials == cold.truncated.differentials, name
+                if q_range is None:
+                    cells = certified_cells(cold.truncated)
+                    assert cells and certified_cells(warm.truncated) == cells, name
+
+    def test_shared_pieces_are_read_only(self):
+        cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=1)
+        layout = cx.layout
+        for table, key in ((cx.rings, "g"), (layout.seam_pos, "g"), (layout.slot_global, (0, 0)),
+                           (layout.seam_slots, "g"), (layout.seam_slots["g"], 1)):
+            with pytest.raises(TypeError):
+                table[key] = None
+        for piece in (cx.seam_names, layout.slots, layout.slot_pos, cx.z_regions):
+            assert isinstance(piece, tuple)
+
+    def test_unhashable_inputs_are_laid_out_per_build(self):
+        listed = SurfaceTangle(list(CORE.caps), [list(c) for c in CORE.counts])
+        cx = SurfaceComplex(ANNULUS, listed, listed, depth=2)
+        again = SurfaceComplex(ANNULUS, listed, listed, depth=2)
+        assert again.layout is not cx.layout
+        assert complex_digest(cx.truncated) == \
+            complex_digest(SurfaceComplex(ANNULUS, CORE, CORE, depth=2).truncated)
 
 
 class TestAssembly:
@@ -915,7 +973,7 @@ class TestCompiledRoutes:
         target, z_map, m_maps = surface._coarsened(cx, seam)
         assert (z_map, m_maps) == coarsening_arc_maps(cx, seam, target)
         assert z_map and any(m_maps.values())
-        g = cx._seam_pos[seam]
+        g = cx.layout.seam_pos[seam]
         for mw in m_maps:
             m_src = cx.m_tangle(mw)
             d_src, _off = surface.hom_double(cx.z_jux, m_src)
@@ -949,7 +1007,7 @@ class TestCompiledRoutes:
     def test_coarsening_plans_match_the_diagram_compiler(self, spec, t, seam, depth):
         cx = SurfaceComplex(spec, t, t, depth=depth)
         target, z_map, m_maps = surface._coarsened(cx, seam)
-        g = cx._seam_pos[seam]
+        g = cx.layout.seam_pos[seam]
         for mw in m_maps:
             m_src = cx.m_tangle(mw)
             d_src, _off = surface.hom_double(cx.z_jux, m_src)
@@ -961,6 +1019,7 @@ class TestCompiledRoutes:
                 assert plan.product(lab) == reference.product(lab)
 
     def test_second_compose_and_coarsen_build_no_diagram(self, monkeypatch):
+        surface._forget_tables()
         cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=1)
         tgt = SurfaceComplex(ANNULUS, CORE, CORE, depth=2)
         # CORE's seam ring has one object: one word per degree, two labelings

@@ -125,7 +125,7 @@ class TestEquality:
 
     def test_full_builds_read_one_entry_per_letter(self, monkeypatch):
         # end faces are kept for the life of the process; start from none
-        surface._slot_face.cache_clear()
+        surface._forget_tables()
         calls = []
         real = surface.juxtaposed
         monkeypatch.setattr(surface, "juxtaposed", lambda fs: calls.append(1) or real(fs))
