@@ -583,12 +583,95 @@ def build_parser():
     return root
 
 
+def _converted(action, text):
+    return text if action.type is None else action.type(text)
+
+
+@lru_cache(maxsize=None)
+def _leaf_table():
+    """{command words: (defaults, {option string: action}, required
+    actions)} of every leaf parser of build_parser(), read off the parsers
+    once per process.  defaults is the namespace argparse fills for the
+    words alone: each parser's action defaults but SUPPRESS, its
+    set_defaults, string defaults through the action's type, and the
+    command words at their dests.  The options are the leaf's single-value
+    store actions.  This is the one place that reads argparse's private
+    names; it relies on the parsers declaring no mutually exclusive group,
+    no option that looks like a negative number and no positional that
+    may take no word."""
+    table = {}
+
+    def walk(parser, words, defaults):
+        own = {}
+        for action in parser._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                own.setdefault(action.dest, action.default)
+        for dest, value in parser._defaults.items():
+            own.setdefault(dest, value)
+        for action in parser._actions:
+            if (not action.required and isinstance(action.default, str)
+                    and own.get(action.dest) is action.default):
+                own[action.dest] = _converted(action, action.default)
+        defaults = {**defaults, **own}
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if subs:
+            for word, child in subs[0].choices.items():
+                walk(child, words + (word,), {**defaults, subs[0].dest: word})
+        else:
+            options = {s: a for a in parser._actions if type(a) is argparse._StoreAction
+                       and a.nargs is None for s in a.option_strings}
+            required = frozenset(a for a in parser._actions if a.required)
+            table[words] = (defaults, options, required)
+
+    walk(build_parser(), (), {})
+    return table
+
+
+def _parsed(argv):
+    """build_parser().parse_args(argv), read in one pass, if argv is a
+    leaf's command words followed by --option value pairs, each option a
+    single-value store action of that leaf given once and each value not
+    opening with "-" unless it is "-" and ASCII digits (a negative number
+    to argparse); None for any other argv, and for one whose value fails
+    its type or choices or that omits a required option, which argparse
+    parses, refuses or answers with help itself."""
+    table = _leaf_table()
+    for n in (1, 2):
+        leaf = table.get(tuple(argv[:n]))
+        if leaf:
+            break
+    else:
+        return None
+    defaults, options, required = leaf
+    rest = argv[n:]
+    given = dict(zip(rest[::2], rest[1::2]))
+    if 2 * len(given) != len(rest):  # a trailing word, or an option given twice
+        return None
+    namespace, seen = dict(defaults), set()
+    for option, text in given.items():
+        action = options.get(option)
+        if action is None or (text.startswith("-")
+                              and not (text[1:].isdigit() and text.isascii())):
+            return None
+        try:
+            value = _converted(action, text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        namespace[action.dest] = value
+        seen.add(action)
+    return argparse.Namespace(**namespace) if required <= seen else None
+
+
 def run(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parsed(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         if getattr(args, "spec", None) is not None:
             args._spec, args._top, args._bottom = _load_surface_inputs(args)

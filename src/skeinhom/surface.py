@@ -53,6 +53,18 @@ def arc(name):
     return Segment("arc", name)
 
 
+def _frozen(value):
+    """value with every list and tuple in it, nested ones included, a tuple."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _freeze(obj, *fields):
+    """Store the fields of a frozen dataclass built in code with lists as
+    tuples, so that it cannot change after its checks and it hashes."""
+    for name in fields:
+        object.__setattr__(obj, name, _frozen(getattr(obj, name)))
+
+
 def seam_side(name, side):
     return Segment("seam", name, side)
 
@@ -64,7 +76,7 @@ class SurfaceSpec:
     arcs is a tuple of (name, sign) pairs, seams a tuple of names, and each
     region a tuple of Segments read around its boundary.  The first listed
     segment of a region starts its linear order; other starts give the same
-    homology.
+    homology.  Lists given for any of these are stored as tuples.
     """
 
     arcs: tuple
@@ -111,6 +123,7 @@ class SurfaceSpec:
             expect(name, "a string", f"seam {gi}")
         for ri, region in enumerate(expect(self.regions, "a tuple", "regions")):
             expect(region, "a tuple", f"region {ri}")
+        _freeze(self, "arcs", "seams", "regions")
         names = [n for n, _ in self.arcs]
         if len(set(names)) != len(names):
             raise SpecError("duplicate arc ids")
@@ -179,11 +192,15 @@ class SurfaceTangle:
     """A crossingless tangle in a seamed surface, one cap matching per region.
 
     caps[i] is a (k, 0)-tangle on region i's boundary points; counts[i]
-    splits those k points among the region's segments, in order.
+    splits those k points among the region's segments, in order.  Lists
+    given for either are stored as tuples.
     """
 
     caps: tuple
     counts: tuple
+
+    def __post_init__(self):
+        _freeze(self, "caps", "counts")
 
     @classmethod
     def from_data(cls, data):
@@ -399,13 +416,7 @@ class SurfaceComplex:
                 raise SpecError(f"insert for arc {name!r} must be a PlanarTangle, got {v!r}")
         key = (spec, top, bottom,
                tuple((n, self.inserts[n]) for n, _s in spec.arcs if n in self.inserts))
-        try:
-            layout = _layout(*key)
-        except TypeError:
-            # lists where the dataclasses hold tuples leave the key
-            # unhashable: such inputs are laid out per build
-            layout = SurfaceLayout(*key)
-        self.layout = layout
+        self.layout = layout = _layout(*key)
         self.seam_names, self.rings = layout.seam_names, layout.rings
         self.z_regions, self.z_jux, self.q_base = layout.z_regions, layout.z_jux, layout.q_base
 

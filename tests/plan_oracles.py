@@ -28,6 +28,10 @@ The theta graph and the network self-pairing as spin evaluated them before
 it read their reduced forms off cyclotomic exponents: both products
 multiplied out as Laurent polynomials and reduced by one gcd
 (theta_by_one_reduction, pairing_by_one_reduction).
+
+The command line as cli.run ran it before it read well-formed argvs off
+the leaf parsers' options: build_parser().parse_args on every argv, then
+the handler (run_by_argparse).
 """
 
 import itertools
@@ -396,3 +400,30 @@ def square_check_by_sparse_product(cx):
             bad = {k: x for k, x in prod.items() if x}
             if bad:
                 raise ChainMapError(f"d^2 != 0 from degree {h}: {sorted(bad.items())[:4]}")
+
+
+def run_by_argparse(argv=None):
+    """cli.run with every argv parsed by build_parser().parse_args."""
+    import sys
+
+    from skeinhom import cli
+    from skeinhom.errors import AdmissibilityError, InvalidBoundary, SpecError, TruncationError
+
+    parser = cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        if getattr(args, "spec", None) is not None:
+            args._spec, args._top, args._bottom = cli._load_surface_inputs(args)
+        return args.handler(args)
+    except TruncationError as exc:
+        print(f"TruncationError: {exc}", file=sys.stderr)
+        return 2
+    except (SpecError, InvalidBoundary, AdmissibilityError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1

@@ -66,10 +66,15 @@ def commands():
         yield f"coarsen-check --spec {spec} --t {t} --s {s} --seam {seam}"
 
 
+def job_argv(command, window):
+    """The argv of a job before its --out option, fixture names inline."""
+    return [json.dumps(FIXTURES[w]) if w in FIXTURES else w
+            for w in f"{command} {window}".split(" ")]
+
+
 def run_job(command, window):
     """([exit code per format], digest of every format's stdout and stderr)."""
-    argv = [json.dumps(FIXTURES[w]) if w in FIXTURES else w
-            for w in f"{command} {window}".split(" ")]
+    argv = job_argv(command, window)
     outputs = []
     for fmt in FORMATS[argv[0]]:
         out, err = io.StringIO(), io.StringIO()
@@ -100,16 +105,23 @@ class BuildLog:
 
 
 def replay_grid():
-    """{command: {window: (codes, digest, build depths)}} over the grid."""
+    """{command: {window: (codes, digest, build depths, argparse parses)}}
+    over the grid, the last the number of the job's runs that cli.run
+    handed to build_parser().parse_args."""
     results = {}
     log = BuildLog()
+    parses = []
+    parser = cli.build_parser()
+    parse_args = parser.parse_args
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "SurfaceComplex", log)
+        mp.setattr(parser, "parse_args", lambda argv: parses.append(argv) or parse_args(argv))
         for command in commands():
             for window in windows():
-                del log.depths[:]
+                del log.depths[:], parses[:]
                 codes, digest = run_job(command, window_args(*window))
-                results.setdefault(command, {})[window] = (codes, digest, tuple(log.depths))
+                results.setdefault(command, {})[window] = (codes, digest, tuple(log.depths),
+                                                           len(parses))
     return results
 
 
@@ -124,7 +136,7 @@ def test_every_job_replays_its_pin(grid):
     mismatched = []
     for command, by_window in grid.items():
         assert len(pins[command]) == len(by_window) == 132
-        for window, (codes, digest, _depths) in by_window.items():
+        for window, (codes, digest, _depths, _parses) in by_window.items():
             if pins[command][window_args(*window)] != [codes, digest]:
                 mismatched.append(f"{command} {window_args(*window)}")
     assert mismatched == []
@@ -137,7 +149,7 @@ def test_every_build_stops_below_the_window(grid):
     shallower = 0
     for command, by_window in grid.items():
         formats = FORMATS[command.split(" ")[0]]
-        for (depth, hmin, hmax, _qmax), (codes, _digest, depths) in by_window.items():
+        for (depth, hmin, hmax, _qmax), (codes, _digest, depths, _parses) in by_window.items():
             if hmin > hmax or command.startswith("coarsen-check --spec ANNULUS "):
                 assert set(codes) == {3} and depths == (), (command, depth, hmin, hmax)
                 continue
@@ -147,6 +159,15 @@ def test_every_build_stops_below_the_window(grid):
                 assert want == depth, (command, depth, hmin, hmax)
             shallower += want < depth
     assert shallower > 100
+
+
+def test_every_pinned_job_is_parsed_in_one_pass(grid):
+    """cli.run reads every pinned argv, refusals included, in one pass off
+    the leaf parser's options (cli._parsed) and hands none to argparse:
+    the one-pass parse saves argparse's fixed cost only on such argvs."""
+    parses = [job[3] for by_window in grid.values() for job in by_window.values()]
+    assert len(parses) == 1980
+    assert sum(parses) == 0
 
 
 def built(spec, t, s, depth, qmax):

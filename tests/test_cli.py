@@ -14,13 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skeinhom
-from skeinhom import errors, surface
+from skeinhom import cli, errors, surface
 from skeinhom.cli import build_parser, run
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.spin import RationalFunctionQ
 from skeinhom.surface import SurfaceComplex, SurfaceSpec
 
+from . import test_build_depth, test_spin_cli_pins
 from .oracles import theta_formula
+from .plan_oracles import run_by_argparse
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # sha256 of `spin theta a b c` stdout, pretty and --out json, for every
@@ -254,6 +256,151 @@ class TestSharedParser:
         after = run_cli(capsys, *bad)
         assert fresh[0] == after[0] == 64
         assert fresh[2] and after[2].encode() == fresh[2].encode()
+
+
+A, C = json.dumps(ANNULUS), json.dumps(CIRCLE)
+HOM = ["surface", "hom", "--spec", A, "--t", C, "--s", C]
+COARSEN = ["coarsen-check", "--spec", A, "--t", C, "--s", C, "--seam", "g"]
+# argvs that cli.run reads in one pass: a leaf's words, then each of its
+# single-value options once, every value a string that argparse reads as
+# a value ("-" and ASCII digits included), converted and allowed
+ROUTED = (
+    HOM + ["--hmin", "0", "--depth", "1"],
+    HOM + ["--hmin", "-1", "--qmax", "4"],
+    HOM + ["--hmin", "0", "--depth", "1", "--out", "csv"],
+    HOM + ["--out", "pretty", "--depth", "1", "--hmin", "0"],
+    HOM + ["--hmin", " -1", "--qmax", "4"],
+    HOM + ["--hmin", "+1", "--hmax", "1", "--depth", "0"],
+    HOM + ["--hmin", "\u0663", "--depth", "1"],
+    HOM + ["--hmin", "1", "--hmax", "0"],
+    HOM + ["--depth", "-1"],
+    HOM + ["--hmin", "-3", "--depth", "1"],
+    HOM + ["--hmin", "0", "--hmax", "0", "--qmin", "0", "--qmax", "2", "--depth", "1"],
+    COARSEN,
+    COARSEN + ["--out", "pretty", "--hmin", "0"],
+    ["surface", "h0", "--spec", A, "--t", C, "--s", C, "--qmax", "2"],
+    ["surface", "hom", "--spec", "{", "--t", C, "--s", C],
+    ["surface", "hom", "--spec", "", "--t", C, "--s", C],
+    ["spin", "crosscheck", "--scenario", "strands0", "--order", "2"],
+    ["spin", "crosscheck", "--order", "-1", "--scenario", "strands0"],
+    ["spin", "crosscheck", "--scenario", "nope", "--order", "1"],
+    ["spin", "pairing", "--net", json.dumps(NET112), "--out", "json"],
+    ["kh", "eval", "--t", "[1, 0]"],
+    ["kh", "eval", "--t", "[1, 0]", "--s", "[1, 0]", "--out", "json"],
+    ["bproj", "--strands", "2", "--depth", "1"],
+    ["bproj", "--strands", "-1", "--depth", "1", "--out", "pretty"],
+)
+# argvs that cli.run hands to argparse: help, abbreviations, the joined
+# and "--" forms, repeats, values that fail their type or choices or that
+# argparse may read as options, missing options, positionals and flags
+FALLBACK = (
+    [], ["--help"], ["-h"], ["--he"], ["frob"], ["frob", "--help"], ["SURFACE", "hom"],
+    ["surface"], ["surface", "--help"], ["surface", "frob"], ["surface", "hom"],
+    ["surface", "hom", "--help"], ["--spec", A, "surface", "hom"],
+    HOM + ["-h"], HOM + ["--he"], HOM + ["--dep", "2", "--hmin", "0"], HOM + ["--hmin=-1"],
+    HOM + ["--hmin=0", "--depth", "1"], HOM + ["--", "--hmin", "0"],
+    HOM + ["--hmin", "0", "--", "--depth", "1"],
+    HOM + ["--depth", "x", "--depth", "2", "--hmin", "0"],
+    HOM + ["--depth", "2", "--depth", "x", "--hmin", "0"],
+    HOM + ["--depth", "1", "--hmin", "0", "--depth", "1"],
+    HOM + ["--out", "csv", "--out", "json", "--hmin", "0", "--depth", "1"],
+    HOM + ["--hmin", "-1.5"], HOM + ["--hmin", "-"], HOM + ["--hmin", ""],
+    HOM + ["--hmin", "x"], HOM + ["--hmin", "-\u0663", "--depth", "1"], HOM + ["--hmin", "-x"],
+    HOM + ["--hmin", "--depth"], HOM + ["--qmax"], HOM + ["--out", "JSON"],
+    HOM + ["--out", "-"], ["surface", "hom", "--spec", A, "--t", C],
+    HOM + ["--hmin", "0", "--depth", "1", "extra"], HOM + ["--frob", "1"],
+    HOM + ["--SPEC", A], ["surface", "hom", "--spec", "-"] + HOM[4:],
+    ["surface", "h0", "--spec", A, "--t", C, "--s", C, "--hmin", "0"],
+    COARSEN[:-2], COARSEN + ["--out", "csv"], ["coarsen-check", "--help"],
+    ["ring", "2", "2", "--check"], ["ring", "2", "2"], ["ring", "--seed", "1", "2", "2"],
+    ["tl", "basis", "4"], ["tl", "basis"], ["tl", "basis", "--out", "json", "4"],
+    ["spin", "theta", "1", "1", "0"], ["spin", "theta", "1", "1", "0", "--out", "csv"],
+    ["spin", "crosscheck", "--order", "1"], ["spin", "crosscheck", "--help"],
+    ["spin", "pairing", "--net", "{", "--net", "{"], ["kh", "eval", "--s", "[]"],
+    ["bproj", "--strands", "2"], ["bproj", "--strands", "2", "--depth", "1", "--out", "text"],
+)
+
+
+def outcome(capsys, runner, argv):
+    code = runner(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+ROUTE_TEXTS = (A, C, "g", "strands0", "[1, 0]", "")
+ROUTE_JUNK = ("0", "-1", "-12", "+3", " -1", "1.5", "-1.5", "-", "", "x", "-x", "--t", "JSON",
+              "-h", "--help", "--he", "--dep", "--hmin=-1", "--", "--check", "--frob", "hom")
+
+
+def option_values(action):
+    """Values of the action's type and choices, as command-line strings."""
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(-12, 12).map(str)
+    return st.sampled_from(ROUTE_TEXTS)
+
+
+@st.composite
+def leaf_argvs(draw):
+    """A leaf's words, then its options in a drawn order, half the time all
+    of them, each with a value of its type or (one in ten) a junk one; one
+    in five times an option first that is repeated, with a junk value half
+    the time; one in four times junk tokens anywhere."""
+    def now_and_then(one_in):
+        return not draw(st.integers(0, one_in - 1))
+
+    words = draw(st.sampled_from(sorted(cli._leaf_table())))
+    options = cli._leaf_table()[words][1]
+    order = draw(st.permutations(sorted(options)))
+    chosen = order if now_and_then(2) else order[:draw(st.integers(0, len(order)))]
+    pairs = [(option, 10) for option in chosen]
+    if now_and_then(5):
+        pairs.insert(0, (draw(st.sampled_from(order)), 2))
+    argv = list(words)
+    for option, one_in in pairs:
+        junk = now_and_then(one_in)
+        argv += [option, draw(st.sampled_from(ROUTE_JUNK) if junk
+                              else option_values(options[option]))]
+    for _ in range(draw(st.integers(1, 2)) if now_and_then(4) else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ROUTE_JUNK)))
+    return argv
+
+
+class TestOnePassParse:
+    """cli.run reads a well-formed argv in one pass (cli._parsed) and hands
+    every other argv to argparse; each prints what argparse's parse followed
+    by the handler prints (plan_oracles.run_by_argparse)."""
+
+    @pytest.mark.parametrize("argv", ROUTED + FALLBACK, ids=range(len(ROUTED + FALLBACK)))
+    def test_run_prints_what_argparse_prints(self, capsys, argv):
+        assert (cli._parsed(argv) is not None) == (argv in ROUTED)
+        assert outcome(capsys, run, argv) == outcome(capsys, run_by_argparse, argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(leaf_argvs())
+    def test_a_parsed_argv_is_parsed_as_argparse_parses_it(self, argv):
+        parsed = cli._parsed(argv)
+        if parsed is not None:
+            with redirect_stderr(io.StringIO()) as err:
+                try:
+                    expected = build_parser().parse_args(argv)
+                except SystemExit as exc:
+                    pytest.fail(f"argparse exits {exc.code} on {argv}: {err.getvalue()}")
+            assert parsed == expected
+
+    def test_every_pinned_argv_is_parsed_as_argparse_parses_it(self):
+        argvs = [test_build_depth.job_argv(command, test_build_depth.window_args(*window))
+                 + ["--out", fmt]
+                 for command in test_build_depth.commands()
+                 for window in test_build_depth.windows()
+                 for fmt in test_build_depth.FORMATS[command.split(" ")[0]]]
+        argvs += [argv + ["--out", fmt] for _key, argv in test_spin_cli_pins.jobs()
+                  for fmt in test_spin_cli_pins.FORMATS]
+        assert len(argvs) == 4884 + 1436
+        for argv in argvs:
+            parsed = cli._parsed(argv)
+            assert parsed is not None and parsed == build_parser().parse_args(argv), argv
 
 
 class TestDecodedInputs:

@@ -1,5 +1,6 @@
 """Source checks that need no import of the package."""
 
+import argparse
 import ast
 from collections import Counter
 from pathlib import Path
@@ -671,6 +672,61 @@ def test_window_depth_scan_sees_every_depth_form(tmp_path):
         "    return surface.SurfaceComplex, SurfaceComplex(spec, t, s), window_depth\n")
     assert surface_builds_off_the_window(module) == [
         ("f", 4), ("f", 5), ("f", 6), ("f", 7), ("f", 8)]
+
+
+# The one function of the package that reads names private to argparse:
+# cli's table of leaf parsers, which the one-pass parse of a command line
+# reads.  Everything else reads the parsers through argparse's public API,
+# so a change in argparse's internals has one place to meet.
+ARGPARSE_PRIVATE_READER = ("cli", "_leaf_table")
+
+
+def argparse_private_names():
+    """The private names of argparse's module, of a parser and of a
+    subparsers action, as this Python's argparse defines them."""
+    parser = argparse.ArgumentParser()
+    names = set(dir(argparse)) | set(vars(parser)) | set(vars(parser.add_subparsers()))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def argparse_private_reads(path, names):
+    """[(function, line)] of every attribute named in names, and every
+    import of such a name from argparse, in the module at path."""
+    def reads(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "argparse" and any(alias.name in names for alias in node.names)
+        return isinstance(node, ast.Attribute) and node.attr in names
+    return nodes_by_function(path, reads)
+
+
+def test_argparse_private_names_are_read_in_one_place():
+    names = argparse_private_names()
+    seen, stray = set(), []
+    for path in sorted(SOURCE.glob("*.py")):
+        for function, line in argparse_private_reads(path, names):
+            if (path.stem, function.partition(".")[0]) == ARGPARSE_PRIVATE_READER:
+                seen.add(line)
+            else:
+                stray.append(f"{path.name}:{line} ({function or 'module'})")
+    assert not stray, ("argparse's private names read at " + ", ".join(stray)
+                       + "; read them in cli._leaf_table")
+    assert seen, "cli._leaf_table reads no private name of argparse; drop the allowance"
+
+
+def test_argparse_private_scan_sees_attributes_imports_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from argparse import _StoreAction, ArgumentParser\n"
+        "from .cli import _StoreAction\n"
+        "def table(parser):\n"
+        "    def walk(p):\n"
+        "        return p._actions, p._defaults, argparse._SubParsersAction\n"
+        "    return walk(parser), parser.actions, _actions\n"
+        "class C:\n"
+        "    def f(self, args):\n"
+        "        return args._spec, self._option_string_actions\n")
+    assert argparse_private_reads(module, argparse_private_names()) == [
+        ("", 1), ("table.walk", 5), ("table.walk", 5), ("table.walk", 5), ("C.f", 9)]
 
 
 LABEL_CONSTANTS = ("X", "ONE")

@@ -157,6 +157,19 @@ class TestValidation:
     def test_annulus_spec_is_valid(self):
         assert SurfaceSpec(ANNULUS.arcs, ANNULUS.seams, ANNULUS.regions) == ANNULUS
 
+    def test_list_built_spec_is_frozen(self):
+        spec = SurfaceSpec(arcs=[["a", 1]], seams=[], regions=[[arc("a")]])
+        assert spec == DISK and hash(spec) == hash(DISK)
+        assert type(spec.arcs[0]) is type(spec.regions[0]) is tuple
+        with pytest.raises(AttributeError):
+            spec.regions[0].append(arc("z"))
+
+    def test_list_built_tangle_is_frozen(self):
+        tangle = SurfaceTangle([DISK_ARC.caps[0]], [[2]])
+        assert tangle == DISK_ARC and hash(tangle) == hash(DISK_ARC)
+        with pytest.raises(AttributeError):
+            tangle.counts[0].append(1)
+
     def test_disk_with_three_arcs_no_seams(self):
         spec = SurfaceSpec(
             arcs=(("a", 1), ("b", 1), ("c", 1)),
@@ -453,13 +466,14 @@ class TestSharedLayout:
         for piece in (cx.seam_names, layout.slots, layout.slot_pos, cx.z_regions):
             assert isinstance(piece, tuple)
 
-    def test_unhashable_inputs_are_laid_out_per_build(self):
+    def test_list_built_inputs_share_one_layout(self):
         listed = SurfaceTangle(list(CORE.caps), [list(c) for c in CORE.counts])
-        cx = SurfaceComplex(ANNULUS, listed, listed, depth=2)
-        again = SurfaceComplex(ANNULUS, listed, listed, depth=2)
-        assert again.layout is not cx.layout
-        assert complex_digest(cx.truncated) == \
-            complex_digest(SurfaceComplex(ANNULUS, CORE, CORE, depth=2).truncated)
+        spec = SurfaceSpec([list(a) for a in ANNULUS.arcs], list(ANNULUS.seams),
+                           [list(r) for r in ANNULUS.regions])
+        cx = SurfaceComplex(spec, listed, listed, depth=2)
+        tupled = SurfaceComplex(ANNULUS, CORE, CORE, depth=2)
+        assert cx.layout is tupled.layout
+        assert complex_digest(cx.truncated) == complex_digest(tupled.truncated)
 
 
 class TestAssembly:
