@@ -167,6 +167,10 @@ def _coeff_list(poly):
 _ONE = LaurentPoly.one()
 
 
+def _is_one(poly):
+    return poly.terms == _ONE.terms
+
+
 def _laurent(value):
     """An int or a LaurentPoly as a LaurentPoly; TypeError for anything else."""
     if isinstance(value, LaurentPoly):
@@ -197,7 +201,7 @@ class RationalFunctionQ:
             return
         num = _laurent(num)
         den = _ONE if den is None else _laurent(den)
-        if den.terms == _ONE.terms:
+        if _is_one(den):
             # over one, every numerator is already reduced
             object.__setattr__(self, "num", num)
             object.__setattr__(self, "den", _ONE)
@@ -257,7 +261,7 @@ class RationalFunctionQ:
 
     def __hash__(self):
         # over one it equals its numerator, so it hashes as that
-        if self.den.terms == _ONE.terms:
+        if _is_one(self.den):
             return hash(self.num)
         return hash((self.num, self.den))
 
@@ -290,28 +294,31 @@ class RationalFunctionQ:
 
     def series(self, lo, hi):
         """Coefficients of the q-power-series expansion on [lo, hi], as a
-        dict of nonzero Fractions."""
+        dict of nonzero Fractions.  The inverse series of the denominator
+        divides by its constant term c at each step; when c is +-1, as for
+        every product of cyclotomic polynomials, 1/c is the int c and the
+        whole recurrence runs in integers."""
         if not self.num:
             return {}
         nlo = self.num.min_exp()
         length = hi - nlo + 1
         if length <= 0:
             return {}
-        dcs = {e: c for e, c in self.den.terms}
-        inv = [Fraction(1, dcs[0])]
+        (_e0, c0), *tail = self.den.terms
+        unit = c0 if c0 in (1, -1) else Fraction(1, c0)
+        inv = [unit]
         for m in range(1, length):
-            acc = Fraction(0)
-            for t, c in dcs.items():
-                if 1 <= t <= m:
-                    acc += c * inv[m - t]
-            inv.append(-acc / dcs[0])
+            acc = 0
+            for t, c in tail:
+                if t > m:
+                    break
+                acc += c * inv[m - t]
+            inv.append(-acc * unit)
         out = {}
         for e, c in self.num.terms:
-            for m, ic in enumerate(inv):
-                exp = e + m
-                if lo <= exp <= hi:
-                    out[exp] = out.get(exp, Fraction(0)) + c * ic
-        return {e: c for e, c in out.items() if c}
+            for m in range(max(lo - e, 0), min(hi - e + 1, length)):
+                out[e + m] = out.get(e + m, 0) + c * inv[m]
+        return {e: Fraction(c) for e, c in out.items() if c}
 
     def series_poly(self, lo, hi):
         """Series on [lo, hi] as a LaurentPoly; the window must be integral."""
@@ -322,7 +329,7 @@ class RationalFunctionQ:
         return LaurentPoly({e: int(c) for e, c in coeffs.items()})
 
     def __str__(self):
-        if self.den == LaurentPoly.one():
+        if _is_one(self.den):
             return str(self.num)
         return f"{self.num} / {self.den}"
 
@@ -345,18 +352,29 @@ def _from_signature(shift, signature):
     return value
 
 
+def _times(a, b):
+    """a * b, with no product when either is one."""
+    if _is_one(b):
+        return a
+    if _is_one(a):
+        return b
+    return a * b
+
+
 def _fraction_sum(terms):
     """Sum of (numerator, denominator) pairs of Laurent polynomials, reduced
     once: numerators over equal denominators are added, the groups are
-    brought over the product of their denominators, and only the total
-    becomes a RationalFunctionQ."""
+    brought over the product of their denominators, starting from the
+    first group, and only the total becomes a RationalFunctionQ.  Terms
+    all over one therefore take no product and no gcd."""
     by_den = {}
     for num, den in terms:
         acc = by_den.get(den)
         by_den[den] = num if acc is None else acc + num
-    num, den = LaurentPoly.zero(), LaurentPoly.one()
-    for d, n in by_den.items():
-        num, den = num * d + n * den, den * d
+    groups = iter(by_den.items())
+    den, num = next(groups, (_ONE, LaurentPoly.zero()))
+    for d, n in groups:
+        num, den = _times(num, d) + _times(n, den), _times(den, d)
     return RationalFunctionQ(num, den)
 
 
@@ -364,7 +382,7 @@ def as_quantum_integer(value):
     """The k with value = [k], or None."""
     if not isinstance(value, RationalFunctionQ):
         value = RationalFunctionQ(value)
-    if value.den != LaurentPoly.one():
+    if not _is_one(value.den):
         return None
     if not value.num:
         return 0
@@ -453,7 +471,11 @@ def cup_cap_at(n, i):
 
 
 def tl_compose(x, y):
-    """Stack y on top of x; closed circles become factors of [2]."""
+    """Stack y on top of x; closed circles become factors of [2].  The
+    products of each resulting diagram are summed and reduced once
+    (_fraction_sum): a denominator that is one takes no product and a
+    stack that closes no circle no circle factor, so elements with
+    polynomial coefficients compose with no gcd."""
     if x.strands != y.strands:
         raise InvalidBoundary(
             f"composing elements on {x.strands} and {y.strands} strands"
@@ -462,9 +484,11 @@ def tl_compose(x, y):
     for dx, cx in x.terms.items():
         for dy, cy in y.terms.items():
             d = compose(dy, dx)
-            out.setdefault(d.strip_circles(), []).append(
-                (cx.num * cy.num * circle_poly(d.circles), cx.den * cy.den)
-            )
+            num = cx.num * cy.num
+            if d.circles:
+                num = num * circle_poly(d.circles)
+                d = d.strip_circles()
+            out.setdefault(d, []).append((num, _times(cx.den, cy.den)))
     return TLElement(x.strands, {d: _fraction_sum(terms) for d, terms in out.items()})
 
 
@@ -487,28 +511,40 @@ def tl_closure(x):
 
 @lru_cache(maxsize=None)
 def wenzl(n):
-    """The n-strand Jones-Wenzl idempotent, by the single-clasp recursion
-
-        JW_n = P + sum_{i=1}^{n-1} (-1)^{n-i} [i]/[n] * P E_i,
-        P = JW_{n-1} (x) 1,  E_i = e_{n-1} e_{n-2} ... e_i,
-
-    where e_k joins strands k-1, k (S. Morrison, arXiv:1503.00384).  Each
-    step multiplies P by n-1 single diagrams instead of squaring it."""
+    """The n-strand Jones-Wenzl idempotent JW_n = W_n / [n]!, each
+    coefficient of the cleared idempotent W_n (_cleared_wenzl) reduced
+    once."""
     if n < 0:
         raise InvalidBoundary(f"negative strand count {n}")
+    factorial = math.prod(map(quantum_integer, range(2, n + 1)), start=_ONE)
+    return TLElement(n, {d: RationalFunctionQ(c.num, factorial)
+                         for d, c in _cleared_wenzl(n).terms.items()})
+
+
+@lru_cache(maxsize=None)
+def _cleared_wenzl(n):
+    """W_n = [n]! JW_n, whose coefficients are Laurent polynomials, by the
+    single-clasp recursion (S. Morrison, arXiv:1503.00384)
+
+        JW_n = P (1 + sum_{i=1}^{n-1} (-1)^{n-i} [i]/[n] E_i),
+        P = JW_{n-1} (x) 1,  E_i = e_{n-1} e_{n-2} ... e_i,
+
+    where e_k joins strands k-1, k, with its denominators cleared:
+
+        W_n = (W_{n-1} (x) 1) ([n] + sum_{i=1}^{n-1} (-1)^{n-i} [i] E_i).
+
+    Each step composes P with one element of n single diagrams, and every
+    product and sum stays polynomial, so no step takes a gcd."""
     if n <= 1:
         return identity_element(n)
-    p = tl_tensor(wenzl(n - 1), identity_element(1))
-    qn = quantum_integer(n)
-    sums = {d: [(c.num, c.den)] for d, c in p.terms.items()}
+    clasp = {identity_tangle(n): quantum_integer(n)}
     word = None
     for i in range(n - 1, 0, -1):
-        e = TLElement(n, {cup_cap_at(n, i - 1): 1})
-        word = e if word is None else tl_compose(word, e)
-        num = quantum_integer(i) * (-1) ** ((n - i) % 2)
-        for d, c in tl_compose(p, word).terms.items():
-            sums.setdefault(d, []).append((c.num * num, c.den * qn))
-    return TLElement(n, {d: _fraction_sum(terms) for d, terms in sums.items()})
+        e = cup_cap_at(n, i - 1)
+        word = e if word is None else compose(e, word)
+        clasp[word] = quantum_integer(i) * (-1) ** ((n - i) % 2)
+    return tl_compose(tl_tensor(_cleared_wenzl(n - 1), identity_element(1)),
+                      TLElement(n, clasp))
 
 
 def admissible_triple(a, b, c):
@@ -696,9 +732,9 @@ def projector_truncation(n, depth):
     if n in (0, 1):
         return ((identity_tangle(n), 0, 0),)
     if n == 2:
-        objs = [(identity_tangle(2), 0, 0)]
-        objs.extend((cup_over_cap(2), -s, 2 * s - 1) for s in range(1, depth + 1))
-        return tuple(objs)
+        cap = cup_over_cap(2)
+        return ((identity_tangle(2), 0, 0),
+                *((cap, -s, 2 * s - 1) for s in range(1, depth + 1)))
     raise SpecError(f"categorified idempotent data stops at 2 strands, got {n}")
 
 
@@ -721,7 +757,9 @@ def _graded_rank(t1, t2, counts):
 def costandard_pairing_series(colors, order):
     """Euler series, exact through q^order, of the symmetrized self-pairing
     of the costandard object on the one-triangle disk with the given edge
-    colors; edge colors are capped at 2 by the available idempotent data."""
+    colors; edge colors are capped at 2 by the available idempotent data.
+    The base is composed with each distinct combination of plug tangles
+    once per call."""
     a, b, c = colors
     if not admissible_triple(a, b, c):
         raise AdmissibilityError(f"colors {colors} fail parity or triangle conditions")
@@ -730,18 +768,15 @@ def costandard_pairing_series(colors, order):
     base = bend_down(_vertex_tangle(a, b, c))
     counts = ((a, b, c),)
     objects = []
+    plugged = {}
     plugs = [projector_truncation(col, (order + 1) // 2) for col in colors]
     for combo in itertools.product(*plugs):
-        lower = juxtapose(*(plug for plug, _h, _q in combo))
-        plugged = compose(base, lower)
-        objects.append(
-            (
-                plugged.strip_circles(),
-                plugged.circles,
-                sum(h for _p, h, _q in combo),
-                sum(q for _p, _h, q in combo),
-            )
-        )
+        lower = tuple(plug for plug, _h, _q in combo)
+        closed = plugged.get(lower)
+        if closed is None:
+            t = compose(base, juxtapose(*lower))
+            closed = plugged[lower] = (t.strip_circles(), t.circles)
+        objects.append((*closed, sum(h for _p, h, _q in combo), sum(q for _p, _h, q in combo)))
 
     tangles = {o[0] for o in objects}
     ranks = {(t1, t2): _graded_rank(t1, t2, counts) for t1 in tangles for t2 in tangles}

@@ -32,9 +32,19 @@ multiplied out as Laurent polynomials and reduced by one gcd
 The command line as cli.run ran it before it read well-formed argvs off
 the leaf parsers' options: build_parser().parse_args on every argv, then
 the handler (run_by_argparse).
+
+The Temperley-Lieb arithmetic as spin ran it before the idempotents were
+computed with their denominators cleared: the single-clasp recursion with
+rational coefficients, every product reduced as it is formed
+(wenzl_by_fractions); composition as a termwise sum of RationalFunctionQ
+products (tl_compose_termwise); and the power series of a rational
+function with its inverse-series recurrence in Fractions
+(series_by_fractions).
 """
 
+import functools
 import itertools
+from fractions import Fraction
 
 from .oracles import _capped, _carry, _circle_map, _local_arc, _saddle, double_instances
 
@@ -427,3 +437,67 @@ def run_by_argparse(argv=None):
     except Exception as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+
+
+@functools.lru_cache(maxsize=None)
+def wenzl_by_fractions(n):
+    """The n-strand Jones-Wenzl idempotent by the single-clasp recursion
+    with rational coefficients: P = JW_{n-1} (x) 1 composed with each
+    word E_i = e_{n-1} ... e_i, each term scaled by (-1)^{n-i} [i]/[n],
+    and every diagram's terms summed and reduced once."""
+    from skeinhom.spin import (TLElement, _fraction_sum, cup_cap_at, identity_element,
+                               quantum_integer, tl_compose, tl_tensor)
+
+    if n <= 1:
+        return identity_element(n)
+    p = tl_tensor(wenzl_by_fractions(n - 1), identity_element(1))
+    qn = quantum_integer(n)
+    sums = {d: [(c.num, c.den)] for d, c in p.terms.items()}
+    word = None
+    for i in range(n - 1, 0, -1):
+        e = TLElement(n, {cup_cap_at(n, i - 1): 1})
+        word = e if word is None else tl_compose(word, e)
+        num = quantum_integer(i) * (-1) ** ((n - i) % 2)
+        for d, c in tl_compose(p, word).terms.items():
+            sums.setdefault(d, []).append((c.num * num, c.den * qn))
+    return TLElement(n, {d: _fraction_sum(terms) for d, terms in sums.items()})
+
+
+def tl_compose_termwise(x, y):
+    """y stacked on x as a sum of RationalFunctionQ products, one per pair
+    of terms, each circle a factor of [2]."""
+    from skeinhom.homalg import circle_poly
+    from skeinhom.planar import compose
+    from skeinhom.spin import RationalFunctionQ, TLElement
+
+    out = {}
+    for dx, cx in x.terms.items():
+        for dy, cy in y.terms.items():
+            d = compose(dy, dx)
+            key = d.strip_circles()
+            out[key] = out.get(key, RationalFunctionQ.zero()) + cx * cy * circle_poly(d.circles)
+    return TLElement(x.strands, out)
+
+
+def series_by_fractions(value, lo, hi):
+    """RationalFunctionQ.series with the inverse series of the denominator
+    computed in Fractions whatever its constant term."""
+    if not value.num:
+        return {}
+    length = hi - value.num.min_exp() + 1
+    if length <= 0:
+        return {}
+    dcs = dict(value.den.terms)
+    inv = [Fraction(1, dcs[0])]
+    for m in range(1, length):
+        acc = Fraction(0)
+        for t, c in dcs.items():
+            if 1 <= t <= m:
+                acc += c * inv[m - t]
+        inv.append(-acc / dcs[0])
+    out = {}
+    for e, c in value.num.terms:
+        for m, ic in enumerate(inv):
+            if lo <= e + m <= hi:
+                out[e + m] = out.get(e + m, Fraction(0)) + c * ic
+    return {e: c for e, c in out.items() if c}

@@ -10,7 +10,7 @@ import pytest
 from skeinhom import barproj, surface
 from skeinhom.barproj import (TwistedTangleComplex, bottom_projector, counit_components,
                               twisted_cone, unit_complex)
-from skeinhom.errors import ChainMapError, TruncationError
+from skeinhom.errors import ChainMapError, GradingError, TruncationError
 from skeinhom.homalg import Certificate, ChainMap, TruncatedComplex, defect_degrees
 from skeinhom.planar import cup_over_cap, identity_tangle
 from skeinhom.surface import SurfaceComplex, coarsen
@@ -160,6 +160,15 @@ class TestInternedEntries:
              1: {(0, 0): one, (0, 1): one, (0, 2): one.scaled(last)}}, 0, 2)
         for check in (square_check_by_sparse_product, lambda cx: rebuilt(cx, cx.differentials)):
             assert outcome(check, cx).startswith(want)
+
+    def test_one_state_is_judged_per_source_shift(self):
+        # the same interned state between two targets alike and sources of
+        # different shifts: the fault table must not answer the second from
+        # the first
+        one = identity_state(ID2)
+        TwistedTangleComplex({0: ((ID2, 0),), 1: ((ID2, 0),)}, {0: {(0, 0): one}}, 0, 1)
+        with pytest.raises(GradingError, match="has degree 0, expected 2"):
+            TwistedTangleComplex({0: ((ID2, 2),), 1: ((ID2, 0),)}, {0: {(0, 0): one}}, 0, 1)
 
     def test_equal_values_share_a_number_and_offsets_do_not(self):
         sv = next(iter(surface_twisted(1).differentials[-1].values()))

@@ -1109,3 +1109,18 @@ def test_reader_scans_see_each_kind_of_read_and_set(tmp_path):
     # forwarding *args or **kwargs, or by cls(...) in a classmethod; the
     # recursive calls in dotted and unread set nothing
     assert unset == [("mod.unread", "k"), ("mod.Box.opened", "k"), ("mod.Point", "z")]
+
+
+# tests/oracles.py is imported by the benchmark, so every benchmark worker
+# compiles it and its size shows in peak_rss_mb on every workload.
+ORACLES_MAX_LINES = 1716
+
+
+def test_benchmark_oracles_do_not_grow():
+    """New oracles go in tests/plan_oracles.py, which no benchmark worker
+    compiles.  ROADMAP item 1a, which stops bench/ reading tests/, lifts
+    this guard."""
+    lines = len((ROOT / "tests" / "oracles.py").read_text().splitlines())
+    assert lines <= ORACLES_MAX_LINES, (
+        f"tests/oracles.py has {lines} lines, more than {ORACLES_MAX_LINES}; "
+        "put new oracles in tests/plan_oracles.py")

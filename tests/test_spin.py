@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from .optimized import error_under_optimize
 from .oracles import (annular_trace_circles, fraction_reduced, pairing_by_steps, theta_by_pairs,
                       theta_by_sandwich, theta_formula, wenzl_two_sided)
 from .plan_oracles import (costandard_series_by_pairs, pairing_by_one_reduction,
-                           theta_by_one_reduction, theta_by_planar, through_degree)
+                           series_by_fractions, theta_by_one_reduction, theta_by_planar,
+                           through_degree, tl_compose_termwise, wenzl_by_fractions)
 
 RFQ = RationalFunctionQ
 
@@ -164,6 +166,25 @@ class TestRationalFunctionQ:
     def test_series_of_inverse_quantum_two(self):
         half = RFQ(1, quantum_integer(2))
         assert half.series_poly(0, 8) == LaurentPoly({1: 1, 3: -1, 5: 1, 7: -1})
+
+    @settings(deadline=None, max_examples=80)
+    @given(num=laurents, c0=st.sampled_from([1, -1, 2, -3]),
+           rest=st.dictionaries(st.integers(1, 4), st.integers(-3, 3), max_size=3),
+           lo=st.integers(-6, 4), width=st.integers(0, 10))
+    def test_series_matches_the_fraction_route(self, num, c0, rest, lo, width):
+        value = RFQ(num, LaurentPoly({0: c0, **rest}))
+        assert value.series(lo, lo + width) == series_by_fractions(value, lo, lo + width)
+
+    @pytest.mark.parametrize("den,unit", [(LaurentPoly({0: 1, 1: 1}), True),
+                                          (LaurentPoly({0: -1, 2: 1}), True),
+                                          (LaurentPoly({0: 2, 1: 1}), False)])
+    def test_series_routes_by_the_constant_term(self, den, unit):
+        value = RFQ(LaurentPoly({-1: 3, 2: 1}), den)
+        assert (value.den.terms[0][1] in (1, -1)) == unit
+        got = value.series(-3, 9)
+        assert got == series_by_fractions(value, -3, 9)
+        assert got and all(type(c) is Fraction for c in got.values())
+        assert all(c.denominator == 1 for c in got.values()) == unit
 
     def test_series_rejects_fractional_window(self):
         f = RFQ(1, LaurentPoly({0: 2}))
@@ -366,9 +387,22 @@ class TestTLElement:
                 assert tl_closure(x) == RFQ(circle_poly(walked))
 
 
+def tl_elements(n, coefficients):
+    """Elements on n strands with the drawn coefficients on some of the
+    (n, n) Temperley-Lieb diagrams; possibly none."""
+    diagrams = enumerate_matchings(n, n)
+    return st.dictionaries(st.sampled_from(diagrams), coefficients,
+                           max_size=len(diagrams)).map(lambda terms: TLElement(n, terms))
+
+
+POLYNOMIAL = laurents.map(RFQ)
+FRACTIONAL = st.tuples(laurents, st.sampled_from(
+    [quantum_integer(2), quantum_integer(3), LaurentPoly({0: 2, 1: -1})])).map(lambda nd: RFQ(*nd))
+
+
 class TestWenzl:
     def test_closure_gives_quantum_dimension(self):
-        for n in range(6):
+        for n in range(8):
             assert tl_closure(wenzl(n)) == RFQ(quantum_integer(n + 1))
             assert loop(n) == RFQ(quantum_integer(n + 1))
 
@@ -392,6 +426,44 @@ class TestWenzl:
     @pytest.mark.parametrize("n", range(7))
     def test_matches_two_sided_oracle(self, n):
         assert wenzl(n) == wenzl_two_sided(n)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_fraction_oracle(self, n):
+        assert wenzl(n) == wenzl_by_fractions(n)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_cleared_idempotent_is_polynomial(self, n):
+        cleared = spin._cleared_wenzl(n)
+        assert cleared and all(c.den == LaurentPoly.one() for c in cleared.terms.values())
+        factorial = LaurentPoly.one()
+        for k in range(2, n + 1):
+            factorial = factorial * quantum_integer(k)
+        assert cleared == wenzl(n).scaled(factorial)
+
+    def test_cold_chain_reduces_each_coefficient_once(self, monkeypatch):
+        gcds = []
+        real = spin._poly_gcd
+
+        def counted(a, b):
+            gcds.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(spin, "_poly_gcd", counted)
+        wenzl.cache_clear()
+        spin._cleared_wenzl.cache_clear()
+        for n in range(2, 7):
+            wenzl(n)
+        # one reduction per coefficient of each JW_n: Catalan(n) diagrams
+        assert len(gcds) <= sum(math.comb(2 * n, n) // (n + 1) for n in range(2, 7)) == 195
+
+    @pytest.mark.parametrize("n", range(4))
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_compose_matches_termwise_sum(self, n, data):
+        coefficients = st.one_of(POLYNOMIAL, FRACTIONAL)
+        x = data.draw(tl_elements(n, coefficients))
+        y = data.draw(tl_elements(n, coefficients))
+        assert tl_compose(x, y) == tl_compose_termwise(x, y)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_idempotent(self, n):
