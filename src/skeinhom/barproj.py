@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
+from . import memo
 from .errors import GradingError, InvalidBoundary, SpecError, expect
 from .homalg import Certificate, ChainMap, LaurentPoly, SparseComplex, TruncatedComplex
 from .planar import bend_down, bend_up, compose, enumerate_matchings, identity_tangle, juxtapose
@@ -52,20 +53,15 @@ class SmallRing:
         self.objects = enumerate_matchings(m, n)
         if not self.objects:
             raise InvalidBoundary(f"no flat ({m}, {n})-tangles exist")
-        self._bases = {}
-        self._letters = {}
-        self._end_letters = {}
 
     def basis(self, a, b):
         return self._basis(a, b)[0]
 
+    @memo.cache
     def _basis(self, a, b):
         """The basis of Hom(a, b) as (labeling, degree) pairs, and as a dict."""
-        key = (a, b)
-        if key not in self._bases:
-            basis = kh_basis(*hom_double(a, b))
-            self._bases[key] = basis, dict(basis)
-        return self._bases[key]
+        basis = kh_basis(*hom_double(a, b))
+        return basis, dict(basis)
 
     def _labeling(self, a, b, lab):
         """lab as a tuple; GradingError unless it labels the double of (a, b)."""
@@ -88,32 +84,26 @@ class SmallRing:
 
     def reduced(self, a, b):
         """Letter labelings: every basis element except the identity."""
-        return tuple(lab for lab, _ in self.letters(a, b))
+        return tuple(lab for lab, _ in self.letters(a, b, True))
 
+    @memo.cache
     def letters(self, a, b, reduced=True):
         """The letters from a to b with their degrees, as (labeling, degree)
         pairs in basis order: every basis element, or with reduced every
-        one except the identity."""
-        key = (a, b, reduced)
-        pool = self._letters.get(key)
-        if pool is None:
-            pool = self.basis(a, b)
-            if reduced and a == b:
-                ident = self.identity_labeling(a)
-                pool = tuple((lab, deg) for lab, deg in pool if lab != ident)
-            self._letters[key] = pool
+        one except the identity.  Cached on the arguments as passed."""
+        pool = self.basis(a, b)
+        if reduced and a == b:
+            ident = self.identity_labeling(a)
+            pool = tuple((lab, deg) for lab, deg in pool if lab != ident)
         return pool
 
+    @memo.cache
     def end_letter(self, a, b, lab, side):
         """The letter lab from a to b as an end face absorbs it: reflected
         onto the mirrored objects on the left (side -1), transposed on the
         right (side +1)."""
-        key = (a, b, lab, side)
-        sv = self._end_letters.get(key)
-        if sv is None:
-            relabel = reflected_x if side < 0 else transposed
-            sv = self._end_letters[key] = relabel(self.state(a, b, lab), a, b)
-        return sv
+        relabel = reflected_x if side < 0 else transposed
+        return relabel(self.state(a, b, lab), a, b)
 
     def product(self, a, b, c, lab1, lab2):
         """The product of the basis elements lab1 of Hom(a, b) and lab2 of
@@ -134,7 +124,7 @@ class SmallRing:
     def min_letter_degree(self):
         """Smallest degree of a non-identity letter, or None if there are none."""
         return min((deg for a in self.objects for b in self.objects
-                    for _lab, deg in self.letters(a, b)), default=None)
+                    for _lab, deg in self.letters(a, b, True)), default=None)
 
 
 def small_ring(m, n):
@@ -145,7 +135,7 @@ def small_ring(m, n):
                        expect(n, "an integer", "small ring: n"))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _small_ring(m, n):
     return SmallRing(m, n)
 
@@ -190,7 +180,7 @@ def _spelled(ring, r, reduced, max_degree):
     return out
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def bar_ends(rings, depth, reduced=True):
     """The end objects of every word tuple up to total length depth, one
     word per ring, as a frozenset of tuples of (first, last) object pairs,
@@ -256,7 +246,7 @@ def word_degree(ring, word):
     return sum(ring.degree(objs[i], objs[i + 1], lab) for i, lab in enumerate(letters))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def fold_tangle(a0, ar):
     """The (N, N) through-degree-zero tangle with a0 folded down and ar up."""
     if a0.points != ar.points:
@@ -283,14 +273,18 @@ def fold_entry(a0, ar, b0, br, cap_sv, cup_sv):
 # appearance.  _ENTRY_IDS maps the id() of each interned state to its
 # number, so a lookup hashes no state; _ENTRY_STATES holds the states, so
 # an id() in it is never reused.  The work tables below are keyed on those
-# numbers, hold values and never complexes, and live as long as the process.
-_ENTRY_NUMBERS = {}  # (diagram, offset, frozenset of terms) -> number
-_ENTRY_STATES = []   # number -> interned state
-_ENTRY_IDS = {}      # id(interned state) -> number
-_FAULTS = {}         # (source object, target object, number) -> _entry_fault's answer
-_PRODUCTS = {}       # (a, b, c, number x, number y) -> terms of compose(a, b, c, x, y)
-_IMAGES = {}         # (b, source tangle, target tangle, number) -> {labeling: column}
-_SIGNED = {}         # (number, coefficient) -> number of the state times the coefficient
+# numbers, hold values and never complexes, and live until memo._forget().
+# A number fixes its diagram, a cached double that compares by identity,
+# and so both tangles of that double: once _check_on or the fault pass has
+# put each state on its objects' double, images and products are keyed on
+# numbers alone.  A fault judges a placement, so it keeps the objects.
+_ENTRY_NUMBERS = memo.table(dict)  # (diagram, offset, frozenset of terms) -> number
+_ENTRY_STATES = memo.table(list)   # number -> interned state
+_ENTRY_IDS = memo.table(dict)      # id(interned state) -> number
+_FAULTS = memo.table(dict)         # (source object, target object, number) -> fault or None
+_PRODUCTS = memo.table(dict)       # (number x, number y) -> terms of compose(a, b, c, x, y)
+_IMAGES = memo.table(dict)         # (b, number) -> {labeling: column}
+_SIGNED = memo.table(dict)         # (number, coefficient) -> number of coefficient * state
 _UNJUDGED = object()
 
 
@@ -328,14 +322,6 @@ def _signed(sv, coeff):
     return _ENTRY_STATES[n]
 
 
-def _forget_entries():
-    """Empty the interning and work tables together, so that a test can
-    count the work a fresh process does."""
-    for table in (_ENTRY_NUMBERS, _ENTRY_STATES, _ENTRY_IDS, _FAULTS, _PRODUCTS, _IMAGES,
-                  _SIGNED):
-        table.clear()
-
-
 def _state_fault(src, tgt, sv):
     """An entry lives on the double of its objects at its hom offset and is
     homogeneous of degree s_src - s_tgt."""
@@ -363,11 +349,11 @@ def _path_sum(compose, tangles, na, nc, paths):
     a, c = tangles[na], tangles[nc]
     acc = {}
     for (nx, (nb, ny)), count in counts.items():
-        key = (a, tangles[nb], c, nx, ny)
+        key = (nx, ny)
         terms = _PRODUCTS.get(key)
         if terms is None:
             terms = _PRODUCTS[key] = tuple(compose(
-                *key[:3], _ENTRY_STATES[nx], _ENTRY_STATES[ny]).terms.items())
+                a, tangles[nb], c, _ENTRY_STATES[nx], _ENTRY_STATES[ny]).terms.items())
         for lab, k in terms:
             acc[lab] = acc.get(lab, 0) + count * k
     return {lab: k for lab, k in acc.items() if k}
@@ -390,9 +376,8 @@ class TwistedTangleComplex(SparseComplex):
     and diagram in the process with a small number, and the work on
     entries is kept in process tables keyed on those numbers: _entry_fault
     judges an entry once per (source object, target object, number), the
-    d^2 = 0 check (_square) composes once per (a, b, c, number, number),
-    and hom_complex computes a labeling's column once per (b, source
-    tangle, target tangle, number).
+    d^2 = 0 check (_square) composes once per (number, number), and
+    hom_complex computes a labeling's column once per (b, number).
     """
 
     def _build(self, objects, differentials, h_min=None, h_max=None,
@@ -438,7 +423,7 @@ class TwistedTangleComplex(SparseComplex):
         depends only on its list and the tangles of a_j and c_i, so each
         distinct such key is summed once per call (_path_sum): integer
         multiplicities per path times compose(a, b, c, x, y), which runs
-        once per process per distinct (a, b, c, x, y).
+        once per process per distinct (x, y).
         """
         numbers = {}
         na, nb, nc = ([numbers.setdefault(T, len(numbers)) for T, _s in cells]
@@ -503,8 +488,8 @@ class TwistedTangleComplex(SparseComplex):
         Hom(b, T_src) to the sum over the terms c * lab2 of sv of c times
         the product of lab and lab2 in the plan composing through T_src:
         one plan lookup and one check of sv per entry, then table reads.
-        That column is computed once per process per (b, T_src, T_tgt,
-        number of sv, lab) and kept in the image table of its key.
+        That column is computed once per process per (b, number of sv,
+        lab) and kept in the image table of its key.
         With q_range = (qmin, qmax) only the labelings of quantum degree in
         that window are generators, and entries from objects without one are
         skipped: the differential preserves the quantum degree, so the
@@ -540,7 +525,7 @@ class TwistedTangleComplex(SparseComplex):
                 T_src, T_tgt = src[j][0], tgt[i][0]
                 _first, second, _canon, _off, plan = _composition_plan(b, T_src, T_tgt)
                 _check_on(sv, second, "second state")
-                image = _IMAGES.setdefault((b, T_src, T_tgt, _entry_number(sv)), {})
+                image = _IMAGES.setdefault((b, _entry_number(sv)), {})
                 row_of = rows[h + 1][i]
                 for lab, col in cols.items():
                     column = image.get(lab)
@@ -576,7 +561,7 @@ class TwistedTangleComplex(SparseComplex):
         return LaurentPoly(out).truncated(j1, j2)
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _hom_basis(b, T):
     """kh_basis of the double of (b, T), once per process."""
     return kh_basis(*hom_double(b, T))
@@ -633,7 +618,7 @@ class BarPlan:
     faces: dict
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def bar_plan(rings, depth, reduced=True, max_degree=None):
     """The BarPlan of the word tuples over rings up to total length depth,
     one word per ring, of letter degree at most max_degree (no bound with

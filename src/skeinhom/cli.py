@@ -16,9 +16,9 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .barproj import SmallRing, bottom_projector
+from . import memo
+from .barproj import bottom_projector, small_ring
 from .errors import AdmissibilityError, InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import LaurentPoly
 from .planar import PlanarTangle, enumerate_matchings
@@ -219,7 +219,7 @@ def _check_ring(ring, seed, samples):
 def _cmd_ring(args):
     if args.check:
         expect(args.samples, "a positive integer", "--samples")
-    ring = SmallRing(args.m, args.n)
+    ring = small_ring(args.m, args.n)
     gram = ring.gram()
     dims = [
         [i, j, str(gram[(a, b)])]
@@ -489,7 +489,7 @@ def _add_window(parser, hom=True):
     parser.add_argument("--qmax", type=int, default=8)
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def build_parser():
     """The command-line parser, built once per process: parsing keeps its
     state in the namespace it returns, so every run can share it."""
@@ -587,7 +587,7 @@ def _converted(action, text):
     return text if action.type is None else action.type(text)
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _leaf_table():
     """{command words: (defaults, {option string: action}, required
     actions)} of every leaf parser of build_parser(), read off the parsers

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (ChainMapError, GradingError, InvariantFactorError, TruncationError,
-                     WindowError, expect)
+from .errors import (ChainMapError, GradingError, InvariantFactorError, SpecError,
+                     TruncationError, WindowError, expect)
 
 
 def _integral(x, what):
@@ -738,8 +738,11 @@ class TruncatedComplex(SparseComplex):
 
     def homology_at(self, i, j):
         """(betti, torsion) of H^{i, j}; exact, or WindowError outside the
-        q-window, TruncationError beyond the truncation.  The one reader of
-        a cell: homology reads each cell of its window through it."""
+        q-window, TruncationError beyond the truncation, and SpecError for
+        a cell that is not two ints.  The one reader of a cell: homology
+        reads each cell of its window through it."""
+        if type(i) is not int or type(j) is not int:
+            raise SpecError(f"a homology cell must be a pair of integers, got {(i, j)!r}")
         if self.q_range is not None:
             self.require_window("a chain group", j, j)
         # _require_known passes every degree at or above h_min at once

@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
+from . import memo
 from .errors import InvalidBoundary, OpenBoundary, SpecError
 
 
@@ -283,7 +284,7 @@ def bend_up(t):
     return moved(t, "bend_up")
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def enumerate_matchings(m, n):
     """All minimal (m, n)-tangles (no free circles), sorted by partner array.
 

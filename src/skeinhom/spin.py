@@ -18,16 +18,16 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
+from . import memo
 from .barproj import bottom_projector
 from .errors import (AdmissibilityError, InexactDivision, InvalidBoundary, SpecError,
                      TruncationError, expect)
 from .homalg import LaurentPoly, circle_poly
 from .planar import (PlanarTangle, bend_down, bend_up, compose, cup_over_cap, identity_tangle,
                      juxtapose)
-from .surface import SurfaceComplex, SurfaceSpec, SurfaceTangle, arc
+from .surface import SurfaceComplex, SurfaceSpec, SurfaceTangle, arc, seam_side
 from .tqft import hom_double
 
 
@@ -98,7 +98,7 @@ def _poly_div_exact(a, g):
     return out
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _cyclotomic(d):
     """Ascending integer coefficients of the d-th cyclotomic polynomial
     Phi_d(x): x^d - 1 divided exactly by Phi_k for every proper divisor k
@@ -337,7 +337,7 @@ class RationalFunctionQ:
         return f"RationalFunctionQ({self.num!r}, {self.den!r})"
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _from_signature(shift, signature):
     """RationalFunctionQ.from_exponents for a (shift, signature)."""
     num, den = [1], [1]
@@ -509,7 +509,7 @@ def tl_closure(x):
     )
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def wenzl(n):
     """The n-strand Jones-Wenzl idempotent JW_n = W_n / [n]!, each
     coefficient of the cleared idempotent W_n (_cleared_wenzl) reduced
@@ -521,7 +521,7 @@ def wenzl(n):
                          for d, c in _cleared_wenzl(n).terms.items()})
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _cleared_wenzl(n):
     """W_n = [n]! JW_n, whose coefficients are Laurent polynomials, by the
     single-clasp recursion (S. Morrison, arXiv:1503.00384)
@@ -581,12 +581,12 @@ def loop(a):
     return _loop(expect(a, "a non-negative integer", "loop: color"))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _loop(a):
     return tl_closure(wenzl(a))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _loop_exponents(c):
     """(shift, signature) of loop(c), read back as a quantum integer [k] once
     per color; InexactDivision if it is not one."""
@@ -619,7 +619,7 @@ def theta(a, b, c):
     return _from_signature(*_theta_exponents(a, b, c))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _theta_exponents(a, b, c):
     """(shift, signature) of theta(a, b, c) for an admissible a <= b <= c:
     the exponents of its four numerator factorials less those of its three
@@ -745,7 +745,7 @@ _TRIANGLE = SurfaceSpec(
 )
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _graded_rank(t1, t2, counts):
     """Graded rank of the depth-0 hom space from t2 to t1 on the triangle,
     read from a SurfaceComplex built (and checked) once per process."""
@@ -802,25 +802,11 @@ def costandard_pairing_offset(colors):
     return sum(colors) // 2
 
 
-def _annulus_core_complex(depth):
-    spec = SurfaceSpec.from_data(
-        {
-            "arcs": ["a", "b"],
-            "seams": ["g"],
-            "regions": [
-                [
-                    {"seam": "g", "side": "-"},
-                    {"arc": "a"},
-                    {"seam": "g", "side": "+"},
-                    {"arc": "b"},
-                ]
-            ],
-        }
-    )
-    core = SurfaceTangle.from_data(
-        {"regions": [{"counts": [1, 0, 1, 0], "chords": [[0, 1]]}]}
-    )
-    return SurfaceComplex(spec, core, core, depth=depth)
+# the annulus crosscheck's surface, one seam between two arcs, and its core
+_ANNULUS = SurfaceSpec(arcs=(("a", 1), ("b", 1)), seams=("g",),
+                       regions=((seam_side("g", -1), arc("a"), seam_side("g", 1), arc("b")),))
+_ANNULUS_CORE = SurfaceTangle.from_data({"regions": [{"counts": [1, 0, 1, 0],
+                                                      "chords": [[0, 1]]}]})
 
 
 def _word_euler_series(cx, order):
@@ -878,7 +864,7 @@ def euler_crosscheck(scenario, order, depth=None):
         rhs = RationalFunctionQ.from_exponents(1, {2: -1}).series_poly(0, order)
     elif scenario == "annulus":
         d = depth if depth is not None else order // 2 + 2
-        cx = _annulus_core_complex(d)
+        cx = SurfaceComplex(_ANNULUS, _ANNULUS_CORE, _ANNULUS_CORE, depth=d)
         t = cx.truncated
         bound = t.min_q_at(t.h_min)
         if bound is not None and bound <= order:

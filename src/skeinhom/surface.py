@@ -27,10 +27,10 @@ import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
-from .barproj import _forget_entries, bar_complex, signed_shuffles, small_ring, word_ends
+from . import memo
+from .barproj import bar_complex, signed_shuffles, small_ring, word_ends
 from .errors import GradingError, InvalidBoundary, SpecError, TruncationError, expect
 from .homalg import ChainMap
 from .planar import (MOVES, PlanarTangle, identity_tangle, juxtapose, juxtaposition_points,
@@ -231,7 +231,7 @@ class SurfaceTangle:
         return cls(tuple(caps), tuple(counts))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _decoded(cls, text):
     """cls.from_data of a JSON text, for cls SurfaceSpec or SurfaceTangle:
     decoded once per process per text.  A text that raises, as invalid
@@ -332,7 +332,6 @@ class SurfaceLayout:
                 "grading non-integral"
             )
         self.q_base = boundary_points // 4
-        self._middles = {}
 
     def slot_tangles(self, ends):
         """The tangle in each slot of the middle layer of word tuples with
@@ -347,12 +346,10 @@ class SurfaceLayout:
                 out.append(first.reflect_x() if side < 0 else last)
         return tuple(out)
 
+    @memo.cache
     def middle(self, ends):
         """The middle-layer tangle of word tuples with these end objects."""
-        m = self._middles.get(ends)
-        if m is None:
-            m = self._middles[ends] = juxtapose(*self.slot_tangles(ends))
-        return m
+        return juxtapose(*self.slot_tangles(ends))
 
     def slot_entry(self, ends, g, side, new_end, sv):
         """An end face at seam g: sv acts on the slot of that side, which
@@ -363,7 +360,7 @@ class SurfaceLayout:
         return _slot_face(self.slot_tangles(ends), k, tgt, sv)
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _layout(spec, top, bottom, inserts):
     """The SurfaceLayout of a spec, its two tangles and its arc inserts,
     built once per process per key; a build that raises is not kept."""
@@ -533,7 +530,7 @@ def identity_unit(cx):
     return SurfaceElement(cx, 0, {(mw, lab): 1})
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _slot_face(slot_tangles, k, tgt, sv):
     """The end face on the middle layer of slot_tangles whose slot k goes
     to tgt by sv, every other slot by its identity: built once per process
@@ -542,16 +539,7 @@ def _slot_face(slot_tangles, k, tgt, sv):
                        for i, t in enumerate(slot_tangles)])
 
 
-def _forget_tables():
-    """Empty the process tables of surface builds together (decoded
-    inputs, layouts and end faces) and barproj's entry tables, so that a
-    test can count the work a fresh process does."""
-    for table in (_decoded, _layout, _slot_face):
-        table.cache_clear()
-    _forget_entries()
-
-
-@lru_cache(maxsize=None)
+@memo.cache
 def _stacking_plan(z1, m1, z2, m2, zt):
     """Compile stacking Hom(z1, m1) x Hom(z2, m2) through the shared middle
     caps once, on circles.
@@ -794,7 +782,7 @@ def coarsen(cx, seam):
     return target, ChainMap(cx.truncated, target.truncated, comps)
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _coarsening_plan(z_src, m_src, z_tgt, m_tgt, sites, arc_map):
     """Compile the collapse of one length-zero seam word once, on circles.
 

@@ -34,8 +34,8 @@ per pair of tangles.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
+from . import memo
 from .errors import GradingError, InvalidBoundary
 from .homalg import LaurentPoly
 from .planar import (MOVES, ClosedDiagram, compose, juxtapose, juxtaposition_points, moved,
@@ -195,7 +195,7 @@ def graded_rank(diagram, offset):
     return LaurentPoly(counts)
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def hom_double(a, b):
     """The circle diagram and offset presenting morphisms from a to b.
 
@@ -212,7 +212,7 @@ def hom_graded_rank(a, b):
     return graded_rank(*hom_double(a, b))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def identity_state(a):
     """The identity morphism of a, as a state on its self-double.
 
@@ -480,7 +480,7 @@ def pair(a, b, c, sv1, sv2):
                                 _replayed(plan, (sv1.terms.items(), sv2.terms.items())))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _composition_plan(a, b, c):
     """Compile composition through b once, on circles.
 
@@ -536,7 +536,7 @@ def _glued(lower, upper):
                      (p for p, g in enumerate(upper) if g is None)))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _relabeling_plan(a, b, kind):
     """Compile a relabeling of Hom(a, b) once: one move of planar.MOVES on
     both factors (a mirror or a bend), or reading it as Hom(b, a) (kind
@@ -594,7 +594,7 @@ def whisker(state, a, b, e, above=True):
     return StateVector._trusted(canon, off, _replayed(plan, factors))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _whisker_plan(a, b, e, above):
     """Compile whiskering Hom(a, b) by the identity of e once, on circles.
 
@@ -653,7 +653,7 @@ def juxtaposed(factors):
                                                              for _a, _b, sv in factors]))
 
 
-@lru_cache(maxsize=None)
+@memo.cache
 def _juxtaposition_plan(shapes):
     """The doubles of the (a_i, b_i) in shapes with their hom offsets, as
     hom_double gives them, the double of the juxtaposed pairs, its hom

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from skeinhom import memo
 from skeinhom.barproj import (SmallRing, TwistedTangleComplex, _compositions, _spelled, bar_ends,
                               bar_plan, bar_words, bottom_projector, counit_components, fold_entry,
                               fold_tangle, shuffle_words, signed_shuffles, small_ring, twisted_cone,
@@ -225,8 +226,10 @@ class TestBottomProjector:
     def test_degree_bound_refuses_negative_letters(self, monkeypatch):
         ring = SmallRing(2, 2)
         a, b = ring.objects
-        pool = ring.letters(a, b)
-        monkeypatch.setitem(ring._letters, (a, b, True), ((pool[0][0], -1),) + pool[1:])
+        pool, real = ring.letters(a, b), ring.letters
+        bent = ((pool[0][0], -1),) + pool[1:]
+        monkeypatch.setattr(ring, "letters", lambda x, y, reduced=True: (
+            bent if (x, y, reduced) == (a, b, True) else real(x, y, reduced)))
         assert _spelled(ring, 2, True, None)
         with pytest.raises(GradingError, match="negative degree"):
             _spelled(ring, 2, True, 3)
@@ -282,7 +285,7 @@ class TestRingCaches:
     def test_identity_labeling_builds_one_state_per_object(self):
         # identity states are cached once per process, not per ring
         ring = SmallRing(2, 2)
-        identity_state.cache_clear()
+        memo._forget()
         for _ in range(3):
             for a in ring.objects:
                 (lab, _), = identity_state(a).sorted_terms()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skeinhom
-from skeinhom import cli, errors, surface
+from skeinhom import cli, errors, memo
 from skeinhom.cli import build_parser, run
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.spin import RationalFunctionQ
@@ -250,7 +250,7 @@ class TestSharedParser:
 
     def test_usage_error_after_a_successful_run(self, capsys):
         bad = ("tl", "basis", "6", "--frobnicate")
-        build_parser.cache_clear()
+        memo._forget()
         fresh = run_cli(capsys, *bad)
         assert run_cli(capsys, "tl", "basis", "4")[0] == 0
         after = run_cli(capsys, *bad)
@@ -440,7 +440,7 @@ class TestDecodedInputs:
         real = SurfaceSpec.from_data
         monkeypatch.setattr(SurfaceSpec, "from_data",
                             classmethod(lambda cls, data: decoded.append(1) or real(data)))
-        surface._forget_tables()
+        memo._forget()
         argv = ("surface", "hom", "--spec", json.dumps(ANNULUS), *self.ARGV)
         first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
         assert first[0] == 0 and second == first

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skeinhom import barproj, surface
+from skeinhom import barproj, memo
 from skeinhom.barproj import (TwistedTangleComplex, bottom_projector, counit_components,
                               twisted_cone, unit_complex)
 from skeinhom.errors import ChainMapError, GradingError, TruncationError
@@ -170,6 +170,63 @@ class TestInternedEntries:
         with pytest.raises(GradingError, match="has degree 0, expected 2"):
             TwistedTangleComplex({0: ((ID2, 2),), 1: ((ID2, 0),)}, {0: {(0, 0): one}}, 0, 1)
 
+    def test_one_state_is_judged_per_double(self):
+        # the same interned state, judged right between objects of its
+        # double, then placed between objects of another double: the fault
+        # table must not answer the second from the first, so it keeps the
+        # objects' tangles
+        one, cap = identity_state(ID2), cup_over_cap(2)
+        TwistedTangleComplex({0: ((ID2, 0),), 1: ((ID2, 0),)}, {0: {(0, 0): one}}, 0, 1)
+        with pytest.raises(GradingError, match=r"entry \(0, 0\) at degree 0 is on the wrong"):
+            TwistedTangleComplex({0: ((cap, 0),), 1: ((cap, 0),)}, {0: {(0, 0): one}}, 0, 1)
+
+    def test_each_number_meets_one_pair_of_tangles(self, monkeypatch):
+        # what keys the image and product tables on numbers alone: over
+        # every windowed case, each entry number that hom_complex or _square
+        # reads lies between one (source tangle, target tangle) pair
+        met, last = {}, []
+        real_sum, real_plan, real_check = (barproj._path_sum, barproj._composition_plan,
+                                           barproj._check_on)
+
+        def path_sum(compose, tangles, na, nc, paths):
+            for nx, (nb, ny) in paths:
+                met.setdefault(nx, set()).add((tangles[na], tangles[nb]))
+                met.setdefault(ny, set()).add((tangles[nb], tangles[nc]))
+            return real_sum(compose, tangles, na, nc, paths)
+
+        def plan(b, src, tgt):
+            last[:] = [(src, tgt)]
+            return real_plan(b, src, tgt)
+
+        def check(sv, double, what):
+            # hom_complex checks each entry right after its plan lookup
+            met.setdefault(barproj._entry_number(sv), set()).add(last[0])
+            return real_check(sv, double, what)
+
+        monkeypatch.setattr(barproj, "_path_sum", path_sum)
+        monkeypatch.setattr(barproj, "_composition_plan", plan)
+        monkeypatch.setattr(barproj, "_check_on", check)
+        memo._forget()
+        for spec, top, bottom in CASES.values():
+            for q_range in (None, (0, 4)):
+                SurfaceComplex(spec, top, bottom, depth=3, q_range=q_range)
+        assert met and {n: pairs for n, pairs in met.items() if len(pairs) != 1} == {}
+
+    def test_images_are_kept_per_tangle_b(self):
+        # hom from two tangles over one complex: the image table tells them
+        # apart, so the second evaluation equals a cold one
+        first, second = cup_over_cap(2), ID2.with_circles(1)
+        memo._forget()
+        P = bottom_projector(2, 3)
+        cold = P.hom_complex(second)
+        memo._forget()
+        P = bottom_projector(2, 3)
+        P.hom_complex(first)
+        warm = P.hom_complex(second)
+        assert warm.generators == cold.generators and warm.differentials == cold.differentials
+        numbers = {barproj._entry_number(sv) for d in P.differentials.values() for sv in d.values()}
+        assert any(barproj._IMAGES[(first, n)] != barproj._IMAGES[(second, n)] for n in numbers)
+
     def test_equal_values_share_a_number_and_offsets_do_not(self):
         sv = next(iter(surface_twisted(1).differentials[-1].values()))
         n = barproj._entry_number(sv)
@@ -194,7 +251,7 @@ class TestInternedEntries:
 
         monkeypatch.setattr(barproj, "pair", pair)
         monkeypatch.setattr(barproj, "_state_fault", fault)
-        surface._forget_tables()
+        memo._forget()
         first = surface_twisted(3)
         assert composed and judged
         assert len(set(composed)) == len(composed)

@@ -960,6 +960,25 @@ class TestErrorsUnderOptimize:
         )
         assert line == "skeinhom.errors.SpecError: " + message
 
+    @pytest.mark.parametrize("cell", [(0, None), (0.5, 0), (True, 0), (None, 0), ("a", 0),
+                                      (0, 1.0), (0, False)])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_misshapen_cell_is_a_spec_error(self, cell, windowed):
+        # on a truncated complex with a q-window too, whose checks come after
+        extra = dict(h_min=0, h_max=0, complete=False, q_range=(0, 4)) if windowed else {}
+        cx = TruncatedComplex({0: (("a", 0),)}, {}, **extra)
+        with pytest.raises(SpecError) as err:
+            cx.homology_at(*cell)
+        assert str(err.value) == f"a homology cell must be a pair of integers, got {cell!r}"
+
+    def test_misshapen_cell_under_optimize(self):
+        line = error_under_optimize(
+            "from skeinhom.homalg import TruncatedComplex\n"
+            "TruncatedComplex({0: (('a', 0),)}, {}).homology_at(True, 0)\n"
+        )
+        assert line == ("skeinhom.errors.SpecError: "
+                        "a homology cell must be a pair of integers, got (True, 0)")
+
     def test_negative_betti_is_a_chain_map_error(self):
         gens = {0: (("a", 0),), 1: (("b", 0),), 2: (("c", 0),)}
         cx = TruncatedComplex._trusted(gens, {0: {(0, 0): 1}, 1: {(0, 0): 1}})

@@ -1124,3 +1124,102 @@ def test_benchmark_oracles_do_not_grow():
     assert lines <= ORACLES_MAX_LINES, (
         f"tests/oracles.py has {lines} lines, more than {ORACLES_MAX_LINES}; "
         "put new oracles in tests/plan_oracles.py")
+
+
+# Process tables kept outside skeinhom.memo, by (module, name), each with
+# the reason it stays there.  Every other table that lives as long as the
+# process is a memo.cache function or a memo.table, so that memo._forget()
+# empties it with the rest.
+ALLOWED_PROCESS_TABLES = {
+    ("planar", "_DERIVED"): "it interns derived tangles and does no work; emptying it while "
+                            "tangles are alive would break the rule that equal derived "
+                            "tangles alive at once are one object",
+}
+CACHE_DECORATORS = ("lru_cache", "cache")
+
+
+def is_empty_table(node):
+    """An empty {} or [], a dict(), list() or set() call without
+    arguments, or a call of a weak table (weakref.Weak...)."""
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None)) or ""
+    return (name.startswith("Weak")
+            or name in ("dict", "list", "set") and not (node.args or node.keywords))
+
+
+def process_tables(path):
+    """[(name, line)] of every module-level or class-level name that the
+    module at path binds to an empty table, and of every import or read of
+    functools.lru_cache or functools.cache; class attributes are Class.name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def scan(body, scope):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                scan(node.body, f"{scope}{node.name}.")
+                continue
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            values = [node.value] if getattr(node, "value", None) is not None else []
+            for target in targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else zip([target], values))
+                found.extend((f"{scope}{t.id}", node.lineno) for t, v in pairs
+                             if isinstance(t, ast.Name) and is_empty_table(v))
+
+    scan(tree.body, "")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(a.name, node.lineno) for a in node.names if a.name in CACHE_DECORATORS]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS
+              and getattr(node.value, "id", None) == "functools"):
+            found.append((node.attr, node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def source_process_tables():
+    return {(path.stem, name): line for path in sorted(SOURCE.glob("*.py"))
+            if path.stem != "memo" for name, line in process_tables(path)}
+
+
+def test_process_tables_live_in_memo():
+    stray = [f"{module}.py:{line} {name}" for (module, name), line
+             in source_process_tables().items()
+             if (module, name) not in ALLOWED_PROCESS_TABLES]
+    assert not stray, (
+        "process table outside skeinhom.memo at " + ", ".join(stray)
+        + "; make it with memo.cache or memo.table, so that memo._forget() empties it")
+
+
+def test_every_allowance_matches_a_process_table():
+    stale = sorted(set(ALLOWED_PROCESS_TABLES) - set(source_process_tables()))
+    assert not stale, f"allowances with no process table left in the source: {stale}"
+
+
+def test_process_table_scan_sees_tables_caches_and_scopes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import functools\n"
+        "import weakref\n"
+        "from functools import cached_property, lru_cache as memoized\n"
+        "A = {}\n"
+        "B: list = []\n"
+        "C, D = dict(), {1: 2}\n"
+        "E = weakref.WeakValueDictionary()\n"
+        "F = dict(a=1), set([1])\n"
+        "class K:\n"
+        "    table = set()\n"
+        "    def f(self):\n"
+        "        local = {}\n"
+        "        return functools.cache(f), local\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def g():\n"
+        "    return []\n")
+    assert process_tables(module) == [
+        ("lru_cache", 3), ("A", 4), ("B", 5), ("C", 6), ("E", 7), ("K.table", 10),
+        ("cache", 13), ("lru_cache", 14)]

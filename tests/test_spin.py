@@ -20,7 +20,7 @@ from skeinhom.spin import (CrosscheckReport, RationalFunctionQ, SpinNetwork,
                            pairing_prediction, projector_truncation, quantum_integer, theta,
                            tl_closure, tl_compose, tl_tensor, wenzl)
 from skeinhom.spin import _fraction_sum, _poly_div_exact, _poly_gcd
-from skeinhom import spin
+from skeinhom import memo, spin
 from skeinhom.surface import SurfaceComplex, SurfaceSpec, arc, seam_side
 
 from .optimized import error_under_optimize
@@ -449,8 +449,7 @@ class TestWenzl:
             return real(a, b)
 
         monkeypatch.setattr(spin, "_poly_gcd", counted)
-        wenzl.cache_clear()
-        spin._cleared_wenzl.cache_clear()
+        memo._forget()
         for n in range(2, 7):
             wenzl(n)
         # one reduction per coefficient of each JW_n: Catalan(n) diagrams
@@ -515,7 +514,7 @@ class TestTheta:
         def refuse(*_args):
             raise AssertionError("theta evaluated a diagram")
 
-        spin._from_signature.cache_clear()
+        memo._forget()
         monkeypatch.setattr(spin, "wenzl", refuse)
         monkeypatch.setattr(spin, "compose", refuse)
         for triple in [(8, 8, 8), (7, 7, 6)]:
@@ -821,7 +820,7 @@ class TestCostandardPairing:
             built.append((top, bottom))
             real(self, spec, top, bottom, *args, **kwargs)
 
-        spin._graded_rank.cache_clear()
+        memo._forget()
         monkeypatch.setattr(SurfaceComplex, "__init__", counted)
         for order in range(25):
             assert euler_crosscheck("triangle112", order).ok
@@ -941,7 +940,7 @@ class TestCyclotomicExponents:
             reads[k] += 1
             return k
 
-        spin._loop_exponents.cache_clear()
+        memo._forget()
         monkeypatch.setattr(spin, "as_quantum_integer", counted)
         for c in colorings:
             pairing_prediction(SpinNetwork(TRI_ANNULUS, dict(zip(("a", "b", "g1", "g2"), c))))
@@ -976,7 +975,7 @@ class TestCyclotomicExponents:
                 arc_colors, seam_colors)
 
     def test_loop_that_is_not_a_quantum_integer_is_refused(self, monkeypatch):
-        spin._loop_exponents.cache_clear()
+        memo._forget()
         monkeypatch.setattr(spin, "loop", lambda c: RFQ(1, quantum_integer(c + 1)))
         net = SpinNetwork(TRI_ANNULUS, {"a": 2, "b": 2, "g1": 1, "g2": 1})
         with pytest.raises(InexactDivision, match=r"loop\(1\) = .* is not a quantum integer"):

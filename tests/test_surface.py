@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinhom import cli, homalg, planar, surface
+from skeinhom import cli, homalg, memo, planar, surface
 from skeinhom.barproj import word_degree
 from skeinhom.errors import GradingError, InvalidBoundary, SpecError, TruncationError
 from skeinhom.homalg import Certificate, LaurentPoly, TruncatedComplex, smith_invariants
@@ -446,7 +446,7 @@ class TestSharedLayout:
         from .test_windowed import CASES
         for name, (spec, top, bottom) in CASES.items():
             for q_range in (None, (0, 4)):
-                surface._forget_tables()
+                memo._forget()
                 cold = SurfaceComplex(spec, top, bottom, depth=2, q_range=q_range)
                 warm = SurfaceComplex(spec, top, bottom, depth=2, q_range=q_range)
                 assert warm.layout is cold.layout, name
@@ -1033,7 +1033,7 @@ class TestCompiledRoutes:
                 assert plan.product(lab) == reference.product(lab)
 
     def test_second_compose_and_coarsen_build_no_diagram(self, monkeypatch):
-        surface._forget_tables()
+        memo._forget()
         cx = SurfaceComplex(ANNULUS, CORE, CORE, depth=1)
         tgt = SurfaceComplex(ANNULUS, CORE, CORE, depth=2)
         # CORE's seam ring has one object: one word per degree, two labelings

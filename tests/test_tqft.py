@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinhom import planar
+from skeinhom import memo, planar
 from skeinhom.errors import GradingError, InvalidBoundary
 from skeinhom.homalg import LaurentPoly, circle_poly
 from skeinhom.planar import (ClosedDiagram, PlanarTangle, compose, cup_over_cap,
@@ -418,7 +418,7 @@ class TestCompiledComposition:
     def test_one_plan_per_distinct_triple(self):
         rng = random.Random(11)
         objs = small_objects(2, 2) + small_objects(1, 3)
-        _composition_plan.cache_clear()
+        memo._forget()
         triples = set()
         for _ in range(300):
             a = rng.choice(objs)
@@ -432,7 +432,7 @@ class TestCompiledComposition:
 
     def test_new_labels_on_a_known_triple_build_no_diagram(self, monkeypatch):
         a, b, c = E, ID2.with_circles(1), E.with_circles(2)
-        _composition_plan.cache_clear()
+        memo._forget()
         (d1, off1), (d2, off2) = hom_double(a, b), hom_double(b, c)
         basis1 = [lab for lab, _ in kh_basis(d1, off1)]
         basis2 = [lab for lab, _ in kh_basis(d2, off2)]

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinhom import cli, surface
+from skeinhom import cli, memo, surface
 from skeinhom.barproj import TwistedTangleComplex, bar_ends, twisted_cone, word_ends
 from skeinhom.errors import InvalidBoundary, SpecError, TruncationError, WindowError
 from skeinhom.homalg import ChainMap, LaurentPoly, TruncatedComplex
@@ -125,7 +125,7 @@ class TestEquality:
 
     def test_full_builds_read_one_entry_per_letter(self, monkeypatch):
         # end faces are kept for the life of the process; start from none
-        surface._forget_tables()
+        memo._forget()
         calls = []
         real = surface.juxtaposed
         monkeypatch.setattr(surface, "juxtaposed", lambda fs: calls.append(1) or real(fs))
